@@ -28,10 +28,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import integrate
 
 from . import analytic_uav_centric, analytic_user_centric
 from .errors import DomainError, NumericalError
-from .laplace import conditional_coverage
 from .montecarlo import run_uav_centric, run_user_centric
 from .scenario import (
     NOMA,
@@ -87,11 +87,31 @@ class SweepSpec:
             raise ConfigError(f"sweep.mode: unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ConfigError("sweep.trials: must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("sweep.seed: must be a 64-bit unsigned integer")
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+
+def _as_kind(value, kind):
+    """``value`` as ``kind`` without loss, or None.
+
+    JSON integers that a float holds exactly widen to float and integral
+    floats narrow to int; nothing else converts, so 1.7 is no int and true
+    is no number.
+    """
+    if kind is float and type(value) is int:
+        try:
+            widened = float(value)
+        except OverflowError:
+            return None
+        return widened if widened == value else None
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    return value if type(value) is kind else None
 
 
 def _take(section: dict, path: str, key: str, kind, default):
@@ -100,12 +120,10 @@ def _take(section: dict, path: str, key: str, kind, default):
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     value = section.pop(key)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {value!r}"
-        ) from None
+    converted = _as_kind(value, kind)
+    if converted is None:
+        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+    return converted
 
 
 def _reject_unknown(section: dict, path: str):
@@ -176,11 +194,11 @@ def parse_sweep(section: dict) -> SweepSpec:
     access = _take(section, "sweep", "access", str, NOMA)
     if access not in (NOMA, OMA):
         raise ConfigError(f"sweep.access: unknown access {access!r}")
-    values = _take(section, "sweep", "values", list, None)
-    try:
-        values = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError("sweep.values: expected a list of numbers") from None
+    values = tuple(
+        _as_kind(v, float) for v in _take(section, "sweep", "values", list, None)
+    )
+    if None in values:
+        raise ConfigError("sweep.values: expected a list of numbers")
     spec = SweepSpec(
         axis=_take(section, "sweep", "axis", str, None),
         values=values,
@@ -373,11 +391,52 @@ def _warn_infeasible(cfg, link, strategy, access):
 # ---------------------------------------------------------------------------
 
 
+def adaptive_coverage_pair(
+    role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
+) -> float:
+    """UAV-centric pair coverage by tight nested adaptive quadrature.
+
+    The reference for the fixed tensor rule of
+    ``analytic_uav_centric.coverage_pair``: the placement density integrated
+    over r given R, then the nearest-neighbor law over u = pi lam R^2 with a
+    breakpoint at R = h, both at epsabs = epsrel = 1e-11.
+    """
+    if role == analytic_uav_centric.NEAR:
+        lo, hi, density = 0.0, 0.25, 32.0
+    else:
+        lo, hi, density = 0.25, 0.5, 32.0 / 3.0
+    tol = dict(epsabs=1e-11, epsrel=1e-11)
+
+    def placement(R: float) -> float:
+        return integrate.quad(
+            lambda r: density * r / R**2 * analytic_uav_centric.coverage_cond_pair(
+                r, R, role, cfg, link, access
+            ),
+            lo * R,
+            hi * R,
+            limit=200,
+            **tol,
+        )[0]
+
+    pl = math.pi * cfg.uav_density
+    u_h = pl * cfg.uav_height**2
+    return integrate.quad(
+        lambda u: placement(math.sqrt(u / pl)) * math.exp(-u),
+        0.0,
+        46.0,
+        points=[u_h] if u_h < 46.0 else None,
+        limit=400,
+        **tol,
+    )[0]
+
+
 def _validate_checks(quick: bool, seed: int):
     density = 1.0 / (500.0**2 * math.pi)
     cfg = NetworkConfig(
         uav_density=density, tx_power=1e-6, alpha_desired=3.0, m_interf=1
     )
+    cfg_uav = replace(cfg, alpha_desired=3.5)
+    link_uav = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
 
     def special_case_identity():
         worst = 0.0
@@ -448,22 +507,24 @@ def _validate_checks(quick: bool, seed: int):
 
     def analytic_vs_mc_uav_centric():
         trials = 20_000 if quick else 100_000
-        cfg_uav = replace(cfg, alpha_desired=3.5)
-        link = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
-        near, far = run_uav_centric(cfg_uav, link, NOMA, trials, seed)
-        gap_near = abs(
-            near.p_hat
-            - analytic_uav_centric.coverage_pair(
-                analytic_uav_centric.NEAR, cfg_uav, link, NOMA
+        gap = max(
+            abs(
+                est.p_hat
+                - analytic_uav_centric.coverage_pair(est.user_role, cfg_uav, link_uav)
             )
+            for est in run_uav_centric(cfg_uav, link_uav, NOMA, trials, seed)
         )
-        gap_far = abs(
-            far.p_hat
-            - analytic_uav_centric.coverage_pair(
-                analytic_uav_centric.FAR, cfg_uav, link, NOMA
+        return gap, 0.02
+
+    def tensor_rule_vs_adaptive():
+        gap = max(
+            abs(
+                analytic_uav_centric.coverage_pair(role, cfg_uav, link_uav)
+                - adaptive_coverage_pair(role, cfg_uav, link_uav)
             )
+            for role in (analytic_uav_centric.NEAR, analytic_uav_centric.FAR)
         )
-        return max(gap_near, gap_far), 0.02
+        return gap, 1e-6
 
     def ring_series_coefficient():
         R = 430.0
@@ -481,6 +542,7 @@ def _validate_checks(quick: bool, seed: int):
         ("nearest-ring binomial series", ring_series_coefficient),
         ("analytic vs MC, user-centric", analytic_vs_mc_user_centric),
         ("analytic vs MC, UAV-centric", analytic_vs_mc_uav_centric),
+        ("UAV-centric tensor rule vs adaptive quadrature", tensor_rule_vs_adaptive),
     ]
 
 

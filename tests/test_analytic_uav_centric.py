@@ -22,6 +22,7 @@ from uavnoma.analytic_uav_centric import (
     tail_exponent_ucav,
     _placement_average,
 )
+from uavnoma.cli import adaptive_coverage_pair
 from uavnoma.errors import DomainError
 from uavnoma.laplace import conditional_coverage
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
@@ -268,3 +269,88 @@ class TestCoveragePair:
         near = coverage_pair(NEAR, cfg, LINK, OMA)
         far = coverage_pair(FAR, cfg, LINK, OMA)
         assert 0.0 < far < 1.0 and 0.0 < near < 1.0
+
+
+# Corners of the parameter domain, as overrides of make_cfg: the UAV height
+# on both sides of the typical neighbor distance, the serving path-loss
+# exponent, the density, fading with imperfect SIC, OMA, a third fading
+# order, and a dense network in which R = h falls beyond the radial cutoff.
+DOMAIN_CORNERS = {
+    "h=30m": (dict(uav_height=30.0), LINK, NOMA),
+    "h=300m": (dict(uav_height=300.0), LINK, NOMA),
+    "h=1000m,1W": (dict(uav_height=1000.0, tx_power=1.0), LINK, NOMA),
+    "aD=2.5": (dict(alpha_desired=2.5), LINK, NOMA),
+    "aD=4.5,1mW": (dict(alpha_desired=4.5, tx_power=1e-3), LINK, NOMA),
+    "lam/4": (dict(uav_density=DENSITY / 4.0), LINK, NOMA),
+    "lam*4": (dict(uav_density=DENSITY * 4.0), LINK, NOMA),
+    "m=2,ipsic=0.1": (
+        dict(m_desired=2, m_interf=2),
+        NomaLink(rate_near=1.0, rate_far=1.0, ipsic=0.1),
+        NOMA,
+    ),
+    "oma,aI=3": (dict(alpha_interf=3.0), LINK, OMA),
+    "m=3": (dict(m_desired=3), LINK, NOMA),
+    "h=1000m,lam*16,1W,aD=3": (
+        dict(uav_height=1000.0, uav_density=DENSITY * 16.0, tx_power=1.0,
+             alpha_desired=3.0),
+        LINK,
+        NOMA,
+    ),
+    # R = h just inside the radial cutoff: a plain Gauss-Legendre panel on
+    # [0, t_h] misses by 3e-5 here
+    "h=3000m,1W,aD=3": (
+        dict(uav_height=3000.0, tx_power=1.0, alpha_desired=3.0), LINK, NOMA
+    ),
+    # steep noise-limited decay in r and R: a placement rule uniform in the
+    # placement CDF and a uniform panel above t_h miss by 1e-5 here
+    "h=30m,aD=4.5,m=3": (
+        dict(uav_height=30.0, alpha_desired=4.5, m_desired=3, m_interf=2),
+        LINK,
+        NOMA,
+    ),
+}
+
+# (near, far) per corner; see TestCoveragePairAcrossDomain for their source
+DOMAIN_PINS = {
+    "h=30m": (0.9329179488778369, 0.6057515711205369),
+    "h=300m": (0.04821072856573095, 0.01427673307042844),
+    "h=1000m,1W": (0.46376598905981925, 0.4193167506892892),
+    "aD=2.5": (0.9984511680694012, 0.994705749595975),
+    "aD=4.5,1mW": (0.5144948679818897, 0.130007634955542),
+    "lam/4": (0.6137714007208991, 0.19900681868270934),
+    "lam*4": (0.8395737133732749, 0.6970602796459398),
+    "m=2,ipsic=0.1": (0.9547943260614704, 0.5556246475748828),
+    "oma,aI=3": (0.06185200430730936, 0.0322223665343728),
+    "m=3": (0.9444561437006109, 0.5840652824439594),
+    "h=1000m,lam*16,1W,aD=3": (0.7060012681280033, 0.682813983968841),
+    "h=3000m,1W,aD=3": (0.9332023406056351, 0.9268771916497415),
+    "h=30m,aD=4.5,m=3": (0.410812916240592, 0.042450101742481004),
+}
+
+
+class TestCoveragePairAcrossDomain:
+    """The fixed tensor rule against converged adaptive quadrature.
+
+    DOMAIN_PINS come from ``uavnoma.cli.adaptive_coverage_pair``, nested
+    adaptive quad at epsabs = epsrel = 1e-11 with the outer breakpoint at
+    R = h. From the repository root, regenerate them with
+
+        PYTHONPATH=src python tests/test_analytic_uav_centric.py
+
+    They are not the output of the nested adaptive quad that the rule
+    replaced: at h = 30 m that one missed the converged value by 1.2e-5.
+    """
+
+    @pytest.mark.parametrize("corner", list(DOMAIN_CORNERS))
+    def test_matches_converged_adaptive_pins(self, corner):
+        overrides, link, access = DOMAIN_CORNERS[corner]
+        cfg = make_cfg(**overrides)
+        for role, pin in zip((NEAR, FAR), DOMAIN_PINS[corner]):
+            assert abs(coverage_pair(role, cfg, link, access) - pin) < 1e-6
+
+
+if __name__ == "__main__":
+    for corner, (overrides, link, access) in DOMAIN_CORNERS.items():
+        cfg = make_cfg(**overrides)
+        pins = tuple(adaptive_coverage_pair(r, cfg, link, access) for r in (NEAR, FAR))
+        print(f'    "{corner}": {pins!r},')

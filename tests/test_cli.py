@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavnoma.cli import (
     CSV_COLUMNS,
@@ -97,11 +98,94 @@ class TestConfigParsing:
         _, link2 = apply_axis(cfg, link, "power_split_far", 0.8)
         assert (link2.pw_far, link2.pw_near) == (0.8, pytest.approx(0.2))
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("network", "m_desired", 1.7),
+            ("sweep", "trials", 2.9),
+            ("network", "uav_height_m", True),
+            ("sweep", "values", [-30.0, False]),
+            ("network", "tx_power_dbm", "-30"),
+        ],
+    )
+    def test_lossy_casts_exit_2(self, tmp_path, capsys, section, key, value):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload[section][key] = value
+        out = tmp_path / "o.csv"
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_is_an_integer(self):
+        assert parse_network({"m_desired": 2.0}).m_desired == 2
+        assert type(parse_network({"m_desired": 2.0}).m_desired) is int
+
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"network": {,}}')
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(path))
+
+
+# every JSON scalar, including floats half-way between integers
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.integers(-50, 50).map(lambda n: n + 0.5),
+    st.text(max_size=4),
+)
+
+
+def _parsed(parse, section):
+    try:
+        return parse(section)
+    except ConfigError:
+        return None
+
+
+def _is_number(value):
+    return type(value) in (int, float)
+
+
+class TestConfigParsingProperties:
+    """Numbers pass unchanged or are rejected: no truncation, no bool as number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_SCALARS)
+    def test_integer_field(self, value):
+        spec = _parsed(parse_sweep, {"axis": "ipsic", "values": [0.0], "trials": value})
+        if spec is not None:
+            assert _is_number(value)
+            assert type(spec.trials) is int and spec.trials == value
+        if not _is_number(value) or (type(value) is float and not value.is_integer()):
+            assert spec is None
+        if type(value) is int and value >= 1:
+            assert spec is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_SCALARS)
+    def test_float_field(self, value):
+        cfg = _parsed(parse_network, {"uav_height_m": value})
+        if cfg is not None:
+            assert _is_number(value)
+            assert type(cfg.uav_height) is float and cfg.uav_height == value
+        if not _is_number(value):
+            assert cfg is None
+        if type(value) is float and 1.0 <= value < math.inf:
+            assert cfg is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_SCALARS)
+    def test_seed_range(self, value):
+        spec = _parsed(parse_sweep, {"axis": "ipsic", "values": [0.0], "seed": value})
+        in_range = _is_number(value) and 0 <= value < 2**64
+        if spec is not None:
+            assert in_range and spec.seed == value
+        if type(value) is int:
+            assert (spec is not None) == in_range
 
 
 class TestSweepCommand:
@@ -224,6 +308,18 @@ class TestErrors:
         path = write_config(tmp_path, {"nettwork": {}})
         assert main(["analytic", "--config", path]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["seed"] = seed
+        out = str(tmp_path / "o.csv")
+        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", out]) == 2
+        assert "sweep.seed" in capsys.readouterr().err
+        path = write_config(tmp_path, BASE_CONFIG, name="ok.json")
+        assert main(["sweep", "--config", path, "--out", out, "--seed", str(seed)]) == 2
+        assert main(["mc", "--config", path, "--trials", "10", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err.count("sweep.seed") == 2
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from uavnoma.errors import NumericalError
 
@@ -263,4 +359,4 @@ class TestValidateQuick:
     def test_quick_validation_passes(self, capsys):
         assert main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert out.count("PASS") == 8 and "FAIL" not in out
