@@ -1,5 +1,6 @@
 """Tests for the seeded Monte Carlo engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from uavnoma.montecarlo import (
     evaluate_user_centric,
     run_uav_centric,
     run_user_centric,
+    simulate_uav_centric,
     simulate_user_centric,
     wilson_interval,
 )
@@ -101,6 +103,126 @@ class TestDeterminism:
         sigma = math.sqrt(p_bar * (1.0 - p_bar) / trials)
         spread = float(np.std(estimates))
         assert 0.3 * sigma < spread < 3.0 * sigma
+
+
+# Pinned draws of both geometry phases (400 trials, seed 77). Any change to
+# the per-trial stream layout (draw order, draw count, or how a draw becomes
+# a distance, gain or interference sum) moves these numbers. Values are
+# batch fields at trials 3 and 5; counts are (typical, fixed) or (near, far)
+# successes; "empty" counts the trials with no UAV in the disc.
+STREAM_PINS = {
+    # lam pi r^2 = 400 UAVs on average
+    "default": dict(
+        cfg={},
+        uc_counts=[(219, 347), (257, 383), (339, 396)],
+        uc_empty=0,
+        uc_values={
+            3: [349.03373030826447, 3.892753344970292e-11, 5.788515323079571e-12,
+                1.3088291190339263, 0.6687927145299484],
+            5: [651.0429646338898, 9.656657281262318e-12, 1.2264739472754127e-10,
+                0.8919026408784114, 0.2618435572193865],
+        },
+        uav_counts=[(206, 169), (188, 168), (31, 169)],
+        uav_empty=0,
+        uav_values={
+            3: [334.40177166531623, 111.91051168621865, 174.26330937319062,
+                3.367924048252412e-11, 4.531000587836775e-11, 0.6687927145299484,
+                0.3133372520891722],
+            5: [643.3171393638478, 117.54201829746107, 310.5409559886708,
+                8.573995972007537e-12, 1.5829317036634962e-11, 0.2618435572193865,
+                0.3714302678325047],
+        },
+    ),
+    "nakagami": dict(
+        cfg=dict(m_desired=3, m_interf=2, alpha_interf=3.5),
+        uc_counts=[(211, 381), (259, 400), (361, 400)],
+        uc_empty=0,
+        uc_values={
+            3: [349.03373030826447, 6.609382775498126e-10, 5.149075787741949e-10,
+                1.0364367753150148, 0.6621421535422861],
+            5: [651.0429646338898, 2.950343546408313e-10, 2.8766673550763765e-09,
+                1.132971757581384, 2.4641299848136593],
+        },
+        uav_counts=[(264, 193), (227, 189), (10, 193)],
+        uav_empty=0,
+        uav_values={
+            3: [334.40177166531623, 111.91051168621865, 174.26330937319062,
+                1.0639307486119906e-09, 9.90824427147674e-10, 0.14267275789731013,
+                1.3852784920935708],
+            5: [643.3171393638478, 117.54201829746107, 310.5409559886708,
+                4.2917194477542807e-10, 2.3925301908761827e-10, 1.2900912780758664,
+                0.5884744521420776],
+        },
+    ),
+    # lam pi r^2 = 0.69: about half the discs hold no UAV
+    "sparse": dict(
+        cfg=dict(sim_disc_radius=416.0),
+        uc_counts=[(187, 188), (196, 204), (206, 210)],
+        uc_empty=188,
+        uc_values={
+            3: [math.inf, 0.0, 0.0, 0.0, 0.0],
+            5: [236.77727950080333, 0.0, 0.0, 2.6919181963061396, 1.2156969736922045],
+        },
+        uav_counts=[(248, 231), (229, 227), (39, 231)],
+        uav_empty=188,
+        uav_values={
+            3: [416.0, 107.45280919951897, 183.34593235607164, 0.0, 0.0,
+                0.24305027599294252, 1.7560958188391462],
+            5: [214.6240435920485, 108.81024938892311, 140.02036469691186,
+                5.550671562996168e-11, 2.940751715858623e-10, 1.2156969736922045,
+                1.0350247706363966],
+        },
+    ),
+}
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("name", sorted(STREAM_PINS))
+    def test_pinned_draws(self, name):
+        pins = STREAM_PINS[name]
+        cfg = make_cfg(**pins["cfg"])
+        link_b = NomaLink(rate_near=0.5, rate_far=0.25, ipsic=0.1, fixed_user_dist=150.0)
+        link_c = NomaLink(rate_near=2.0, rate_far=0.5, ipsic=0.1)
+
+        uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 400, seed=77)
+        uc_b = simulate_user_centric(cfg, link_b.fixed_user_dist, 400, seed=77)
+        assert [
+            evaluate_user_centric(uc, cfg, LINK, NOMA),
+            evaluate_user_centric(uc, cfg, LINK, OMA),
+            evaluate_user_centric(uc_b, cfg, link_b, NOMA),
+        ] == pins["uc_counts"]
+        assert int(np.sum(np.isinf(uc.serving_dist3d))) == pins["uc_empty"]
+        for t, values in pins["uc_values"].items():
+            drawn = [
+                uc.serving_dist3d[t],
+                uc.interference_typical[t],
+                uc.interference_fixed[t],
+                uc.gain_typical[t],
+                uc.gain_fixed[t],
+            ]
+            assert drawn == pytest.approx(values, rel=1e-12)
+
+        uav = simulate_uav_centric(cfg, 400, seed=77)
+        weak = dataclasses.replace(cfg, tx_power=1e-8)
+        assert [
+            evaluate_uav_centric(uav, weak, LINK, NOMA),
+            evaluate_uav_centric(uav, weak, LINK, OMA),
+            evaluate_uav_centric(uav, weak, link_c, NOMA),
+        ] == pins["uav_counts"]
+        empty = uav.neighbor_dist == cfg.sim_disc_radius
+        assert int(np.sum(empty)) == pins["uav_empty"]
+        assert not np.any(uav.interference_near[empty])
+        for t, values in pins["uav_values"].items():
+            drawn = [
+                uav.neighbor_dist[t],
+                uav.near_dist3d[t],
+                uav.far_dist3d[t],
+                uav.interference_near[t],
+                uav.interference_far[t],
+                uav.gain_near[t],
+                uav.gain_far[t],
+            ]
+            assert drawn == pytest.approx(values, rel=1e-12)
 
 
 class TestEvaluationPaths:
