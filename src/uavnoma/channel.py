@@ -1,4 +1,4 @@
-"""Fading, path loss, aggregate interference, and the SINR family.
+"""Fading and the SINR family.
 
 The small-scale power gain of every link is Nakagami-m: a Gamma draw with
 shape m and unit mean, so m = 1 recovers Rayleigh power fading and larger m
@@ -6,29 +6,25 @@ approximates line-of-sight conditions.
 
 Every SINR in both association strategies shares one algebraic shape,
 
-    gain * dist^(-alpha) * P * split_own
-    -------------------------------------------------------------
-    noise + residue * gain * dist^(-alpha) * P * split_other + I
+    received * split_own
+    -------------------------------------------------
+    noise + residue * received * split_other + I
 
-where ``residue`` selects the intra-pair term: 1 while decoding the partner
-signal ahead of SIC (the UAV-centric cross decode additionally keeps the
-ipSIC fraction here), and the ipSIC fraction while decoding the own signal
-after SIC.
+with ``received = gain * dist^(-alpha) * P``. ``residue`` selects the
+intra-pair term: 1 while decoding the partner signal ahead of SIC (the
+UAV-centric cross decode keeps the ipSIC fraction here instead), the ipSIC
+fraction while decoding the own signal after SIC, and 0 under OMA, where the
+whole power serves one user (split 1).
+
+These are the Monte Carlo engine's own primitives: every fading draw goes
+through ``sample_nakagami_power`` and every success test through ``sinr``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .spatial import Scene
-
-# Returned when the SINR denominator vanishes; keeps comparisons well-defined
-# without NaN contamination.
-SINR_UNBOUNDED = math.inf
 
 
 def sample_nakagami_power(m: int, rng: np.random.Generator, size=None):
@@ -38,105 +34,12 @@ def sample_nakagami_power(m: int, rng: np.random.Generator, size=None):
     return rng.standard_gamma(m, size) / m
 
 
-def nakagami_power_pdf(x, m: int):
-    """Density m^m x^(m-1) exp(-m x) / Gamma(m) of the unit-mean power gain."""
-    x = np.asarray(x, dtype=float)
-    if m < 1 or m != int(m):
-        raise DomainError(f"fading order must be a positive integer, got {m}")
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = np.exp(
-        m * math.log(m) + (m - 1) * np.log(x[pos]) - m * x[pos] - math.lgamma(m)
-    )
-    if m == 1:
-        out = np.where(x == 0.0, 1.0, out)
-    return out
+def sinr(received, split_own, split_other, residue, noise, interference):
+    """Evaluate the unified SINR elementwise (scalars or numpy arrays).
 
-
-def path_gain(dist3d: float, alpha: float) -> float:
-    """Power path gain dist^(-alpha); distances below 1 m are rejected to
-    keep the received power finite."""
-    if dist3d < 1.0:
-        raise DomainError(f"path_gain requires dist3d >= 1 m, got {dist3d}")
-    return dist3d ** (-alpha)
-
-
-def aggregate_interference(
-    scene: Scene,
-    receiver,
-    height: float,
-    exclusion_dist3d: float,
-    alpha_interf: float,
-    m_interf: int,
-    tx_power: float,
-    rng: np.random.Generator,
-) -> float:
-    """Total co-channel power at a receiver from all UAVs beyond an exclusion
-    distance, with i.i.d. Nakagami fading per interfering link.
-
-    Distances are 3-D (horizontal offset plus flight height). The serving UAV
-    is always excluded by index; remaining UAVs contribute only when strictly
-    farther than ``exclusion_dist3d``, which must cover at least the serving
-    distance.
+    ``received`` is the unsplit received power gain * dist^(-alpha) * P and
+    ``interference`` the aggregate co-channel power, both in watts.
     """
-    positions = scene.uav_horiz_positions
-    if len(positions) == 0:
-        return 0.0
-    receiver = np.asarray(receiver, dtype=float)
-    horiz = np.hypot(positions[:, 0] - receiver[0], positions[:, 1] - receiver[1])
-    dist3d = np.hypot(horiz, height)
-    include = dist3d > exclusion_dist3d
-    if scene.serving_index is not None:
-        if dist3d[scene.serving_index] > exclusion_dist3d + 1e-9:
-            raise DomainError("exclusion distance does not cover the serving UAV")
-        include[scene.serving_index] = False
-    count = int(include.sum())
-    if count == 0:
-        return 0.0
-    gains = sample_nakagami_power(m_interf, rng, count)
-    return float(tx_power * np.sum(gains * dist3d[include] ** (-alpha_interf)))
-
-
-@dataclass(frozen=True)
-class SinrInputs:
-    """Inputs of one SINR evaluation.
-
-    desired_gain    small-scale power gain of the serving link
-    serving_dist3d  3-D distance to the serving UAV (>= flight height)
-    interference    aggregate co-channel power in watts
-    noise           AWGN power in watts
-    split_own       power fraction of the signal being decoded
-    split_other     power fraction of the partner signal
-    residue         intra-pair denominator selector: 0, the ipSIC fraction,
-                    or 1 (see module docstring)
-    tx_power        transmit power in watts
-    alpha           path-loss exponent of the serving link
-    """
-
-    desired_gain: float
-    serving_dist3d: float
-    interference: float
-    noise: float
-    split_own: float
-    split_other: float
-    residue: float
-    tx_power: float
-    alpha: float
-
-
-def sinr(inputs: SinrInputs) -> float:
-    """Evaluate the unified SINR; a vanishing denominator returns
-    SINR_UNBOUNDED rather than raising."""
-    if inputs.interference < 0.0:
-        raise DomainError("interference must be non-negative")
-    received = (
-        inputs.desired_gain
-        * path_gain(inputs.serving_dist3d, inputs.alpha)
-        * inputs.tx_power
+    return received * split_own / (
+        noise + residue * received * split_other + interference
     )
-    denominator = (
-        inputs.noise + inputs.residue * received * inputs.split_other + inputs.interference
-    )
-    if denominator == 0.0:
-        return SINR_UNBOUNDED
-    return received * inputs.split_own / denominator

@@ -157,10 +157,6 @@ def parse_network(section: dict) -> NetworkConfig:
         sim_disc_radius=_take(section, "network", "sim_disc_radius_m", float, 10_000.0),
         hole_halfwidth=_take(section, "network", "hole_halfwidth_m", float, 0.1),
     )
-    if "user_density_per_m2" in section:
-        kwargs["user_density"] = _take(
-            section, "network", "user_density_per_m2", float, None
-        )
     _reject_unknown(section, "network")
     try:
         return NetworkConfig(**kwargs)
@@ -601,7 +597,9 @@ def _point_spec(raw: dict, args, mode: str) -> SweepSpec:
     spec = parse_sweep({**sweep_section, "axis": "ipsic", "values": [0.0]})
     strategy = args.strategy or _strategy_label(spec.strategy)
     access = args.access or spec.access
-    trials = getattr(args, "trials", None) or spec.trials
+    trials = getattr(args, "trials", None)
+    if trials is None:
+        trials = spec.trials
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = spec.seed
@@ -628,7 +626,7 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             spec = parse_sweep(raw.get("sweep", {}))
-            if args.trials:
+            if args.trials is not None:
                 spec = replace(spec, trials=args.trials)
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)

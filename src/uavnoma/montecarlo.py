@@ -13,6 +13,16 @@ configuration to a finished batch, so parameter sweeps can reuse one batch
 across all points that share geometry (same answer as re-simulating with the
 same seed, at a fraction of the cost).
 
+Both strategies run the geometry phase on one skeleton, ``_simulate``: per
+trial it builds the trial's stream, draws the UAV field on the simulation disc
+with ``spatial.sample_hppp_disc`` and hands stream and field to the
+strategy's trial function, which draws the rest of the trial from the same
+stream and returns that trial's batch values. Fading goes through
+``channel.sample_nakagami_power``, UAV-centric user placement through
+``spatial.sample_near_user`` / ``sample_far_user``, and every success test in
+the evaluation phase through ``channel.sinr``, so no part of the model is
+defined twice.
+
 Paired SIC success is counted two ways on the shared fading draw: through
 the two-SINR chain and through the max-coefficient threshold identity; a
 disagreement raises immediately.
@@ -35,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
 from .scenario import (
     NOMA,
@@ -45,6 +56,7 @@ from .scenario import (
     NomaLink,
     thresholds,
 )
+from .spatial import sample_far_user, sample_hppp_disc, sample_near_user
 
 
 @dataclass(frozen=True)
@@ -138,64 +150,40 @@ def simulate_user_centric(
 ) -> UserCentricTrials:
     """Run the geometry phase: typical user at the origin, serving UAV is the
     nearest, fixed user at ``fixed_user_dist`` from it at uniform azimuth."""
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    _check_seed(seed)
     height = cfg.uav_height
-    mean_count = cfg.uav_density * math.pi * cfg.sim_disc_radius**2
     dist_fixed_sq = fixed_user_dist**2 + height**2
     half = cfg.alpha_interf / 2.0
 
-    serving = np.empty(trials)
-    j_typ = np.empty(trials)
-    j_fix = np.empty(trials)
-    h_typ = np.empty(trials)
-    h_fix = np.empty(trials)
+    def trial(rng, radii, angles):
+        count = len(radii)
+        azimuth = rng.uniform(0.0, 2.0 * math.pi)
+        h_t = sample_nakagami_power(cfg.m_desired, rng)
+        h_f = sample_nakagami_power(cfg.m_desired, rng)
+        g_t = sample_nakagami_power(cfg.m_interf, rng, count)
+        g_f = sample_nakagami_power(cfg.m_interf, rng, count)
+        if count == 0:
+            return math.inf, 0.0, 0.0, 0.0, 0.0
+        nearest = int(np.argmin(radii))
+        r = radii[nearest]
+        # typical user at the origin: non-serving UAVs are all beyond r
+        d3_typ_sq = radii**2 + height**2
+        mask = np.arange(count) != nearest
+        j_typ = float(np.sum(g_t[mask] * d3_typ_sq[mask] ** -half))
+        # fixed user hangs off the serving UAV; its exclusion is its own
+        # serving distance
+        fx = r * math.cos(angles[nearest]) + fixed_user_dist * math.cos(azimuth)
+        fy = r * math.sin(angles[nearest]) + fixed_user_dist * math.sin(azimuth)
+        dx = radii * np.cos(angles) - fx
+        dy = radii * np.sin(angles) - fy
+        d3_fix_sq = dx * dx + dy * dy + height**2
+        mask_fix = mask & (d3_fix_sq > dist_fixed_sq)
+        j_fix = float(np.sum(g_f[mask_fix] * d3_fix_sq[mask_fix] ** -half))
+        return math.hypot(r, height), j_typ, j_fix, h_t, h_f
 
-    def run_range(rows: range):
-        for t in rows:
-            rng = _trial_rng(seed, t)
-            count = rng.poisson(mean_count)
-            radii = cfg.sim_disc_radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-            angles = rng.uniform(0.0, 2.0 * math.pi, count)
-            azimuth = rng.uniform(0.0, 2.0 * math.pi)
-            h_t = rng.standard_gamma(cfg.m_desired) / cfg.m_desired
-            h_f = rng.standard_gamma(cfg.m_desired) / cfg.m_desired
-            g_t = rng.standard_gamma(cfg.m_interf, count) / cfg.m_interf
-            g_f = rng.standard_gamma(cfg.m_interf, count) / cfg.m_interf
-            if count == 0:
-                serving[t] = math.inf
-                j_typ[t] = j_fix[t] = 0.0
-                h_typ[t] = h_fix[t] = 0.0
-                continue
-            nearest = int(np.argmin(radii))
-            r = radii[nearest]
-            # typical user at the origin: non-serving UAVs are all beyond r
-            d3_typ_sq = radii**2 + height**2
-            mask = np.arange(count) != nearest
-            j_typ[t] = float(np.sum(g_t[mask] * d3_typ_sq[mask] ** -half))
-            # fixed user hangs off the serving UAV; its exclusion is its own
-            # serving distance
-            fx = r * math.cos(angles[nearest]) + fixed_user_dist * math.cos(azimuth)
-            fy = r * math.sin(angles[nearest]) + fixed_user_dist * math.sin(azimuth)
-            dx = radii * np.cos(angles) - fx
-            dy = radii * np.sin(angles) - fy
-            d3_fix_sq = dx * dx + dy * dy + height**2
-            mask_fix = mask & (d3_fix_sq > dist_fixed_sq)
-            j_fix[t] = float(np.sum(g_f[mask_fix] * d3_fix_sq[mask_fix] ** -half))
-            serving[t] = math.hypot(r, height)
-            h_typ[t] = h_t
-            h_fix[t] = h_f
-
-    _dispatch(run_range, trials, workers)
     return UserCentricTrials(
         _user_centric_geometry_key(cfg, fixed_user_dist),
         seed,
-        serving,
-        j_typ,
-        j_fix,
-        h_typ,
-        h_fix,
+        *_simulate(cfg, trials, seed, workers, 5, trial),
     )
 
 
@@ -218,25 +206,21 @@ def evaluate_user_centric(
     ts_fixed = thresholds(link.with_swapped_rates(), cfg, USER_CENTRIC, access)
 
     if access == OMA:
-        ok_typ = rx_typ / (noise + i_typ) > ts.eps_own
-        ok_fix = rx_fix / (noise + i_fix) > ts_fixed.eps_own
+        ok_typ = sinr(rx_typ, 1.0, 1.0, 0.0, noise, i_typ) > ts.eps_own
+        ok_fix = sinr(rx_fix, 1.0, 1.0, 0.0, noise, i_fix) > ts_fixed.eps_own
         m_typ = np.full(batch.trials, ts.coeff("oma"))
         m_fix = np.full(batch.trials, ts_fixed.coeff("oma"))
     else:
-        cross_t = rx_typ * link.pw_far / (noise + rx_typ * link.pw_near + i_typ)
-        own_t = rx_typ * link.pw_near / (
-            noise + link.ipsic * rx_typ * link.pw_far + i_typ
-        )
+        cross_t = sinr(rx_typ, link.pw_far, link.pw_near, 1.0, noise, i_typ)
+        own_t = sinr(rx_typ, link.pw_near, link.pw_far, link.ipsic, noise, i_typ)
         far_t = cross_t  # far role decodes its own signal with the same shape
         ok_typ = np.where(
             near_case,
             (cross_t > ts.eps_other) & (own_t > ts.eps_own),
             far_t > ts.eps_own,
         )
-        cross_f = rx_fix * link.pw_far / (noise + rx_fix * link.pw_near + i_fix)
-        own_f = rx_fix * link.pw_near / (
-            noise + link.ipsic * rx_fix * link.pw_far + i_fix
-        )
+        cross_f = sinr(rx_fix, link.pw_far, link.pw_near, 1.0, noise, i_fix)
+        own_f = sinr(rx_fix, link.pw_near, link.pw_far, link.ipsic, noise, i_fix)
         ok_fix = np.where(
             near_case,
             cross_f > ts_fixed.eps_own,  # fixed in the far role
@@ -314,75 +298,38 @@ def simulate_uav_centric(
 ) -> UavCentricTrials:
     """Geometry phase: serving UAV at the origin, neighbors form the
     interference field, paired users drawn from their placement densities."""
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    _check_seed(seed)
     height = cfg.uav_height
-    mean_count = cfg.uav_density * math.pi * cfg.sim_disc_radius**2
     half = cfg.alpha_interf / 2.0
 
-    neighbor = np.empty(trials)
-    d_near = np.empty(trials)
-    d_far = np.empty(trials)
-    j_near = np.empty(trials)
-    j_far = np.empty(trials)
-    h_near = np.empty(trials)
-    h_far = np.empty(trials)
-
-    def run_range(rows: range):
-        for t in rows:
-            rng = _trial_rng(seed, t)
-            count = rng.poisson(mean_count)
-            radii = cfg.sim_disc_radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-            rng.uniform(0.0, 2.0 * math.pi, count)  # azimuths, isotropy unused
-            u_near = rng.uniform()
-            u_far = rng.uniform()
-            h_w = rng.standard_gamma(cfg.m_desired) / cfg.m_desired
-            h_v = rng.standard_gamma(cfg.m_desired) / cfg.m_desired
-            g_w = rng.standard_gamma(cfg.m_interf, count) / cfg.m_interf
-            g_v = rng.standard_gamma(cfg.m_interf, count) / cfg.m_interf
-            jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth)
-            if count == 0:
-                # no neighbor inside the disc: the cell extends to the disc
-                # edge and sees no interference
-                big = cfg.sim_disc_radius
-                neighbor[t] = big
-                d_near[t] = math.hypot(0.25 * big * math.sqrt(u_near), height)
-                d_far[t] = math.hypot(
-                    0.25 * big * math.sqrt(1.0 + 3.0 * u_far), height
-                )
-                j_near[t] = j_far[t] = 0.0
-                h_near[t] = h_w
-                h_far[t] = h_v
-                continue
+    def trial(rng, radii, angles):  # azimuths unused: the field is isotropic
+        count = len(radii)
+        if count:
             nearest = int(np.argmin(radii))
             big_r = radii[nearest]
-            d3_sq = radii**2 + height**2
-            ring_d3_sq = (big_r + jitter) ** 2 + height**2
-            mask = np.arange(count) != nearest
-            tail_w = float(np.sum(g_w[mask] * d3_sq[mask] ** -half))
-            tail_v = float(np.sum(g_v[mask] * d3_sq[mask] ** -half))
-            j_near[t] = tail_w + g_w[nearest] * ring_d3_sq**-half
-            j_far[t] = tail_v + g_v[nearest] * ring_d3_sq**-half
-            neighbor[t] = big_r
-            d_near[t] = math.hypot(0.25 * big_r * math.sqrt(u_near), height)
-            d_far[t] = math.hypot(
-                0.25 * big_r * math.sqrt(1.0 + 3.0 * u_far), height
-            )
-            h_near[t] = h_w
-            h_far[t] = h_v
+        else:
+            # no neighbor inside the disc: the cell extends to the disc edge
+            # and sees no interference
+            big_r = cfg.sim_disc_radius
+        d_near = math.hypot(sample_near_user(big_r, rng), height)
+        d_far = math.hypot(sample_far_user(big_r, rng), height)
+        h_w = sample_nakagami_power(cfg.m_desired, rng)
+        h_v = sample_nakagami_power(cfg.m_desired, rng)
+        g_w = sample_nakagami_power(cfg.m_interf, rng, count)
+        g_v = sample_nakagami_power(cfg.m_interf, rng, count)
+        jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth)
+        if count == 0:
+            return big_r, d_near, d_far, 0.0, 0.0, h_w, h_v
+        mask = np.arange(count) != nearest
+        tail_path = (radii[mask] ** 2 + height**2) ** -half
+        ring_path = ((big_r + jitter) ** 2 + height**2) ** -half
+        j_near = float(np.sum(g_w[mask] * tail_path)) + g_w[nearest] * ring_path
+        j_far = float(np.sum(g_v[mask] * tail_path)) + g_v[nearest] * ring_path
+        return big_r, d_near, d_far, j_near, j_far, h_w, h_v
 
-    _dispatch(run_range, trials, workers)
     return UavCentricTrials(
         _uav_centric_geometry_key(cfg),
         seed,
-        neighbor,
-        d_near,
-        d_far,
-        j_near,
-        j_far,
-        h_near,
-        h_far,
+        *_simulate(cfg, trials, seed, workers, 7, trial),
     )
 
 
@@ -400,20 +347,17 @@ def evaluate_uav_centric(
     ts = thresholds(link, cfg, UAV_CENTRIC, access)
 
     if access == OMA:
-        ok_near = rx_near / (noise + i_near) > ts.eps_own
-        ok_far = rx_far / (noise + i_far) > ts.eps_other
+        ok_near = sinr(rx_near, 1.0, 1.0, 0.0, noise, i_near) > ts.eps_own
+        ok_far = sinr(rx_far, 1.0, 1.0, 0.0, noise, i_far) > ts.eps_other
         m_near = ts.coeff("oma")
         m_far = ts.coeff("oma_far")
     else:
         # the cross decode at the near user keeps the SIC residue term
-        cross = rx_near * link.pw_far / (
-            noise + link.ipsic * rx_near * link.pw_near + i_near
-        )
-        own = rx_near * link.pw_near / (
-            noise + link.ipsic * rx_near * link.pw_far + i_near
-        )
+        cross = sinr(rx_near, link.pw_far, link.pw_near, link.ipsic, noise, i_near)
+        own = sinr(rx_near, link.pw_near, link.pw_far, link.ipsic, noise, i_near)
         ok_near = (cross > ts.eps_other) & (own > ts.eps_own)
-        ok_far = rx_far * link.pw_far / (noise + rx_far * link.pw_near + i_far) > ts.eps_other
+        far = sinr(rx_far, link.pw_far, link.pw_near, 1.0, noise, i_far)
+        ok_far = far > ts.eps_other
         m_near = ts.coeff("near_joint")
         m_far = ts.coeff("far_own")
 
@@ -444,6 +388,31 @@ def run_uav_centric(
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+
+def _simulate(
+    cfg: NetworkConfig, trials: int, seed: int, workers: int, fields: int, trial
+) -> np.ndarray:
+    """Geometry-phase skeleton of both strategies; returns ``fields`` rows of
+    ``trials`` batch values.
+
+    Trial t builds its own stream, draws the UAV field on the simulation disc
+    and calls ``trial(rng, radii, angles)``, which draws the rest of the trial
+    from that stream and returns the trial's ``fields`` values.
+    """
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    _check_seed(seed)
+    rows = np.empty((fields, trials))
+
+    def run_range(span: range):
+        for t in span:
+            rng = _trial_rng(seed, t)
+            radii, angles = sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, rng)
+            rows[:, t] = trial(rng, radii, angles)
+
+    _dispatch(run_range, trials, workers)
+    return rows
 
 
 def _dispatch(run_range, trials: int, workers: int):

@@ -61,8 +61,6 @@ class NetworkConfig:
     sim_disc_radius    Monte Carlo deployment disc radius in meters
     hole_halfwidth     half-width of the annulus used to evaluate the nearest
                        interferer in the UAV-centric Monte Carlo, in meters
-    user_density       optional ground-user density; carried for scene
-                       illustration only, no coverage quantity depends on it
     """
 
     uav_density: float
@@ -75,7 +73,6 @@ class NetworkConfig:
     m_interf: int = 1
     sim_disc_radius: float = 10_000.0
     hole_halfwidth: float = 0.1
-    user_density: float | None = None
 
     def __post_init__(self):
         if self.uav_density <= 0.0:

@@ -6,50 +6,36 @@ f(r) = 2 pi lam r exp(-pi lam r^2); in the cell-interior strategy the paired
 users are placed with linear densities 32 r / R^2 on [0, R/4] (near user) and
 32 r / (3 R^2) on [R/4, R/2] (far user).
 
-All samplers take an explicit numpy Generator; independent generators may be
-used concurrently.
+These samplers are the Monte Carlo engine's own: every trial draws its UAV
+field with ``sample_hppp_disc`` and, in the UAV-centric strategy, its paired
+users with ``sample_near_user`` / ``sample_far_user``. All samplers take an
+explicit numpy Generator; independent generators may be used concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Scene:
-    """One deployment realization.
-
-    uav_horiz_positions   (N, 2) horizontal coordinates in meters
-    serving_index         index of the serving UAV (nearest to the receiver in
-                          the user-centric strategy; the origin UAV otherwise),
-                          or None when the realization is empty
-    realization_seed      seed that reproduces this realization
-    """
-
-    uav_horiz_positions: np.ndarray
-    serving_index: int | None
-    realization_seed: int
-
-
 def sample_hppp_disc(
     density: float, radius: float, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample an HPPP of the given density on a disc centered at the origin.
 
-    Returns an (N, 2) array with N ~ Poisson(density * pi * radius^2) and
-    points uniform on the disc. Deterministic under a fixed generator state.
+    Returns polar coordinates ``(radii, angles)`` of N ~ Poisson(density * pi
+    * radius^2) points uniform on the disc. Draws, in order: the count, the N
+    radii, the N angles. Deterministic under a fixed generator state.
     """
     if density <= 0.0 or radius <= 0.0:
         raise DomainError("density and radius must be positive")
-    count = rng.poisson(density * math.pi * radius * radius)
+    count = rng.poisson(density * math.pi * radius**2)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
     angles = rng.uniform(0.0, 2.0 * math.pi, count)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    return radii, angles
 
 
 def nearest_distance_pdf(r, density: float):

@@ -4,9 +4,8 @@ Four building blocks live here:
 
 * gamma-family helpers (``ln_gamma``, ``rising_pochhammer``),
 * integer-partition multisets and their enumeration (``partitions``),
-* an incomplete beta function restricted to non-positive first argument and a
-  Gauss hypergeometric function restricted to non-positive argument, the two
-  shapes that actually occur in interference Laplace transforms,
+* a Gauss hypergeometric function restricted to non-positive argument, the
+  shape that actually occurs in interference Laplace transforms,
 * derivatives of exp(-eta(s)) of arbitrary order from the derivatives of
   eta(s), via Faa di Bruno's formula over partition multisets.
 
@@ -20,16 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from scipy import integrate
-
 from .errors import DomainError, NumericalError, PartitionCapError
 
 # Orders above this make the partition count (and Faa di Bruno sums) explode;
 # fading orders in practice stay at or below 5.
 PARTITION_CAP = 12
-
-_SERIES_MAX_TERMS = 2000
-_SERIES_REL_TOL = 1e-13
 
 
 def ln_gamma(x: float) -> float:
@@ -111,61 +105,6 @@ def partitions(p: int, cap: int = PARTITION_CAP) -> tuple[PartitionMultiset, ...
     if p > cap:
         raise PartitionCapError(f"partition order {p} exceeds cap {cap}")
     return _partitions_cached(p)
-
-
-def incomplete_beta_neg(x: float, a: float, b: float) -> float:
-    """Incomplete beta integral of t^(a-1) (1-t)^(b-1) from 0 to x for x <= 0.
-
-    Powers of negative t are evaluated by magnitude, which keeps the kernel
-    real on the negative axis; with t = -u the value equals
-
-        -integral_0^{|x|} u^(a-1) (1+u)^(b-1) du.
-
-    This is the real-valued convention the coverage closed forms pair with
-    their alternating-sign prefactors. Uses the Pochhammer power series for
-    |x| < 0.95 and adaptive quadrature of the defining integral otherwise;
-    the two paths agree to better than 1e-8 relative on the overlap band.
-    """
-    if a <= 0.0:
-        raise DomainError(f"incomplete_beta_neg requires a > 0, got {a}")
-    if x > 0.0:
-        raise DomainError(f"incomplete_beta_neg requires x <= 0, got {x}")
-    z = -x
-    if z == 0.0:
-        return 0.0
-    if z < 0.95:
-        value = _beta_neg_series(z, a, b)
-        if value is not None:
-            return value
-    return _beta_neg_quadrature(z, a, b)
-
-
-def _beta_neg_series(z: float, a: float, b: float) -> float | None:
-    # -sum_k (-1)^k (1-b)_k / k! * z^(a+k) / (a+k); converges for z < 1.
-    # Terms are updated by ratio so neither (1-b)_k nor k! is formed alone.
-    term = z**a / a
-    total = term
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= -z * (k - b) / k * (a + k - 1.0) / (a + k)
-        total += term
-        if abs(term) <= _SERIES_REL_TOL * abs(total):
-            return -total
-    return None
-
-
-def _beta_neg_quadrature(z: float, a: float, b: float) -> float:
-    if a < 1.0:
-        # u = t^(1/a) removes the endpoint singularity: integrand becomes
-        # (1/a) (1 + t^(1/a))^(b-1) over [0, z^a]
-        f = lambda t: (1.0 + t ** (1.0 / a)) ** (b - 1.0) / a
-        upper = z**a
-    else:
-        f = lambda u: u ** (a - 1.0) * (1.0 + u) ** (b - 1.0)
-        upper = z
-    value, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=200)
-    if value != 0.0 and err > 1e-8 * abs(value):
-        raise NumericalError("incomplete_beta_neg quadrature out of tolerance", err)
-    return -value
 
 
 def gauss_2f1_negz(a: float, b: float, c: float, z: float) -> float:

@@ -1,23 +1,10 @@
-"""Unit tests for fading, path loss, interference, and the SINR family."""
-
-import math
+"""Unit tests for fading and the SINR family."""
 
 import numpy as np
 import pytest
 
-from uavnoma.channel import (
-    SINR_UNBOUNDED,
-    SinrInputs,
-    aggregate_interference,
-    nakagami_power_pdf,
-    path_gain,
-    sample_nakagami_power,
-    sinr,
-)
+from uavnoma.channel import sample_nakagami_power, sinr
 from uavnoma.errors import DomainError
-from uavnoma.spatial import Scene, sample_hppp_disc
-
-DENSITY = 1.0 / (500.0**2 * math.pi)
 
 
 class TestNakagami:
@@ -32,82 +19,13 @@ class TestNakagami:
         assert abs(draws.mean() - 1.0) < 0.003
         assert 0.497 < draws.var() < 0.503
 
-    def test_pdf_at_origin(self):
-        assert nakagami_power_pdf(np.array([0.0]), 1)[0] == 1.0
-        assert nakagami_power_pdf(np.array([0.0]), 2)[0] == 0.0
-        assert nakagami_power_pdf(np.array([0.0]), 3)[0] == 0.0
-
-    def test_pdf_normalizes(self):
-        from scipy import integrate
-
-        for m in (1, 2, 4):
-            total, _ = integrate.quad(
-                lambda x: float(nakagami_power_pdf(np.array([x]), m)[0]), 0, np.inf
-            )
-            assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_rejects_fractional_order(self):
         with pytest.raises(DomainError):
             sample_nakagami_power(0, np.random.default_rng(0))
 
 
-class TestPathGain:
-    def test_unit_distance(self):
-        assert path_gain(1.0, 3.7) == 1.0
-
-    def test_powers_of_ten(self):
-        assert path_gain(100.0, 2.0) == pytest.approx(1e-4, rel=1e-12)
-        assert path_gain(100.0, 3.0) == pytest.approx(1e-6, rel=1e-12)
-
-    def test_rejects_subunit_distance(self):
-        with pytest.raises(DomainError):
-            path_gain(0.5, 3.0)
-
-
-class TestAggregateInterference:
-    def test_no_interferers(self):
-        scene = Scene(np.empty((0, 2)), None, 0)
-        assert (
-            aggregate_interference(
-                scene, (0.0, 0.0), 100.0, 100.0, 4.0, 1, 1e-6, np.random.default_rng(0)
-            )
-            == 0.0
-        )
-
-    def test_single_interferer(self):
-        # one UAV at horizontal 300, height 100 -> d = sqrt(1e5); gain from seeded rng
-        scene = Scene(np.array([[300.0, 0.0]]), None, 0)
-        rng = np.random.default_rng(77)
-        expected_gain = np.random.default_rng(77).standard_gamma(1, 1)[0]
-        value = aggregate_interference(scene, (0.0, 0.0), 100.0, 150.0, 4.0, 1, 2.0, rng)
-        d = math.hypot(300.0, 100.0)
-        assert value == pytest.approx(2.0 * expected_gain * d**-4.0, rel=1e-12)
-
-    def test_exclusion_must_cover_serving(self):
-        scene = Scene(np.array([[300.0, 0.0]]), 0, 0)
-        with pytest.raises(DomainError):
-            aggregate_interference(
-                scene, (0.0, 0.0), 100.0, 10.0, 4.0, 1, 1.0, np.random.default_rng(0)
-            )
-
-    def test_campbell_mean(self):
-        # E[I] = 2 pi lam P int_rt^inf u^(1-aI) du = pi lam P rt^(-2) for aI=4
-        rng = np.random.default_rng(31)
-        tx_power, height, rt = 1e-3, 100.0, 250.0
-        acc = 0.0
-        scenes = 10_000
-        for _ in range(scenes):
-            pts = sample_hppp_disc(DENSITY, 10_000.0, rng)
-            scene = Scene(pts, None, 0)
-            acc += aggregate_interference(
-                scene, (0.0, 0.0), height, rt, 4.0, 1, tx_power, rng
-            )
-        expected = math.pi * DENSITY * tx_power * rt**-2.0
-        assert acc / scenes == pytest.approx(expected, rel=0.05)
-
-
 class TestSinr:
-    def base(self, **kw):
+    def value(self, **kw):
         args = dict(
             desired_gain=1.0,
             serving_dist3d=1.0,
@@ -120,30 +38,37 @@ class TestSinr:
             alpha=3.0,
         )
         args.update(kw)
-        return SinrInputs(**args)
+        path_gain = args["serving_dist3d"] ** -args["alpha"]
+        received = args["desired_gain"] * path_gain * args["tx_power"]
+        return sinr(
+            received,
+            args["split_own"],
+            args["split_other"],
+            args["residue"],
+            args["noise"],
+            args["interference"],
+        )
 
     def test_perfect_sic_value(self):
-        assert sinr(self.base()) == pytest.approx(4.0, rel=1e-12)
+        assert self.value() == pytest.approx(4.0, rel=1e-12)
 
     def test_failed_sic_value(self):
-        assert sinr(self.base(residue=1.0)) == pytest.approx(0.4 / 0.7, rel=1e-12)
-
-    def test_unbounded_guard(self):
-        assert sinr(self.base(noise=0.0)) == SINR_UNBOUNDED
+        assert self.value(residue=1.0) == pytest.approx(0.4 / 0.7, rel=1e-12)
 
     def test_monotone_in_gain_without_residue(self):
         gains = np.linspace(0.1, 5.0, 25)
-        values = [sinr(self.base(desired_gain=g, interference=1e-3)) for g in gains]
+        values = self.value(desired_gain=gains, interference=1e-3)
+        assert values.shape == gains.shape
         assert np.all(np.diff(values) > 0)
 
     def test_monotone_in_power_only_when_noise_dominates(self):
         # noise-dominated: increasing power raises the SINR
-        low = sinr(self.base(tx_power=1.0, interference=1e-6, noise=0.1))
-        high = sinr(self.base(tx_power=10.0, interference=1e-6, noise=0.1))
+        low = self.value(tx_power=1.0, interference=1e-6, noise=0.1)
+        high = self.value(tx_power=10.0, interference=1e-6, noise=0.1)
         assert high > low
         # interference scaling with power kills the gain
-        low_i = sinr(self.base(tx_power=1.0, interference=0.5, noise=1e-9))
-        high_i = sinr(self.base(tx_power=10.0, interference=5.0, noise=1e-9))
+        low_i = self.value(tx_power=1.0, interference=0.5, noise=1e-9)
+        high_i = self.value(tx_power=10.0, interference=5.0, noise=1e-9)
         assert high_i == pytest.approx(low_i, rel=1e-8)
 
     def test_joint_sic_event_max_coefficient_identity(self):
@@ -156,29 +81,12 @@ class TestSinr:
         m_own = eps_own / (tx_power * (pw_near - beta * eps_own * pw_far))
         m_cross = eps_other / (tx_power * (pw_far - eps_other * pw_near))
         m_star = max(m_own, m_cross)
-        for gain in np.linspace(0.01, 40.0, 4001):
-            cross = sinr(
-                self.base(
-                    desired_gain=gain,
-                    serving_dist3d=d,
-                    interference=interference,
-                    noise=noise,
-                    split_own=pw_far,
-                    split_other=pw_near,
-                    residue=1.0,
-                )
-            )
-            own = sinr(
-                self.base(
-                    desired_gain=gain,
-                    serving_dist3d=d,
-                    interference=interference,
-                    noise=noise,
-                    split_own=pw_near,
-                    split_other=pw_far,
-                    residue=beta,
-                )
-            )
-            chain = (cross > eps_other) and (own > eps_own)
-            identity = gain > m_star * (noise + interference) * d**alpha
-            assert chain == identity
+        gains = np.linspace(0.01, 40.0, 4001)
+        common = dict(
+            desired_gain=gains, serving_dist3d=d, interference=interference, noise=noise
+        )
+        cross = self.value(split_own=pw_far, split_other=pw_near, residue=1.0, **common)
+        own = self.value(split_own=pw_near, split_other=pw_far, residue=beta, **common)
+        chain = (cross > eps_other) & (own > eps_own)
+        identity = gains > m_star * (noise + interference) * d**alpha
+        np.testing.assert_array_equal(chain, identity)

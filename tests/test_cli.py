@@ -75,6 +75,8 @@ class TestConfigParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="network.uav_heihgt_m"):
             parse_network({"uav_heihgt_m": 100.0})
+        with pytest.raises(ConfigError, match="network.user_density_per_m2"):
+            parse_network({"user_density_per_m2": 1e-5})
 
     def test_field_type_diagnostic(self):
         with pytest.raises(ConfigError, match="network.tx_power_dbm"):
@@ -319,6 +321,14 @@ class TestErrors:
         assert main(["sweep", "--config", path, "--out", out, "--seed", str(seed)]) == 2
         assert main(["mc", "--config", path, "--trials", "10", "--seed", str(seed)]) == 2
         assert capsys.readouterr().err.count("sweep.seed") == 2
+
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = str(tmp_path / "o.csv")
+        assert main(["sweep", "--config", path, "--out", out, "--trials", "0"]) == 2
+        assert not Path(out).exists()
+        assert main(["mc", "--config", path, "--trials", "0"]) == 2
+        assert capsys.readouterr().err.count("sweep.trials") == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from uavnoma.errors import NumericalError

@@ -25,7 +25,9 @@ class TestHpppDisc:
     def test_mean_count(self):
         # lam * pi * r^2 = (10000/500)^2 = 400
         rng = np.random.default_rng(7)
-        counts = [len(sample_hppp_disc(DENSITY, 10_000.0, rng)) for _ in range(300)]
+        counts = [
+            len(sample_hppp_disc(DENSITY, 10_000.0, rng)[0]) for _ in range(300)
+        ]
         mean = np.mean(counts)
         # 3 sigma band around 400 at 300 realizations: +-3.5
         assert abs(mean - 400.0) < 3.5
@@ -33,15 +35,18 @@ class TestHpppDisc:
     def test_determinism(self):
         a = sample_hppp_disc(DENSITY, 10_000.0, np.random.default_rng(123))
         b = sample_hppp_disc(DENSITY, 10_000.0, np.random.default_rng(123))
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_vanishing_density(self):
-        pts = sample_hppp_disc(1e-12, 100.0, np.random.default_rng(5))
-        assert len(pts) == 0
+        radii, angles = sample_hppp_disc(1e-12, 100.0, np.random.default_rng(5))
+        assert len(radii) == 0 and len(angles) == 0
 
     def test_points_inside_disc(self):
-        pts = sample_hppp_disc(DENSITY, 10_000.0, np.random.default_rng(2))
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 10_000.0)
+        radii, angles = sample_hppp_disc(DENSITY, 10_000.0, np.random.default_rng(2))
+        assert len(radii) == len(angles)
+        assert np.all((radii >= 0.0) & (radii <= 10_000.0))
+        assert np.all((angles >= 0.0) & (angles < 2.0 * math.pi))
 
     def test_subdisc_counts_poisson(self):
         # counts in an off-center sub-disc stay Poisson with the area mean
@@ -51,7 +56,8 @@ class TestHpppDisc:
         mean = DENSITY * math.pi * sub_radius**2  # 16
         counts = []
         for _ in range(1000):
-            pts = sample_hppp_disc(DENSITY, 10_000.0, rng)
+            radii, angles = sample_hppp_disc(DENSITY, 10_000.0, rng)
+            pts = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
             inside = np.hypot(*(pts - sub_center).T) <= sub_radius
             counts.append(int(inside.sum()))
         counts = np.array(counts)

@@ -9,14 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
-from uavnoma.errors import DomainError, NumericalError, PartitionCapError
+from uavnoma.errors import DomainError, PartitionCapError
 from uavnoma.specfun import (
     PartitionMultiset,
     exp_composition_derivatives,
     gauss_2f1_negz,
-    incomplete_beta_neg,
     ln_gamma,
     partitions,
     rising_pochhammer,
@@ -98,47 +97,6 @@ class TestPartitions:
     def test_invalid_multiset_rejected(self):
         with pytest.raises(ValueError):
             PartitionMultiset((1, 1))  # weight 3, order 2
-
-
-class TestIncompleteBetaNeg:
-    def test_zero(self):
-        assert incomplete_beta_neg(0.0, 1.0, 1.0) == 0.0
-
-    def test_unit_integrand(self):
-        assert incomplete_beta_neg(-0.5, 1.0, 1.0) == pytest.approx(-0.5, rel=1e-12)
-
-    def test_sqrt_kernel_vs_quadrature_oracle(self):
-        # oracle: -int_0^0.5 u^{-1/2} (1+u)^{-1} du, independent quadrature
-        oracle, _ = integrate.quad(
-            lambda u: u**-0.5 / (1.0 + u), 0.0, 0.5, epsabs=0.0, epsrel=1e-12
-        )
-        assert incomplete_beta_neg(-0.5, 0.5, 0.0) == pytest.approx(-oracle, rel=1e-9)
-        # closed form of the same integral for extra confidence
-        assert -oracle == pytest.approx(-2.0 * math.atan(math.sqrt(0.5)), rel=1e-12)
-
-    @pytest.mark.parametrize("z", [0.5, 0.65, 0.8, 0.94])
-    @pytest.mark.parametrize("a", [0.3, 0.5, 1.2, 2.5])
-    @pytest.mark.parametrize("m_interf", [1, 2, 3])
-    def test_series_and_quadrature_agree(self, z, a, m_interf):
-        from uavnoma.specfun import _beta_neg_quadrature, _beta_neg_series
-
-        b = 1.0 - m_interf
-        series = _beta_neg_series(z, a, b)
-        quadrature = _beta_neg_quadrature(z, a, b)
-        assert series == pytest.approx(quadrature, rel=1e-8)
-
-    def test_large_argument_uses_quadrature(self):
-        # beyond the series radius; compare against an inline oracle
-        oracle, _ = integrate.quad(
-            lambda u: u**0.5 / (1.0 + u) ** 2, 0.0, 5.0, epsabs=0.0, epsrel=1e-12
-        )
-        assert incomplete_beta_neg(-5.0, 1.5, -1.0) == pytest.approx(-oracle, rel=1e-9)
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
-            incomplete_beta_neg(-0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            incomplete_beta_neg(0.5, 1.0, 1.0)
 
 
 class TestGauss2F1:
