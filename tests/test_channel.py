@@ -1,5 +1,7 @@
 """Unit tests for fading and the SINR family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,32 @@ class TestNakagami:
     def test_rejects_fractional_order(self):
         with pytest.raises(DomainError):
             sample_nakagami_power(0, np.random.default_rng(0))
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_gamma_moments(self, m):
+        # Gamma(m)/m: mean 1, variance 1/m, fourth central moment (3m + 6)/m^3;
+        # bands of 5 standard errors
+        n = 200_000
+        draws = sample_nakagami_power(m, np.random.default_rng(100 + m), size=n)
+        var = 1.0 / m
+        mu4 = (3.0 * m + 6.0) / m**3
+        assert abs(draws.mean() - 1.0) < 5.0 * math.sqrt(var / n)
+        assert abs(draws.var() - var) < 5.0 * math.sqrt((mu4 - var * var) / n)
+
+    @pytest.mark.parametrize("m", [-1, 1.5, 2.5])
+    def test_rejects_invalid_order(self, m):
+        with pytest.raises(DomainError):
+            sample_nakagami_power(m, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_draws_one_standard_gamma_per_value(self, m):
+        # the Monte Carlo stream layout rests on this draw order
+        got = sample_nakagami_power(m, np.random.default_rng(31), size=50)
+        rng = np.random.default_rng(31)
+        np.testing.assert_array_equal(got, rng.standard_gamma(m, 50) / m)
+        scalar = sample_nakagami_power(m, np.random.default_rng(31))
+        assert np.ndim(scalar) == 0 and scalar == got[0]
 
 
 class TestSinr:
@@ -70,6 +98,37 @@ class TestSinr:
         low_i = self.value(tx_power=1.0, interference=0.5, noise=1e-9)
         high_i = self.value(tx_power=10.0, interference=5.0, noise=1e-9)
         assert high_i == pytest.approx(low_i, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "received, split_own, split_other, residue, noise, interference, expected",
+        [
+            # OMA: the whole power serves one user, no intra-pair term
+            (2.0, 1.0, 1.0, 0.0, 0.5, 0.5, 2.0),
+            (1e-12, 1.0, 1.0, 0.0, 1e-13, 4e-13, 2.0),
+            # cross decode before SIC: the partner share counts in full
+            (1.0, 0.8, 0.2, 1.0, 0.1, 0.1, 2.0),
+            # own decode after imperfect SIC keeps a fraction of the partner
+            (1.0, 0.2, 0.8, 0.25, 0.1, 0.1, 0.5),
+            # no received power, no SINR
+            (0.0, 0.8, 0.2, 1.0, 0.1, 0.1, 0.0),
+        ],
+    )
+    def test_hand_computed_cases(
+        self, received, split_own, split_other, residue, noise, interference, expected
+    ):
+        got = sinr(received, split_own, split_other, residue, noise, interference)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_array_matches_scalar_evaluation_bitwise(self):
+        rng = np.random.default_rng(5)
+        received = rng.exponential(1.0, 200)
+        interference = rng.exponential(0.3, 200)
+        values = sinr(received, 0.7, 0.3, 0.05, 0.01, interference)
+        scalar = [
+            sinr(float(r), 0.7, 0.3, 0.05, 0.01, float(i))
+            for r, i in zip(received, interference)
+        ]
+        np.testing.assert_array_equal(values, scalar)
 
     def test_joint_sic_event_max_coefficient_identity(self):
         # {cross SINR > eps_other and own SINR > eps_own}

@@ -10,6 +10,7 @@ from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
     UavCentricTrials,
     UserCentricTrials,
+    _trial_rng,
     _uav_centric_geometry_key,
     _user_centric_geometry_key,
     evaluate_uav_centric,
@@ -21,6 +22,7 @@ from uavnoma.montecarlo import (
     wilson_interval,
 )
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
+from uavnoma.spatial import sample_hppp_disc
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 
@@ -223,6 +225,87 @@ class TestStreamLayout:
                 uav.gain_far[t],
             ]
             assert drawn == pytest.approx(values, rel=1e-12)
+
+
+def _simulate_strategy(strategy, cfg, trials, seed, workers=1):
+    if strategy == "user":
+        return simulate_user_centric(cfg, LINK.fixed_user_dist, trials, seed, workers)
+    return simulate_uav_centric(cfg, trials, seed, workers)
+
+
+STRATEGIES = ["user", "uav"]
+
+
+class TestSkeleton:
+    """The geometry-phase loop both strategies share."""
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rejects_trial_count_below_one(self, strategy, trials):
+        with pytest.raises(DomainError):
+            _simulate_strategy(strategy, make_cfg(), trials, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rejects_seed_outside_64_bits(self, strategy, seed):
+        with pytest.raises(DomainError):
+            _simulate_strategy(strategy, make_cfg(), 10, seed=seed)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_shorter_run_is_a_prefix(self, strategy, workers):
+        # trial t draws from its own stream, so a run of 40 trials is the
+        # first 40 trials of a run of 100 under the same seed
+        cfg = make_cfg()
+        short = _simulate_strategy(strategy, cfg, 40, seed=8, workers=workers)
+        long = _simulate_strategy(strategy, cfg, 100, seed=8)
+        for field in dataclasses.fields(short):
+            value = getattr(short, field.name)
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(value, getattr(long, field.name)[:40])
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 5])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_field_is_first_draw_of_trial_stream(self, strategy, seed):
+        # the serving/neighbor distance is the nearest point of the field
+        # sample_hppp_disc draws first from trial t's stream
+        cfg = make_cfg(sim_disc_radius=3000.0)
+        batch = _simulate_strategy(strategy, cfg, 12, seed)
+        for t in range(12):
+            radii, _ = sample_hppp_disc(
+                cfg.uav_density, cfg.sim_disc_radius, _trial_rng(seed, t)
+            )
+            if strategy == "user":
+                nearest = math.hypot(radii.min(), cfg.uav_height)
+                assert batch.serving_dist3d[t] == nearest
+            else:
+                assert batch.neighbor_dist[t] == radii.min()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_disc_convention(self, strategy):
+        # a 200 m disc holds no UAV in about 85% of trials
+        cfg = make_cfg(sim_disc_radius=200.0)
+        batch = _simulate_strategy(strategy, cfg, 200, seed=3)
+        if strategy == "user":
+            empty = np.isinf(batch.serving_dist3d)
+            interference = (batch.interference_typical, batch.interference_fixed)
+        else:
+            empty = batch.neighbor_dist == cfg.sim_disc_radius
+            interference = (batch.interference_near, batch.interference_far)
+        assert 100 < int(empty.sum()) < 200
+        for values in interference:
+            assert not np.any(values[empty])
+            assert np.all(values[~empty] >= 0.0)
+
+    def test_uav_centric_users_inside_their_rings(self):
+        cfg = make_cfg()
+        batch = simulate_uav_centric(cfg, 300, seed=21)
+        big_r = batch.neighbor_dist
+        near = np.sqrt(batch.near_dist3d**2 - cfg.uav_height**2)
+        far = np.sqrt(batch.far_dist3d**2 - cfg.uav_height**2)
+        slack = 1e-9 * big_r
+        assert np.all((near >= 0.0) & (near <= 0.25 * big_r + slack))
+        assert np.all((far >= 0.25 * big_r - slack) & (far <= 0.5 * big_r + slack))
 
 
 class TestEvaluationPaths:

@@ -70,6 +70,54 @@ class TestHpppDisc:
         assert chi2 < stats.chi2(len(observed) - 1).ppf(0.99)
 
 
+    @pytest.mark.parametrize(
+        "density, radius",
+        [(DENSITY, 10_000.0), (DENSITY, 7777.7), (1e-5, 2000.0), (DENSITY, 416.0)],
+    )
+    def test_pooled_count_is_poisson(self, density, radius):
+        # 200 discs pool to Poisson(200 mu); 4-sigma band
+        mu = density * math.pi * radius**2
+        rng = np.random.default_rng(17)
+        total = sum(len(sample_hppp_disc(density, radius, rng)[0]) for _ in range(200))
+        assert abs(total - 200 * mu) < 4.0 * math.sqrt(200 * mu)
+
+    @pytest.mark.parametrize(
+        "density, radius",
+        [(0.0, 100.0), (-DENSITY, 100.0), (DENSITY, 0.0), (DENSITY, -1.0)],
+    )
+    def test_rejects_non_positive_arguments(self, density, radius):
+        with pytest.raises(DomainError):
+            sample_hppp_disc(density, radius, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("radius", [10_000.0, 7777.7, 416.0])
+    def test_draw_order(self, radius):
+        # count from density * pi * radius**2, then the radii, then the
+        # angles: the Monte Carlo stream layout rests on this order
+        radii, angles = sample_hppp_disc(DENSITY, radius, np.random.default_rng(88))
+        rng = np.random.default_rng(88)
+        count = rng.poisson(DENSITY * math.pi * radius**2)
+        np.testing.assert_array_equal(
+            radii, radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+        )
+        np.testing.assert_array_equal(angles, rng.uniform(0.0, 2.0 * math.pi, count))
+
+    def test_radii_uniform_in_area(self):
+        # (r / radius)^2 is uniform on [0, 1] for points uniform on the disc
+        rng = np.random.default_rng(61)
+        radii = np.concatenate(
+            [sample_hppp_disc(DENSITY, 10_000.0, rng)[0] for _ in range(100)]
+        )
+        assert stats.kstest((radii / 10_000.0) ** 2, "uniform").pvalue > 0.01
+
+    def test_angles_uniform(self):
+        rng = np.random.default_rng(62)
+        angles = np.concatenate(
+            [sample_hppp_disc(DENSITY, 10_000.0, rng)[1] for _ in range(100)]
+        )
+        result = stats.kstest(angles, stats.uniform(0.0, 2.0 * math.pi).cdf)
+        assert result.pvalue > 0.01
+
+
 class TestNearestDistance:
     def test_pdf_at_zero(self):
         assert nearest_distance_pdf(0.0, DENSITY) == 0.0
@@ -133,3 +181,41 @@ class TestPairedUserPlacement:
         cdf = lambda r: (16.0 * r**2 / R**2 - 1.0) / 3.0
         result = stats.kstest(samples, cdf)
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("R", [0.0, -5.0])
+    @pytest.mark.parametrize("sampler", [sample_near_user, sample_far_user])
+    def test_rejects_non_positive_cell(self, sampler, R):
+        with pytest.raises(DomainError):
+            sampler(R, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("R", [50.0, 137.0, 1000.0])
+    @pytest.mark.parametrize(
+        "sampler, pdf, lower, upper",
+        [
+            (sample_near_user, near_user_pdf, 0.0, 0.25),
+            (sample_far_user, far_user_pdf, 0.25, 0.5),
+        ],
+    )
+    def test_kolmogorov_smirnov_against_pdf(self, sampler, pdf, lower, upper, R):
+        # the CDF integrated from the pdf, not the sampler's inverse
+        def cdf(r):
+            return np.array(
+                [
+                    integrate.quad(lambda x: float(pdf(x, R)), lower * R, v)[0]
+                    for v in np.clip(np.atleast_1d(r), lower * R, upper * R)
+                ]
+            )
+
+        samples = sampler(R, np.random.default_rng(int(R)), size=400)
+        assert stats.kstest(samples, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("sampler", [sample_near_user, sample_far_user])
+    def test_scalar_draw_uses_one_uniform(self, sampler):
+        # the Monte Carlo stream layout rests on one uniform per user
+        rng = np.random.default_rng(9)
+        first = sampler(120.0, rng)
+        second = sampler(120.0, rng)
+        assert np.ndim(first) == 0
+        np.testing.assert_array_equal(
+            [first, second], sampler(120.0, np.random.default_rng(9), size=2)
+        )
