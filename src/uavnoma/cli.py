@@ -10,7 +10,8 @@ validate   run the internal cross-check suite (exit nonzero on any failure)
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
 sections; dBm values are accepted at this boundary only and converted to
 watts once. Sweep points are dispatched to a process pool whose size comes
-from UAVNOMA_THREADS (default: all cores); output rows keep input order.
+from UAVNOMA_THREADS (at least 1; default: all cores); output rows keep
+input order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration,
 3 numerical failure.
@@ -323,12 +324,15 @@ def _sweep_task(payload):
 
 def worker_count() -> int:
     env = os.environ.get("UAVNOMA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"UAVNOMA_THREADS: expected an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        raise ConfigError(f"UAVNOMA_THREADS: expected an integer, got {env!r}")
+    if count < 1:
+        raise ConfigError(f"UAVNOMA_THREADS: must be at least 1, got {env!r}")
+    return count
 
 
 def run_sweep(cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, out_path: str):

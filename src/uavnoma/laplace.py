@@ -10,7 +10,9 @@ every closed form in this package:
 
   evaluated through the Pochhammer power series in z = s P / (mI d0^aI)
   (converges for z < 1) with an adaptive-quadrature fallback, both with exact
-  s-derivatives up to any requested order.
+  s-derivatives up to any requested order. The quadrature maps [d0, inf)
+  onto [0, 1] by l = d0 x^(-1/(aI-2)), which leaves bounded integrands even
+  as aI approaches 2.
 
 * ``NearestRingExponent`` -- one dominant interferer at 3-D distance d0,
   averaged over a thin ring, giving the elementary exponent
@@ -79,7 +81,6 @@ class RadialTailExponent(LaplaceExponentBase):
         m_interf: int,
         lower_dist3d: float,
         series_rel_tol: float = _SERIES_REL_TOL,
-        series_max_terms: int = _SERIES_MAX_TERMS,
     ):
         self.density = density
         self.tx_power = tx_power
@@ -87,7 +88,6 @@ class RadialTailExponent(LaplaceExponentBase):
         self.m_interf = m_interf
         self.lower_dist3d = lower_dist3d
         self.series_rel_tol = series_rel_tol
-        self.series_max_terms = series_max_terms
 
     def _z(self, s: float) -> float:
         return (
@@ -129,7 +129,7 @@ class RadialTailExponent(LaplaceExponentBase):
             # alone (they overflow individually near 170 terms)
             base = math.comb(m_i, i) / (i - delta)
             converged = False
-            for a in range(self.series_max_terms):
+            for a in range(_SERIES_MAX_TERMS):
                 power = i + a
                 if a > 0:
                     base *= -(m_i + a - 1) / a * (power - 1.0 - delta) / (
@@ -167,35 +167,44 @@ class RadialTailExponent(LaplaceExponentBase):
         return [prefactor * v for v in acc]
 
     def _quadrature(self, s: float, order: int) -> list[float]:
-        lam2pi = 2.0 * math.pi * self.density
+        # l = d0 x^(-1/(aI-2)) maps [d0, inf) onto (0, 1] and turns the
+        # heavy l^(1-aI) tail into the bounded powers of x below; with
+        # p = aI/(aI-2), q = P/(mI d0^aI) and z = s q the k-th derivative is
+        #   k = 0:  scale Int_0^1 z phi(y)/y dx,  y = z x^p,
+        #           phi(y) = 1 - (1+y)^(-mI) (phi(y)/y -> mI at y = 0)
+        #   k >= 1: scale sign_k q^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
+        # with scale = 2 pi lam d0^2/(aI-2); no factor leaves double range
+        # down to aI = 2.001.
         m_i = self.m_interf
         a_i = self.alpha_interf
-        p_over_m = self.tx_power / m_i
         d0 = self.lower_dist3d
+        p = a_i / (a_i - 2.0)
+        q = self.tx_power / (m_i * d0**a_i)
+        z = s * q
+        scale = 2.0 * math.pi * self.density * d0 * d0 / (a_i - 2.0)
+
+        def phi_over_y(y):
+            # -expm1(-m log1p(y)) avoids the 1 - (1+y)^(-m) cancellation
+            return -math.expm1(-m_i * math.log1p(y)) / y if y > 0.0 else m_i
 
         values = []
         for k in range(order + 1):
             if k == 0:
-                # -expm1(-m log1p(x)) avoids the 1 - (1+x)^(-m) cancellation
-                f = lambda l: -math.expm1(
-                    -m_i * math.log1p(s * p_over_m * l**-a_i)
-                ) * l
-                sign = 1.0
+                f = lambda x: z * phi_over_y(z * x**p)
+                factor = 1.0
             else:
-                f = (
-                    lambda l, _k=k: (p_over_m * l**-a_i) ** _k
-                    * (1.0 + s * p_over_m * l**-a_i) ** (-m_i - _k)
-                    * l
+                f = lambda x, _k=k: x ** (p * (_k - 1)) * (1.0 + z * x**p) ** (
+                    -m_i - _k
                 )
-                sign = (-1.0) ** (k + 1) * rising_pochhammer(m_i, k)
+                factor = (-1.0) ** (k + 1) * rising_pochhammer(m_i, k) * q**k
             value, err = integrate.quad(
-                f, d0, math.inf, epsabs=0.0, epsrel=1e-11, limit=300, full_output=1
+                f, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=300, full_output=1
             )[:2]
             if value != 0.0 and err > 1e-8 * abs(value):
                 raise NumericalError(
                     "interference exponent quadrature out of tolerance", err
                 )
-            values.append(sign * lam2pi * value)
+            values.append(factor * scale * value)
         return values
 
 

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo estimation of every coverage probability.
 
 Reproducibility contract: each trial owns a counter-based random stream
-(Philox keyed by the run seed, counter block = trial index), so estimates are
-bit-identical no matter how trials are chunked or parallelized, and a rerun
-with the same seed reproduces every draw.
+(Philox keyed by the run seed, counter block = trial index), so a rerun with
+the same seed reproduces every draw, and the first n trials of a longer run
+are bit-identical to an n-trial run. Trials run one after another in a single
+thread; throughput parallelism lives one level up, in the CLI's process pool
+over sweep points (threads here would only contend for the interpreter lock).
 
 Each run is split into two phases. The geometry phase draws everything that
 does not depend on transmit power, rates, power split, or SIC quality: UAV
@@ -39,7 +41,6 @@ Interference conventions (mirroring the analytic conditioning):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,6 @@ def _check_seed(seed: int):
         raise DomainError("seed must be a 64-bit unsigned integer")
 
 
-def _worker_ranges(trials: int, workers: int) -> list[range]:
-    step = (trials + workers - 1) // workers
-    return [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-
-
 # ---------------------------------------------------------------------------
 # user-centric strategy
 # ---------------------------------------------------------------------------
@@ -146,7 +142,6 @@ def simulate_user_centric(
     fixed_user_dist: float,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> UserCentricTrials:
     """Run the geometry phase: typical user at the origin, serving UAV is the
     nearest, fixed user at ``fixed_user_dist`` from it at uniform azimuth."""
@@ -183,7 +178,7 @@ def simulate_user_centric(
     return UserCentricTrials(
         _user_centric_geometry_key(cfg, fixed_user_dist),
         seed,
-        *_simulate(cfg, trials, seed, workers, 5, trial),
+        *_simulate(cfg, trials, seed, 5, trial),
     )
 
 
@@ -245,10 +240,9 @@ def run_user_centric(
     access: str,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> tuple[CoverageEstimate, CoverageEstimate]:
     """Estimate typical- and fixed-user coverage from fresh trials."""
-    batch = simulate_user_centric(cfg, link.fixed_user_dist, trials, seed, workers)
+    batch = simulate_user_centric(cfg, link.fixed_user_dist, trials, seed)
     k_typ, k_fix = evaluate_user_centric(batch, cfg, link, access)
     return (
         _estimate(k_typ, trials, USER_CENTRIC, "typical", access, seed),
@@ -294,7 +288,7 @@ def _uav_centric_geometry_key(cfg: NetworkConfig) -> tuple:
 
 
 def simulate_uav_centric(
-    cfg: NetworkConfig, trials: int, seed: int, workers: int = 1
+    cfg: NetworkConfig, trials: int, seed: int
 ) -> UavCentricTrials:
     """Geometry phase: serving UAV at the origin, neighbors form the
     interference field, paired users drawn from their placement densities."""
@@ -329,7 +323,7 @@ def simulate_uav_centric(
     return UavCentricTrials(
         _uav_centric_geometry_key(cfg),
         seed,
-        *_simulate(cfg, trials, seed, workers, 7, trial),
+        *_simulate(cfg, trials, seed, 7, trial),
     )
 
 
@@ -374,10 +368,9 @@ def run_uav_centric(
     access: str,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> tuple[CoverageEstimate, CoverageEstimate]:
     """Estimate near- and far-user coverage from fresh trials."""
-    batch = simulate_uav_centric(cfg, trials, seed, workers)
+    batch = simulate_uav_centric(cfg, trials, seed)
     k_near, k_far = evaluate_uav_centric(batch, cfg, link, access)
     return (
         _estimate(k_near, trials, UAV_CENTRIC, "near", access, seed),
@@ -391,7 +384,7 @@ def run_uav_centric(
 
 
 def _simulate(
-    cfg: NetworkConfig, trials: int, seed: int, workers: int, fields: int, trial
+    cfg: NetworkConfig, trials: int, seed: int, fields: int, trial
 ) -> np.ndarray:
     """Geometry-phase skeleton of both strategies; returns ``fields`` rows of
     ``trials`` batch values.
@@ -404,28 +397,11 @@ def _simulate(
         raise DomainError("trials must be at least 1")
     _check_seed(seed)
     rows = np.empty((fields, trials))
-
-    def run_range(span: range):
-        for t in span:
-            rng = _trial_rng(seed, t)
-            radii, angles = sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, rng)
-            rows[:, t] = trial(rng, radii, angles)
-
-    _dispatch(run_range, trials, workers)
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        radii, angles = sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, rng)
+        rows[:, t] = trial(rng, radii, angles)
     return rows
-
-
-def _dispatch(run_range, trials: int, workers: int):
-    # Contiguous ranges into disjoint array slots; per-trial streams make the
-    # split invisible in the results. Threads mostly express the deterministic
-    # pooling contract; throughput parallelism belongs at the sweep-point
-    # level (process pool in the CLI).
-    if workers <= 1:
-        run_range(range(trials))
-        return
-    ranges = _worker_ranges(trials, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_range, ranges))
 
 
 def _check_identity(chain: np.ndarray, identity: np.ndarray, label: str):

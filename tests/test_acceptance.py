@@ -47,7 +47,6 @@ from uavnoma.specfun import exp_composition_derivatives
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 SEED = 20_240_601
-WORKERS = 4
 POWER_GRID_DBM = np.linspace(-60.0, 0.0, 8)
 
 UC_LINK = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
@@ -92,9 +91,7 @@ SIM_SECONDS = {}
 @pytest.fixture(scope="module")
 def uc_batch():
     start = time.time()
-    batch = simulate_user_centric(
-        uc_cfg(), UC_LINK.fixed_user_dist, 100_000, SEED, workers=WORKERS
-    )
+    batch = simulate_user_centric(uc_cfg(), UC_LINK.fixed_user_dist, 100_000, SEED)
     SIM_SECONDS["uc"] = time.time() - start
     return batch
 
@@ -102,7 +99,7 @@ def uc_batch():
 @pytest.fixture(scope="module")
 def uav_batch():
     start = time.time()
-    batch = simulate_uav_centric(uav_cfg(), 100_000, SEED, workers=WORKERS)
+    batch = simulate_uav_centric(uav_cfg(), 100_000, SEED)
     SIM_SECONDS["uav"] = time.time() - start
     return batch
 
@@ -211,7 +208,7 @@ def test_criterion_4_infeasibility_exactness(uav_batch):
     all_near_link = NomaLink(
         rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0, fixed_user_dist=90_000.0
     )
-    batch = simulate_user_centric(cfg, 90_000.0, 20_000, SEED, workers=WORKERS)
+    batch = simulate_user_centric(cfg, 90_000.0, 20_000, SEED)
     k_typ, _ = evaluate_user_centric(batch, cfg, all_near_link, NOMA)
 
     # UAV-centric near user at ipsic = 0.5, rate 1.5

@@ -119,6 +119,31 @@ class TestLaplaceExponent:
         assert method == QUADRATURE
         assert values[0] > 0.0 and values[1] > 0.0
 
+    def test_quadrature_matches_pinned_oracle_at_tall_uav(self):
+        # the order-2 term that coverage_pair(NEAR) needs at h = 3000 m,
+        # alpha_d = 4.5, +30 dBm, m_d = 3, m_I = 2 (z = 205), which raised
+        # on [d0, inf): Int_{d0}^inf (P l^-4/2)^2 (1 + s P l^-4/2)^-4 l dl,
+        # pinned from mpmath.quad at 70 digits with breakpoints around the
+        # integrand's peak near 4 d0
+        oracle = 5.718644419099796925391812017335036299935e-27
+        density = 1e-6
+        exponent = RadialTailExponent(density, 1.0, 4.0, 2, 3000.0000000502987)
+        values, method = exponent.derivatives(3.3274145368438864e16, 2)
+        assert method == QUADRATURE
+        integral = values[2] / (-6.0 * 2.0 * math.pi * density)  # -(m_I)_2 2 pi lam
+        assert integral == pytest.approx(oracle, rel=1e-10)
+
+    def test_quadrature_near_alpha_two_matches_hypergeometric(self):
+        # aI = 2.05 leaves an l^-1.05 tail that quadrature on [d0, inf)
+        # cannot resolve; the hypergeometric form is exact for m_I = 1
+        cfg = make_cfg(alpha_interf=2.05)
+        s, dist = 77668599777401.92, 314.3657007106099
+        exponent = laplace_exponent_uc(cfg, dist)
+        assert exponent.method_for(s) == QUADRATURE
+        general = exponent.value_at(s)
+        special = rayleigh_tail_exponent_2f1(s, dist, cfg)
+        assert general == pytest.approx(special, rel=1e-10)
+
     def test_exponent_monotone_in_s(self):
         cfg = make_cfg(m_interf=3, alpha_interf=3.2)
         exponent = laplace_exponent_uc(cfg, 200.0)
@@ -227,6 +252,13 @@ class TestCoverageTypical:
         far_only = coverage_typical(cfg, NomaLink(fixed_user_dist=1e-8), NOMA)
         assert near_only == pytest.approx(pure_branch(NEAR), abs=2e-5)
         assert far_only == pytest.approx(pure_branch(FAR), abs=2e-5)
+
+    def test_interference_exponent_near_two(self):
+        # heavier interference at aI = 2.05 than at 2.5: lower coverage,
+        # still a probability
+        near_two = coverage_typical(make_cfg(alpha_interf=2.05), LINK, NOMA)
+        milder = coverage_typical(make_cfg(alpha_interf=2.5), LINK, NOMA)
+        assert 0.0 <= near_two < milder <= 1.0
 
     def test_fully_infeasible_link_is_zero(self):
         cfg = make_cfg()

@@ -239,6 +239,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "o.csv"
+        monkeypatch.setenv("UAVNOMA_THREADS", threads)
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "UAVNOMA_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"

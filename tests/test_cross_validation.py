@@ -29,7 +29,7 @@ def uc_case(m_desired, m_interf, link, access, seed):
         m_desired=m_desired,
         m_interf=m_interf,
     )
-    est, est_fixed = run_user_centric(cfg, link, access, TRIALS, seed, workers=4)
+    est, est_fixed = run_user_centric(cfg, link, access, TRIALS, seed)
     gap_typ = abs(est.p_hat - coverage_typical(cfg, link, access))
     gap_fix = abs(est_fixed.p_hat - coverage_fixed(cfg, link, access))
     return gap_typ, gap_fix
@@ -43,7 +43,7 @@ def uav_case(m_desired, m_interf, tx_dbm, link, access, seed):
         m_desired=m_desired,
         m_interf=m_interf,
     )
-    near, far = run_uav_centric(cfg, link, access, TRIALS, seed, workers=4)
+    near, far = run_uav_centric(cfg, link, access, TRIALS, seed)
     gap_near = abs(near.p_hat - coverage_pair(NEAR, cfg, link, access))
     gap_far = abs(far.p_hat - coverage_pair(FAR, cfg, link, access))
     return gap_near, gap_far

@@ -75,15 +75,6 @@ class TestDeterminism:
         b, fb = run_user_centric(cfg, LINK, NOMA, 400, seed=99)
         assert a.p_hat == b.p_hat and fa.p_hat == fb.p_hat
 
-    def test_worker_split_is_bit_exact(self):
-        cfg = make_cfg()
-        single = simulate_user_centric(cfg, 300.0, 600, seed=5, workers=1)
-        split = simulate_user_centric(cfg, 300.0, 600, seed=5, workers=3)
-        np.testing.assert_array_equal(single.serving_dist3d, split.serving_dist3d)
-        np.testing.assert_array_equal(
-            single.interference_fixed, split.interference_fixed
-        )
-
     def test_seed_changes_result(self):
         cfg = make_cfg()
         a, _ = run_user_centric(cfg, LINK, NOMA, 400, seed=1)
@@ -91,16 +82,14 @@ class TestDeterminism:
         assert not np.array_equal(a.p_hat, b.p_hat)
 
     def test_pooled_counts_match_binomial_spread(self):
-        # 20 independent seeds: worker counts agree rep by rep, and the
-        # spread of estimates is compatible with binomial noise
+        # 20 independent seeds: the spread of estimates is compatible with
+        # binomial noise
         cfg = make_cfg()
         trials = 300
         estimates = []
         for seed in range(20):
-            one, _ = run_user_centric(cfg, LINK, NOMA, trials, seed=seed, workers=1)
-            three, _ = run_user_centric(cfg, LINK, NOMA, trials, seed=seed, workers=3)
-            assert one.p_hat == three.p_hat
-            estimates.append(one.p_hat)
+            est, _ = run_user_centric(cfg, LINK, NOMA, trials, seed=seed)
+            estimates.append(est.p_hat)
         p_bar = float(np.mean(estimates))
         sigma = math.sqrt(p_bar * (1.0 - p_bar) / trials)
         spread = float(np.std(estimates))
@@ -227,10 +216,10 @@ class TestStreamLayout:
             assert drawn == pytest.approx(values, rel=1e-12)
 
 
-def _simulate_strategy(strategy, cfg, trials, seed, workers=1):
+def _simulate_strategy(strategy, cfg, trials, seed):
     if strategy == "user":
-        return simulate_user_centric(cfg, LINK.fixed_user_dist, trials, seed, workers)
-    return simulate_uav_centric(cfg, trials, seed, workers)
+        return simulate_user_centric(cfg, LINK.fixed_user_dist, trials, seed)
+    return simulate_uav_centric(cfg, trials, seed)
 
 
 STRATEGIES = ["user", "uav"]
@@ -251,13 +240,12 @@ class TestSkeleton:
         with pytest.raises(DomainError):
             _simulate_strategy(strategy, make_cfg(), 10, seed=seed)
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_shorter_run_is_a_prefix(self, strategy, workers):
+    def test_shorter_run_is_a_prefix(self, strategy):
         # trial t draws from its own stream, so a run of 40 trials is the
         # first 40 trials of a run of 100 under the same seed
         cfg = make_cfg()
-        short = _simulate_strategy(strategy, cfg, 40, seed=8, workers=workers)
+        short = _simulate_strategy(strategy, cfg, 40, seed=8)
         long = _simulate_strategy(strategy, cfg, 100, seed=8)
         for field in dataclasses.fields(short):
             value = getattr(short, field.name)
