@@ -17,12 +17,16 @@ from .analytic_user_centric import (
 from .errors import DomainError, NumericalError, PartitionCapError
 from .montecarlo import (
     CoverageEstimate,
+    estimate_uav_centric,
+    estimate_user_centric,
     evaluate_uav_centric,
     evaluate_user_centric,
     run_uav_centric,
     run_user_centric,
     simulate_uav_centric,
     simulate_user_centric,
+    uav_centric_geometry_key,
+    user_centric_geometry_key,
     wilson_interval,
 )
 from .scenario import (
@@ -62,6 +66,8 @@ __all__ = [
     "coverage_pair",
     "coverage_typical",
     "dbm_to_watts",
+    "estimate_uav_centric",
+    "estimate_user_centric",
     "evaluate_uav_centric",
     "evaluate_user_centric",
     "laplace_exponent_uc",
@@ -72,6 +78,8 @@ __all__ = [
     "simulate_user_centric",
     "sinr_threshold",
     "thresholds",
+    "uav_centric_geometry_key",
+    "user_centric_geometry_key",
     "watts_to_dbm",
     "wilson_interval",
 ]

@@ -9,9 +9,11 @@ validate   run the internal cross-check suite (exit nonzero on any failure)
 
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
 sections; dBm values are accepted at this boundary only and converted to
-watts once. Sweep points are dispatched to a process pool whose size comes
-from UAVNOMA_THREADS (at least 1; default: all cores); output rows keep
-input order.
+watts once. A sweep groups its points by Monte Carlo geometry key and
+simulates each group's batch once; the groups (or, in an analytic-only
+sweep, which simulates nothing, the single points) are dispatched to a
+process pool whose size comes from UAVNOMA_THREADS (at least 1; default: all
+cores); output rows keep input order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration,
 3 numerical failure.
@@ -31,9 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
-from . import analytic_uav_centric, analytic_user_centric
+from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
-from .montecarlo import run_uav_centric, run_user_centric
 from .scenario import (
     NOMA,
     OMA,
@@ -271,9 +272,25 @@ def _analytic_pair(cfg, link, strategy, access) -> dict[str, float]:
     }
 
 
-def _mc_pair(cfg, link, strategy, access, trials, seed):
-    runner = run_user_centric if strategy == USER_CENTRIC else run_uav_centric
-    estimates = runner(cfg, link, access, trials, seed)
+def _mc_geometry_key(cfg, link, strategy) -> tuple:
+    if strategy == USER_CENTRIC:
+        return montecarlo.user_centric_geometry_key(cfg, link.fixed_user_dist)
+    return montecarlo.uav_centric_geometry_key(cfg)
+
+
+def _mc_batch(cfg, link, spec):
+    if spec.strategy == USER_CENTRIC:
+        return montecarlo.simulate_user_centric(
+            cfg, link.fixed_user_dist, spec.trials, spec.seed
+        )
+    return montecarlo.simulate_uav_centric(cfg, spec.trials, spec.seed)
+
+
+def _mc_pair(batch, cfg, link, spec) -> dict:
+    if spec.strategy == USER_CENTRIC:
+        estimates = montecarlo.estimate_user_centric(batch, cfg, link, spec.access)
+    else:
+        estimates = montecarlo.estimate_uav_centric(batch, cfg, link, spec.access)
     return {est.user_role: est for est in estimates}
 
 
@@ -281,20 +298,26 @@ def _strategy_label(strategy: str) -> str:
     return "user-centric" if strategy == USER_CENTRIC else "uav-centric"
 
 
-def evaluate_point(
-    cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, value: float
-) -> list[dict]:
-    cfg, link = apply_axis(cfg, link, spec.axis, value)
+def _group_rows(spec: SweepSpec, points) -> list[list[dict]]:
+    """Rows of each sweep point ``(value, cfg, link)`` of one group.
+
+    The points share one MC geometry key, so the mode's MC batch is
+    simulated once, from the first point, and estimated at every point.
+    """
+    batch = None
+    if spec.mode in ("mc", "both"):
+        _, first_cfg, first_link = points[0]
+        batch = _mc_batch(first_cfg, first_link, spec)
+    return [_point_rows(spec, value, cfg, link, batch) for value, cfg, link in points]
+
+
+def _point_rows(spec, value, cfg, link, batch) -> list[dict]:
     analytic = (
         _analytic_pair(cfg, link, spec.strategy, spec.access)
         if spec.mode in ("analytic", "both")
         else {}
     )
-    mc = (
-        _mc_pair(cfg, link, spec.strategy, spec.access, spec.trials, spec.seed)
-        if spec.mode in ("mc", "both")
-        else {}
-    )
+    mc = _mc_pair(batch, cfg, link, spec) if batch is not None else {}
     roles = ("typical", "fixed") if spec.strategy == USER_CENTRIC else ("near", "far")
     rows = []
     for role in roles:
@@ -317,9 +340,12 @@ def evaluate_point(
     return rows
 
 
-def _sweep_task(payload):
-    cfg, link, spec, value = payload
-    return evaluate_point(cfg, link, spec, value)
+def evaluate_point(
+    cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, value: float
+) -> list[dict]:
+    """Rows of one sweep point, simulated afresh: nothing is reused."""
+    point = (value, *apply_axis(cfg, link, spec.axis, value))
+    return _group_rows(spec, [point])[0]
 
 
 def worker_count() -> int:
@@ -335,20 +361,45 @@ def worker_count() -> int:
     return count
 
 
-def run_sweep(cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, out_path: str):
-    payloads = [(cfg, link, spec, value) for value in spec.values]
-    workers = min(worker_count(), len(payloads))
+def run_sweep(
+    cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, out_path: str
+) -> int:
+    """Write the sweep's CSV; returns the number of MC geometry batches.
+
+    Points that share an MC geometry key form one task, which simulates its
+    batch once; an analytic-only sweep simulates nothing, so each point is
+    its own task. Tasks go to the process pool and rows keep input order.
+    """
+    points = [(v, *apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
+    for value, point_cfg, point_link in points:
+        where = f"{spec.axis}={value:.10g}: "
+        _warn_infeasible(point_cfg, point_link, spec.strategy, spec.access, where)
+    groups: dict = {}
+    for index, (_, point_cfg, point_link) in enumerate(points):
+        key = (
+            index
+            if spec.mode == "analytic"
+            else _mc_geometry_key(point_cfg, point_link, spec.strategy)
+        )
+        groups.setdefault(key, []).append(index)
+    tasks = [[points[i] for i in members] for members in groups.values()]
+    workers = min(worker_count(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, payloads))
+            results = list(pool.map(_group_rows, [spec] * len(tasks), tasks))
     else:
-        results = [_sweep_task(p) for p in payloads]
+        results = [_group_rows(spec, task) for task in tasks]
+    point_rows = [None] * len(points)
+    for members, group_rows in zip(groups.values(), results):
+        for index, rows in zip(members, group_rows):
+            point_rows[index] = rows
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS.split(","))
-        for rows in results:
+        for rows in point_rows:
             for row in rows:
                 writer.writerow(_format_row(row))
+    return 0 if spec.mode == "analytic" else len(groups)
 
 
 def _format_row(row: dict) -> list[str]:
@@ -374,13 +425,13 @@ def _format_row(row: dict) -> list[str]:
     ]
 
 
-def _warn_infeasible(cfg, link, strategy, access):
+def _warn_infeasible(cfg, link, strategy, access, where=""):
     ts = thresholds(link, cfg, strategy, access)
     bad = [name for name in ("near_joint", "far_own") if not ts.is_feasible(name)]
     for name in bad:
         role = "near/SIC chain" if name == "near_joint" else "far decode"
         print(
-            f"warning: {role} coefficient is infeasible for this power "
+            f"warning: {where}{role} coefficient is infeasible for this power "
             "allocation; the affected coverage is exactly zero",
             file=sys.stderr,
         )
@@ -498,7 +549,7 @@ def _validate_checks(quick: bool, seed: int):
     def analytic_vs_mc_user_centric():
         trials = 20_000 if quick else 100_000
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
-        est, est_fixed = run_user_centric(cfg, link, NOMA, trials, seed)
+        est, est_fixed = montecarlo.run_user_centric(cfg, link, NOMA, trials, seed)
         gap = abs(est.p_hat - analytic_user_centric.coverage_typical(cfg, link, NOMA))
         gap_fixed = abs(
             est_fixed.p_hat - analytic_user_centric.coverage_fixed(cfg, link, NOMA)
@@ -512,7 +563,7 @@ def _validate_checks(quick: bool, seed: int):
                 est.p_hat
                 - analytic_uav_centric.coverage_pair(est.user_role, cfg_uav, link_uav)
             )
-            for est in run_uav_centric(cfg_uav, link_uav, NOMA, trials, seed)
+            for est in montecarlo.run_uav_centric(cfg_uav, link_uav, NOMA, trials, seed)
         )
         return gap, 0.02
 
@@ -634,8 +685,11 @@ def main(argv=None) -> int:
                 spec = replace(spec, trials=args.trials)
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
-            run_sweep(cfg, link, spec, args.out)
-            print(f"wrote {args.out}: {len(spec.values)} points")
+            batches = run_sweep(cfg, link, spec, args.out)
+            print(
+                f"wrote {args.out}: {len(spec.values)} points, "
+                f"{batches} geometry batch{'' if batches == 1 else 'es'}"
+            )
             return 0
 
         mode = "analytic" if args.command == "analytic" else "mc"

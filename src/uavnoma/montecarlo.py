@@ -11,9 +11,13 @@ Each run is split into two phases. The geometry phase draws everything that
 does not depend on transmit power, rates, power split, or SIC quality: UAV
 positions, user placement, fading, and the per-receiver interference sums at
 unit transmit power. The evaluation phase applies a specific link/power
-configuration to a finished batch, so parameter sweeps can reuse one batch
-across all points that share geometry (same answer as re-simulating with the
-same seed, at a fraction of the cost).
+configuration to a finished batch, so one batch serves every point that
+shares its geometry key (same answer as re-simulating with the same seed, at
+a fraction of the cost). Each strategy exposes the three steps:
+``*_geometry_key``, ``simulate_*`` and ``estimate_*`` (batch to coverage
+estimates); ``run_*`` is simulate-then-estimate for one point. The CLI's
+``run_sweep`` groups a sweep's points by geometry key and simulates each
+group once; ``run_*`` and a point evaluated alone simulate afresh.
 
 Both strategies run the geometry phase on one skeleton, ``_simulate``: per
 trial it builds the trial's stream, draws the UAV field on the simulation disc
@@ -124,7 +128,9 @@ class UserCentricTrials:
         return len(self.serving_dist3d)
 
 
-def _user_centric_geometry_key(cfg: NetworkConfig, fixed_user_dist: float) -> tuple:
+def user_centric_geometry_key(cfg: NetworkConfig, fixed_user_dist: float) -> tuple:
+    """What a user-centric batch depends on: points with equal keys (and
+    equal trials and seed) can be estimated from one batch."""
     return (
         USER_CENTRIC,
         cfg.uav_density,
@@ -176,7 +182,7 @@ def simulate_user_centric(
         return math.hypot(r, height), j_typ, j_fix, h_t, h_f
 
     return UserCentricTrials(
-        _user_centric_geometry_key(cfg, fixed_user_dist),
+        user_centric_geometry_key(cfg, fixed_user_dist),
         seed,
         *_simulate(cfg, trials, seed, 5, trial),
     )
@@ -186,7 +192,7 @@ def evaluate_user_centric(
     batch: UserCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
 ) -> tuple[int, int]:
     """Count typical/fixed coverage successes of one configuration point."""
-    if batch.geometry_key != _user_centric_geometry_key(cfg, link.fixed_user_dist):
+    if batch.geometry_key != user_centric_geometry_key(cfg, link.fixed_user_dist):
         raise DomainError("trial batch was simulated under different geometry")
     p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
     dist_fixed = math.hypot(link.fixed_user_dist, cfg.uav_height)
@@ -234,6 +240,17 @@ def evaluate_user_centric(
     return int(np.sum(ok_typ)), int(np.sum(ok_fix))
 
 
+def estimate_user_centric(
+    batch: UserCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
+) -> tuple[CoverageEstimate, CoverageEstimate]:
+    """Estimate typical- and fixed-user coverage of one point from a batch."""
+    k_typ, k_fix = evaluate_user_centric(batch, cfg, link, access)
+    return (
+        _estimate(k_typ, batch, USER_CENTRIC, "typical", access),
+        _estimate(k_fix, batch, USER_CENTRIC, "fixed", access),
+    )
+
+
 def run_user_centric(
     cfg: NetworkConfig,
     link: NomaLink,
@@ -243,11 +260,7 @@ def run_user_centric(
 ) -> tuple[CoverageEstimate, CoverageEstimate]:
     """Estimate typical- and fixed-user coverage from fresh trials."""
     batch = simulate_user_centric(cfg, link.fixed_user_dist, trials, seed)
-    k_typ, k_fix = evaluate_user_centric(batch, cfg, link, access)
-    return (
-        _estimate(k_typ, trials, USER_CENTRIC, "typical", access, seed),
-        _estimate(k_fix, trials, USER_CENTRIC, "fixed", access, seed),
-    )
+    return estimate_user_centric(batch, cfg, link, access)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,9 @@ class UavCentricTrials:
         return len(self.neighbor_dist)
 
 
-def _uav_centric_geometry_key(cfg: NetworkConfig) -> tuple:
+def uav_centric_geometry_key(cfg: NetworkConfig) -> tuple:
+    """What a UAV-centric batch depends on: points with equal keys (and equal
+    trials and seed) can be estimated from one batch."""
     return (
         UAV_CENTRIC,
         cfg.uav_density,
@@ -321,7 +336,7 @@ def simulate_uav_centric(
         return big_r, d_near, d_far, j_near, j_far, h_w, h_v
 
     return UavCentricTrials(
-        _uav_centric_geometry_key(cfg),
+        uav_centric_geometry_key(cfg),
         seed,
         *_simulate(cfg, trials, seed, 7, trial),
     )
@@ -331,7 +346,7 @@ def evaluate_uav_centric(
     batch: UavCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
 ) -> tuple[int, int]:
     """Count near/far-user coverage successes of one configuration point."""
-    if batch.geometry_key != _uav_centric_geometry_key(cfg):
+    if batch.geometry_key != uav_centric_geometry_key(cfg):
         raise DomainError("trial batch was simulated under different geometry")
     p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
     i_near = p * batch.interference_near
@@ -362,6 +377,17 @@ def evaluate_uav_centric(
     return int(np.sum(ok_near)), int(np.sum(ok_far))
 
 
+def estimate_uav_centric(
+    batch: UavCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
+) -> tuple[CoverageEstimate, CoverageEstimate]:
+    """Estimate near- and far-user coverage of one point from a batch."""
+    k_near, k_far = evaluate_uav_centric(batch, cfg, link, access)
+    return (
+        _estimate(k_near, batch, UAV_CENTRIC, "near", access),
+        _estimate(k_far, batch, UAV_CENTRIC, "far", access),
+    )
+
+
 def run_uav_centric(
     cfg: NetworkConfig,
     link: NomaLink,
@@ -371,11 +397,7 @@ def run_uav_centric(
 ) -> tuple[CoverageEstimate, CoverageEstimate]:
     """Estimate near- and far-user coverage from fresh trials."""
     batch = simulate_uav_centric(cfg, trials, seed)
-    k_near, k_far = evaluate_uav_centric(batch, cfg, link, access)
-    return (
-        _estimate(k_near, trials, UAV_CENTRIC, "near", access, seed),
-        _estimate(k_far, trials, UAV_CENTRIC, "far", access, seed),
-    )
+    return estimate_uav_centric(batch, cfg, link, access)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +436,10 @@ def _check_identity(chain: np.ndarray, identity: np.ndarray, label: str):
 
 
 def _estimate(
-    successes: int, trials: int, strategy: str, role: str, access: str, seed: int
+    successes: int, batch, strategy: str, role: str, access: str
 ) -> CoverageEstimate:
+    trials = batch.trials
     low, high = wilson_interval(successes, trials)
     return CoverageEstimate(
-        successes / trials, trials, low, high, strategy, role, access, seed
+        successes / trials, trials, low, high, strategy, role, access, batch.seed
     )

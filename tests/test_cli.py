@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavnoma import montecarlo
 from uavnoma.cli import (
     CSV_COLUMNS,
     ConfigError,
+    _format_row,
     apply_axis,
+    evaluate_point,
     load_config,
     main,
     parse_link,
@@ -230,8 +233,20 @@ class TestSweepCommand:
         roles = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
         assert roles == ["near", "far"]
 
-    def test_worker_pool_output_matches_serial(self, tmp_path, monkeypatch):
-        cfg_path = write_config(tmp_path, BASE_CONFIG)
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {},
+            # four points in three geometry groups, one of them split
+            {"axis": "fixed_user_dist", "values": [300.0, 100.0, 300.0, 600.0],
+             "mode": "mc", "trials": 500},
+        ],
+        ids=["power", "fixed_user_dist"],
+    )
+    def test_worker_pool_output_matches_serial(self, tmp_path, monkeypatch, sweep):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(sweep)
+        cfg_path = write_config(tmp_path, payload)
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(serial)]) == 0
@@ -269,6 +284,116 @@ class TestSweepCommand:
         )
         row = out.read_text().splitlines()[1].split(",")
         assert row[9] == "500" and row[10] == "9"
+
+    def test_infeasible_points_warn_by_axis_value(self, tmp_path, capsys):
+        # the far decode threshold of the shipped m=3 rate sweep is infeasible
+        # from rate_near 1.5 on; the warnings leave the CSV and stdout alone
+        shipped = REPO / "configs" / "user_centric_rate_noma_m3.json"
+        payload = json.loads(shipped.read_text())
+        payload["sweep"].update({"mode": "mc", "trials": 200})
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        warned = [
+            line.split(":")[1].strip()
+            for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert warned == ["rate_near=1.5", "rate_near=1.75", "rate_near=2"]
+        assert all("far decode" in line for line in captured.err.splitlines())
+        assert captured.out == f"wrote {out}: 8 points, 1 geometry batch\n"
+
+    @pytest.mark.parametrize(
+        "sweep,batches",
+        [
+            ({}, "1 geometry batch"),
+            ({"mode": "analytic"}, "0 geometry batches"),
+            (
+                {"axis": "fixed_user_dist", "values": [100.0, 450.0, 100.0],
+                 "mode": "mc", "trials": 200},
+                "2 geometry batches",
+            ),
+        ],
+        ids=["power", "analytic", "fixed_user_dist"],
+    )
+    def test_success_line_counts_geometry_batches(
+        self, tmp_path, capsys, sweep, batches
+    ):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(sweep)
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        points = len(payload["sweep"]["values"])
+        assert capsys.readouterr().out == f"wrote {out}: {points} points, {batches}\n"
+
+
+class TestGeometryGrouping:
+    """A sweep simulates each MC geometry once and estimates every point of it
+    from that batch."""
+
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_power_sweep_simulates_once(self, tmp_path, monkeypatch, strategy):
+        calls = []
+
+        def counting(name):
+            real = getattr(montecarlo, name)
+
+            def simulate(*args):
+                calls.append(name)
+                return real(*args)
+
+            return simulate
+
+        for name in ("simulate_user_centric", "simulate_uav_centric"):
+            monkeypatch.setattr(montecarlo, name, counting(name))
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(
+            {"strategy": strategy, "mode": "mc", "values": [-40.0, -30.0, -20.0]}
+        )
+        cfg_path = write_config(tmp_path, payload)
+        out = str(tmp_path / "o.csv")
+        assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
+        expected = "simulate_" + strategy.replace("-", "_")
+        assert calls == [expected]
+        # a point evaluated alone reuses nothing
+        cfg, link = parse_network(payload["network"]), parse_link(payload["link"])
+        spec = parse_sweep(payload["sweep"])
+        for value in spec.values[:2]:
+            evaluate_point(cfg, link, spec, value)
+        assert calls == [expected] * 3
+
+    @pytest.mark.parametrize("access", ["noma", "oma"])
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_interleaved_geometries_match_point_by_point(
+        self, tmp_path, capsys, strategy, access
+    ):
+        dense, sparse = 2.0e-6, BASE_CONFIG["network"]["uav_density_per_m2"]
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(
+            {
+                "axis": "uav_density",
+                "values": [dense, sparse, dense],
+                "strategy": strategy,
+                "access": access,
+                "mode": "mc",
+                "trials": 300,
+            }
+        )
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("3 points, 2 geometry batches\n")
+        cfg = parse_network(payload["network"])
+        link = parse_link(payload["link"])
+        spec = parse_sweep(payload["sweep"])
+        expected = [CSV_COLUMNS] + [
+            ",".join(_format_row(row))
+            for value in spec.values
+            for row in evaluate_point(cfg, link, spec, value)
+        ]
+        assert out.read_text().splitlines() == expected
 
 
 class TestPointCommands:

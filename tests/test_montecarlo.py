@@ -11,14 +11,16 @@ from uavnoma.montecarlo import (
     UavCentricTrials,
     UserCentricTrials,
     _trial_rng,
-    _uav_centric_geometry_key,
-    _user_centric_geometry_key,
+    estimate_uav_centric,
+    estimate_user_centric,
     evaluate_uav_centric,
     evaluate_user_centric,
     run_uav_centric,
     run_user_centric,
     simulate_uav_centric,
     simulate_user_centric,
+    uav_centric_geometry_key,
+    user_centric_geometry_key,
     wilson_interval,
 )
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
@@ -302,7 +304,7 @@ class TestEvaluationPaths:
         cfg = make_cfg(tx_power=1.0)
         n = 8
         batch = UserCentricTrials(
-            _user_centric_geometry_key(cfg, LINK.fixed_user_dist),
+            user_centric_geometry_key(cfg, LINK.fixed_user_dist),
             0,
             np.full(n, math.hypot(200.0, 100.0)),
             np.zeros(n),
@@ -317,7 +319,7 @@ class TestEvaluationPaths:
         cfg = make_cfg(tx_power=1.0)
         n = 8
         batch = UavCentricTrials(
-            _uav_centric_geometry_key(cfg),
+            uav_centric_geometry_key(cfg),
             0,
             np.full(n, 500.0),
             np.full(n, 110.0),
@@ -343,6 +345,22 @@ class TestEvaluationPaths:
         k_typ, _ = evaluate_user_centric(batch, cfg, LINK, NOMA)
         fresh, _ = run_user_centric(cfg, LINK, NOMA, 500, seed=11)
         assert k_typ / 500 == fresh.p_hat
+
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    def test_estimates_from_one_batch_equal_fresh_runs(self, access):
+        # estimate_* on a shared batch gives, point by point, the estimates
+        # (successes, interval, trials, seed) of run_* on fresh trials
+        cfg = make_cfg()
+        uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 300, seed=12)
+        uav = simulate_uav_centric(cfg, 300, seed=12)
+        for tx_power in (1e-8, 1e-6, 1e-4):
+            point = dataclasses.replace(cfg, tx_power=tx_power)
+            assert estimate_user_centric(uc, point, LINK, access) == run_user_centric(
+                point, LINK, access, 300, seed=12
+            )
+            assert estimate_uav_centric(uav, point, LINK, access) == run_uav_centric(
+                point, LINK, access, 300, seed=12
+            )
 
 
 class TestInfeasibleLinks:
