@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
@@ -86,7 +86,7 @@ def wilson_interval(
         raise DomainError("wilson_interval requires at least one trial")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
-    z = float(norm.ppf(0.5 * (1.0 + confidence)))
+    z = float(ndtri(0.5 * (1.0 + confidence)))
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom

@@ -489,6 +489,21 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "typical: p=" in result.stdout
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second and 20 MB at start-up; the
+        # Wilson interval needs only scipy.special.ndtri
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, uavnoma.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
