@@ -1,11 +1,13 @@
 """Seeded Monte Carlo estimation of every coverage probability.
 
-Reproducibility contract: each trial owns a counter-based random stream
-(Philox keyed by the run seed, counter block = trial index), so a rerun with
-the same seed reproduces every draw, and the first n trials of a longer run
-are bit-identical to an n-trial run. Trials run one after another in a single
-thread; throughput parallelism lives one level up, in the CLI's process pool
-over sweep points (threads here would only contend for the interpreter lock).
+Reproducibility contract: trials are drawn in blocks of ``_BLOCK`` and each
+block owns a counter-based random stream (Philox keyed by the run seed,
+counter = block index << 128), so a rerun with the same seed reproduces every
+draw, and an n-trial run is the prefix of any longer run: a run whose trial
+count is not a multiple of ``_BLOCK`` draws its last block in full and keeps
+the first trials. Blocks run one after another in a single thread; throughput
+parallelism lives one level up, in the CLI's process pool over sweep points
+(threads here would only contend for the interpreter lock).
 
 Each run is split into two phases. The geometry phase draws everything that
 does not depend on transmit power, rates, power split, or SIC quality: UAV
@@ -20,14 +22,24 @@ estimates); ``run_*`` is simulate-then-estimate for one point. The CLI's
 group once; ``run_*`` and a point evaluated alone simulate afresh.
 
 Both strategies run the geometry phase on one skeleton, ``_simulate``: per
-trial it builds the trial's stream, draws the UAV field on the simulation disc
-with ``spatial.sample_hppp_disc`` and hands stream and field to the
-strategy's trial function, which draws the rest of the trial from the same
-stream and returns that trial's batch values. Fading goes through
-``channel.sample_nakagami_power``, UAV-centric user placement through
-``spatial.sample_near_user`` / ``sample_far_user``, and every success test in
-the evaluation phase through ``channel.sinr``, so no part of the model is
-defined twice.
+block it builds the block's stream, draws the UAV fields of all its trials
+with ``spatial.sample_hppp_disc`` (the ``_BLOCK`` counts, then every radius
+as one flat array) and hands stream and fields to the strategy's block
+function, which draws the rest of the block from the same stream, in whole
+arrays, and reduces each trial's segment of the flat arrays with
+``reduceat``. Per block, after the counts and radii, the draws are:
+
+* user-centric: one azimuth per UAV, one fixed-user azimuth per trial, the
+  typical and the fixed user's desired gains per trial, then their
+  interferer gains per UAV;
+* UAV-centric: the near and the far user's radius per trial, their desired
+  gains per trial, their interferer gains per UAV, and the ring jitter per
+  trial (no azimuths: nothing in this strategy depends on them).
+
+Fading goes through ``channel.sample_nakagami_power``, UAV-centric user
+placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
+every success test in the evaluation phase through ``channel.sinr``, so no
+part of the model is defined twice.
 
 Paired SIC success is counted two ways on the shared fading draw: through
 the two-SINR chain and through the max-coefficient threshold identity; a
@@ -96,9 +108,9 @@ def wilson_interval(
     return max(center - halfwidth, 0.0), min(center + halfwidth, 1.0)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # one 2^128-block Philox counter window per trial
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
+# trials per Philox stream; fixes the memory of the geometry phase whatever
+# the trial count
+_BLOCK = 32
 
 
 def _check_seed(seed: int):
@@ -151,41 +163,44 @@ def simulate_user_centric(
 ) -> UserCentricTrials:
     """Run the geometry phase: typical user at the origin, serving UAV is the
     nearest, fixed user at ``fixed_user_dist`` from it at uniform azimuth."""
-    height = cfg.uav_height
-    dist_fixed_sq = fixed_user_dist**2 + height**2
-    half = cfg.alpha_interf / 2.0
-
-    def trial(rng, radii, angles):
-        count = len(radii)
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        h_t = sample_nakagami_power(cfg.m_desired, rng)
-        h_f = sample_nakagami_power(cfg.m_desired, rng)
-        g_t = sample_nakagami_power(cfg.m_interf, rng, count)
-        g_f = sample_nakagami_power(cfg.m_interf, rng, count)
-        if count == 0:
-            return math.inf, 0.0, 0.0, 0.0, 0.0
-        nearest = int(np.argmin(radii))
-        r = radii[nearest]
-        # typical user at the origin: non-serving UAVs are all beyond r
-        d3_typ_sq = radii**2 + height**2
-        mask = np.arange(count) != nearest
-        j_typ = float(np.sum(g_t[mask] * d3_typ_sq[mask] ** -half))
-        # fixed user hangs off the serving UAV; its exclusion is its own
-        # serving distance
-        fx = r * math.cos(angles[nearest]) + fixed_user_dist * math.cos(azimuth)
-        fy = r * math.sin(angles[nearest]) + fixed_user_dist * math.sin(azimuth)
-        dx = radii * np.cos(angles) - fx
-        dy = radii * np.sin(angles) - fy
-        d3_fix_sq = dx * dx + dy * dy + height**2
-        mask_fix = mask & (d3_fix_sq > dist_fixed_sq)
-        j_fix = float(np.sum(g_f[mask_fix] * d3_fix_sq[mask_fix] ** -half))
-        return math.hypot(r, height), j_typ, j_fix, h_t, h_f
-
     return UserCentricTrials(
         user_centric_geometry_key(cfg, fixed_user_dist),
         seed,
-        *_simulate(cfg, trials, seed, 5, trial),
+        *_simulate(cfg, trials, seed, 5, _user_centric_block, fixed_user_dist),
     )
+
+
+def _user_centric_block(rng, field, cfg, fixed_user_dist):
+    height_sq = cfg.uav_height**2
+    half = cfg.alpha_interf / 2.0
+    count = field.radii.size
+    # The field is isotropic, so each UAV's azimuth is drawn in the frame
+    # that puts the fixed user on the positive x axis.
+    cos_angle = np.cos(rng.uniform(-math.pi, math.pi, count))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, _BLOCK)
+    h_t = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
+    h_f = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
+    g_t = sample_nakagami_power(cfg.m_interf, rng, count)
+    g_f = sample_nakagami_power(cfg.m_interf, rng, count)
+    # typical user at the origin: non-serving UAVs are all beyond r
+    d3_typ_sq = field.radii**2 + height_sq
+    other = ~field.is_nearest
+    j_typ = field.sum(np.where(other, g_t * d3_typ_sq**-half, 0.0))
+    # fixed user hangs off the serving UAV, at distance rho from the origin;
+    # its exclusion is its own serving distance
+    r = np.where(field.occupied, field.nearest, 0.0)
+    rho_sq = r * r + fixed_user_dist**2 + 2.0 * r * fixed_user_dist * np.cos(azimuth)
+    rho = np.sqrt(rho_sq)
+    d3_fix_sq = (
+        d3_typ_sq
+        + field.spread(rho_sq)
+        - 2.0 * field.radii * field.spread(rho) * cos_angle
+    )
+    beyond = other & (d3_fix_sq > fixed_user_dist**2 + height_sq)
+    j_fix = field.sum(np.where(beyond, g_f * d3_fix_sq**-half, 0.0))
+    # an empty disc has no serving UAV, so neither user has a desired link
+    h_t, h_f = (np.where(field.occupied, h, 0.0) for h in (h_t, h_f))
+    return np.hypot(field.nearest, cfg.uav_height), j_typ, j_fix, h_t, h_f
 
 
 def evaluate_user_centric(
@@ -307,39 +322,34 @@ def simulate_uav_centric(
 ) -> UavCentricTrials:
     """Geometry phase: serving UAV at the origin, neighbors form the
     interference field, paired users drawn from their placement densities."""
-    height = cfg.uav_height
-    half = cfg.alpha_interf / 2.0
-
-    def trial(rng, radii, angles):  # azimuths unused: the field is isotropic
-        count = len(radii)
-        if count:
-            nearest = int(np.argmin(radii))
-            big_r = radii[nearest]
-        else:
-            # no neighbor inside the disc: the cell extends to the disc edge
-            # and sees no interference
-            big_r = cfg.sim_disc_radius
-        d_near = math.hypot(sample_near_user(big_r, rng), height)
-        d_far = math.hypot(sample_far_user(big_r, rng), height)
-        h_w = sample_nakagami_power(cfg.m_desired, rng)
-        h_v = sample_nakagami_power(cfg.m_desired, rng)
-        g_w = sample_nakagami_power(cfg.m_interf, rng, count)
-        g_v = sample_nakagami_power(cfg.m_interf, rng, count)
-        jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth)
-        if count == 0:
-            return big_r, d_near, d_far, 0.0, 0.0, h_w, h_v
-        mask = np.arange(count) != nearest
-        tail_path = (radii[mask] ** 2 + height**2) ** -half
-        ring_path = ((big_r + jitter) ** 2 + height**2) ** -half
-        j_near = float(np.sum(g_w[mask] * tail_path)) + g_w[nearest] * ring_path
-        j_far = float(np.sum(g_v[mask] * tail_path)) + g_v[nearest] * ring_path
-        return big_r, d_near, d_far, j_near, j_far, h_w, h_v
-
     return UavCentricTrials(
         uav_centric_geometry_key(cfg),
         seed,
-        *_simulate(cfg, trials, seed, 7, trial),
+        *_simulate(cfg, trials, seed, 7, _uav_centric_block),
     )
+
+
+def _uav_centric_block(rng, field, cfg):
+    height = cfg.uav_height
+    half = cfg.alpha_interf / 2.0
+    count = field.radii.size
+    # no neighbor inside the disc: the cell extends to the disc edge and
+    # sees no interference
+    big_r = np.minimum(field.nearest, cfg.sim_disc_radius)
+    d_near = np.hypot(sample_near_user(big_r, rng), height)
+    d_far = np.hypot(sample_far_user(big_r, rng), height)
+    h_w = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
+    h_v = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
+    g_w = sample_nakagami_power(cfg.m_interf, rng, count)
+    g_v = sample_nakagami_power(cfg.m_interf, rng, count)
+    jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth, _BLOCK)
+    ring_path = ((big_r + jitter) ** 2 + height**2) ** -half
+    path = np.where(
+        field.is_nearest,
+        field.spread(ring_path),
+        (field.radii**2 + height**2) ** -half,
+    )
+    return big_r, d_near, d_far, field.sum(g_w * path), field.sum(g_v * path), h_w, h_v
 
 
 def evaluate_uav_centric(
@@ -406,24 +416,58 @@ def run_uav_centric(
 
 
 def _simulate(
-    cfg: NetworkConfig, trials: int, seed: int, fields: int, trial
+    cfg: NetworkConfig, trials: int, seed: int, fields: int, block, *args
 ) -> np.ndarray:
     """Geometry-phase skeleton of both strategies; returns ``fields`` rows of
     ``trials`` batch values.
 
-    Trial t builds its own stream, draws the UAV field on the simulation disc
-    and calls ``trial(rng, radii, angles)``, which draws the rest of the trial
-    from that stream and returns the trial's ``fields`` values.
+    Block b builds its own stream, draws the UAV fields of its ``_BLOCK``
+    trials and calls ``block(rng, field, cfg, *args)``, which draws the rest
+    of the block from that stream and returns ``fields`` arrays of ``_BLOCK``
+    values. The last block is drawn in full and truncated.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     _check_seed(seed)
     rows = np.empty((fields, trials))
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        radii, angles = sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, rng)
-        rows[:, t] = trial(rng, radii, angles)
+    for start in range(0, trials, _BLOCK):
+        counter = (start // _BLOCK) << 128
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        field = _Field(
+            *sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng)
+        )
+        values = block(rng, field, cfg, *args)
+        stop = min(start + _BLOCK, trials)
+        rows[:, start:stop] = np.array(values)[:, : stop - start]
     return rows
+
+
+class _Field:
+    """The UAV fields of one block, as ``sample_hppp_disc`` draws them: the
+    per-trial ``counts`` and the flat ``radii``, trial after trial."""
+
+    def __init__(self, counts: np.ndarray, radii: np.ndarray):
+        self.counts = counts
+        self.radii = radii
+        self.occupied = counts > 0
+        # reduceat over the occupied trials' segment starts only: an empty
+        # segment would reduce to the next trial's first point
+        self._starts = (np.cumsum(counts) - counts)[self.occupied]
+        self.nearest = np.full(len(counts), math.inf)  # inf on an empty disc
+        self.nearest[self.occupied] = np.minimum.reduceat(radii, self._starts)
+        # (a tie for nearest, of probability about 1e-11 per trial, marks
+        # every tied point)
+        self.is_nearest = radii == self.spread(self.nearest)
+
+    def spread(self, per_trial: np.ndarray) -> np.ndarray:
+        """One value per trial, repeated onto each of that trial's points."""
+        return np.repeat(per_trial, self.counts)
+
+    def sum(self, per_point: np.ndarray) -> np.ndarray:
+        """Sum of a value per point over each trial; 0 on an empty disc."""
+        out = np.zeros(len(self.counts))
+        out[self.occupied] = np.add.reduceat(per_point, self._starts)
+        return out
 
 
 def _check_identity(chain: np.ndarray, identity: np.ndarray, label: str):

@@ -27,19 +27,19 @@ CONFIGS = sorted(p.name for p in (REPO / "configs").glob("*.json"))
 TRIALS = 300
 
 CSV_SHA256 = {
-    "uav_centric_power_los_m2.json": "ff26667769953d79fbe67cb43607c59d9028955bd918f10843a7fb8bdbe621c2",
-    "uav_centric_power_nlos_ipsic00.json": "ce4a690e93162e97f316f5a78f27e9626e131b2b5e56f42be63ff25e741a3c0a",
-    "uav_centric_power_nlos_ipsic01.json": "9eb1303e110e309bea6cb791a33a032f4a58116bbfa1136727561d29b884dc84",
-    "uav_centric_power_nlos_ipsic05.json": "19f0da03fec42dbcee873028152f43887376b4f9d47680bd5ea5365c0d19afcb",
-    "uav_centric_rate_noma_m3.json": "02c3dacaf5e783537628b42a3626701df7da767d6893c6f02295e56e135b26f9",
-    "uav_centric_rate_oma_m3.json": "92dbac813f01df528a78f16eeb406c0ebe2fa4dd012b3391f4eafe0f8f8aa0e3",
-    "user_centric_fixed_distance.json": "8351cd8a6bc1ecfc92349ddcd3e10982a5340807cd48844615ecf8faf8ed67cb",
-    "user_centric_power_los_m2.json": "ef4759e90d4b0d5bfb4e0ce777983d9e9dbb232e5867911a915e80ad33836813",
-    "user_centric_power_nlos_ipsic00.json": "4266a4833b32a4b44f79db03aa8aff816672e3678949200a283bbb420029a56a",
-    "user_centric_power_nlos_ipsic01.json": "3301b32fd3f57e089bdcfc3010ad86ae42a94d8a3dea91f702d0066012dd6694",
-    "user_centric_power_nlos_ipsic03.json": "a21a252ab3b908b0f6fe389849dd156e82e5b09660c3c4295741c392fe10d1a9",
-    "user_centric_rate_noma_m3.json": "adaeb9c3528c6a41cfa491141507d50d129329cc53ce56bbbc61fbb038ce5ec5",
-    "user_centric_rate_oma_m3.json": "6ac752cc305a1cb741f73ca11b521e9f5ba76d2e2b1c0d30ac7d31c6b24be2b2",
+    "uav_centric_power_los_m2.json": "174dd6fda3059abf0fc309c4b9837abf9ebbe3e2df501f1732ad7debfcf0be89",
+    "uav_centric_power_nlos_ipsic00.json": "a743d63d6253fc28466263385a81a606d9ac469abdeab80a783ccebd7a4dddb7",
+    "uav_centric_power_nlos_ipsic01.json": "34832e157b44db25eb7fbd41b611c5d0257f9b1c6a822a10f9e8bb91424bbb28",
+    "uav_centric_power_nlos_ipsic05.json": "7617b530942db5273bf64a684d40ae1b2b30cb7c330fafd99963ec82cb9be7be",
+    "uav_centric_rate_noma_m3.json": "64621fe3dacf69c01e1630cd7e04f98507678c23a5a8756f3f83f0329f651df4",
+    "uav_centric_rate_oma_m3.json": "6147aa55525ea24941e91981be928432e8585e98ecb0319a79f4c5ccd4519f50",
+    "user_centric_fixed_distance.json": "5058257d035822e830fa06767b8cc6d2c7da3a7425aa0ba78732898df8991869",
+    "user_centric_power_los_m2.json": "9decba060c8af4a4c7390605b73cdb5d51c843384fb28d43f3782bb8481d3566",
+    "user_centric_power_nlos_ipsic00.json": "b61f61ebea53b7f7df23be169fb1be5f1a569e3c1830e2a8b4474d7eb3e84617",
+    "user_centric_power_nlos_ipsic01.json": "00da2430082e7b7631533fe5ed5abe89147f14a2c0a77f18eeb42881ee1040bd",
+    "user_centric_power_nlos_ipsic03.json": "b23c7d0b591a8960b48034f237e926444de47d0e06934f1eadb3cc23dff6b3cd",
+    "user_centric_rate_noma_m3.json": "e88037e0c831c1bfe0a01e0d46be1680d03992822469ead1a6ccbf1d71612a21",
+    "user_centric_rate_oma_m3.json": "5ccf2cc0ed7aed5da3b5843f2dbe20d4226aba006a225bafa7ea650adec835be",
 }
 
 

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
+    _BLOCK,
     UavCentricTrials,
     UserCentricTrials,
-    _trial_rng,
     estimate_uav_centric,
     estimate_user_centric,
     evaluate_uav_centric,
@@ -99,123 +100,144 @@ class TestDeterminism:
 
 
 # Pinned draws of both geometry phases (400 trials, seed 77). Any change to
-# the per-trial stream layout (draw order, draw count, or how a draw becomes
+# the per-block stream layout (draw order, draw count, or how a draw becomes
 # a distance, gain or interference sum) moves these numbers. Values are
 # batch fields at trials 3 and 5; counts are (typical, fixed) or (near, far)
-# successes; "empty" counts the trials with no UAV in the disc.
+# successes; "empty" counts the trials with no UAV in the disc. Regenerate
+# with ``PYTHONPATH=src python tests/test_montecarlo.py``.
 STREAM_PINS = {
     # lam pi r^2 = 400 UAVs on average
     "default": dict(
         cfg={},
-        uc_counts=[(219, 347), (257, 383), (339, 396)],
+        uc_counts=[(215, 342), (266, 381), (344, 396)],
         uc_empty=0,
         uc_values={
-            3: [349.03373030826447, 3.892753344970292e-11, 5.788515323079571e-12,
-                1.3088291190339263, 0.6687927145299484],
-            5: [651.0429646338898, 9.656657281262318e-12, 1.2264739472754127e-10,
-                0.8919026408784114, 0.2618435572193865],
+            3: [429.81556002014, 4.9410212010594626e-11, 2.548798306537028e-10,
+                0.3749630629549604, 0.24283755432293144],
+            5: [518.4434832614965, 8.239865610558772e-12, 2.1936952803121873e-11,
+                0.005801910642543958, 1.1828906636829764],
         },
-        uav_counts=[(206, 169), (188, 168), (31, 169)],
+        uav_counts=[(205, 174), (181, 169), (33, 174)],
         uav_empty=0,
         uav_values={
-            3: [334.40177166531623, 111.91051168621865, 174.26330937319062,
-                3.367924048252412e-11, 4.531000587836775e-11, 0.6687927145299484,
-                0.3133372520891722],
-            5: [643.3171393638478, 117.54201829746107, 310.5409559886708,
-                8.573995972007537e-12, 1.5829317036634962e-11, 0.2618435572193865,
-                0.3714302678325047],
+            3: [418.0208315807079, 140.89160693818033, 176.5266121713985,
+                4.63178262703096e-11, 4.8287975334916224e-11, 0.3687758992337944,
+                0.6206562133937603],
+            5: [508.7078192207326, 130.42522880390172, 198.6585697317449,
+                1.8831635048391117e-11, 2.310840165175621e-11, 1.925297430896213,
+                1.5276017618251025],
         },
     ),
     "nakagami": dict(
         cfg=dict(m_desired=3, m_interf=2, alpha_interf=3.5),
-        uc_counts=[(211, 381), (259, 400), (361, 400)],
+        uc_counts=[(217, 380), (269, 400), (370, 400)],
         uc_empty=0,
         uc_values={
-            3: [349.03373030826447, 6.609382775498126e-10, 5.149075787741949e-10,
-                1.0364367753150148, 0.6621421535422861],
-            5: [651.0429646338898, 2.950343546408313e-10, 2.8766673550763765e-09,
-                1.132971757581384, 2.4641299848136593],
+            3: [429.81556002014, 1.4275850846663928e-09, 9.872696560494052e-10,
+                1.3221369666084282, 0.5311682902170008],
+            5: [518.4434832614965, 1.8566141814912113e-10, 4.935293966279332e-10,
+                1.4518551600058895, 0.12204160367460455],
         },
-        uav_counts=[(264, 193), (227, 189), (10, 193)],
+        uav_counts=[(252, 218), (227, 213), (12, 218)],
         uav_empty=0,
         uav_values={
-            3: [334.40177166531623, 111.91051168621865, 174.26330937319062,
-                1.0639307486119906e-09, 9.90824427147674e-10, 0.14267275789731013,
-                1.3852784920935708],
-            5: [643.3171393638478, 117.54201829746107, 310.5409559886708,
-                4.2917194477542807e-10, 2.3925301908761827e-10, 1.2900912780758664,
-                0.5884744521420776],
+            3: [418.0208315807079, 140.89160693818033, 176.5266121713985,
+                3.0436739822473096e-09, 1.1474140093094348e-09, 0.3858762028085319,
+                0.3709758525350897],
+            5: [508.7078192207326, 130.42522880390172, 198.6585697317449,
+                7.226561968518844e-10, 5.280389137441597e-10, 0.4601646139621258,
+                0.4800001479342455],
         },
     ),
     # lam pi r^2 = 0.69: about half the discs hold no UAV
     "sparse": dict(
         cfg=dict(sim_disc_radius=416.0),
-        uc_counts=[(187, 188), (196, 204), (206, 210)],
-        uc_empty=188,
+        uc_counts=[(178, 180), (184, 193), (195, 199)],
+        uc_empty=200,
         uc_values={
-            3: [math.inf, 0.0, 0.0, 0.0, 0.0],
-            5: [236.77727950080333, 0.0, 0.0, 2.6919181963061396, 1.2156969736922045],
+            3: [238.2975133667303, 5.750105208921867e-11, 2.815121465802858e-11,
+                0.2399434444645232, 0.5166410164119203],
+            5: [294.7832115584043, 0.0, 0.0, 0.17804667126398974, 3.4973521310068514],
         },
-        uav_counts=[(248, 231), (229, 227), (39, 231)],
-        uav_empty=188,
+        uav_counts=[(246, 235), (220, 226), (24, 235)],
+        uav_empty=200,
         uav_values={
-            3: [416.0, 107.45280919951897, 183.34593235607164, 0.0, 0.0,
-                0.24305027599294252, 1.7560958188391462],
-            5: [214.6240435920485, 108.81024938892311, 140.02036469691186,
-                5.550671562996168e-11, 2.940751715858623e-10, 1.2156969736922045,
-                1.0350247706363966],
+            3: [216.30003438919516, 100.03156337918338, 119.52826657465995,
+                2.0547969939971938e-10, 4.160486735068468e-10, 0.17176696969050673,
+                2.0391199180878408],
+            5: [277.3033389930365, 101.5305234253589, 152.78546646928928,
+                4.811744756188794e-11, 5.483820371708581e-11, 0.4497528706757738,
+                1.3866898473896325],
         },
     ),
 }
+
+
+def _stream_draws(cfg):
+    """What ``STREAM_PINS`` pins, drawn under ``cfg``."""
+    link_b = NomaLink(rate_near=0.5, rate_far=0.25, ipsic=0.1, fixed_user_dist=150.0)
+    link_c = NomaLink(rate_near=2.0, rate_far=0.5, ipsic=0.1)
+
+    uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 400, seed=77)
+    uc_b = simulate_user_centric(cfg, link_b.fixed_user_dist, 400, seed=77)
+    uav = simulate_uav_centric(cfg, 400, seed=77)
+    weak = dataclasses.replace(cfg, tx_power=1e-8)
+    empty = uav.neighbor_dist == cfg.sim_disc_radius
+    return dict(
+        uc_counts=[
+            evaluate_user_centric(uc, cfg, LINK, NOMA),
+            evaluate_user_centric(uc, cfg, LINK, OMA),
+            evaluate_user_centric(uc_b, cfg, link_b, NOMA),
+        ],
+        uc_empty=int(np.sum(np.isinf(uc.serving_dist3d))),
+        uc_values={
+            t: [
+                float(uc.serving_dist3d[t]),
+                float(uc.interference_typical[t]),
+                float(uc.interference_fixed[t]),
+                float(uc.gain_typical[t]),
+                float(uc.gain_fixed[t]),
+            ]
+            for t in (3, 5)
+        },
+        uav_counts=[
+            evaluate_uav_centric(uav, weak, LINK, NOMA),
+            evaluate_uav_centric(uav, weak, LINK, OMA),
+            evaluate_uav_centric(uav, weak, link_c, NOMA),
+        ],
+        uav_empty=int(np.sum(empty)),
+        uav_empty_interference=float(np.sum(uav.interference_near[empty])),
+        uav_values={
+            t: [
+                float(uav.neighbor_dist[t]),
+                float(uav.near_dist3d[t]),
+                float(uav.far_dist3d[t]),
+                float(uav.interference_near[t]),
+                float(uav.interference_far[t]),
+                float(uav.gain_near[t]),
+                float(uav.gain_far[t]),
+            ]
+            for t in (3, 5)
+        },
+    )
 
 
 class TestStreamLayout:
     @pytest.mark.parametrize("name", sorted(STREAM_PINS))
     def test_pinned_draws(self, name):
         pins = STREAM_PINS[name]
-        cfg = make_cfg(**pins["cfg"])
-        link_b = NomaLink(rate_near=0.5, rate_far=0.25, ipsic=0.1, fixed_user_dist=150.0)
-        link_c = NomaLink(rate_near=2.0, rate_far=0.5, ipsic=0.1)
+        drawn = _stream_draws(make_cfg(**pins["cfg"]))
+        for key in ("uc_counts", "uc_empty", "uav_counts", "uav_empty"):
+            assert drawn[key] == pins[key]
+        assert drawn["uav_empty_interference"] == 0.0
+        for key in ("uc_values", "uav_values"):
+            for t, values in pins[key].items():
+                assert drawn[key][t] == pytest.approx(values, rel=1e-12)
 
-        uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 400, seed=77)
-        uc_b = simulate_user_centric(cfg, link_b.fixed_user_dist, 400, seed=77)
-        assert [
-            evaluate_user_centric(uc, cfg, LINK, NOMA),
-            evaluate_user_centric(uc, cfg, LINK, OMA),
-            evaluate_user_centric(uc_b, cfg, link_b, NOMA),
-        ] == pins["uc_counts"]
-        assert int(np.sum(np.isinf(uc.serving_dist3d))) == pins["uc_empty"]
-        for t, values in pins["uc_values"].items():
-            drawn = [
-                uc.serving_dist3d[t],
-                uc.interference_typical[t],
-                uc.interference_fixed[t],
-                uc.gain_typical[t],
-                uc.gain_fixed[t],
-            ]
-            assert drawn == pytest.approx(values, rel=1e-12)
 
-        uav = simulate_uav_centric(cfg, 400, seed=77)
-        weak = dataclasses.replace(cfg, tx_power=1e-8)
-        assert [
-            evaluate_uav_centric(uav, weak, LINK, NOMA),
-            evaluate_uav_centric(uav, weak, LINK, OMA),
-            evaluate_uav_centric(uav, weak, link_c, NOMA),
-        ] == pins["uav_counts"]
-        empty = uav.neighbor_dist == cfg.sim_disc_radius
-        assert int(np.sum(empty)) == pins["uav_empty"]
-        assert not np.any(uav.interference_near[empty])
-        for t, values in pins["uav_values"].items():
-            drawn = [
-                uav.neighbor_dist[t],
-                uav.near_dist3d[t],
-                uav.far_dist3d[t],
-                uav.interference_near[t],
-                uav.interference_far[t],
-                uav.gain_near[t],
-                uav.gain_far[t],
-            ]
-            assert drawn == pytest.approx(values, rel=1e-12)
+def _block_rng(seed, block):
+    # the stream layout: Philox keyed by the seed, counter = block << 128
+    return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
 def _simulate_strategy(strategy, cfg, trials, seed):
@@ -256,20 +278,24 @@ class TestSkeleton:
 
     @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 5])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_field_is_first_draw_of_trial_stream(self, strategy, seed):
-        # the serving/neighbor distance is the nearest point of the field
-        # sample_hppp_disc draws first from trial t's stream
+    def test_field_is_first_draw_of_block_stream(self, strategy, seed):
+        # the serving/neighbor distance of trial t is the nearest point of
+        # its segment of the fields sample_hppp_disc draws first from the
+        # stream of block t // _BLOCK
         cfg = make_cfg(sim_disc_radius=3000.0)
-        batch = _simulate_strategy(strategy, cfg, 12, seed)
-        for t in range(12):
-            radii, _ = sample_hppp_disc(
-                cfg.uav_density, cfg.sim_disc_radius, _trial_rng(seed, t)
+        trials = 2 * _BLOCK + 5
+        batch = _simulate_strategy(strategy, cfg, trials, seed)
+        for t in range(trials):
+            block, slot = divmod(t, _BLOCK)
+            counts, radii = sample_hppp_disc(
+                cfg.uav_density, cfg.sim_disc_radius, _BLOCK, _block_rng(seed, block)
             )
+            start = int(np.sum(counts[:slot]))
+            nearest = radii[start : start + counts[slot]].min()
             if strategy == "user":
-                nearest = math.hypot(radii.min(), cfg.uav_height)
-                assert batch.serving_dist3d[t] == nearest
+                assert batch.serving_dist3d[t] == np.hypot(nearest, cfg.uav_height)
             else:
-                assert batch.neighbor_dist[t] == radii.min()
+                assert batch.neighbor_dist[t] == nearest
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_empty_disc_convention(self, strategy):
@@ -296,6 +322,133 @@ class TestSkeleton:
         slack = 1e-9 * big_r
         assert np.all((near >= 0.0) & (near <= 0.25 * big_r + slack))
         assert np.all((far >= 0.25 * big_r - slack) & (far <= 0.5 * big_r + slack))
+
+
+def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user_dist):
+    """Batch fields of one block, recomputed with a plain loop over each
+    trial's slice of the block's own draws (the layout of the montecarlo
+    docstring); also returns the per-trial counts and the UAV azimuths.
+
+    Elementwise transforms (cosines, the fixed user's distance) are formed
+    as in the engine, so both pick the same interferers; what this checks is
+    the ragged part: segments, nearest points, exclusions, sums, empty
+    trials and empty blocks.
+    """
+    rng = _block_rng(seed, block)
+    mean = cfg.uav_density * math.pi * cfg.sim_disc_radius**2
+    counts = rng.poisson(mean, _BLOCK)
+    radii = cfg.sim_disc_radius * np.sqrt(rng.uniform(0.0, 1.0, counts.sum()))
+    count = len(radii)
+    h, half = cfg.uav_height, cfg.alpha_interf / 2.0
+    md, mi = cfg.m_desired, cfg.m_interf
+    ends = np.cumsum(counts)
+    rows, angles = [], np.empty(0)
+    if strategy == "user":
+        angles = rng.uniform(-math.pi, math.pi, count)
+        cos_angle = np.cos(angles)
+        cos_azimuth = np.cos(rng.uniform(0.0, 2.0 * math.pi, _BLOCK))
+        h_t = rng.standard_gamma(md, _BLOCK) / md
+        h_f = rng.standard_gamma(md, _BLOCK) / md
+        g_t = rng.standard_gamma(mi, count) / mi
+        g_f = rng.standard_gamma(mi, count) / mi
+        for t in range(_BLOCK):
+            s = slice(ends[t] - counts[t], ends[t])
+            if counts[t] == 0:
+                rows.append([math.inf, 0.0, 0.0, 0.0, 0.0])
+                continue
+            r_i = radii[s]
+            k = int(np.argmin(r_i))
+            r = r_i[k]
+            others = np.arange(len(r_i)) != k
+            d_typ = r_i**2 + h**2
+            j_typ = np.sum(g_t[s][others] * d_typ[others] ** -half)
+            rho_sq = r * r + fixed_user_dist**2 + 2.0 * r * fixed_user_dist * cos_azimuth[t]
+            d_fix = d_typ + rho_sq - 2.0 * r_i * math.sqrt(rho_sq) * cos_angle[s]
+            keep = others & (d_fix > fixed_user_dist**2 + h**2)
+            j_fix = np.sum(g_f[s][keep] * d_fix[keep] ** -half)
+            rows.append([math.hypot(r, h), j_typ, j_fix, h_t[t], h_f[t]])
+    else:
+        u_near = rng.uniform(0.0, 1.0, _BLOCK)
+        u_far = rng.uniform(0.0, 1.0, _BLOCK)
+        h_w = rng.standard_gamma(md, _BLOCK) / md
+        h_v = rng.standard_gamma(md, _BLOCK) / md
+        g_w = rng.standard_gamma(mi, count) / mi
+        g_v = rng.standard_gamma(mi, count) / mi
+        jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth, _BLOCK)
+        for t in range(_BLOCK):
+            s = slice(ends[t] - counts[t], ends[t])
+            r_i = radii[s]
+            big_r = r_i.min() if counts[t] else cfg.sim_disc_radius
+            d_near = math.hypot(0.25 * big_r * math.sqrt(u_near[t]), h)
+            d_far = math.hypot(0.25 * big_r * math.sqrt(1.0 + 3.0 * u_far[t]), h)
+            j_near = j_far = 0.0
+            if counts[t]:
+                k = int(np.argmin(r_i))
+                others = np.arange(len(r_i)) != k
+                tail = (r_i[others] ** 2 + h**2) ** -half
+                ring = ((big_r + jitter[t]) ** 2 + h**2) ** -half
+                j_near = np.sum(g_w[s][others] * tail) + g_w[s][k] * ring
+                j_far = np.sum(g_v[s][others] * tail) + g_v[s][k] * ring
+            rows.append([big_r, d_near, d_far, j_near, j_far, h_w[t], h_v[t]])
+    return np.array(rows).T, counts, angles
+
+
+# cfg overrides of the oracle cases; "tiny" is small enough (0.0016 UAVs per
+# trial) that most blocks hold no UAV at all
+ORACLE_CASES = {
+    "default": {},
+    "nakagami": dict(m_desired=3, m_interf=2),
+    "disc200": dict(sim_disc_radius=200.0),
+    "tiny": dict(sim_disc_radius=20.0),
+}
+ORACLE_SEED = 5
+
+
+class TestRaggedReductions:
+    """The block-wise geometry phase against a per-trial loop."""
+
+    @pytest.mark.parametrize(
+        "trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]
+    )
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_matches_per_trial_loop(self, strategy, case, trials):
+        cfg = make_cfg(**ORACLE_CASES[case])
+        batch = _simulate_strategy(strategy, cfg, trials, ORACLE_SEED)
+        blocks = -(-trials // _BLOCK)
+        expected = np.hstack(
+            [
+                _reference_block(strategy, cfg, ORACLE_SEED, b)[0]
+                for b in range(blocks)
+            ]
+        )[:, :trials]
+        fields = [f.name for f in dataclasses.fields(batch)][2:]
+        assert len(fields) == len(expected)
+        for name, values in zip(fields, expected):
+            np.testing.assert_allclose(
+                getattr(batch, name), values, rtol=1e-12, atol=0.0, err_msg=name
+            )
+
+    def test_cases_cover_empty_layouts(self):
+        # the oracle cases reach an empty last slot in a block with UAVs,
+        # and a block without any UAV
+        def block_counts(case, block):
+            cfg = make_cfg(**ORACLE_CASES[case])
+            return _reference_block("uav", cfg, ORACLE_SEED, block)[1]
+
+        last_empty = [block_counts("disc200", b) for b in range(3)]
+        assert any(c[-1] == 0 and c.sum() > 0 for c in last_empty)
+        assert any(block_counts("tiny", b).sum() == 0 for b in range(3))
+
+    def test_uav_azimuths_are_uniform(self):
+        # the user-centric block draws one azimuth per UAV right after the
+        # radii; the field is isotropic only if they are uniform
+        cfg = make_cfg(sim_disc_radius=3000.0)
+        angles = np.concatenate(
+            [_reference_block("user", cfg, 62, b)[2] for b in range(10)]
+        )
+        result = stats.kstest(angles, stats.uniform(-math.pi, 2.0 * math.pi).cdf)
+        assert result.pvalue > 0.01
 
 
 class TestEvaluationPaths:
@@ -409,3 +562,26 @@ class TestEstimates:
         cfg = make_cfg()
         est, _ = run_user_centric(cfg, LINK, NOMA, 30_000, seed=55)
         assert abs(est.p_hat - coverage_typical(cfg, LINK, NOMA)) < 0.02
+
+
+if __name__ == "__main__":
+    import textwrap
+
+    def _lines(values, indent):
+        body = textwrap.fill(", ".join(map(repr, values)), 88 - len(indent) - 4)
+        return textwrap.indent(body, indent + "    ").lstrip()
+
+    print("STREAM_PINS = {")
+    for name, pins in STREAM_PINS.items():
+        drawn = _stream_draws(make_cfg(**pins["cfg"]))
+        print(f'    "{name}": dict(')
+        print(f'        cfg={pins["cfg"]!r},')
+        for prefix in ("uc", "uav"):
+            print(f'        {prefix}_counts={drawn[prefix + "_counts"]!r},')
+            print(f'        {prefix}_empty={drawn[prefix + "_empty"]!r},')
+            print(f"        {prefix}_values={{")
+            for t, values in drawn[prefix + "_values"].items():
+                print(f"            {t}: [{_lines(values, ' ' * 12)}],")
+            print("        },")
+        print("    ),")
+    print("}")
