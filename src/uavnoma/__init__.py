@@ -14,7 +14,7 @@ from .analytic_user_centric import (
     coverage_typical,
     laplace_exponent_uc,
 )
-from .errors import DomainError, NumericalError, PartitionCapError
+from .errors import DomainError, NumericalError
 from .montecarlo import (
     CoverageEstimate,
     estimate_uav_centric,
@@ -56,7 +56,6 @@ __all__ = [
     "NomaLink",
     "NumericalError",
     "OMA",
-    "PartitionCapError",
     "ThresholdSet",
     "UAV_CENTRIC",
     "USER_CENTRIC",

@@ -8,9 +8,11 @@ decode coefficient; conditioned on r, coverage follows from the interference
 Laplace transform with exclusion at the 3-D serving distance, and the
 unconditional value integrates against the nearest-point density.
 
-The normative algorithm is the generic derivative-of-Laplace engine in
-``laplace``; the special-case closed forms (the arctan / hypergeometric
-exponents for Rayleigh interference) are kept here as validation paths.
+The normative algorithm is the derivative-of-Laplace engine in ``laplace``
+(hypergeometric exponent, recursion kernel). The arctan exponent of Rayleigh
+interference with quartic path loss is kept here as a validation path; the
+mapped exponent quadrature of ``uavnoma validate`` is the reference for any
+other interference order and path-loss exponent.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from scipy import integrate
 from .errors import NumericalError
 from .laplace import RadialTailExponent, conditional_coverage
 from .scenario import NOMA, USER_CENTRIC, NetworkConfig, NomaLink, thresholds
-from .specfun import gauss_2f1_negz
 
 NEAR = "near"
 FAR = "far"
@@ -54,29 +55,6 @@ def rayleigh_tail_exponent_arctan(s: float, dist3d: float, cfg: NetworkConfig) -
     """
     sp = math.sqrt(s * cfg.tx_power)
     return math.pi * cfg.uav_density * sp * math.atan(sp / dist3d**2)
-
-
-def rayleigh_tail_exponent_2f1(s: float, dist3d: float, cfg: NetworkConfig) -> float:
-    """Hypergeometric form of the Rayleigh-interference exponent:
-
-        eta(s) = 2 pi lam s P d0^(2-aI) / (aI (1-dI))
-                 * 2F1(1, 1-dI; 2-dI; -s P d0^(-aI)),  dI = 2/aI.
-
-    Valid for m_interf = 1 and any alpha_interf > 2.
-    """
-    a_i = cfg.alpha_interf
-    delta = cfg.delta_interf
-    z = -s * cfg.tx_power * dist3d**-a_i
-    prefactor = (
-        2.0
-        * math.pi
-        * cfg.uav_density
-        * s
-        * cfg.tx_power
-        * dist3d ** (2.0 - a_i)
-        / (a_i * (1.0 - delta))
-    )
-    return prefactor * gauss_2f1_negz(1.0, 1.0 - delta, 2.0 - delta, z)
 
 
 def _case_coefficient(ts, case: str) -> float:

@@ -35,6 +35,7 @@ from scipy import integrate
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
+from .laplace import RadialTailExponent
 from .scenario import (
     NOMA,
     OMA,
@@ -481,6 +482,54 @@ def adaptive_coverage_pair(
     )[0]
 
 
+def quadrature_exponent_derivatives(
+    exponent: RadialTailExponent, s: float, order: int
+) -> list[float]:
+    """eta^(k)(s), k = 0..order, of a radial-tail exponent by adaptive quadrature.
+
+    The reference for the hypergeometric form of
+    ``RadialTailExponent.derivatives``. l = d0 x^(-1/(aI-2)) maps [d0, inf)
+    onto (0, 1] and turns the heavy l^(1-aI) tail into the bounded powers of
+    x below; with p = aI/(aI-2), q = P/(mI d0^aI) and z = s q,
+
+      k = 0:  scale Int_0^1 z phi(y)/y dx,  y = z x^p,
+              phi(y) = 1 - (1+y)^(-mI)  (phi(y)/y -> mI at y = 0)
+      k >= 1: scale sign_k (mI)_k q^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
+
+    with scale = 2 pi lam d0^2/(aI-2); no factor leaves double range down to
+    aI = 2.001. Raises ``NumericalError`` when ``quad`` misses 1e-8 relative.
+    """
+    m_i = exponent.m_interf
+    a_i = exponent.alpha_interf
+    d0 = exponent.lower_dist3d
+    p = a_i / (a_i - 2.0)
+    q = exponent.tx_power / (m_i * d0**a_i)
+    z = s * q
+    scale = 2.0 * math.pi * exponent.density * d0 * d0 / (a_i - 2.0)
+
+    def phi_over_y(y):
+        # -expm1(-m log1p(y)) avoids the 1 - (1+y)^(-m) cancellation
+        return -math.expm1(-m_i * math.log1p(y)) / y if y > 0.0 else m_i
+
+    values = []
+    for k in range(order + 1):
+        if k == 0:
+            f = lambda x: z * phi_over_y(z * x**p)
+            factor = 1.0
+        else:
+            f = lambda x, _k=k: x ** (p * (_k - 1)) * (1.0 + z * x**p) ** (-m_i - _k)
+            factor = (-1.0) ** (k + 1) * math.prod(range(m_i, m_i + k)) * q**k
+        value, err = integrate.quad(
+            f, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=300, full_output=1
+        )[:2]
+        if value != 0.0 and err > 1e-8 * abs(value):
+            raise NumericalError(
+                "interference exponent quadrature out of tolerance", err
+            )
+        values.append(factor * scale * value)
+    return values
+
+
 def _validate_checks(quick: bool, seed: int):
     density = 1.0 / (500.0**2 * math.pi)
     cfg = NetworkConfig(
@@ -513,21 +562,16 @@ def _validate_checks(quick: bool, seed: int):
                 worst = max(worst, abs(general - closed) / closed)
         return worst, 1e-12
 
-    def series_vs_quadrature():
-        rich = NetworkConfig(
-            uav_density=density,
-            tx_power=1e-6,
-            alpha_desired=3.0,
-            m_interf=2,
-            alpha_interf=3.5,
-        )
+    def hypergeometric_vs_quadrature():
         worst = 0.0
-        exponent = analytic_user_centric.laplace_exponent_uc(rich, 300.0)
-        for s in (1e3, 1e6, 1e8):
-            series = exponent._series(s, 2)
-            quad = exponent._quadrature(s, 2)
-            for a, b in zip(series, quad):
-                worst = max(worst, abs(a - b) / abs(b))
+        cases = [(2, 3.5, 300.0, z) for z in (1e-3, 0.5, 0.94, 0.96, 3.0, 1e3)]
+        cases += [(1, 2.05, 314.0, z) for z in (0.5, 0.99, 50.0)]
+        for m_i, a_i, d0, z in cases:
+            exponent = RadialTailExponent(density, 1e-6, a_i, m_i, d0)
+            s = z * m_i * d0**a_i / 1e-6
+            reference = quadrature_exponent_derivatives(exponent, s, 2)
+            for got, want in zip(exponent.derivatives(s, 2).values, reference):
+                worst = max(worst, abs(got - want) / abs(want))
         return worst, 1e-8
 
     def derivative_finite_differences():
@@ -588,7 +632,7 @@ def _validate_checks(quick: bool, seed: int):
     return [
         ("closed-form identity (arctan vs general)", special_case_identity),
         ("nearest-ring identity (elementary vs general)", ring_identity),
-        ("series vs quadrature exponent", series_vs_quadrature),
+        ("hypergeometric vs quadrature exponent", hypergeometric_vs_quadrature),
         ("transform derivative vs finite differences", derivative_finite_differences),
         ("nearest-ring binomial series", ring_series_coefficient),
         ("analytic vs MC, user-centric", analytic_vs_mc_user_centric),

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class PartitionCapError(ValueError):
-    """Requested partition order exceeds the configured cap."""
-
-
 class NumericalError(ArithmeticError):
     """A numerical routine failed to reach its target accuracy.
 

@@ -251,11 +251,7 @@ def test_criterion_5_transform_derivatives_vs_finite_differences():
         alpha_interf = rng.uniform(3.0, 4.0)
         m_interf = int(rng.integers(1, 4))
         dist = rng.uniform(150.0, 700.0)
-        # finite differences of order 3 need the exponent itself evaluated
-        # well below the usual 1e-10 truncation, or the stencil sees noise
-        exponent = RadialTailExponent(
-            density, 1e-6, alpha_interf, m_interf, dist, series_rel_tol=1e-14
-        )
+        exponent = RadialTailExponent(density, 1e-6, alpha_interf, m_interf, dist)
         z_target = rng.uniform(0.05, 0.6)
         s0 = z_target * m_interf * dist**alpha_interf / 1e-6
 

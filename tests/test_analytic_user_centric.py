@@ -1,7 +1,11 @@
 """Tests for the user-centric closed forms.
 
 The conditional-coverage oracle is a pinned-geometry Monte Carlo written
-inline with its own SINR chain, independent of the package's engine.
+inline with its own SINR chain, independent of the package's engine. The
+exponent pins in ``EXPONENT_PINS`` come from 40-digit mpmath; running this
+file as a script regenerates them:
+
+    PYTHONPATH=src python tests/test_analytic_user_centric.py
 """
 
 import math
@@ -17,10 +21,17 @@ from uavnoma.analytic_user_centric import (
     coverage_fixed,
     coverage_typical,
     laplace_exponent_uc,
-    rayleigh_tail_exponent_2f1,
     rayleigh_tail_exponent_arctan,
 )
-from uavnoma.laplace import QUADRATURE, SERIES, RadialTailExponent
+from uavnoma.cli import quadrature_exponent_derivatives
+from uavnoma.errors import NumericalError
+from uavnoma.laplace import (
+    SERIES,
+    ExponentDerivatives,
+    LaplaceExponentBase,
+    RadialTailExponent,
+    conditional_coverage,
+)
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, noise_from_bandwidth
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -43,6 +54,36 @@ def make_cfg(**kw):
 
 LINK = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
 
+# (tx_power, alpha_interf, m_interf, d0, s) at DENSITY -> eta, eta', eta''
+# from 40-digit mpmath. "steep" is z = 1e8 at aI = 4.5, where the former
+# mapped quadrature raised; "near_two" is aI = 2.05 at +30 dBm (z ~ 6e8).
+EXPONENT_PINS = {
+    "steep_m2": (
+        (1e-06, 4.5, 2, 260.0, 1.473703318714591e25),
+        (
+            1989.848303511709025247704761951212361542,
+            6.001867474467282931974280859255864137563e-23,
+            -2.262579432919259804472520424619948393626e-48,
+        ),
+    ),
+    "steep_m3": (
+        (1e-06, 4.5, 3, 260.0, 2.210554978071887e25),
+        (
+            2432.096904292089018676486076737607659942,
+            4.890410534751118898232167815622314023089e-23,
+            -1.229055494425276559435361677467123858578e-48,
+        ),
+    ),
+    "near_two": (
+        (1.0, 2.05, 1, 314.3657007106099, 77668599777401.92),
+        (
+            5701695803.966635789799111664995886900231,
+            0.00007162006356466483238540511738933978425609,
+            -2.249082413815583042634439155523929271766e-20,
+        ),
+    ),
+}
+
 
 class TestLaplaceExponent:
     def test_zero_argument(self):
@@ -63,63 +104,59 @@ class TestLaplaceExponent:
         cfg = make_cfg(alpha_interf=alpha_interf)
         dist = 250.0
         for s in (1e3, 1e6, 1e9):
-            general = laplace_exponent_uc(cfg, dist).value_at(s)
-            special = rayleigh_tail_exponent_2f1(s, dist, cfg)
-            assert general == pytest.approx(special, rel=1e-8)
+            exponent = laplace_exponent_uc(cfg, dist)
+            general = exponent.value_at(s)
+            reference = quadrature_exponent_derivatives(exponent, s, 0)[0]
+            assert general == pytest.approx(reference, rel=1e-8)
 
-    def test_series_and_quadrature_agree(self):
+    def test_matches_quadrature_reference(self):
         cfg = make_cfg(m_interf=2, alpha_interf=3.5)
         dist = 250.0
         exponent = laplace_exponent_uc(cfg, dist)
         for s in (1e2, 1e5, 1e7, 5e8):
-            assert exponent.method_for(s) == SERIES
-            series = exponent._series(s, 2)
-            quadrature = exponent._quadrature(s, 2)
-            for got, want in zip(series, quadrature):
+            values = exponent.derivatives(s, 2).values
+            reference = quadrature_exponent_derivatives(exponent, s, 2)
+            for got, want in zip(values, reference):
                 assert got == pytest.approx(want, rel=1e-8)
 
-    def test_series_stress_grid_against_quadrature(self):
-        # high z and high interference order force long alternating tails;
-        # the series must either match quadrature or decline (fall back)
+    def test_stress_grid_against_quadrature_reference(self):
+        # high z and high interference order, on both sides of z = 1
         rng = np.random.default_rng(99)
         cases = [
             (m_i, z, a_i, 260.0)
             for m_i in (1, 2, 3)
-            for z in (0.05, 0.5, 0.9, 0.94)
+            for z in (0.05, 0.5, 0.9, 0.94, 0.96, 1.5, 40.0, 1e4)
             for a_i in (3.2, 4.0)
         ]
         cases += [
             (
                 int(rng.integers(1, 4)),
-                float(rng.uniform(0.01, 0.949)),
+                float(10.0 ** rng.uniform(-2.0, 3.0)),
                 float(rng.uniform(2.5, 4.0)),
                 float(rng.uniform(110.0, 900.0)),
             )
             for _ in range(40)
         ]
-        checked = 0
         for m_i, z, a_i, d0 in cases:
             exponent = RadialTailExponent(DENSITY, 1e-6, a_i, m_i, d0)
             s = z * m_i * d0**a_i / 1e-6
-            series = exponent._series(s, 2)
-            if series is None:
-                continue
-            quadrature = exponent._quadrature(s, 2)
-            for got, want in zip(series, quadrature):
+            values = exponent.derivatives(s, 2).values
+            reference = quadrature_exponent_derivatives(exponent, s, 2)
+            for got, want in zip(values, reference):
                 assert got == pytest.approx(want, rel=1e-8)
-            checked += 1
-        assert checked >= len(cases) // 2
 
-    def test_quadrature_fallback_beyond_series_radius(self):
+    def test_near_unit_argument(self):
         cfg = make_cfg(m_interf=2, alpha_interf=3.5)
         dist = 120.0
         exponent = laplace_exponent_uc(cfg, dist)
         s_big = 0.99 * cfg.m_interf * dist**cfg.alpha_interf / cfg.tx_power
-        values, method = exponent.derivatives(s_big, 1)
-        assert method == QUADRATURE
+        values = exponent.derivatives(s_big, 1).values
         assert values[0] > 0.0 and values[1] > 0.0
+        reference = quadrature_exponent_derivatives(exponent, s_big, 1)
+        for got, want in zip(values, reference):
+            assert got == pytest.approx(want, rel=1e-8)
 
-    def test_quadrature_matches_pinned_oracle_at_tall_uav(self):
+    def test_matches_pinned_oracle_at_tall_uav(self):
         # the order-2 term that coverage_pair(NEAR) needs at h = 3000 m,
         # alpha_d = 4.5, +30 dBm, m_d = 3, m_I = 2 (z = 205), which raised
         # on [d0, inf): Int_{d0}^inf (P l^-4/2)^2 (1 + s P l^-4/2)^-4 l dl,
@@ -128,21 +165,28 @@ class TestLaplaceExponent:
         oracle = 5.718644419099796925391812017335036299935e-27
         density = 1e-6
         exponent = RadialTailExponent(density, 1.0, 4.0, 2, 3000.0000000502987)
-        values, method = exponent.derivatives(3.3274145368438864e16, 2)
-        assert method == QUADRATURE
+        values = exponent.derivatives(3.3274145368438864e16, 2).values
         integral = values[2] / (-6.0 * 2.0 * math.pi * density)  # -(m_I)_2 2 pi lam
         assert integral == pytest.approx(oracle, rel=1e-10)
 
-    def test_quadrature_near_alpha_two_matches_hypergeometric(self):
+    def test_near_alpha_two_matches_quadrature_reference(self):
         # aI = 2.05 leaves an l^-1.05 tail that quadrature on [d0, inf)
-        # cannot resolve; the hypergeometric form is exact for m_I = 1
+        # cannot resolve; the mapped reference and the 2F1 form both can
         cfg = make_cfg(alpha_interf=2.05)
         s, dist = 77668599777401.92, 314.3657007106099
         exponent = laplace_exponent_uc(cfg, dist)
-        assert exponent.method_for(s) == QUADRATURE
-        general = exponent.value_at(s)
-        special = rayleigh_tail_exponent_2f1(s, dist, cfg)
-        assert general == pytest.approx(special, rel=1e-10)
+        values = exponent.derivatives(s, 2).values
+        reference = quadrature_exponent_derivatives(exponent, s, 2)
+        for got, want in zip(values, reference):
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(EXPONENT_PINS))
+    def test_pinned_mpmath_derivatives(self, name):
+        (tx_power, alpha_interf, m_interf, d0, s), pins = EXPONENT_PINS[name]
+        exponent = RadialTailExponent(DENSITY, tx_power, alpha_interf, m_interf, d0)
+        values = exponent.derivatives(s, 2).values
+        for got, want in zip(values, pins):
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_exponent_monotone_in_s(self):
         cfg = make_cfg(m_interf=3, alpha_interf=3.2)
@@ -186,6 +230,17 @@ class TestCoverageCond:
         for r in (10.0, 150.0, 600.0, 2500.0):
             for case in (NEAR, FAR, OMA_CASE):
                 assert 0.0 <= coverage_cond(r, case, cfg, LINK) <= 1.0
+
+    @pytest.mark.parametrize("fading_order", [1, 3])
+    def test_value_above_one_raises(self, fading_order):
+        # a negative exponent is no Laplace exponent: the kernel exceeds 1
+        # and must say so rather than return a clamped 1.0
+        class NegativeExponent(LaplaceExponentBase):
+            def derivatives(self, s, order):
+                return ExponentDerivatives((-0.1,) + (0.0,) * order, SERIES)
+
+        with pytest.raises(NumericalError):
+            conditional_coverage(fading_order, 1.0, 0.0, 1.0, 3.0, NegativeExponent())
 
     def test_m2_against_pinned_geometry_oracle(self):
         cfg = make_cfg(m_desired=2)
@@ -373,3 +428,55 @@ def _pinned_fixed_user_oracle(cfg, link, trials, seed):
             ok = (cross > eps_cross) and (own > eps_own)
         successes += bool(ok)
     return successes / trials
+
+
+def _mpmath_exponent_derivatives(tx_power, alpha_interf, m_interf, d0, s, order):
+    """eta^(k), k = 0..order, at 50 digits by mpmath's 2F1, checked by quadrature.
+
+    The quadrature runs over u = (d0/l)^aI with u = t^(1/(1-dI)), which
+    absorbs the u^(-dI) singularity at u = 0 even as aI -> 2.
+    """
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    lam, P, a, d0, s = (mp.mpf(x) for x in (DENSITY, tx_power, alpha_interf, d0, s))
+    m = m_interf
+    delta = 2 / a
+    power = 1 / (1 - delta)
+    q = P / (m * d0**a)
+    z = s * q
+    # t at u = 10^e / z, around the knee of (1 + z u)^(-m)
+    knees = (min(1, mp.mpf(10) ** e / z) ** (1 - delta) for e in range(-3, 4))
+    breaks = sorted({0, 1, *knees})
+    out = []
+    for k in range(order + 1):
+        if k == 0:
+            hyp = z * delta / (1 - delta) * mp.fsum(
+                mp.hyp2f1(i, 1 - delta, 2 - delta, -z) for i in range(1, m + 1)
+            )
+            f = lambda t: -mp.expm1(-m * mp.log1p(z * t**power)) / t**power
+            quad = delta * power * mp.quad(f, breaks)
+        else:
+            sign_k = (-1) ** (k + 1) * mp.rf(m, k) * q**k
+            hyp = (
+                sign_k
+                * delta
+                / (k - delta)
+                * mp.hyp2f1(m + k, k - delta, k + 1 - delta, -z)
+            )
+            f = lambda t, k=k: t ** (power * (k - 1)) * (1 + z * t**power) ** (-m - k)
+            quad = sign_k * delta * power * mp.quad(f, breaks)
+        if abs(quad - hyp) > mp.mpf(10) ** -25 * abs(hyp):
+            raise ArithmeticError(f"order {k}: 2F1 {hyp} against quadrature {quad}")
+        out.append(mp.pi * lam * d0**2 * hyp)
+    return out
+
+
+if __name__ == "__main__":
+    import mpmath as mp
+
+    for name, (case, _) in sorted(EXPONENT_PINS.items()):
+        values = _mpmath_exponent_derivatives(*case, 2)
+        print(f"{name}: {case}")
+        for value in values:
+            print(f"    {mp.nstr(value, 40)},")
