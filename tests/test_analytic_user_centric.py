@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from uavnoma.analytic_user_centric import (
     FAR,
@@ -33,6 +34,7 @@ from uavnoma.laplace import (
     conditional_coverage,
 )
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, noise_from_bandwidth
+from uavnoma.specfun import exp_composition_derivatives
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 
@@ -56,8 +58,51 @@ LINK = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
 
 # (tx_power, alpha_interf, m_interf, d0, s) at DENSITY -> eta, eta', eta''
 # from 40-digit mpmath. "steep" is z = 1e8 at aI = 4.5, where the former
-# mapped quadrature raised; "near_two" is aI = 2.05 at +30 dBm (z ~ 6e8).
+# mapped quadrature raised; "near_two" is aI = 2.05 at +30 dBm (z ~ 6e8);
+# "tiny_z" is z ~ 5e-17, where 2F1(mI, -dI; 1-dI; -z) - 1 cancels to 0;
+# "fork" is z = 0.95, where the former series handed over to quadrature;
+# "wide" is z = 10 at aI = 2.5, mI = 4; "huge_z" is z = 1e12.
 EXPONENT_PINS = {
+    "tiny_z_m1": (
+        (1e-06, 4.0, 1, 1200.0, 100.0),
+        (
+            2.777777777777777832936298269873464029405e-16,
+            2.777777777777777788283234712488921990782e-18,
+            -8.930612711476908149315616142114580396283e-37,
+        ),
+    ),
+    "tiny_z_m3": (
+        (1e-06, 4.0, 3, 1200.0, 100.0),
+        (
+            2.7777777777777778478206527890016447568e-16,
+            2.777777777777777818051943750745282632062e-18,
+            -5.953741807651272329240573093634707934427e-37,
+        ),
+    ),
+    "fork_m2": (
+        (1e-06, 3.0, 2, 300.0, 51300000000000.0),
+        (
+            1.076035622490030977569533601491912253531,
+            1.743159280411973025933838734547059446e-14,
+            -8.989745548451477487432588807470804150145e-29,
+        ),
+    ),
+    "wide_m4": (
+        (1e-06, 2.5, 4, 150.0, 11022703842524.303),
+        (
+            7.660444805058405706865111694911324139402,
+            5.625072591018563854086680830079257429874e-13,
+            -1.020619179206473081556176899065203896179e-26,
+        ),
+    ),
+    "huge_z_m1": (
+        (1e-06, 3.0, 1, 300.0, 2.7e25),
+        (
+            87062369.12324246145057405737099734680354,
+            2.149688135388702745178289388811294268774e-18,
+            -2.653935969615682393176264407756691182195e-44,
+        ),
+    ),
     "steep_m2": (
         (1e-06, 4.5, 2, 260.0, 1.473703318714591e25),
         (
@@ -188,6 +233,24 @@ class TestLaplaceExponent:
         for got, want in zip(values, pins):
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha_interf, m_interf, z",
+        [(2.05, 1, 3.0), (3.0, 2, 0.95), (4.0, 3, 40.0), (4.5, 5, 1e-3)],
+    )
+    def test_derivatives_match_finite_differences(self, alpha_interf, m_interf, z):
+        # each eta^(k) against a central difference of eta^(k-1)
+        d0 = 250.0
+        exponent = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0)
+        s = z * m_interf * d0**alpha_interf / 1e-6
+        h = 1e-4 * s
+        up = exponent.derivatives(s + h, 2).values
+        down = exponent.derivatives(s - h, 2).values
+        values = exponent.derivatives(s, 3).values
+        for k in (1, 2, 3):
+            assert values[k] == pytest.approx(
+                (up[k - 1] - down[k - 1]) / (2.0 * h), rel=1e-6
+            )
+
     def test_exponent_monotone_in_s(self):
         cfg = make_cfg(m_interf=3, alpha_interf=3.2)
         exponent = laplace_exponent_uc(cfg, 200.0)
@@ -241,6 +304,34 @@ class TestCoverageCond:
 
         with pytest.raises(NumericalError):
             conditional_coverage(fading_order, 1.0, 0.0, 1.0, 3.0, NegativeExponent())
+
+    @pytest.mark.parametrize("fading_order", range(1, 7))
+    def test_noise_only_matches_gamma_tail(self, fading_order):
+        # with no interferers g ~ Gamma(m)/m gives P[g > M N d^a] = Q(m, c N),
+        # the regularized upper incomplete gamma at c = m M d^a
+        no_interference = RadialTailExponent(0.0, 1e-6, 4.0, 2, 100.0)
+        decode_coeff, noise, dist, alpha = 5e8, 1e-15, 120.0, 3.0
+        c = fading_order * decode_coeff * dist**alpha
+        value = conditional_coverage(
+            fading_order, decode_coeff, noise, dist, alpha, no_interference
+        )
+        assert 0.05 < value < 0.95
+        assert value == pytest.approx(gammaincc(fading_order, c * noise), rel=1e-12)
+
+    @pytest.mark.parametrize("fading_order", range(2, 7))
+    def test_kernel_terms_non_negative(self, fading_order):
+        # f = c N + eta has a completely monotone derivative, so each term
+        # (-c)^n/n! D_n of the coverage sum is >= 0 and nothing cancels
+        cfg = make_cfg(m_desired=fading_order, m_interf=2)
+        dist = math.hypot(300.0, cfg.uav_height)
+        c = fading_order * 3.0 / cfg.tx_power * dist**cfg.alpha_desired
+        f = list(laplace_exponent_uc(cfg, dist).derivatives(c, fading_order - 1)[0])
+        f[0] += c * cfg.noise_power
+        f[1] += cfg.noise_power
+        derivs = exp_composition_derivatives(f, fading_order - 1)
+        terms = [(-c) ** n / math.factorial(n) * derivs[n] for n in range(fading_order)]
+        assert terms[0] > 0.0 and all(term >= 0.0 for term in terms)
+        assert 0.0 < sum(terms) < 1.0
 
     def test_m2_against_pinned_geometry_oracle(self):
         cfg = make_cfg(m_desired=2)

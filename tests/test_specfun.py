@@ -1,7 +1,8 @@
 """Unit tests for the special-function layer.
 
 Expected values come from independent oracles written inline here: gamma
-function ratios, hand-derived derivatives and finite differences.
+function ratios, hand-derived derivatives, closed-form transforms, Faa di
+Bruno's formula over integer partitions and finite differences.
 """
 
 import math
@@ -78,6 +79,65 @@ class TestExpCompositionDerivatives:
         assert out[2] == pytest.approx(d2, rel=1e-4)
         assert out[3] == pytest.approx(d3, rel=1e-4)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_power_law_transform_closed_form(self, m):
+        # eta(s) = m log(1+s): exp(-eta) = (1+s)^(-m), whose n-th derivative
+        # is (-1)^n (m)_n (1+s)^(-m-n); eta^(k) = m (-1)^(k+1) (k-1)! (1+s)^(-k)
+        s0, n = 0.6, 8
+        derivs = [m * math.log1p(s0)] + [
+            m * (-1.0) ** (k + 1) * math.factorial(k - 1) * (1.0 + s0) ** -k
+            for k in range(1, n + 1)
+        ]
+        out = exp_composition_derivatives(derivs, n)
+        for k, got in enumerate(out):
+            want = (-1.0) ** k * rising_pochhammer(m, k) * (1.0 + s0) ** (-m - k)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 40.0])
+    def test_linear_exponent(self, a):
+        # eta(s) = a s: the n-th derivative of exp(-a s) is (-a)^n exp(-a s)
+        s0, n = 0.3, 6
+        out = exp_composition_derivatives([a * s0, a] + [0.0] * (n - 1), n)
+        for k, got in enumerate(out):
+            assert got == pytest.approx((-a) ** k * math.exp(-a * s0), rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_faa_di_bruno(self, n):
+        # mixed-sign derivatives, so no sign pattern helps either side
+        rng = np.random.default_rng(100 + n)
+        derivs = [0.4] + list(rng.uniform(-1.5, 1.5, size=n))
+        out = exp_composition_derivatives(derivs, n)
+        assert out[n] == pytest.approx(_faa_di_bruno(derivs, n), rel=1e-11, abs=1e-14)
+
+    def test_underflow_gives_zeros(self):
+        # exp(-800) underflows to 0, so every derivative is returned as 0
+        assert exp_composition_derivatives([800.0, 1e3, -1e3, 1e3], 3) == [0.0] * 4
+
     def test_requires_enough_derivatives(self):
         with pytest.raises(DomainError):
             exp_composition_derivatives([1.0, 2.0], 2)
+
+
+def _integer_partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _faa_di_bruno(eta_derivs, n):
+    """d^n/ds^n exp(-eta) by Faa di Bruno's formula: a partition with m_j
+    parts equal to j contributes n! / prod(m_j! (j!)^m_j) prod (-eta^(j))^m_j."""
+    total = 0.0
+    for partition in _integer_partitions(n):
+        term = float(math.factorial(n))
+        for j in set(partition):
+            m_j = partition.count(j)
+            term *= (-eta_derivs[j]) ** m_j / (
+                math.factorial(m_j) * math.factorial(j) ** m_j
+            )
+        total += term
+    return math.exp(-eta_derivs[0]) * total
