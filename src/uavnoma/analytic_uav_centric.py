@@ -13,23 +13,29 @@ The thin-ring construction is a limit device; the implementation always uses
 its closed elementary form, and the binomial-series expansion of the ring
 term is kept only as a validation path (``nearest_ring_exponent_series``).
 
-Both integrals use one fixed Gauss-Legendre tensor rule:
+Both integrals run in one ``quadrature.integrate`` call over two cells in
+the plane of (x, y):
 
-* placement: 12 nodes, linear in the user radius r, weighted by its density;
-* nearest neighbor: 64 nodes in t = sqrt(u), u = pi lam R^2, split at
+* y in [0, 1] is the user placement, linear in the user radius r and
+  weighted by its density;
+* x is the nearest neighbor in t = sqrt(u), u = pi lam R^2, split at
   t_b = max(t_h, 0.2), where t_h = sqrt(pi lam) h marks R = h and the ring
-  weight l_I / R turns from ~h/R to ~1: 24 nodes on [0, t_b] with
-  t = t_b y^2, 40 log-spaced nodes on [t_b, sqrt(46)].
+  weight l_I / R turns from ~h/R to ~1: x in [0, 1] gives t = t_b x^2
+  (clustered at t = 0), x in [1, 2] gives log t uniform on [t_b, sqrt(46)].
+  When t_b lies beyond the cutoff one squared cell spans [0, sqrt(46)].
 
-The 12 placement nodes of one R share its exponent, so a near/far pair
-costs 2 x 12 x 64 = 1,536 kernel calls. Against converged references
-(nested adaptive quadrature at 1e-11 with a breakpoint at R = h, or
-24 x 512-node Gauss-Legendre) the rule is within 8.3e-7 over h = 30..5000 m,
-alpha_d = 2.5..4.5, -30 and +30 dBm, fading orders 1 and 3, and within
-1.7e-6 down to h = 1 m. It reaches 5e-5 in sparse networks (lam / 100)
-with steep serving links (m >= 3, alpha_d >= 3.5, -30 dBm), where the near
-user's coverage falls off within the first few percent of its disc;
-``uavnoma validate`` compares it with adaptive quadrature at one point.
+The base rule has 12 placement nodes and 24 (squared cell) or 40 (log cell)
+radial nodes, 64 when one cell takes all; the check rule doubles every
+count, so a near/far value evaluates the kernel on 3,840 nodes in one array
+pass. The value returned is the doubled rule's, and |Q_n - Q_2n| is its
+error estimate. A cell whose estimate exceeds its share of the absolute
+tolerance ``quadrature.TOLERANCE`` (1e-7) is bisected along both axes,
+placement included, which is where sparse networks (lam / 100) with steep
+serving links (m >= 3, alpha_d >= 3.5, -30 dBm) need the nodes: the near
+user's coverage falls off within the first few percent of its disc. Past
+the fixed depth of the refinement the value raises ``NumericalError``.
+``uavnoma validate`` compares the result with nested adaptive quadrature at
+such a sparse point.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ import math
 
 import numpy as np
 
+from . import quadrature
 from .errors import DomainError
 from .laplace import (
     NearestRingExponent,
     RadialTailExponent,
-    SumExponent,
+    check_probability,
     conditional_coverage,
 )
 from .scenario import NOMA, OMA, UAV_CENTRIC, NetworkConfig, NomaLink, thresholds
@@ -50,6 +57,7 @@ from .scenario import NOMA, OMA, UAV_CENTRIC, NetworkConfig, NomaLink, threshold
 NEAR = "near"
 FAR = "far"
 
+# base rule (nodes per axis) of each cell; the check rule doubles them
 _PLACEMENT_NODES = 12
 _RADIAL_NODES_BELOW_H = 24
 _RADIAL_NODES_ABOVE_H = 40
@@ -60,27 +68,33 @@ _T_CUTOFF = math.sqrt(46.0)
 _T_SPLIT_MIN = 0.2
 
 
-def tail_exponent_ucav(cfg: NetworkConfig, R: float) -> RadialTailExponent:
+def tail_exponent_ucav(cfg: NetworkConfig, R) -> RadialTailExponent:
     """Exponent of the interferers beyond the nearest neighbor (3-D lower limit)."""
-    l_i = math.hypot(R, cfg.uav_height)
+    l_i = np.hypot(R, cfg.uav_height)
     return RadialTailExponent(
         cfg.uav_density, cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
     )
 
 
-def nearest_ring_exponent_ucav(cfg: NetworkConfig, R: float) -> NearestRingExponent:
+def nearest_ring_exponent_ucav(cfg: NetworkConfig, R) -> NearestRingExponent:
     """Exponent of the nearest interfering UAV at horizontal distance R."""
-    l_i = math.hypot(R, cfg.uav_height)
+    l_i = np.hypot(R, cfg.uav_height)
     return NearestRingExponent(
         l_i / R, cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
     )
 
 
-def laplace_exponent_ucav(cfg: NetworkConfig, R: float) -> SumExponent:
-    """Total conditional exponent: nearest neighbor plus the population tail."""
-    if R <= 0.0:
+def laplace_exponent_ucav(
+    cfg: NetworkConfig, R
+) -> tuple[NearestRingExponent, RadialTailExponent]:
+    """Parts of the conditional exponent: nearest neighbor and population tail.
+
+    The conditional transform is exp(-(ring + tail)); ``conditional_coverage``
+    takes the parts and sums their derivative arrays.
+    """
+    if np.any(np.asarray(R) <= 0.0):
         raise DomainError("R must be positive")
-    return SumExponent([nearest_ring_exponent_ucav(cfg, R), tail_exponent_ucav(cfg, R)])
+    return nearest_ring_exponent_ucav(cfg, R), tail_exponent_ucav(cfg, R)
 
 
 def rayleigh_ring_exponent(s: float, R: float, cfg: NetworkConfig) -> float:
@@ -148,81 +162,87 @@ def coverage_cond_pair(
         cfg.noise_power,
         math.hypot(r, cfg.uav_height),
         cfg.alpha_desired,
-        laplace_exponent_ucav(cfg, R),
+        *laplace_exponent_ucav(cfg, R),
     )
 
 
-def _unit_rule(n: int) -> list[tuple[float, float]]:
-    """(node, weight) pairs of the n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return [(0.5 * (1.0 + xi), 0.5 * wi) for xi, wi in zip(x.tolist(), w.tolist())]
-
-
-_UNIT_RULES = {
-    n: _unit_rule(n)
-    for n in (
-        _PLACEMENT_NODES,
-        _RADIAL_NODES_BELOW_H,
-        _RADIAL_NODES_ABOVE_H,
-        _RADIAL_NODES_BELOW_H + _RADIAL_NODES_ABOVE_H,
-    )
-}
-
-# (r / R, weight) per role, linear in r: the near user has density 32r/R^2
-# on [0, R/4], i.e. 2y dy with r = yR/4; the far user 32r/(3R^2) on
-# [R/4, R/2], i.e. (2/3)(1 + y) dy with r = (1 + y)R/4
-_PLACEMENT_RULES = {
-    NEAR: [(0.25 * y, 2.0 * y * w) for y, w in _UNIT_RULES[_PLACEMENT_NODES]],
-    FAR: [
-        (0.25 * (1.0 + y), 2.0 / 3.0 * (1.0 + y) * w)
-        for y, w in _UNIT_RULES[_PLACEMENT_NODES]
-    ],
+# user radius r / R and placement density as functions of y in [0, 1]: the
+# near user has density 32r/R^2 on [0, R/4], i.e. 2y dy with r = yR/4; the
+# far user 32r/(3R^2) on [R/4, R/2], i.e. (2/3)(1 + y) dy with r = (1 + y)R/4
+_PLACEMENT = {
+    NEAR: lambda y: (0.25 * y, 2.0 * y),
+    FAR: lambda y: (0.25 * (1.0 + y), 2.0 / 3.0 * (1.0 + y)),
 }
 
 
-def _placement_average(cond_fn, R: float, role: str) -> float:
-    """Average a conditional quantity ``cond_fn(r, R)`` over the user placement.
-
-    The weights integrate the placement density exactly, so a constant
-    averages to itself.
-    """
-    return sum(w * cond_fn(q * R, R) for q, w in _PLACEMENT_RULES[role])
-
-
-def _squared_panel(end: float, n: int) -> list[tuple[float, float]]:
-    """(t, weight) pairs on [0, end] with t = end y^2, clustered at t = 0."""
-    return [(end * y * y, 2.0 * end * y * w) for y, w in _UNIT_RULES[n]]
-
-
-def _log_panel(start: float, end: float, n: int) -> list[tuple[float, float]]:
-    """(t, weight) pairs on [start, end] with log t uniform in y."""
-    span = math.log(end / start)
-    nodes = []
-    for y, w in _UNIT_RULES[n]:
-        t = start * math.exp(span * y)
-        nodes.append((t, t * span * w))
-    return nodes
-
-
-def _radial_rule(cfg: NetworkConfig) -> list[tuple[float, float]]:
-    """(R, weight) pairs of the integral over the nearest-neighbor law.
-
-    With u = pi lam R^2 = t^2 the law is 2t e^(-t^2) dt on [0, sqrt(46)].
-    The rule splits at t_b = max(t_h, 0.2), t_h being where R = h: a
-    squared panel below t_b, a log-spaced one above. When t_b lies beyond
-    the cutoff one squared panel takes all the nodes.
-    """
-    root_pl = math.sqrt(math.pi * cfg.uav_density)
-    t_b = max(root_pl * cfg.uav_height, _T_SPLIT_MIN)
+def _cells(t_b: float) -> tuple[list, list, list]:
+    """Lower corners, upper corners and base rules of the (x, y) cells."""
     if t_b < _T_CUTOFF:
-        nodes = _squared_panel(t_b, _RADIAL_NODES_BELOW_H) + _log_panel(
-            t_b, _T_CUTOFF, _RADIAL_NODES_ABOVE_H
+        return (
+            [(0.0, 0.0), (1.0, 0.0)],
+            [(1.0, 1.0), (2.0, 1.0)],
+            [(_RADIAL_NODES_BELOW_H, _PLACEMENT_NODES),
+             (_RADIAL_NODES_ABOVE_H, _PLACEMENT_NODES)],
         )
-    else:
-        nodes = _squared_panel(
-            _T_CUTOFF, _RADIAL_NODES_BELOW_H + _RADIAL_NODES_ABOVE_H
+    return (
+        [(0.0, 0.0)],
+        [(1.0, 1.0)],
+        [(_RADIAL_NODES_BELOW_H + _RADIAL_NODES_ABOVE_H, _PLACEMENT_NODES)],
+    )
+
+
+def _pair_integrand(role: str, cfg: NetworkConfig, coeff: float, t_b: float):
+    """The pair coverage integrand over (x, y) for the cells of ``_cells(t_b)``."""
+    placement = _PLACEMENT[role]
+    root_pl = math.sqrt(math.pi * cfg.uav_density)
+    t_end = min(t_b, _T_CUTOFF)
+    span = math.log(_T_CUTOFF / t_b)
+
+    def integrand(x, y):
+        # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
+        squared = x < 1.0
+        t = np.where(squared, t_end * x * x, t_b * np.exp(span * (x - 1.0)))
+        dt_dx = np.where(squared, 2.0 * t_end * x, t * span)
+        R = t / root_pl
+        r_over_R, density = placement(y)
+        cond = conditional_coverage(
+            cfg.m_desired,
+            coeff,
+            cfg.noise_power,
+            np.hypot(r_over_R * R, cfg.uav_height),
+            cfg.alpha_desired,
+            *laplace_exponent_ucav(cfg, R),
         )
-    return [(t / root_pl, 2.0 * t * math.exp(-t * t) * w) for t, w in nodes]
+        return 2.0 * t * np.exp(-t * t) * dt_dx * density * cond
+
+    return integrand
+
+
+def _split_point(cfg: NetworkConfig) -> float:
+    """t_b = max(t_h, 0.2), t_h = sqrt(pi lam) h being where R = h."""
+    return max(math.sqrt(math.pi * cfg.uav_density) * cfg.uav_height, _T_SPLIT_MIN)
+
+
+def pair_quadrature(
+    role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
+) -> quadrature.Quadrature:
+    """Coverage of the near or far paired user with its error estimate.
+
+    One array pass evaluates the kernel over the placement and
+    nearest-neighbor nodes of every cell (see the module docstring).
+    """
+    if access not in (NOMA, OMA):
+        raise DomainError(f"unknown access {access!r}")
+    ts = thresholds(link, cfg, UAV_CENTRIC, access)
+    coeff = _pair_coefficient(ts, role, access)
+    if not math.isfinite(coeff):
+        return quadrature.Quadrature(0.0, 0.0)
+    t_b = _split_point(cfg)
+    result = quadrature.integrate(
+        _pair_integrand(role, cfg, coeff, t_b), *_cells(t_b)
+    )
+    check_probability(result.value, f"{role} user coverage")
+    return result
 
 
 def coverage_pair(
@@ -231,28 +251,6 @@ def coverage_pair(
     """Unconditional coverage of the near or far paired user.
 
     Inner average over the user placement given R, outer integral over the
-    nearest-neighbor law; the placement nodes of one R share its exponent.
+    nearest-neighbor law, to the absolute tolerance ``quadrature.TOLERANCE``.
     """
-    if access not in (NOMA, OMA):
-        raise DomainError(f"unknown access {access!r}")
-    ts = thresholds(link, cfg, UAV_CENTRIC, access)
-    coeff = _pair_coefficient(ts, role, access)
-    if not math.isfinite(coeff):
-        return 0.0
-
-    total = 0.0
-    for R, weight in _radial_rule(cfg):
-        exponent = laplace_exponent_ucav(cfg, R)
-
-        def cond(r: float, _R: float, exponent=exponent) -> float:
-            return conditional_coverage(
-                cfg.m_desired,
-                coeff,
-                cfg.noise_power,
-                math.hypot(r, cfg.uav_height),
-                cfg.alpha_desired,
-                exponent,
-            )
-
-        total += weight * _placement_average(cond, R, role)
-    return min(max(total, 0.0), 1.0)
+    return pair_quadrature(role, cfg, link, access).value

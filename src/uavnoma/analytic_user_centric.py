@@ -9,33 +9,45 @@ Laplace transform with exclusion at the 3-D serving distance, and the
 unconditional value integrates against the nearest-point density.
 
 The normative algorithm is the derivative-of-Laplace engine in ``laplace``
-(hypergeometric exponent, recursion kernel). The arctan exponent of Rayleigh
-interference with quartic path loss is kept here as a validation path; the
-mapped exponent quadrature of ``uavnoma validate`` is the reference for any
-other interference order and path-loss exponent.
+(hypergeometric exponent, recursion kernel). The radial integral runs in
+t = sqrt(u), u = pi lam r^2, where the nearest-UAV law is 2t e^(-t^2) dt, on
+two cells split at t_k = sqrt(pi lam) r_k and ending at sqrt(46) (e^(-46) ~
+1e-20): ``quadrature.integrate`` evaluates the kernel on 64 and 128
+Gauss-Legendre nodes per cell in one array pass and returns the 128-node
+value, with |Q_64 - Q_128| as its error estimate. A cell whose estimate
+exceeds its share of the absolute tolerance ``quadrature.TOLERANCE`` (1e-7)
+is bisected until it meets it, to a fixed depth, past which the value
+raises ``NumericalError``; coverage mass packed below u = 0.01 with r_k far
+out (a low UAV and a steep serving link) is found this way.
+
+The arctan exponent of Rayleigh interference with quartic path loss is kept
+here as a validation path; the mapped exponent quadrature of ``uavnoma
+validate`` is the reference for any other interference order and path-loss
+exponent, and ``cli.piecewise_user_centric_coverage`` the reference for the
+radial integral.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import integrate
+import numpy as np
 
-from .errors import NumericalError
-from .laplace import RadialTailExponent, conditional_coverage
+from . import quadrature
+from .laplace import RadialTailExponent, check_probability, conditional_coverage
 from .scenario import NOMA, USER_CENTRIC, NetworkConfig, NomaLink, thresholds
 
 NEAR = "near"
 FAR = "far"
 OMA_CASE = "oma"
 
-# absolute tolerance of the radial integrals; figure-level resolution is ~1e-2
-_RADIAL_ABS_TOL = 1e-7
-# beyond this the e^(-u) weight is below 1e-20: nothing left to integrate
-_U_CUTOFF = 46.0
+# base rule of each radial cell; the check rule doubles it
+_RADIAL_NODES = 64
+# beyond u = t^2 = 46 the e^(-u) weight is below 1e-20: nothing left to integrate
+_T_CUTOFF = math.sqrt(46.0)
 
 
-def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d: float) -> RadialTailExponent:
+def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponent:
     """Interference Laplace exponent with exclusion at the serving distance."""
     return RadialTailExponent(
         cfg.uav_density,
@@ -87,45 +99,29 @@ def coverage_cond(r: float, case: str, cfg: NetworkConfig, link: NomaLink) -> fl
     )
 
 
-def _integrate_split(cfg: NetworkConfig, break_radius: float, inner_fn, outer_fn):
-    """Integrate fn(r) f_r(r) dr over (0, break) and (break, inf).
+def _integrate_split(
+    cfg: NetworkConfig, break_radius: float, inner_coeff, outer_coeff, conditional
+) -> float:
+    """Integrate a conditional coverage against the nearest-UAV law.
 
-    Substituting u = pi lam r^2 turns the density into the weight e^(-u),
-    which tames the semi-infinite tail.
+    ``conditional(coeff, r)`` is the kernel at decode coefficients ``coeff``
+    and serving radii ``r`` (arrays); below ``break_radius`` it takes
+    ``inner_coeff``, beyond it ``outer_coeff``.
     """
-    pl = math.pi * cfg.uav_density
-    u_break = pl * break_radius**2
+    root_pl = math.sqrt(math.pi * cfg.uav_density)
+    t_k = root_pl * break_radius
 
-    def radius(u: float) -> float:
-        return math.sqrt(u / pl)
+    def integrand(t):
+        coeff = np.where(t < t_k, inner_coeff, outer_coeff)
+        return 2.0 * t * np.exp(-t * t) * conditional(coeff, t / root_pl)
 
-    inner = 0.0
-    if u_break > 0.0:
-        inner, err = integrate.quad(
-            lambda u: inner_fn(radius(u)) * math.exp(-u),
-            0.0,
-            min(u_break, _U_CUTOFF),
-            epsabs=_RADIAL_ABS_TOL,
-            epsrel=1e-6,
-            limit=200,
-            full_output=1,
-        )[:2]
-        if err > 1e-4:
-            raise NumericalError("radial quadrature out of tolerance", err)
-    outer = 0.0
-    if u_break < _U_CUTOFF:
-        outer, err = integrate.quad(
-            lambda u: outer_fn(radius(u)) * math.exp(-u),
-            u_break,
-            math.inf,
-            epsabs=_RADIAL_ABS_TOL,
-            epsrel=1e-6,
-            limit=200,
-            full_output=1,
-        )[:2]
-        if err > 1e-4:
-            raise NumericalError("radial quadrature out of tolerance", err)
-    return min(max(inner + outer, 0.0), 1.0)
+    if t_k < _T_CUTOFF:
+        lo, hi = [[0.0], [t_k]], [[t_k], [_T_CUTOFF]]
+    else:
+        lo, hi = [[0.0]], [[_T_CUTOFF]]
+    value = quadrature.integrate(integrand, lo, hi, [[_RADIAL_NODES]] * len(lo)).value
+    check_probability(value, "radial coverage")
+    return value
 
 
 def coverage_typical(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
@@ -143,22 +139,19 @@ def coverage_typical(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> 
     if not (math.isfinite(coeff_near) or math.isfinite(coeff_far)):
         return 0.0
 
-    def branch(coeff):
-        def fn(r: float) -> float:
-            dist3d = math.hypot(r, cfg.uav_height)
-            return conditional_coverage(
-                cfg.m_desired,
-                coeff,
-                cfg.noise_power,
-                dist3d,
-                cfg.alpha_desired,
-                laplace_exponent_uc(cfg, dist3d),
-            )
-
-        return fn
+    def conditional(coeff, r):
+        dist3d = np.hypot(r, cfg.uav_height)
+        return conditional_coverage(
+            cfg.m_desired,
+            coeff,
+            cfg.noise_power,
+            dist3d,
+            cfg.alpha_desired,
+            laplace_exponent_uc(cfg, dist3d),
+        )
 
     return _integrate_split(
-        cfg, link.fixed_user_dist, branch(coeff_near), branch(coeff_far)
+        cfg, link.fixed_user_dist, coeff_near, coeff_far, conditional
     )
 
 
@@ -183,20 +176,16 @@ def coverage_fixed(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> fl
         coeff_far_role = coeff_near_role = ts_fixed.coeff("oma")
     dist_fixed = math.hypot(link.fixed_user_dist, cfg.uav_height)
 
-    def role(coeff):
-        def fn(r: float) -> float:
-            exclusion = math.hypot(r, cfg.uav_height)
-            return conditional_coverage(
-                cfg.m_desired,
-                coeff,
-                cfg.noise_power,
-                dist_fixed,
-                cfg.alpha_desired,
-                laplace_exponent_uc(cfg, exclusion),
-            )
-
-        return fn
+    def conditional(coeff, r):
+        return conditional_coverage(
+            cfg.m_desired,
+            coeff,
+            cfg.noise_power,
+            dist_fixed,
+            cfg.alpha_desired,
+            laplace_exponent_uc(cfg, np.hypot(r, cfg.uav_height)),
+        )
 
     return _integrate_split(
-        cfg, link.fixed_user_dist, role(coeff_far_role), role(coeff_near_role)
+        cfg, link.fixed_user_dist, coeff_far_role, coeff_near_role, conditional
     )

@@ -20,8 +20,9 @@ every closed form in this package:
 
   with weight w = d0 / R; its derivatives are closed-form.
 
-``conditional_coverage`` turns an exponent into the coverage probability of a
-Nakagami-m link at a given decode coefficient: with g ~ Gamma(m)/m,
+``conditional_coverage`` turns a sum of exponents into the coverage
+probability of a Nakagami-m link at a given decode coefficient: with
+g ~ Gamma(m)/m,
 
   P[g > M (noise + I) d^alpha] = sum_{n<m} ((-c)^n / n!) D_n(c),
   D_n = d^n/dc^n exp(-f(c)),  f(c) = c noise + eta(c),
@@ -29,13 +30,19 @@ Nakagami-m link at a given decode coefficient: with g ~ Gamma(m)/m,
 at c = m M d^alpha. The D_n follow from the derivatives of f by the
 recursion of ``exp_composition_derivatives``, and every term of the sum is
 non-negative, so nothing cancels.
+
+Everything here works elementwise: s, d0, the ring weight, the decode
+coefficient and the serving distance may be numpy arrays that broadcast
+together, and a whole quadrature grid is one call (``hyp2f1`` runs once per
+order over the array). Scalar inputs give floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
+import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import NumericalError
@@ -50,25 +57,37 @@ QUADRATURE = "quadrature"
 _PROBABILITY_SLACK = 4.0 * math.ulp(1.0)
 
 
+def check_probability(values, what: str) -> None:
+    """Raise ``NumericalError`` unless every value lies in [0, 1] up to rounding.
+
+    NaN fails the check too.
+    """
+    values = np.asarray(values)
+    inside = (values >= -_PROBABILITY_SLACK) & (values <= 1.0 + _PROBABILITY_SLACK)
+    if not np.all(inside):
+        worst = values[~inside].flat[0]
+        raise NumericalError(f"{what} {float(worst)!r} outside [0, 1]")
+
+
 class ExponentDerivatives(NamedTuple):
     """eta^(k)(s) for k = 0..order, plus an evaluation-path tag (always SERIES)."""
 
-    values: tuple[float, ...]
+    values: tuple
     method: str
 
 
 class LaplaceExponentBase:
     """Shared surface of every interference Laplace exponent."""
 
-    def derivatives(self, s: float, order: int) -> ExponentDerivatives:
+    def derivatives(self, s, order: int) -> ExponentDerivatives:
         raise NotImplementedError
 
-    def value_at(self, s: float) -> float:
+    def value_at(self, s):
         return self.derivatives(s, 0).values[0]
 
-    def transform_at(self, s: float) -> float:
+    def transform_at(self, s):
         """L(s) = exp(-eta(s))."""
-        return math.exp(-self.value_at(s))
+        return np.exp(-self.value_at(s))
 
 
 class RadialTailExponent(LaplaceExponentBase):
@@ -80,7 +99,7 @@ class RadialTailExponent(LaplaceExponentBase):
         tx_power: float,
         alpha_interf: float,
         m_interf: int,
-        lower_dist3d: float,
+        lower_dist3d,
     ):
         self.density = density
         self.tx_power = tx_power
@@ -88,7 +107,7 @@ class RadialTailExponent(LaplaceExponentBase):
         self.m_interf = m_interf
         self.lower_dist3d = lower_dist3d
 
-    def derivatives(self, s: float, order: int) -> ExponentDerivatives:
+    def derivatives(self, s, order: int) -> ExponentDerivatives:
         # With dI = 2/aI, q = P/(mI d0^aI), z = s q and C = pi lam d0^2,
         # u = (d0/l)^aI gives Euler integrals Int_0^1 u^(b-1) (1+zu)^(-a) du
         # = 2F1(a, b; b+1; -z)/b, hence
@@ -97,7 +116,7 @@ class RadialTailExponent(LaplaceExponentBase):
         # The k = 0 sum comes from 1 - (1+y)^(-m) = y sum_{i<=m} (1+y)^(-i),
         # so every term is positive; the shorter C [2F1(mI, -dI; 1-dI; -z) - 1]
         # cancels to exactly 0 at small z.
-        if s < 0.0:
+        if np.any(np.asarray(s) < 0.0):
             raise NumericalError("Laplace exponent requires s >= 0")
         m_i = self.m_interf
         delta = 2.0 / self.alpha_interf
@@ -105,9 +124,7 @@ class RadialTailExponent(LaplaceExponentBase):
         q = self.tx_power / (m_i * d0**self.alpha_interf)
         z = s * q
         scale = math.pi * self.density * d0 * d0
-        tail = sum(
-            float(hyp2f1(i, 1.0 - delta, 2.0 - delta, -z)) for i in range(1, m_i + 1)
-        )
+        tail = sum(hyp2f1(i, 1.0 - delta, 2.0 - delta, -z) for i in range(1, m_i + 1))
         values = [scale * z * delta / (1.0 - delta) * tail]
         for k in range(1, order + 1):
             values.append(
@@ -117,7 +134,7 @@ class RadialTailExponent(LaplaceExponentBase):
                 * rising_pochhammer(m_i, k)
                 * delta
                 / (k - delta)
-                * float(hyp2f1(m_i + k, k - delta, k + 1.0 - delta, -z))
+                * hyp2f1(m_i + k, k - delta, k + 1.0 - delta, -z)
             )
         return ExponentDerivatives(tuple(values), SERIES)
 
@@ -127,11 +144,11 @@ class NearestRingExponent(LaplaceExponentBase):
 
     def __init__(
         self,
-        weight: float,
+        weight,
         tx_power: float,
         alpha_interf: float,
         m_interf: int,
-        dist3d: float,
+        dist3d,
     ):
         self.weight = weight
         self.tx_power = tx_power
@@ -139,9 +156,9 @@ class NearestRingExponent(LaplaceExponentBase):
         self.m_interf = m_interf
         self.dist3d = dist3d
 
-    def derivatives(self, s: float, order: int) -> ExponentDerivatives:
+    def derivatives(self, s, order: int) -> ExponentDerivatives:
         q = self.tx_power / (self.m_interf * self.dist3d**self.alpha_interf)
-        values = [-self.weight * math.expm1(-self.m_interf * math.log1p(s * q))]
+        values = [-self.weight * np.expm1(-self.m_interf * np.log1p(s * q))]
         for k in range(1, order + 1):
             values.append(
                 self.weight
@@ -153,47 +170,39 @@ class NearestRingExponent(LaplaceExponentBase):
         return ExponentDerivatives(tuple(values), SERIES)
 
 
-class SumExponent(LaplaceExponentBase):
-    """Exponent of independent interference components: eta = sum of parts."""
-
-    def __init__(self, parts: Sequence[LaplaceExponentBase]):
-        self.parts = tuple(parts)
-
-    def derivatives(self, s: float, order: int) -> ExponentDerivatives:
-        totals = [0.0] * (order + 1)
-        for part in self.parts:
-            values = part.derivatives(s, order).values
-            for k in range(order + 1):
-                totals[k] += values[k]
-        return ExponentDerivatives(tuple(totals), SERIES)
-
-
 def conditional_coverage(
     fading_order: int,
-    decode_coeff: float,
+    decode_coeff,
     noise_power: float,
-    dist3d: float,
+    dist3d,
     alpha: float,
-    exponent: LaplaceExponentBase,
-) -> float:
+    *exponents: LaplaceExponentBase,
+):
     """Coverage P[g > M (noise + I) d^alpha] for a unit-mean Nakagami link.
 
-    An infeasible (infinite) decode coefficient gives exactly 0. A value
-    outside [0, 1] by more than rounding raises ``NumericalError``.
+    The interference exponent is the sum of ``exponents`` (independent
+    interferer populations). ``decode_coeff``, ``dist3d`` and the exponents'
+    distances may be arrays; the result has their broadcast shape, or is a
+    float for scalar input. An infeasible (infinite) decode coefficient gives
+    exactly 0, and so does a noise term exp(-c noise) that underflows. A
+    value outside [0, 1] by more than rounding raises ``NumericalError``.
     """
-    if not math.isfinite(decode_coeff):
-        return 0.0
-    c = fading_order * decode_coeff * dist3d**alpha
-    if math.exp(-c * noise_power) == 0.0:
-        return 0.0
-    f = list(exponent.derivatives(c, fading_order - 1).values)
-    f[0] += c * noise_power
+    c = fading_order * np.asarray(decode_coeff, dtype=float) * np.asarray(dist3d) ** alpha
+    with np.errstate(invalid="ignore"):
+        live = np.isfinite(c) & (np.exp(-c * noise_power) > 0.0)
+    # dead elements are evaluated at s = 0, then zeroed
+    s = np.where(live, c, 0.0)[()]
+    f = [0.0] * fading_order
+    for exponent in exponents:
+        for k, value in enumerate(exponent.derivatives(s, fading_order - 1).values):
+            f[k] = f[k] + value
+    f[0] = f[0] + s * noise_power
     if fading_order > 1:
-        f[1] += noise_power
+        f[1] = f[1] + noise_power
     transform_derivs = exp_composition_derivatives(f, fading_order - 1)
     total = 0.0
     for n in range(fading_order):
-        total += (-c) ** n / math.factorial(n) * transform_derivs[n]
-    if not -_PROBABILITY_SLACK <= total <= 1.0 + _PROBABILITY_SLACK:
-        raise NumericalError(f"conditional coverage {total!r} outside [0, 1]")
-    return total
+        total = total + (-s) ** n / math.factorial(n) * transform_derivs[n]
+    total = np.where(live, total, 0.0)
+    check_probability(total, "conditional coverage")
+    return total if total.ndim else float(total)

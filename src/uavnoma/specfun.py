@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -27,7 +29,7 @@ def rising_pochhammer(a: float, n: int) -> float:
     return out
 
 
-def exp_composition_derivatives(eta_derivs: Sequence[float], n: int) -> list[float]:
+def exp_composition_derivatives(eta_derivs: Sequence, n: int) -> list:
     """Derivatives d^k/ds^k exp(-eta(s)) for k = 0..n from (eta, eta', ..., eta^(n)).
 
     D = exp(-eta) satisfies D' = -eta' D; Leibniz's rule on that product gives
@@ -37,15 +39,18 @@ def exp_composition_derivatives(eta_derivs: Sequence[float], n: int) -> list[flo
     When eta is a Bernstein function (eta' >= 0 completely monotone), every
     term of (-1)^k D_k is non-negative, so the sum never cancels (X. Yu,
     J. Zhang, M. Haenggi, K. B. Letaief, IEEE JSAC 35(7), 2017).
+
+    The derivatives may be arrays of one shape, giving arrays; where exp(-eta)
+    underflows every derivative is numerically zero and is returned as 0.
     """
     if len(eta_derivs) < n + 1:
         raise DomainError(
             f"need eta derivatives up to order {n}, got {len(eta_derivs) - 1}"
         )
-    base = math.exp(-eta_derivs[0])
-    if base == 0.0:
-        # exp underflow: every derivative is numerically zero as well
-        return [0.0] * (n + 1)
+    base = np.exp(-np.asarray(eta_derivs[0], dtype=float))
+    underflow = base == 0.0
+    if np.all(underflow):
+        return [np.zeros(base.shape) if base.ndim else 0.0] * (n + 1)
     out = [base]
     for k in range(1, n + 1):
         out.append(
@@ -54,4 +59,6 @@ def exp_composition_derivatives(eta_derivs: Sequence[float], n: int) -> list[flo
                 for j in range(1, k + 1)
             )
         )
+    if np.any(underflow):
+        out = [np.where(underflow, 0.0, d) for d in out]
     return out

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from uavnoma import analytic_uav_centric
 from uavnoma.analytic_uav_centric import (
     FAR,
     NEAR,
@@ -20,11 +21,12 @@ from uavnoma.analytic_uav_centric import (
     nearest_ring_exponent_ucav,
     rayleigh_ring_exponent,
     tail_exponent_ucav,
-    _placement_average,
+    _PLACEMENT,
 )
 from uavnoma.cli import adaptive_coverage_pair
-from uavnoma.errors import DomainError
+from uavnoma.errors import DomainError, NumericalError
 from uavnoma.laplace import conditional_coverage
+from uavnoma.quadrature import integrate
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -49,9 +51,9 @@ LINK = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
 
 class TestConditionalExponent:
     def test_transform_is_one_at_zero(self):
-        exponent = laplace_exponent_ucav(make_cfg(), 450.0)
-        assert exponent.value_at(0.0) == 0.0
-        assert exponent.transform_at(0.0) == 1.0
+        for part in laplace_exponent_ucav(make_cfg(), 450.0):
+            assert part.value_at(0.0) == 0.0
+            assert part.transform_at(0.0) == 1.0
 
     @pytest.mark.parametrize("s", [1e2, 1e5, 1e8, 1e11])
     def test_ring_matches_rayleigh_elementary_form(self, s):
@@ -96,10 +98,9 @@ class TestConditionalExponent:
     def test_total_splits_into_parts(self):
         cfg = make_cfg(m_interf=2)
         R, s = 520.0, 3e9
-        total = laplace_exponent_ucav(cfg, R).value_at(s)
-        ring = nearest_ring_exponent_ucav(cfg, R).value_at(s)
-        tail = tail_exponent_ucav(cfg, R).value_at(s)
-        assert total == pytest.approx(ring + tail, rel=1e-12)
+        ring_part, tail_part = laplace_exponent_ucav(cfg, R)
+        assert ring_part.value_at(s) == nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        assert tail_part.value_at(s) == tail_exponent_ucav(cfg, R).value_at(s)
 
 
 class TestCoverageCondPair:
@@ -127,9 +128,8 @@ class TestCoverageCondPair:
         m_star = max(eps_w / (cfg.tx_power * 0.4), eps_v / (cfg.tx_power * 0.6))
         d = math.hypot(r, cfg.uav_height)
         s = m_star * d**cfg.alpha_desired
-        expected = math.exp(-s * cfg.noise_power) * laplace_exponent_ucav(
-            cfg, R
-        ).transform_at(s)
+        eta = sum(part.value_at(s) for part in laplace_exponent_ucav(cfg, R))
+        expected = math.exp(-s * cfg.noise_power - eta)
         assert value == pytest.approx(expected, rel=1e-10)
 
     def test_removing_ring_term_increases_coverage(self):
@@ -142,7 +142,7 @@ class TestCoverageCondPair:
             coeff = thresholds(LINK, cfg, UAV_CENTRIC, NOMA).coeff("near_joint")
             with_ring = conditional_coverage(
                 2, coeff, cfg.noise_power, d, cfg.alpha_desired,
-                laplace_exponent_ucav(cfg, R),
+                *laplace_exponent_ucav(cfg, R),
             )
             without_ring = conditional_coverage(
                 2, coeff, cfg.noise_power, d, cfg.alpha_desired,
@@ -220,9 +220,13 @@ def _pinned_pair_oracle(cfg, link, r, R, role, trials, seed):
 
 class TestCoveragePair:
     def test_placement_average_of_constant_is_one(self):
+        # the placement density of each role integrates to 1 on the array
+        # rule of the placement axis, base and doubled alike
         for role in (NEAR, FAR):
-            value = _placement_average(lambda r, R: 1.0, 400.0, role)
-            assert value == pytest.approx(1.0, abs=1e-12)
+            density = lambda y: _PLACEMENT[role](y)[1]
+            value, estimate = integrate(density, [[0.0]], [[1.0]], [[12]])
+            assert value == pytest.approx(1.0, abs=1e-14)
+            assert estimate < 1e-14
 
     def test_infeasible_link_is_zero(self):
         cfg = make_cfg()
@@ -263,6 +267,17 @@ class TestCoveragePair:
             for b in (0.0, 0.15, 0.3)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("role", [NEAR, FAR])
+    def test_sum_above_one_raises(self, monkeypatch, role):
+        # a kernel that exceeds 1 everywhere pushes the integral above 1;
+        # the integral must say so rather than return a clamped 1.0
+        def inflated(fading_order, decode_coeff, noise_power, dist3d, alpha, *parts):
+            return np.full(np.broadcast(decode_coeff, dist3d).shape, 1.5)
+
+        monkeypatch.setattr(analytic_uav_centric, "conditional_coverage", inflated)
+        with pytest.raises(NumericalError, match="outside"):
+            coverage_pair(role, make_cfg(), LINK, NOMA)
 
     def test_oma_pair(self):
         cfg = make_cfg()
@@ -308,37 +323,64 @@ DOMAIN_CORNERS = {
         LINK,
         NOMA,
     ),
+    # sparse networks at 1 uW with steep serving links: the near user's
+    # coverage falls off within the first few percent of its disc, where the
+    # fixed 12 x 64 rule overshot by 1.4e-5, 4.9e-5 and 2.2e-5
+    "lam/100,h=30m,aD=4.5,m=3": (
+        dict(uav_density=DENSITY / 100.0, uav_height=30.0, alpha_desired=4.5,
+             m_desired=3),
+        LINK,
+        NOMA,
+    ),
+    "lam/100,h=1m,aD=4.5,m=3": (
+        dict(uav_density=DENSITY / 100.0, uav_height=1.0, alpha_desired=4.5,
+             m_desired=3),
+        LINK,
+        NOMA,
+    ),
+    "lam/100,h=10m,aD=3.5,m=4": (
+        dict(uav_density=DENSITY / 100.0, uav_height=10.0, alpha_desired=3.5,
+             m_desired=4),
+        LINK,
+        NOMA,
+    ),
 }
 
 # (near, far) per corner; see TestCoveragePairAcrossDomain for their source
 DOMAIN_PINS = {
-    "h=30m": (0.9329179488778369, 0.6057515711205369),
-    "h=300m": (0.04821072856573095, 0.01427673307042844),
-    "h=1000m,1W": (0.46376598905981925, 0.4193167506892892),
-    "aD=2.5": (0.9984511680694012, 0.994705749595975),
-    "aD=4.5,1mW": (0.5144948679818897, 0.130007634955542),
-    "lam/4": (0.6137714007208991, 0.19900681868270934),
-    "lam*4": (0.8395737133732749, 0.6970602796459398),
-    "m=2,ipsic=0.1": (0.9547943260614704, 0.5556246475748828),
-    "oma,aI=3": (0.06185200430730936, 0.0322223665343728),
-    "m=3": (0.9444561437006109, 0.5840652824439594),
-    "h=1000m,lam*16,1W,aD=3": (0.7060012681280033, 0.682813983968841),
-    "h=3000m,1W,aD=3": (0.9332023406056351, 0.9268771916497415),
-    "h=30m,aD=4.5,m=3": (0.410812916240592, 0.042450101742481004),
+    "h=30m": (0.9329179488778401, 0.6057515711205423),
+    "h=300m": (0.048210728565732566, 0.01427673307042843),
+    "h=1000m,1W": (0.46376598905911137, 0.41931675068949276),
+    "aD=2.5": (0.998451168069402, 0.994705749595972),
+    "aD=4.5,1mW": (0.5144948679818724, 0.13000763495555118),
+    "lam/4": (0.6137714007208996, 0.19900681868270903),
+    "lam*4": (0.839573713373271, 0.6970602796459275),
+    "m=2,ipsic=0.1": (0.9547943260614702, 0.5556246475748837),
+    "oma,aI=3": (0.06185200430732729, 0.03222236653437234),
+    "m=3": (0.944456143700611, 0.5840652824439585),
+    "h=1000m,lam*16,1W,aD=3": (0.7060012681192467, 0.6828139839554093),
+    "h=3000m,1W,aD=3": (0.9332023406056075, 0.9268771916497006),
+    "h=30m,aD=4.5,m=3": (0.4108129162405919, 0.04245010174248088),
+    "lam/100,h=30m,aD=4.5,m=3": (0.014476594894690884, 0.0005265141229016633),
+    "lam/100,h=1m,aD=4.5,m=3": (0.017892359568034363, 0.0009089458702657773),
+    "lam/100,h=10m,aD=3.5,m=4": (0.12469260774370795, 0.01412542360818599),
 }
 
 
 class TestCoveragePairAcrossDomain:
-    """The fixed tensor rule against converged adaptive quadrature.
+    """The self-checking array rule against converged adaptive quadrature.
 
     DOMAIN_PINS come from ``uavnoma.cli.adaptive_coverage_pair``, nested
-    adaptive quad at epsabs = epsrel = 1e-11 with the outer breakpoint at
+    adaptive quad on 50 log-spaced panels in u = pi lam R^2 with a break at
     R = h. From the repository root, regenerate them with
 
         PYTHONPATH=src python tests/test_analytic_uav_centric.py
 
-    They are not the output of the nested adaptive quad that the rule
-    replaced: at h = 30 m that one missed the converged value by 1.2e-5.
+    They are not the output of the nested adaptive quad that the fixed
+    rule replaced: at h = 30 m that one missed the converged value by 1.2e-5.
+    Nor do they come from a single adaptive panel over u in [0, 46]: in the
+    sparse corners that one missed the far user's mass, packed below
+    u = 0.01, by up to 9e-4 without a warning.
     """
 
     @pytest.mark.parametrize("corner", list(DOMAIN_CORNERS))

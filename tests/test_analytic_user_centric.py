@@ -2,8 +2,10 @@
 
 The conditional-coverage oracle is a pinned-geometry Monte Carlo written
 inline with its own SINR chain, independent of the package's engine. The
-exponent pins in ``EXPONENT_PINS`` come from 40-digit mpmath; running this
-file as a script regenerates them:
+exponent pins in ``EXPONENT_PINS`` come from 40-digit mpmath and the
+coverage pins in ``LOW_UAV_PINS`` from the piecewise quadrature
+``uavnoma.cli.piecewise_user_centric_coverage``; running this file as a
+script regenerates both:
 
     PYTHONPATH=src python tests/test_analytic_user_centric.py
 """
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from uavnoma import analytic_user_centric
 from uavnoma.analytic_user_centric import (
     FAR,
     NEAR,
@@ -24,7 +27,7 @@ from uavnoma.analytic_user_centric import (
     laplace_exponent_uc,
     rayleigh_tail_exponent_arctan,
 )
-from uavnoma.cli import quadrature_exponent_derivatives
+from uavnoma.cli import piecewise_user_centric_coverage, quadrature_exponent_derivatives
 from uavnoma.errors import NumericalError
 from uavnoma.laplace import (
     SERIES,
@@ -441,6 +444,56 @@ class TestCoverageTypical:
         assert 0.0 < oma <= 1.0
 
 
+# A low UAV, a steep serving link and r_k far out (1900 m at the default
+# density, so u_k = 14.4) pack the typical user's coverage mass below
+# u = 0.01. An adaptive rule over [0, u_k] placed no node there and returned
+# about 1e-50 without a warning. The fixed user, served at 1900 m, has
+# coverage 0 here (exp(-c noise) underflows at every node).
+LOW_UAV_CASES = {
+    "h=10m,-30dBm": dict(uav_height=10.0, tx_power=1e-6),
+    "h=1m,-30dBm": dict(uav_height=1.0, tx_power=1e-6),
+    "h=3m,-20dBm": dict(uav_height=3.0, tx_power=1e-5),
+}
+LOW_UAV_LINK = NomaLink(rate_near=1.0, rate_far=0.5, fixed_user_dist=1900.0)
+
+# typical NOMA, typical OMA, fixed NOMA, fixed OMA per case
+LOW_UAV_PINS = {
+    "h=10m,-30dBm": (0.0006469441723711641, 0.000570044665038243, 0.0, 0.0),
+    "h=1m,-30dBm": (0.0010224166989696855, 0.0009425249136339058, 0.0, 0.0),
+    "h=3m,-20dBm": (0.0009910251920454045, 0.000911091797226666, 0.0, 0.0),
+}
+
+
+def _low_uav_cfg(case):
+    return make_cfg(
+        alpha_desired=4.5, m_interf=3, alpha_interf=2.5, **LOW_UAV_CASES[case]
+    )
+
+
+class TestLowUavCoverage:
+    @pytest.mark.parametrize("case", list(LOW_UAV_CASES))
+    def test_matches_piecewise_reference(self, case):
+        cfg = _low_uav_cfg(case)
+        values = [
+            fn(cfg, LOW_UAV_LINK, access)
+            for fn in (coverage_typical, coverage_fixed)
+            for access in (NOMA, OMA)
+        ]
+        for value, pin in zip(values, LOW_UAV_PINS[case]):
+            assert abs(value - pin) < 1e-6
+
+    @pytest.mark.parametrize("fn", [coverage_typical, coverage_fixed])
+    def test_sum_above_one_raises(self, monkeypatch, fn):
+        # a kernel that exceeds 1 everywhere pushes the integral above 1;
+        # the integral must say so rather than return a clamped 1.0
+        def inflated(fading_order, decode_coeff, noise_power, dist3d, alpha, *parts):
+            return np.full(np.broadcast(decode_coeff, dist3d).shape, 1.5)
+
+        monkeypatch.setattr(analytic_user_centric, "conditional_coverage", inflated)
+        with pytest.raises(NumericalError, match="outside"):
+            fn(make_cfg(), LINK, NOMA)
+
+
 class TestCoverageFixed:
     def test_ipsic_independent_at_moderate_rates(self):
         # the SIC-chain coefficient of the fixed user is dominated by the
@@ -571,3 +624,12 @@ if __name__ == "__main__":
         print(f"{name}: {case}")
         for value in values:
             print(f"    {mp.nstr(value, 40)},")
+    print("LOW_UAV_PINS = {")
+    for case in LOW_UAV_CASES:
+        pins = tuple(
+            piecewise_user_centric_coverage(subject, _low_uav_cfg(case), LOW_UAV_LINK, access)
+            for subject in ("typical", "fixed")
+            for access in (NOMA, OMA)
+        )
+        print(f'    "{case}": {pins!r},')
+    print("}")

@@ -505,6 +505,23 @@ class TestConsoleScript:
         assert result.stdout.strip() == "False"
 
 
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # the closed forms integrate with their own array rule; scipy.integrate
+        # (about 0.3 s and 26 MB at start-up) serves only the validation
+        # references, which import it when they run
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, uavnoma.cli; print('scipy.integrate' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
     def test_configs_parse(self, name):
