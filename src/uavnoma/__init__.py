@@ -5,6 +5,9 @@ field, Nakagami fading derivative sums) cross-validated against seeded
 Monte Carlo simulation, for two association strategies: user-centric
 (nearest-UAV attachment with one pre-attached partner) and UAV-centric
 (cell-interior user pairing around the serving UAV).
+
+The independent references and the ``uavnoma validate`` suite live in
+``uavnoma.validation``, which this package does not import.
 """
 
 from .analytic_uav_centric import coverage_cond_pair, coverage_pair

@@ -10,8 +10,8 @@ coverage is the double integral over the user-placement density and the
 nearest-neighbor law.
 
 The thin-ring construction is a limit device; the implementation always uses
-its closed elementary form, and the binomial-series expansion of the ring
-term is kept only as a validation path (``nearest_ring_exponent_series``).
+its closed elementary form. ``coverage_cond_pair`` is the one conditional
+coverage of a paired user, and the closed form integrates it on its nodes.
 
 Both integrals run in one ``quadrature.integrate`` call over two cells in
 the plane of (x, y):
@@ -35,7 +35,7 @@ serving links (m >= 3, alpha_d >= 3.5, -30 dBm) need the nodes: the near
 user's coverage falls off within the first few percent of its disc. Past
 the fixed depth of the refinement the value raises ``NumericalError``.
 ``uavnoma validate`` compares the result with nested adaptive quadrature at
-such a sparse point.
+such a sparse point (``validation.adaptive_coverage_pair``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .laplace import (
     check_probability,
     conditional_coverage,
 )
-from .scenario import NOMA, OMA, UAV_CENTRIC, NetworkConfig, NomaLink, thresholds
+from .scenario import NOMA, UAV_CENTRIC, NetworkConfig, NomaLink, thresholds
 
 NEAR = "near"
 FAR = "far"
@@ -97,37 +97,6 @@ def laplace_exponent_ucav(
     return nearest_ring_exponent_ucav(cfg, R), tail_exponent_ucav(cfg, R)
 
 
-def rayleigh_ring_exponent(s: float, R: float, cfg: NetworkConfig) -> float:
-    """Elementary ring exponent for Rayleigh interference links:
-
-        eta(s) = (l_I / R) * s P / (l_I^aI + s P).
-
-    Valid only for m_interf = 1.
-    """
-    l_i = math.hypot(R, cfg.uav_height)
-    sp = s * cfg.tx_power
-    return (l_i / R) * sp / (l_i**cfg.alpha_interf + sp)
-
-
-def nearest_ring_exponent_series(
-    s: float, R: float, cfg: NetworkConfig, terms: int
-) -> float:
-    """Binomial-series form of the ring exponent, kept as a validation path:
-
-        eta(s) = (l_I/R) (1 - sum_U (-1)^U C(mI+U-1, U) x^U),
-        x = s P / (mI l_I^aI), |x| < 1.
-
-    C(mI+U-1, U) is the coefficient whose partial sums converge to
-    (1+x)^(-mI); see tests for the numerical pin.
-    """
-    l_i = math.hypot(R, cfg.uav_height)
-    x = s * cfg.tx_power / (cfg.m_interf * l_i**cfg.alpha_interf)
-    partial = sum(
-        (-1.0) ** u * math.comb(cfg.m_interf + u - 1, u) * x**u for u in range(terms)
-    )
-    return (l_i / R) * (1.0 - partial)
-
-
 def _pair_coefficient(ts, role: str, access: str) -> float:
     if role == NEAR:
         return ts.coeff("near_joint") if access == NOMA else ts.coeff("oma")
@@ -137,30 +106,29 @@ def _pair_coefficient(ts, role: str, access: str) -> float:
 
 
 def coverage_cond_pair(
-    r: float,
-    R: float,
-    role: str,
-    cfg: NetworkConfig,
-    link: NomaLink,
-    access: str = NOMA,
-) -> float:
-    """Coverage of one paired user conditioned on its radius and on R.
+    r, R, role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
+):
+    """Coverage of one paired user conditioned on its radius r and on R.
 
-    The near role requires r <= R/4 and runs the SIC chain; the far role
-    requires R/4 <= r <= R/2 and decodes directly. Infeasible power
-    allocation gives exactly 0.
+    r and R may be arrays that broadcast together. The near role requires
+    r <= R/4 and runs the SIC chain; the far role requires R/4 <= r <= R/2
+    and decodes directly. Infeasible power allocation gives exactly 0.
     """
-    if role == NEAR and not 0.0 <= r <= 0.25 * R + 1e-9:
-        raise DomainError(f"near user requires r <= R/4, got r={r}, R={R}")
-    if role == FAR and not 0.25 * R - 1e-9 <= r <= 0.5 * R + 1e-9:
-        raise DomainError(f"far user requires R/4 <= r <= R/2, got r={r}, R={R}")
-    ts = thresholds(link, cfg, UAV_CENTRIC, access)
-    coeff = _pair_coefficient(ts, role, access)
+    coeff = _pair_coefficient(thresholds(link, cfg, UAV_CENTRIC, access), role, access)
+    r, R = np.broadcast_arrays(r, R)
+    if role == NEAR:
+        span, inside = "r <= R/4", (0.0 <= r) & (r <= 0.25 * R + 1e-9)
+    else:
+        span = "R/4 <= r <= R/2"
+        inside = (0.25 * R - 1e-9 <= r) & (r <= 0.5 * R + 1e-9)
+    if not np.all(inside):
+        bad = np.unravel_index(np.argmin(inside), inside.shape)
+        raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
     return conditional_coverage(
         cfg.m_desired,
         coeff,
         cfg.noise_power,
-        math.hypot(r, cfg.uav_height),
+        np.hypot(r, cfg.uav_height),
         cfg.alpha_desired,
         *laplace_exponent_ucav(cfg, R),
     )
@@ -191,7 +159,9 @@ def _cells(t_b: float) -> tuple[list, list, list]:
     )
 
 
-def _pair_integrand(role: str, cfg: NetworkConfig, coeff: float, t_b: float):
+def _pair_integrand(
+    role: str, cfg: NetworkConfig, link: NomaLink, access: str, t_b: float
+):
     """The pair coverage integrand over (x, y) for the cells of ``_cells(t_b)``."""
     placement = _PLACEMENT[role]
     root_pl = math.sqrt(math.pi * cfg.uav_density)
@@ -205,15 +175,10 @@ def _pair_integrand(role: str, cfg: NetworkConfig, coeff: float, t_b: float):
         dt_dx = np.where(squared, 2.0 * t_end * x, t * span)
         R = t / root_pl
         r_over_R, density = placement(y)
-        cond = conditional_coverage(
-            cfg.m_desired,
-            coeff,
-            cfg.noise_power,
-            np.hypot(r_over_R * R, cfg.uav_height),
-            cfg.alpha_desired,
-            *laplace_exponent_ucav(cfg, R),
+        return (
+            2.0 * t * np.exp(-t * t) * dt_dx * density
+            * coverage_cond_pair(r_over_R * R, R, role, cfg, link, access)
         )
-        return 2.0 * t * np.exp(-t * t) * dt_dx * density * cond
 
     return integrand
 
@@ -231,15 +196,12 @@ def pair_quadrature(
     One array pass evaluates the kernel over the placement and
     nearest-neighbor nodes of every cell (see the module docstring).
     """
-    if access not in (NOMA, OMA):
-        raise DomainError(f"unknown access {access!r}")
     ts = thresholds(link, cfg, UAV_CENTRIC, access)
-    coeff = _pair_coefficient(ts, role, access)
-    if not math.isfinite(coeff):
+    if not math.isfinite(_pair_coefficient(ts, role, access)):
         return quadrature.Quadrature(0.0, 0.0)
     t_b = _split_point(cfg)
     result = quadrature.integrate(
-        _pair_integrand(role, cfg, coeff, t_b), *_cells(t_b)
+        _pair_integrand(role, cfg, link, access, t_b), *_cells(t_b)
     )
     check_probability(result.value, f"{role} user coverage")
     return result

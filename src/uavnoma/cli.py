@@ -5,7 +5,8 @@ Subcommands
 analytic   one configuration point through the closed forms
 mc         one configuration point through seeded Monte Carlo
 sweep      iterate one axis from a config file and write a CSV
-validate   run the internal cross-check suite (exit nonzero on any failure)
+validate   run the cross-check suite of ``validation`` (exit nonzero on any
+           failure)
 
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
 sections; dBm values are accepted at this boundary only and converted to
@@ -31,11 +32,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
-from .laplace import RadialTailExponent, conditional_coverage
 from .scenario import (
     NOMA,
     OMA,
@@ -137,15 +135,16 @@ def _reject_unknown(section: dict, path: str):
 
 def parse_network(section: dict) -> NetworkConfig:
     section = dict(section)
-    noise_watts = None
     if "noise_watts" in section:
         noise_watts = _take(section, "network", "noise_watts", float, None)
     elif "noise_dbm" in section:
         noise_watts = dbm_to_watts(_take(section, "network", "noise_dbm", float, None))
     else:
-        noise_watts = noise_from_bandwidth(
-            _take(section, "network", "noise_bandwidth_hz", float, 300e3)
-        )
+        bandwidth = _take(section, "network", "noise_bandwidth_hz", float, 300e3)
+        try:
+            noise_watts = noise_from_bandwidth(bandwidth)
+        except DomainError as exc:
+            raise ConfigError(f"network.noise_bandwidth_hz: {exc}") from None
     kwargs = dict(
         uav_density=_take(
             section, "network", "uav_density_per_m2", float, 1.0 / (500.0**2 * math.pi)
@@ -370,8 +369,10 @@ def run_sweep(
     Points that share an MC geometry key form one task, which simulates its
     batch once. An analytic-only sweep simulates nothing, so all its points
     form one task, evaluated in this process. Two or more tasks go to the
-    process pool; rows keep input order.
+    process pool; rows keep input order. An ``out_path`` that cannot be
+    written raises ``ConfigError`` before any point is computed.
     """
+    _check_writable(out_path)
     points = [(v, *apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
     for value, point_cfg, point_link in points:
         where = f"{spec.axis}={value:.10g}: "
@@ -402,6 +403,16 @@ def run_sweep(
             for row in rows:
                 writer.writerow(_format_row(row))
     return 0 if spec.mode == "analytic" else len(groups)
+
+
+def _check_writable(path: str) -> None:
+    folder = os.path.dirname(os.path.abspath(path))
+    if (
+        os.path.isdir(path)
+        or not os.access(folder, os.W_OK | os.X_OK)
+        or (os.path.exists(path) and not os.access(path, os.W_OK))
+    ):
+        raise ConfigError(f"--out {path}: cannot write a file there")
 
 
 def _format_row(row: dict) -> list[str]:
@@ -437,287 +448,6 @@ def _warn_infeasible(cfg, link, strategy, access, where=""):
             "allocation; the affected coverage is exactly zero",
             file=sys.stderr,
         )
-
-
-# ---------------------------------------------------------------------------
-# validation suite
-# ---------------------------------------------------------------------------
-
-
-def _radial_panels(u_break: float) -> list[float]:
-    """Panel edges in u = pi lam r^2 for the piecewise references: 0, 50
-    log-spaced panels from 1e-12 up to the cutoff u = 46, and ``u_break``.
-
-    The log-spaced edges put nodes wherever the coverage mass sits, down to
-    u = 1e-12; an adaptive rule over [0, 46] can miss mass packed below
-    u = 0.01 without noticing.
-    """
-    edges = {0.0, *np.geomspace(1e-12, 46.0, 51).tolist()}
-    if u_break < 46.0:
-        edges.add(u_break)
-    return sorted(edges)
-
-
-def adaptive_coverage_pair(
-    role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
-) -> float:
-    """UAV-centric pair coverage by tight nested adaptive quadrature.
-
-    The reference for the array rule of ``analytic_uav_centric.coverage_pair``:
-    the placement density integrated over r given R, then the
-    nearest-neighbor law over u = pi lam R^2 on the panels of
-    ``_radial_panels`` with a break at R = h, both at epsabs = 1e-12 and
-    epsrel = 1e-11.
-    """
-    from scipy import integrate
-
-    if role == analytic_uav_centric.NEAR:
-        lo, hi, density = 0.0, 0.25, 32.0
-    else:
-        lo, hi, density = 0.25, 0.5, 32.0 / 3.0
-    tol = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
-
-    def placement(R: float) -> float:
-        return integrate.quad(
-            lambda r: density * r / R**2 * analytic_uav_centric.coverage_cond_pair(
-                r, R, role, cfg, link, access
-            ),
-            lo * R,
-            hi * R,
-            **tol,
-        )[0]
-
-    pl = math.pi * cfg.uav_density
-    edges = _radial_panels(pl * cfg.uav_height**2)
-    return math.fsum(
-        integrate.quad(
-            lambda u: placement(math.sqrt(u / pl)) * math.exp(-u), a, b, **tol
-        )[0]
-        for a, b in zip(edges, edges[1:])
-    )
-
-
-def piecewise_user_centric_coverage(
-    subject: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
-) -> float:
-    """User-centric coverage of the "typical" or "fixed" user by piecewise quad.
-
-    The reference for the array rule of ``analytic_user_centric``: the radial
-    integral in u = pi lam r^2 with weight e^(-u) on the panels of
-    ``_radial_panels`` with a break at u_k = pi lam r_k^2, each panel by
-    ``quad`` at epsabs = 1e-14, epsrel = 1e-10. The conditional coverage is
-    written out here from the kernel and the thresholds: the typical user is
-    served at r, the fixed user at r_k, and both see the interference beyond
-    the typical user's serving distance.
-    """
-    from scipy import integrate
-
-    fixed = subject == "fixed"
-    ts = thresholds(
-        link.with_swapped_rates() if fixed else link, cfg, USER_CENTRIC, access
-    )
-    if access == OMA:
-        inner = outer = ts.coeff("oma")
-    elif fixed:
-        inner, outer = ts.coeff("far_own"), ts.coeff("near_joint")
-    else:
-        inner, outer = ts.coeff("near_joint"), ts.coeff("far_own")
-    pl = math.pi * cfg.uav_density
-    u_k = pl * link.fixed_user_dist**2
-
-    def integrand(u: float) -> float:
-        exclusion = math.hypot(math.sqrt(u / pl), cfg.uav_height)
-        served = math.hypot(link.fixed_user_dist, cfg.uav_height) if fixed else exclusion
-        return math.exp(-u) * conditional_coverage(
-            cfg.m_desired,
-            inner if u < u_k else outer,
-            cfg.noise_power,
-            served,
-            cfg.alpha_desired,
-            analytic_user_centric.laplace_exponent_uc(cfg, exclusion),
-        )
-
-    edges = _radial_panels(u_k)
-    return math.fsum(
-        integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-        for a, b in zip(edges, edges[1:])
-    )
-
-
-def quadrature_exponent_derivatives(
-    exponent: RadialTailExponent, s: float, order: int
-) -> list[float]:
-    """eta^(k)(s), k = 0..order, of a radial-tail exponent by adaptive quadrature.
-
-    The reference for the hypergeometric form of
-    ``RadialTailExponent.derivatives``. l = d0 x^(-1/(aI-2)) maps [d0, inf)
-    onto (0, 1] and turns the heavy l^(1-aI) tail into the bounded powers of
-    x below; with p = aI/(aI-2), q = P/(mI d0^aI) and z = s q,
-
-      k = 0:  scale Int_0^1 z phi(y)/y dx,  y = z x^p,
-              phi(y) = 1 - (1+y)^(-mI)  (phi(y)/y -> mI at y = 0)
-      k >= 1: scale sign_k (mI)_k q^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
-
-    with scale = 2 pi lam d0^2/(aI-2); no factor leaves double range down to
-    aI = 2.001. Raises ``NumericalError`` when ``quad`` misses 1e-8 relative.
-    """
-    from scipy import integrate
-
-    m_i = exponent.m_interf
-    a_i = exponent.alpha_interf
-    d0 = exponent.lower_dist3d
-    p = a_i / (a_i - 2.0)
-    q = exponent.tx_power / (m_i * d0**a_i)
-    z = s * q
-    scale = 2.0 * math.pi * exponent.density * d0 * d0 / (a_i - 2.0)
-
-    def phi_over_y(y):
-        # -expm1(-m log1p(y)) avoids the 1 - (1+y)^(-m) cancellation
-        return -math.expm1(-m_i * math.log1p(y)) / y if y > 0.0 else m_i
-
-    values = []
-    for k in range(order + 1):
-        if k == 0:
-            f = lambda x: z * phi_over_y(z * x**p)
-            factor = 1.0
-        else:
-            f = lambda x, _k=k: x ** (p * (_k - 1)) * (1.0 + z * x**p) ** (-m_i - _k)
-            factor = (-1.0) ** (k + 1) * math.prod(range(m_i, m_i + k)) * q**k
-        value, err = integrate.quad(
-            f, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=300, full_output=1
-        )[:2]
-        if value != 0.0 and err > 1e-8 * abs(value):
-            raise NumericalError(
-                "interference exponent quadrature out of tolerance", err
-            )
-        values.append(factor * scale * value)
-    return values
-
-
-def _validate_checks(quick: bool, seed: int):
-    density = 1.0 / (500.0**2 * math.pi)
-    cfg = NetworkConfig(
-        uav_density=density, tx_power=1e-6, alpha_desired=3.0, m_interf=1
-    )
-    cfg_uav = replace(cfg, alpha_desired=3.5)
-    link_uav = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
-
-    def special_case_identity():
-        worst = 0.0
-        for dist in (150.0, 450.0, 1200.0):
-            for s in np.logspace(2.0, 8.0, 13):
-                general = analytic_user_centric.laplace_exponent_uc(
-                    cfg, dist
-                ).value_at(float(s))
-                closed = analytic_user_centric.rayleigh_tail_exponent_arctan(
-                    float(s), dist, cfg
-                )
-                worst = max(worst, abs(general - closed) / closed)
-        return worst, 1e-8
-
-    def ring_identity():
-        worst = 0.0
-        for R in (220.0, 470.0, 900.0):
-            for s in np.logspace(2.0, 10.0, 9):
-                general = analytic_uav_centric.nearest_ring_exponent_ucav(
-                    cfg, R
-                ).value_at(float(s))
-                closed = analytic_uav_centric.rayleigh_ring_exponent(float(s), R, cfg)
-                worst = max(worst, abs(general - closed) / closed)
-        return worst, 1e-12
-
-    def hypergeometric_vs_quadrature():
-        worst = 0.0
-        cases = [(2, 3.5, 300.0, z) for z in (1e-3, 0.5, 0.94, 0.96, 3.0, 1e3)]
-        cases += [(1, 2.05, 314.0, z) for z in (0.5, 0.99, 50.0)]
-        for m_i, a_i, d0, z in cases:
-            exponent = RadialTailExponent(density, 1e-6, a_i, m_i, d0)
-            s = z * m_i * d0**a_i / 1e-6
-            reference = quadrature_exponent_derivatives(exponent, s, 2)
-            for got, want in zip(exponent.derivatives(s, 2).values, reference):
-                worst = max(worst, abs(got - want) / abs(want))
-        return worst, 1e-8
-
-    def derivative_finite_differences():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        draws = 5 if quick else 20
-        for _ in range(draws):
-            dist = rng.uniform(150.0, 900.0)
-            s0 = rng.uniform(0.3, 3.0) * dist**4 / (1e-6) * 1e-3
-            exponent = analytic_user_centric.laplace_exponent_uc(cfg, dist)
-            transform = lambda s: math.exp(-exponent.value_at(s))
-            etas = exponent.derivatives(s0, 1).values
-            analytic_d1 = -etas[1] * math.exp(-etas[0])
-            h = s0 * 1e-5
-            fd = (transform(s0 + h) - transform(s0 - h)) / (2.0 * h)
-            worst = max(worst, abs(analytic_d1 - fd) / abs(fd))
-        return worst, 1e-4
-
-    def analytic_vs_mc_user_centric():
-        trials = 20_000 if quick else 100_000
-        link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
-        est, est_fixed = montecarlo.run_user_centric(cfg, link, NOMA, trials, seed)
-        gap = abs(est.p_hat - analytic_user_centric.coverage_typical(cfg, link, NOMA))
-        gap_fixed = abs(
-            est_fixed.p_hat - analytic_user_centric.coverage_fixed(cfg, link, NOMA)
-        )
-        return max(gap, gap_fixed), 0.02
-
-    def analytic_vs_mc_uav_centric():
-        trials = 20_000 if quick else 100_000
-        gap = max(
-            abs(
-                est.p_hat
-                - analytic_uav_centric.coverage_pair(est.user_role, cfg_uav, link_uav)
-            )
-            for est in montecarlo.run_uav_centric(cfg_uav, link_uav, NOMA, trials, seed)
-        )
-        return gap, 0.02
-
-    def array_rule_vs_adaptive():
-        # a sparse network with a steep serving link, where the near user's
-        # coverage falls off within the first few percent of its disc
-        sparse = replace(
-            cfg_uav, uav_density=density / 100.0, uav_height=30.0,
-            alpha_desired=4.5, m_desired=3,
-        )
-        near = analytic_uav_centric.NEAR
-        result = analytic_uav_centric.pair_quadrature(near, sparse, link_uav)
-        error = abs(result.value - adaptive_coverage_pair(near, sparse, link_uav))
-        return error, 1e-6, f"(estimate {result.estimate:.3e})"
-
-    def ring_series_coefficient():
-        R = 430.0
-        l_i = math.hypot(R, cfg.uav_height)
-        s = 0.5 * l_i**cfg.alpha_interf / cfg.tx_power
-        exact = analytic_uav_centric.nearest_ring_exponent_ucav(cfg, R).value_at(s)
-        series = analytic_uav_centric.nearest_ring_exponent_series(s, R, cfg, 120)
-        return abs(series - exact) / exact, 1e-9
-
-    return [
-        ("closed-form identity (arctan vs general)", special_case_identity),
-        ("nearest-ring identity (elementary vs general)", ring_identity),
-        ("hypergeometric vs quadrature exponent", hypergeometric_vs_quadrature),
-        ("transform derivative vs finite differences", derivative_finite_differences),
-        ("nearest-ring binomial series", ring_series_coefficient),
-        ("analytic vs MC, user-centric", analytic_vs_mc_user_centric),
-        ("analytic vs MC, UAV-centric", analytic_vs_mc_uav_centric),
-        ("UAV-centric array rule vs adaptive quadrature, sparse", array_rule_vs_adaptive),
-    ]
-
-
-def run_validation(quick: bool, seed: int) -> int:
-    failures = 0
-    for name, check in _validate_checks(quick, seed):
-        achieved, bound, *note = check()
-        ok = achieved <= bound
-        failures += not ok
-        print(
-            f"{'PASS' if ok else 'FAIL'}  {name}: {achieved:.3e} <= {bound:.0e}",
-            *note,
-        )
-    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +516,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return run_validation(args.quick, args.seed)
+            from . import validation
+
+            return validation.run_validation(args.quick, args.seed)
 
         raw = load_config(args.config)
         cfg = parse_network(raw.get("network", {}))

@@ -13,7 +13,7 @@ coverage probability exactly zero downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -28,8 +28,11 @@ OMA = "oma"
 
 
 def dbm_to_watts(dbm: float) -> float:
-    """Convert a power in dBm to watts."""
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    """Convert a power in dBm to watts; inf where the power overflows."""
+    try:
+        return 10.0 ** (dbm / 10.0) * 1e-3
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -44,6 +47,15 @@ def noise_from_bandwidth(bw_hz: float) -> float:
     if bw_hz <= 0.0:
         raise DomainError(f"bandwidth must be positive, got {bw_hz}")
     return dbm_to_watts(-174.0 + 10.0 * math.log10(bw_hz))
+
+
+def _check_finite(config) -> None:
+    """Raise ``DomainError`` naming the first field of ``config`` that is NaN
+    or infinite; NaN would pass every range check below."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,7 @@ class NetworkConfig:
     hole_halfwidth: float = 0.1
 
     def __post_init__(self):
+        _check_finite(self)
         if self.uav_density <= 0.0:
             raise DomainError("uav_density must be positive")
         if self.tx_power <= 0.0 or self.noise_power <= 0.0:
@@ -122,6 +135,7 @@ class NomaLink:
     fixed_user_dist: float = 300.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not math.isclose(self.pw_far + self.pw_near, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError("power fractions must sum to 1")
         if self.pw_far <= 0.0 or self.pw_near <= 0.0:

@@ -59,16 +59,6 @@ def nearest_distance_cdf(r, density: float):
     return -np.expm1(-math.pi * density * r * r)
 
 
-def nearest_distance_sample(
-    density: float, rng: np.random.Generator, size=None
-):
-    """Inverse-CDF sample of the nearest-point distance: sqrt(-ln U / (pi lam))."""
-    if density <= 0.0:
-        raise DomainError("density must be positive")
-    u = rng.uniform(0.0, 1.0, size)
-    return np.sqrt(-np.log1p(-u) / (math.pi * density))
-
-
 def sample_near_user(R, rng: np.random.Generator) -> np.ndarray:
     """Horizontal radius of a near user in each cell radius of ``R``: density
     32 r / R^2 on [0, R/4]. Draws one uniform per element of ``R``, in order."""

@@ -12,21 +12,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from uavnoma.analytic_uav_centric import (
-    laplace_exponent_ucav,
-    nearest_ring_exponent_ucav,
-    rayleigh_ring_exponent,
-)
+from uavnoma import montecarlo
+from uavnoma.analytic_uav_centric import laplace_exponent_ucav, nearest_ring_exponent_ucav
 from uavnoma.analytic_uav_centric import FAR as UAV_FAR
 from uavnoma.analytic_uav_centric import NEAR as UAV_NEAR
 from uavnoma.analytic_uav_centric import coverage_cond_pair, coverage_pair
 from uavnoma.analytic_user_centric import (
-    NEAR,
     coverage_cond,
     coverage_fixed,
     coverage_typical,
     laplace_exponent_uc,
-    rayleigh_tail_exponent_arctan,
 )
 from uavnoma.channel import sample_nakagami_power
 from uavnoma.montecarlo import (
@@ -37,12 +32,8 @@ from uavnoma.montecarlo import (
     wilson_interval,
 )
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
-from uavnoma.spatial import (
-    far_user_pdf,
-    near_user_pdf,
-    nearest_distance_cdf,
-    nearest_distance_sample,
-)
+from uavnoma.spatial import far_user_pdf, near_user_pdf, nearest_distance_cdf
+from uavnoma.validation import rayleigh_ring_exponent, rayleigh_tail_exponent_arctan
 from uavnoma.specfun import exp_composition_derivatives
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -203,7 +194,7 @@ def test_criterion_4_infeasibility_exactness(uav_batch):
         rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0, fixed_user_dist=300.0
     )
     analytic_near = max(
-        coverage_cond(r, NEAR, cfg, uc_link) for r in (10.0, 150.0, 290.0)
+        coverage_cond(r, cfg, uc_link) for r in (10.0, 150.0, 290.0)
     )
     all_near_link = NomaLink(
         rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0, fixed_user_dist=90_000.0
@@ -386,16 +377,20 @@ def test_criterion_7_noma_vs_oma():
 
 def test_criterion_8_distribution_sanity():
     """Samplers match their closed-form laws: KS at 1% for the nearest-UAV
-    distance, exact placement normalization, Nakagami mean within 3 sigma."""
-    rng = np.random.default_rng(SEED)
-    samples = nearest_distance_sample(DENSITY, rng, size=100_000)
-    ks = stats.kstest(samples, lambda r: nearest_distance_cdf(r, DENSITY))
+    distance the Monte Carlo engine draws (``sample_hppp_disc`` fields in its
+    Philox blocks, reduced to each trial's minimum radius; the 10 km disc is
+    empty with probability e^-400), exact placement normalization, Nakagami
+    mean within 3 sigma."""
+    block = lambda rng, field, cfg: [field.nearest]
+    nearest = montecarlo._simulate(uc_cfg(), 100_000, SEED, 1, block)[0]
+    ks = stats.kstest(nearest, lambda r: nearest_distance_cdf(r, DENSITY))
 
     R = 173.0
     near_total, _ = integrate.quad(lambda r: near_user_pdf(r, R), 0.0, R / 4.0)
     far_total, _ = integrate.quad(lambda r: far_user_pdf(r, R), R / 4.0, R / 2.0)
 
     draws = 1_000_000
+    rng = np.random.default_rng(SEED)
     mean_gap = abs(float(np.mean(sample_nakagami_power(2, rng, draws))) - 1.0)
     three_sigma = 3.0 * math.sqrt(0.5 / draws)
 

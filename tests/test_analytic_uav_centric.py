@@ -17,17 +17,19 @@ from uavnoma.analytic_uav_centric import (
     coverage_cond_pair,
     coverage_pair,
     laplace_exponent_ucav,
-    nearest_ring_exponent_series,
     nearest_ring_exponent_ucav,
-    rayleigh_ring_exponent,
     tail_exponent_ucav,
     _PLACEMENT,
 )
-from uavnoma.cli import adaptive_coverage_pair
 from uavnoma.errors import DomainError, NumericalError
 from uavnoma.laplace import conditional_coverage
 from uavnoma.quadrature import integrate
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
+from uavnoma.validation import (
+    adaptive_coverage_pair,
+    nearest_ring_exponent_series,
+    rayleigh_ring_exponent,
+)
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 
@@ -110,6 +112,20 @@ class TestCoverageCondPair:
             coverage_cond_pair(200.0, 400.0, NEAR, cfg, LINK)
         with pytest.raises(DomainError):
             coverage_cond_pair(50.0, 400.0, FAR, cfg, LINK)
+        # on arrays the error names the first offending pair
+        with pytest.raises(DomainError, match=r"r=150.0, R=500.0"):
+            coverage_cond_pair([50.0, 150.0, 200.0], [400.0, 500.0, 400.0], NEAR, cfg, LINK)
+
+    @pytest.mark.parametrize("role", [NEAR, FAR])
+    def test_arrays_match_scalar_calls(self, role):
+        cfg = make_cfg(m_desired=3, m_interf=2)
+        R = np.array([[180.0], [450.0], [1300.0]])
+        r = R * (np.array([0.05, 0.2, 0.25]) if role == NEAR else np.array([0.25, 0.4, 0.5]))
+        values = coverage_cond_pair(r, R, role, cfg, LINK)
+        assert values.shape == (3, 3)
+        for i, j in np.ndindex(values.shape):
+            scalar = coverage_cond_pair(float(r[i, j]), float(R[i, 0]), role, cfg, LINK)
+            assert values[i, j] == pytest.approx(scalar, rel=1e-13)
 
     def test_infeasible_sic_residue_is_zero_everywhere(self):
         cfg = make_cfg()
@@ -370,7 +386,7 @@ DOMAIN_PINS = {
 class TestCoveragePairAcrossDomain:
     """The self-checking array rule against converged adaptive quadrature.
 
-    DOMAIN_PINS come from ``uavnoma.cli.adaptive_coverage_pair``, nested
+    DOMAIN_PINS come from ``uavnoma.validation.adaptive_coverage_pair``, nested
     adaptive quad on 50 log-spaced panels in u = pi lam R^2 with a break at
     R = h. From the repository root, regenerate them with
 

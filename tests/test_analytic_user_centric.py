@@ -4,13 +4,14 @@ The conditional-coverage oracle is a pinned-geometry Monte Carlo written
 inline with its own SINR chain, independent of the package's engine. The
 exponent pins in ``EXPONENT_PINS`` come from 40-digit mpmath and the
 coverage pins in ``LOW_UAV_PINS`` from the piecewise quadrature
-``uavnoma.cli.piecewise_user_centric_coverage``; running this file as a
+``uavnoma.validation.piecewise_user_centric_coverage``; running this file as a
 script regenerates both:
 
     PYTHONPATH=src python tests/test_analytic_user_centric.py
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,16 +19,11 @@ from scipy.special import gammaincc
 
 from uavnoma import analytic_user_centric
 from uavnoma.analytic_user_centric import (
-    FAR,
-    NEAR,
-    OMA_CASE,
     coverage_cond,
     coverage_fixed,
     coverage_typical,
     laplace_exponent_uc,
-    rayleigh_tail_exponent_arctan,
 )
-from uavnoma.cli import piecewise_user_centric_coverage, quadrature_exponent_derivatives
 from uavnoma.errors import NumericalError
 from uavnoma.laplace import (
     SERIES,
@@ -36,8 +32,21 @@ from uavnoma.laplace import (
     RadialTailExponent,
     conditional_coverage,
 )
-from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, noise_from_bandwidth
+from uavnoma.scenario import (
+    NOMA,
+    OMA,
+    USER_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+    noise_from_bandwidth,
+    thresholds,
+)
 from uavnoma.specfun import exp_composition_derivatives
+from uavnoma.validation import (
+    piecewise_user_centric_coverage,
+    quadrature_exponent_derivatives,
+    rayleigh_tail_exponent_arctan,
+)
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 
@@ -58,6 +67,8 @@ def make_cfg(**kw):
 
 
 LINK = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
+# the same pair with r_k beyond 300 m, so a typical user at r = 300 m is near
+FAR_FIXED_LINK = replace(LINK, fixed_user_dist=400.0)
 
 # (tx_power, alpha_interf, m_interf, d0, s) at DENSITY -> eta, eta', eta''
 # from 40-digit mpmath. "steep" is z = 1e8 at aI = 4.5, where the former
@@ -273,7 +284,7 @@ class TestCoverageCond:
         # m=1: coverage reduces to exp(-M sigma^2 d^a) * L(M d^a)
         cfg = make_cfg()
         r = 300.0
-        value = coverage_cond(r, NEAR, cfg, LINK)
+        value = coverage_cond(r, cfg, FAR_FIXED_LINK)
         eps_t, eps_f = 1.0, 2.0**0.5 - 1.0
         m_star = max(
             eps_t / (cfg.tx_power * 0.4),
@@ -289,13 +300,38 @@ class TestCoverageCond:
     def test_infeasible_coefficient_gives_zero(self):
         cfg = make_cfg()
         bad = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.9, fixed_user_dist=300.0)
-        assert coverage_cond(200.0, NEAR, cfg, bad) == 0.0
+        assert coverage_cond(200.0, cfg, bad) == 0.0
 
     def test_bounded(self):
+        # r = 10 and 150 m run the near chain, 600 and 2500 m the far one
         cfg = make_cfg(m_desired=3, m_interf=2)
         for r in (10.0, 150.0, 600.0, 2500.0):
-            for case in (NEAR, FAR, OMA_CASE):
-                assert 0.0 <= coverage_cond(r, case, cfg, LINK) <= 1.0
+            for access in (NOMA, OMA):
+                assert 0.0 <= coverage_cond(r, cfg, LINK, access) <= 1.0
+
+    def test_role_switches_at_fixed_user_distance(self):
+        # below r_k the SIC chain's joint coefficient, from r_k on the far
+        # decode, exactly as the Monte Carlo's near_case splits the trials
+        cfg = make_cfg(m_desired=2)
+        ts = thresholds(LINK, cfg, USER_CENTRIC, NOMA)
+        r = np.array([100.0, 299.0, 300.0, 800.0])
+        coeff = np.array([ts.coeff("near_joint")] * 2 + [ts.coeff("far_own")] * 2)
+        dist = np.hypot(r, cfg.uav_height)
+        want = conditional_coverage(
+            2, coeff, cfg.noise_power, dist, cfg.alpha_desired,
+            laplace_exponent_uc(cfg, dist),
+        )
+        np.testing.assert_array_equal(coverage_cond(r, cfg, LINK), want)
+        # the fixed user, served from R_k at swapped rates, plays the other role
+        ts = thresholds(LINK.with_swapped_rates(), cfg, USER_CENTRIC, NOMA)
+        coeff = np.array([ts.coeff("far_own")] * 2 + [ts.coeff("near_joint")] * 2)
+        want = conditional_coverage(
+            2, coeff, cfg.noise_power, math.hypot(300.0, cfg.uav_height),
+            cfg.alpha_desired, laplace_exponent_uc(cfg, dist),
+        )
+        np.testing.assert_array_equal(
+            analytic_user_centric._coverage_cond_fixed(r, cfg, LINK), want
+        )
 
     @pytest.mark.parametrize("fading_order", [1, 3])
     def test_value_above_one_raises(self, fading_order):
@@ -339,8 +375,10 @@ class TestCoverageCond:
     def test_m2_against_pinned_geometry_oracle(self):
         cfg = make_cfg(m_desired=2)
         r = 300.0
-        analytic = coverage_cond(r, NEAR, cfg, LINK)
-        oracle = _pinned_near_case_oracle(cfg, LINK, r, trials=1_000_000, seed=2024)
+        analytic = coverage_cond(r, cfg, FAR_FIXED_LINK)
+        oracle = _pinned_near_case_oracle(
+            cfg, FAR_FIXED_LINK, r, trials=1_000_000, seed=2024
+        )
         assert abs(analytic - oracle) < 0.01
 
 
@@ -386,10 +424,10 @@ class TestCoverageTypical:
 
         cfg = make_cfg()
 
-        def pure_branch(case):
+        def pure_branch(link):
             pl = math.pi * cfg.uav_density
             value, _ = integrate.quad(
-                lambda u: coverage_cond(math.sqrt(u / pl), case, cfg, LINK)
+                lambda u: coverage_cond(math.sqrt(u / pl), cfg, link)
                 * math.exp(-u),
                 0.0,
                 np.inf,
@@ -397,10 +435,12 @@ class TestCoverageTypical:
             )
             return value
 
-        near_only = coverage_typical(cfg, NomaLink(fixed_user_dist=1e7), NOMA)
-        far_only = coverage_typical(cfg, NomaLink(fixed_user_dist=1e-8), NOMA)
-        assert near_only == pytest.approx(pure_branch(NEAR), abs=2e-5)
-        assert far_only == pytest.approx(pure_branch(FAR), abs=2e-5)
+        near_link = NomaLink(fixed_user_dist=1e7)
+        far_link = NomaLink(fixed_user_dist=1e-8)
+        near_only = coverage_typical(cfg, near_link, NOMA)
+        far_only = coverage_typical(cfg, far_link, NOMA)
+        assert near_only == pytest.approx(pure_branch(near_link), abs=2e-5)
+        assert far_only == pytest.approx(pure_branch(far_link), abs=2e-5)
 
     def test_interference_exponent_near_two(self):
         # heavier interference at aI = 2.05 than at 2.5: lower coverage,

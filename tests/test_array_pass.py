@@ -197,9 +197,8 @@ def _unit(n):
 
 def _array_base_rule(role, cfg, link, access):
     """Q_n of ``coverage_pair``: its integrand on the base rule of each cell."""
-    coeff = uav._pair_coefficient(thresholds(link, cfg, UAV_CENTRIC, access), role, access)
     t_b = uav._split_point(cfg)
-    integrand = uav._pair_integrand(role, cfg, coeff, t_b)
+    integrand = uav._pair_integrand(role, cfg, link, access, t_b)
     total = 0.0
     for lo, hi, counts in zip(*uav._cells(t_b)):
         (nx, ny), weights = _tensor_rule(counts)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavnoma import montecarlo
+from uavnoma import analytic_uav_centric, analytic_user_centric, montecarlo
 from uavnoma.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -55,6 +55,33 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# every float field of the network and link sections
+FLOAT_FIELDS = [
+    ("network", key)
+    for key in (
+        "uav_density_per_m2",
+        "tx_power_dbm",
+        "alpha_desired",
+        "uav_height_m",
+        "alpha_interf",
+        "sim_disc_radius_m",
+        "hole_halfwidth_m",
+        "noise_watts",
+        "noise_dbm",
+        "noise_bandwidth_hz",
+    )
+] + [
+    ("link", key)
+    for key in (
+        "power_split_far",
+        "rate_near_bpcu",
+        "rate_far_bpcu",
+        "ipsic",
+        "fixed_user_dist_m",
+    )
+]
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +149,18 @@ class TestConfigParsing:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, section, key, literal):
+        # json reads NaN, Infinity and 1e400 as floats; NaN passes every
+        # range check, so the configs must reject non-finite values outright
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload[section][key] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload).replace('"@"', literal))
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}")
+
     def test_integral_float_is_an_integer(self):
         assert parse_network({"m_desired": 2.0}).m_desired == 2
         assert type(parse_network({"m_desired": 2.0}).m_desired) is int
@@ -133,12 +172,13 @@ class TestConfigParsing:
             load_config(str(path))
 
 
-# every JSON scalar, including floats half-way between integers
+# every JSON scalar, including floats half-way between integers and the
+# NaN and infinities that Python's json accepts
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats(allow_nan=False),
+    st.floats(allow_nan=True),
     st.integers(-50, 50).map(lambda n: n + 0.5),
     st.text(max_size=4),
 )
@@ -177,7 +217,7 @@ class TestConfigParsingProperties:
         if cfg is not None:
             assert _is_number(value)
             assert type(cfg.uav_height) is float and cfg.uav_height == value
-        if not _is_number(value):
+        if not _is_number(value) or not math.isfinite(value):
             assert cfg is None
         if type(value) is float and 1.0 <= value < math.inf:
             assert cfg is not None
@@ -327,6 +367,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         points = len(payload["sweep"]["values"])
         assert capsys.readouterr().out == f"wrote {out}: {points} points, {batches}\n"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch, strategy):
+        calls = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner in (analytic_user_centric, analytic_uav_centric):
+            counting(owner, "conditional_coverage")
+        for name in ("simulate_user_centric", "simulate_uav_centric"):
+            counting(montecarlo, name)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["strategy"] = strategy
+        cfg_path = write_config(tmp_path, payload)
+        for out in (tmp_path / "missing" / "o.csv", tmp_path):
+            assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+            assert f"error: --out {out}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
 
 
 class TestGeometryGrouping:
@@ -520,6 +588,26 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+    def test_production_imports_leave_references_unloaded(self):
+        # the references and scipy.integrate load only for ``uavnoma validate``
+        # and the tests, never with the package or any production module
+        modules = sorted(
+            f"uavnoma.{path.stem}"
+            for path in (REPO / "src" / "uavnoma").glob("*.py")
+            if path.stem not in ("__init__", "validation")
+        )
+        code = (
+            f"import sys, uavnoma, {', '.join(modules)}; "
+            "print('uavnoma.validation' in sys.modules, 'scipy.integrate' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(modules) >= 11
+        assert result.stdout.strip() == "False False"
 
 
 class TestShippedConfigs:

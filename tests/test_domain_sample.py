@@ -6,8 +6,8 @@ m_d in 1..5, m_I in 1..3, alpha_I in [2.05, 4], alpha_d in [2.5, 4.5],
 -40 to +30 dBm, h from 1 to 2000 m and the density from lam0/100 to
 10 lam0 (both log-uniform), rates, ipSIC, power split and r_k. Every value
 must lie within 1e-6 of its tight reference in ``REFERENCES``:
-``uavnoma.cli.adaptive_coverage_pair`` (UAV-centric) or
-``uavnoma.cli.piecewise_user_centric_coverage`` (user-centric), both
+``uavnoma.validation.adaptive_coverage_pair`` (UAV-centric) or
+``uavnoma.validation.piecewise_user_centric_coverage`` (user-centric), both
 adaptive quadrature on 50 log-spaced panels. The references take minutes,
 so they are pinned; regenerate them from the repository root with
 
@@ -71,7 +71,7 @@ def closed_form(strategy, role, access, cfg, link) -> float:
 
 
 def reference(strategy, role, access, cfg, link) -> float:
-    from uavnoma.cli import adaptive_coverage_pair, piecewise_user_centric_coverage
+    from uavnoma.validation import adaptive_coverage_pair, piecewise_user_centric_coverage
 
     if strategy == "uav":
         return adaptive_coverage_pair(role, cfg, link, access)

@@ -6,19 +6,30 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from uavnoma import montecarlo
 from uavnoma.errors import DomainError
+from uavnoma.scenario import NetworkConfig
 from uavnoma.spatial import (
     far_user_pdf,
     near_user_pdf,
     nearest_distance_cdf,
     nearest_distance_pdf,
-    nearest_distance_sample,
     sample_far_user,
     sample_hppp_disc,
     sample_near_user,
 )
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
+
+
+def engine_nearest_distances(trials, seed):
+    """Nearest-UAV distance of each trial as the Monte Carlo geometry phase
+    draws it: ``sample_hppp_disc`` fields on the 10 km disc in the engine's
+    Philox blocks, each trial reduced to its minimum radius. The disc changes
+    nothing measurable: it is empty with probability e^-400."""
+    cfg = NetworkConfig(uav_density=DENSITY, tx_power=1e-6, alpha_desired=3.0)
+    block = lambda rng, field, cfg: [field.nearest]
+    return montecarlo._simulate(cfg, trials, seed, 1, block)[0]
 
 
 class TestHpppDisc:
@@ -118,21 +129,17 @@ class TestNearestDistance:
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_median(self):
-        rng = np.random.default_rng(11)
-        samples = nearest_distance_sample(DENSITY, rng, size=100_000)
+    def test_engine_draw_median(self):
+        # the sample median's standard error is 1/(2 f(m) sqrt(n)) = 0.67 m at
+        # m = 500 sqrt(ln 2) and n = 200k, so 2 m is three of them
+        samples = engine_nearest_distances(200_000, seed=11)
         expected = 500.0 * math.sqrt(math.log(2.0))
         assert abs(np.median(samples) - expected) < 2.0
 
-    def test_kolmogorov_smirnov(self):
-        rng = np.random.default_rng(1234)
-        samples = nearest_distance_sample(DENSITY, rng, size=100_000)
+    def test_engine_draw_kolmogorov_smirnov(self):
+        samples = engine_nearest_distances(100_000, seed=1234)
         result = stats.kstest(samples, lambda r: nearest_distance_cdf(r, DENSITY))
         assert result.pvalue > 0.01
-
-    def test_rejects_bad_density(self):
-        with pytest.raises(DomainError):
-            nearest_distance_sample(0.0, np.random.default_rng(0))
 
 
 class TestPairedUserPlacement:
