@@ -11,11 +11,11 @@ validate   run the cross-check suite of ``validation`` (exit nonzero on any
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
 sections; dBm values are accepted at this boundary only and converted to
 watts once. A sweep groups its points by Monte Carlo geometry key and
-simulates each group's batch once. An analytic-only sweep simulates nothing
-and runs in the calling process, where every closed form is one array pass;
-a sweep of two or more geometry groups dispatches them to a process pool
-whose size comes from UAVNOMA_THREADS (at least 1; default: all cores).
-Output rows keep input order.
+simulates each group's batch once; groups run one after another in the
+calling process, and each batch is drawn on threads over block ranges
+(``montecarlo``), as many as UAVNOMA_THREADS allows (at least 1; default:
+every core this process may use). An analytic-only sweep simulates nothing;
+every closed form is one array pass. Output rows keep input order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration,
 3 numerical failure.
@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
@@ -349,16 +348,12 @@ def evaluate_point(
 
 
 def worker_count() -> int:
-    env = os.environ.get("UAVNOMA_THREADS")
-    if not env:
-        return os.cpu_count() or 1
+    """``montecarlo.thread_count()``; a bad ``UAVNOMA_THREADS`` raises
+    ``ConfigError``."""
     try:
-        count = int(env)
-    except ValueError:
-        raise ConfigError(f"UAVNOMA_THREADS: expected an integer, got {env!r}")
-    if count < 1:
-        raise ConfigError(f"UAVNOMA_THREADS: must be at least 1, got {env!r}")
-    return count
+        return montecarlo.thread_count()
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_sweep(
@@ -366,11 +361,11 @@ def run_sweep(
 ) -> int:
     """Write the sweep's CSV; returns the number of MC geometry batches.
 
-    Points that share an MC geometry key form one task, which simulates its
-    batch once. An analytic-only sweep simulates nothing, so all its points
-    form one task, evaluated in this process. Two or more tasks go to the
-    process pool; rows keep input order. An ``out_path`` that cannot be
-    written raises ``ConfigError`` before any point is computed.
+    Points that share an MC geometry key form one group, which simulates its
+    batch once (on ``montecarlo``'s threads); groups run one after another
+    and rows keep input order. An analytic-only sweep simulates nothing, so
+    all its points form one group. An ``out_path`` that cannot be written
+    raises ``ConfigError`` before any point is computed.
     """
     _check_writable(out_path)
     points = [(v, *apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
@@ -385,15 +380,9 @@ def run_sweep(
             else _mc_geometry_key(point_cfg, point_link, spec.strategy)
         )
         groups.setdefault(key, []).append(index)
-    tasks = [[points[i] for i in members] for members in groups.values()]
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_group_rows, [spec] * len(tasks), tasks))
-    else:
-        results = [_group_rows(spec, task) for task in tasks]
     point_rows = [None] * len(points)
-    for members, group_rows in zip(groups.values(), results):
+    for members in groups.values():
+        group_rows = _group_rows(spec, [points[i] for i in members])
         for index, rows in zip(members, group_rows):
             point_rows[index] = rows
     with open(out_path, "w", newline="") as handle:
@@ -515,6 +504,7 @@ def _point_spec(raw: dict, args, mode: str) -> SweepSpec:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        worker_count()  # a bad UAVNOMA_THREADS exits 2 before any work
         if args.command == "validate":
             from . import validation
 

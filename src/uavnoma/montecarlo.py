@@ -5,9 +5,12 @@ block owns a counter-based random stream (Philox keyed by the run seed,
 counter = block index << 128), so a rerun with the same seed reproduces every
 draw, and an n-trial run is the prefix of any longer run: a run whose trial
 count is not a multiple of ``_BLOCK`` draws its last block in full and keeps
-the first trials. Blocks run one after another in a single thread; throughput
-parallelism lives one level up, in the CLI's process pool over sweep points
-(threads here would only contend for the interpreter lock).
+the first trials. A batch's blocks are cut into contiguous ranges, drawn on
+threads (``thread_count``, capped by the cores this process may use): numpy's
+Philox fills and its ufunc loops over a block's UAV points release the
+interpreter lock. A block's draws do not depend on the thread that makes
+them, so a batch is the same on any number of threads. Only the block
+functions and the samplers they call run on those threads.
 
 Each run is split into two phases. The geometry phase draws everything that
 does not depend on transmit power, rates, power split, or SIC quality: UAV
@@ -57,6 +60,8 @@ Interference conventions (mirroring the analytic conditioning):
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +116,12 @@ def wilson_interval(
 # trials per Philox stream; fixes the memory of the geometry phase whatever
 # the trial count
 _BLOCK = 32
+
+# shortest block range worth a thread of its own (1,024 trials): on a 2-core
+# host two ranges of 32 blocks beat one thread in 19 or more of 21 timed
+# pairs with either strategy, while at 16 blocks the user-centric batch won
+# only 4 of 21
+_MIN_RANGE_BLOCKS = 32
 
 
 def _check_seed(seed: int):
@@ -415,6 +426,28 @@ def run_uav_centric(
 # ---------------------------------------------------------------------------
 
 
+def thread_count() -> int:
+    """Threads a batch may be drawn on: ``UAVNOMA_THREADS``, a whole number
+    of at least 1, by default every core this process may run on."""
+    env = os.environ.get("UAVNOMA_THREADS")
+    if not env:
+        return _usable_cores()
+    try:
+        count = int(env)
+    except ValueError:
+        raise DomainError(
+            f"UAVNOMA_THREADS: expected an integer, got {env!r}"
+        ) from None
+    if count < 1:
+        raise DomainError(f"UAVNOMA_THREADS: must be at least 1, got {env!r}")
+    return count
+
+
+def _usable_cores() -> int:
+    # the cores this process may run on, not the host's (os.cpu_count)
+    return len(os.sched_getaffinity(0))
+
+
 def _simulate(
     cfg: NetworkConfig, trials: int, seed: int, fields: int, block, *args
 ) -> np.ndarray:
@@ -425,20 +458,35 @@ def _simulate(
     trials and calls ``block(rng, field, cfg, *args)``, which draws the rest
     of the block from that stream and returns ``fields`` arrays of ``_BLOCK``
     values. The last block is drawn in full and truncated.
+
+    The blocks are cut into contiguous ranges of at least
+    ``_MIN_RANGE_BLOCKS`` blocks, one per thread, and each thread fills its
+    own columns of the result; a block's draws do not depend on which thread
+    draws it, so every batch is bit-identical to the one-thread batch.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     _check_seed(seed)
     rows = np.empty((fields, trials))
-    for start in range(0, trials, _BLOCK):
-        counter = (start // _BLOCK) << 128
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
-        field = _Field(
-            *sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng)
-        )
-        values = block(rng, field, cfg, *args)
-        stop = min(start + _BLOCK, trials)
-        rows[:, start:stop] = np.array(values)[:, : stop - start]
+
+    def fill(first: int, end: int):
+        for b in range(first, end):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
+            field = _Field(
+                *sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng)
+            )
+            values = block(rng, field, cfg, *args)
+            start, stop = b * _BLOCK, min((b + 1) * _BLOCK, trials)
+            rows[:, start:stop] = np.array(values)[:, : stop - start]
+
+    blocks = -(-trials // _BLOCK)
+    threads = min(thread_count(), _usable_cores(), blocks // _MIN_RANGE_BLOCKS)
+    if threads <= 1:
+        fill(0, blocks)
+        return rows
+    edges = [blocks * k // threads for k in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, edges[:-1], edges[1:]))
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from uavnoma.cli import (
     parse_link,
     parse_network,
     parse_sweep,
+    worker_count,
 )
 from uavnoma.scenario import NOMA
 
@@ -302,6 +304,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
         assert "UAVNOMA_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_thread_count_is_usable_cores(self, monkeypatch):
+        # the cores this process may run on, not the host's
+        monkeypatch.delenv("UAVNOMA_THREADS")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert worker_count() == 3
+
+    @pytest.mark.parametrize("command", ["mc", "analytic"])
+    def test_bad_thread_count_exits_2_on_point_commands(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        monkeypatch.setenv("UAVNOMA_THREADS", "0")
+        assert main([command, "--config", cfg_path]) == 2
+        assert "UAVNOMA_THREADS" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -589,6 +607,22 @@ class TestConsoleScript:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # MC batches are drawn on threads; the process executor and
+        # multiprocessing (about 17 ms at start-up) have no user left
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, uavnoma.cli; print('multiprocessing' in sys.modules, "
+                "'concurrent.futures.process' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False False"
 
     def test_production_imports_leave_references_unloaded(self):
         # the references and scipy.integrate load only for ``uavnoma validate``

@@ -16,10 +16,12 @@ import io
 import json
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from uavnoma import montecarlo
 from uavnoma.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,6 +66,33 @@ def test_every_shipped_config_is_pinned():
 def test_mc_sweep_csv_is_pinned(name, tmp_path, monkeypatch):
     monkeypatch.setenv("UAVNOMA_THREADS", "1")
     assert sweep_digest(name, tmp_path) == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "uav_centric_power_nlos_ipsic00.json",
+        "user_centric_power_nlos_ipsic01.json",
+        "user_centric_fixed_distance.json",  # eight geometry groups
+    ],
+)
+def test_mc_sweep_csv_is_pinned_on_two_threads(name, tmp_path, monkeypatch):
+    # TRIALS is 10 blocks, one range at the shipped range length: ranges of
+    # one block cut every batch over two threads
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setenv("UAVNOMA_THREADS", "2")
+    monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    assert sweep_digest(name, tmp_path) == CSV_SHA256[name]
+    groups = 8 if name == "user_centric_fixed_distance.json" else 1
+    assert pools == [2] * groups
 
 
 if __name__ == "__main__":

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from uavnoma import montecarlo
 from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
     _BLOCK,
@@ -322,6 +326,120 @@ class TestSkeleton:
         slack = 1e-9 * big_r
         assert np.all((near >= 0.0) & (near <= 0.25 * big_r + slack))
         assert np.all((far >= 0.25 * big_r - slack) & (far <= 0.5 * big_r + slack))
+
+
+def _batch_arrays(batch):
+    return {
+        field.name: getattr(batch, field.name)
+        for field in dataclasses.fields(batch)
+        if isinstance(getattr(batch, field.name), np.ndarray)
+    }
+
+
+# fewest trials whose blocks are cut into two ranges; SPLIT - _BLOCK is
+# one block short
+SPLIT = 2 * montecarlo._MIN_RANGE_BLOCKS * _BLOCK
+
+
+class _InlineExecutor:
+    """Stands in for ThreadPoolExecutor: records each ``max_workers`` asked
+    for and runs the tasks inline, so no thread starts."""
+
+    requests: list = []
+
+    def __init__(self, max_workers):
+        self.requests.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestBlockRangeThreads:
+    """A batch drawn on threads over block ranges is the one-thread batch."""
+
+    @pytest.mark.parametrize(
+        "min_range", [montecarlo._MIN_RANGE_BLOCKS, 1], ids=["shipped", "one-block"]
+    )
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bit_identical_to_one_thread(self, strategy, threads, min_range, monkeypatch):
+        cfg = make_cfg()
+        trial_counts = (1, 33, SPLIT - _BLOCK, SPLIT, 5000)
+        monkeypatch.setenv("UAVNOMA_THREADS", "1")
+        serial = [_simulate_strategy(strategy, cfg, n, seed=17) for n in trial_counts]
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setenv("UAVNOMA_THREADS", threads)
+        monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", min_range)
+        # three usable cores, so three threads run on any host
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        for n, one in zip(trial_counts, serial):
+            threaded = _batch_arrays(_simulate_strategy(strategy, cfg, n, seed=17))
+            for name, values in _batch_arrays(one).items():
+                assert np.array_equal(threaded[name], values), (n, name)
+        blocks = [-(-n // _BLOCK) for n in trial_counts]
+        expected = [min(int(threads), b // min_range) for b in blocks]
+        assert pools == [k for k in expected if k > 1]
+
+    def test_bit_identical_under_fast_thread_switching(self, monkeypatch):
+        # eight threads over one-block ranges, more than the cores of most
+        # hosts, switching every microsecond
+        cfg = make_cfg()
+        monkeypatch.setenv("UAVNOMA_THREADS", "1")
+        serial = _batch_arrays(simulate_user_centric(cfg, 300.0, 1000, seed=23))
+        monkeypatch.setenv("UAVNOMA_THREADS", "8")
+        monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", 1)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _batch_arrays(simulate_user_centric(cfg, 300.0, 1000, seed=23))
+        finally:
+            sys.setswitchinterval(interval)
+        for name, values in serial.items():
+            assert np.array_equal(threaded[name], values), name
+
+    @pytest.mark.parametrize(
+        "cores, trials, workers",
+        [
+            (None, 5000, None),  # this host's affinity
+            (64, 5000, 4),  # 157 blocks: four ranges
+            (64, SPLIT, 2),
+            (64, SPLIT - _BLOCK, 0),  # 63 blocks, one range: no pool
+            (3, 5000, 3),
+            (1, 5000, 0),
+        ],
+    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_huge_thread_count_is_capped(self, strategy, cores, trials, workers, monkeypatch):
+        monkeypatch.setenv("UAVNOMA_THREADS", "100000")
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(_InlineExecutor, "requests", [])
+        if cores is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        else:
+            ranges = -(-trials // _BLOCK) // montecarlo._MIN_RANGE_BLOCKS
+            workers = min(len(os.sched_getaffinity(0)), ranges)
+        _simulate_strategy(strategy, make_cfg(), trials, seed=4)
+        assert _InlineExecutor.requests == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
+    def test_bad_thread_count_raises(self, env, monkeypatch):
+        monkeypatch.setenv("UAVNOMA_THREADS", env)
+        with pytest.raises(DomainError, match="UAVNOMA_THREADS"):
+            simulate_uav_centric(make_cfg(), 10, seed=1)
 
 
 def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user_dist):
