@@ -97,11 +97,13 @@ def laplace_exponent_ucav(
     return nearest_ring_exponent_ucav(cfg, R), tail_exponent_ucav(cfg, R)
 
 
-def _pair_coefficient(ts, role: str, access: str) -> float:
+def _pair_coefficient(role: str, cfg: NetworkConfig, link: NomaLink, access: str):
+    """Decode coefficient of a paired user: the near user is the subject in
+    the near role, the far user its partner in the far role."""
     if role == NEAR:
-        return ts.coeff("near_joint") if access == NOMA else ts.coeff("oma")
+        return thresholds(link, cfg, UAV_CENTRIC, access).near
     if role == FAR:
-        return ts.coeff("far_own") if access == NOMA else ts.coeff("oma_far")
+        return thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC, access).far
     raise DomainError(f"unknown role {role!r}")
 
 
@@ -114,7 +116,7 @@ def coverage_cond_pair(
     r <= R/4 and runs the SIC chain; the far role requires R/4 <= r <= R/2
     and decodes directly. Infeasible power allocation gives exactly 0.
     """
-    coeff = _pair_coefficient(thresholds(link, cfg, UAV_CENTRIC, access), role, access)
+    coeff = _pair_coefficient(role, cfg, link, access)
     r, R = np.broadcast_arrays(r, R)
     if role == NEAR:
         span, inside = "r <= R/4", (0.0 <= r) & (r <= 0.25 * R + 1e-9)
@@ -196,8 +198,7 @@ def pair_quadrature(
     One array pass evaluates the kernel over the placement and
     nearest-neighbor nodes of every cell (see the module docstring).
     """
-    ts = thresholds(link, cfg, UAV_CENTRIC, access)
-    if not math.isfinite(_pair_coefficient(ts, role, access)):
+    if not math.isfinite(_pair_coefficient(role, cfg, link, access)):
         return quadrature.Quadrature(0.0, 0.0)
     t_b = _split_point(cfg)
     result = quadrature.integrate(

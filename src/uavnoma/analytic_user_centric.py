@@ -53,13 +53,10 @@ def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponen
 
 
 def _role_coefficient(near, link: NomaLink, cfg: NetworkConfig, access: str):
-    """Decode coefficient of a user that runs the SIC chain where ``near``
-    holds and decodes directly elsewhere; under orthogonal access both sides
-    share the doubled-rate coefficient."""
+    """Decode coefficient of the subject of ``link``: its near-role (SIC
+    chain) coefficient where ``near`` holds, its far-role one elsewhere."""
     ts = thresholds(link, cfg, USER_CENTRIC, access)
-    if access != NOMA:
-        return ts.coeff("oma")
-    return np.where(near, ts.coeff("near_joint"), ts.coeff("far_own"))
+    return np.where(near, ts.near, ts.far)
 
 
 def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):

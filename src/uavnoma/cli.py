@@ -211,7 +211,7 @@ def parse_sweep(section: dict) -> SweepSpec:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file") from None
@@ -219,11 +219,18 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - {"network", "link", "sweep"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level section")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name}: section must be an object, got {section!r}")
     return raw
 
 
@@ -428,15 +435,20 @@ def _format_row(row: dict) -> list[str]:
 
 
 def _warn_infeasible(cfg, link, strategy, access, where=""):
-    ts = thresholds(link, cfg, strategy, access)
-    bad = [name for name in ("near_joint", "far_own") if not ts.is_feasible(name)]
-    for name in bad:
-        role = "near/SIC chain" if name == "near_joint" else "far decode"
-        print(
-            f"warning: {where}{role} coefficient is infeasible for this power "
-            "allocation; the affected coverage is exactly zero",
-            file=sys.stderr,
-        )
+    # the far role is the typical user's own beyond r_k (user-centric) and
+    # the partner's, the far user's, under UAV-centric association
+    far_link = link if strategy == USER_CENTRIC else link.with_swapped_rates()
+    coefficients = (
+        ("near/SIC chain", thresholds(link, cfg, strategy, access).near),
+        ("far decode", thresholds(far_link, cfg, strategy, access).far),
+    )
+    for role, coeff in coefficients:
+        if not math.isfinite(coeff):
+            print(
+                f"warning: {where}{role} coefficient is infeasible for this power "
+                "allocation; the affected coverage is exactly zero",
+                file=sys.stderr,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,13 @@ placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
 every success test in the evaluation phase through ``channel.sinr``, so no
 part of the model is defined twice.
 
-Paired SIC success is counted two ways on the shared fading draw: through
-the two-SINR chain and through the max-coefficient threshold identity; a
-disagreement raises immediately.
+The evaluation phase decodes each of the four users (typical and fixed,
+near and far) with one helper, ``_decodes``, as the subject of its own link:
+the near user and the typical user are the subject of the point's link, the
+far user and the fixed user its partner, the subject of the link with
+swapped rates. The helper counts success twice on the shared fading draw,
+through the SINR chain and through the decode coefficient of
+``scenario.thresholds``; a disagreement raises immediately.
 
 Interference conventions (mirroring the analytic conditioning):
 
@@ -70,12 +74,12 @@ from scipy.special import ndtri
 from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
 from .scenario import (
-    NOMA,
     OMA,
     UAV_CENTRIC,
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
+    cross_residue,
     thresholds,
 )
 from .spatial import sample_far_user, sample_hppp_disc, sample_near_user
@@ -220,50 +224,18 @@ def evaluate_user_centric(
     """Count typical/fixed coverage successes of one configuration point."""
     if batch.geometry_key != user_centric_geometry_key(cfg, link.fixed_user_dist):
         raise DomainError("trial batch was simulated under different geometry")
-    p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
     dist_fixed = math.hypot(link.fixed_user_dist, cfg.uav_height)
-    i_typ = p * batch.interference_typical
-    i_fix = p * batch.interference_fixed
     near_case = batch.serving_dist3d < dist_fixed
-
-    rx_typ = batch.gain_typical * batch.serving_dist3d**-alpha * p
-    rx_fix = batch.gain_fixed * dist_fixed**-alpha * p
-
-    ts = thresholds(link, cfg, USER_CENTRIC, access)
-    ts_fixed = thresholds(link.with_swapped_rates(), cfg, USER_CENTRIC, access)
-
-    if access == OMA:
-        ok_typ = sinr(rx_typ, 1.0, 1.0, 0.0, noise, i_typ) > ts.eps_own
-        ok_fix = sinr(rx_fix, 1.0, 1.0, 0.0, noise, i_fix) > ts_fixed.eps_own
-        m_typ = np.full(batch.trials, ts.coeff("oma"))
-        m_fix = np.full(batch.trials, ts_fixed.coeff("oma"))
-    else:
-        cross_t = sinr(rx_typ, link.pw_far, link.pw_near, 1.0, noise, i_typ)
-        own_t = sinr(rx_typ, link.pw_near, link.pw_far, link.ipsic, noise, i_typ)
-        far_t = cross_t  # far role decodes its own signal with the same shape
-        ok_typ = np.where(
-            near_case,
-            (cross_t > ts.eps_other) & (own_t > ts.eps_own),
-            far_t > ts.eps_own,
-        )
-        cross_f = sinr(rx_fix, link.pw_far, link.pw_near, 1.0, noise, i_fix)
-        own_f = sinr(rx_fix, link.pw_near, link.pw_far, link.ipsic, noise, i_fix)
-        ok_fix = np.where(
-            near_case,
-            cross_f > ts_fixed.eps_own,  # fixed in the far role
-            (cross_f > ts_fixed.eps_other) & (own_f > ts_fixed.eps_own),
-        )
-        m_typ = np.where(near_case, ts.coeff("near_joint"), ts.coeff("far_own"))
-        m_fix = np.where(
-            near_case, ts_fixed.coeff("far_own"), ts_fixed.coeff("near_joint")
-        )
-
-    # max-coefficient identity on the shared fading draw
-    id_typ = batch.gain_typical > m_typ * (noise + i_typ) * batch.serving_dist3d**alpha
-    id_fix = batch.gain_fixed > m_fix * (noise + i_fix) * dist_fixed**alpha
-    _check_identity(ok_typ, id_typ, "typical")
-    _check_identity(ok_fix, id_fix, "fixed")
-    return int(np.sum(ok_typ)), int(np.sum(ok_fix))
+    k_typ = _decodes(
+        "typical", batch.gain_typical, batch.serving_dist3d,
+        batch.interference_typical, near_case, cfg, link, USER_CENTRIC, access,
+    )
+    # the fixed user is the partner, in the role the typical user does not play
+    k_fix = _decodes(
+        "fixed", batch.gain_fixed, dist_fixed, batch.interference_fixed,
+        ~near_case, cfg, link.with_swapped_rates(), USER_CENTRIC, access,
+    )
+    return k_typ, k_fix
 
 
 def estimate_user_centric(
@@ -369,33 +341,16 @@ def evaluate_uav_centric(
     """Count near/far-user coverage successes of one configuration point."""
     if batch.geometry_key != uav_centric_geometry_key(cfg):
         raise DomainError("trial batch was simulated under different geometry")
-    p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
-    i_near = p * batch.interference_near
-    i_far = p * batch.interference_far
-    rx_near = batch.gain_near * batch.near_dist3d**-alpha * p
-    rx_far = batch.gain_far * batch.far_dist3d**-alpha * p
-    ts = thresholds(link, cfg, UAV_CENTRIC, access)
-
-    if access == OMA:
-        ok_near = sinr(rx_near, 1.0, 1.0, 0.0, noise, i_near) > ts.eps_own
-        ok_far = sinr(rx_far, 1.0, 1.0, 0.0, noise, i_far) > ts.eps_other
-        m_near = ts.coeff("oma")
-        m_far = ts.coeff("oma_far")
-    else:
-        # the cross decode at the near user keeps the SIC residue term
-        cross = sinr(rx_near, link.pw_far, link.pw_near, link.ipsic, noise, i_near)
-        own = sinr(rx_near, link.pw_near, link.pw_far, link.ipsic, noise, i_near)
-        ok_near = (cross > ts.eps_other) & (own > ts.eps_own)
-        far = sinr(rx_far, link.pw_far, link.pw_near, 1.0, noise, i_far)
-        ok_far = far > ts.eps_other
-        m_near = ts.coeff("near_joint")
-        m_far = ts.coeff("far_own")
-
-    id_near = batch.gain_near > m_near * (noise + i_near) * batch.near_dist3d**alpha
-    id_far = batch.gain_far > m_far * (noise + i_far) * batch.far_dist3d**alpha
-    _check_identity(ok_near, id_near, "near")
-    _check_identity(ok_far, id_far, "far")
-    return int(np.sum(ok_near)), int(np.sum(ok_far))
+    k_near = _decodes(
+        "near", batch.gain_near, batch.near_dist3d, batch.interference_near,
+        True, cfg, link, UAV_CENTRIC, access,
+    )
+    # the far user is the partner in the far role
+    k_far = _decodes(
+        "far", batch.gain_far, batch.far_dist3d, batch.interference_far,
+        False, cfg, link.with_swapped_rates(), UAV_CENTRIC, access,
+    )
+    return k_near, k_far
 
 
 def estimate_uav_centric(
@@ -518,13 +473,44 @@ class _Field:
         return out
 
 
-def _check_identity(chain: np.ndarray, identity: np.ndarray, label: str):
-    mismatches = int(np.sum(chain != identity))
+def _decodes(
+    user: str, gain, dist3d, unit_interference, near, cfg: NetworkConfig,
+    link: NomaLink, strategy: str, access: str,
+) -> int:
+    """Trials in which ``user``, the subject of ``link``, decodes its signal.
+
+    ``near`` says where the user plays the near role: a bool array over the
+    trials, or True or False for all of them. Success is counted through the
+    SINR chain and again through the coefficient rule of ``thresholds`` on
+    the same fading draw; a disagreement raises ``RuntimeError``.
+    """
+    p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
+    interference = p * unit_interference
+    received = gain * dist3d**-alpha * p
+    ts = thresholds(link, cfg, strategy, access)
+    if access == OMA:
+        ok = sinr(received, 1.0, 1.0, 0.0, noise, interference) > ts.eps_own
+    elif near is False:
+        direct = sinr(received, link.pw_far, link.pw_near, 1.0, noise, interference)
+        ok = direct > ts.eps_own
+    else:
+        # near is an array only under user-centric association, whose cross
+        # residue of 1 makes the partner decode the far role's direct decode
+        residue = cross_residue(link, strategy)
+        cross = sinr(received, link.pw_far, link.pw_near, residue, noise, interference)
+        own = sinr(received, link.pw_near, link.pw_far, link.ipsic, noise, interference)
+        ok = (cross > ts.eps_other) & (own > ts.eps_own)
+        if near is not True:
+            ok = np.where(near, ok, cross > ts.eps_own)
+    coeff = np.where(near, ts.near, ts.far)
+    identity = gain > coeff * (noise + interference) * dist3d**alpha
+    mismatches = int(np.sum(ok != identity))
     if mismatches:
         raise RuntimeError(
-            f"SIC chain and max-coefficient identity disagree on {mismatches} "
-            f"{label} trials"
+            f"SINR chain and decode coefficient disagree on {mismatches} "
+            f"{user} trials"
         )
+    return int(np.sum(ok))
 
 
 def _estimate(

@@ -4,18 +4,24 @@ Everything downstream (closed-form coverage and Monte Carlo alike) consumes
 the immutable value types defined here. All internal computation is in linear
 units (watts, meters); dBm appears only at I/O boundaries.
 
+Every user has one decode rule, ``thresholds``: the two coefficients of the
+subject (the user whose rate is ``rate_near``) in the near and in the far
+role. The partner is the link with swapped rates, so the UAV-centric far
+user is the partner in the far role, and the user-centric fixed user the
+partner in the role the typical user does not play. No other module picks a
+coefficient by access.
+
 Infeasible decode coefficients are represented by the ``INFEASIBLE`` sentinel
 (+inf) rather than an exception: power/rate sweeps legitimately cross the
 feasibility boundary, and an infinite coefficient makes the corresponding
-coverage probability exactly zero downstream.
+coverage probability exactly zero downstream. A threshold that overflows a
+float is infeasible too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from types import MappingProxyType
-from typing import Mapping
 
 from .errors import DomainError
 
@@ -105,11 +111,6 @@ class NetworkConfig:
         if self.sim_disc_radius <= 0.0 or self.hole_halfwidth <= 0.0:
             raise DomainError("simulation geometry must be positive")
 
-    @property
-    def delta_interf(self) -> float:
-        """2 / alpha_interf; always < 1 by construction."""
-        return 2.0 / self.alpha_interf
-
 
 @dataclass(frozen=True)
 class NomaLink:
@@ -154,99 +155,84 @@ class NomaLink:
 
 def sinr_threshold(rate: float, access: str = NOMA) -> float:
     """Linear SINR threshold for a target rate: 2^R - 1, or 2^(2R) - 1 under
-    orthogonal access where the pair shares the block in equal time slots."""
+    orthogonal access where the pair shares the block in equal time slots.
+    A threshold too large for a float is INFEASIBLE."""
     if access == NOMA:
-        return 2.0**rate - 1.0
-    if access == OMA:
-        return 2.0 ** (2.0 * rate) - 1.0
-    raise DomainError(f"unknown access {access!r}")
+        exponent = rate
+    elif access == OMA:
+        exponent = 2.0 * rate
+    else:
+        raise DomainError(f"unknown access {access!r}")
+    try:
+        return 2.0**exponent - 1.0
+    except OverflowError:
+        return INFEASIBLE
 
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Linear thresholds plus the decode coefficients of one analysis subject.
+    """Linear thresholds and decode coefficients of one subject: the user
+    whose target rate is ``link.rate_near``. The partner is the subject of
+    ``link.with_swapped_rates()``.
 
-    A decode coefficient M turns an SINR condition into the fading condition
-    ``gain > M * (noise + interference) * dist3d^alpha``; INFEASIBLE (inf)
-    marks a coefficient whose denominator is non-positive, which forces the
-    associated coverage probability to exactly zero.
+    A decode coefficient M turns the user's SINR conditions into the fading
+    condition ``gain > M * (noise + interference) * dist3d^alpha``; INFEASIBLE
+    (inf) marks a coefficient with a non-positive denominator or an infinite
+    threshold, which forces the associated coverage probability to exactly 0.
 
-    Coefficient names:
-      near_own        own-signal decode at the near-role user after SIC, with
-                      the ipSIC residue in the denominator
-      near_cross      partner-signal decode ahead of SIC, as used by the
-                      closed forms (no residue term)
-      near_cross_sic  same decode event but with the residue term the
-                      UAV-centric near user's cross SINR carries
-      near_joint      max(near_own, near_cross): the shared-fading joint event
-      far_own         own-signal decode at the far-role user
-      oma             orthogonal-access coefficient of the near subject
-      oma_far         orthogonal-access coefficient of the far subject
+    eps_own    threshold of the subject's own signal
+    eps_other  threshold of the partner's signal
+    near       coefficient of the subject in the near role: under NOMA the
+               SIC chain, max(partner decode ahead of SIC, own decode after
+               it) on the shared fading draw; under OMA its own slot
+    far        coefficient of the subject in the far role: its own signal
+               decoded directly, the partner's as interference
     """
 
     eps_own: float
     eps_other: float
-    decode_coeffs: Mapping[str, float]
-
-    def coeff(self, name: str) -> float:
-        return self.decode_coeffs[name]
-
-    def is_feasible(self, name: str) -> bool:
-        return math.isfinite(self.decode_coeffs[name])
+    near: float
+    far: float
 
 
-def _coefficient(eps: float, denominator: float) -> float:
+def cross_residue(link: NomaLink, strategy: str) -> float:
+    """Residue of the subject's own signal while, in the near role, it
+    decodes the partner's ahead of SIC: the ipSIC fraction under UAV-centric
+    association (the printed cross SINR), the whole signal under
+    user-centric association."""
+    return link.ipsic if strategy == UAV_CENTRIC else 1.0
+
+
+def _coefficient(
+    eps: float, power: float, split_own: float, residue: float, split_other: float
+) -> float:
+    """M such that ``sinr(received, split_own, split_other, residue, ...) >
+    eps`` reads ``gain > M * (noise + I) * dist3d^alpha``."""
+    if eps == INFEASIBLE:
+        return INFEASIBLE
+    denominator = power * (split_own - residue * eps * split_other)
     return eps / denominator if denominator > 0.0 else INFEASIBLE
 
 
 def thresholds(
     link: NomaLink, cfg: NetworkConfig, strategy: str, access: str = NOMA
 ) -> ThresholdSet:
-    """Decode coefficients of the analysis subject for one strategy/access.
+    """Decode coefficients of the subject for one strategy and access.
 
-    The subject is the typical user (user-centric) or the near/far pair
-    (UAV-centric). Infeasible power allocation, e.g. an SIC residue larger
-    than the near user's own power share, yields INFEASIBLE coefficients
-    rather than an error.
+    The strategy decides one thing, ``cross_residue``. Infeasible power
+    allocation, e.g. an SIC residue larger than the near user's own power
+    share, yields INFEASIBLE coefficients rather than an error.
     """
     if strategy not in (USER_CENTRIC, UAV_CENTRIC):
         raise DomainError(f"unknown strategy {strategy!r}")
-    p, beta = cfg.tx_power, link.ipsic
+    p = cfg.tx_power
     eps_own = sinr_threshold(link.rate_near, access)
     eps_other = sinr_threshold(link.rate_far, access)
-    oma_near = sinr_threshold(link.rate_near, OMA) / p
-    oma_far = sinr_threshold(link.rate_far, OMA) / p
-
     if access == OMA:
-        far_own = eps_own / p if strategy == USER_CENTRIC else eps_other / p
-        coeffs = {
-            "near_joint": eps_own / p,
-            "far_own": far_own,
-            "oma": oma_near,
-            "oma_far": oma_far,
-        }
-        return ThresholdSet(eps_own, eps_other, MappingProxyType(coeffs))
-
-    near_own = _coefficient(eps_own, p * (link.pw_near - beta * eps_own * link.pw_far))
-    near_cross = _coefficient(eps_other, p * (link.pw_far - eps_other * link.pw_near))
-    near_cross_sic = near_cross
-    if strategy == UAV_CENTRIC:
-        # the UAV-centric cross SINR keeps a residue term in its denominator;
-        # the joint coefficient must use this form or the shared-fading event
-        # it encodes would not be the one the SINR chain tests
-        near_cross_sic = _coefficient(
-            eps_other, p * (link.pw_far - beta * eps_other * link.pw_near)
-        )
-        far_own = near_cross
-    else:
-        far_own = _coefficient(eps_own, p * (link.pw_far - eps_own * link.pw_near))
-    coeffs = {
-        "near_own": near_own,
-        "near_cross": near_cross,
-        "near_cross_sic": near_cross_sic,
-        "near_joint": max(near_own, near_cross_sic),
-        "far_own": far_own,
-        "oma": oma_near,
-        "oma_far": oma_far,
-    }
-    return ThresholdSet(eps_own, eps_other, MappingProxyType(coeffs))
+        alone = _coefficient(eps_own, p, 1.0, 0.0, 1.0)
+        return ThresholdSet(eps_own, eps_other, alone, alone)
+    own = _coefficient(eps_own, p, link.pw_near, link.ipsic, link.pw_far)
+    residue = cross_residue(link, strategy)
+    cross = _coefficient(eps_other, p, link.pw_far, residue, link.pw_near)
+    far = _coefficient(eps_own, p, link.pw_far, 1.0, link.pw_near)
+    return ThresholdSet(eps_own, eps_other, max(own, cross), far)

@@ -155,7 +155,7 @@ class TestCoverageCondPair:
             d = math.hypot(r, cfg.uav_height)
             from uavnoma.scenario import UAV_CENTRIC, thresholds
 
-            coeff = thresholds(LINK, cfg, UAV_CENTRIC, NOMA).coeff("near_joint")
+            coeff = thresholds(LINK, cfg, UAV_CENTRIC, NOMA).near
             with_ring = conditional_coverage(
                 2, coeff, cfg.noise_power, d, cfg.alpha_desired,
                 *laplace_exponent_ucav(cfg, R),

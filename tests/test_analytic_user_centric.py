@@ -315,7 +315,7 @@ class TestCoverageCond:
         cfg = make_cfg(m_desired=2)
         ts = thresholds(LINK, cfg, USER_CENTRIC, NOMA)
         r = np.array([100.0, 299.0, 300.0, 800.0])
-        coeff = np.array([ts.coeff("near_joint")] * 2 + [ts.coeff("far_own")] * 2)
+        coeff = np.array([ts.near] * 2 + [ts.far] * 2)
         dist = np.hypot(r, cfg.uav_height)
         want = conditional_coverage(
             2, coeff, cfg.noise_power, dist, cfg.alpha_desired,
@@ -324,7 +324,7 @@ class TestCoverageCond:
         np.testing.assert_array_equal(coverage_cond(r, cfg, LINK), want)
         # the fixed user, served from R_k at swapped rates, plays the other role
         ts = thresholds(LINK.with_swapped_rates(), cfg, USER_CENTRIC, NOMA)
-        coeff = np.array([ts.coeff("far_own")] * 2 + [ts.coeff("near_joint")] * 2)
+        coeff = np.array([ts.far] * 2 + [ts.near] * 2)
         want = conditional_coverage(
             2, coeff, cfg.noise_power, math.hypot(300.0, cfg.uav_height),
             cfg.alpha_desired, laplace_exponent_uc(cfg, dist),

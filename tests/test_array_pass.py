@@ -17,7 +17,6 @@ from uavnoma import analytic_uav_centric as uav
 from uavnoma.cli import apply_axis, load_config, parse_link, parse_network, parse_sweep
 from uavnoma.laplace import NearestRingExponent, RadialTailExponent, conditional_coverage
 from uavnoma.quadrature import _tensor_rule
-from uavnoma.scenario import UAV_CENTRIC, thresholds
 from uavnoma.specfun import exp_composition_derivatives
 
 REPO = Path(__file__).resolve().parent.parent
@@ -174,7 +173,7 @@ def _loop_rule(role, cfg, link, access):
         ]
     else:
         radial = [(cutoff * y * y, 2.0 * cutoff * y * wy) for y, wy in unit[64]]
-    coeff = uav._pair_coefficient(thresholds(link, cfg, UAV_CENTRIC, access), role, access)
+    coeff = uav._pair_coefficient(role, cfg, link, access)
     total = 0.0
     for t, wt in radial:
         R = t / root_pl
@@ -225,9 +224,7 @@ class TestPairBaseRule:
     def test_array_pass_equals_loop_rule(self, point):
         cfg, link, access = SHIPPED_UAV_POINTS[point]
         for role in (uav.NEAR, uav.FAR):
-            if not math.isfinite(
-                uav._pair_coefficient(thresholds(link, cfg, UAV_CENTRIC, access), role, access)
-            ):
+            if not math.isfinite(uav._pair_coefficient(role, cfg, link, access)):
                 continue
             want = _loop_rule(role, cfg, link, access)
             assert abs(_array_base_rule(role, cfg, link, access) - want) <= 1e-15

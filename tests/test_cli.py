@@ -499,6 +499,30 @@ class TestPointCommands:
         assert "warning" in captured.err
         assert "typical: p=0.000000" in captured.out
 
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    @pytest.mark.parametrize("access", ["noma", "oma"])
+    def test_rate_whose_threshold_overflows_gives_zero(
+        self, tmp_path, capsys, strategy, access
+    ):
+        # 2^2000 overflows a float: the threshold is infeasible, not an error
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["link"]["rate_near_bpcu"] = 2000.0
+        payload["sweep"].update(strategy=strategy, access=access, trials=64)
+        cfg_path = write_config(tmp_path, payload)
+        subject = "typical" if strategy == "user-centric" else "near"
+        for command in ("analytic", "mc"):
+            assert main([command, "--config", cfg_path]) == 0
+            captured = capsys.readouterr()
+            assert "near/SIC chain coefficient is infeasible" in captured.err
+            assert f"{subject}: p=0.000000" in captured.out
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.count("near/SIC chain coefficient") == 2
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        subject_rows = [row for row in rows if row[2] == subject]
+        assert len(subject_rows) == 2
+        assert all(row[5] == "0" and row[6] == "0" for row in subject_rows)
+
     def test_mc_point(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
         assert main(["mc", "--config", cfg_path, "--trials", "800", "--seed", "3"]) == 0
@@ -529,6 +553,26 @@ class TestErrors:
     def test_unknown_section_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"nettwork": {}})
         assert main(["analytic", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("network", None), ("link", "ab"), ("sweep", 5), ("link", [["ipsic", 0.5]])],
+    )
+    def test_section_that_is_no_object_exits_2(self, tmp_path, capsys, section, value):
+        # a list of pairs would cast to a dict and be read as a section
+        path = write_config(tmp_path, {section: value})
+        assert main(["analytic", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
+
+    def test_directory_config_exits_2(self, tmp_path, capsys):
+        assert main(["analytic", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"link": {"ipsic": 0.5}} \xff')
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):

@@ -1,11 +1,13 @@
-"""Golden pins of the Monte Carlo sweep CSVs of every shipped config.
+"""Golden pins of the sweep CSVs of every shipped config, in both modes.
 
 Each shipped config is copied with ``sweep.mode`` set to ``mc`` and
 ``sweep.trials`` to a few hundred, swept through ``uavnoma sweep``, and the
 SHA-256 of the CSV is compared with a pin. ``mc`` mode leaves ``p_analytic``
 empty, so the bytes depend only on the random-stream layout, the evaluation
 phase and the CSV format: a pin moves only when one of those changes on
-purpose. Regenerate the pins with
+purpose. The same configs with ``sweep.mode`` set to ``analytic`` pin the
+closed forms' CSVs, which leave every Monte Carlo column empty. Regenerate
+both tables with
 
     PYTHONPATH=src python tests/test_golden_sweeps.py
 """
@@ -44,11 +46,27 @@ CSV_SHA256 = {
     "user_centric_rate_oma_m3.json": "5ccf2cc0ed7aed5da3b5843f2dbe20d4226aba006a225bafa7ea650adec835be",
 }
 
+ANALYTIC_CSV_SHA256 = {
+    "uav_centric_power_los_m2.json": "b3a9c85a0141ad4c83b6be470acc998f98a541d845ba2beb7771f70d8ce2c039",
+    "uav_centric_power_nlos_ipsic00.json": "9083c53741696cb3ff7be97340f7f5eabf5f6eada0db24971cb9dfc004486f7c",
+    "uav_centric_power_nlos_ipsic01.json": "d1c8f9396092233017076f16a59f44afd772c1ee032dfc77e635f7875b6564fc",
+    "uav_centric_power_nlos_ipsic05.json": "18a772528f80a58d8bc8d5487d13f942bd77d4cd32d54e5469f7aa5fad2b874e",
+    "uav_centric_rate_noma_m3.json": "bbf3ebea49585f400922277bca6581b8f6906d0d15e671b50f36b535b33396ad",
+    "uav_centric_rate_oma_m3.json": "d5c4cba0c1b0a0ece1cfe1710b97aa5d90cb0c9a6f89da1302c6f78baae8bed0",
+    "user_centric_fixed_distance.json": "643058392c966f5e0a667e9f901694ec13a0081737419560a7123231479f97d4",
+    "user_centric_power_los_m2.json": "b57e12c1a674aca1645463cc7fa66975fd13e76dc1621d268a5bd7f8b88e22c0",
+    "user_centric_power_nlos_ipsic00.json": "9fd1d161c24e6a5aa2b4352deb4431c442633f282cd5770bf5f72e94d04436be",
+    "user_centric_power_nlos_ipsic01.json": "dfceabde94fd753be8419e8282f42833e07dcf625c8ee6941949f397798a7502",
+    "user_centric_power_nlos_ipsic03.json": "38a11625caf9779019b84495ef9f1bae6b16bd4ff15c2f33440d5e7c0db83190",
+    "user_centric_rate_noma_m3.json": "f585608ebb01766c9eedde0a9d5b8d83cdc966d17ecab6662568933de5c6add3",
+    "user_centric_rate_oma_m3.json": "c8764beb2404c91ed5641274064e1afeee1b86f31f32f72dcc42fdef41d3a1cd",
+}
 
-def sweep_digest(name: str, work_dir: Path) -> str:
-    """SHA-256 of the ``mc`` sweep CSV of shipped config ``name``."""
+
+def sweep_digest(name: str, work_dir: Path, mode: str = "mc") -> str:
+    """SHA-256 of the ``mode`` sweep CSV of shipped config ``name``."""
     raw = json.loads((REPO / "configs" / name).read_text())
-    raw["sweep"]["mode"] = "mc"
+    raw["sweep"]["mode"] = mode
     raw["sweep"]["trials"] = TRIALS
     config = work_dir / name
     config.write_text(json.dumps(raw))
@@ -60,6 +78,12 @@ def sweep_digest(name: str, work_dir: Path) -> str:
 
 def test_every_shipped_config_is_pinned():
     assert sorted(CSV_SHA256) == CONFIGS
+    assert sorted(ANALYTIC_CSV_SHA256) == CONFIGS
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_analytic_sweep_csv_is_pinned(name, tmp_path):
+    assert sweep_digest(name, tmp_path, "analytic") == ANALYTIC_CSV_SHA256[name]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -98,7 +122,10 @@ def test_mc_sweep_csv_is_pinned_on_two_threads(name, tmp_path, monkeypatch):
 if __name__ == "__main__":
     os.environ["UAVNOMA_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                digest = sweep_digest(name, Path(tmp))
-            print(f'    "{name}": "{digest}",')
+        for table, mode in (("CSV_SHA256", "mc"), ("ANALYTIC_CSV_SHA256", "analytic")):
+            print(f"{table} = {{")
+            for name in CONFIGS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    digest = sweep_digest(name, Path(tmp), mode)
+                print(f'    "{name}": "{digest}",')
+            print("}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from uavnoma import montecarlo
+from uavnoma import montecarlo, scenario
 from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
     _BLOCK,
@@ -632,6 +632,35 @@ class TestEvaluationPaths:
             assert estimate_uav_centric(uav, point, LINK, access) == run_uav_centric(
                 point, LINK, access, 300, seed=12
             )
+
+
+class TestDecodeCheck:
+    @pytest.mark.parametrize(
+        "user, partner",
+        [("typical", False), ("fixed", True), ("near", False), ("far", True)],
+    )
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    def test_disagreement_raises_naming_the_user(self, user, partner, access, monkeypatch):
+        # zero coefficients pass every trial with a positive gain, which the
+        # SINR chain does not: only the patched user's check may fail
+        patched_rate = LINK.rate_far if partner else LINK.rate_near
+
+        def patched(link, cfg, strategy, access=NOMA):
+            ts = scenario.thresholds(link, cfg, strategy, access)
+            if link.rate_near == patched_rate:
+                return dataclasses.replace(ts, near=0.0, far=0.0)
+            return ts
+
+        monkeypatch.setattr(montecarlo, "thresholds", patched)
+        cfg = make_cfg()
+        if user in ("typical", "fixed"):
+            batch = simulate_user_centric(cfg, LINK.fixed_user_dist, 300, seed=5)
+            evaluate = evaluate_user_centric
+        else:
+            batch = simulate_uav_centric(cfg, 300, seed=5)
+            evaluate = evaluate_uav_centric
+        with pytest.raises(RuntimeError, match=rf"disagree on \d+ {user} trials"):
+            evaluate(batch, cfg, LINK, access)
 
 
 class TestInfeasibleLinks:

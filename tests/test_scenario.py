@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavnoma.errors import DomainError
 from uavnoma.scenario import (
@@ -50,9 +51,6 @@ class TestUnitConversion:
 
 
 class TestNetworkConfig:
-    def test_delta_interf(self):
-        assert make_cfg(alpha_interf=4.0).delta_interf == pytest.approx(0.5)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             make_cfg(uav_height=0.5)
@@ -80,6 +78,13 @@ class TestNomaLink:
         assert swapped.pw_far == link.pw_far
 
 
+def _coefficients(link, cfg, strategy, access=NOMA):
+    """Near and far coefficients of the subject and of its partner."""
+    ts = thresholds(link, cfg, strategy, access)
+    partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+    return ts.near, ts.far, partner.near, partner.far
+
+
 class TestThresholds:
     def test_eps_mapping(self):
         assert sinr_threshold(1.0, NOMA) == pytest.approx(1.0)
@@ -89,11 +94,12 @@ class TestThresholds:
             assert sinr_threshold(rate, OMA) == sinr_threshold(2.0 * rate, NOMA)
 
     def test_perfect_sic_near_coefficient(self):
-        # beta=0, pw_near=0.4, rate 1, unit power: M = eps / pw_near = 2.5
+        # beta=0, pw_near=0.4, rate 1, unit power: the own decode after SIC,
+        # M = eps / pw_near = 2.5, dominates the partner decode (about 0.95)
         cfg = make_cfg(tx_power=1.0)
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0)
         ts = thresholds(link, cfg, USER_CENTRIC)
-        assert ts.coeff("near_own") == pytest.approx(2.5, rel=1e-12)
+        assert ts.near == pytest.approx(2.5, rel=1e-12)
 
     def test_sic_residue_boundary_infeasible(self):
         # beta * eps * pw_far exactly cancels pw_near: 0.4 - (2/3)*1*0.6.
@@ -103,62 +109,121 @@ class TestThresholds:
         cfg = make_cfg()
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0)
         ts = thresholds(link, cfg, USER_CENTRIC)
-        m = ts.coeff("near_own")
-        assert m == INFEASIBLE or m > 1e12 / cfg.tx_power
+        assert ts.near == INFEASIBLE or ts.near > 1e12 / cfg.tx_power
 
     def test_uav_centric_near_infeasible(self):
         # 0.4 - 0.5 * (2^1.5 - 1) * 0.6 < 0: strictly infeasible
         cfg = make_cfg()
         link = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.5)
         ts = thresholds(link, cfg, UAV_CENTRIC)
-        assert ts.coeff("near_own") == INFEASIBLE
-        assert ts.coeff("near_joint") == INFEASIBLE
-        assert not ts.is_feasible("near_joint")
+        assert ts.near == INFEASIBLE
+        assert not math.isfinite(ts.near)
 
     def test_feasibility_boundary_location(self):
-        # near_own flips exactly at eps = pw_near / (beta * pw_far)
+        # the own decode after SIC flips exactly at eps = pw_near / (beta *
+        # pw_far); the partner decode at rate 0.5 stays feasible throughout
         cfg = make_cfg()
         beta = 0.5
         eps_boundary = 0.4 / (beta * 0.6)
         for shift, feasible in [(-1e-9, True), (1e-9, False)]:
             rate = math.log2(1.0 + eps_boundary + shift)
             ts = thresholds(NomaLink(rate_near=rate, ipsic=beta), cfg, USER_CENTRIC)
-            assert ts.is_feasible("near_own") is feasible
+            assert math.isfinite(ts.near) is feasible
 
     def test_perfect_sic_all_feasible_below_ratio(self):
-        # beta=0 and both eps below pw_far/pw_near keeps every coefficient finite
+        # beta=0 and both eps below pw_far/pw_near keeps every coefficient
+        # of both users finite
         cfg = make_cfg()
         for rate_near in (0.2, 0.6, 1.0, 1.3):
             for rate_far in (0.2, 0.6, 1.0, 1.3):
                 if sinr_threshold(rate_near) >= 1.5 or sinr_threshold(rate_far) >= 1.5:
                     continue
                 link = NomaLink(rate_near=rate_near, rate_far=rate_far, ipsic=0.0)
-                ts = thresholds(link, cfg, USER_CENTRIC)
-                assert all(math.isfinite(ts.coeff(k)) for k in ts.decode_coeffs)
+                for strategy in (USER_CENTRIC, UAV_CENTRIC):
+                    coeffs = _coefficients(link, cfg, strategy)
+                    assert all(math.isfinite(m) for m in coeffs)
 
     def test_uav_centric_cross_carries_residue(self):
+        # rate_near 0.1: the partner decode ahead of SIC dominates the chain
         cfg = make_cfg(tx_power=1.0)
-        link = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.1)
-        ts = thresholds(link, cfg, UAV_CENTRIC)
-        # printed closed form: no residue in the cross coefficient
-        assert ts.coeff("near_cross") == pytest.approx(1.0 / 0.2, rel=1e-12)
+        link = NomaLink(rate_near=0.1, rate_far=1.0, ipsic=0.1)
         # printed cross SINR: residue beta*pw_near in the denominator
-        assert ts.coeff("near_cross_sic") == pytest.approx(1.0 / 0.56, rel=1e-12)
-        # far user's own event reuses the no-residue form
-        assert ts.coeff("far_own") == ts.coeff("near_cross")
+        uav = thresholds(link, cfg, UAV_CENTRIC)
+        assert uav.near == pytest.approx(1.0 / 0.56, rel=1e-12)
+        # user-centric cross decode: the near user's own signal in full
+        user = thresholds(link, cfg, USER_CENTRIC)
+        assert user.near == pytest.approx(1.0 / 0.2, rel=1e-12)
+        # the UAV-centric far user, the partner in the far role, decodes with
+        # that same no-residue form, bit for bit
+        far = thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC).far
+        assert far == pytest.approx(5.0, rel=1e-12)
+        assert far == user.near
 
-    def test_oma_coefficients_always_feasible(self):
+    @pytest.mark.parametrize("strategy", [USER_CENTRIC, UAV_CENTRIC])
+    def test_oma_coefficients_always_feasible(self, strategy):
         cfg = make_cfg(tx_power=1.0)
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.9)
-        ts = thresholds(link, cfg, USER_CENTRIC, access=OMA)
-        assert ts.coeff("near_joint") == pytest.approx(3.0, rel=1e-12)
-        assert ts.coeff("far_own") == pytest.approx(3.0, rel=1e-12)
-        assert ts.coeff("oma_far") == pytest.approx(1.0, rel=1e-12)
+        near, far, partner_near, partner_far = _coefficients(link, cfg, strategy, OMA)
+        # each user's own slot at the doubled rate, whatever its role
+        assert near == far == pytest.approx(3.0, rel=1e-12)
+        assert partner_near == partner_far == pytest.approx(1.0, rel=1e-12)
 
     def test_rate_scaling_homogeneity(self):
         # scaling power scales every coefficient by 1/power, feasibility unchanged
         link = NomaLink(rate_near=0.8, rate_far=0.4, ipsic=0.2)
-        ts1 = thresholds(link, make_cfg(tx_power=1e-6), USER_CENTRIC)
-        ts2 = thresholds(link, make_cfg(tx_power=1e-3), USER_CENTRIC)
-        for key in ts1.decode_coeffs:
-            assert ts1.coeff(key) == pytest.approx(1e3 * ts2.coeff(key), rel=1e-12)
+        for strategy in (USER_CENTRIC, UAV_CENTRIC):
+            low = _coefficients(link, make_cfg(tx_power=1e-6), strategy)
+            high = _coefficients(link, make_cfg(tx_power=1e-3), strategy)
+            for m1, m2 in zip(low, high):
+                assert m1 == pytest.approx(1e3 * m2, rel=1e-12)
+
+
+class TestThresholdOverflow:
+    def test_threshold_that_overflows_is_infeasible(self):
+        assert math.isfinite(sinr_threshold(1023.0, NOMA))
+        assert sinr_threshold(1024.0, NOMA) == INFEASIBLE
+        assert math.isfinite(sinr_threshold(511.0, OMA))
+        assert sinr_threshold(512.0, OMA) == INFEASIBLE
+        assert sinr_threshold(1e308, OMA) == INFEASIBLE
+
+    @pytest.mark.parametrize("strategy", [USER_CENTRIC, UAV_CENTRIC])
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    @pytest.mark.parametrize("ipsic", [0.0, 0.5])
+    def test_huge_rate_gives_infeasible_coefficients(self, strategy, access, ipsic):
+        # at ipsic 0 the own decode's residue term is 0 * inf: the infinite
+        # threshold itself must mark the coefficient infeasible
+        cfg = make_cfg()
+        link = NomaLink(rate_near=2000.0, rate_far=0.5, ipsic=ipsic)
+        ts = thresholds(link, cfg, strategy, access)
+        assert ts.eps_own == INFEASIBLE
+        assert ts.near == INFEASIBLE and ts.far == INFEASIBLE
+        # under NOMA the partner cannot decode the subject's signal ahead of
+        # SIC; under OMA it decodes in its own slot
+        partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+        assert (partner.near == INFEASIBLE) is (access == NOMA)
+        assert math.isfinite(partner.far)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate_near=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        rate_far=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        pw_far=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ipsic=st.floats(min_value=0.0, max_value=1.0),
+        tx_power=st.floats(min_value=1e-15, max_value=1e3),
+        strategy=st.sampled_from([USER_CENTRIC, UAV_CENTRIC]),
+        access=st.sampled_from([NOMA, OMA]),
+    )
+    def test_coefficients_positive_or_infeasible(
+        self, rate_near, rate_far, pw_far, ipsic, tx_power, strategy, access
+    ):
+        link = NomaLink(
+            pw_far=pw_far, pw_near=1.0 - pw_far,
+            rate_near=rate_near, rate_far=rate_far, ipsic=ipsic,
+        )
+        ts = thresholds(link, make_cfg(tx_power=tx_power), strategy, access)
+        for coeff in (ts.near, ts.far):
+            # a rate below about 1.6e-16 rounds its threshold 2^R - 1 to 0,
+            # and a zero threshold is the one source of a zero coefficient
+            assert coeff == INFEASIBLE or coeff > 0.0 or (
+                coeff == 0.0 and 0.0 in (ts.eps_own, ts.eps_other)
+            )
