@@ -34,8 +34,9 @@ placement included, which is where sparse networks (lam / 100) with steep
 serving links (m >= 3, alpha_d >= 3.5, -30 dBm) need the nodes: the near
 user's coverage falls off within the first few percent of its disc. Past
 the fixed depth of the refinement the value raises ``NumericalError``.
-``uavnoma validate`` compares the result with nested adaptive quadrature at
-such a sparse point (``validation.adaptive_coverage_pair``).
+``uavnoma validate`` compares the result at such a sparse point with
+adaptive Gauss-Kronrod cubature over (u, r/R) on log-spaced panels
+(``validation.adaptive_coverage_pair``).
 """
 
 from __future__ import annotations

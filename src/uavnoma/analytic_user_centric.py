@@ -21,8 +21,8 @@ exceeds its share of the absolute tolerance ``quadrature.TOLERANCE`` (1e-7)
 is bisected until it meets it, to a fixed depth, past which the value
 raises ``NumericalError``; coverage mass packed below u = 0.01 with r_k far
 out (a low UAV and a steep serving link) is found this way.
-``validation.piecewise_user_centric_coverage`` is the reference for the
-radial integral.
+``validation.piecewise_user_centric_coverage``, adaptive Gauss-Kronrod in u
+on log-spaced panels, is the reference for the radial integral.
 """
 
 from __future__ import annotations

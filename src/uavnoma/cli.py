@@ -435,14 +435,21 @@ def _format_row(row: dict) -> list[str]:
 
 
 def _warn_infeasible(cfg, link, strategy, access, where=""):
-    # the far role is the typical user's own beyond r_k (user-centric) and
-    # the partner's, the far user's, under UAV-centric association
-    far_link = link if strategy == USER_CENTRIC else link.with_swapped_rates()
-    coefficients = (
-        ("near/SIC chain", thresholds(link, cfg, strategy, access).near),
-        ("far decode", thresholds(far_link, cfg, strategy, access).far),
-    )
-    for role, coeff in coefficients:
+    # every role each user can take: UAV-centric, the near user (the subject)
+    # near and the far user (its partner) far; user-centric, the typical user
+    # (the subject) and the fixed user (its partner) both near and far
+    subject = thresholds(link, cfg, strategy, access)
+    partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+    if strategy == USER_CENTRIC:
+        coefficients = {
+            "near/SIC chain": subject.near,
+            "far decode": subject.far,
+            "fixed user near/SIC chain": partner.near,
+            "fixed user far decode": partner.far,
+        }
+    else:
+        coefficients = {"near/SIC chain": subject.near, "far decode": partner.far}
+    for role, coeff in coefficients.items():
         if not math.isfinite(coeff):
             print(
                 f"warning: {where}{role} coefficient is infeasible for this power "

@@ -85,10 +85,6 @@ class LaplaceExponentBase:
     def value_at(self, s):
         return self.derivatives(s, 0).values[0]
 
-    def transform_at(self, s):
-        """L(s) = exp(-eta(s))."""
-        return np.exp(-self.value_at(s))
-
 
 class RadialTailExponent(LaplaceExponentBase):
     """Exponent of the interferer population beyond a 3-D exclusion distance."""

@@ -1,10 +1,10 @@
-"""Point-process sampling and the distance distributions of the network model.
+"""Point-process sampling of the network model.
 
 UAVs form a homogeneous Poisson point process on a finite disc. The nearest
 point of an (infinite) HPPP at distance r from a fixed location has density
 f(r) = 2 pi lam r exp(-pi lam r^2); in the cell-interior strategy the paired
 users are placed with linear densities 32 r / R^2 on [0, R/4] (near user) and
-32 r / (3 R^2) on [R/4, R/2] (far user).
+32 r / (3 R^2) on [R/4, R/2] (far user), all written out in ``validation``.
 
 These samplers are the Monte Carlo engine's own. The engine draws a block of
 trials at a time from one generator: ``sample_hppp_disc`` draws the UAV
@@ -45,20 +45,6 @@ def sample_hppp_disc(
     return counts, radii
 
 
-def nearest_distance_pdf(r, density: float):
-    """Density of the horizontal distance to the nearest HPPP point."""
-    if density <= 0.0:
-        raise DomainError("density must be positive")
-    r = np.asarray(r, dtype=float)
-    return 2.0 * math.pi * density * r * np.exp(-math.pi * density * r * r)
-
-
-def nearest_distance_cdf(r, density: float):
-    """CDF of the nearest-point distance: 1 - exp(-pi lam r^2)."""
-    r = np.asarray(r, dtype=float)
-    return -np.expm1(-math.pi * density * r * r)
-
-
 def sample_near_user(R, rng: np.random.Generator) -> np.ndarray:
     """Horizontal radius of a near user in each cell radius of ``R``: density
     32 r / R^2 on [0, R/4]. Draws one uniform per element of ``R``, in order."""
@@ -78,17 +64,3 @@ def _cell_radii(R) -> np.ndarray:
     if not np.all(R > 0.0):
         raise DomainError("R must be positive")
     return R
-
-
-def near_user_pdf(r, R: float):
-    """Density 32 r / R^2 on [0, R/4], zero elsewhere."""
-    r = np.asarray(r, dtype=float)
-    inside = (r >= 0.0) & (r <= 0.25 * R)
-    return np.where(inside, 32.0 * r / (R * R), 0.0)
-
-
-def far_user_pdf(r, R: float):
-    """Density 32 r / (3 R^2) on [R/4, R/2], zero elsewhere."""
-    r = np.asarray(r, dtype=float)
-    inside = (r >= 0.25 * R) & (r <= 0.5 * R)
-    return np.where(inside, 32.0 * r / (3.0 * R * R), 0.0)

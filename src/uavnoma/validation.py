@@ -7,14 +7,14 @@ holds
 * the elementary exponents of special cases (``rayleigh_tail_exponent_arctan``,
   ``rayleigh_ring_exponent``) and the binomial series of the ring exponent
   (``nearest_ring_exponent_series``), against which the general exponents
-  of ``laplace`` are checked;
-* ``quadrature_exponent_derivatives``, the radial-tail exponent and its
-  derivatives by adaptive quadrature, the reference for the hypergeometric
-  form;
-* ``adaptive_coverage_pair`` and ``piecewise_user_centric_coverage``, the
-  closed-form coverages by ``scipy.integrate.quad`` over log-spaced panels,
-  the references for the array rules; they integrate the same conditional
-  coverages as the closed forms, so they check the integration alone;
+  of ``laplace`` are checked, and the densities of the nearest-UAV distance
+  and of the user placement, against which the samplers of ``spatial`` are;
+* three integrals on one adaptive Gauss-Kronrod helper over arrays of nodes
+  (``_adaptive``): ``quadrature_exponent_derivatives``, the reference for the
+  hypergeometric exponent, and ``adaptive_coverage_pair`` and
+  ``piecewise_user_centric_coverage``, on log-spaced panels in u, the
+  references for the array rules. These integrate the closed forms' own
+  conditional coverages with another rule, so they check the integration alone;
 * ``run_validation``, the eight checks of ``uavnoma validate``.
 """
 
@@ -24,33 +24,34 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy import integrate
+from scipy.integrate import cubature
+from scipy.special import poch
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .laplace import RadialTailExponent
 from .scenario import NOMA, NetworkConfig, NomaLink
 
 
-def rayleigh_tail_exponent_arctan(s: float, dist3d: float, cfg: NetworkConfig) -> float:
+def rayleigh_tail_exponent_arctan(s, dist3d, cfg: NetworkConfig):
     """Elementary exponent for Rayleigh interference with quartic path loss:
 
         eta(s) = pi lam sqrt(s P) arctan(sqrt(s P) / d0^2).
 
-    Valid only for m_interf = 1, alpha_interf = 4.
+    Valid only for m_interf = 1, alpha_interf = 4. s and d0 may be arrays.
     """
-    sp = math.sqrt(s * cfg.tx_power)
-    return math.pi * cfg.uav_density * sp * math.atan(sp / dist3d**2)
+    sp = np.sqrt(s * cfg.tx_power)
+    return math.pi * cfg.uav_density * sp * np.arctan(sp / dist3d**2)
 
 
-def rayleigh_ring_exponent(s: float, R: float, cfg: NetworkConfig) -> float:
+def rayleigh_ring_exponent(s, R, cfg: NetworkConfig):
     """Elementary ring exponent for Rayleigh interference links:
 
         eta(s) = (l_I / R) * s P / (l_I^aI + s P).
 
-    Valid only for m_interf = 1.
+    Valid only for m_interf = 1. s and R may be arrays.
     """
-    l_i = math.hypot(R, cfg.uav_height)
+    l_i = np.hypot(R, cfg.uav_height)
     sp = s * cfg.tx_power
     return (l_i / R) * sp / (l_i**cfg.alpha_interf + sp)
 
@@ -74,6 +75,34 @@ def nearest_ring_exponent_series(
     return (l_i / R) * (1.0 - partial)
 
 
+def nearest_distance_pdf(r, density: float):
+    """Density of the horizontal distance to the nearest HPPP point."""
+    if density <= 0.0:
+        raise DomainError("density must be positive")
+    r = np.asarray(r, dtype=float)
+    return 2.0 * math.pi * density * r * np.exp(-math.pi * density * r * r)
+
+
+def nearest_distance_cdf(r, density: float):
+    """CDF of the nearest-point distance: 1 - exp(-pi lam r^2)."""
+    r = np.asarray(r, dtype=float)
+    return -np.expm1(-math.pi * density * r * r)
+
+
+def near_user_pdf(r, R: float):
+    """Density 32 r / R^2 on [0, R/4], zero elsewhere."""
+    r = np.asarray(r, dtype=float)
+    inside = (r >= 0.0) & (r <= 0.25 * R)
+    return np.where(inside, 32.0 * r / (R * R), 0.0)
+
+
+def far_user_pdf(r, R: float):
+    """Density 32 r / (3 R^2) on [R/4, R/2], zero elsewhere."""
+    r = np.asarray(r, dtype=float)
+    inside = (r >= 0.25 * R) & (r <= 0.5 * R)
+    return np.where(inside, 32.0 * r / (3.0 * R * R), 0.0)
+
+
 def _radial_panels(u_break: float) -> list[float]:
     """Panel edges in u = pi lam r^2 for the piecewise references: 0, 50
     log-spaced panels from 1e-12 up to the cutoff u = 46, and ``u_break``.
@@ -88,69 +117,72 @@ def _radial_panels(u_break: float) -> list[float]:
     return sorted(edges)
 
 
+def _adaptive(integrand, edges, lo=(), hi=(), atol=1e-14):
+    """Integral of ``integrand`` over the panels between ``edges`` along the
+    first axis (``lo`` and ``hi`` bound any further axes), with its error:
+    each panel by adaptive product Gauss-Kronrod (``scipy.integrate.cubature``,
+    21 nodes per axis) to relative 1e-11 or an even share of absolute ``atol``.
+
+    ``integrand`` maps the (nodes, axes) array of a subregion's nodes to one
+    value, or one row of values, per node. Raises ``NumericalError`` unless
+    every panel converged.
+    """
+    atol /= len(edges) - 1
+    results = [
+        cubature(integrand, [a, *lo], [b, *hi], rule="gk21", rtol=1e-11, atol=atol)
+        for a, b in zip(edges, edges[1:])
+    ]
+    error = np.sum([result.error for result in results], axis=0)
+    if any(result.status != "converged" for result in results):
+        raise NumericalError("reference quadrature did not converge", np.max(error))
+    return np.sum([result.estimate for result in results], axis=0), error
+
+
 def adaptive_coverage_pair(
     role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ) -> float:
-    """UAV-centric pair coverage by tight nested adaptive quadrature.
-
-    The reference for the array rule of ``analytic_uav_centric.coverage_pair``:
-    the placement density integrated over r given R, then the
-    nearest-neighbor law over u = pi lam R^2 on the panels of
-    ``_radial_panels`` with a break at R = h, both at epsabs = 1e-12 and
-    epsrel = 1e-11.
+    """UAV-centric pair coverage, the reference for the array rule of
+    ``analytic_uav_centric.coverage_pair``: the nearest-neighbor law e^(-u),
+    u = pi lam R^2, times the placement density in y = r/R, 32 y on [0, 1/4]
+    (near) or 32 y / 3 on [1/4, 1/2] (far), integrated over (u, y) on the
+    panels of ``_radial_panels`` with a break at R = h.
     """
     if role == analytic_uav_centric.NEAR:
         lo, hi, density = 0.0, 0.25, 32.0
     else:
         lo, hi, density = 0.25, 0.5, 32.0 / 3.0
-    tol = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
-
-    def placement(R: float) -> float:
-        return integrate.quad(
-            lambda r: density * r / R**2 * analytic_uav_centric.coverage_cond_pair(
-                r, R, role, cfg, link, access
-            ),
-            lo * R,
-            hi * R,
-            **tol,
-        )[0]
-
     pl = math.pi * cfg.uav_density
+
+    def integrand(x):
+        u, y = x[:, 0], x[:, 1]
+        R = np.sqrt(u / pl)
+        return (
+            np.exp(-u) * density * y
+            * analytic_uav_centric.coverage_cond_pair(y * R, R, role, cfg, link, access)
+        )
+
     edges = _radial_panels(pl * cfg.uav_height**2)
-    return math.fsum(
-        integrate.quad(
-            lambda u: placement(math.sqrt(u / pl)) * math.exp(-u), a, b, **tol
-        )[0]
-        for a, b in zip(edges, edges[1:])
-    )
+    return float(_adaptive(integrand, edges, (lo,), (hi,))[0])
 
 
 def piecewise_user_centric_coverage(
     subject: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ) -> float:
-    """User-centric coverage of the "typical" or "fixed" user by piecewise quad.
-
-    The reference for the array rule of ``analytic_user_centric``: the
-    subject's conditional coverage integrated in u = pi lam r^2 with weight
-    e^(-u) on the panels of ``_radial_panels`` with a break at
-    u_k = pi lam r_k^2, each panel by ``quad`` at epsabs = 1e-14,
-    epsrel = 1e-10.
+    """Coverage of the user-centric "typical" or "fixed" user, the reference
+    for the array rule of ``analytic_user_centric``: its conditional coverage
+    with weight e^(-u), integrated over u = pi lam r^2 on the panels of
+    ``_radial_panels`` with a break at u_k = pi lam r_k^2.
     """
-    conditional = (
-        analytic_user_centric._coverage_cond_fixed
-        if subject == "fixed"
-        else analytic_user_centric.coverage_cond
-    )
+    conditional = analytic_user_centric.coverage_cond
+    if subject == "fixed":
+        conditional = analytic_user_centric._coverage_cond_fixed
     pl = math.pi * cfg.uav_density
 
-    def integrand(u: float) -> float:
-        return math.exp(-u) * conditional(math.sqrt(u / pl), cfg, link, access)
+    def integrand(x):
+        u = x[:, 0]
+        return np.exp(-u) * conditional(np.sqrt(u / pl), cfg, link, access)
 
-    edges = _radial_panels(pl * link.fixed_user_dist**2)
-    return math.fsum(
-        integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-        for a, b in zip(edges, edges[1:])
-    )
+    return float(_adaptive(integrand, _radial_panels(pl * link.fixed_user_dist**2))[0])
 
 
 def quadrature_exponent_derivatives(
@@ -168,7 +200,8 @@ def quadrature_exponent_derivatives(
       k >= 1: scale sign_k (mI)_k q^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
 
     with scale = 2 pi lam d0^2/(aI-2); no factor leaves double range down to
-    aI = 2.001. Raises ``NumericalError`` when ``quad`` misses 1e-8 relative.
+    aI = 2.001. All orders are one vector-valued integral. Raises
+    ``NumericalError`` when an order misses 1e-8 relative.
     """
     m_i = exponent.m_interf
     a_i = exponent.alpha_interf
@@ -177,28 +210,28 @@ def quadrature_exponent_derivatives(
     q = exponent.tx_power / (m_i * d0**a_i)
     z = s * q
     scale = 2.0 * math.pi * exponent.density * d0 * d0 / (a_i - 2.0)
+    k = np.arange(order + 1)
+    # cubature refines where the largest error of any order sits, so each
+    # order is weighted to one magnitude: without its factor z the order-0
+    # integral tends to mI as z -> 0, and order k falls as z^(1-k) against it
+    weight = np.maximum(z, 1.0) ** np.maximum(k - 1, 0)
 
-    def phi_over_y(y):
-        # -expm1(-m log1p(y)) avoids the 1 - (1+y)^(-m) cancellation
-        return -math.expm1(-m_i * math.log1p(y)) / y if y > 0.0 else m_i
+    def integrand(x):
+        y = z * x**p
+        with np.errstate(invalid="ignore"):
+            # -expm1(-m log1p(y)) avoids the 1 - (1+y)^(-m) cancellation
+            order0 = np.where(y > 0.0, -np.expm1(-m_i * np.log1p(y)) / y, m_i)
+        higher = x ** (p * (k[1:] - 1)) * (1.0 + y) ** (-m_i - k[1:])
+        return weight * np.hstack([order0, higher])
 
-    values = []
-    for k in range(order + 1):
-        if k == 0:
-            f = lambda x: z * phi_over_y(z * x**p)
-            factor = 1.0
-        else:
-            f = lambda x, _k=k: x ** (p * (_k - 1)) * (1.0 + z * x**p) ** (-m_i - _k)
-            factor = (-1.0) ** (k + 1) * math.prod(range(m_i, m_i + k)) * q**k
-        value, err = integrate.quad(
-            f, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=300, full_output=1
-        )[:2]
-        if value != 0.0 and err > 1e-8 * abs(value):
-            raise NumericalError(
-                "interference exponent quadrature out of tolerance", err
-            )
-        values.append(factor * scale * value)
-    return values
+    values, errors = _adaptive(integrand, [0.0, 1.0], atol=0.0)
+    if np.any((values != 0.0) & (errors > 1e-8 * np.abs(values))):
+        raise NumericalError(
+            "interference exponent quadrature out of tolerance", float(np.max(errors))
+        )
+    # sign_k (mI)_k q^k, and z for k = 0
+    factors = np.where(k == 0, z, (-1.0) ** (k + 1) * poch(m_i, k) * q**k)
+    return (scale * factors * values / weight).tolist()
 
 
 def _validate_checks(quick: bool, seed: int):
@@ -210,26 +243,16 @@ def _validate_checks(quick: bool, seed: int):
     link_uav = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
 
     def special_case_identity():
-        worst = 0.0
-        for dist in (150.0, 450.0, 1200.0):
-            for s in np.logspace(2.0, 8.0, 13):
-                general = analytic_user_centric.laplace_exponent_uc(
-                    cfg, dist
-                ).value_at(float(s))
-                closed = rayleigh_tail_exponent_arctan(float(s), dist, cfg)
-                worst = max(worst, abs(general - closed) / closed)
-        return worst, 1e-8
+        dist, s = np.array([[150.0], [450.0], [1200.0]]), np.logspace(2.0, 8.0, 13)
+        general = analytic_user_centric.laplace_exponent_uc(cfg, dist).value_at(s)
+        closed = rayleigh_tail_exponent_arctan(s, dist, cfg)
+        return float(np.max(np.abs(general - closed) / closed)), 1e-8
 
     def ring_identity():
-        worst = 0.0
-        for R in (220.0, 470.0, 900.0):
-            for s in np.logspace(2.0, 10.0, 9):
-                general = analytic_uav_centric.nearest_ring_exponent_ucav(
-                    cfg, R
-                ).value_at(float(s))
-                closed = rayleigh_ring_exponent(float(s), R, cfg)
-                worst = max(worst, abs(general - closed) / closed)
-        return worst, 1e-12
+        R, s = np.array([[220.0], [470.0], [900.0]]), np.logspace(2.0, 10.0, 9)
+        general = analytic_uav_centric.nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        closed = rayleigh_ring_exponent(s, R, cfg)
+        return float(np.max(np.abs(general - closed) / closed)), 1e-12
 
     def hypergeometric_vs_quadrature():
         worst = 0.0

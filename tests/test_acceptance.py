@@ -32,8 +32,13 @@ from uavnoma.montecarlo import (
     wilson_interval,
 )
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
-from uavnoma.spatial import far_user_pdf, near_user_pdf, nearest_distance_cdf
-from uavnoma.validation import rayleigh_ring_exponent, rayleigh_tail_exponent_arctan
+from uavnoma.validation import (
+    far_user_pdf,
+    near_user_pdf,
+    nearest_distance_cdf,
+    rayleigh_ring_exponent,
+    rayleigh_tail_exponent_arctan,
+)
 from uavnoma.specfun import exp_composition_derivatives
 
 DENSITY = 1.0 / (500.0**2 * math.pi)

@@ -148,7 +148,7 @@ class TestLaplaceExponent:
     def test_zero_argument(self):
         exponent = laplace_exponent_uc(make_cfg(), 316.23)
         assert exponent.value_at(0.0) == 0.0
-        assert exponent.transform_at(0.0) == 1.0
+        assert np.exp(-exponent.value_at(0.0)) == 1.0
 
     @pytest.mark.parametrize("s", np.logspace(2, 8, 13))
     def test_arctan_identity(self, s):
@@ -292,9 +292,9 @@ class TestCoverageCond:
         )
         dist = math.hypot(r, cfg.uav_height)
         s = m_star * dist**cfg.alpha_desired
-        expected = math.exp(-s * cfg.noise_power) * laplace_exponent_uc(
-            cfg, dist
-        ).transform_at(s)
+        expected = math.exp(-s * cfg.noise_power) * np.exp(
+            -laplace_exponent_uc(cfg, dist).value_at(s)
+        )
         assert value == pytest.approx(expected, rel=1e-10)
 
     def test_infeasible_coefficient_gives_zero(self):
@@ -522,6 +522,17 @@ class TestLowUavCoverage:
         for value, pin in zip(values, LOW_UAV_PINS[case]):
             assert abs(value - pin) < 1e-6
 
+    @pytest.mark.parametrize("case", list(LOW_UAV_CASES))
+    def test_reference_reproduces_pins(self, case):
+        cfg = _low_uav_cfg(case)
+        values = [
+            piecewise_user_centric_coverage(subject, cfg, LOW_UAV_LINK, access)
+            for subject in ("typical", "fixed")
+            for access in (NOMA, OMA)
+        ]
+        for value, pin in zip(values, LOW_UAV_PINS[case]):
+            assert abs(value - pin) < 1e-12
+
     @pytest.mark.parametrize("fn", [coverage_typical, coverage_fixed])
     def test_sum_above_one_raises(self, monkeypatch, fn):
         # a kernel that exceeds 1 everywhere pushes the integral above 1;
@@ -569,48 +580,56 @@ def _pinned_fixed_user_oracle(cfg, link, trials, seed):
     """Monte Carlo of the fixed user's coverage: full field, nearest-UAV
     serving distance drawn from its exact law, fixed user placed at r_k with
     uniform azimuth, interference from its own position with exclusion at its
-    own serving distance."""
+    own serving distance. Draws in chunks of 10k trials."""
     rng = np.random.default_rng(seed)
     height, r_k = cfg.uav_height, link.fixed_user_dist
+    disc2 = cfg.sim_disc_radius**2
     dist_fixed = math.hypot(r_k, height)
     pg = dist_fixed**-cfg.alpha_desired
     eps_own = 2.0**link.rate_far - 1.0
     eps_cross = 2.0**link.rate_near - 1.0
     successes = 0
-    for _ in range(trials):
+    chunk = 10_000
+    done = 0
+    while done < trials:
+        n_trials = min(chunk, trials - done)
         # serving distance of the typical user via inverse CDF
-        r = math.sqrt(-math.log(rng.uniform()) / (math.pi * cfg.uav_density))
-        n = rng.poisson(cfg.uav_density * math.pi * (cfg.sim_disc_radius**2 - r**2))
-        rad = np.sqrt(rng.uniform(r**2, cfg.sim_disc_radius**2, n))
-        theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        serving = np.array([r, 0.0])
-        fixed_pos = serving + r_k * np.array([math.cos(phi), math.sin(phi)])
-        dx = rad * np.cos(theta) - fixed_pos[0]
-        dy = rad * np.sin(theta) - fixed_pos[1]
-        d3_sq = dx * dx + dy * dy + height * height
-        gains = rng.standard_gamma(cfg.m_interf, n) / cfg.m_interf
-        include = d3_sq > dist_fixed**2
-        interference = cfg.tx_power * float(
-            np.sum(gains[include] * d3_sq[include] ** (-cfg.alpha_interf / 2.0))
+        u = -np.log(rng.uniform(size=n_trials))
+        r = np.sqrt(u / (math.pi * cfg.uav_density))
+        counts = rng.poisson(cfg.uav_density * math.pi * (disc2 - r**2))
+        owner = np.repeat(np.arange(n_trials), counts)
+        inner = (r**2)[owner]
+        rad = np.sqrt(inner + (disc2 - inner) * rng.uniform(size=owner.size))
+        cos_theta = np.cos(rng.uniform(0.0, 2.0 * math.pi, owner.size))
+        phi = rng.uniform(0.0, 2.0 * math.pi, n_trials)
+        # the serving UAV sits at (r, 0) and the fixed user r_k away from it,
+        # at distance f from the origin; the field is isotropic, so each
+        # interferer's azimuth theta may be measured from the fixed user's
+        f_sq = r**2 + r_k**2 + 2.0 * r * r_k * np.cos(phi)
+        f, offset = np.sqrt(f_sq)[owner], (f_sq + height * height)[owner]
+        d3_sq = rad * (rad - 2.0 * f * cos_theta) + offset
+        gains = rng.standard_gamma(cfg.m_interf, owner.size) / cfg.m_interf
+        contrib = np.where(
+            d3_sq > dist_fixed**2, gains * d3_sq ** (-cfg.alpha_interf / 2.0), 0.0
         )
-        h_f = rng.standard_gamma(cfg.m_desired) / cfg.m_desired
+        interference = cfg.tx_power * np.bincount(
+            owner, weights=contrib, minlength=n_trials
+        )
+        h_f = rng.standard_gamma(cfg.m_desired, n_trials) / cfg.m_desired
         received = h_f * pg * cfg.tx_power
-        if r < r_k:
-            # fixed user in the far role
-            value = received * link.pw_far / (
-                cfg.noise_power + received * link.pw_near + interference
-            )
-            ok = value > eps_own
-        else:
-            cross = received * link.pw_far / (
-                cfg.noise_power + received * link.pw_near + interference
-            )
-            own = received * link.pw_near / (
-                cfg.noise_power + link.ipsic * received * link.pw_far + interference
-            )
-            ok = (cross > eps_cross) and (own > eps_own)
-        successes += bool(ok)
+        # the signal sent at pw_far: the fixed user's own in the far role
+        # (r < r_k), the typical user's, decoded first, in the near role
+        far_signal = received * link.pw_far / (
+            cfg.noise_power + received * link.pw_near + interference
+        )
+        own = received * link.pw_near / (
+            cfg.noise_power + link.ipsic * received * link.pw_far + interference
+        )
+        ok = np.where(
+            r < r_k, far_signal > eps_own, (far_signal > eps_cross) & (own > eps_own)
+        )
+        successes += int(np.sum(ok))
+        done += n_trials
     return successes / trials
 
 

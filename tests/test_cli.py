@@ -344,8 +344,9 @@ class TestSweepCommand:
         assert row[9] == "500" and row[10] == "9"
 
     def test_infeasible_points_warn_by_axis_value(self, tmp_path, capsys):
-        # the far decode threshold of the shipped m=3 rate sweep is infeasible
-        # from rate_near 1.5 on; the warnings leave the CSV and stdout alone
+        # from rate_near 1.5 on, the shipped m=3 rate sweep has an infeasible
+        # far decode threshold for the typical user and an infeasible SIC
+        # chain for the fixed user; the warnings leave the CSV and stdout alone
         shipped = REPO / "configs" / "user_centric_rate_noma_m3.json"
         payload = json.loads(shipped.read_text())
         payload["sweep"].update({"mode": "mc", "trials": 200})
@@ -353,13 +354,15 @@ class TestSweepCommand:
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        warned = [
-            line.split(":")[1].strip()
-            for line in captured.err.splitlines()
-            if line.startswith("warning:")
+        tail = (
+            "infeasible for this power allocation; the affected coverage is "
+            "exactly zero"
+        )
+        assert captured.err.splitlines() == [
+            f"warning: rate_near={value}: {role} coefficient is {tail}"
+            for value in ("1.5", "1.75", "2")
+            for role in ("far decode", "fixed user near/SIC chain")
         ]
-        assert warned == ["rate_near=1.5", "rate_near=1.75", "rate_near=2"]
-        assert all("far decode" in line for line in captured.err.splitlines())
         assert captured.out == f"wrote {out}: 8 points, 1 geometry batch\n"
 
     @pytest.mark.parametrize(
@@ -517,11 +520,37 @@ class TestPointCommands:
             assert f"{subject}: p=0.000000" in captured.out
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
-        assert capsys.readouterr().err.count("near/SIC chain coefficient") == 2
+        err = capsys.readouterr().err
+        assert err.count(": near/SIC chain coefficient") == 2
+        # the fixed user's NOMA SIC chain decodes the 2000-bpcu signal first
+        fixed = 2 if (strategy, access) == ("user-centric", "noma") else 0
+        assert err.count("fixed user near/SIC chain coefficient") == fixed
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         subject_rows = [row for row in rows if row[2] == subject]
         assert len(subject_rows) == 2
         assert all(row[5] == "0" and row[6] == "0" for row in subject_rows)
+
+    def test_user_centric_fixed_user_infeasible_warns(self, tmp_path, capsys):
+        # typical rate 0.5, fixed rate 0.9, full SIC residue: the fixed user's
+        # SIC chain is infeasible while every coefficient of the typical user
+        # is finite; the fixed user's coverage then rests on its far role
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["link"].update(rate_near_bpcu=0.5, rate_far_bpcu=0.9, ipsic=1.0)
+        cfg_path = write_config(tmp_path, payload)
+        warning = (
+            "fixed user near/SIC chain coefficient is infeasible for this power "
+            "allocation; the affected coverage is exactly zero"
+        )
+        for command in (["analytic"], ["mc", "--trials", "200"]):
+            assert main([*command, "--config", cfg_path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == f"warning: {warning}\n"
+            assert "fixed: p=0.000000" not in captured.out
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: tx_power_dbm={value}: {warning}" for value in ("-40", "-30")
+        ]
 
     def test_mc_point(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

@@ -8,8 +8,9 @@ m_d in 1..5, m_I in 1..3, alpha_I in [2.05, 4], alpha_d in [2.5, 4.5],
 must lie within 1e-6 of its tight reference in ``REFERENCES``:
 ``uavnoma.validation.adaptive_coverage_pair`` (UAV-centric) or
 ``uavnoma.validation.piecewise_user_centric_coverage`` (user-centric), both
-adaptive quadrature on 50 log-spaced panels. The references take minutes,
-so they are pinned; regenerate them from the repository root with
+adaptive Gauss-Kronrod quadrature on 50 log-spaced panels. All 240
+references take about a minute, so they are pinned, and the first eight are
+recomputed here; regenerate them from the repository root with
 
     PYTHONPATH=src python tests/test_domain_sample.py
 """
@@ -336,6 +337,11 @@ def test_sample_is_fully_pinned():
 )
 def test_within_1e6_of_tight_reference(index):
     assert abs(closed_form(*DRAWN[index]) - REFERENCES[index]) < 1e-6
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_reference_reproduces_pin(index):
+    assert abs(reference(*DRAWN[index]) - REFERENCES[index]) < 1e-12
 
 
 if __name__ == "__main__":

@@ -9,14 +9,12 @@ from scipy import integrate, stats
 from uavnoma import montecarlo
 from uavnoma.errors import DomainError
 from uavnoma.scenario import NetworkConfig
-from uavnoma.spatial import (
+from uavnoma.spatial import sample_far_user, sample_hppp_disc, sample_near_user
+from uavnoma.validation import (
     far_user_pdf,
     near_user_pdf,
     nearest_distance_cdf,
     nearest_distance_pdf,
-    sample_far_user,
-    sample_hppp_disc,
-    sample_near_user,
 )
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
