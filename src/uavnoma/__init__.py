@@ -20,22 +20,17 @@ from .analytic_user_centric import (
 from .errors import DomainError, NumericalError
 from .montecarlo import (
     CoverageEstimate,
-    estimate_uav_centric,
-    estimate_user_centric,
-    evaluate_uav_centric,
-    evaluate_user_centric,
-    run_uav_centric,
-    run_user_centric,
-    simulate_uav_centric,
-    simulate_user_centric,
-    uav_centric_geometry_key,
-    user_centric_geometry_key,
+    estimate,
+    geometry_key,
+    run,
+    simulate,
     wilson_interval,
 )
 from .scenario import (
     INFEASIBLE,
     NOMA,
     OMA,
+    ROLES,
     UAV_CENTRIC,
     USER_CENTRIC,
     NetworkConfig,
@@ -45,7 +40,6 @@ from .scenario import (
     noise_from_bandwidth,
     sinr_threshold,
     thresholds,
-    watts_to_dbm,
 )
 
 __version__ = "0.1.0"
@@ -59,6 +53,7 @@ __all__ = [
     "NomaLink",
     "NumericalError",
     "OMA",
+    "ROLES",
     "ThresholdSet",
     "UAV_CENTRIC",
     "USER_CENTRIC",
@@ -68,20 +63,13 @@ __all__ = [
     "coverage_pair",
     "coverage_typical",
     "dbm_to_watts",
-    "estimate_uav_centric",
-    "estimate_user_centric",
-    "evaluate_uav_centric",
-    "evaluate_user_centric",
+    "estimate",
+    "geometry_key",
     "laplace_exponent_uc",
     "noise_from_bandwidth",
-    "run_uav_centric",
-    "run_user_centric",
-    "simulate_uav_centric",
-    "simulate_user_centric",
+    "run",
+    "simulate",
     "sinr_threshold",
     "thresholds",
-    "uav_centric_geometry_key",
-    "user_centric_geometry_key",
-    "watts_to_dbm",
     "wilson_interval",
 ]

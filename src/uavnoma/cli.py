@@ -10,15 +10,19 @@ validate   run the cross-check suite of ``validation`` (exit nonzero on any
 
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
 sections; dBm values are accepted at this boundary only and converted to
-watts once. A sweep groups its points by Monte Carlo geometry key and
-simulates each group's batch once; groups run one after another in the
-calling process, and each batch is drawn on threads over block ranges
-(``montecarlo``), as many as UAVNOMA_THREADS allows (at least 1; default:
-every core this process may use). An analytic-only sweep simulates nothing;
-every closed form is one array pass. Output rows keep input order.
+watts once. A strategy is named as ``scenario.ROLES`` names it
+("user-centric" or "uav-centric") in configs, flags and CSVs alike, and each
+point's rows list its two users in ``ROLES`` order. Command-line flags
+override the config's sweep section. A sweep groups its points by
+``montecarlo.geometry_key`` and simulates each group's batch once; groups
+run one after another in the calling process, and each batch is drawn on
+threads over block ranges (``montecarlo``), as many as UAVNOMA_THREADS
+allows (at least 1; default: every core this process may use). An
+analytic-only sweep simulates nothing; every closed form is one array pass.
+Output rows keep input order.
 
-Exit codes: 0 success, 1 validation failure, 2 malformed configuration,
-3 numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 malformed configuration (a
+trial count too large for any batch included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import DomainError, NumericalError
 from .scenario import (
     NOMA,
     OMA,
-    UAV_CENTRIC,
+    ROLES,
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
@@ -58,9 +62,6 @@ SWEEP_AXES = (
     "fixed_user_dist",
     "power_split_far",
 )
-
-_STRATEGY_NAMES = {"user-centric": USER_CENTRIC, "uav-centric": UAV_CENTRIC}
-
 
 class ConfigError(Exception):
     """Configuration file problem; the message carries the field path."""
@@ -185,8 +186,8 @@ def parse_link(section: dict) -> NomaLink:
 
 def parse_sweep(section: dict) -> SweepSpec:
     section = dict(section)
-    strategy = _take(section, "sweep", "strategy", str, "user-centric")
-    if strategy not in _STRATEGY_NAMES:
+    strategy = _take(section, "sweep", "strategy", str, USER_CENTRIC)
+    if strategy not in ROLES:
         raise ConfigError(f"sweep.strategy: unknown strategy {strategy!r}")
     access = _take(section, "sweep", "access", str, NOMA)
     if access not in (NOMA, OMA):
@@ -199,7 +200,7 @@ def parse_sweep(section: dict) -> SweepSpec:
     spec = SweepSpec(
         axis=_take(section, "sweep", "axis", str, None),
         values=values,
-        strategy=_STRATEGY_NAMES[strategy],
+        strategy=strategy,
         access=access,
         mode=_take(section, "sweep", "mode", str, "both"),
         trials=_take(section, "sweep", "trials", int, 10_000),
@@ -262,46 +263,17 @@ def apply_axis(
 # ---------------------------------------------------------------------------
 
 
-def _analytic_pair(cfg, link, strategy, access) -> dict[str, float]:
+def _analytic_pair(cfg, link, strategy, access) -> tuple[float, float]:
+    """Closed-form coverage of the two users, in ``ROLES[strategy]`` order."""
     if strategy == USER_CENTRIC:
-        return {
-            "typical": analytic_user_centric.coverage_typical(cfg, link, access),
-            "fixed": analytic_user_centric.coverage_fixed(cfg, link, access),
-        }
-    return {
-        "near": analytic_uav_centric.coverage_pair(
-            analytic_uav_centric.NEAR, cfg, link, access
-        ),
-        "far": analytic_uav_centric.coverage_pair(
-            analytic_uav_centric.FAR, cfg, link, access
-        ),
-    }
-
-
-def _mc_geometry_key(cfg, link, strategy) -> tuple:
-    if strategy == USER_CENTRIC:
-        return montecarlo.user_centric_geometry_key(cfg, link.fixed_user_dist)
-    return montecarlo.uav_centric_geometry_key(cfg)
-
-
-def _mc_batch(cfg, link, spec):
-    if spec.strategy == USER_CENTRIC:
-        return montecarlo.simulate_user_centric(
-            cfg, link.fixed_user_dist, spec.trials, spec.seed
+        return (
+            analytic_user_centric.coverage_typical(cfg, link, access),
+            analytic_user_centric.coverage_fixed(cfg, link, access),
         )
-    return montecarlo.simulate_uav_centric(cfg, spec.trials, spec.seed)
-
-
-def _mc_pair(batch, cfg, link, spec) -> dict:
-    if spec.strategy == USER_CENTRIC:
-        estimates = montecarlo.estimate_user_centric(batch, cfg, link, spec.access)
-    else:
-        estimates = montecarlo.estimate_uav_centric(batch, cfg, link, spec.access)
-    return {est.user_role: est for est in estimates}
-
-
-def _strategy_label(strategy: str) -> str:
-    return "user-centric" if strategy == USER_CENTRIC else "uav-centric"
+    return tuple(
+        analytic_uav_centric.coverage_pair(role, cfg, link, access)
+        for role in ROLES[strategy]
+    )
 
 
 def _group_rows(spec: SweepSpec, points) -> list[list[dict]]:
@@ -313,7 +285,12 @@ def _group_rows(spec: SweepSpec, points) -> list[list[dict]]:
     batch = None
     if spec.mode in ("mc", "both"):
         _, first_cfg, first_link = points[0]
-        batch = _mc_batch(first_cfg, first_link, spec)
+        try:
+            batch = montecarlo.simulate(
+                first_cfg, first_link, spec.strategy, spec.trials, spec.seed
+            )
+        except MemoryError as exc:
+            raise ConfigError(str(exc)) from None
     return [_point_rows(spec, value, cfg, link, batch) for value, cfg, link in points]
 
 
@@ -321,21 +298,23 @@ def _point_rows(spec, value, cfg, link, batch) -> list[dict]:
     analytic = (
         _analytic_pair(cfg, link, spec.strategy, spec.access)
         if spec.mode in ("analytic", "both")
-        else {}
+        else (None, None)
     )
-    mc = _mc_pair(batch, cfg, link, spec) if batch is not None else {}
-    roles = ("typical", "fixed") if spec.strategy == USER_CENTRIC else ("near", "far")
+    mc = (
+        montecarlo.estimate(batch, cfg, link, spec.access)
+        if batch is not None
+        else (None, None)
+    )
     rows = []
-    for role in roles:
-        estimate = mc.get(role)
+    for role, p_analytic, estimate in zip(ROLES[spec.strategy], analytic, mc):
         rows.append(
             {
-                "strategy": _strategy_label(spec.strategy),
+                "strategy": spec.strategy,
                 "access": spec.access,
                 "user_role": role,
                 "axis": spec.axis,
                 "value": value,
-                "p_analytic": analytic.get(role),
+                "p_analytic": p_analytic,
                 "p_mc": estimate.p_hat if estimate else None,
                 "ci_low": estimate.ci_low if estimate else None,
                 "ci_high": estimate.ci_high if estimate else None,
@@ -384,7 +363,7 @@ def run_sweep(
         key = (
             None
             if spec.mode == "analytic"
-            else _mc_geometry_key(point_cfg, point_link, spec.strategy)
+            else montecarlo.geometry_key(point_cfg, point_link, spec.strategy)
         )
         groups.setdefault(key, []).append(index)
     point_rows = [None] * len(points)
@@ -473,16 +452,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="JSON configuration path")
-        p.add_argument(
-            "--strategy", choices=sorted(_STRATEGY_NAMES), help="association strategy"
-        )
+        p.add_argument("--strategy", choices=sorted(ROLES), help="association strategy")
         p.add_argument("--access", choices=[NOMA, OMA], help="multiple-access mode")
 
     p_analytic = sub.add_parser("analytic", help="closed-form coverage of one point")
     common(p_analytic)
+    p_analytic.set_defaults(mode="analytic")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo coverage of one point")
     common(p_mc)
+    p_mc.set_defaults(mode="mc")
     p_mc.add_argument("--trials", type=int, help="number of trials")
     p_mc.add_argument("--seed", type=int, help="64-bit unsigned seed")
 
@@ -498,26 +477,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _point_spec(raw: dict, args, mode: str) -> SweepSpec:
-    sweep_section = raw.get("sweep", {})
-    spec = parse_sweep({**sweep_section, "axis": "ipsic", "values": [0.0]})
-    strategy = args.strategy or _strategy_label(spec.strategy)
-    access = args.access or spec.access
-    trials = getattr(args, "trials", None)
-    if trials is None:
-        trials = spec.trials
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = spec.seed
-    return SweepSpec(
-        axis=spec.axis,
-        values=spec.values,
-        strategy=_STRATEGY_NAMES[strategy],
-        access=access,
-        mode=mode,
-        trials=trials,
-        seed=seed,
-    )
+def _with_flags(spec: SweepSpec, args) -> SweepSpec:
+    """``spec`` with every flag given on the command line in place of its
+    config value; ``SweepSpec`` rejects a bad value with ``ConfigError``."""
+    flags = {
+        name: getattr(args, name, None)
+        for name in ("strategy", "access", "mode", "trials", "seed")
+    }
+    return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -534,11 +501,7 @@ def main(argv=None) -> int:
         link = parse_link(raw.get("link", {}))
 
         if args.command == "sweep":
-            spec = parse_sweep(raw.get("sweep", {}))
-            if args.trials is not None:
-                spec = replace(spec, trials=args.trials)
-            if args.seed is not None:
-                spec = replace(spec, seed=args.seed)
+            spec = _with_flags(parse_sweep(raw.get("sweep", {})), args)
             batches = run_sweep(cfg, link, spec, args.out)
             print(
                 f"wrote {args.out}: {len(spec.values)} points, "
@@ -546,14 +509,14 @@ def main(argv=None) -> int:
             )
             return 0
 
-        mode = "analytic" if args.command == "analytic" else "mc"
-        spec = _point_spec(raw, args, mode)
-        ipsic = link.ipsic
+        # one point: the sweep section gives strategy, access, trials and seed
+        point = {**raw.get("sweep", {}), "axis": "ipsic", "values": [0.0]}
+        spec = _with_flags(parse_sweep(point), args)
         _warn_infeasible(cfg, link, spec.strategy, spec.access)
-        rows = evaluate_point(cfg, link, spec, ipsic)
-        print(f"strategy={_strategy_label(spec.strategy)} access={spec.access}")
+        rows = evaluate_point(cfg, link, spec, link.ipsic)
+        print(f"strategy={spec.strategy} access={spec.access}")
         for row in rows:
-            if mode == "analytic":
+            if spec.mode == "analytic":
                 print(f"{row['user_role']}: p={row['p_analytic']:.6f}")
             else:
                 print(

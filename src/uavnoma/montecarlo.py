@@ -18,11 +18,13 @@ positions, user placement, fading, and the per-receiver interference sums at
 unit transmit power. The evaluation phase applies a specific link/power
 configuration to a finished batch, so one batch serves every point that
 shares its geometry key (same answer as re-simulating with the same seed, at
-a fraction of the cost). Each strategy exposes the three steps:
-``*_geometry_key``, ``simulate_*`` and ``estimate_*`` (batch to coverage
-estimates); ``run_*`` is simulate-then-estimate for one point. The CLI's
+a fraction of the cost). The three steps take the strategy as an argument:
+``geometry_key``, ``simulate`` and ``estimate`` (batch to the two coverage
+estimates, in ``scenario.ROLES`` order); ``run`` is simulate-then-estimate
+for one point. Each switches to the strategy's own ``simulate_*`` or
+``evaluate_*`` by its module-level name at call time. The CLI's
 ``run_sweep`` groups a sweep's points by geometry key and simulates each
-group once; ``run_*`` and a point evaluated alone simulate afresh.
+group once; ``run`` and a point evaluated alone simulate afresh.
 
 Both strategies run the geometry phase on one skeleton, ``_simulate``: per
 block it builds the block's stream, draws the UAV fields of all its trials
@@ -75,6 +77,7 @@ from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
 from .scenario import (
     OMA,
+    ROLES,
     UAV_CENTRIC,
     USER_CENTRIC,
     NetworkConfig,
@@ -134,6 +137,77 @@ def _check_seed(seed: int):
 
 
 # ---------------------------------------------------------------------------
+# one surface for both strategies
+# ---------------------------------------------------------------------------
+
+
+def _is_user_centric(strategy: str) -> bool:
+    if strategy not in ROLES:
+        raise DomainError(f"unknown strategy {strategy!r}")
+    return strategy == USER_CENTRIC
+
+
+def _key(strategy: str, cfg: NetworkConfig, last: float) -> tuple:
+    return (
+        strategy,
+        cfg.uav_density,
+        cfg.sim_disc_radius,
+        cfg.uav_height,
+        cfg.m_desired,
+        cfg.m_interf,
+        cfg.alpha_interf,
+        last,
+    )
+
+
+def geometry_key(cfg: NetworkConfig, link: NomaLink, strategy: str) -> tuple:
+    """What a batch of ``strategy`` depends on: points with equal keys (and
+    equal trials and seed) can be estimated from one batch. Besides the UAV
+    field and the fading orders, a user-centric batch depends on the fixed
+    user's distance and a UAV-centric one on the ring half-width."""
+    last = link.fixed_user_dist if _is_user_centric(strategy) else cfg.hole_halfwidth
+    return _key(strategy, cfg, last)
+
+
+def simulate(cfg: NetworkConfig, link: NomaLink, strategy: str, trials: int, seed: int):
+    """The geometry phase of ``strategy``: a batch of ``trials`` trials."""
+    if _is_user_centric(strategy):
+        return simulate_user_centric(cfg, link.fixed_user_dist, trials, seed)
+    return simulate_uav_centric(cfg, trials, seed)
+
+
+def estimate(
+    batch, cfg: NetworkConfig, link: NomaLink, access: str
+) -> tuple[CoverageEstimate, CoverageEstimate]:
+    """The two coverage estimates of one point from a batch, in
+    ``ROLES[strategy]`` order of the batch's strategy."""
+    strategy, trials = batch.geometry_key[0], batch.trials
+    if _is_user_centric(strategy):
+        counts = evaluate_user_centric(batch, cfg, link, access)
+    else:
+        counts = evaluate_uav_centric(batch, cfg, link, access)
+    return tuple(
+        CoverageEstimate(
+            k / trials, trials, *wilson_interval(k, trials),
+            strategy, role, access, batch.seed,
+        )
+        for k, role in zip(counts, ROLES[strategy])
+    )
+
+
+def run(
+    cfg: NetworkConfig,
+    link: NomaLink,
+    strategy: str,
+    access: str,
+    trials: int,
+    seed: int,
+) -> tuple[CoverageEstimate, CoverageEstimate]:
+    """The two coverage estimates of one point from fresh trials."""
+    return estimate(simulate(cfg, link, strategy, trials, seed), cfg, link, access)
+
+
+# ---------------------------------------------------------------------------
 # user-centric strategy
 # ---------------------------------------------------------------------------
 
@@ -155,21 +229,6 @@ class UserCentricTrials:
         return len(self.serving_dist3d)
 
 
-def user_centric_geometry_key(cfg: NetworkConfig, fixed_user_dist: float) -> tuple:
-    """What a user-centric batch depends on: points with equal keys (and
-    equal trials and seed) can be estimated from one batch."""
-    return (
-        USER_CENTRIC,
-        cfg.uav_density,
-        cfg.sim_disc_radius,
-        cfg.uav_height,
-        cfg.m_desired,
-        cfg.m_interf,
-        cfg.alpha_interf,
-        fixed_user_dist,
-    )
-
-
 def simulate_user_centric(
     cfg: NetworkConfig,
     fixed_user_dist: float,
@@ -179,7 +238,7 @@ def simulate_user_centric(
     """Run the geometry phase: typical user at the origin, serving UAV is the
     nearest, fixed user at ``fixed_user_dist`` from it at uniform azimuth."""
     return UserCentricTrials(
-        user_centric_geometry_key(cfg, fixed_user_dist),
+        _key(USER_CENTRIC, cfg, fixed_user_dist),
         seed,
         *_simulate(cfg, trials, seed, 5, _user_centric_block, fixed_user_dist),
     )
@@ -222,7 +281,7 @@ def evaluate_user_centric(
     batch: UserCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
 ) -> tuple[int, int]:
     """Count typical/fixed coverage successes of one configuration point."""
-    if batch.geometry_key != user_centric_geometry_key(cfg, link.fixed_user_dist):
+    if batch.geometry_key != geometry_key(cfg, link, USER_CENTRIC):
         raise DomainError("trial batch was simulated under different geometry")
     dist_fixed = math.hypot(link.fixed_user_dist, cfg.uav_height)
     near_case = batch.serving_dist3d < dist_fixed
@@ -236,29 +295,6 @@ def evaluate_user_centric(
         ~near_case, cfg, link.with_swapped_rates(), USER_CENTRIC, access,
     )
     return k_typ, k_fix
-
-
-def estimate_user_centric(
-    batch: UserCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
-) -> tuple[CoverageEstimate, CoverageEstimate]:
-    """Estimate typical- and fixed-user coverage of one point from a batch."""
-    k_typ, k_fix = evaluate_user_centric(batch, cfg, link, access)
-    return (
-        _estimate(k_typ, batch, USER_CENTRIC, "typical", access),
-        _estimate(k_fix, batch, USER_CENTRIC, "fixed", access),
-    )
-
-
-def run_user_centric(
-    cfg: NetworkConfig,
-    link: NomaLink,
-    access: str,
-    trials: int,
-    seed: int,
-) -> tuple[CoverageEstimate, CoverageEstimate]:
-    """Estimate typical- and fixed-user coverage from fresh trials."""
-    batch = simulate_user_centric(cfg, link.fixed_user_dist, trials, seed)
-    return estimate_user_centric(batch, cfg, link, access)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +321,13 @@ class UavCentricTrials:
         return len(self.neighbor_dist)
 
 
-def uav_centric_geometry_key(cfg: NetworkConfig) -> tuple:
-    """What a UAV-centric batch depends on: points with equal keys (and equal
-    trials and seed) can be estimated from one batch."""
-    return (
-        UAV_CENTRIC,
-        cfg.uav_density,
-        cfg.sim_disc_radius,
-        cfg.uav_height,
-        cfg.m_desired,
-        cfg.m_interf,
-        cfg.alpha_interf,
-        cfg.hole_halfwidth,
-    )
-
-
 def simulate_uav_centric(
     cfg: NetworkConfig, trials: int, seed: int
 ) -> UavCentricTrials:
     """Geometry phase: serving UAV at the origin, neighbors form the
     interference field, paired users drawn from their placement densities."""
     return UavCentricTrials(
-        uav_centric_geometry_key(cfg),
+        _key(UAV_CENTRIC, cfg, cfg.hole_halfwidth),
         seed,
         *_simulate(cfg, trials, seed, 7, _uav_centric_block),
     )
@@ -339,7 +360,7 @@ def evaluate_uav_centric(
     batch: UavCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
 ) -> tuple[int, int]:
     """Count near/far-user coverage successes of one configuration point."""
-    if batch.geometry_key != uav_centric_geometry_key(cfg):
+    if batch.geometry_key != geometry_key(cfg, link, UAV_CENTRIC):
         raise DomainError("trial batch was simulated under different geometry")
     k_near = _decodes(
         "near", batch.gain_near, batch.near_dist3d, batch.interference_near,
@@ -351,29 +372,6 @@ def evaluate_uav_centric(
         False, cfg, link.with_swapped_rates(), UAV_CENTRIC, access,
     )
     return k_near, k_far
-
-
-def estimate_uav_centric(
-    batch: UavCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
-) -> tuple[CoverageEstimate, CoverageEstimate]:
-    """Estimate near- and far-user coverage of one point from a batch."""
-    k_near, k_far = evaluate_uav_centric(batch, cfg, link, access)
-    return (
-        _estimate(k_near, batch, UAV_CENTRIC, "near", access),
-        _estimate(k_far, batch, UAV_CENTRIC, "far", access),
-    )
-
-
-def run_uav_centric(
-    cfg: NetworkConfig,
-    link: NomaLink,
-    access: str,
-    trials: int,
-    seed: int,
-) -> tuple[CoverageEstimate, CoverageEstimate]:
-    """Estimate near- and far-user coverage from fresh trials."""
-    batch = simulate_uav_centric(cfg, trials, seed)
-    return estimate_uav_centric(batch, cfg, link, access)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +420,13 @@ def _simulate(
     if trials < 1:
         raise DomainError("trials must be at least 1")
     _check_seed(seed)
-    rows = np.empty((fields, trials))
+    try:
+        rows = np.empty((fields, trials))
+    except (ValueError, MemoryError):
+        # numpy refuses a shape past its index range with ValueError
+        raise MemoryError(
+            f"a batch of {trials} trials does not fit in memory"
+        ) from None
 
     def fill(first: int, end: int):
         for b in range(first, end):
@@ -511,13 +515,3 @@ def _decodes(
             f"{user} trials"
         )
     return int(np.sum(ok))
-
-
-def _estimate(
-    successes: int, batch, strategy: str, role: str, access: str
-) -> CoverageEstimate:
-    trials = batch.trials
-    low, high = wilson_interval(successes, trials)
-    return CoverageEstimate(
-        successes / trials, trials, low, high, strategy, role, access, batch.seed
-    )

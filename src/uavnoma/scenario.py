@@ -4,6 +4,10 @@ Everything downstream (closed-form coverage and Monte Carlo alike) consumes
 the immutable value types defined here. All internal computation is in linear
 units (watts, meters); dBm appears only at I/O boundaries.
 
+Each association strategy has one name, the one configs, flags and CSVs
+use: ``USER_CENTRIC`` ("user-centric") and ``UAV_CENTRIC`` ("uav-centric").
+``ROLES`` names the two users of each, the subject first.
+
 Every user has one decode rule, ``thresholds``: the two coefficients of the
 subject (the user whose rate is ``rate_near``) in the near and in the far
 role. The partner is the link with swapped rates, so the UAV-centric far
@@ -27,8 +31,10 @@ from .errors import DomainError
 
 INFEASIBLE = math.inf
 
-USER_CENTRIC = "user_centric"
-UAV_CENTRIC = "uav_centric"
+USER_CENTRIC = "user-centric"
+UAV_CENTRIC = "uav-centric"
+# the two users of each strategy, subject first (see ``thresholds``)
+ROLES = {USER_CENTRIC: ("typical", "fixed"), UAV_CENTRIC: ("near", "far")}
 NOMA = "noma"
 OMA = "oma"
 
@@ -39,13 +45,6 @@ def dbm_to_watts(dbm: float) -> float:
         return 10.0 ** (dbm / 10.0) * 1e-3
     except OverflowError:
         return math.inf
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Convert a power in watts to dBm."""
-    if watts <= 0.0:
-        raise DomainError(f"watts_to_dbm requires positive power, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def noise_from_bandwidth(bw_hz: float) -> float:
@@ -223,7 +222,7 @@ def thresholds(
     allocation, e.g. an SIC residue larger than the near user's own power
     share, yields INFEASIBLE coefficients rather than an error.
     """
-    if strategy not in (USER_CENTRIC, UAV_CENTRIC):
+    if strategy not in ROLES:
         raise DomainError(f"unknown strategy {strategy!r}")
     p = cfg.tx_power
     eps_own = sinr_threshold(link.rate_near, access)

@@ -30,7 +30,7 @@ from scipy.special import poch
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
 from .laplace import RadialTailExponent
-from .scenario import NOMA, NetworkConfig, NomaLink
+from .scenario import NOMA, UAV_CENTRIC, USER_CENTRIC, NetworkConfig, NomaLink
 
 
 def rayleigh_tail_exponent_arctan(s, dist3d, cfg: NetworkConfig):
@@ -285,7 +285,7 @@ def _validate_checks(quick: bool, seed: int):
     def analytic_vs_mc_user_centric():
         trials = 20_000 if quick else 100_000
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
-        est, est_fixed = montecarlo.run_user_centric(cfg, link, NOMA, trials, seed)
+        est, est_fixed = montecarlo.run(cfg, link, USER_CENTRIC, NOMA, trials, seed)
         gap = abs(est.p_hat - analytic_user_centric.coverage_typical(cfg, link, NOMA))
         gap_fixed = abs(
             est_fixed.p_hat - analytic_user_centric.coverage_fixed(cfg, link, NOMA)
@@ -294,12 +294,13 @@ def _validate_checks(quick: bool, seed: int):
 
     def analytic_vs_mc_uav_centric():
         trials = 20_000 if quick else 100_000
+        estimates = montecarlo.run(cfg_uav, link_uav, UAV_CENTRIC, NOMA, trials, seed)
         gap = max(
             abs(
                 est.p_hat
                 - analytic_uav_centric.coverage_pair(est.user_role, cfg_uav, link_uav)
             )
-            for est in montecarlo.run_uav_centric(cfg_uav, link_uav, NOMA, trials, seed)
+            for est in estimates
         )
         return gap, 0.02
 

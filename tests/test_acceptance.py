@@ -27,11 +27,18 @@ from uavnoma.channel import sample_nakagami_power
 from uavnoma.montecarlo import (
     evaluate_uav_centric,
     evaluate_user_centric,
-    simulate_uav_centric,
-    simulate_user_centric,
+    simulate,
     wilson_interval,
 )
-from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
+from uavnoma.scenario import (
+    NOMA,
+    OMA,
+    UAV_CENTRIC,
+    USER_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+    dbm_to_watts,
+)
 from uavnoma.validation import (
     far_user_pdf,
     near_user_pdf,
@@ -87,7 +94,7 @@ SIM_SECONDS = {}
 @pytest.fixture(scope="module")
 def uc_batch():
     start = time.time()
-    batch = simulate_user_centric(uc_cfg(), UC_LINK.fixed_user_dist, 100_000, SEED)
+    batch = simulate(uc_cfg(), UC_LINK, USER_CENTRIC, 100_000, SEED)
     SIM_SECONDS["uc"] = time.time() - start
     return batch
 
@@ -95,7 +102,7 @@ def uc_batch():
 @pytest.fixture(scope="module")
 def uav_batch():
     start = time.time()
-    batch = simulate_uav_centric(uav_cfg(), 100_000, SEED)
+    batch = simulate(uav_cfg(), UAV_LINK, UAV_CENTRIC, 100_000, SEED)
     SIM_SECONDS["uav"] = time.time() - start
     return batch
 
@@ -204,7 +211,7 @@ def test_criterion_4_infeasibility_exactness(uav_batch):
     all_near_link = NomaLink(
         rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0, fixed_user_dist=90_000.0
     )
-    batch = simulate_user_centric(cfg, 90_000.0, 20_000, SEED)
+    batch = simulate(cfg, all_near_link, USER_CENTRIC, 20_000, SEED)
     k_typ, _ = evaluate_user_centric(batch, cfg, all_near_link, NOMA)
 
     # UAV-centric near user at ipsic = 0.5, rate 1.5

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -558,6 +559,18 @@ class TestPointCommands:
         out = capsys.readouterr().out
         assert "ci99=" in out and "trials=800" in out
 
+    def test_flags_override_the_sweep_section(self, tmp_path, capsys):
+        # the command decides the mode; every flag given beats the config
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["mode"] = "analytic"
+        path = write_config(tmp_path, payload)
+        flags = ["--strategy", "uav-centric", "--access", "oma", "--trials", "300"]
+        assert main(["mc", "--config", path, *flags, "--seed", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "strategy=uav-centric access=oma"
+        assert [line.split(":")[0] for line in lines[1:]] == ["near", "far"]
+        assert all(line.endswith("trials=300 seed=4") for line in lines[1:])
+
     def test_strategy_flag(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["network"]["alpha_desired"] = 3.5
@@ -622,6 +635,40 @@ class TestErrors:
         assert not Path(out).exists()
         assert main(["mc", "--config", path, "--trials", "0"]) == 2
         assert capsys.readouterr().err.count("sweep.trials") == 2
+
+    @pytest.mark.parametrize("trials", [10**21, 2**60])
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_trial_count_no_batch_can_hold_exits_2(
+        self, tmp_path, capsys, strategy, trials
+    ):
+        # numpy refuses both shapes before it allocates anything: the first
+        # is past its index range, the second past its byte count
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(strategy=strategy, trials=float(trials))
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", path, "--trials", str(trials)]) == 2
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        line = f"error: a batch of {trials} trials does not fit in memory"
+        assert capsys.readouterr().err.splitlines() == [line, line]
+        assert not out.exists()
+
+    def test_failed_batch_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a shape numpy accepts but the host cannot hold; the refusal is
+        # simulated, so nothing large is allocated
+        empty = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if shape == (5, 1234):
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["mc", "--config", path, "--trials", "1234"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a batch of 1234 trials does not fit in memory\n"
+        )
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from uavnoma.errors import NumericalError

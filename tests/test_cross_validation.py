@@ -13,8 +13,16 @@ import pytest
 
 from uavnoma.analytic_uav_centric import FAR, NEAR, coverage_pair
 from uavnoma.analytic_user_centric import coverage_fixed, coverage_typical
-from uavnoma.montecarlo import run_uav_centric, run_user_centric
-from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
+from uavnoma.montecarlo import run
+from uavnoma.scenario import (
+    NOMA,
+    OMA,
+    UAV_CENTRIC,
+    USER_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+    dbm_to_watts,
+)
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
 TRIALS = 30_000
@@ -29,7 +37,7 @@ def uc_case(m_desired, m_interf, link, access, seed):
         m_desired=m_desired,
         m_interf=m_interf,
     )
-    est, est_fixed = run_user_centric(cfg, link, access, TRIALS, seed)
+    est, est_fixed = run(cfg, link, USER_CENTRIC, access, TRIALS, seed)
     gap_typ = abs(est.p_hat - coverage_typical(cfg, link, access))
     gap_fix = abs(est_fixed.p_hat - coverage_fixed(cfg, link, access))
     return gap_typ, gap_fix
@@ -43,7 +51,7 @@ def uav_case(m_desired, m_interf, tx_dbm, link, access, seed):
         m_desired=m_desired,
         m_interf=m_interf,
     )
-    near, far = run_uav_centric(cfg, link, access, TRIALS, seed)
+    near, far = run(cfg, link, UAV_CENTRIC, access, TRIALS, seed)
     gap_near = abs(near.p_hat - coverage_pair(NEAR, cfg, link, access))
     gap_far = abs(far.p_hat - coverage_pair(FAR, cfg, link, access))
     return gap_near, gap_far

@@ -16,19 +16,22 @@ from uavnoma.montecarlo import (
     _BLOCK,
     UavCentricTrials,
     UserCentricTrials,
-    estimate_uav_centric,
-    estimate_user_centric,
+    estimate,
     evaluate_uav_centric,
     evaluate_user_centric,
-    run_uav_centric,
-    run_user_centric,
-    simulate_uav_centric,
-    simulate_user_centric,
-    uav_centric_geometry_key,
-    user_centric_geometry_key,
+    geometry_key,
+    run,
+    simulate,
     wilson_interval,
 )
-from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
+from uavnoma.scenario import (
+    NOMA,
+    OMA,
+    UAV_CENTRIC,
+    USER_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+)
 from uavnoma.spatial import sample_hppp_disc
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -78,14 +81,14 @@ class TestWilson:
 class TestDeterminism:
     def test_bit_exact_rerun(self):
         cfg = make_cfg()
-        a, fa = run_user_centric(cfg, LINK, NOMA, 400, seed=99)
-        b, fb = run_user_centric(cfg, LINK, NOMA, 400, seed=99)
+        a, fa = run(cfg, LINK, USER_CENTRIC, NOMA, 400, seed=99)
+        b, fb = run(cfg, LINK, USER_CENTRIC, NOMA, 400, seed=99)
         assert a.p_hat == b.p_hat and fa.p_hat == fb.p_hat
 
     def test_seed_changes_result(self):
         cfg = make_cfg()
-        a, _ = run_user_centric(cfg, LINK, NOMA, 400, seed=1)
-        b, _ = run_user_centric(cfg, LINK, NOMA, 400, seed=2)
+        a, _ = run(cfg, LINK, USER_CENTRIC, NOMA, 400, seed=1)
+        b, _ = run(cfg, LINK, USER_CENTRIC, NOMA, 400, seed=2)
         assert not np.array_equal(a.p_hat, b.p_hat)
 
     def test_pooled_counts_match_binomial_spread(self):
@@ -95,7 +98,7 @@ class TestDeterminism:
         trials = 300
         estimates = []
         for seed in range(20):
-            est, _ = run_user_centric(cfg, LINK, NOMA, trials, seed=seed)
+            est, _ = run(cfg, LINK, USER_CENTRIC, NOMA, trials, seed=seed)
             estimates.append(est.p_hat)
         p_bar = float(np.mean(estimates))
         sigma = math.sqrt(p_bar * (1.0 - p_bar) / trials)
@@ -182,9 +185,9 @@ def _stream_draws(cfg):
     link_b = NomaLink(rate_near=0.5, rate_far=0.25, ipsic=0.1, fixed_user_dist=150.0)
     link_c = NomaLink(rate_near=2.0, rate_far=0.5, ipsic=0.1)
 
-    uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 400, seed=77)
-    uc_b = simulate_user_centric(cfg, link_b.fixed_user_dist, 400, seed=77)
-    uav = simulate_uav_centric(cfg, 400, seed=77)
+    uc = simulate(cfg, LINK, USER_CENTRIC, 400, seed=77)
+    uc_b = simulate(cfg, link_b, USER_CENTRIC, 400, seed=77)
+    uav = simulate(cfg, LINK, UAV_CENTRIC, 400, seed=77)
     weak = dataclasses.replace(cfg, tx_power=1e-8)
     empty = uav.neighbor_dist == cfg.sim_disc_radius
     return dict(
@@ -244,13 +247,10 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
-def _simulate_strategy(strategy, cfg, trials, seed):
-    if strategy == "user":
-        return simulate_user_centric(cfg, LINK.fixed_user_dist, trials, seed)
-    return simulate_uav_centric(cfg, trials, seed)
-
-
-STRATEGIES = ["user", "uav"]
+STRATEGIES = [
+    pytest.param(USER_CENTRIC, id="user"),
+    pytest.param(UAV_CENTRIC, id="uav"),
+]
 
 
 class TestSkeleton:
@@ -260,21 +260,21 @@ class TestSkeleton:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rejects_trial_count_below_one(self, strategy, trials):
         with pytest.raises(DomainError):
-            _simulate_strategy(strategy, make_cfg(), trials, seed=1)
+            simulate(make_cfg(), LINK, strategy, trials, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rejects_seed_outside_64_bits(self, strategy, seed):
         with pytest.raises(DomainError):
-            _simulate_strategy(strategy, make_cfg(), 10, seed=seed)
+            simulate(make_cfg(), LINK, strategy, 10, seed=seed)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_shorter_run_is_a_prefix(self, strategy):
         # trial t draws from its own stream, so a run of 40 trials is the
         # first 40 trials of a run of 100 under the same seed
         cfg = make_cfg()
-        short = _simulate_strategy(strategy, cfg, 40, seed=8)
-        long = _simulate_strategy(strategy, cfg, 100, seed=8)
+        short = simulate(cfg, LINK, strategy, 40, seed=8)
+        long = simulate(cfg, LINK, strategy, 100, seed=8)
         for field in dataclasses.fields(short):
             value = getattr(short, field.name)
             if isinstance(value, np.ndarray):
@@ -288,7 +288,7 @@ class TestSkeleton:
         # stream of block t // _BLOCK
         cfg = make_cfg(sim_disc_radius=3000.0)
         trials = 2 * _BLOCK + 5
-        batch = _simulate_strategy(strategy, cfg, trials, seed)
+        batch = simulate(cfg, LINK, strategy, trials, seed)
         for t in range(trials):
             block, slot = divmod(t, _BLOCK)
             counts, radii = sample_hppp_disc(
@@ -296,7 +296,7 @@ class TestSkeleton:
             )
             start = int(np.sum(counts[:slot]))
             nearest = radii[start : start + counts[slot]].min()
-            if strategy == "user":
+            if strategy == USER_CENTRIC:
                 assert batch.serving_dist3d[t] == np.hypot(nearest, cfg.uav_height)
             else:
                 assert batch.neighbor_dist[t] == nearest
@@ -305,8 +305,8 @@ class TestSkeleton:
     def test_empty_disc_convention(self, strategy):
         # a 200 m disc holds no UAV in about 85% of trials
         cfg = make_cfg(sim_disc_radius=200.0)
-        batch = _simulate_strategy(strategy, cfg, 200, seed=3)
-        if strategy == "user":
+        batch = simulate(cfg, LINK, strategy, 200, seed=3)
+        if strategy == USER_CENTRIC:
             empty = np.isinf(batch.serving_dist3d)
             interference = (batch.interference_typical, batch.interference_fixed)
         else:
@@ -319,7 +319,7 @@ class TestSkeleton:
 
     def test_uav_centric_users_inside_their_rings(self):
         cfg = make_cfg()
-        batch = simulate_uav_centric(cfg, 300, seed=21)
+        batch = simulate(cfg, LINK, UAV_CENTRIC, 300, seed=21)
         big_r = batch.neighbor_dist
         near = np.sqrt(batch.near_dist3d**2 - cfg.uav_height**2)
         far = np.sqrt(batch.far_dist3d**2 - cfg.uav_height**2)
@@ -372,7 +372,7 @@ class TestBlockRangeThreads:
         cfg = make_cfg()
         trial_counts = (1, 33, SPLIT - _BLOCK, SPLIT, 5000)
         monkeypatch.setenv("UAVNOMA_THREADS", "1")
-        serial = [_simulate_strategy(strategy, cfg, n, seed=17) for n in trial_counts]
+        serial = [simulate(cfg, LINK, strategy, n, seed=17) for n in trial_counts]
         pools = []
 
         class Recording(ThreadPoolExecutor):
@@ -386,7 +386,7 @@ class TestBlockRangeThreads:
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
         for n, one in zip(trial_counts, serial):
-            threaded = _batch_arrays(_simulate_strategy(strategy, cfg, n, seed=17))
+            threaded = _batch_arrays(simulate(cfg, LINK, strategy, n, seed=17))
             for name, values in _batch_arrays(one).items():
                 assert np.array_equal(threaded[name], values), (n, name)
         blocks = [-(-n // _BLOCK) for n in trial_counts]
@@ -398,14 +398,14 @@ class TestBlockRangeThreads:
         # hosts, switching every microsecond
         cfg = make_cfg()
         monkeypatch.setenv("UAVNOMA_THREADS", "1")
-        serial = _batch_arrays(simulate_user_centric(cfg, 300.0, 1000, seed=23))
+        serial = _batch_arrays(simulate(cfg, LINK, USER_CENTRIC, 1000, seed=23))
         monkeypatch.setenv("UAVNOMA_THREADS", "8")
         monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", 1)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _batch_arrays(simulate_user_centric(cfg, 300.0, 1000, seed=23))
+            threaded = _batch_arrays(simulate(cfg, LINK, USER_CENTRIC, 1000, seed=23))
         finally:
             sys.setswitchinterval(interval)
         for name, values in serial.items():
@@ -432,14 +432,29 @@ class TestBlockRangeThreads:
         else:
             ranges = -(-trials // _BLOCK) // montecarlo._MIN_RANGE_BLOCKS
             workers = min(len(os.sched_getaffinity(0)), ranges)
-        _simulate_strategy(strategy, make_cfg(), trials, seed=4)
+        simulate(make_cfg(), LINK, strategy, trials, seed=4)
         assert _InlineExecutor.requests == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("trials", [10**21, 2**60])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_too_large_raises_memory_error(self, strategy, trials):
+        # numpy refuses both shapes before it allocates anything
+        with pytest.raises(MemoryError, match=f"a batch of {trials} trials"):
+            simulate(make_cfg(), LINK, strategy, trials, seed=1)
+
+    def test_other_value_errors_pass_through(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken block")
+
+        monkeypatch.setattr(montecarlo, "_uav_centric_block", broken)
+        with pytest.raises(ValueError, match="broken block"):
+            simulate(make_cfg(), LINK, UAV_CENTRIC, 10, seed=1)
 
     @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
     def test_bad_thread_count_raises(self, env, monkeypatch):
         monkeypatch.setenv("UAVNOMA_THREADS", env)
         with pytest.raises(DomainError, match="UAVNOMA_THREADS"):
-            simulate_uav_centric(make_cfg(), 10, seed=1)
+            simulate(make_cfg(), LINK, UAV_CENTRIC, 10, seed=1)
 
 
 def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user_dist):
@@ -461,7 +476,7 @@ def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user
     md, mi = cfg.m_desired, cfg.m_interf
     ends = np.cumsum(counts)
     rows, angles = [], np.empty(0)
-    if strategy == "user":
+    if strategy == USER_CENTRIC:
         angles = rng.uniform(-math.pi, math.pi, count)
         cos_angle = np.cos(angles)
         cos_azimuth = np.cos(rng.uniform(0.0, 2.0 * math.pi, _BLOCK))
@@ -532,7 +547,7 @@ class TestRaggedReductions:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batch_matches_per_trial_loop(self, strategy, case, trials):
         cfg = make_cfg(**ORACLE_CASES[case])
-        batch = _simulate_strategy(strategy, cfg, trials, ORACLE_SEED)
+        batch = simulate(cfg, LINK, strategy, trials, ORACLE_SEED)
         blocks = -(-trials // _BLOCK)
         expected = np.hstack(
             [
@@ -552,7 +567,7 @@ class TestRaggedReductions:
         # and a block without any UAV
         def block_counts(case, block):
             cfg = make_cfg(**ORACLE_CASES[case])
-            return _reference_block("uav", cfg, ORACLE_SEED, block)[1]
+            return _reference_block(UAV_CENTRIC, cfg, ORACLE_SEED, block)[1]
 
         last_empty = [block_counts("disc200", b) for b in range(3)]
         assert any(c[-1] == 0 and c.sum() > 0 for c in last_empty)
@@ -563,7 +578,7 @@ class TestRaggedReductions:
         # radii; the field is isotropic only if they are uniform
         cfg = make_cfg(sim_disc_radius=3000.0)
         angles = np.concatenate(
-            [_reference_block("user", cfg, 62, b)[2] for b in range(10)]
+            [_reference_block(USER_CENTRIC, cfg, 62, b)[2] for b in range(10)]
         )
         result = stats.kstest(angles, stats.uniform(-math.pi, 2.0 * math.pi).cdf)
         assert result.pvalue > 0.01
@@ -575,7 +590,7 @@ class TestEvaluationPaths:
         cfg = make_cfg(tx_power=1.0)
         n = 8
         batch = UserCentricTrials(
-            user_centric_geometry_key(cfg, LINK.fixed_user_dist),
+            geometry_key(cfg, LINK, USER_CENTRIC),
             0,
             np.full(n, math.hypot(200.0, 100.0)),
             np.zeros(n),
@@ -590,7 +605,7 @@ class TestEvaluationPaths:
         cfg = make_cfg(tx_power=1.0)
         n = 8
         batch = UavCentricTrials(
-            uav_centric_geometry_key(cfg),
+            geometry_key(cfg, LINK, UAV_CENTRIC),
             0,
             np.full(n, 500.0),
             np.full(n, 110.0),
@@ -605,32 +620,32 @@ class TestEvaluationPaths:
 
     def test_geometry_key_mismatch_rejected(self):
         cfg = make_cfg()
-        batch = simulate_user_centric(cfg, 300.0, 10, seed=0)
+        batch = simulate(cfg, LINK, USER_CENTRIC, 10, seed=0)
         other = NomaLink(fixed_user_dist=400.0)
         with pytest.raises(DomainError):
             evaluate_user_centric(batch, cfg, other, NOMA)
 
     def test_batch_reuse_matches_fresh_run(self):
         cfg = make_cfg()
-        batch = simulate_user_centric(cfg, LINK.fixed_user_dist, 500, seed=11)
-        k_typ, _ = evaluate_user_centric(batch, cfg, LINK, NOMA)
-        fresh, _ = run_user_centric(cfg, LINK, NOMA, 500, seed=11)
-        assert k_typ / 500 == fresh.p_hat
+        batch = simulate(cfg, LINK, USER_CENTRIC, 500, seed=11)
+        reused, _ = estimate(batch, cfg, LINK, NOMA)
+        fresh, _ = run(cfg, LINK, USER_CENTRIC, NOMA, 500, seed=11)
+        assert reused.p_hat == fresh.p_hat
 
     @pytest.mark.parametrize("access", [NOMA, OMA])
     def test_estimates_from_one_batch_equal_fresh_runs(self, access):
-        # estimate_* on a shared batch gives, point by point, the estimates
-        # (successes, interval, trials, seed) of run_* on fresh trials
+        # estimate on a shared batch gives, point by point, the estimates
+        # (successes, interval, trials, seed) of run on fresh trials
         cfg = make_cfg()
-        uc = simulate_user_centric(cfg, LINK.fixed_user_dist, 300, seed=12)
-        uav = simulate_uav_centric(cfg, 300, seed=12)
+        uc = simulate(cfg, LINK, USER_CENTRIC, 300, seed=12)
+        uav = simulate(cfg, LINK, UAV_CENTRIC, 300, seed=12)
         for tx_power in (1e-8, 1e-6, 1e-4):
             point = dataclasses.replace(cfg, tx_power=tx_power)
-            assert estimate_user_centric(uc, point, LINK, access) == run_user_centric(
-                point, LINK, access, 300, seed=12
+            assert estimate(uc, point, LINK, access) == run(
+                point, LINK, USER_CENTRIC, access, 300, seed=12
             )
-            assert estimate_uav_centric(uav, point, LINK, access) == run_uav_centric(
-                point, LINK, access, 300, seed=12
+            assert estimate(uav, point, LINK, access) == run(
+                point, LINK, UAV_CENTRIC, access, 300, seed=12
             )
 
 
@@ -654,10 +669,10 @@ class TestDecodeCheck:
         monkeypatch.setattr(montecarlo, "thresholds", patched)
         cfg = make_cfg()
         if user in ("typical", "fixed"):
-            batch = simulate_user_centric(cfg, LINK.fixed_user_dist, 300, seed=5)
+            batch = simulate(cfg, LINK, USER_CENTRIC, 300, seed=5)
             evaluate = evaluate_user_centric
         else:
-            batch = simulate_uav_centric(cfg, 300, seed=5)
+            batch = simulate(cfg, LINK, UAV_CENTRIC, 300, seed=5)
             evaluate = evaluate_uav_centric
         with pytest.raises(RuntimeError, match=rf"disagree on \d+ {user} trials"):
             evaluate(batch, cfg, LINK, access)
@@ -671,21 +686,35 @@ class TestInfeasibleLinks:
         link = NomaLink(
             rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0, fixed_user_dist=99_000.0
         )
-        est, _ = run_user_centric(cfg, link, NOMA, 2000, seed=3)
+        est, _ = run(cfg, link, USER_CENTRIC, NOMA, 2000, seed=3)
         assert est.p_hat == 0.0
 
     def test_uav_centric_near_user_zero(self):
         cfg = make_cfg(alpha_desired=3.5)
         link = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.5)
-        near, far = run_uav_centric(cfg, link, NOMA, 2000, seed=4)
+        near, far = run(cfg, link, UAV_CENTRIC, NOMA, 2000, seed=4)
         assert near.p_hat == 0.0
         assert far.p_hat > 0.0
 
 
 class TestEstimates:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_estimates_follow_roles(self, strategy):
+        estimates = run(make_cfg(), LINK, strategy, NOMA, 100, seed=2)
+        assert tuple(e.user_role for e in estimates) == scenario.ROLES[strategy]
+        assert all(e.strategy == strategy for e in estimates)
+
+    @pytest.mark.parametrize("strategy", ["user_centric", "uav_centric", "both"])
+    def test_unknown_strategy_rejected(self, strategy):
+        cfg = make_cfg()
+        with pytest.raises(DomainError, match="unknown strategy"):
+            geometry_key(cfg, LINK, strategy)
+        with pytest.raises(DomainError, match="unknown strategy"):
+            simulate(cfg, LINK, strategy, 10, seed=1)
+
     def test_interval_contains_estimate(self):
         cfg = make_cfg()
-        est, fixed = run_user_centric(cfg, LINK, NOMA, 3000, seed=21)
+        est, fixed = run(cfg, LINK, USER_CENTRIC, NOMA, 3000, seed=21)
         for e in (est, fixed):
             assert 0.0 <= e.ci_low <= e.p_hat <= e.ci_high <= 1.0
             assert e.trials == 3000 and e.seed == 21
@@ -693,13 +722,13 @@ class TestEstimates:
     def test_truncation_invariance_under_radius_doubling(self):
         cfg_small = make_cfg()
         cfg_big = make_cfg(sim_disc_radius=20_000.0)
-        a, _ = run_user_centric(cfg_small, LINK, NOMA, 6000, seed=8)
-        b, _ = run_user_centric(cfg_big, LINK, NOMA, 6000, seed=8)
+        a, _ = run(cfg_small, LINK, USER_CENTRIC, NOMA, 6000, seed=8)
+        b, _ = run(cfg_big, LINK, USER_CENTRIC, NOMA, 6000, seed=8)
         assert abs(a.p_hat - b.p_hat) < (a.ci_high - a.ci_low)
 
     def test_oma_mode_runs(self):
         cfg = make_cfg()
-        est, fixed = run_user_centric(cfg, LINK, OMA, 2000, seed=13)
+        est, fixed = run(cfg, LINK, USER_CENTRIC, OMA, 2000, seed=13)
         assert 0.0 < est.p_hat <= 1.0
         assert 0.0 < fixed.p_hat <= 1.0
 
@@ -707,7 +736,7 @@ class TestEstimates:
         from uavnoma.analytic_user_centric import coverage_typical
 
         cfg = make_cfg()
-        est, _ = run_user_centric(cfg, LINK, NOMA, 30_000, seed=55)
+        est, _ = run(cfg, LINK, USER_CENTRIC, NOMA, 30_000, seed=55)
         assert abs(est.p_hat - coverage_typical(cfg, LINK, NOMA)) < 0.02
 
 

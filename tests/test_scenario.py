@@ -18,10 +18,16 @@ from uavnoma.scenario import (
     noise_from_bandwidth,
     sinr_threshold,
     thresholds,
-    watts_to_dbm,
 )
 
 DENSITY = 1.0 / (500.0**2 * math.pi)
+
+
+def watts_to_dbm(watts: float) -> float:
+    """Convert a power in watts to dBm."""
+    if watts <= 0.0:
+        raise DomainError(f"watts_to_dbm requires positive power, got {watts}")
+    return 10.0 * math.log10(watts) + 30.0
 
 
 def make_cfg(**kw):
