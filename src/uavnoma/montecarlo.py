@@ -1,16 +1,17 @@
 """Seeded Monte Carlo estimation of every coverage probability.
 
 Reproducibility contract: trials are drawn in blocks of ``_BLOCK`` and each
-block owns a counter-based random stream (Philox keyed by the run seed,
-counter = block index << 128), so a rerun with the same seed reproduces every
-draw, and an n-trial run is the prefix of any longer run: a run whose trial
-count is not a multiple of ``_BLOCK`` draws its last block in full and keeps
-the first trials. A batch's blocks are cut into contiguous ranges, drawn on
-threads (``thread_count``, capped by the cores this process may use): numpy's
-Philox fills and its ufunc loops over a block's UAV points release the
-interpreter lock. A block's draws do not depend on the thread that makes
-them, so a batch is the same on any number of threads. Only the block
-functions and the samplers they call run on those threads.
+block owns a random stream, SFC64 seeded by child b of the run seed's
+``SeedSequence`` (``SeedSequence(seed, spawn_key=(b,))`` for block b), so a
+rerun with the same seed reproduces every draw, and an n-trial run is the
+prefix of any longer run: a run whose trial count is not a multiple of
+``_BLOCK`` draws its last block in full and keeps the first trials. (A flat
+``SeedSequence((seed, b))`` would give seed 2**32 at block 0 the stream of
+seed 0 at block 1.) A batch's blocks are cut into contiguous ranges, drawn on
+threads (``thread_count``, capped by the cores this process may use). A
+block's draws do not depend on the thread that makes them, so a batch is the
+same on any number of threads. Only the block functions and the samplers
+they call run on those threads.
 
 Each run is split into two phases. The geometry phase draws everything that
 does not depend on transmit power, rates, power split, or SIC quality: UAV
@@ -34,9 +35,10 @@ function, which draws the rest of the block from the same stream, in whole
 arrays, and reduces each trial's segment of the flat arrays with
 ``reduceat``. Per block, after the counts and radii, the draws are:
 
-* user-centric: one azimuth per UAV, one fixed-user azimuth per trial, the
-  typical and the fixed user's desired gains per trial, then their
-  interferer gains per UAV;
+* user-centric: one half angle per UAV (its azimuth relative to the fixed
+  user is twice that, and its cosine is formed from the half angle's
+  tangent), one fixed-user azimuth per trial, the typical and the fixed
+  user's desired gains per trial, then their interferer gains per UAV;
 * UAV-centric: the near and the far user's radius per trial, their desired
   gains per trial, their interferer gains per UAV, and the ring jitter per
   trial (no azimuths: nothing in this strategy depends on them).
@@ -120,14 +122,15 @@ def wilson_interval(
     return max(center - halfwidth, 0.0), min(center + halfwidth, 1.0)
 
 
-# trials per Philox stream; fixes the memory of the geometry phase whatever
+# trials per random stream; fixes the memory of the geometry phase whatever
 # the trial count
 _BLOCK = 32
 
 # shortest block range worth a thread of its own (1,024 trials): on a 2-core
-# host two ranges of 32 blocks beat one thread in 19 or more of 21 timed
-# pairs with either strategy, while at 16 blocks the user-centric batch won
-# only 4 of 21
+# host, in five runs of 21 timed pairs per strategy, two ranges of 32 blocks
+# beat one thread in 19-21 pairs user-centric and 14-20 UAV-centric (9 in
+# one run); two ranges of 16 blocks won 17-21 in four runs but 2 and 4 in
+# the fifth, so the shorter range is not the safer one
 _MIN_RANGE_BLOCKS = 32
 
 
@@ -249,32 +252,49 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     half = cfg.alpha_interf / 2.0
     count = field.radii.size
     # The field is isotropic, so each UAV's azimuth is drawn in the frame
-    # that puts the fixed user on the positive x axis.
-    cos_angle = np.cos(rng.uniform(-math.pi, math.pi, count))
+    # that puts the fixed user on the positive x axis, as twice a half angle.
+    cos_angle = _cos_twice(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, count))
     azimuth = rng.uniform(0.0, 2.0 * math.pi, _BLOCK)
     h_t = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     h_f = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     g_t = sample_nakagami_power(cfg.m_interf, rng, count)
     g_f = sample_nakagami_power(cfg.m_interf, rng, count)
     # typical user at the origin: non-serving UAVs are all beyond r
-    d3_typ_sq = field.radii**2 + height_sq
+    d3_typ_sq = np.square(field.radii)
+    d3_typ_sq += height_sq
     other = ~field.is_nearest
-    j_typ = field.sum(np.where(other, g_t * d3_typ_sq**-half, 0.0))
+    g_t *= d3_typ_sq**-half
+    j_typ = field.sum(np.where(other, g_t, 0.0))
     # fixed user hangs off the serving UAV, at distance rho from the origin;
     # its exclusion is its own serving distance
     r = np.where(field.occupied, field.nearest, 0.0)
     rho_sq = r * r + fixed_user_dist**2 + 2.0 * r * fixed_user_dist * np.cos(azimuth)
-    rho = np.sqrt(rho_sq)
-    d3_fix_sq = (
-        d3_typ_sq
-        + field.spread(rho_sq)
-        - 2.0 * field.radii * field.spread(rho) * cos_angle
-    )
+    d3_fix_sq = field.spread(np.sqrt(rho_sq))
+    d3_fix_sq *= field.radii
+    d3_fix_sq *= cos_angle
+    d3_fix_sq *= -2.0
+    d3_fix_sq += d3_typ_sq
+    d3_fix_sq += field.spread(rho_sq)
     beyond = other & (d3_fix_sq > fixed_user_dist**2 + height_sq)
-    j_fix = field.sum(np.where(beyond, g_f * d3_fix_sq**-half, 0.0))
+    g_f *= d3_fix_sq**-half
+    j_fix = field.sum(np.where(beyond, g_f, 0.0))
     # an empty disc has no serving UAV, so neither user has a desired link
     h_t, h_f = (np.where(field.occupied, h, 0.0) for h in (h_t, h_f))
     return np.hypot(field.nearest, cfg.uav_height), j_typ, j_fix, h_t, h_f
+
+
+def _cos_twice(half_angle: np.ndarray) -> np.ndarray:
+    """cos(2 phi) of each half angle phi in [-pi/2, pi/2], as
+    2 / (1 + tan^2 phi) - 1, within 1e-15 of ``np.cos(2 phi)``. numpy's
+    float64 ``tan`` is vectorised and its ``cos`` is not: this costs 4.8 ns
+    per element against ``cos``'s 18.5 ns on an x86-64 (AVX2) host. At
+    phi = -pi/2, tan^2 is about 2.7e32 and the result is -1."""
+    out = np.tan(half_angle)
+    np.square(out, out=out)
+    out += 1.0
+    np.divide(2.0, out, out=out)
+    out -= 1.0
+    return out
 
 
 def evaluate_user_centric(
@@ -348,12 +368,13 @@ def _uav_centric_block(rng, field, cfg):
     g_v = sample_nakagami_power(cfg.m_interf, rng, count)
     jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth, _BLOCK)
     ring_path = ((big_r + jitter) ** 2 + height**2) ** -half
-    path = np.where(
-        field.is_nearest,
-        field.spread(ring_path),
-        (field.radii**2 + height**2) ** -half,
-    )
-    return big_r, d_near, d_far, field.sum(g_w * path), field.sum(g_v * path), h_w, h_v
+    path = np.square(field.radii)
+    path += height**2
+    np.power(path, -half, out=path)
+    np.copyto(path, field.spread(ring_path), where=field.is_nearest)
+    g_w *= path
+    g_v *= path
+    return big_r, d_near, d_far, field.sum(g_w), field.sum(g_v), h_w, h_v
 
 
 def evaluate_uav_centric(
@@ -420,6 +441,14 @@ def _simulate(
     if trials < 1:
         raise DomainError("trials must be at least 1")
     _check_seed(seed)
+    # a block draws its radii as one flat array of about _BLOCK * mean
+    # doubles; past numpy's index range of 2**63 bytes (and its Poisson
+    # sampler's limit) no block can be drawn
+    mean = cfg.uav_density * math.pi * cfg.sim_disc_radius**2
+    if 8 * _BLOCK * mean >= 2**63:
+        raise MemoryError(
+            f"a UAV field of {mean:.3g} points per trial does not fit in memory"
+        )
     try:
         rows = np.empty((fields, trials))
     except (ValueError, MemoryError):
@@ -430,7 +459,8 @@ def _simulate(
 
     def fill(first: int, end: int):
         for b in range(first, end):
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=b << 128))
+            stream = np.random.SeedSequence(seed, spawn_key=(b,))
+            rng = np.random.Generator(np.random.SFC64(stream))
             field = _Field(
                 *sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng)
             )

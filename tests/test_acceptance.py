@@ -390,7 +390,7 @@ def test_criterion_7_noma_vs_oma():
 def test_criterion_8_distribution_sanity():
     """Samplers match their closed-form laws: KS at 1% for the nearest-UAV
     distance the Monte Carlo engine draws (``sample_hppp_disc`` fields in its
-    Philox blocks, reduced to each trial's minimum radius; the 10 km disc is
+    SFC64 blocks, reduced to each trial's minimum radius; the 10 km disc is
     empty with probability e^-400), exact placement normalization, Nakagami
     mean within 3 sigma."""
     block = lambda rng, field, cfg: [field.nearest]

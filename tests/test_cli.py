@@ -653,6 +653,23 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [line, line]
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_uav_field_no_block_can_hold_exits_2(self, tmp_path, capsys, strategy):
+        # 1e12 UAVs per m^2 on the 10 km disc, 3.14e20 per trial: past what
+        # numpy's Poisson sampler draws, refused before anything is allocated
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["uav_density_per_m2"] = 1e12
+        payload["sweep"].update(strategy=strategy, mode="mc")
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", path]) == 2
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        line = "error: a UAV field of 3.14e+20 points per trial does not fit in memory"
+        assert capsys.readouterr().err.splitlines() == [line, line]
+        assert not out.exists()
+        # the closed forms need no field
+        assert main(["analytic", "--config", path]) == 0
+
     def test_failed_batch_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
         # a shape numpy accepts but the host cannot hold; the refusal is
         # simulated, so nothing large is allocated

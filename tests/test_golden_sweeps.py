@@ -31,21 +31,20 @@ CONFIGS = sorted(p.name for p in (REPO / "configs").glob("*.json"))
 TRIALS = 300
 
 CSV_SHA256 = {
-    "uav_centric_power_los_m2.json": "174dd6fda3059abf0fc309c4b9837abf9ebbe3e2df501f1732ad7debfcf0be89",
-    "uav_centric_power_nlos_ipsic00.json": "a743d63d6253fc28466263385a81a606d9ac469abdeab80a783ccebd7a4dddb7",
-    "uav_centric_power_nlos_ipsic01.json": "34832e157b44db25eb7fbd41b611c5d0257f9b1c6a822a10f9e8bb91424bbb28",
-    "uav_centric_power_nlos_ipsic05.json": "7617b530942db5273bf64a684d40ae1b2b30cb7c330fafd99963ec82cb9be7be",
-    "uav_centric_rate_noma_m3.json": "64621fe3dacf69c01e1630cd7e04f98507678c23a5a8756f3f83f0329f651df4",
-    "uav_centric_rate_oma_m3.json": "6147aa55525ea24941e91981be928432e8585e98ecb0319a79f4c5ccd4519f50",
-    "user_centric_fixed_distance.json": "5058257d035822e830fa06767b8cc6d2c7da3a7425aa0ba78732898df8991869",
-    "user_centric_power_los_m2.json": "9decba060c8af4a4c7390605b73cdb5d51c843384fb28d43f3782bb8481d3566",
-    "user_centric_power_nlos_ipsic00.json": "b61f61ebea53b7f7df23be169fb1be5f1a569e3c1830e2a8b4474d7eb3e84617",
-    "user_centric_power_nlos_ipsic01.json": "00da2430082e7b7631533fe5ed5abe89147f14a2c0a77f18eeb42881ee1040bd",
-    "user_centric_power_nlos_ipsic03.json": "b23c7d0b591a8960b48034f237e926444de47d0e06934f1eadb3cc23dff6b3cd",
-    "user_centric_rate_noma_m3.json": "e88037e0c831c1bfe0a01e0d46be1680d03992822469ead1a6ccbf1d71612a21",
-    "user_centric_rate_oma_m3.json": "5ccf2cc0ed7aed5da3b5843f2dbe20d4226aba006a225bafa7ea650adec835be",
+    "uav_centric_power_los_m2.json": "6aa6187cf612beacf74f348b8c5d1ada51288de53dc8284fea2c62ba43f321f6",
+    "uav_centric_power_nlos_ipsic00.json": "05ccea1037be3a9467d16047dc7d944b547710f09211005c0658d38cca7ee231",
+    "uav_centric_power_nlos_ipsic01.json": "c3de1160b1acaf569f0a89e08a3034e5cf466e9fc69c04971a2c013e5dcfc375",
+    "uav_centric_power_nlos_ipsic05.json": "cb574e79f03de75e4c2bc28736ae9b79525cbb29b5734d389960c2b4a25f7252",
+    "uav_centric_rate_noma_m3.json": "4884aa9a1ecf61abf9cc027d4976e6669180ddc0f1c0586be3a3c0af7a86a9fe",
+    "uav_centric_rate_oma_m3.json": "b850d59956dee3379dba5719e4643b0c3a6d4befb55484c10a45d0522d8108d7",
+    "user_centric_fixed_distance.json": "9ddbd7058f15e5982448654b73bc78e54ae319d85a6357aa6217a4941e3b67fb",
+    "user_centric_power_los_m2.json": "fd2caaa00f07b02ec9412191e98ba75147d514ea3bf92ae12c08de5ba7f12491",
+    "user_centric_power_nlos_ipsic00.json": "425eb92fe833778f335d8a42cd1e748b8b0ccbb50b3370d059cdabdb97729339",
+    "user_centric_power_nlos_ipsic01.json": "2d6b83a8a10ab598d6abc146504db7d88375674f4b2e377872727fbffcf01e8f",
+    "user_centric_power_nlos_ipsic03.json": "4905370ed2da8d2aceee0bcd2b87ced002fb911a184f528f8f7fc7c26fc01228",
+    "user_centric_rate_noma_m3.json": "77c96b887165b356e646667a66db0ddbb198bdbdb7c1e157aa24d0f38bd1ede1",
+    "user_centric_rate_oma_m3.json": "b18f625e27ad3ad59643d33adbe8bd55ccaa81ff4ddbaabbe55fb459207c1ab4",
 }
-
 ANALYTIC_CSV_SHA256 = {
     "uav_centric_power_los_m2.json": "b3a9c85a0141ad4c83b6be470acc998f98a541d845ba2beb7771f70d8ce2c039",
     "uav_centric_power_nlos_ipsic00.json": "9083c53741696cb3ff7be97340f7f5eabf5f6eada0db24971cb9dfc004486f7c",

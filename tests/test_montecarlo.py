@@ -14,6 +14,7 @@ from uavnoma import montecarlo, scenario
 from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
     _BLOCK,
+    _cos_twice,
     UavCentricTrials,
     UserCentricTrials,
     estimate,
@@ -116,65 +117,63 @@ STREAM_PINS = {
     # lam pi r^2 = 400 UAVs on average
     "default": dict(
         cfg={},
-        uc_counts=[(215, 342), (266, 381), (344, 396)],
+        uc_counts=[(209, 354), (251, 381), (343, 396)],
         uc_empty=0,
         uc_values={
-            3: [429.81556002014, 4.9410212010594626e-11, 2.548798306537028e-10,
-                0.3749630629549604, 0.24283755432293144],
-            5: [518.4434832614965, 8.239865610558772e-12, 2.1936952803121873e-11,
-                0.005801910642543958, 1.1828906636829764],
+            3: [467.7842816039062, 4.681902953277221e-12, 1.4087797255381666e-11,
+                0.08175038704035581, 1.2719031053794094],
+            5: [239.44674988630257, 1.0142734119012646e-11, 6.949117182564986e-12,
+                0.5727976560817415, 3.8115300700604062],
         },
-        uav_counts=[(205, 174), (181, 169), (33, 174)],
+        uav_counts=[(216, 173), (194, 168), (31, 173)],
         uav_empty=0,
         uav_values={
-            3: [418.0208315807079, 140.89160693818033, 176.5266121713985,
-                4.63178262703096e-11, 4.8287975334916224e-11, 0.3687758992337944,
-                0.6206562133937603],
-            5: [508.7078192207326, 130.42522880390172, 198.6585697317449,
-                1.8831635048391117e-11, 2.310840165175621e-11, 1.925297430896213,
-                1.5276017618251025],
+            3: [456.9706053081343, 135.86931410020145, 207.03639091699242,
+                1.0011269562177033e-11, 1.8595442235348095e-11, 0.3298092163676573,
+                0.4817426340218103],
+            5: [217.56549825538409, 104.91999172424948, 129.4344499994871,
+                1.1874457888631574e-10, 3.5700001700507404e-10, 0.6585187198633983,
+                1.0026390686716027],
         },
     ),
     "nakagami": dict(
         cfg=dict(m_desired=3, m_interf=2, alpha_interf=3.5),
-        uc_counts=[(217, 380), (269, 400), (370, 400)],
+        uc_counts=[(220, 384), (285, 400), (372, 400)],
         uc_empty=0,
         uc_values={
-            3: [429.81556002014, 1.4275850846663928e-09, 9.872696560494052e-10,
-                1.3221369666084282, 0.5311682902170008],
-            5: [518.4434832614965, 1.8566141814912113e-10, 4.935293966279332e-10,
-                1.4518551600058895, 0.12204160367460455],
+            3: [467.7842816039062, 3.3868103344251524e-10, 5.198437130410322e-10,
+                1.128475843169883, 0.7355932614571771],
+            5: [239.44674988630257, 3.4697974410441654e-10, 2.803407424825594e-09,
+                1.2066128891292371, 1.1306976631330299],
         },
-        uav_counts=[(252, 218), (227, 213), (12, 218)],
+        uav_counts=[(259, 208), (239, 201), (11, 208)],
         uav_empty=0,
         uav_values={
-            3: [418.0208315807079, 140.89160693818033, 176.5266121713985,
-                3.0436739822473096e-09, 1.1474140093094348e-09, 0.3858762028085319,
-                0.3709758525350897],
-            5: [508.7078192207326, 130.42522880390172, 198.6585697317449,
-                7.226561968518844e-10, 5.280389137441597e-10, 0.4601646139621258,
-                0.4800001479342455],
+            3: [456.9706053081343, 135.86931410020145, 207.03639091699242,
+                3.3545344361038874e-10, 5.027152532006848e-10, 0.5840632558207481,
+                0.953975220305629],
+            5: [217.56549825538409, 104.91999172424948, 129.4344499994871,
+                1.715245231157247e-08, 1.477913528987364e-09, 0.5227719393695928,
+                0.6527592822651634],
         },
     ),
     # lam pi r^2 = 0.69: about half the discs hold no UAV
     "sparse": dict(
         cfg=dict(sim_disc_radius=416.0),
-        uc_counts=[(178, 180), (184, 193), (195, 199)],
-        uc_empty=200,
+        uc_counts=[(176, 183), (185, 194), (193, 200)],
+        uc_empty=198,
         uc_values={
-            3: [238.2975133667303, 5.750105208921867e-11, 2.815121465802858e-11,
-                0.2399434444645232, 0.5166410164119203],
-            5: [294.7832115584043, 0.0, 0.0, 0.17804667126398974, 3.4973521310068514],
+            3: [math.inf, 0.0, 0.0, 0.0, 0.0],
+            5: [313.8288941114827, 0.0, 0.0, 0.461604691062336, 0.3311137200069097],
         },
-        uav_counts=[(246, 235), (220, 226), (24, 235)],
-        uav_empty=200,
+        uav_counts=[(238, 225), (220, 222), (32, 225)],
+        uav_empty=198,
         uav_values={
-            3: [216.30003438919516, 100.03156337918338, 119.52826657465995,
-                2.0547969939971938e-10, 4.160486735068468e-10, 0.17176696969050673,
-                2.0391199180878408],
-            5: [277.3033389930365, 101.5305234253589, 152.78546646928928,
-                4.811744756188794e-11, 5.483820371708581e-11, 0.4497528706757738,
-                1.3866898473896325],
+            3: [416.0, 127.13418062789523, 184.07181610288063, 0.0, 0.0,
+                2.177121803797358, 2.3832839198352644],
+            5: [297.4702922633389, 103.66014837871586, 165.6271417300964,
+                1.2368453387132066e-11, 1.7020674821172384e-10, 1.5435602473345849,
+                0.1451832601711878],
         },
     ),
 }
@@ -243,8 +242,10 @@ class TestStreamLayout:
 
 
 def _block_rng(seed, block):
-    # the stream layout: Philox keyed by the seed, counter = block << 128
-    return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+    # the stream layout: SFC64 seeded by child ``block`` of the seed's
+    # SeedSequence, the stream SeedSequence(seed).spawn(block + 1)[block]
+    stream = np.random.SeedSequence(seed, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(stream))
 
 
 STRATEGIES = [
@@ -442,6 +443,13 @@ class TestBlockRangeThreads:
         with pytest.raises(MemoryError, match=f"a batch of {trials} trials"):
             simulate(make_cfg(), LINK, strategy, trials, seed=1)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_field_too_dense_raises_memory_error(self, strategy):
+        # 3.14e20 UAVs per trial: no block's radii fit numpy's index range
+        cfg = make_cfg(uav_density=1e12)
+        with pytest.raises(MemoryError, match=r"a UAV field of 3\.14e\+20 points"):
+            simulate(cfg, LINK, strategy, 10, seed=1)
+
     def test_other_value_errors_pass_through(self, monkeypatch):
         def broken(*args):
             raise ValueError("broken block")
@@ -460,10 +468,11 @@ class TestBlockRangeThreads:
 def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user_dist):
     """Batch fields of one block, recomputed with a plain loop over each
     trial's slice of the block's own draws (the layout of the montecarlo
-    docstring); also returns the per-trial counts and the UAV azimuths.
+    docstring); also returns the per-trial counts and the UAV half angles.
 
     Elementwise transforms (cosines, the fixed user's distance) are formed
-    as in the engine, so both pick the same interferers; what this checks is
+    as in the engine, in the same order of operations, so both pick the
+    same interferers; what this checks is
     the ragged part: segments, nearest points, exclusions, sums, empty
     trials and empty blocks.
     """
@@ -477,8 +486,8 @@ def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user
     ends = np.cumsum(counts)
     rows, angles = [], np.empty(0)
     if strategy == USER_CENTRIC:
-        angles = rng.uniform(-math.pi, math.pi, count)
-        cos_angle = np.cos(angles)
+        angles = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, count)
+        cos_angle = _cos_twice(angles)
         cos_azimuth = np.cos(rng.uniform(0.0, 2.0 * math.pi, _BLOCK))
         h_t = rng.standard_gamma(md, _BLOCK) / md
         h_f = rng.standard_gamma(md, _BLOCK) / md
@@ -496,7 +505,7 @@ def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user
             d_typ = r_i**2 + h**2
             j_typ = np.sum(g_t[s][others] * d_typ[others] ** -half)
             rho_sq = r * r + fixed_user_dist**2 + 2.0 * r * fixed_user_dist * cos_azimuth[t]
-            d_fix = d_typ + rho_sq - 2.0 * r_i * math.sqrt(rho_sq) * cos_angle[s]
+            d_fix = math.sqrt(rho_sq) * r_i * cos_angle[s] * -2.0 + d_typ + rho_sq
             keep = others & (d_fix > fixed_user_dist**2 + h**2)
             j_fix = np.sum(g_f[s][keep] * d_fix[keep] ** -half)
             rows.append([math.hypot(r, h), j_typ, j_fix, h_t[t], h_f[t]])
@@ -574,14 +583,46 @@ class TestRaggedReductions:
         assert any(block_counts("tiny", b).sum() == 0 for b in range(3))
 
     def test_uav_azimuths_are_uniform(self):
-        # the user-centric block draws one azimuth per UAV right after the
-        # radii; the field is isotropic only if they are uniform
+        # the user-centric block draws one half angle per UAV right after the
+        # radii; the field is isotropic only if they are uniform, and then the
+        # cosine of the azimuth follows the arcsine law 1 - arccos(c) / pi
         cfg = make_cfg(sim_disc_radius=3000.0)
-        angles = np.concatenate(
+        halves = np.concatenate(
             [_reference_block(USER_CENTRIC, cfg, 62, b)[2] for b in range(10)]
         )
-        result = stats.kstest(angles, stats.uniform(-math.pi, 2.0 * math.pi).cdf)
-        assert result.pvalue > 0.01
+        uniform = stats.uniform(-0.5 * math.pi, math.pi).cdf
+        assert stats.kstest(halves, uniform).pvalue > 0.01
+        arcsine = lambda c: 1.0 - np.arccos(c) / math.pi
+        assert stats.kstest(_cos_twice(halves), arcsine).pvalue > 0.01
+
+    def test_half_angle_cosine_matches_cos(self):
+        # both ends of the half-angle range: -pi/2 and the largest float
+        # below pi/2, where tan^2 is about 2.7e32 and 1.2e31
+        top = np.nextafter(0.5 * math.pi, 0.0)
+        grid = np.concatenate(
+            [np.linspace(-0.5 * math.pi, top, 100_001), [-0.5 * math.pi, top, 0.0]]
+        )
+        cos = _cos_twice(grid)
+        assert np.all(np.isfinite(cos))
+        np.testing.assert_allclose(cos, np.cos(2.0 * grid), rtol=0.0, atol=1e-15)
+        assert cos[-3] == cos[-2] == -1.0 and cos[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            pytest.param((0, 1), (1, 0), id="swapped"),
+            pytest.param((2**64 - 1, 0), (2**64 - 2, 0), id="top-seeds"),
+            # a flat (seed, block) entropy tuple would give these two the
+            # same words after SeedSequence pads them: [0, 1] and [0, 1, 0]
+            pytest.param((2**32, 0), (0, 1), id="seed-2**32"),
+        ],
+    )
+    def test_neighbouring_streams_differ(self, one, other):
+        def block(seed, b):
+            batch = simulate(make_cfg(), LINK, UAV_CENTRIC, (b + 1) * _BLOCK, seed)
+            return batch.neighbor_dist[b * _BLOCK :]
+
+        assert not np.any(block(*one) == block(*other))
 
 
 class TestEvaluationPaths:
@@ -744,7 +785,9 @@ if __name__ == "__main__":
     import textwrap
 
     def _lines(values, indent):
-        body = textwrap.fill(", ".join(map(repr, values)), 88 - len(indent) - 4)
+        # an empty disc's serving distance is infinite
+        literals = ("math.inf" if v == math.inf else repr(v) for v in values)
+        body = textwrap.fill(", ".join(literals), 88 - len(indent) - 4)
         return textwrap.indent(body, indent + "    ").lstrip()
 
     print("STREAM_PINS = {")

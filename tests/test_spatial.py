@@ -23,7 +23,7 @@ DENSITY = 1.0 / (500.0**2 * math.pi)
 def engine_nearest_distances(trials, seed):
     """Nearest-UAV distance of each trial as the Monte Carlo geometry phase
     draws it: ``sample_hppp_disc`` fields on the 10 km disc in the engine's
-    Philox blocks, each trial reduced to its minimum radius. The disc changes
+    SFC64 blocks, each trial reduced to its minimum radius. The disc changes
     nothing measurable: it is empty with probability e^-400."""
     cfg = NetworkConfig(uav_density=DENSITY, tx_power=1e-6, alpha_desired=3.0)
     block = lambda rng, field, cfg: [field.nearest]
