@@ -13,8 +13,8 @@ The thin-ring construction is a limit device; the implementation always uses
 its closed elementary form. ``coverage_cond_pair`` is the one conditional
 coverage of a paired user, and the closed form integrates it on its nodes.
 
-Both integrals run in one ``quadrature.integrate`` call over two cells in
-the plane of (x, y):
+Both integrals run in one ``quadrature.integrate_many`` call over two cells
+in the plane of (x, y):
 
 * y in [0, 1] is the user placement, linear in the user radius r and
   weighted by its density;
@@ -37,11 +37,21 @@ the fixed depth of the refinement the value raises ``NumericalError``.
 ``uavnoma validate`` compares the result at such a sparse point with
 adaptive Gauss-Kronrod cubature over (u, r/R) on log-spaced panels
 (``validation.adaptive_coverage_pair``).
+
+``pair_quadratures`` integrates many near and far values at once, the values
+of a sweep (``coverage_sweep``): their cells share the kernel's passes, so a
+point's near and far values (2 x 3,840 nodes) take one. The integrand reads
+what varies along a sweep -- transmit power, density and the decode
+coefficient, with the role's placement and the cells' split point -- per
+node, from the value each node belongs to; each value equals, bit for bit,
+the one integrated alone. ``pair_quadrature`` and ``coverage_pair`` are its
+one-value case.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +63,15 @@ from .laplace import (
     check_probability,
     conditional_coverage,
 )
-from .scenario import NOMA, UAV_CENTRIC, NetworkConfig, NomaLink, thresholds
+from .scenario import (
+    NOMA,
+    UAV_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+    node_config,
+    sweep_config,
+    thresholds,
+)
 
 NEAR = "near"
 FAR = "far"
@@ -127,6 +145,12 @@ def coverage_cond_pair(
     if not np.all(inside):
         bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
+    return _pair_kernel(r, R, coeff, cfg)
+
+
+def _pair_kernel(r, R, coeff, cfg):
+    """The conditional coverage at decode coefficient ``coeff``; ``coeff`` and
+    the fields of ``cfg`` may be per-node arrays (``scenario.node_config``)."""
     return conditional_coverage(
         cfg.m_desired,
         coeff,
@@ -137,13 +161,17 @@ def coverage_cond_pair(
     )
 
 
-# user radius r / R and placement density as functions of y in [0, 1]: the
+# the placement axis y in [0, 1] of each role as (offset, weight): the user
+# radius is r = (offset + y) R/4 and its density weight (offset + y) dy. The
 # near user has density 32r/R^2 on [0, R/4], i.e. 2y dy with r = yR/4; the
 # far user 32r/(3R^2) on [R/4, R/2], i.e. (2/3)(1 + y) dy with r = (1 + y)R/4
-_PLACEMENT = {
-    NEAR: lambda y: (0.25 * y, 2.0 * y),
-    FAR: lambda y: (0.25 * (1.0 + y), 2.0 / 3.0 * (1.0 + y)),
-}
+_PLACEMENT = {NEAR: (0.0, 2.0), FAR: (1.0, 2.0 / 3.0)}
+
+
+def _placement(y, offset, weight):
+    """r / R and the placement density at y."""
+    base = offset + y
+    return 0.25 * base, weight * base
 
 
 def _cells(t_b: float) -> tuple[list, list, list]:
@@ -162,25 +190,51 @@ def _cells(t_b: float) -> tuple[list, list, list]:
     )
 
 
-def _pair_integrand(
-    role: str, cfg: NetworkConfig, link: NomaLink, access: str, t_b: float
-):
-    """The pair coverage integrand over (x, y) for the cells of ``_cells(t_b)``."""
-    placement = _PLACEMENT[role]
-    root_pl = math.sqrt(math.pi * cfg.uav_density)
-    t_end = min(t_b, _T_CUTOFF)
-    span = math.log(_T_CUTOFF / t_b)
+class _PairValue(NamedTuple):
+    """What the integrand reads of one near or far value, per node."""
 
-    def integrand(x, y):
+    coeff: float
+    tx_power: float
+    uav_density: float
+    root_pl: float  # sqrt(pi lam)
+    t_b: float
+    t_end: float  # min(t_b, sqrt(46))
+    span: float  # log(sqrt(46) / t_b)
+    offset: float
+    weight: float
+
+
+def _pair_value(role, cfg, link, access) -> _PairValue:
+    t_b = _split_point(cfg)
+    return _PairValue(
+        _pair_coefficient(role, cfg, link, access),
+        cfg.tx_power,
+        cfg.uav_density,
+        math.sqrt(math.pi * cfg.uav_density),
+        t_b,
+        min(t_b, _T_CUTOFF),
+        math.log(_T_CUTOFF / t_b),
+        *_PLACEMENT[role],
+    )
+
+
+def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
+    """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
+    each value; ``shared`` holds the fields the values have in common."""
+    fields = quadrature.NodeFields(values)
+
+    def integrand(owner, x, y):
+        v = fields.at(owner)
         # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
         squared = x < 1.0
-        t = np.where(squared, t_end * x * x, t_b * np.exp(span * (x - 1.0)))
-        dt_dx = np.where(squared, 2.0 * t_end * x, t * span)
-        R = t / root_pl
-        r_over_R, density = placement(y)
+        t = np.where(squared, v.t_end * x * x, v.t_b * np.exp(v.span * (x - 1.0)))
+        dt_dx = np.where(squared, 2.0 * v.t_end * x, t * v.span)
+        R = t / v.root_pl
+        r_over_R, density = _placement(y, v.offset, v.weight)
+        cfg = node_config(shared, tx_power=v.tx_power, uav_density=v.uav_density)
         return (
             2.0 * t * np.exp(-t * t) * dt_dx * density
-            * coverage_cond_pair(r_over_R * R, R, role, cfg, link, access)
+            * _pair_kernel(r_over_R * R, R, v.coeff, cfg)
         )
 
     return integrand
@@ -191,22 +245,39 @@ def _split_point(cfg: NetworkConfig) -> float:
     return max(math.sqrt(math.pi * cfg.uav_density) * cfg.uav_height, _T_SPLIT_MIN)
 
 
+def pair_quadratures(
+    values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
+) -> list[quadrature.Quadrature]:
+    """Coverage of each ``(role, cfg, link)`` with its error estimate.
+
+    The configs may differ in ``scenario.SWEPT_FIELDS`` alone. An infeasible
+    coefficient gives exactly 0 without integrating; the other values share
+    the passes of one ``quadrature.integrate_many`` call (see the module
+    docstring), each equal, bit for bit, to the value integrated alone.
+    """
+    shared = sweep_config([cfg for _, cfg, _ in values])
+    results = [quadrature.Quadrature(0.0, 0.0)] * len(values)
+    feasible, rows, boxes = [], [], []
+    for i, (role, cfg, link) in enumerate(values):
+        row = _pair_value(role, cfg, link, access)
+        if math.isfinite(row.coeff):
+            feasible.append(i)
+            rows.append(row)
+            boxes.append(_cells(row.t_b))
+    if rows:
+        found = quadrature.integrate_many(_pair_integrand(shared, rows), boxes)
+        for i, result in zip(feasible, found):
+            results[i] = result
+    for (role, _, _), result in zip(values, results):
+        check_probability(result.value, f"{role} user coverage")
+    return results
+
+
 def pair_quadrature(
     role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ) -> quadrature.Quadrature:
-    """Coverage of the near or far paired user with its error estimate.
-
-    One array pass evaluates the kernel over the placement and
-    nearest-neighbor nodes of every cell (see the module docstring).
-    """
-    if not math.isfinite(_pair_coefficient(role, cfg, link, access)):
-        return quadrature.Quadrature(0.0, 0.0)
-    t_b = _split_point(cfg)
-    result = quadrature.integrate(
-        _pair_integrand(role, cfg, link, access, t_b), *_cells(t_b)
-    )
-    check_probability(result.value, f"{role} user coverage")
-    return result
+    """Coverage of the near or far paired user with its error estimate."""
+    return pair_quadratures([(role, cfg, link)], access)[0]
 
 
 def coverage_pair(
@@ -218,3 +289,13 @@ def coverage_pair(
     nearest-neighbor law, to the absolute tolerance ``quadrature.TOLERANCE``.
     """
     return pair_quadrature(role, cfg, link, access).value
+
+
+def coverage_sweep(
+    points: Sequence[tuple[NetworkConfig, NomaLink]], access: str = NOMA
+) -> list[tuple[float, float]]:
+    """(near, far) coverage of every ``(cfg, link)`` point of a sweep, all
+    values integrated together (``pair_quadratures``)."""
+    values = [(role, cfg, link) for cfg, link in points for role in (NEAR, FAR)]
+    found = [result.value for result in pair_quadratures(values, access)]
+    return list(zip(found[::2], found[1::2]))

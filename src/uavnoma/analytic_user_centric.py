@@ -14,7 +14,7 @@ The normative algorithm is the derivative-of-Laplace engine in ``laplace``
 (hypergeometric exponent, recursion kernel). The radial integral runs in
 t = sqrt(u), u = pi lam r^2, where the nearest-UAV law is 2t e^(-t^2) dt, on
 two cells split at t_k = sqrt(pi lam) r_k and ending at sqrt(46) (e^(-46) ~
-1e-20): ``quadrature.integrate`` evaluates the kernel on 64 and 128
+1e-20): ``quadrature.integrate_many`` evaluates the kernel on 64 and 128
 Gauss-Legendre nodes per cell in one array pass and returns the 128-node
 value, with |Q_64 - Q_128| as its error estimate. A cell whose estimate
 exceeds its share of the absolute tolerance ``quadrature.TOLERANCE`` (1e-7)
@@ -23,17 +23,38 @@ raises ``NumericalError``; coverage mass packed below u = 0.01 with r_k far
 out (a low UAV and a steep serving link) is found this way.
 ``validation.piecewise_user_centric_coverage``, adaptive Gauss-Kronrod in u
 on log-spaced panels, is the reference for the radial integral.
+
+``radial_quadratures`` integrates many typical and fixed values at once, the
+values of a sweep (``coverage_sweep``): their cells share the kernel's passes,
+so the 16 values of an 8-point sweep (384 nodes each) take one pass. The
+integrand reads what varies along a sweep -- transmit power, density, the
+two decode coefficients and r_k -- per node, from the value each node
+belongs to; each value equals, bit for bit, the one integrated alone.
+``coverage_typical`` and ``coverage_fixed`` are its one-value case.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import quadrature
+from .errors import DomainError
 from .laplace import RadialTailExponent, check_probability, conditional_coverage
-from .scenario import NOMA, USER_CENTRIC, NetworkConfig, NomaLink, thresholds
+from .scenario import (
+    NOMA,
+    ROLES,
+    USER_CENTRIC,
+    NetworkConfig,
+    NomaLink,
+    node_config,
+    sweep_config,
+    thresholds,
+)
+
+TYPICAL, FIXED = ROLES[USER_CENTRIC]
 
 # base rule of each radial cell; the check rule doubles it
 _RADIAL_NODES = 64
@@ -52,11 +73,56 @@ def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponen
     )
 
 
-def _role_coefficient(near, link: NomaLink, cfg: NetworkConfig, access: str):
-    """Decode coefficient of the subject of ``link``: its near-role (SIC
-    chain) coefficient where ``near`` holds, its far-role one elsewhere."""
-    ts = thresholds(link, cfg, USER_CENTRIC, access)
-    return np.where(near, ts.near, ts.far)
+class _Value(NamedTuple):
+    """What the integrand reads of one typical or fixed value: the fields a
+    sweep varies, then what ``_conditional`` reads."""
+
+    root_pl: float  # sqrt(pi lam)
+    tx_power: float
+    uav_density: float
+    fixed_user_dist: float
+    below: float  # decode coefficient while r < r_k
+    above: float  # decode coefficient while r >= r_k
+    fixed: bool  # the fixed user, served from fixed_dist3d
+    fixed_dist3d: float
+
+
+def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value:
+    """The typical user runs the SIC chain (near role) where r < r_k and
+    decodes its own signal directly (far role) beyond, the rule of the Monte
+    Carlo's ``near_case``. The fixed user plays the complement of that role
+    at swapped rates, served from the fixed 3-D distance R_k."""
+    fields = math.sqrt(math.pi * cfg.uav_density), cfg.tx_power, cfg.uav_density
+    r_k = link.fixed_user_dist
+    if user == TYPICAL:
+        ts = thresholds(link, cfg, USER_CENTRIC, access)
+        return _Value(*fields, r_k, ts.near, ts.far, False, 0.0)
+    if user == FIXED:
+        ts = thresholds(link.with_swapped_rates(), cfg, USER_CENTRIC, access)
+        return _Value(
+            *fields, r_k, ts.far, ts.near, True, math.hypot(r_k, cfg.uav_height)
+        )
+    raise DomainError(f"unknown user {user!r}")
+
+
+def _conditional(r, cfg, v: _Value):
+    """The coverage of value ``v`` given the typical user's serving radius r.
+
+    The user decodes at coefficient ``v.below`` where r < r_k and at
+    ``v.above`` beyond; its signal arrives from the serving distance
+    sqrt(r^2 + h^2), or from ``v.fixed_dist3d`` for the fixed user, and its
+    interference keeps the typical user's exclusion radius. The fields of
+    ``v`` and ``cfg`` may be per-node arrays (``scenario.node_config``).
+    """
+    dist3d = np.hypot(r, cfg.uav_height)
+    return conditional_coverage(
+        cfg.m_desired,
+        np.where(np.less(r, v.fixed_user_dist), v.below, v.above),
+        cfg.noise_power,
+        np.where(v.fixed, v.fixed_dist3d, dist3d),
+        cfg.alpha_desired,
+        laplace_exponent_uc(cfg, dist3d),
+    )
 
 
 def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
@@ -66,15 +132,7 @@ def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
     r < r_k and decodes its own signal directly (far role) beyond, the rule
     of the Monte Carlo's ``near_case``.
     """
-    dist3d = np.hypot(r, cfg.uav_height)
-    return conditional_coverage(
-        cfg.m_desired,
-        _role_coefficient(np.less(r, link.fixed_user_dist), link, cfg, access),
-        cfg.noise_power,
-        dist3d,
-        cfg.alpha_desired,
-        laplace_exponent_uc(cfg, dist3d),
-    )
+    return _conditional(r, cfg, _value(TYPICAL, cfg, link, access))
 
 
 def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
@@ -85,46 +143,59 @@ def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NO
     runs the SIC chain beyond. Its signal arrives from the fixed 3-D distance
     R_k, and its interference keeps the typical user's exclusion radius.
     """
-    return conditional_coverage(
-        cfg.m_desired,
-        _role_coefficient(
-            np.greater_equal(r, link.fixed_user_dist),
-            link.with_swapped_rates(),
-            cfg,
-            access,
-        ),
-        cfg.noise_power,
-        math.hypot(link.fixed_user_dist, cfg.uav_height),
-        cfg.alpha_desired,
-        laplace_exponent_uc(cfg, np.hypot(r, cfg.uav_height)),
-    )
+    return _conditional(r, cfg, _value(FIXED, cfg, link, access))
 
 
-def _integrate(cfg: NetworkConfig, link: NomaLink, conditional) -> float:
-    """Integrate ``conditional(r)``, a coverage given the serving radii r
-    (arrays), against the nearest-UAV law, with a cell edge at r_k."""
-    root_pl = math.sqrt(math.pi * cfg.uav_density)
-    t_k = root_pl * link.fixed_user_dist
-
-    def integrand(t):
-        return 2.0 * t * np.exp(-t * t) * conditional(t / root_pl)
-
+def _cells(t_k: float) -> tuple[list, list, list]:
+    """Radial cells in t, split at t_k unless it lies past the cutoff."""
     if t_k < _T_CUTOFF:
-        lo, hi = [[0.0], [t_k]], [[t_k], [_T_CUTOFF]]
-    else:
-        lo, hi = [[0.0]], [[_T_CUTOFF]]
-    value = quadrature.integrate(integrand, lo, hi, [[_RADIAL_NODES]] * len(lo)).value
-    check_probability(value, "radial coverage")
-    return value
+        return [[0.0], [t_k]], [[t_k], [_T_CUTOFF]], [[_RADIAL_NODES]] * 2
+    return [[0.0]], [[_T_CUTOFF]], [[_RADIAL_NODES]]
+
+
+def radial_quadratures(
+    values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
+) -> list[quadrature.Quadrature]:
+    """Coverage of each ``(user, cfg, link)``, user "typical" or "fixed", with
+    its error estimate: its conditional coverage against the nearest-UAV law,
+    with a cell edge at r_k.
+
+    The configs may differ in ``scenario.SWEPT_FIELDS`` alone. All values
+    share the passes of one ``quadrature.integrate_many`` call (see the module
+    docstring), each equal, bit for bit, to the value integrated alone.
+    """
+    shared = sweep_config([cfg for _, cfg, _ in values])
+    rows = [_value(user, cfg, link, access) for user, cfg, link in values]
+    fields = quadrature.NodeFields(rows)
+
+    def integrand(owner, t):
+        v = fields.at(owner)
+        cfg = node_config(shared, tx_power=v.tx_power, uav_density=v.uav_density)
+        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, cfg, v)
+
+    boxes = [_cells(row.root_pl * row.fixed_user_dist) for row in rows]
+    results = quadrature.integrate_many(integrand, boxes)
+    check_probability([result.value for result in results], "radial coverage")
+    return results
 
 
 def coverage_typical(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
     """Unconditional coverage of the typical user: ``coverage_cond`` against
     the nearest-UAV distance density."""
-    return _integrate(cfg, link, lambda r: coverage_cond(r, cfg, link, access))
+    return radial_quadratures([(TYPICAL, cfg, link)], access)[0].value
 
 
 def coverage_fixed(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
     """Unconditional coverage of the fixed user at horizontal distance r_k,
     its conditional coverage against the typical user's nearest-UAV law."""
-    return _integrate(cfg, link, lambda r: _coverage_cond_fixed(r, cfg, link, access))
+    return radial_quadratures([(FIXED, cfg, link)], access)[0].value
+
+
+def coverage_sweep(
+    points: Sequence[tuple[NetworkConfig, NomaLink]], access: str = NOMA
+) -> list[tuple[float, float]]:
+    """(typical, fixed) coverage of every ``(cfg, link)`` point of a sweep,
+    all values integrated together (``radial_quadratures``)."""
+    values = [(user, cfg, link) for cfg, link in points for user in (TYPICAL, FIXED)]
+    found = [result.value for result in radial_quadratures(values, access)]
+    return list(zip(found[::2], found[1::2]))

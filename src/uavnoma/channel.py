@@ -31,6 +31,9 @@ def sample_nakagami_power(m: int, rng: np.random.Generator, size=None):
     """Unit-mean power gain of a Nakagami-m link: Gamma(shape m) / m."""
     if m < 1 or m != int(m):
         raise DomainError(f"fading order must be a positive integer, got {m}")
+    if m == 1:
+        # numpy's standard_gamma(1.0) is this same draw, and / 1 is exact
+        return rng.standard_exponential(size)
     return rng.standard_gamma(m, size) / m
 
 

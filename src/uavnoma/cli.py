@@ -18,8 +18,12 @@ override the config's sweep section. A sweep groups its points by
 run one after another in the calling process, and each batch is drawn on
 threads over block ranges (``montecarlo``), as many as UAVNOMA_THREADS
 allows (at least 1; default: every core this process may use). An
-analytic-only sweep simulates nothing; every closed form is one array pass.
-Output rows keep input order.
+analytic-only sweep simulates nothing. The closed forms of all a sweep's
+points are computed before any group, together: the values share array
+passes of the kernel (``quadrature.integrate_many``), so an 8-point
+user-centric sweep is one pass and a UAV-centric point's two users share
+one. A point evaluated alone (``evaluate_point``) integrates each of its
+values in passes of its own. Output rows keep input order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration (a
 trial count too large for any batch included), 3 numerical failure.
@@ -276,8 +280,21 @@ def _analytic_pair(cfg, link, strategy, access) -> tuple[float, float]:
     )
 
 
-def _group_rows(spec: SweepSpec, points) -> list[list[dict]]:
-    """Rows of each sweep point ``(value, cfg, link)`` of one group.
+def _analytic_sweep(spec: SweepSpec, points) -> list[tuple]:
+    """Closed-form coverage of the two users of every sweep point
+    ``(value, cfg, link)``, all values integrated together; pairs of None
+    when the mode runs no closed form."""
+    if spec.mode not in ("analytic", "both"):
+        return [(None, None)] * len(points)
+    module = (
+        analytic_user_centric if spec.strategy == USER_CENTRIC else analytic_uav_centric
+    )
+    return module.coverage_sweep([(cfg, link) for _, cfg, link in points], spec.access)
+
+
+def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
+    """Rows of each sweep point ``(value, cfg, link)`` of one group, given
+    the closed-form pair of each.
 
     The points share one MC geometry key, so the mode's MC batch is
     simulated once, from the first point, and estimated at every point.
@@ -291,15 +308,13 @@ def _group_rows(spec: SweepSpec, points) -> list[list[dict]]:
             )
         except MemoryError as exc:
             raise ConfigError(str(exc)) from None
-    return [_point_rows(spec, value, cfg, link, batch) for value, cfg, link in points]
+    return [
+        _point_rows(spec, value, cfg, link, pair, batch)
+        for (value, cfg, link), pair in zip(points, analytic)
+    ]
 
 
-def _point_rows(spec, value, cfg, link, batch) -> list[dict]:
-    analytic = (
-        _analytic_pair(cfg, link, spec.strategy, spec.access)
-        if spec.mode in ("analytic", "both")
-        else (None, None)
-    )
+def _point_rows(spec, value, cfg, link, analytic, batch) -> list[dict]:
     mc = (
         montecarlo.estimate(batch, cfg, link, spec.access)
         if batch is not None
@@ -328,9 +343,16 @@ def _point_rows(spec, value, cfg, link, batch) -> list[dict]:
 def evaluate_point(
     cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, value: float
 ) -> list[dict]:
-    """Rows of one sweep point, simulated afresh: nothing is reused."""
+    """Rows of one sweep point, simulated afresh: nothing is reused. Its
+    closed forms are the single-value functions, the one-point case of a
+    sweep's."""
     point = (value, *apply_axis(cfg, link, spec.axis, value))
-    return _group_rows(spec, [point])[0]
+    analytic = (
+        _analytic_pair(*point[1:], spec.strategy, spec.access)
+        if spec.mode in ("analytic", "both")
+        else (None, None)
+    )
+    return _group_rows(spec, [point], [analytic])[0]
 
 
 def worker_count() -> int:
@@ -347,11 +369,13 @@ def run_sweep(
 ) -> int:
     """Write the sweep's CSV; returns the number of MC geometry batches.
 
-    Points that share an MC geometry key form one group, which simulates its
-    batch once (on ``montecarlo``'s threads); groups run one after another
-    and rows keep input order. An analytic-only sweep simulates nothing, so
-    all its points form one group. An ``out_path`` that cannot be written
-    raises ``ConfigError`` before any point is computed.
+    The closed forms of every point are computed first, all values together
+    in the array passes of the strategy's ``coverage_sweep``. Then points
+    that share an MC geometry key form one group, which simulates its batch
+    once (on ``montecarlo``'s threads); groups run one after another and rows
+    keep input order. An analytic-only sweep simulates nothing, so all its
+    points form one group. An ``out_path`` that cannot be written raises
+    ``ConfigError`` before any point is computed.
     """
     _check_writable(out_path)
     points = [(v, *apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
@@ -366,9 +390,12 @@ def run_sweep(
             else montecarlo.geometry_key(point_cfg, point_link, spec.strategy)
         )
         groups.setdefault(key, []).append(index)
+    analytic = _analytic_sweep(spec, points)
     point_rows = [None] * len(points)
     for members in groups.values():
-        group_rows = _group_rows(spec, [points[i] for i in members])
+        group_rows = _group_rows(
+            spec, [points[i] for i in members], [analytic[i] for i in members]
+        )
         for index, rows in zip(members, group_rows):
             point_rows[index] = rows
     with open(out_path, "w", newline="") as handle:

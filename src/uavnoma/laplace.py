@@ -117,7 +117,9 @@ class RadialTailExponent(LaplaceExponentBase):
         m_i = self.m_interf
         delta = 2.0 / self.alpha_interf
         d0 = self.lower_dist3d
-        q = self.tx_power / (m_i * d0**self.alpha_interf)
+        # d0^aI overflows in sparse networks; q -> 0 is the exponent's limit
+        with np.errstate(over="ignore"):
+            q = self.tx_power / (m_i * d0**self.alpha_interf)
         z = s * q
         scale = math.pi * self.density * d0 * d0
         tail = sum(hyp2f1(i, 1.0 - delta, 2.0 - delta, -z) for i in range(1, m_i + 1))
@@ -153,7 +155,9 @@ class NearestRingExponent(LaplaceExponentBase):
         self.dist3d = dist3d
 
     def derivatives(self, s, order: int) -> ExponentDerivatives:
-        q = self.tx_power / (self.m_interf * self.dist3d**self.alpha_interf)
+        # as for the radial tail, q -> 0 where d0^aI overflows
+        with np.errstate(over="ignore"):
+            q = self.tx_power / (self.m_interf * self.dist3d**self.alpha_interf)
         values = [-self.weight * np.expm1(-self.m_interf * np.log1p(s * q))]
         for k in range(1, order + 1):
             values.append(
@@ -183,7 +187,9 @@ def conditional_coverage(
     exactly 0, and so does a noise term exp(-c noise) that underflows. A
     value outside [0, 1] by more than rounding raises ``NumericalError``.
     """
-    c = fading_order * np.asarray(decode_coeff, dtype=float) * np.asarray(dist3d) ** alpha
+    # an infinite c (steep or distant serving link) is a dead element
+    with np.errstate(over="ignore"):
+        c = fading_order * np.asarray(decode_coeff, dtype=float) * np.asarray(dist3d) ** alpha
     with np.errstate(invalid="ignore"):
         live = np.isfinite(c) & (np.exp(-c * noise_power) > 0.0)
     # dead elements are evaluated at s = 0, then zeroed

@@ -253,7 +253,11 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     count = field.radii.size
     # The field is isotropic, so each UAV's azimuth is drawn in the frame
     # that puts the fixed user on the positive x axis, as twice a half angle.
-    cos_angle = _cos_twice(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, count))
+    # uniform(-pi/2, pi/2) in place: numpy computes -pi/2 + pi u, exactly this
+    half_angle = rng.random(count)
+    half_angle *= math.pi
+    half_angle += -0.5 * math.pi
+    cos_angle = _cos_twice(half_angle)
     azimuth = rng.uniform(0.0, 2.0 * math.pi, _BLOCK)
     h_t = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     h_f = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
@@ -264,7 +268,8 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     d3_typ_sq += height_sq
     other = ~field.is_nearest
     g_t *= d3_typ_sq**-half
-    j_typ = field.sum(np.where(other, g_t, 0.0))
+    g_t[field.is_nearest] = 0.0
+    j_typ = field.sum(g_t)
     # fixed user hangs off the serving UAV, at distance rho from the origin;
     # its exclusion is its own serving distance
     r = np.where(field.occupied, field.nearest, 0.0)
@@ -277,7 +282,8 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     d3_fix_sq += field.spread(rho_sq)
     beyond = other & (d3_fix_sq > fixed_user_dist**2 + height_sq)
     g_f *= d3_fix_sq**-half
-    j_fix = field.sum(np.where(beyond, g_f, 0.0))
+    g_f[~beyond] = 0.0
+    j_fix = field.sum(g_f)
     # an empty disc has no serving UAV, so neither user has a desired link
     h_t, h_f = (np.where(field.occupied, h, 0.0) for h in (h_t, h_f))
     return np.hypot(field.nearest, cfg.uav_height), j_typ, j_fix, h_t, h_f

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -109,6 +111,34 @@ class NetworkConfig:
             raise DomainError("m_interf must be a positive integer")
         if self.sim_disc_radius <= 0.0 or self.hole_halfwidth <= 0.0:
             raise DomainError("simulation geometry must be positive")
+
+
+# the network fields a sweep varies (its tx_power_dbm and uav_density axes);
+# every other axis moves the link
+SWEPT_FIELDS = ("tx_power", "uav_density")
+
+
+def sweep_config(cfgs: Sequence[NetworkConfig]) -> NetworkConfig:
+    """The first of a sweep's configs, after checking that every other one
+    differs from it in ``SWEPT_FIELDS`` alone."""
+    def rest(cfg):
+        return {k: v for k, v in vars(cfg).items() if k not in SWEPT_FIELDS}
+
+    shared = cfgs[0]
+    common = rest(shared)
+    if any(rest(cfg) != common for cfg in cfgs[1:]):
+        raise DomainError(
+            "the points of one sweep may differ in tx_power and uav_density only"
+        )
+    return shared
+
+
+def node_config(shared: NetworkConfig, **swept) -> SimpleNamespace:
+    """``shared`` with the fields in ``swept`` replaced, by arrays of one value
+    per quadrature node or by one value for all; the closed forms read it as
+    a NetworkConfig, elementwise. Each value was validated in its own
+    NetworkConfig."""
+    return SimpleNamespace(**{**vars(shared), **swept})
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,9 @@ def sample_hppp_disc(
     if density <= 0.0 or radius <= 0.0:
         raise DomainError("density and radius must be positive")
     counts = rng.poisson(density * math.pi * radius**2, trials)
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, int(counts.sum())))
+    # radius * sqrt(uniform(0, 1)), in place: uniform(0, 1) is random() exactly
+    radii = np.sqrt(rng.random(int(counts.sum())))
+    radii *= radius
     return counts, radii
 
 

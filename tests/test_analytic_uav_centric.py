@@ -20,6 +20,7 @@ from uavnoma.analytic_uav_centric import (
     nearest_ring_exponent_ucav,
     tail_exponent_ucav,
     _PLACEMENT,
+    _placement,
 )
 from uavnoma.errors import DomainError, NumericalError
 from uavnoma.laplace import conditional_coverage
@@ -239,7 +240,7 @@ class TestCoveragePair:
         # the placement density of each role integrates to 1 on the array
         # rule of the placement axis, base and doubled alike
         for role in (NEAR, FAR):
-            density = lambda y: _PLACEMENT[role](y)[1]
+            density = lambda y: _placement(y, *_PLACEMENT[role])[1]
             value, estimate = integrate(density, [[0.0]], [[1.0]], [[12]])
             assert value == pytest.approx(1.0, abs=1e-14)
             assert estimate < 1e-14

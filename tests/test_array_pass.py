@@ -196,13 +196,14 @@ def _unit(n):
 
 def _array_base_rule(role, cfg, link, access):
     """Q_n of ``coverage_pair``: its integrand on the base rule of each cell."""
-    t_b = uav._split_point(cfg)
-    integrand = uav._pair_integrand(role, cfg, link, access, t_b)
+    value = uav._pair_value(role, cfg, link, access)
+    integrand = uav._pair_integrand(cfg, [value])
     total = 0.0
-    for lo, hi, counts in zip(*uav._cells(t_b)):
+    for lo, hi, counts in zip(*uav._cells(value.t_b)):
         (nx, ny), weights = _tensor_rule(counts)
         width = np.subtract(hi, lo)
-        values = integrand(lo[0] + width[0] * nx, lo[1] + width[1] * ny)
+        owner = np.zeros(nx.size, dtype=int)
+        values = integrand(owner, lo[0] + width[0] * nx, lo[1] + width[1] * ny)
         total += width.prod() * np.sum(weights * values)
     return total
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,32 @@ class TestPointCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: tx_power_dbm={value}: {warning}" for value in ("-40", "-30")
         ]
+
+    @pytest.mark.parametrize(
+        "strategy, network, printed",
+        [
+            ("user-centric", {"alpha_desired": 100}, ("0.000000", "0.000000")),
+            ("user-centric", {"uav_density_per_m2": 1e-300}, ("0.000000", "0.827920")),
+            ("uav-centric", {"alpha_desired": 100}, ("0.000000", "0.000000")),
+            ("uav-centric", {"uav_density_per_m2": 1e-300}, ("0.000000", "0.000000")),
+        ],
+    )
+    def test_overflow_to_a_dead_node_is_silent(
+        self, tmp_path, capsys, strategy, network, printed
+    ):
+        # d^alpha overflows: c = m M d^alpha is infinite (a dead node) and the
+        # interference scale P / (m_I d0^alpha_I) tends to 0, its limit; the
+        # values are right, and numpy must not warn about them
+        payload = {"network": network, "sweep": {"strategy": strategy}}
+        cfg_path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--config", cfg_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        users = ("typical", "fixed") if strategy == "user-centric" else ("near", "far")
+        for user, p in zip(users, printed):
+            assert f"{user}: p={p}" in captured.out
 
     def test_mc_point(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

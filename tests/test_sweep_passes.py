@@ -1,0 +1,225 @@
+"""A sweep's closed forms share array passes and still equal each value alone.
+
+``quadrature.integrate_many`` packs the cell sets of many integrals into one
+call of the integrand. Every value and error estimate must equal, bit for
+bit, the one its integral gets alone; a value that fails alone must fail in
+company, and one that passes alone must pass in company.
+
+The sweeps below mix, around a corner of the domain where the rule bisects
+(``DOMAIN_PINS``' sparse corner, ``LOW_UAV_PINS``' low UAV): transmit
+powers, a ``uav_density`` axis whose points lay out their cells differently
+(the split point moves, and at the densest one cell spans the range), an
+infeasible coefficient, and, user-centric, r_k beyond the radial cutoff.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from uavnoma import analytic_uav_centric as uav
+from uavnoma import analytic_user_centric as uc
+from uavnoma import quadrature
+from uavnoma.errors import DomainError, NumericalError
+from uavnoma.quadrature import integrate_many
+from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
+
+DENSITY = 1.0 / (500.0**2 * math.pi)
+
+# DOMAIN_PINS' corner "lam/100,h=30m,aD=4.5,m=3": its near user bisects to
+# depth 5 alone
+SPARSE = NetworkConfig(
+    uav_density=DENSITY / 100.0, tx_power=1e-6, alpha_desired=4.5,
+    uav_height=30.0, m_desired=3,
+)
+PAIR_LINK = NomaLink(rate_near=1.5, rate_far=1.0)
+# 2^2000 overflows: the near coefficient is infeasible under NOMA and OMA
+INFEASIBLE_LINK = NomaLink(rate_near=2000.0, rate_far=1.0)
+
+# LOW_UAV_PINS' case "h=10m,-30dBm": the typical user bisects with r_k far
+# out; at the default density r_k = 5000 m lies past the cutoff, u = 46
+LOW_UAV = NetworkConfig(
+    uav_density=DENSITY, tx_power=1e-6, alpha_desired=4.5, uav_height=10.0,
+    m_interf=3, alpha_interf=2.5,
+)
+RADIAL_LINK = NomaLink(rate_near=1.0, rate_far=0.5, fixed_user_dist=1900.0)
+
+
+def _uav_points():
+    # density x16 moves the split point t_b off 0.2; x1e5 puts it past the
+    # cutoff, so one cell spans the range
+    return [
+        (SPARSE, PAIR_LINK),
+        (replace(SPARSE, tx_power=1e-5), PAIR_LINK),
+        (SPARSE, INFEASIBLE_LINK),
+        *[(replace(SPARSE, uav_density=DENSITY * f), PAIR_LINK) for f in (1.0, 16.0, 1e5)],
+    ]
+
+
+def _radial_points():
+    return [
+        (LOW_UAV, RADIAL_LINK),
+        (LOW_UAV, replace(RADIAL_LINK, fixed_user_dist=5000.0)),
+        (LOW_UAV, INFEASIBLE_LINK),
+        (replace(LOW_UAV, tx_power=1e-5), RADIAL_LINK),
+        *[(replace(LOW_UAV, uav_density=DENSITY * f), RADIAL_LINK) for f in (0.1, 10.0)],
+    ]
+
+
+def _bits(results):
+    return [(q.value.hex(), q.estimate.hex()) for q in results]
+
+
+def _kernel_calls(monkeypatch, module):
+    """Count the kernel's calls (one per pass) in ``module``."""
+    calls = []
+    kernel = module.conditional_coverage
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, "conditional_coverage", counted)
+    return calls
+
+
+class TestBitIdentical:
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    def test_pair_values_equal_each_value_alone(self, monkeypatch, access):
+        values = [(role, cfg, link) for cfg, link in _uav_points() for role in (uav.NEAR, uav.FAR)]
+        calls = _kernel_calls(monkeypatch, uav)
+        alone = []
+        for value in values:
+            before = len(calls)
+            alone += uav.pair_quadratures([value], access)
+            if value == (uav.NEAR, SPARSE, PAIR_LINK):
+                assert len(calls) - before > 1  # the sparse near user bisects
+        before = len(calls)
+        together = uav.pair_quadratures(values, access)
+        assert _bits(together) == _bits(alone)
+        assert len(calls) - before < before
+        assert together[4] == (0.0, 0.0)  # infeasible near user, not integrated
+        # the single-value functions are the one-point case
+        for (role, cfg, link), result in zip(values, together):
+            assert uav.coverage_pair(role, cfg, link, access) == result.value
+
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    def test_radial_values_equal_each_value_alone(self, monkeypatch, access):
+        values = [(user, cfg, link) for cfg, link in _radial_points() for user in (uc.TYPICAL, uc.FIXED)]
+        calls = _kernel_calls(monkeypatch, uc)
+        alone = [uc.radial_quadratures([value], access)[0] for value in values]
+        before = len(calls)
+        assert before > len(values)  # some values bisect
+        together = uc.radial_quadratures(values, access)
+        assert _bits(together) == _bits(alone)
+        assert len(calls) - before < before
+        single = {uc.TYPICAL: uc.coverage_typical, uc.FIXED: uc.coverage_fixed}
+        for (user, cfg, link), result in zip(values, together):
+            assert single[user](cfg, link, access) == result.value
+
+    @pytest.mark.parametrize("module", [uc, uav])
+    def test_sweep_pairs_match_single_values(self, module):
+        points = _radial_points() if module is uc else _uav_points()
+        got = module.coverage_sweep(points, NOMA)
+        if module is uc:
+            want = [(uc.coverage_typical(c, l), uc.coverage_fixed(c, l)) for c, l in points]
+        else:
+            want = [tuple(uav.coverage_pair(r, c, l) for r in (uav.NEAR, uav.FAR)) for c, l in points]
+        assert got == want
+
+    @pytest.mark.parametrize("module", [uc, uav])
+    def test_points_differing_beyond_the_swept_fields_are_refused(self, module):
+        points = [(LOW_UAV, RADIAL_LINK), (replace(LOW_UAV, uav_height=20.0), RADIAL_LINK)]
+        with pytest.raises(DomainError, match="tx_power and uav_density"):
+            module.coverage_sweep(points, NOMA)
+
+
+class TestPassBudget:
+    def test_sets_that_together_exceed_the_pass_limit_all_pass(self, monkeypatch):
+        # each sparse near value alone refines in passes of at most `largest`
+        # nodes; the limit is set to that, so the values' refinement passes
+        # together exceed it, and packing must keep each pass within it
+        values = [
+            (uav.NEAR, replace(SPARSE, tx_power=p), PAIR_LINK) for p in (1e-6, 2e-6, 4e-6)
+        ]
+        sizes = []
+        kernel = uav.conditional_coverage
+
+        def sized(fading_order, coeff, noise, dist3d, *rest):
+            sizes.append(np.size(dist3d))
+            return kernel(fading_order, coeff, noise, dist3d, *rest)
+
+        monkeypatch.setattr(uav, "conditional_coverage", sized)
+        alone, peaks = [], []
+        for value in values:
+            sizes.clear()
+            alone += uav.pair_quadratures([value])
+            peaks.append(max(sizes))
+        largest = max(peaks)
+        assert sum(peaks) > largest > quadrature._PASS_NODES
+        monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", largest)
+        sizes.clear()
+        together = uav.pair_quadratures(values)
+        assert _bits(together) == _bits(alone)
+        assert max(sizes) <= largest
+
+    def test_passes_hold_whole_sets_up_to_the_budget(self):
+        # 40 one-cell integrals of 5 + 10 nodes: whole sets, in order, up to
+        # the budget per pass
+        seen = []
+
+        def integrand(owner, x):
+            seen.append(owner)
+            return np.cos(x + owner)
+
+        boxes = [([[0.0]], [[1.0]], [[5]])] * 40
+        results = integrate_many(integrand, boxes)
+        assert [len(o) for o in seen] == [15 * 40]
+        for k, result in enumerate(results):
+            exact = math.sin(1.0 + k) - math.sin(k)
+            assert result.value == pytest.approx(exact, abs=1e-12)
+
+    def test_a_set_over_the_budget_runs_alone(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_PASS_NODES", 100)
+        seen = []
+
+        def integrand(owner, x):
+            seen.append(sorted(set(owner.tolist())))
+            return np.ones_like(x)
+
+        boxes = [([[0.0]], [[1.0]], [[n]]) for n in (10, 20, 40, 10, 10)]
+        integrate_many(integrand, boxes)
+        # sizes 30, 60, 120, 30, 30
+        assert seen == [[0, 1], [2], [3, 4]]
+
+
+class TestFailures:
+    def test_value_failing_alone_fails_in_company(self, monkeypatch):
+        # below the sparse near users' largest pass, above every other value's
+        monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", 20_000)
+        points = [_uav_points()[0], *_uav_points()[2:]]
+        values = [(role, cfg, link) for cfg, link in points for role in (uav.NEAR, uav.FAR)]
+        with pytest.raises(NumericalError) as alone:
+            uav.pair_quadratures(values[:1])
+        for value in values[1:]:
+            uav.pair_quadratures([value])
+        with pytest.raises(NumericalError) as together:
+            uav.pair_quadratures(values)
+        assert str(together.value) == str(alone.value)
+        assert together.value.achieved == alone.value.achieved
+
+    def test_first_failure_in_order_is_raised(self):
+        # integral 1 misses the tolerance (a singularity), integral 3 too;
+        # the others converge; the error is integral 1's, as alone
+        def integrand(owner, x):
+            peak = np.abs(x - 1.0 / math.pi) ** -(0.5 + 0.1 * owner)
+            return np.where(owner % 2 == 1, peak, x * x)
+
+        boxes = [([[0.0]], [[1.0]], [[8]])] * 4
+        with pytest.raises(NumericalError) as together:
+            integrate_many(integrand, boxes)
+        with pytest.raises(NumericalError) as alone:
+            integrate_many(lambda owner, x: integrand(owner + 1, x), boxes[:1])
+        assert str(together.value) == str(alone.value)
+        assert together.value.achieved == alone.value.achieved
