@@ -23,7 +23,8 @@ points are computed before any group, together: the values share array
 passes of the kernel (``quadrature.integrate_many``), so an 8-point
 user-centric sweep is one pass and a UAV-centric point's two users share
 one. A point evaluated alone (``evaluate_point``) integrates each of its
-values in passes of its own. Output rows keep input order.
+values in passes of its own. Output rows keep input order. The argument
+parser is built once per process, on the first ``main`` call.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration (a
 trial count too large for any batch included), 3 numerical failure.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -469,6 +471,7 @@ def _warn_infeasible(cfg, link, strategy, access, where=""):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavnoma",

@@ -11,22 +11,34 @@ Piessens et al., 1983).
 Each integral may spend ``TOLERANCE``, and each of its cells a share of that
 in proportion to the cell's volume within the integral's own volume. A cell
 over its share is bisected along every axis and its children are evaluated
-in the next pass; the others are final, and their estimates sum to at most
+in the next round; the others are final, and their estimates sum to at most
 the tolerance. Cells still over their share after ``_MAX_DEPTH`` bisections
 are kept as they are; if the estimates of an integral's cells then sum to
 more than the tolerance, or its cells would take more than
 ``_MAX_PASS_NODES`` nodes in one pass, that integral fails with
 ``NumericalError``.
 
-One call of the integrand, a pass, evaluates the cells of many integrals:
-the cell sets of the integrals still refining, whole and in order, up to
-``_PASS_NODES`` nodes; a cell set larger than that takes a pass of its own.
-So a sweep's closed forms cost a few large numpy calls instead of one small
-call per value, whose fixed cost dominates at a few hundred nodes. The budget
-bounds the kernel's temporaries to about a megabyte; a whole UAV-centric
-sweep in one pass would take ten times that. Each integral keeps its
-own cells, tolerance share, bisection and sums, so its value and estimate
-equal, bit for bit, the ones it gets alone.
+All the cells of one call form one flat table, sorted by group: the cells
+of one integral that share a base rule, integrals in order and each one's
+rules in the order they first appear. So a round of refinement takes a
+fixed number of whole-array steps however many integrals the call holds,
+and calls the integrand once per pass: the cell sets of the integrals still
+refining, whole and in order, up to ``_PASS_NODES`` nodes; a larger set
+takes a pass of its own. A sweep's closed forms thus cost a few large numpy
+calls instead of one small call per value, whose fixed cost dominates at a
+few hundred nodes; the budget bounds the kernel's temporaries to about a
+megabyte, where a whole UAV-centric sweep would take ten times that. A pass
+lays out its nodes rule by rule, each cell's base nodes before its check
+nodes, so one integral's nodes need not be contiguous.
+
+Each value and estimate is, bit for bit, the one its integral gets alone:
+a cell's Q_n and Q_2n are row sums over its own nodes; an integral adds,
+round by round and group by group, the sum of the group's final cells in
+table order (children follow their group corner by corner), and its volume
+sums its boxes in the order given. Each run is summed as ``x.sum()`` sums
+it, from 0.0 in numpy's pairwise order. ``np.add.reduceat`` adds a0 + (a1 +
+a2) for (a0 + a1) + a2, and a sum along an axis that is not innermost in
+memory adds in plain order; ``_sums`` avoids both.
 
 The estimate presumes an integrand smooth within each cell: a jump halfway
 between the same two nodes of both rules goes unseen. The closed forms put
@@ -36,7 +48,6 @@ their one jump, the decode coefficient's switch at r = r_k, on a cell edge.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,92 +92,17 @@ def _tensor_rule(counts: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.nd
     return out
 
 
-class _Pass(NamedTuple):
-    """Cells that share one base rule: lower corners, upper corners, depth."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    depth: int
-
-
-def _rules(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The base rule and its check rule, which doubles every count."""
-    return key, tuple(2 * n for n in key)
-
-
-class _Integral:
-    """One integral: its cells still to evaluate, grouped by base rule, the
-    sums of its final cells, and the error that ended it, if any."""
-
-    def __init__(self, lo, hi, counts):
-        lo = np.atleast_2d(np.asarray(lo, dtype=float))
-        hi = np.atleast_2d(np.asarray(hi, dtype=float))
-        counts = [tuple(int(n) for n in row) for row in np.atleast_2d(counts)]
-        self.volume = float((hi - lo).prod(axis=1).sum())
-        self.groups: dict[tuple[int, ...], _Pass] = {}
-        for key in dict.fromkeys(counts):
-            rows = [i for i, row in enumerate(counts) if row == key]
-            self.groups[key] = _Pass(lo[rows], hi[rows], 0)
-        self.value = self.estimate = 0.0
-        self.error: NumericalError | None = None
-
-    def nodes(self) -> int:
-        """Nodes of the next pass over this integral's cells."""
-        return sum(
-            len(cells.lo) * math.prod(rule)
-            for key, cells in self.groups.items()
-            for rule in _rules(key)
-        )
-
-    def fail(self, error: NumericalError) -> None:
-        self.error = error
-        self.groups = {}
-
-    def blocks(self) -> list[tuple[list[np.ndarray], np.ndarray]]:
-        """Node coordinates per axis and weights, (cells, nodes) each, of
-        every group under its base and its check rule, in that order."""
-        out = []
-        for key, cells in self.groups.items():
-            width = cells.hi - cells.lo
-            volume = width.prod(axis=1)[:, None]
-            for rule in _rules(key):
-                unit_nodes, unit_weights = _tensor_rule(rule)
-                axes = [
-                    cells.lo[:, a, None] + width[:, a, None] * unit_nodes[a]
-                    for a in range(len(key))
-                ]
-                out.append((axes, volume * unit_weights))
-        return out
-
-    def update(self, weights: list[np.ndarray], values: list[np.ndarray], tol: float):
-        """Sum the cells that meet their share and bisect the others, given
-        the integrand's values on ``blocks()``."""
-        refined: dict[tuple[int, ...], _Pass] = {}
-        for j, (key, cells) in enumerate(self.groups.items()):
-            coarse, fine = (
-                (w * f.reshape(w.shape)).sum(axis=1)
-                for w, f in zip(weights[2 * j : 2 * j + 2], values[2 * j : 2 * j + 2])
-            )
-            error = np.abs(coarse - fine)
-            share = tol * (cells.hi - cells.lo).prod(axis=1) / self.volume
-            final = (error <= share) | (cells.depth == _MAX_DEPTH)
-            self.value += float(fine[final].sum())
-            self.estimate += float(error[final].sum())
-            if not final.all():
-                refined[key] = _bisect(
-                    cells.lo[~final], cells.hi[~final], cells.depth + 1
-                )
-        self.groups = refined
-        if not refined and not self.estimate <= tol:
-            self.error = NumericalError(
-                f"quadrature misses {tol:.0e} after {_MAX_DEPTH} bisections",
-                self.estimate,
-            )
+@functools.cache
+def _cell_rule(key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nodes, (axes, nodes), and weights of base rule ``key`` followed by its
+    check rule, which doubles every count; and the number of base nodes."""
+    rules = _tensor_rule(key), _tensor_rule(tuple(2 * n for n in key))
+    nodes = np.concatenate([np.array(axes) for axes, _ in rules], axis=1)
+    return nodes, np.concatenate([w for _, w in rules]), rules[0][1].size
 
 
 def integrate_many(
-    integrand: Callable[..., np.ndarray],
-    boxes: Sequence[tuple],
+    integrand: Callable[..., np.ndarray], boxes: Sequence[tuple]
 ) -> list[Quadrature]:
     """Integrals of ``integrand`` over unions of boxes, each to ``TOLERANCE``.
 
@@ -180,17 +116,44 @@ def integrate_many(
     if any integral fails, the ``NumericalError`` of the first one in order is
     raised once every integral has finished.
     """
+    if not boxes:
+        return []
     tol = TOLERANCE
-    integrals = [_Integral(*box) for box in boxes]
-    pending = list(enumerate(integrals))
-    while pending:
-        for batch in _passes(pending):
-            _evaluate(integrand, batch, tol)
-        pending = [(i, integral) for i, integral in pending if integral.groups]
-    for integral in integrals:
-        if integral.error is not None:
-            raise integral.error
-    return [Quadrature(integral.value, integral.estimate) for integral in integrals]
+    corners, group, volume, owner, rule, rules = _table(boxes)
+    group_nodes = np.array([_cell_rule(key)[1].size for key in rules])[rule]
+    totals = np.zeros((len(boxes), 2))  # value and estimate of each integral
+    failed = []  # integrals whose cells outgrew _MAX_PASS_NODES
+    for depth in range(_MAX_DEPTH + 1):
+        nodes = np.bincount(owner[group], group_nodes[group], len(boxes))
+        if nodes.max() > _MAX_PASS_NODES:
+            failed += np.flatnonzero(nodes > _MAX_PASS_NODES).tolist()
+            keep = nodes[owner[group]] <= _MAX_PASS_NODES
+            corners, group, nodes[failed] = corners[..., keep], group[keep], 0.0
+        cell_owner = owner[group]
+        width = corners[1] - corners[0]
+        size = np.multiply.reduce(width, axis=0)
+        sums = np.empty((2, len(size)))  # Q_2n and |Q_n - Q_2n| of each cell
+        bounds = cell_owner.searchsorted(_passes(nodes.tolist())).tolist()
+        for span in map(slice, bounds, bounds[1:]):
+            _evaluate(
+                integrand, corners[0, :, span], width[:, span], size[span],
+                cell_owner[span], rule[group[span]], rules, sums[:, span],
+            )
+        final = (sums[1] <= tol * size / volume[cell_owner]) | (depth == _MAX_DEPTH)
+        done = np.count_nonzero(final)
+        if done:
+            run_sums, runs = _sums(np.compress(final, sums, axis=1), group[final])
+            np.add.at(totals, owner[runs], run_sums.T)
+        if done == len(final):
+            break
+        corners, group = _bisect(corners[..., ~final], group[~final])
+    if failed or np.count_nonzero(totals[:, 1] <= tol) < len(boxes):
+        i = min(failed + (~(totals[:, 1] <= tol)).nonzero()[0].tolist())
+        problem = f"refinement needs more than {_MAX_PASS_NODES} nodes in one pass"
+        if i not in failed:
+            problem = f"misses {tol:.0e} after {_MAX_DEPTH} bisections"
+        raise NumericalError(f"quadrature {problem}", totals[i, 1].item())
+    return [Quadrature(*q) for q in totals.tolist()]
 
 
 class NodeFields:
@@ -199,8 +162,7 @@ class NodeFields:
     ``rows`` holds one NamedTuple per integral, all of one type. ``at(owner)``
     gives, for the nodes of one pass, the fields of the integral each node
     belongs to: that integral's own row, of scalars, when every node belongs
-    to it (the nodes of a pass come in integral order), otherwise the same
-    NamedTuple with one array per field.
+    to it, otherwise the same NamedTuple with one array per field.
     """
 
     def __init__(self, rows: Sequence[tuple]):
@@ -211,75 +173,107 @@ class NodeFields:
         return [np.array(column) for column in zip(*self.rows)]
 
     def at(self, owner: np.ndarray):
-        if owner[0] == owner[-1]:
+        if (owner == owner[0]).all():
             return self.rows[owner[0]]
         return type(self.rows[0])(*(column[owner] for column in self.columns))
 
 
-def integrate(
-    integrand: Callable[..., np.ndarray],
-    lo,
-    hi,
-    counts,
-) -> Quadrature:
+def integrate(integrand: Callable[..., np.ndarray], lo, hi, counts) -> Quadrature:
     """Integral of ``integrand(*axes)`` over the union of boxes ``lo[i]`` to
     ``hi[i]`` with base rules ``counts[i]``: one integral of
     ``integrate_many``."""
     return integrate_many(lambda owner, *axes: integrand(*axes), [(lo, hi, counts)])[0]
 
 
-def _passes(pending: list[tuple[int, _Integral]]) -> list[list]:
-    """The passes of one round: consecutive whole cell sets, up to
-    ``_PASS_NODES`` nodes each; a set over ``_MAX_PASS_NODES`` fails."""
-    passes, batch, nodes = [], [], 0
-    for index, integral in pending:
-        size = integral.nodes()
-        if size > _MAX_PASS_NODES:
-            integral.fail(
-                NumericalError(
-                    f"quadrature refinement needs more than {_MAX_PASS_NODES} "
-                    "nodes in one pass",
-                    integral.estimate,
-                )
-            )
-            continue
-        if batch and nodes + size > _PASS_NODES:
-            passes.append(batch)
-            batch, nodes = [], 0
-        batch.append((index, integral))
-        nodes += size
-    return passes + [batch] if batch else passes
+def _table(boxes: Sequence[tuple]):
+    """The cell table of ``boxes``, sorted by group: corners, (lo and hi,
+    axes, cells), and group of each cell. Then each integral's volume, its
+    boxes summed in the order given, each group's integral and base rule,
+    and the base rules."""
+    corners, group, owner, rule = [], [], [], []
+    groups: dict[tuple, int] = {}  # (integral, base rule): group
+    rules: dict[tuple[int, ...], int] = {}
+    for i, (lo, hi, counts) in enumerate(boxes):
+        corners += zip(lo, hi)
+        for row in counts:
+            key = tuple(map(int, row))
+            group.append(groups.setdefault((i, key), len(groups)))
+            if group[-1] == len(owner):
+                owner.append(i)
+                rule.append(rules.setdefault(key, len(rules)))
+    corners = np.array(corners, dtype=float).transpose(1, 2, 0)
+    owner, unsorted = np.array(owner), any(map(int.__gt__, group, group[1:]))
+    group = np.array(group)
+    volume = _sums(np.multiply.reduce(corners[1] - corners[0], axis=0), owner[group])
+    if unsorted:  # an integral's base rules interleave
+        order = np.argsort(group, kind="stable")
+        corners, group = corners[..., order], group[order]
+    return corners, group, volume[0], owner, np.array(rule), list(rules)
 
 
-def _evaluate(integrand, batch: list[tuple[int, _Integral]], tol: float) -> None:
-    """One call of ``integrand`` over the cells of every integral in ``batch``."""
-    blocks = [integral.blocks() for _, integral in batch]
-    weights = [[w for _, w in own] for own in blocks]
-    owner = np.repeat(
-        [index for index, _ in batch], [sum(w.size for w in own) for own in weights]
-    )
-    dim = len(blocks[0][0][0])
-    flat = [
-        np.concatenate([axes[a].ravel() for own in blocks for axes, _ in own])
-        for a in range(dim)
-    ]
-    values = np.asarray(integrand(owner, *flat))
-    start = 0
-    for (_, integral), own in zip(batch, weights):
-        pieces = []
-        for w in own:
-            pieces.append(values[start : start + w.size])
-            start += w.size
-        integral.update(own, pieces, tol)
+def _sums(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of ``x`` along its last axis over each run of equal ``labels``
+    (sorted), each summed as ``x[..., run].sum(axis=-1)`` sums it (see the
+    module docstring), and the label of each run."""
+    x = np.ascontiguousarray(x)
+    if labels[0] == labels[-1]:
+        return np.add.reduce(x, axis=-1, keepdims=True), labels[:1]
+    head = np.concatenate(([True], labels[1:] != labels[:-1]))  # runs' first
+    if (labels[2:] != labels[:-2]).all():  # runs of 1 or 2: a0 + a1 either way
+        return np.add.reduceat(x, head.nonzero()[0], axis=-1), labels[head]
+    at = np.arange(len(labels)) + head.cumsum()  # of x, past a 0.0 per run
+    padded = np.zeros((*x.shape[:-1], at[-1] + 1))
+    padded[..., at] = x
+    return np.add.reduceat(padded, at[head] - 1, axis=-1), labels[head]
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, depth: int) -> _Pass:
-    """The 2^dim children of each box, halved along every axis."""
+def _passes(nodes: list) -> list[int]:
+    """Bounds, as integral indices, of the passes of one round over integrals
+    of ``nodes`` nodes each: whole cell sets, up to ``_PASS_NODES`` nodes."""
+    bounds, load = [0], 0
+    for i, size in enumerate(nodes):
+        if load and size and load + size > _PASS_NODES:
+            bounds.append(i)
+            load = 0
+        load += size
+    return bounds + [len(nodes)] if load else []
+
+
+def _evaluate(integrand, lo, width, size, owner, rule, rules, out) -> None:
+    """Q_2n and |Q_n - Q_2n| into ``out``, (2, cells), of cells ``lo`` to ``lo
+    + width`` (volumes ``size``, integrals ``owner``, base rules ``rule``) from
+    one call of ``integrand``."""
+    blocks = []
+    for k, key in enumerate(rules):
+        cells = (rule == k).nonzero()[0] if len(rules) > 1 else slice(None)
+        nodes, weights, base = _cell_rule(key)
+        axes = lo[:, cells, None] + width[:, cells, None] * nodes[:, None, :]
+        at = owner[cells].repeat(weights.size)
+        blocks.append((cells, base, size[cells, None] * weights, axes, at))
+    if len(blocks) == 1:
+        flat, at = blocks[0][3].reshape(len(lo), -1), blocks[0][4]
+    else:
+        flat = np.concatenate([b[3].reshape(len(lo), -1) for b in blocks], axis=1)
+        at = np.concatenate([b[4] for b in blocks])
+    values = np.asarray(integrand(at, *flat))
+    offset = 0
+    for cells, base, weights, _, _ in blocks:
+        terms = weights * values[offset : offset + weights.size].reshape(weights.shape)
+        offset += weights.size
+        out[0, cells] = fine = np.add.reduce(terms[:, base:], axis=1)
+        out[1, cells] = np.abs(np.add.reduce(terms[:, :base], axis=1) - fine)
+
+
+def _bisect(corners: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^dim children of each cell, halved along every axis, group by
+    group and within a group corner by corner."""
+    lo, hi = corners[:, :, None]
     mid = 0.5 * (lo + hi)
-    dim = lo.shape[1]
-    child_lo, child_hi = [], []
-    for corner in range(2**dim):
-        upper = np.array([(corner >> a) & 1 for a in range(dim)], dtype=bool)
-        child_lo.append(np.where(upper, mid, lo))
-        child_hi.append(np.where(upper, hi, mid))
-    return _Pass(np.concatenate(child_lo), np.concatenate(child_hi), depth)
+    dim = len(lo)
+    upper = (np.arange(2**dim) >> np.arange(dim)[:, None] & 1).astype(bool)[..., None]
+    children = np.array([np.where(upper, mid, lo), np.where(upper, hi, mid)])
+    children, group = children.reshape(2, dim, -1), np.tile(group, 2**dim)
+    if group[0] == group[-1]:  # one group, already in order
+        return children, group
+    order = np.argsort(group, kind="stable")
+    return children[..., order], group[order]

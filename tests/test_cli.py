@@ -345,6 +345,31 @@ class TestSweepCommand:
         row = out.read_text().splitlines()[1].split(",")
         assert row[9] == "500" and row[10] == "9"
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, tmp_path):
+        # one parser serves every call in a process; a flag given once must
+        # not outlive its call
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update({"mode": "mc", "trials": 200})
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        sweep = ["sweep", "--config", cfg_path, "--out", str(out)]
+        assert main([*sweep, "--trials", "7"]) == 0
+        assert out.read_text().splitlines()[1].split(",")[9] == "7"
+        assert main(sweep) == 0
+        assert out.read_text().splitlines()[1].split(",")[9] == "200"
+
+    def test_parse_error_exits_2_and_the_next_call_succeeds(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["mode"] = "analytic"
+        cfg_path = write_config(tmp_path, payload)
+        with pytest.raises(SystemExit) as missing_out:
+            main(["sweep", "--config", cfg_path])
+        assert missing_out.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 4
+
     def test_infeasible_points_warn_by_axis_value(self, tmp_path, capsys):
         # from rate_near 1.5 on, the shipped m=3 rate sweep has an infeasible
         # far decode threshold for the typical user and an infeasible SIC

@@ -5,6 +5,7 @@ integrands that no rule of bounded depth resolves.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -71,6 +72,9 @@ class TestIntegrate:
             )
         assert info.value.achieved > TOLERANCE
 
+    def test_no_integrals_no_passes(self):
+        assert quadrature.integrate_many(lambda owner, x: 1 / 0, []) == []
+
     def test_nan_never_passes(self):
         with pytest.raises(NumericalError):
             integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), [[0.0]], [[1.0]], [[4]])
@@ -96,6 +100,60 @@ class TestIntegrate:
         )
         assert estimate <= tol
         assert abs(value - exact) <= tol
+
+
+class TestSumOrder:
+    @pytest.mark.parametrize("runs", ["one", "short", "mixed"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_segment_sums_equal_numpys_own_sums(self, order, runs):
+        # one long run; runs of 1 or 2 elements; runs of 1 to 40, many past
+        # numpy's 8-element pairwise blocks. np.add.reduceat alone, or a sum
+        # along a last axis that is not innermost in memory, moves the last
+        # bit of some
+        rng = np.random.default_rng(5)
+        lengths = {
+            "one": [37],
+            "short": rng.integers(1, 3, 60),
+            "mixed": rng.integers(1, 40, 60),
+        }[runs]
+        labels = np.repeat(np.arange(len(lengths)) * 3, lengths)
+        scale = 1e3 ** rng.uniform(-1, 1, (2, labels.size))
+        x = np.asarray(rng.standard_normal((2, labels.size)) * scale, order=order)
+        sums, found = quadrature._sums(x, labels)
+        bounds = np.cumsum(np.r_[0, lengths])
+        want = [[row[a:b].copy().sum() for a, b in zip(bounds, bounds[1:])] for row in x]
+        assert sums.tolist() == want
+        assert found.tolist() == (np.arange(len(lengths)) * 3).tolist()
+
+    def test_bisected_cells_keep_their_bits(self):
+        # the second axis bisects to many final cells of one rule in one
+        # round; value and estimate as float.hex, taken from the
+        # per-integral summation the cell table replaced
+        value, estimate = integrate(
+            lambda x, y: (1.0 + x) * np.exp(-y / 1e-3),
+            [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]],
+        )
+        assert value.hex() == "0x1.89374bc6a7f6ep-10"
+        assert estimate.hex() == "0x1.0a074b710007dp-31"
+
+
+class _Row(NamedTuple):
+    a: float
+    b: float
+
+
+class TestNodeFields:
+    def test_nodes_of_two_integrals_read_their_own_fields(self):
+        # the first and the last node belong to the same integral, the
+        # middle one does not
+        fields = quadrature.NodeFields([_Row(1.0, 10.0), _Row(2.0, 20.0)])
+        got = fields.at(np.array([0, 1, 0]))
+        assert got.a.tolist() == [1.0, 2.0, 1.0]
+        assert got.b.tolist() == [10.0, 20.0, 10.0]
+
+    def test_nodes_of_one_integral_read_its_row(self):
+        rows = [_Row(1.0, 10.0), _Row(2.0, 20.0)]
+        assert quadrature.NodeFields(rows).at(np.array([1, 1, 1])) is rows[1]
 
 
 def _unit(n):

@@ -14,17 +14,19 @@ infeasible coefficient, and, user-centric, r_k beyond the radial cutoff.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavnoma import analytic_uav_centric as uav
 from uavnoma import analytic_user_centric as uc
-from uavnoma import quadrature
+from uavnoma import cli, quadrature
 from uavnoma.errors import DomainError, NumericalError
 from uavnoma.quadrature import integrate_many
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
 
+REPO = Path(__file__).resolve().parent.parent
 DENSITY = 1.0 / (500.0**2 * math.pi)
 
 # DOMAIN_PINS' corner "lam/100,h=30m,aD=4.5,m=3": its near user bisects to
@@ -223,3 +225,148 @@ class TestFailures:
             integrate_many(lambda owner, x: integrand(owner + 1, x), boxes[:1])
         assert str(together.value) == str(alone.value)
         assert together.value.achieved == alone.value.achieved
+
+
+# Every value and error estimate of the corner sets above, each set
+# integrated together, as ``float.hex``. Comparing a batch with each value
+# alone misses a change in the order of a sum wherever both sides move
+# together; segment sums by plain ``np.add.reduceat`` move 4 of these values
+# by one ulp.
+BISECTING_BITS = {
+    ("sparse", NOMA): [
+        ("0x1.da5e7ad0bf94dp-7", "0x1.f60d99cb3bb0ap-35"),
+        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc40000p-27"),
+        ("0x1.3ccf446e14dc6p-5", "0x1.efc2a869fb101p-32"),
+        ("0x1.f69e635106b94p-10", "0x1.29a8c5c000000p-40"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc40000p-27"),
+        ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1790000p-29"),
+        ("0x1.783602bf8d4dap-5", "0x1.6debf5e000000p-30"),
+        ("0x1.3d062cd63f845p-1", "0x1.8e36200000000p-37"),
+        ("0x1.44b475eda3602p-3", "0x1.f834f30000000p-36"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+    ("sparse", OMA): [
+        ("0x1.7c0491dd02dd1p-7", "0x1.ce94815c0f96ap-33"),
+        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04f800p-39"),
+        ("0x1.0948cb38856b8p-5", "0x1.f4ca4cf06ae25p-31"),
+        ("0x1.6d25f663f41e9p-9", "0x1.6122498000000p-40"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04f800p-39"),
+        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1385800p-28"),
+        ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16d000000p-29"),
+        ("0x1.01c54825d2959p-1", "0x1.8214fd6000000p-33"),
+        ("0x1.045ad48bdac40p-2", "0x1.2e86e50000000p-35"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+    ("low_uav", NOMA): [
+        ("0x1.532f60805a29cp-11", "0x1.c194feb800000p-32"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.532f60805a279p-11", "0x1.fa7d360800000p-34"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.537836c49eda4p-11", "0x1.bedee21400000p-32"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.554897ed8f2dbp-12", "0x1.c546e4d000000p-33"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.2807274d2e788p-12", "0x1.13858683f8000p-26"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+    ("low_uav", OMA): [
+        ("0x1.2ade198c7d656p-11", "0x1.8525d44000000p-37"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.2ade198cabf97p-11", "0x1.5e03850840000p-28"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.2b20ef5fc3e06p-11", "0x1.28416c8000000p-38"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.3781c09a1b105p-12", "0x1.8fa6b78580000p-31"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.9d172ee99e994p-13", "0x1.7f21527e40000p-31"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+}
+
+# (integrand calls, nodes) of every shipped config's closed forms, all its
+# points integrated together, and of the corner sets: counts that do not
+# depend on the host
+SWEEP_COUNTS = {
+    "uav_centric_power_los_m2": (8, 61_440),
+    "uav_centric_power_nlos_ipsic00": (8, 61_440),
+    "uav_centric_power_nlos_ipsic01": (8, 61_440),
+    "uav_centric_power_nlos_ipsic05": (4, 30_720),
+    "uav_centric_rate_noma_m3": (8, 61_440),
+    "uav_centric_rate_oma_m3": (8, 61_440),
+    "user_centric_fixed_distance": (1, 6_144),
+    "user_centric_power_los_m2": (1, 6_144),
+    "user_centric_power_nlos_ipsic00": (1, 6_144),
+    "user_centric_power_nlos_ipsic01": (1, 6_144),
+    "user_centric_power_nlos_ipsic03": (1, 6_144),
+    "user_centric_rate_noma_m3": (1, 6_144),
+    "user_centric_rate_oma_m3": (1, 6_144),
+}
+CORNER_COUNTS = {
+    ("sparse", NOMA): (17, 334_080),
+    ("sparse", OMA): (20, 364_800),
+    ("low_uav", NOMA): (4, 7_296),
+    ("low_uav", OMA): (3, 6_912),
+}
+
+
+def _corner_set(label):
+    """The integrating function and the values of one corner set."""
+    if label == "sparse":
+        roles = (uav.NEAR, uav.FAR)
+        return uav.pair_quadratures, [(r, c, l) for c, l in _uav_points() for r in roles]
+    users = (uc.TYPICAL, uc.FIXED)
+    return uc.radial_quadratures, [(u, c, l) for c, l in _radial_points() for u in users]
+
+
+def _counted(monkeypatch):
+    """[integrand calls, nodes], counted over every ``integrate_many`` call."""
+    counts = [0, 0]
+    integrate_many = quadrature.integrate_many
+
+    def counting(integrand, boxes):
+        def counted(owner, *axes):
+            counts[0] += 1
+            counts[1] += owner.size
+            return integrand(owner, *axes)
+
+        return integrate_many(counted, boxes)
+
+    monkeypatch.setattr(quadrature, "integrate_many", counting)
+    return counts
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("label,access", list(BISECTING_BITS))
+    def test_corner_sets_keep_every_bit(self, label, access):
+        integrate, values = _corner_set(label)
+        assert _bits(integrate(values, access)) == BISECTING_BITS[label, access]
+
+
+class TestPinnedCounts:
+    def test_every_shipped_config_is_pinned(self):
+        assert sorted(SWEEP_COUNTS) == sorted(p.stem for p in (REPO / "configs").glob("*.json"))
+
+    @pytest.mark.parametrize("name", list(SWEEP_COUNTS))
+    def test_shipped_sweeps(self, monkeypatch, name):
+        raw = cli.load_config(str(REPO / "configs" / f"{name}.json"))
+        cfg, link = cli.parse_network(raw["network"]), cli.parse_link(raw["link"])
+        spec = cli.parse_sweep({**raw["sweep"], "mode": "analytic"})
+        points = [(v, *cli.apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
+        counts = _counted(monkeypatch)
+        cli._analytic_sweep(spec, points)
+        assert tuple(counts) == SWEEP_COUNTS[name]
+
+    @pytest.mark.parametrize("label,access", list(CORNER_COUNTS))
+    def test_corner_sets(self, monkeypatch, label, access):
+        integrate, values = _corner_set(label)
+        counts = _counted(monkeypatch)
+        integrate(values, access)
+        assert tuple(counts) == CORNER_COUNTS[label, access]
