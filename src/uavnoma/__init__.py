@@ -1,10 +1,10 @@
 """Coverage probability of NOMA aerial-base-station cellular networks.
 
 Closed-form analytics (interference Laplace transforms of a Poisson UAV
-field, Nakagami fading derivative sums) cross-validated against seeded
-Monte Carlo simulation, for two association strategies: user-centric
-(nearest-UAV attachment with one pre-attached partner) and UAV-centric
-(cell-interior user pairing around the serving UAV).
+field, Nakagami fading sums over Taylor coefficients) cross-validated
+against seeded Monte Carlo simulation, for two association strategies:
+user-centric (nearest-UAV attachment with one pre-attached partner) and
+UAV-centric (cell-interior user pairing around the serving UAV).
 
 The independent references and the ``uavnoma validate`` suite live in
 ``uavnoma.validation``, which this package does not import.

@@ -109,7 +109,7 @@ def laplace_exponent_ucav(
     """Parts of the conditional exponent: nearest neighbor and population tail.
 
     The conditional transform is exp(-(ring + tail)); ``conditional_coverage``
-    takes the parts and sums their derivative arrays.
+    takes the parts and sums their Taylor-coefficient arrays.
     """
     if np.any(np.asarray(R) <= 0.0):
         raise DomainError("R must be positive")
@@ -269,7 +269,7 @@ def pair_quadratures(
         for i, result in zip(feasible, found):
             results[i] = result
     for (role, _, _), result in zip(values, results):
-        check_probability(result.value, f"{role} user coverage")
+        check_probability(result.value, f"{role} user coverage", shared.m_desired)
     return results
 
 

@@ -175,7 +175,9 @@ def radial_quadratures(
 
     boxes = [_cells(row.root_pl * row.fixed_user_dist) for row in rows]
     results = quadrature.integrate_many(integrand, boxes)
-    check_probability([result.value for result in results], "radial coverage")
+    check_probability(
+        [result.value for result in results], "radial coverage", shared.m_desired
+    )
     return results
 
 

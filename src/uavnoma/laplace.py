@@ -10,7 +10,7 @@ every closed form in this package:
 
   which l = d0 u^(-1/aI) turns into Gauss hypergeometric functions of
   -z, z = s P / (mI d0^aI) (DLMF 15.6.1); ``scipy.special.hyp2f1`` gives
-  eta and each exact s-derivative over the whole range of z, down to
+  eta and each Taylor coefficient over the whole range of z, down to
   aI -> 2.
 
 * ``NearestRingExponent`` -- one dominant interferer at 3-D distance d0,
@@ -18,18 +18,21 @@ every closed form in this package:
 
       eta(s) = w (1 - (1 + s P / (mI d0^aI))^(-mI))
 
-  with weight w = d0 / R; its derivatives are closed-form.
+  with weight w = d0 / R; its Taylor coefficients are closed-form.
 
-``conditional_coverage`` turns a sum of exponents into the coverage
-probability of a Nakagami-m link at a given decode coefficient: with
-g ~ Gamma(m)/m,
+Each exponent hands over the Taylor coefficients a_k = s^k eta^(k)(s)/k! of
+eta(s(1 + x)) in x, not the derivatives eta^(k), which leave the double
+range at high order. ``conditional_coverage`` turns a sum of exponents into
+the coverage probability of a Nakagami-m link at a given decode
+coefficient: with g ~ Gamma(m)/m and f(s) = s noise + eta(s),
 
-  P[g > M (noise + I) d^alpha] = sum_{n<m} ((-c)^n / n!) D_n(c),
-  D_n = d^n/dc^n exp(-f(c)),  f(c) = c noise + eta(c),
+  P[g > M (noise + I) d^alpha] = sum_{n<m} ((-s)^n / n!) d^n/ds^n exp(-f(s))
+                               = sum_{n<m} (-1)^n E_n
 
-at c = m M d^alpha. The D_n follow from the derivatives of f by the
-recursion of ``exp_composition_derivatives``, and every term of the sum is
-non-negative, so nothing cancels.
+at s = m M d^alpha, E_n being the Taylor coefficients of exp(-f(s(1 + x))).
+``exp_composition_derivatives`` takes them from the a_k by one normalized
+recursion; every term (-1)^n E_n is non-negative, so nothing cancels and no
+factor overflows at any m.
 
 Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient and the serving distance may be numpy arrays that broadcast
@@ -43,34 +46,38 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import hyp2f1
+from scipy.special import beta, hyp2f1
 
-from .errors import NumericalError
-from .specfun import exp_composition_derivatives, rising_pochhammer
+from .errors import DomainError, NumericalError
 
 # Every exponent reports SERIES; the benchmark tracer reads ``method`` and
 # counts QUADRATURE results.
 SERIES = "series"
 QUADRATURE = "quadrature"
 
-# a coverage value may leave [0, 1] by rounding only
-_PROBABILITY_SLACK = 4.0 * math.ulp(1.0)
+# A coverage value of fading order m is a sum of m non-negative terms
+# (-1)^n E_n of at most 1, or an average of such sums under a probability
+# weight. Each term carries a few ulp of rounding from its recursion and its
+# addition, so the value may leave [0, 1] by rounding of 4 ulp per term.
+_SLACK_PER_TERM = 4.0 * math.ulp(1.0)
 
 
-def check_probability(values, what: str) -> None:
-    """Raise ``NumericalError`` unless every value lies in [0, 1] up to rounding.
+def check_probability(values, what: str, fading_order: int) -> None:
+    """Raise ``NumericalError`` unless every value lies in [0, 1] up to the
+    rounding of its ``fading_order`` terms.
 
     NaN fails the check too.
     """
     values = np.asarray(values)
-    inside = (values >= -_PROBABILITY_SLACK) & (values <= 1.0 + _PROBABILITY_SLACK)
+    slack = fading_order * _SLACK_PER_TERM
+    inside = (values >= -slack) & (values <= 1.0 + slack)
     if not np.all(inside):
         worst = values[~inside].flat[0]
         raise NumericalError(f"{what} {float(worst)!r} outside [0, 1]")
 
 
 class ExponentDerivatives(NamedTuple):
-    """eta^(k)(s) for k = 0..order, plus an evaluation-path tag (always SERIES)."""
+    """a_k = s^k eta^(k)(s)/k!, k = 0..order, plus a path tag (always SERIES)."""
 
     values: tuple
     method: str
@@ -106,9 +113,10 @@ class RadialTailExponent(LaplaceExponentBase):
     def derivatives(self, s, order: int) -> ExponentDerivatives:
         # With dI = 2/aI, q = P/(mI d0^aI), z = s q and C = pi lam d0^2,
         # u = (d0/l)^aI gives Euler integrals Int_0^1 u^(b-1) (1+zu)^(-a) du
-        # = 2F1(a, b; b+1; -z)/b, hence
+        # = 2F1(a, b; b+1; -z)/b, hence the coefficients
         #   k = 0:  C z dI/(1-dI) sum_{i<=mI} 2F1(i, 1-dI; 2-dI; -z)
-        #   k >= 1: C q^k (-1)^k (mI)_k (-dI)/(k-dI) 2F1(mI+k, k-dI; k+1-dI; -z)
+        #   k >= 1: C (-1)^(k+1) binom(mI+k-1, k) dI/(k-dI) z^k
+        #           2F1(mI+k, k-dI; k+1-dI; -z)
         # The k = 0 sum comes from 1 - (1+y)^(-m) = y sum_{i<=m} (1+y)^(-i),
         # so every term is positive; the shorter C [2F1(mI, -dI; 1-dI; -z) - 1]
         # cancels to exactly 0 at small z.
@@ -125,16 +133,43 @@ class RadialTailExponent(LaplaceExponentBase):
         tail = sum(hyp2f1(i, 1.0 - delta, 2.0 - delta, -z) for i in range(1, m_i + 1))
         values = [scale * z * delta / (1.0 - delta) * tail]
         for k in range(1, order + 1):
-            values.append(
-                scale
-                * q**k
-                * (-1.0) ** (k + 1)
-                * rising_pochhammer(m_i, k)
-                * delta
-                / (k - delta)
-                * hyp2f1(m_i + k, k - delta, k + 1.0 - delta, -z)
-            )
+            sign_binom = (-1.0) ** (k + 1) * math.comb(m_i + k - 1, k)
+            power_hyp = _power_hyp2f1(m_i, k, delta, z)
+            values.append(scale * sign_binom * delta / (k - delta) * power_hyp)
         return ExponentDerivatives(tuple(values), SERIES)
+
+
+# z^k beyond which the 1/z connection takes over: z > 10 there for k <= 150,
+# and below it the direct 2F1 stays far above the subnormal range
+_CONNECTION_POWER = 1e150
+
+
+def _power_hyp2f1(m_i: int, k: int, delta: float, z):
+    """z^k 2F1(mI+k, k-dI; k+1-dI; -z), which tends to G z^dI as z -> inf.
+
+    The direct product overflows where z^k does. Where z^k exceeds 1e150 the
+    1/z connection (DLMF 15.8.2, whose second 2F1 is 1 as b - c + 1 = 0)
+
+        G z^dI - (k-dI)/(mI+dI) z^(-mI) 2F1(mI+k, mI+dI; mI+dI+1; -1/z),
+        G = Gamma(k+1-dI) Gamma(mI+dI)/Gamma(mI+k) = (mI+k) B(k+1-dI, mI+dI),
+
+    takes over. Against mpmath it holds to 1e-11 there (k <= 99), but it
+    cancels below z = 10.
+    """
+    z = np.asarray(z)
+    with np.errstate(over="ignore"):
+        power = z**k
+    far = power > _CONNECTION_POWER
+    if not np.any(far):
+        return power * hyp2f1(m_i + k, k - delta, k + 1.0 - delta, -z)
+    out = np.empty(z.shape)
+    out[~far] = power[~far] * hyp2f1(m_i + k, k - delta, k + 1.0 - delta, -z[~far])
+    y = z[far]
+    series = hyp2f1(m_i + k, m_i + delta, m_i + delta + 1.0, -1.0 / y)
+    out[far] = (m_i + k) * beta(k + 1.0 - delta, m_i + delta) * y**delta - (
+        k - delta
+    ) / (m_i + delta) * y ** (-m_i) * series
+    return out[()]
 
 
 class NearestRingExponent(LaplaceExponentBase):
@@ -158,16 +193,40 @@ class NearestRingExponent(LaplaceExponentBase):
         # as for the radial tail, q -> 0 where d0^aI overflows
         with np.errstate(over="ignore"):
             q = self.tx_power / (self.m_interf * self.dist3d**self.alpha_interf)
-        values = [-self.weight * np.expm1(-self.m_interf * np.log1p(s * q))]
-        for k in range(1, order + 1):
-            values.append(
-                self.weight
-                * (-1.0) ** (k + 1)
-                * rising_pochhammer(self.m_interf, k)
-                * q**k
-                * (1.0 + s * q) ** (-self.m_interf - k)
-            )
+        m_i = self.m_interf
+        sq = s * q
+        values = [-self.weight * np.expm1(-m_i * np.log1p(sq))]
+        if order:
+            # a_k = w (-1)^(k+1) binom(mI+k-1, k) v^k (1+sq)^(-mI), v = sq/(1+sq)
+            v = sq / (1.0 + sq)
+            base = self.weight * (1.0 + sq) ** (-m_i)
+            values += [
+                (-1.0) ** (k + 1) * math.comb(m_i + k - 1, k) * v**k * base
+                for k in range(1, order + 1)
+            ]
         return ExponentDerivatives(tuple(values), SERIES)
+
+
+def exp_composition_derivatives(coeffs, n: int) -> list:
+    """Taylor coefficients E_0..E_n of exp(-f) from those of f, a_0..a_n.
+
+    The derivative of exp(-f) = sum E_k x^k is -f' exp(-f), hence
+
+        E_0 = exp(-a_0),  E_k = -(1/k) sum_{j=1..k} j a_j E_(k-j).
+
+    With a_k = s^k f^(k)(s)/k! this is E_k = s^k D_k/k!, D_k = d^k/ds^k
+    exp(-f), without forming s^k, k! or D_k. When f is a Bernstein function
+    (f' >= 0 completely monotone), every term of (-1)^k E_k is non-negative,
+    so the sum never cancels (X. Yu, J. Zhang, M. Haenggi, K. B. Letaief,
+    IEEE JSAC 35(7), 2017). The coefficients may be arrays of one shape,
+    giving arrays; where exp(-a_0) underflows every E_k is 0.
+    """
+    if len(coeffs) < n + 1:
+        raise DomainError(f"need coefficients up to order {n}, got {len(coeffs) - 1}")
+    out = [np.exp(-np.asarray(coeffs[0], dtype=float))]
+    for k in range(1, n + 1):
+        out.append(-sum(j * coeffs[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return out
 
 
 def conditional_coverage(
@@ -194,17 +253,15 @@ def conditional_coverage(
         live = np.isfinite(c) & (np.exp(-c * noise_power) > 0.0)
     # dead elements are evaluated at s = 0, then zeroed
     s = np.where(live, c, 0.0)[()]
-    f = [0.0] * fading_order
+    a = [0.0] * fading_order
     for exponent in exponents:
         for k, value in enumerate(exponent.derivatives(s, fading_order - 1).values):
-            f[k] = f[k] + value
-    f[0] = f[0] + s * noise_power
+            a[k] = a[k] + value
+    # the noise term s noise (1 + x) adds s noise to a_0 and a_1
+    a[0] = a[0] + s * noise_power
     if fading_order > 1:
-        f[1] = f[1] + noise_power
-    transform_derivs = exp_composition_derivatives(f, fading_order - 1)
-    total = 0.0
-    for n in range(fading_order):
-        total = total + (-s) ** n / math.factorial(n) * transform_derivs[n]
-    total = np.where(live, total, 0.0)
-    check_probability(total, "conditional coverage")
+        a[1] = a[1] + s * noise_power
+    terms = exp_composition_derivatives(a, fading_order - 1)
+    total = np.where(live, sum((-1.0) ** n * term for n, term in enumerate(terms)), 0.0)
+    check_probability(total, "conditional coverage", fading_order)
     return total if total.ndim else float(total)

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import cubature
-from scipy.special import poch
+from scipy.special import binom
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
@@ -188,7 +188,8 @@ def piecewise_user_centric_coverage(
 def quadrature_exponent_derivatives(
     exponent: RadialTailExponent, s: float, order: int
 ) -> list[float]:
-    """eta^(k)(s), k = 0..order, of a radial-tail exponent by adaptive quadrature.
+    """a_k = s^k eta^(k)(s)/k!, k = 0..order, of a radial-tail exponent by
+    adaptive quadrature.
 
     The reference for the hypergeometric form of
     ``RadialTailExponent.derivatives``. l = d0 x^(-1/(aI-2)) maps [d0, inf)
@@ -197,7 +198,7 @@ def quadrature_exponent_derivatives(
 
       k = 0:  scale Int_0^1 z phi(y)/y dx,  y = z x^p,
               phi(y) = 1 - (1+y)^(-mI)  (phi(y)/y -> mI at y = 0)
-      k >= 1: scale sign_k (mI)_k q^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
+      k >= 1: scale sign_k binom(mI+k-1, k) z^k Int_0^1 x^(p(k-1)) (1 + z x^p)^(-mI-k) dx
 
     with scale = 2 pi lam d0^2/(aI-2); no factor leaves double range down to
     aI = 2.001. All orders are one vector-valued integral. Raises
@@ -229,8 +230,8 @@ def quadrature_exponent_derivatives(
         raise NumericalError(
             "interference exponent quadrature out of tolerance", float(np.max(errors))
         )
-    # sign_k (mI)_k q^k, and z for k = 0
-    factors = np.where(k == 0, z, (-1.0) ** (k + 1) * poch(m_i, k) * q**k)
+    # sign_k binom(mI+k-1, k) z^k, and z for k = 0
+    factors = np.where(k == 0, z, (-1.0) ** (k + 1) * binom(m_i + k - 1, k) * z**k)
     return (scale * factors * values / weight).tolist()
 
 
@@ -275,11 +276,13 @@ def _validate_checks(quick: bool, seed: int):
             s0 = rng.uniform(0.3, 3.0) * dist**4 / (1e-6) * 1e-3
             exponent = analytic_user_centric.laplace_exponent_uc(cfg, dist)
             transform = lambda s: math.exp(-exponent.value_at(s))
-            etas = exponent.derivatives(s0, 1).values
-            analytic_d1 = -etas[1] * math.exp(-etas[0])
+            # the first Taylor coefficient of exp(-eta(s0 (1 + x))) is s0 times
+            # the transform's derivative
+            coeffs = exponent.derivatives(s0, 1).values
+            analytic = -coeffs[1] * math.exp(-coeffs[0])
             h = s0 * 1e-5
-            fd = (transform(s0 + h) - transform(s0 - h)) / (2.0 * h)
-            worst = max(worst, abs(analytic_d1 - fd) / abs(fd))
+            fd = s0 * (transform(s0 + h) - transform(s0 - h)) / (2.0 * h)
+            worst = max(worst, abs(analytic - fd) / abs(fd))
         return worst, 1e-4
 
     def analytic_vs_mc_user_centric():

@@ -95,8 +95,9 @@ class TestConditionalExponent:
         f = exponent.value_at
         d1 = (f(s0 + h) - f(s0 - h)) / (2 * h)
         d2 = (f(s0 + h) - 2 * f(s0) + f(s0 - h)) / h**2
-        assert values[1] == pytest.approx(d1, rel=1e-6)
-        assert values[2] == pytest.approx(d2, rel=1e-4)
+        # the exponent hands over s^k eta^(k)/k!
+        assert values[1] == pytest.approx(s0 * d1, rel=1e-6)
+        assert values[2] == pytest.approx(s0**2 * d2 / 2.0, rel=1e-4)
 
     def test_total_splits_into_parts(self):
         cfg = make_cfg(m_interf=2)

@@ -10,6 +10,7 @@ script regenerates both:
     PYTHONPATH=src python tests/test_analytic_user_centric.py
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -29,8 +30,10 @@ from uavnoma.laplace import (
     SERIES,
     ExponentDerivatives,
     LaplaceExponentBase,
+    NearestRingExponent,
     RadialTailExponent,
     conditional_coverage,
+    exp_composition_derivatives,
 )
 from uavnoma.scenario import (
     NOMA,
@@ -41,7 +44,6 @@ from uavnoma.scenario import (
     noise_from_bandwidth,
     thresholds,
 )
-from uavnoma.specfun import exp_composition_derivatives
 from uavnoma.validation import (
     piecewise_user_centric_coverage,
     quadrature_exponent_derivatives,
@@ -66,12 +68,22 @@ def make_cfg(**kw):
     return NetworkConfig(**base)
 
 
+def taylor(derivs, s):
+    """s^k eta^(k)/k!, the coefficients the exponents hand over, from eta^(k)."""
+    return [d * s**k / math.factorial(k) for k, d in enumerate(derivs)]
+
+
+def _derivatives(coeffs, s):
+    """eta^(k) = k! a_k / s^k from the coefficients a_k at s > 0."""
+    return [a * math.factorial(k) / s**k for k, a in enumerate(coeffs)]
+
+
 LINK = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0, fixed_user_dist=300.0)
 # the same pair with r_k beyond 300 m, so a typical user at r = 300 m is near
 FAR_FIXED_LINK = replace(LINK, fixed_user_dist=400.0)
 
 # (tx_power, alpha_interf, m_interf, d0, s) at DENSITY -> eta, eta', eta''
-# from 40-digit mpmath. "steep" is z = 1e8 at aI = 4.5, where the former
+# from 40-digit mpmath; the exponents hand over s^k eta^(k)/k! (``taylor``). "steep" is z = 1e8 at aI = 4.5, where the former
 # mapped quadrature raised; "near_two" is aI = 2.05 at +30 dBm (z ~ 6e8);
 # "tiny_z" is z ~ 5e-17, where 2F1(mI, -dI; 1-dI; -z) - 1 cancels to 0;
 # "fork" is z = 0.95, where the former series handed over to quadrature;
@@ -224,8 +236,9 @@ class TestLaplaceExponent:
         oracle = 5.718644419099796925391812017335036299935e-27
         density = 1e-6
         exponent = RadialTailExponent(density, 1.0, 4.0, 2, 3000.0000000502987)
-        values = exponent.derivatives(3.3274145368438864e16, 2).values
-        integral = values[2] / (-6.0 * 2.0 * math.pi * density)  # -(m_I)_2 2 pi lam
+        s = 3.3274145368438864e16
+        eta = _derivatives(exponent.derivatives(s, 2).values, s)
+        integral = eta[2] / (-6.0 * 2.0 * math.pi * density)  # -(m_I)_2 2 pi lam
         assert integral == pytest.approx(oracle, rel=1e-10)
 
     def test_near_alpha_two_matches_quadrature_reference(self):
@@ -244,7 +257,7 @@ class TestLaplaceExponent:
         (tx_power, alpha_interf, m_interf, d0, s), pins = EXPONENT_PINS[name]
         exponent = RadialTailExponent(DENSITY, tx_power, alpha_interf, m_interf, d0)
         values = exponent.derivatives(s, 2).values
-        for got, want in zip(values, pins):
+        for got, want in zip(values, taylor(pins, s)):
             assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -252,14 +265,15 @@ class TestLaplaceExponent:
         [(2.05, 1, 3.0), (3.0, 2, 0.95), (4.0, 3, 40.0), (4.5, 5, 1e-3)],
     )
     def test_derivatives_match_finite_differences(self, alpha_interf, m_interf, z):
-        # each eta^(k) against a central difference of eta^(k-1)
+        # each eta^(k), read from s^k eta^(k)/k!, against a central difference
+        # of eta^(k-1)
         d0 = 250.0
         exponent = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0)
         s = z * m_interf * d0**alpha_interf / 1e-6
         h = 1e-4 * s
-        up = exponent.derivatives(s + h, 2).values
-        down = exponent.derivatives(s - h, 2).values
-        values = exponent.derivatives(s, 3).values
+        up = _derivatives(exponent.derivatives(s + h, 2).values, s + h)
+        down = _derivatives(exponent.derivatives(s - h, 2).values, s - h)
+        values = _derivatives(exponent.derivatives(s, 3).values, s)
         for k in (1, 2, 3):
             assert values[k] == pytest.approx(
                 (up[k - 1] - down[k - 1]) / (2.0 * h), rel=1e-6
@@ -273,7 +287,8 @@ class TestLaplaceExponent:
         assert all(0.0 < math.exp(-v) <= 1.0 for v in values)
 
     def test_derivative_signs_alternate(self):
-        # complete monotonicity of the transform: eta' > 0, eta'' < 0, eta''' > 0
+        # complete monotonicity of the transform: eta' > 0, eta'' < 0, eta''' > 0,
+        # read from s^k eta^(k)/k! at s > 0
         cfg = make_cfg(m_interf=2, m_desired=4)
         values, _ = laplace_exponent_uc(cfg, 300.0).derivatives(1e7, 3)
         assert values[1] > 0.0 and values[2] < 0.0 and values[3] > 0.0
@@ -344,7 +359,7 @@ class TestCoverageCond:
         with pytest.raises(NumericalError):
             conditional_coverage(fading_order, 1.0, 0.0, 1.0, 3.0, NegativeExponent())
 
-    @pytest.mark.parametrize("fading_order", range(1, 7))
+    @pytest.mark.parametrize("fading_order", [*range(1, 7), 19, 20, 40, 100])
     def test_noise_only_matches_gamma_tail(self, fading_order):
         # with no interferers g ~ Gamma(m)/m gives P[g > M N d^a] = Q(m, c N),
         # the regularized upper incomplete gamma at c = m M d^a
@@ -360,15 +375,16 @@ class TestCoverageCond:
     @pytest.mark.parametrize("fading_order", range(2, 7))
     def test_kernel_terms_non_negative(self, fading_order):
         # f = c N + eta has a completely monotone derivative, so each term
-        # (-c)^n/n! D_n of the coverage sum is >= 0 and nothing cancels
+        # (-c)^n/n! D_n = (-1)^n E_n of the coverage sum is >= 0 and nothing
+        # cancels
         cfg = make_cfg(m_desired=fading_order, m_interf=2)
         dist = math.hypot(300.0, cfg.uav_height)
         c = fading_order * 3.0 / cfg.tx_power * dist**cfg.alpha_desired
-        f = list(laplace_exponent_uc(cfg, dist).derivatives(c, fading_order - 1)[0])
-        f[0] += c * cfg.noise_power
-        f[1] += cfg.noise_power
-        derivs = exp_composition_derivatives(f, fading_order - 1)
-        terms = [(-c) ** n / math.factorial(n) * derivs[n] for n in range(fading_order)]
+        a = list(laplace_exponent_uc(cfg, dist).derivatives(c, fading_order - 1)[0])
+        a[0] += c * cfg.noise_power
+        a[1] += c * cfg.noise_power
+        coeffs = exp_composition_derivatives(a, fading_order - 1)
+        terms = [(-1.0) ** n * coeffs[n] for n in range(fading_order)]
         assert terms[0] > 0.0 and all(term >= 0.0 for term in terms)
         assert 0.0 < sum(terms) < 1.0
 
@@ -416,6 +432,92 @@ def _pinned_near_case_oracle(cfg, link, r, trials, seed):
         successes += int(np.sum((cross > eps_other) & (own > eps_own)))
         done += n_trials
     return successes / trials
+
+
+# A UAV-centric geometry (R = 300 m, h = 100 m, m_I = 2, aI = 3.5) at
+# s = 1e16, z = 8.9, where the coverage is mid-range at m = 20 and 30 and
+# the terms (-s)^n/n! and D_n of the derivative form leave the double range
+HIGH_ORDER_S = 1e16
+HIGH_ORDER_RING = (1e-6, 3.5, 2, math.hypot(300.0, 100.0))
+HIGH_ORDER_WEIGHT = math.hypot(300.0, 100.0) / 300.0
+HIGH_ORDER_LINK = (1e-15, 150.0, 3.5)  # noise, serving distance, alpha_d
+
+
+@functools.cache
+def _mpmath_high_order_exponents():
+    """(tail, ring) eta^(k), k = 0..29, at HIGH_ORDER_S: the tail from
+    ``_mpmath_exponent_derivatives``, the ring from its closed form
+    w (-1)^(k+1) (mI)_k q^k (1+sq)^(-mI-k)."""
+    import mpmath as mp
+
+    tail = _mpmath_exponent_derivatives(*HIGH_ORDER_RING, HIGH_ORDER_S, 29)
+    tx_power, alpha_interf, m_i, d0 = (mp.mpf(x) for x in HIGH_ORDER_RING)
+    s, w = mp.mpf(HIGH_ORDER_S), mp.mpf(HIGH_ORDER_WEIGHT)
+    q = tx_power / (m_i * d0**alpha_interf)
+    ring = [w * (1 - (1 + s * q) ** -m_i)] + [
+        w * (-1) ** (k + 1) * mp.rf(m_i, k) * q**k * (1 + s * q) ** (-m_i - k)
+        for k in range(1, 30)
+    ]
+    return tail, ring
+
+
+def _mpmath_coverage(fading_order, s, noise, etas):
+    """sum_{n<m} (-s)^n/n! D_n at the helper's precision, D_n = d^n/ds^n
+    exp(-s noise - eta(s)) by Leibniz's rule on D' = -f' D, from eta^(k)."""
+    import mpmath as mp
+
+    s = mp.mpf(s)
+    f = list(etas[:fading_order])
+    f[0] += s * noise
+    f[1] += noise
+    d = [mp.exp(-f[0])]
+    for k in range(1, fading_order):
+        d.append(-mp.fsum(mp.binomial(k - 1, j - 1) * f[j] * d[k - j] for j in range(1, k + 1)))
+    return mp.fsum((-s) ** n / mp.factorial(n) * d[n] for n in range(fading_order))
+
+
+class TestHighOrderKernel:
+    @pytest.mark.parametrize("fading_order", [20, 30])
+    @pytest.mark.parametrize("with_ring", [False, True], ids=["tail", "ring+tail"])
+    def test_matches_mpmath(self, fading_order, with_ring):
+        noise, dist, alpha = HIGH_ORDER_LINK
+        tail, ring = _mpmath_high_order_exponents()
+        exponents = [RadialTailExponent(DENSITY, *HIGH_ORDER_RING)]
+        etas = tail
+        if with_ring:
+            exponents.insert(0, NearestRingExponent(HIGH_ORDER_WEIGHT, *HIGH_ORDER_RING))
+            etas = [a + b for a, b in zip(tail, ring)]
+        coeff = HIGH_ORDER_S / (fading_order * dist**alpha)
+        value = conditional_coverage(fading_order, coeff, noise, dist, alpha, *exponents)
+        oracle = float(_mpmath_coverage(fading_order, HIGH_ORDER_S, noise, etas))
+        assert 0.2 < oracle < 0.9
+        assert value == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("m_interf", [1, 3])
+    @pytest.mark.parametrize("z", [30.0, 1e3, 1e10, 1e100])
+    def test_radial_coefficients_on_both_sides_of_the_overflow_branch(self, m_interf, z):
+        # z^k 2F1(mI+k, k-dI; k+1-dI; -z) is taken by the 1/z connection where
+        # z^k > 1e150; each a_k against mpmath's 2F1 at 40 digits
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        alpha_interf, d0, order = 2.5, 250.0, 60
+        exponent = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0)
+        s = z * m_interf * d0**alpha_interf / 1e-6
+        values = exponent.derivatives(s, order).values
+        delta, zm = 2 / mp.mpf(alpha_interf), mp.mpf(z)
+        scale = mp.pi * DENSITY * mp.mpf(d0) ** 2
+        for k in range(1, order + 1):
+            want = (
+                scale
+                * (-1) ** (k + 1)
+                * mp.binomial(m_interf + k - 1, k)
+                * delta
+                / (k - delta)
+                * zm**k
+                * mp.hyp2f1(m_interf + k, k - delta, k + 1 - delta, -zm)
+            )
+            assert values[k] == pytest.approx(float(want), rel=1e-10), k
 
 
 class TestCoverageTypical:
@@ -668,7 +770,8 @@ def _mpmath_exponent_derivatives(tx_power, alpha_interf, m_interf, d0, s, order)
                 * mp.hyp2f1(m + k, k - delta, k + 1 - delta, -z)
             )
             f = lambda t, k=k: t ** (power * (k - 1)) * (1 + z * t**power) ** (-m - k)
-            quad = sign_k * delta * power * mp.quad(f, breaks)
+            with mp.workdps(80):
+                quad = sign_k * delta * power * mp.quad(f, breaks)
         if abs(quad - hyp) > mp.mpf(10) ** -25 * abs(hyp):
             raise ArithmeticError(f"order {k}: 2F1 {hyp} against quadrature {quad}")
         out.append(mp.pi * lam * d0**2 * hyp)

@@ -15,9 +15,13 @@ import pytest
 
 from uavnoma import analytic_uav_centric as uav
 from uavnoma.cli import apply_axis, load_config, parse_link, parse_network, parse_sweep
-from uavnoma.laplace import NearestRingExponent, RadialTailExponent, conditional_coverage
+from uavnoma.laplace import (
+    NearestRingExponent,
+    RadialTailExponent,
+    conditional_coverage,
+    exp_composition_derivatives,
+)
 from uavnoma.quadrature import _tensor_rule
-from uavnoma.specfun import exp_composition_derivatives
 
 REPO = Path(__file__).resolve().parent.parent
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -79,7 +83,7 @@ class TestExponentArrays:
 
 class TestRecursionArrays:
     def test_matches_scalar_calls_with_underflow(self):
-        # the last column underflows exp(-eta) to 0: all its derivatives are 0
+        # the last column underflows exp(-a_0) to 0: all its coefficients are 0
         eta = [
             np.array([0.3, 2.0, 40.0, 800.0]),
             np.array([1.0, -0.5, 3.0, 1e3]),

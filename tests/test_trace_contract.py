@@ -22,9 +22,17 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 NETWORK = {"uav_density_per_m2": 1.2732395447351628e-06, "alpha_desired": 3.5}
 LINK = {"rate_near_bpcu": 1.0, "rate_far_bpcu": 0.5, "fixed_user_dist_m": 300.0}
 
+# the Taylor-coefficient recursion lives in ``laplace``; the tracer reaches it
+# as ``laplace.exp_composition_derivatives`` under the span "specfun.faa"
 ANALYTIC_SPANS = {
-    USER_CENTRIC: ("uc.coverage", "laplace.cond_cov", "laplace.radial"),
-    UAV_CENTRIC: ("uav.coverage_pair", "laplace.cond_cov", "laplace.radial"),
+    USER_CENTRIC: ("uc.coverage", "laplace.cond_cov", "laplace.radial", "specfun.faa"),
+    UAV_CENTRIC: (
+        "uav.coverage_pair",
+        "laplace.cond_cov",
+        "laplace.radial",
+        "laplace.ring",
+        "specfun.faa",
+    ),
 }
 MC_SPANS = ("mc.geometry", "mc.evaluate")
 
