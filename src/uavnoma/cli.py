@@ -16,9 +16,10 @@ point's rows list its two users in ``ROLES`` order. Command-line flags
 override the config's sweep section. A sweep groups its points by
 ``montecarlo.geometry_key`` and simulates each group's batch once; groups
 run one after another in the calling process, and each batch is drawn on
-threads over block ranges (``montecarlo``), as many as UAVNOMA_THREADS
-allows (at least 1; default: every core this process may use). An
-analytic-only sweep simulates nothing. The closed forms of all a sweep's
+threads over block ranges (``montecarlo``), at most one per core this
+process may use (``taskset -c 0 uavnoma sweep ...`` draws on one). A batch
+whose trials find no UAV in the disc says how many in a ``warning:`` line.
+An analytic-only sweep simulates nothing. The closed forms of all a sweep's
 points are computed before any group, together: the values share array
 passes of the kernel (``quadrature.integrate_many``), so an 8-point
 user-centric sweep is one pass and a UAV-centric point's two users share
@@ -163,7 +164,6 @@ def parse_network(section: dict) -> NetworkConfig:
         m_desired=_take(section, "network", "m_desired", int, 1),
         m_interf=_take(section, "network", "m_interf", int, 1),
         sim_disc_radius=_take(section, "network", "sim_disc_radius_m", float, 10_000.0),
-        hole_halfwidth=_take(section, "network", "hole_halfwidth_m", float, 0.1),
     )
     _reject_unknown(section, "network")
     try:
@@ -299,7 +299,8 @@ def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
     the closed-form pair of each.
 
     The points share one MC geometry key, so the mode's MC batch is
-    simulated once, from the first point, and estimated at every point.
+    simulated once, from the first point, and estimated at every point; a
+    batch with empty discs says how many on stderr.
     """
     batch = None
     if spec.mode in ("mc", "both"):
@@ -310,6 +311,15 @@ def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
             )
         except MemoryError as exc:
             raise ConfigError(str(exc)) from None
+        empty = montecarlo.empty_disc_trials(batch)
+        if empty:
+            print(
+                f"warning: {empty} of {batch.trials} trials found no UAV in the "
+                f"{first_cfg.sim_disc_radius:g} m simulation disc; their Monte "
+                "Carlo coverage follows the empty-disc convention, not the "
+                "closed forms'",
+                file=sys.stderr,
+            )
     return [
         _point_rows(spec, value, cfg, link, pair, batch)
         for (value, cfg, link), pair in zip(points, analytic)
@@ -358,12 +368,8 @@ def evaluate_point(
 
 
 def worker_count() -> int:
-    """``montecarlo.thread_count()``; a bad ``UAVNOMA_THREADS`` raises
-    ``ConfigError``."""
-    try:
-        return montecarlo.thread_count()
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    """Most threads a batch is drawn on: the cores this process may use."""
+    return montecarlo._usable_cores()
 
 
 def run_sweep(
@@ -520,7 +526,6 @@ def _with_flags(spec: SweepSpec, args) -> SweepSpec:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        worker_count()  # a bad UAVNOMA_THREADS exits 2 before any work
         if args.command == "validate":
             from . import validation
 

@@ -8,9 +8,10 @@ prefix of any longer run: a run whose trial count is not a multiple of
 ``_BLOCK`` draws its last block in full and keeps the first trials. (A flat
 ``SeedSequence((seed, b))`` would give seed 2**32 at block 0 the stream of
 seed 0 at block 1.) A batch's blocks are cut into contiguous ranges, drawn on
-threads (``thread_count``, capped by the cores this process may use). A
-block's draws do not depend on the thread that makes them, so a batch is the
-same on any number of threads. Only the block functions and the samplers
+threads, at most one per core this process may use (its CPU affinity: under
+``taskset -c 0`` every batch is drawn on one thread). A block's draws do not
+depend on the thread that makes them, so a batch is the same on any number
+of threads. Only the block functions and the samplers
 they call run on those threads.
 
 Each run is split into two phases. The geometry phase draws everything that
@@ -40,8 +41,8 @@ arrays, and reduces each trial's segment of the flat arrays with
   tangent), one fixed-user azimuth per trial, the typical and the fixed
   user's desired gains per trial, then their interferer gains per UAV;
 * UAV-centric: the near and the far user's radius per trial, their desired
-  gains per trial, their interferer gains per UAV, and the ring jitter per
-  trial (no azimuths: nothing in this strategy depends on them).
+  gains per trial, then their interferer gains per UAV (no azimuths: nothing
+  in this strategy depends on them).
 
 Fading goes through ``channel.sample_nakagami_power``, UAV-centric user
 placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
@@ -60,9 +61,15 @@ Interference conventions (mirroring the analytic conditioning):
 
 * user-centric: each receiver sums over all non-serving UAVs strictly beyond
   its own 3-D serving distance, with distances measured from itself;
-* UAV-centric: path loss of every interferer is referenced to the cell
-  center; the nearest neighbor's horizontal distance is jittered uniformly
-  within +-hole_halfwidth, mirroring the thin-ring evaluation of that term.
+* UAV-centric: path loss of every interferer, the nearest neighbor
+  included, is referenced to the cell center at its drawn distance. The
+  thin ring around the nearest neighbor is a device of the closed form only;
+  the simulated field is the exact-ring model, one UAV exactly at R.
+
+A trial whose disc holds no UAV (``empty_disc_trials`` counts them) answers
+a different model: under user-centric association its serving distance is
+infinite, so neither user has a desired link; under UAV-centric association
+the cell is the whole disc and sees no interference.
 """
 
 from __future__ import annotations
@@ -150,7 +157,7 @@ def _is_user_centric(strategy: str) -> bool:
     return strategy == USER_CENTRIC
 
 
-def _key(strategy: str, cfg: NetworkConfig, last: float) -> tuple:
+def _key(strategy: str, cfg: NetworkConfig, *rest: float) -> tuple:
     return (
         strategy,
         cfg.uav_density,
@@ -159,17 +166,18 @@ def _key(strategy: str, cfg: NetworkConfig, last: float) -> tuple:
         cfg.m_desired,
         cfg.m_interf,
         cfg.alpha_interf,
-        last,
+        *rest,
     )
 
 
 def geometry_key(cfg: NetworkConfig, link: NomaLink, strategy: str) -> tuple:
     """What a batch of ``strategy`` depends on: points with equal keys (and
-    equal trials and seed) can be estimated from one batch. Besides the UAV
-    field and the fading orders, a user-centric batch depends on the fixed
-    user's distance and a UAV-centric one on the ring half-width."""
-    last = link.fixed_user_dist if _is_user_centric(strategy) else cfg.hole_halfwidth
-    return _key(strategy, cfg, last)
+    equal trials and seed) can be estimated from one batch. Both depend on
+    the UAV field and the fading orders, a user-centric batch also on the
+    fixed user's distance."""
+    if _is_user_centric(strategy):
+        return _key(strategy, cfg, link.fixed_user_dist)
+    return _key(strategy, cfg)
 
 
 def simulate(cfg: NetworkConfig, link: NomaLink, strategy: str, trials: int, seed: int):
@@ -266,9 +274,12 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     # typical user at the origin: non-serving UAVs are all beyond r
     d3_typ_sq = np.square(field.radii)
     d3_typ_sq += height_sq
-    other = ~field.is_nearest
+    # (a tie for nearest, of probability about 1e-11 per trial, marks every
+    # tied point)
+    is_nearest = field.radii == field.spread(field.nearest)
+    other = ~is_nearest
     g_t *= d3_typ_sq**-half
-    g_t[field.is_nearest] = 0.0
+    g_t[is_nearest] = 0.0
     j_typ = field.sum(g_t)
     # fixed user hangs off the serving UAV, at distance rho from the origin;
     # its exclusion is its own serving distance
@@ -353,7 +364,7 @@ def simulate_uav_centric(
     """Geometry phase: serving UAV at the origin, neighbors form the
     interference field, paired users drawn from their placement densities."""
     return UavCentricTrials(
-        _key(UAV_CENTRIC, cfg, cfg.hole_halfwidth),
+        _key(UAV_CENTRIC, cfg),
         seed,
         *_simulate(cfg, trials, seed, 7, _uav_centric_block),
     )
@@ -372,12 +383,9 @@ def _uav_centric_block(rng, field, cfg):
     h_v = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     g_w = sample_nakagami_power(cfg.m_interf, rng, count)
     g_v = sample_nakagami_power(cfg.m_interf, rng, count)
-    jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth, _BLOCK)
-    ring_path = ((big_r + jitter) ** 2 + height**2) ** -half
     path = np.square(field.radii)
     path += height**2
     np.power(path, -half, out=path)
-    np.copyto(path, field.spread(ring_path), where=field.is_nearest)
     g_w *= path
     g_v *= path
     return big_r, d_near, d_far, field.sum(g_w), field.sum(g_v), h_w, h_v
@@ -406,26 +414,17 @@ def evaluate_uav_centric(
 # ---------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    """Threads a batch may be drawn on: ``UAVNOMA_THREADS``, a whole number
-    of at least 1, by default every core this process may run on."""
-    env = os.environ.get("UAVNOMA_THREADS")
-    if not env:
-        return _usable_cores()
-    try:
-        count = int(env)
-    except ValueError:
-        raise DomainError(
-            f"UAVNOMA_THREADS: expected an integer, got {env!r}"
-        ) from None
-    if count < 1:
-        raise DomainError(f"UAVNOMA_THREADS: must be at least 1, got {env!r}")
-    return count
-
-
 def _usable_cores() -> int:
     # the cores this process may run on, not the host's (os.cpu_count)
     return len(os.sched_getaffinity(0))
+
+
+def empty_disc_trials(batch) -> int:
+    """Trials of ``batch`` whose disc holds no UAV."""
+    if _is_user_centric(batch.geometry_key[0]):
+        return int(np.count_nonzero(np.isinf(batch.serving_dist3d)))
+    # the cell is the whole disc, whose radius the key holds after the density
+    return int(np.count_nonzero(batch.neighbor_dist == batch.geometry_key[2]))
 
 
 def _simulate(
@@ -475,7 +474,7 @@ def _simulate(
             rows[:, start:stop] = np.array(values)[:, : stop - start]
 
     blocks = -(-trials // _BLOCK)
-    threads = min(thread_count(), _usable_cores(), blocks // _MIN_RANGE_BLOCKS)
+    threads = min(_usable_cores(), blocks // _MIN_RANGE_BLOCKS)
     if threads <= 1:
         fill(0, blocks)
         return rows
@@ -498,9 +497,6 @@ class _Field:
         self._starts = (np.cumsum(counts) - counts)[self.occupied]
         self.nearest = np.full(len(counts), math.inf)  # inf on an empty disc
         self.nearest[self.occupied] = np.minimum.reduceat(radii, self._starts)
-        # (a tie for nearest, of probability about 1e-11 per trial, marks
-        # every tied point)
-        self.is_nearest = radii == self.spread(self.nearest)
 
     def spread(self, per_trial: np.ndarray) -> np.ndarray:
         """One value per trial, repeated onto each of that trial's points."""

@@ -78,8 +78,6 @@ class NetworkConfig:
     m_interf           integer Nakagami fading order of interfering links
     noise_power        AWGN power in watts
     sim_disc_radius    Monte Carlo deployment disc radius in meters
-    hole_halfwidth     half-width of the annulus used to evaluate the nearest
-                       interferer in the UAV-centric Monte Carlo, in meters
     """
 
     uav_density: float
@@ -91,7 +89,6 @@ class NetworkConfig:
     m_desired: int = 1
     m_interf: int = 1
     sim_disc_radius: float = 10_000.0
-    hole_halfwidth: float = 0.1
 
     def __post_init__(self):
         _check_finite(self)
@@ -109,8 +106,8 @@ class NetworkConfig:
             raise DomainError("m_desired must be a positive integer")
         if self.m_interf < 1 or self.m_interf != int(self.m_interf):
             raise DomainError("m_interf must be a positive integer")
-        if self.sim_disc_radius <= 0.0 or self.hole_halfwidth <= 0.0:
-            raise DomainError("simulation geometry must be positive")
+        if self.sim_disc_radius <= 0.0:
+            raise DomainError("sim_disc_radius must be positive")
 
 
 # the network fields a sweep varies (its tx_power_dbm and uav_density axes);

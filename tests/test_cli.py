@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -55,6 +56,18 @@ BASE_CONFIG = {
 }
 
 
+def _empty_disc_count(line, trials, radius):
+    """The count of an empty-disc warning of a batch of ``trials`` trials."""
+    match = re.fullmatch(
+        rf"warning: (\d+) of {trials} trials found no UAV in the {radius} m "
+        r"simulation disc; their Monte Carlo coverage follows the empty-disc "
+        r"convention, not the closed forms'",
+        line,
+    )
+    assert match, line
+    return int(match[1])
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -71,7 +84,6 @@ FLOAT_FIELDS = [
         "uav_height_m",
         "alpha_interf",
         "sim_disc_radius_m",
-        "hole_halfwidth_m",
         "noise_watts",
         "noise_dbm",
         "noise_bandwidth_hz",
@@ -90,7 +102,7 @@ FLOAT_FIELDS = [
 
 @pytest.fixture(autouse=True)
 def single_worker(monkeypatch):
-    monkeypatch.setenv("UAVNOMA_THREADS", "1")
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
 
 
 class TestConfigParsing:
@@ -111,6 +123,12 @@ class TestConfigParsing:
             parse_network({"uav_heihgt_m": 100.0})
         with pytest.raises(ConfigError, match="network.user_density_per_m2"):
             parse_network({"user_density_per_m2": 1e-5})
+        # the UAV-centric Monte Carlo has no ring half-width: its nearest
+        # neighbor interferes from its drawn distance
+        with pytest.raises(
+            ConfigError, match="^network.hole_halfwidth_m: unknown field$"
+        ):
+            parse_network({"hole_halfwidth_m": 0.1})
 
     def test_field_type_diagnostic(self):
         with pytest.raises(ConfigError, match="network.tx_power_dbm"):
@@ -294,34 +312,48 @@ class TestSweepCommand:
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(serial)]) == 0
-        monkeypatch.setenv("UAVNOMA_THREADS", "2")
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         assert main(["sweep", "--config", cfg_path, "--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
-    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
-        cfg_path = write_config(tmp_path, BASE_CONFIG)
-        out = tmp_path / "o.csv"
-        monkeypatch.setenv("UAVNOMA_THREADS", threads)
-        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
-        assert "UAVNOMA_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_default_thread_count_is_usable_cores(self, monkeypatch):
         # the cores this process may run on, not the host's
-        monkeypatch.delenv("UAVNOMA_THREADS")
+        monkeypatch.undo()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert worker_count() == 3
 
-    @pytest.mark.parametrize("command", ["mc", "analytic"])
-    def test_bad_thread_count_exits_2_on_point_commands(
-        self, tmp_path, capsys, monkeypatch, command
-    ):
-        cfg_path = write_config(tmp_path, BASE_CONFIG)
-        monkeypatch.setenv("UAVNOMA_THREADS", "0")
-        assert main([command, "--config", cfg_path]) == 2
-        assert "UAVNOMA_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "sweep, batches",
+        [
+            ({"strategy": "user-centric"}, 1),
+            ({"strategy": "uav-centric"}, 1),
+            ({"axis": "fixed_user_dist", "values": [100.0, 450.0]}, 2),
+        ],
+        ids=["user", "uav", "two-batches"],
+    )
+    def test_empty_discs_warn_once_per_batch(self, tmp_path, capsys, sweep, batches):
+        # a 200 m disc holds 0.16 UAVs per trial on average: 85% are empty
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["sim_disc_radius_m"] = 200.0
+        payload["sweep"].update(sweep, mode="mc", trials=500)
+        cfg_path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == batches
+        for line in lines:
+            assert 380 < _empty_disc_count(line, 500, 200) < 470, line
+
+    @pytest.mark.parametrize(
+        "name", ["uav_centric_power_nlos_ipsic00.json", "user_centric_fixed_distance.json"]
+    )
+    def test_shipped_config_sweep_leaves_stderr_empty(self, tmp_path, capsys, name):
+        # the 10 km disc holds 400 UAVs per trial: e^-400 of the discs are empty
+        config = str(REPO / "configs" / name)
+        out = str(tmp_path / "o.csv")
+        assert main(["sweep", "--config", config, "--out", out, "--trials", "320"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -647,6 +679,16 @@ class TestPointCommands:
         out = capsys.readouterr().out
         assert "ci99=" in out and "trials=800" in out
 
+    def test_mc_point_warns_of_empty_discs(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["sim_disc_radius_m"] = 200.0
+        cfg_path = write_config(tmp_path, payload)
+        assert main(["mc", "--config", cfg_path, "--trials", "500"]) == 0
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert 380 < _empty_disc_count(line, 500, 200) < 470
+        assert "trials=500 seed=7" in captured.out
+
     def test_flags_override_the_sweep_section(self, tmp_path, capsys):
         # the command decides the mode; every flag given beats the config
         payload = json.loads(json.dumps(BASE_CONFIG))
@@ -876,6 +918,18 @@ class TestShippedConfigs:
         parse_network(raw.get("network", {}))
         parse_link(raw.get("link", {}))
         parse_sweep(raw.get("sweep", {}))
+
+
+class TestReadme:
+    def test_config_block_is_true(self):
+        # network and link show their defaults; sweep is an example
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```jsonc\n(.*?)```", readme, re.DOTALL)
+        raw = json.loads(re.sub(r"//.*", "", block))
+        assert sorted(raw) == ["link", "network", "sweep"]
+        assert parse_network(raw["network"]) == parse_network({})
+        assert parse_link(raw["link"]) == parse_link({})
+        parse_sweep(raw["sweep"])
 
 
 class TestValidateQuick:

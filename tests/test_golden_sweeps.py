@@ -16,7 +16,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -87,7 +86,7 @@ def test_analytic_sweep_csv_is_pinned(name, tmp_path):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_mc_sweep_csv_is_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.setenv("UAVNOMA_THREADS", "1")
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
     assert sweep_digest(name, tmp_path) == CSV_SHA256[name]
 
 
@@ -109,7 +108,6 @@ def test_mc_sweep_csv_is_pinned_on_two_threads(name, tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setenv("UAVNOMA_THREADS", "2")
     monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", 1)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
@@ -119,7 +117,6 @@ def test_mc_sweep_csv_is_pinned_on_two_threads(name, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ["UAVNOMA_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         for table, mode in (("CSV_SHA256", "mc"), ("ANALYTIC_CSV_SHA256", "analytic")):
             print(f"{table} = {{")

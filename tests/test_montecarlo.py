@@ -150,10 +150,10 @@ STREAM_PINS = {
         uav_empty=0,
         uav_values={
             3: [456.9706053081343, 135.86931410020145, 207.03639091699242,
-                3.3545344361038874e-10, 5.027152532006848e-10, 0.5840632558207481,
+                3.35463142368447e-10, 5.027858384329212e-10, 0.5840632558207481,
                 0.953975220305629],
             5: [217.56549825538409, 104.91999172424948, 129.4344499994871,
-                1.715245231157247e-08, 1.477913528987364e-09, 0.5227719393695928,
+                1.7154382584936213e-08, 1.4780506545814402e-09, 0.5227719393695928,
                 0.6527592822651634],
         },
     ),
@@ -318,6 +318,22 @@ class TestSkeleton:
             assert not np.any(values[empty])
             assert np.all(values[~empty] >= 0.0)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_disc_trials_counts_fields_without_uav(self, strategy):
+        cfg = make_cfg(sim_disc_radius=200.0)
+        trials = 3 * _BLOCK + 7
+        batch = simulate(cfg, LINK, strategy, trials, seed=3)
+        counts = np.concatenate(
+            [
+                sample_hppp_disc(
+                    cfg.uav_density, cfg.sim_disc_radius, _BLOCK, _block_rng(3, b)
+                )[0]
+                for b in range(4)
+            ]
+        )[:trials]
+        assert montecarlo.empty_disc_trials(batch) == int(np.sum(counts == 0)) > 0
+        assert montecarlo.empty_disc_trials(simulate(make_cfg(), LINK, strategy, 64, 3)) == 0
+
     def test_uav_centric_users_inside_their_rings(self):
         cfg = make_cfg()
         batch = simulate(cfg, LINK, UAV_CENTRIC, 300, seed=21)
@@ -372,7 +388,7 @@ class TestBlockRangeThreads:
     def test_bit_identical_to_one_thread(self, strategy, threads, min_range, monkeypatch):
         cfg = make_cfg()
         trial_counts = (1, 33, SPLIT - _BLOCK, SPLIT, 5000)
-        monkeypatch.setenv("UAVNOMA_THREADS", "1")
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
         serial = [simulate(cfg, LINK, strategy, n, seed=17) for n in trial_counts]
         pools = []
 
@@ -381,10 +397,9 @@ class TestBlockRangeThreads:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setenv("UAVNOMA_THREADS", threads)
         monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", min_range)
-        # three usable cores, so three threads run on any host
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+        # as many usable cores as threads, so they run on any host
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: int(threads))
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
         for n, one in zip(trial_counts, serial):
             threaded = _batch_arrays(simulate(cfg, LINK, strategy, n, seed=17))
@@ -398,9 +413,8 @@ class TestBlockRangeThreads:
         # eight threads over one-block ranges, more than the cores of most
         # hosts, switching every microsecond
         cfg = make_cfg()
-        monkeypatch.setenv("UAVNOMA_THREADS", "1")
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
         serial = _batch_arrays(simulate(cfg, LINK, USER_CENTRIC, 1000, seed=23))
-        monkeypatch.setenv("UAVNOMA_THREADS", "8")
         monkeypatch.setattr(montecarlo, "_MIN_RANGE_BLOCKS", 1)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
@@ -425,7 +439,6 @@ class TestBlockRangeThreads:
     )
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_huge_thread_count_is_capped(self, strategy, cores, trials, workers, monkeypatch):
-        monkeypatch.setenv("UAVNOMA_THREADS", "100000")
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _InlineExecutor)
         monkeypatch.setattr(_InlineExecutor, "requests", [])
         if cores is not None:
@@ -456,12 +469,6 @@ class TestBlockRangeThreads:
 
         monkeypatch.setattr(montecarlo, "_uav_centric_block", broken)
         with pytest.raises(ValueError, match="broken block"):
-            simulate(make_cfg(), LINK, UAV_CENTRIC, 10, seed=1)
-
-    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
-    def test_bad_thread_count_raises(self, env, monkeypatch):
-        monkeypatch.setenv("UAVNOMA_THREADS", env)
-        with pytest.raises(DomainError, match="UAVNOMA_THREADS"):
             simulate(make_cfg(), LINK, UAV_CENTRIC, 10, seed=1)
 
 
@@ -516,21 +523,15 @@ def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user
         h_v = rng.standard_gamma(md, _BLOCK) / md
         g_w = rng.standard_gamma(mi, count) / mi
         g_v = rng.standard_gamma(mi, count) / mi
-        jitter = rng.uniform(-cfg.hole_halfwidth, cfg.hole_halfwidth, _BLOCK)
         for t in range(_BLOCK):
             s = slice(ends[t] - counts[t], ends[t])
             r_i = radii[s]
             big_r = r_i.min() if counts[t] else cfg.sim_disc_radius
             d_near = math.hypot(0.25 * big_r * math.sqrt(u_near[t]), h)
             d_far = math.hypot(0.25 * big_r * math.sqrt(1.0 + 3.0 * u_far[t]), h)
-            j_near = j_far = 0.0
-            if counts[t]:
-                k = int(np.argmin(r_i))
-                others = np.arange(len(r_i)) != k
-                tail = (r_i[others] ** 2 + h**2) ** -half
-                ring = ((big_r + jitter[t]) ** 2 + h**2) ** -half
-                j_near = np.sum(g_w[s][others] * tail) + g_w[s][k] * ring
-                j_far = np.sum(g_v[s][others] * tail) + g_v[s][k] * ring
+            # every UAV interferes from its drawn distance, the nearest too
+            path = (r_i**2 + h**2) ** -half
+            j_near, j_far = np.sum(g_w[s] * path), np.sum(g_v[s] * path)
             rows.append([big_r, d_near, d_far, j_near, j_far, h_w[t], h_v[t]])
     return np.array(rows).T, counts, angles
 
@@ -623,6 +624,59 @@ class TestRaggedReductions:
             return batch.neighbor_dist[b * _BLOCK :]
 
         assert not np.any(block(*one) == block(*other))
+
+
+# one valid change of every field of NetworkConfig and NomaLink; the power
+# split moves as one
+NETWORK_CHANGES = dict(
+    uav_density=2.0 * DENSITY,
+    tx_power=2e-6,
+    alpha_desired=3.5,
+    noise_power=1e-14,
+    uav_height=120.0,
+    alpha_interf=3.5,
+    m_desired=2,
+    m_interf=3,
+    sim_disc_radius=8000.0,
+)
+LINK_CHANGES = {
+    "power_split": dict(pw_far=0.7, pw_near=0.3),
+    "rate_near": dict(rate_near=1.5),
+    "rate_far": dict(rate_far=0.25),
+    "ipsic": dict(ipsic=0.2),
+    "fixed_user_dist": dict(fixed_user_dist=150.0),
+}
+KEY_CASES = [
+    pytest.param(dataclasses.replace(make_cfg(), **{name: value}), LINK, id=name)
+    for name, value in NETWORK_CHANGES.items()
+] + [
+    pytest.param(make_cfg(), dataclasses.replace(LINK, **changes), id=name)
+    for name, changes in LINK_CHANGES.items()
+]
+
+
+class TestGeometryKey:
+    """A batch depends on a field exactly when its geometry key does, so a
+    sweep never estimates a point from a batch drawn under other values."""
+
+    def test_cases_change_every_field(self):
+        assert sorted(NETWORK_CHANGES) == sorted(
+            f.name for f in dataclasses.fields(NetworkConfig)
+        )
+        assert sorted(k for c in LINK_CHANGES.values() for k in c) == sorted(
+            f.name for f in dataclasses.fields(NomaLink)
+        )
+
+    @pytest.mark.parametrize("cfg, link", KEY_CASES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_changes_exactly_when_key_changes(self, strategy, cfg, link):
+        base = _batch_arrays(simulate(make_cfg(), LINK, strategy, 64, seed=9))
+        arrays = _batch_arrays(simulate(cfg, link, strategy, 64, seed=9))
+        moved = any(not np.array_equal(arrays[n], base[n]) for n in base)
+        key_moved = geometry_key(cfg, link, strategy) != geometry_key(
+            make_cfg(), LINK, strategy
+        )
+        assert moved == key_moved
 
 
 class TestEvaluationPaths:
