@@ -46,11 +46,17 @@ coefficient, with the role's placement and the cells' split point -- per
 node, from the value each node belongs to; each value equals, bit for bit,
 the one integrated alone. ``pair_quadrature`` and ``coverage_pair`` are its
 one-value case.
+
+The kernel runs at unit power (see ``laplace``), so a pass whose values
+differ from the last pass's in transmit power alone, on equal nodes, reuses
+its exponents' coefficients (``_pair_integrand``), which are what it would
+compute itself: an 8-point power sweep evaluates them once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +64,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError
 from .laplace import (
+    ExponentSum,
     NearestRingExponent,
     RadialTailExponent,
     check_probability,
@@ -89,18 +96,12 @@ _T_SPLIT_MIN = 0.2
 
 def tail_exponent_ucav(cfg: NetworkConfig, R) -> RadialTailExponent:
     """Exponent of the interferers beyond the nearest neighbor (3-D lower limit)."""
-    l_i = np.hypot(R, cfg.uav_height)
-    return RadialTailExponent(
-        cfg.uav_density, cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
-    )
+    return laplace_exponent_ucav(cfg, R)[1]
 
 
 def nearest_ring_exponent_ucav(cfg: NetworkConfig, R) -> NearestRingExponent:
     """Exponent of the nearest interfering UAV at horizontal distance R."""
-    l_i = np.hypot(R, cfg.uav_height)
-    return NearestRingExponent(
-        l_i / R, cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
-    )
+    return laplace_exponent_ucav(cfg, R)[0]
 
 
 def laplace_exponent_ucav(
@@ -113,7 +114,9 @@ def laplace_exponent_ucav(
     """
     if np.any(np.asarray(R) <= 0.0):
         raise DomainError("R must be positive")
-    return nearest_ring_exponent_ucav(cfg, R), tail_exponent_ucav(cfg, R)
+    l_i = np.hypot(R, cfg.uav_height)
+    common = cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
+    return NearestRingExponent(l_i / R, *common), RadialTailExponent(cfg.uav_density, *common)
 
 
 def _pair_coefficient(role: str, cfg: NetworkConfig, link: NomaLink, access: str):
@@ -135,7 +138,8 @@ def coverage_cond_pair(
     r <= R/4 and runs the SIC chain; the far role requires R/4 <= r <= R/2
     and decodes directly. Infeasible power allocation gives exactly 0.
     """
-    coeff = _pair_coefficient(role, cfg, link, access)
+    unit = replace(cfg, tx_power=1.0)
+    coeff = _pair_coefficient(role, unit, link, access)
     r, R = np.broadcast_arrays(r, R)
     if role == NEAR:
         span, inside = "r <= R/4", (0.0 <= r) & (r <= 0.25 * R + 1e-9)
@@ -145,19 +149,20 @@ def coverage_cond_pair(
     if not np.all(inside):
         bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
-    return _pair_kernel(r, R, coeff, cfg)
+    return _pair_kernel(r, R, coeff, cfg, ExponentSum(*laplace_exponent_ucav(unit, R)))
 
 
-def _pair_kernel(r, R, coeff, cfg):
-    """The conditional coverage at decode coefficient ``coeff``; ``coeff`` and
-    the fields of ``cfg`` may be per-node arrays (``scenario.node_config``)."""
+def _pair_kernel(r, R, coeff, cfg, interference):
+    """The conditional coverage at unit power: ``coeff`` and ``interference``
+    at P = 1, noise N/P. ``coeff`` and the fields of ``cfg`` may be per-node
+    arrays (``scenario.node_config``)."""
     return conditional_coverage(
         cfg.m_desired,
         coeff,
-        cfg.noise_power,
+        cfg.noise_power / cfg.tx_power,
         np.hypot(r, cfg.uav_height),
         cfg.alpha_desired,
-        *laplace_exponent_ucav(cfg, R),
+        interference,
     )
 
 
@@ -193,7 +198,7 @@ def _cells(t_b: float) -> tuple[list, list, list]:
 class _PairValue(NamedTuple):
     """What the integrand reads of one near or far value, per node."""
 
-    coeff: float
+    coeff: float  # decode coefficient at unit transmit power
     tx_power: float
     uav_density: float
     root_pl: float  # sqrt(pi lam)
@@ -207,7 +212,7 @@ class _PairValue(NamedTuple):
 def _pair_value(role, cfg, link, access) -> _PairValue:
     t_b = _split_point(cfg)
     return _PairValue(
-        _pair_coefficient(role, cfg, link, access),
+        _pair_coefficient(role, replace(cfg, tx_power=1.0), link, access),
         cfg.tx_power,
         cfg.uav_density,
         math.sqrt(math.pi * cfg.uav_density),
@@ -220,10 +225,16 @@ def _pair_value(role, cfg, link, access) -> _PairValue:
 
 def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
     """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
-    each value; ``shared`` holds the fields the values have in common."""
+    each value; ``shared`` holds the fields the values have in common. It
+    keeps the interference of its last pass, for one ``integrate_many`` call:
+    a pass whose owners' rows are equal at unit power, on bitwise-equal
+    nodes, reuses it."""
     fields = quadrature.NodeFields(values)
+    unit = [row._replace(tx_power=1.0) for row in values]
+    last = None  # unit rows, (owners, x, y) and interference of the last pass
 
     def integrand(owner, x, y):
+        nonlocal last
         v = fields.at(owner)
         # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
         squared = x < 1.0
@@ -232,9 +243,14 @@ def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
         R = t / v.root_pl
         r_over_R, density = _placement(y, v.offset, v.weight)
         cfg = node_config(shared, tx_power=v.tx_power, uav_density=v.uav_density)
+        lo = owner.min()
+        rows, arrays = unit[lo : owner.max() + 1], (owner - lo, x, y)
+        if not (last and last[0] == rows and all(map(np.array_equal, last[1], arrays))):
+            exponents = laplace_exponent_ucav(node_config(cfg, tx_power=1.0), R)
+            last = rows, arrays, ExponentSum(*exponents)
         return (
             2.0 * t * np.exp(-t * t) * dt_dx * density
-            * _pair_kernel(r_over_R * R, R, v.coeff, cfg)
+            * _pair_kernel(r_over_R * R, R, v.coeff, cfg, last[2])
         )
 
     return integrand

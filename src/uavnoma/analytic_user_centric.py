@@ -31,11 +31,15 @@ integrand reads what varies along a sweep -- transmit power, density, the
 two decode coefficients and r_k -- per node, from the value each node
 belongs to; each value equals, bit for bit, the one integrated alone.
 ``coverage_typical`` and ``coverage_fixed`` are its one-value case.
+
+The kernel runs at unit transmit power (see ``laplace``) but, unlike the
+UAV-centric one, keeps nothing between passes: a sweep is one pass.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,14 +95,16 @@ def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value
     """The typical user runs the SIC chain (near role) where r < r_k and
     decodes its own signal directly (far role) beyond, the rule of the Monte
     Carlo's ``near_case``. The fixed user plays the complement of that role
-    at swapped rates, served from the fixed 3-D distance R_k."""
+    at swapped rates, served from the fixed 3-D distance R_k. Both take their
+    decode coefficients at unit power (``_conditional``)."""
     fields = math.sqrt(math.pi * cfg.uav_density), cfg.tx_power, cfg.uav_density
     r_k = link.fixed_user_dist
+    unit = replace(cfg, tx_power=1.0)
     if user == TYPICAL:
-        ts = thresholds(link, cfg, USER_CENTRIC, access)
+        ts = thresholds(link, unit, USER_CENTRIC, access)
         return _Value(*fields, r_k, ts.near, ts.far, False, 0.0)
     if user == FIXED:
-        ts = thresholds(link.with_swapped_rates(), cfg, USER_CENTRIC, access)
+        ts = thresholds(link.with_swapped_rates(), unit, USER_CENTRIC, access)
         return _Value(
             *fields, r_k, ts.far, ts.near, True, math.hypot(r_k, cfg.uav_height)
         )
@@ -111,17 +117,18 @@ def _conditional(r, cfg, v: _Value):
     The user decodes at coefficient ``v.below`` where r < r_k and at
     ``v.above`` beyond; its signal arrives from the serving distance
     sqrt(r^2 + h^2), or from ``v.fixed_dist3d`` for the fixed user, and its
-    interference keeps the typical user's exclusion radius. The fields of
-    ``v`` and ``cfg`` may be per-node arrays (``scenario.node_config``).
+    interference keeps the typical user's exclusion radius, all at unit
+    power (noise N/P, exponent at P = 1). The fields of ``v`` and ``cfg``
+    may be per-node arrays (``scenario.node_config``).
     """
     dist3d = np.hypot(r, cfg.uav_height)
     return conditional_coverage(
         cfg.m_desired,
         np.where(np.less(r, v.fixed_user_dist), v.below, v.above),
-        cfg.noise_power,
+        cfg.noise_power / cfg.tx_power,
         np.where(v.fixed, v.fixed_dist3d, dist3d),
         cfg.alpha_desired,
-        laplace_exponent_uc(cfg, dist3d),
+        laplace_exponent_uc(node_config(cfg, tx_power=1.0), dist3d),
     )
 
 

@@ -11,7 +11,8 @@ every closed form in this package:
   which l = d0 u^(-1/aI) turns into Gauss hypergeometric functions of
   -z, z = s P / (mI d0^aI) (DLMF 15.6.1); ``scipy.special.hyp2f1`` gives
   eta and each Taylor coefficient over the whole range of z, down to
-  aI -> 2.
+  aI -> 2. Orders 0 and 1 share b = 1 - 2/aI, and one call gives both
+  through a contiguous recurrence (``_hyp2f1_run``).
 
 * ``NearestRingExponent`` -- one dominant interferer at 3-D distance d0,
   averaged over a thin ring, giving the elementary exponent
@@ -34,15 +35,21 @@ at s = m M d^alpha, E_n being the Taylor coefficients of exp(-f(s(1 + x))).
 recursion; every term (-1)^n E_n is non-negative, so nothing cancels and no
 factor overflows at any m.
 
+The closed forms call the kernel at unit power: M (noise + I) = kappa
+(noise/P + I_1), kappa = M P and I_1 the interference at P = 1, so the
+exponents' coefficients do not depend on P and one ``ExponentSum`` that
+keeps them serves every power of a sweep.
+
 Everything here works elementwise: s, d0, the ring weight, the decode
-coefficient and the serving distance may be numpy arrays that broadcast
-together, and a whole quadrature grid is one call (``hyp2f1`` runs once per
-order over the array). Scalar inputs give floats.
+coefficient, the noise and the serving distance may be numpy arrays that
+broadcast together, and a whole quadrature grid is one call (``hyp2f1`` runs
+once for orders 0 and 1 and once per higher order). Scalar inputs give floats.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,22 +100,15 @@ class LaplaceExponentBase:
         return self.derivatives(s, 0).values[0]
 
 
+@dataclass(eq=False)
 class RadialTailExponent(LaplaceExponentBase):
     """Exponent of the interferer population beyond a 3-D exclusion distance."""
 
-    def __init__(
-        self,
-        density: float,
-        tx_power: float,
-        alpha_interf: float,
-        m_interf: int,
-        lower_dist3d,
-    ):
-        self.density = density
-        self.tx_power = tx_power
-        self.alpha_interf = alpha_interf
-        self.m_interf = m_interf
-        self.lower_dist3d = lower_dist3d
+    density: float
+    tx_power: float
+    alpha_interf: float
+    m_interf: int
+    lower_dist3d: object  # float or array
 
     def derivatives(self, s, order: int) -> ExponentDerivatives:
         # With dI = 2/aI, q = P/(mI d0^aI), z = s q and C = pi lam d0^2,
@@ -119,7 +119,8 @@ class RadialTailExponent(LaplaceExponentBase):
         #           2F1(mI+k, k-dI; k+1-dI; -z)
         # The k = 0 sum comes from 1 - (1+y)^(-m) = y sum_{i<=m} (1+y)^(-i),
         # so every term is positive; the shorter C [2F1(mI, -dI; 1-dI; -z) - 1]
-        # cancels to exactly 0 at small z.
+        # cancels to exactly 0 at small z. The 2F1 of k = 0 and of k = 1 are
+        # F(1)..F(mI+1) of ``_hyp2f1_run``, one call and a recurrence.
         if np.any(np.asarray(s) < 0.0):
             raise NumericalError("Laplace exponent requires s >= 0")
         m_i = self.m_interf
@@ -130,13 +131,24 @@ class RadialTailExponent(LaplaceExponentBase):
             q = self.tx_power / (m_i * d0**self.alpha_interf)
         z = s * q
         scale = math.pi * self.density * d0 * d0
-        tail = sum(hyp2f1(i, 1.0 - delta, 2.0 - delta, -z) for i in range(1, m_i + 1))
-        values = [scale * z * delta / (1.0 - delta) * tail]
+        hyp = _hyp2f1_run(m_i + (order > 0), 1.0 - delta, z)
+        values = [scale * z * delta / (1.0 - delta) * sum(hyp[:m_i])]
         for k in range(1, order + 1):
             sign_binom = (-1.0) ** (k + 1) * math.comb(m_i + k - 1, k)
-            power_hyp = _power_hyp2f1(m_i, k, delta, z)
+            power_hyp = z * hyp[m_i] if k == 1 else _power_hyp2f1(m_i, k, delta, z)
             values.append(scale * sign_binom * delta / (k - delta) * power_hyp)
         return ExponentDerivatives(tuple(values), SERIES)
+
+
+def _hyp2f1_run(n: int, b: float, z) -> list:
+    """F(a) = 2F1(a, b; b+1; -z), a = 1..n, 0 < b < 1, from one 2F1 call and
+    F(a+1) = [b (1+z)^(-a) + (a-b) F(a)] / a, which comes from integrating
+    d/du [u^b (1+zu)^(-a)] over [0, 1], F(a) being b Int_0^1 u^(b-1)
+    (1+zu)^(-a) du. Both terms are non-negative for a > b: nothing cancels."""
+    run = [hyp2f1(1.0, b, b + 1.0, -z)]
+    for a in range(1, n):
+        run.append((b * (1.0 + z) ** -a + (a - b) * run[-1]) / a)
+    return run
 
 
 # z^k beyond which the 1/z connection takes over: z > 10 there for k <= 150,
@@ -172,22 +184,15 @@ def _power_hyp2f1(m_i: int, k: int, delta: float, z):
     return out[()]
 
 
+@dataclass(eq=False)
 class NearestRingExponent(LaplaceExponentBase):
     """Exponent of a single dominant interferer averaged over a thin ring."""
 
-    def __init__(
-        self,
-        weight,
-        tx_power: float,
-        alpha_interf: float,
-        m_interf: int,
-        dist3d,
-    ):
-        self.weight = weight
-        self.tx_power = tx_power
-        self.alpha_interf = alpha_interf
-        self.m_interf = m_interf
-        self.dist3d = dist3d
+    weight: object  # float or array, as dist3d
+    tx_power: float
+    alpha_interf: float
+    m_interf: int
+    dist3d: object
 
     def derivatives(self, s, order: int) -> ExponentDerivatives:
         # as for the radial tail, q -> 0 where d0^aI overflows
@@ -205,6 +210,25 @@ class NearestRingExponent(LaplaceExponentBase):
                 for k in range(1, order + 1)
             ]
         return ExponentDerivatives(tuple(values), SERIES)
+
+
+class ExponentSum(LaplaceExponentBase):
+    """The exponent of independent populations ``parts``, their sum. It keeps
+    the coefficients of its last call for the next call at equal s and order."""
+
+    def __init__(self, *parts: LaplaceExponentBase):
+        self.parts = parts
+        self.kept = None  # (s, order, coefficients)
+
+    def derivatives(self, s, order: int) -> ExponentDerivatives:
+        kept = self.kept
+        if kept is None or kept[1] != order or not np.array_equal(kept[0], s):
+            values = [0.0] * (order + 1)
+            for part in self.parts:
+                for k, value in enumerate(part.derivatives(s, order).values):
+                    values[k] = values[k] + value
+            self.kept = kept = s, order, ExponentDerivatives(tuple(values), SERIES)
+        return kept[2]
 
 
 def exp_composition_derivatives(coeffs, n: int) -> list:
@@ -232,7 +256,7 @@ def exp_composition_derivatives(coeffs, n: int) -> list:
 def conditional_coverage(
     fading_order: int,
     decode_coeff,
-    noise_power: float,
+    noise_power,
     dist3d,
     alpha: float,
     *exponents: LaplaceExponentBase,
@@ -240,28 +264,28 @@ def conditional_coverage(
     """Coverage P[g > M (noise + I) d^alpha] for a unit-mean Nakagami link.
 
     The interference exponent is the sum of ``exponents`` (independent
-    interferer populations). ``decode_coeff``, ``dist3d`` and the exponents'
-    distances may be arrays; the result has their broadcast shape, or is a
-    float for scalar input. An infeasible (infinite) decode coefficient gives
-    exactly 0, and so does a noise term exp(-c noise) that underflows. A
-    value outside [0, 1] by more than rounding raises ``NumericalError``.
+    interferer populations). ``decode_coeff``, ``noise_power``, ``dist3d``
+    and the exponents' distances may be arrays; the result has their
+    broadcast shape, or is a float for scalar input. An infeasible (infinite)
+    decode coefficient gives exactly 0, and so does a noise term exp(-c
+    noise) that underflows. A value outside [0, 1] by more than rounding
+    raises ``NumericalError``. The closed forms call it at unit power.
     """
     # an infinite c (steep or distant serving link) is a dead element
     with np.errstate(over="ignore"):
         c = fading_order * np.asarray(decode_coeff, dtype=float) * np.asarray(dist3d) ** alpha
-    with np.errstate(invalid="ignore"):
-        live = np.isfinite(c) & (np.exp(-c * noise_power) > 0.0)
-    # dead elements are evaluated at s = 0, then zeroed
-    s = np.where(live, c, 0.0)[()]
-    a = [0.0] * fading_order
-    for exponent in exponents:
-        for k, value in enumerate(exponent.derivatives(s, fading_order - 1).values):
-            a[k] = a[k] + value
+    finite = np.isfinite(c)
+    # dead elements are evaluated at s = 0, then zeroed; the noise test masks
+    # the sum alone, so that s, and the exponents' coefficients, hold no noise
+    s = np.where(finite, c, 0.0)[()]
+    a = list(ExponentSum(*exponents).derivatives(s, fading_order - 1).values)
     # the noise term s noise (1 + x) adds s noise to a_0 and a_1
     a[0] = a[0] + s * noise_power
     if fading_order > 1:
         a[1] = a[1] + s * noise_power
     terms = exp_composition_derivatives(a, fading_order - 1)
+    with np.errstate(invalid="ignore"):
+        live = finite & (np.exp(-c * noise_power) > 0.0)
     total = np.where(live, sum((-1.0) ** n * term for n, term in enumerate(terms)), 0.0)
     check_probability(total, "conditional coverage", fading_order)
     return total if total.ndim else float(total)

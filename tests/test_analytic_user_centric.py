@@ -326,23 +326,25 @@ class TestCoverageCond:
 
     def test_role_switches_at_fixed_user_distance(self):
         # below r_k the SIC chain's joint coefficient, from r_k on the far
-        # decode, exactly as the Monte Carlo's near_case splits the trials
+        # decode, exactly as the Monte Carlo's near_case splits the trials;
+        # the kernel runs at unit power, with noise N/P
         cfg = make_cfg(m_desired=2)
-        ts = thresholds(LINK, cfg, USER_CENTRIC, NOMA)
+        unit = replace(cfg, tx_power=1.0)
+        noise = cfg.noise_power / cfg.tx_power
+        ts = thresholds(LINK, unit, USER_CENTRIC, NOMA)
         r = np.array([100.0, 299.0, 300.0, 800.0])
         coeff = np.array([ts.near] * 2 + [ts.far] * 2)
         dist = np.hypot(r, cfg.uav_height)
         want = conditional_coverage(
-            2, coeff, cfg.noise_power, dist, cfg.alpha_desired,
-            laplace_exponent_uc(cfg, dist),
+            2, coeff, noise, dist, cfg.alpha_desired, laplace_exponent_uc(unit, dist),
         )
         np.testing.assert_array_equal(coverage_cond(r, cfg, LINK), want)
         # the fixed user, served from R_k at swapped rates, plays the other role
-        ts = thresholds(LINK.with_swapped_rates(), cfg, USER_CENTRIC, NOMA)
+        ts = thresholds(LINK.with_swapped_rates(), unit, USER_CENTRIC, NOMA)
         coeff = np.array([ts.far] * 2 + [ts.near] * 2)
         want = conditional_coverage(
-            2, coeff, cfg.noise_power, math.hypot(300.0, cfg.uav_height),
-            cfg.alpha_desired, laplace_exponent_uc(cfg, dist),
+            2, coeff, noise, math.hypot(300.0, cfg.uav_height),
+            cfg.alpha_desired, laplace_exponent_uc(unit, dist),
         )
         np.testing.assert_array_equal(
             analytic_user_centric._coverage_cond_fixed(r, cfg, LINK), want

@@ -228,34 +228,35 @@ class TestFailures:
 
 
 # Every value and error estimate of the corner sets above, each set
-# integrated together, as ``float.hex``. Comparing a batch with each value
+# integrated together, as ``float.hex``. Regenerate these pins and the
+# counts below with ``PYTHONPATH=src python tests/test_sweep_passes.py``. Comparing a batch with each value
 # alone misses a change in the order of a sum wherever both sides move
 # together; segment sums by plain ``np.add.reduceat`` move 4 of these values
 # by one ulp. The sparse set (m_d = 3) was taken when the kernel moved to
 # Taylor coefficients; the low-UAV set (m_d = 1) predates that.
 BISECTING_BITS = {
     ("sparse", NOMA): [
-        ("0x1.da5e7ad0bf94dp-7", "0x1.f60d99ab74b8ap-35"),
-        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc40000p-27"),
-        ("0x1.3ccf446e14dc6p-5", "0x1.efc2a86c6f0e1p-32"),
-        ("0x1.f69e635106b94p-10", "0x1.29a8c3c000000p-40"),
+        ("0x1.da5e7ad0bf94fp-7", "0x1.f60d997d73c7cp-35"),
+        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+        ("0x1.3ccf446e14dc6p-5", "0x1.efc2a885b3421p-32"),
+        ("0x1.f69e635106b94p-10", "0x1.29a8c58000000p-40"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc40000p-27"),
-        ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1788000p-29"),
-        ("0x1.783602bf8d4dap-5", "0x1.6debf5d000000p-30"),
+        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+        ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1790000p-29"),
+        ("0x1.783602bf8d4dbp-5", "0x1.6debf5d000000p-30"),
         ("0x1.3d062cd63f845p-1", "0x1.8e351e0000000p-37"),
-        ("0x1.44b475eda3602p-3", "0x1.f834f30000000p-36"),
+        ("0x1.44b475eda3603p-3", "0x1.f834d30000000p-36"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
     ],
     ("sparse", OMA): [
-        ("0x1.7c0491dd02dd1p-7", "0x1.ce9481550796ep-33"),
-        ("0x1.ad157778b87e1p-11", "0x1.532ad9e050000p-39"),
-        ("0x1.0948cb38856b8p-5", "0x1.f4ca4cdee3621p-31"),
-        ("0x1.6d25f663f41e8p-9", "0x1.61224e8000000p-40"),
+        ("0x1.7c0491dd02dd1p-7", "0x1.ce948158fc52ep-33"),
+        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
+        ("0x1.0948cb38856b8p-5", "0x1.f4ca4cd453725p-31"),
+        ("0x1.6d25f663f41e9p-9", "0x1.61224b8000000p-40"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.ad157778b87e1p-11", "0x1.532ad9e050000p-39"),
-        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1f85600p-28"),
+        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
+        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1f85800p-28"),
         ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16e000000p-29"),
         ("0x1.01c54825d2959p-1", "0x1.8214f56000000p-33"),
         ("0x1.045ad48bdac40p-2", "0x1.2e86d50000000p-35"),
@@ -265,29 +266,29 @@ BISECTING_BITS = {
     ("low_uav", NOMA): [
         ("0x1.532f60805a29cp-11", "0x1.c194feb800000p-32"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.532f60805a279p-11", "0x1.fa7d360800000p-34"),
+        ("0x1.532f60805a279p-11", "0x1.fa7d361000000p-34"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x1.537836c49eda4p-11", "0x1.bedee21400000p-32"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.554897ed8f2dbp-12", "0x1.c546e4d000000p-33"),
+        ("0x1.554897ed8f2dbp-12", "0x1.c546e4ce00000p-33"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.2807274d2e788p-12", "0x1.13858683f8000p-26"),
+        ("0x1.2807274d2e786p-12", "0x1.13858683f8000p-26"),
         ("0x0.0p+0", "0x0.0p+0"),
     ],
     ("low_uav", OMA): [
-        ("0x1.2ade198c7d656p-11", "0x1.8525d44000000p-37"),
+        ("0x1.2ade198c7d656p-11", "0x1.8525d40000000p-37"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.2ade198cabf97p-11", "0x1.5e03850840000p-28"),
+        ("0x1.2ade198cabf96p-11", "0x1.5e03850800000p-28"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x1.2b20ef5fc3e06p-11", "0x1.28416c8000000p-38"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.3781c09a1b105p-12", "0x1.8fa6b78580000p-31"),
+        ("0x1.3781c09a1b104p-12", "0x1.8fa6b78500000p-31"),
         ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.9d172ee99e994p-13", "0x1.7f21527e40000p-31"),
+        ("0x1.9d172ee99e992p-13", "0x1.7f21527ec0000p-31"),
         ("0x0.0p+0", "0x0.0p+0"),
     ],
 }
@@ -344,6 +345,25 @@ def _counted(monkeypatch):
     return counts
 
 
+def _sweep_counts(monkeypatch, name):
+    """(integrand calls, nodes) of shipped config ``name``'s closed forms."""
+    raw = cli.load_config(str(REPO / "configs" / f"{name}.json"))
+    cfg, link = cli.parse_network(raw["network"]), cli.parse_link(raw["link"])
+    spec = cli.parse_sweep({**raw["sweep"], "mode": "analytic"})
+    points = [(v, *cli.apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
+    counts = _counted(monkeypatch)
+    cli._analytic_sweep(spec, points)
+    return tuple(counts)
+
+
+def _corner_counts(monkeypatch, label, access):
+    """(integrand calls, nodes) of one corner set."""
+    integrate, values = _corner_set(label)
+    counts = _counted(monkeypatch)
+    integrate(values, access)
+    return tuple(counts)
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("label,access", list(BISECTING_BITS))
     def test_corner_sets_keep_every_bit(self, label, access):
@@ -357,17 +377,37 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("name", list(SWEEP_COUNTS))
     def test_shipped_sweeps(self, monkeypatch, name):
-        raw = cli.load_config(str(REPO / "configs" / f"{name}.json"))
-        cfg, link = cli.parse_network(raw["network"]), cli.parse_link(raw["link"])
-        spec = cli.parse_sweep({**raw["sweep"], "mode": "analytic"})
-        points = [(v, *cli.apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
-        counts = _counted(monkeypatch)
-        cli._analytic_sweep(spec, points)
-        assert tuple(counts) == SWEEP_COUNTS[name]
+        assert _sweep_counts(monkeypatch, name) == SWEEP_COUNTS[name]
 
     @pytest.mark.parametrize("label,access", list(CORNER_COUNTS))
     def test_corner_sets(self, monkeypatch, label, access):
+        assert _corner_counts(monkeypatch, label, access) == CORNER_COUNTS[label, access]
+
+
+if __name__ == "__main__":
+    names = {NOMA: "NOMA", OMA: "OMA"}
+
+    def _key(label, access):
+        return f'("{label}", {names[access]})'
+
+    def _count(counts):
+        return "(" + ", ".join(f"{n:_}" for n in counts) + ")"
+
+    print("BISECTING_BITS = {")
+    for label, access in BISECTING_BITS:
         integrate, values = _corner_set(label)
-        counts = _counted(monkeypatch)
-        integrate(values, access)
-        assert tuple(counts) == CORNER_COUNTS[label, access]
+        print(f"    {_key(label, access)}: [")
+        for value, estimate in _bits(integrate(values, access)):
+            print(f'        ("{value}", "{estimate}"),')
+        print("    ],")
+    print("}")
+    with pytest.MonkeyPatch.context() as patch:
+        print("SWEEP_COUNTS = {")
+        for name in SWEEP_COUNTS:
+            print(f'    "{name}": {_count(_sweep_counts(patch, name))},')
+        print("}")
+        print("CORNER_COUNTS = {")
+        for label, access in CORNER_COUNTS:
+            counts = _corner_counts(patch, label, access)
+            print(f"    {_key(label, access)}: {_count(counts)},")
+        print("}")

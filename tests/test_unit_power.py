@@ -1,0 +1,164 @@
+"""The closed forms at unit transmit power, and what that lets them share.
+
+M (N + P I_1) = kappa (N/P + I_1): the kernel takes the unit-power decode
+coefficient kappa and the noise N/P, and its interference exponents do not
+depend on P. A UAV-centric pass reuses the Taylor coefficients of the one
+before it when its values differ from that pass's in transmit power alone and
+its nodes are the same; the radial tail gets its order 0 and 1 coefficients
+from one ``hyp2f1`` call by a contiguous recurrence. Every value must still
+equal, bit for bit, the one computed alone.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from uavnoma import analytic_uav_centric as uav
+from uavnoma import cli, laplace
+from uavnoma.laplace import RadialTailExponent
+from uavnoma.scenario import NOMA, OMA
+
+from test_sweep_passes import INFEASIBLE_LINK, PAIR_LINK, SPARSE, _bits
+
+REPO = Path(__file__).resolve().parent.parent
+DENSITY = 1.0 / (500.0**2 * math.pi)
+
+
+def _eta_and_slope(m_i, alpha_i, z):
+    """a_0 = eta and a_1 = z eta'(z) of the radial tail at unit C = pi lam
+    d0^2, in 40 digits, from the short form eta = 2F1(mI, -dI; 1-dI; -z) - 1,
+    which cancels in floats but not at this precision."""
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(2) / alpha_i
+
+        def eta(x):
+            return mpmath.hyp2f1(m_i, -delta, 1 - delta, -x) - 1
+
+        z = mpmath.mpf(z)
+        return eta(z), z * mpmath.diff(eta, z)
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("m_interf", [1, 2, 3, 5])
+    @pytest.mark.parametrize("alpha_interf", [2.05, 2.5, 4.0, 6.0])
+    def test_orders_zero_and_one_match_mpmath(self, m_interf, alpha_interf):
+        # d0 = 1 and unit power give z = s / mI; C = pi lam
+        scale = math.pi * DENSITY
+        exponent = RadialTailExponent(DENSITY, 1.0, alpha_interf, m_interf, 1.0)
+        for z in np.logspace(-12, 12, 25):
+            a0, a1 = exponent.derivatives(m_interf * z, 1).values
+            want0, want1 = _eta_and_slope(m_interf, alpha_interf, z)
+            assert a0 / scale == pytest.approx(float(want0), rel=1e-12, abs=0)
+            assert a1 / scale == pytest.approx(float(want1), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m_interf", [1, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 4])
+    def test_one_call_per_order_past_the_first(self, monkeypatch, m_interf, order):
+        calls = []
+        hyp2f1 = laplace.hyp2f1
+
+        def counted(*args):
+            calls.append(args[0])
+            return hyp2f1(*args)
+
+        monkeypatch.setattr(laplace, "hyp2f1", counted)
+        s = np.array([1e2, 1e9, 1e16])
+        RadialTailExponent(DENSITY, 1e-6, 3.0, m_interf, 150.0).derivatives(s, order)
+        assert len(calls) == max(1, order)
+
+
+def _radial_calls(monkeypatch):
+    """Count the calls of ``RadialTailExponent.derivatives``."""
+    calls = []
+    derivatives = RadialTailExponent.derivatives
+
+    def counted(self, s, order):
+        calls.append(np.size(s))
+        return derivatives(self, s, order)
+
+    monkeypatch.setattr(RadialTailExponent, "derivatives", counted)
+    return calls
+
+
+def _kernel_calls(monkeypatch):
+    calls = []
+    kernel = uav.conditional_coverage
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(uav, "conditional_coverage", counted)
+    return calls
+
+
+def _shipped_points(name):
+    raw = cli.load_config(str(REPO / "configs" / f"{name}.json"))
+    cfg, link = cli.parse_network(raw["network"]), cli.parse_link(raw["link"])
+    spec = cli.parse_sweep(raw["sweep"])
+    return [cli.apply_axis(cfg, link, spec.axis, v) for v in spec.values], spec.access
+
+
+class TestReuse:
+    def test_power_sweep_evaluates_its_exponents_once(self, monkeypatch):
+        points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
+        radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
+        uav.coverage_sweep(points, access)
+        assert len(points) == len(passes) == 8
+        assert len(radial) == 1
+
+    def test_rate_sweep_evaluates_them_once_per_distinct_pass(self, monkeypatch):
+        # below rate 0.75 the near user's coefficient is its partner decode's,
+        # which rate_near does not move: points 0.25 and 0.5 share their pass
+        points, access = _shipped_points("uav_centric_rate_noma_m3")
+        distinct = {
+            tuple(uav._pair_value(role, cfg, link, access) for role in (uav.NEAR, uav.FAR))
+            for cfg, link in points
+        }
+        radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
+        uav.coverage_sweep(points, access)
+        assert len(passes) == 8
+        assert len(radial) == len(distinct) == 7
+
+    def test_lone_point_evaluates_them_once(self, monkeypatch):
+        points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
+        radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
+        uav.coverage_sweep(points[3:4], access)
+        assert len(radial) == len(passes) == 1
+
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    def test_power_sweep_values_equal_each_value_alone(self, monkeypatch, access):
+        # the sparse near users bisect; the infeasible near value in the
+        # middle shifts the pairing of the passes after it
+        links = [PAIR_LINK, PAIR_LINK, INFEASIBLE_LINK, PAIR_LINK, PAIR_LINK]
+        powers = [1e-6, 1e-5, 1e-5, 1e-4, 1e-3]
+        values = [
+            (role, replace(SPARSE, tx_power=p), link)
+            for p, link in zip(powers, links)
+            for role in (uav.NEAR, uav.FAR)
+        ]
+        alone = [uav.pair_quadratures([value], access)[0] for value in values]
+        radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
+        together = uav.pair_quadratures(values, access)
+        assert _bits(together) == _bits(alone)
+        assert together[4] == (0.0, 0.0)
+        assert len(radial) < len(passes)  # some passes reused
+
+    def test_nodes_that_differ_miss(self, monkeypatch):
+        radial = _radial_calls(monkeypatch)
+        row = uav._pair_value(uav.NEAR, SPARSE, PAIR_LINK, NOMA)
+        integrand = uav._pair_integrand(SPARSE, [row])
+        owner = np.zeros(5, dtype=int)
+        x, y = np.linspace(0.1, 1.9, 5), np.linspace(0.1, 0.9, 5)
+        first = integrand(owner, x, y)
+        np.testing.assert_array_equal(integrand(owner, x.copy(), y.copy()), first)
+        assert len(radial) == 1
+        for moved_x, moved_y in ((np.nextafter(x, 2.0), y), (x, np.nextafter(y, 1.0))):
+            fresh = uav._pair_integrand(SPARSE, [row])(owner, moved_x, moved_y)
+            calls = len(radial)
+            np.testing.assert_array_equal(integrand(owner, moved_x, moved_y), fresh)
+            assert len(radial) == calls + 1
