@@ -40,17 +40,17 @@ adaptive Gauss-Kronrod cubature over (u, r/R) on log-spaced panels
 
 ``pair_quadratures`` integrates many near and far values at once, the values
 of a sweep (``coverage_sweep``): their cells share the kernel's passes, so a
-point's near and far values (2 x 3,840 nodes) take one. The integrand reads
-what varies along a sweep -- transmit power, density and the decode
-coefficient, with the role's placement and the cells' split point -- per
-node, from the value each node belongs to; each value equals, bit for bit,
-the one integrated alone. ``pair_quadrature`` and ``coverage_pair`` are its
-one-value case.
+point's near and far values (2 x 3,840 nodes) take one. Each value is one
+row (``_pair_value``) of what varies along a sweep: its decode coefficient
+at unit power, its noise N/P, its density, the role's placement and the
+cells' split point. The integrand reads the row of the value each node
+belongs to; each value equals, bit for bit, the one integrated alone.
+``coverage_pair`` is its one-value case.
 
-The kernel runs at unit power (see ``laplace``), so a pass whose values
-differ from the last pass's in transmit power alone, on equal nodes, reuses
-its exponents' coefficients (``_pair_integrand``), which are what it would
-compute itself: an 8-point power sweep evaluates them once.
+The kernel runs at unit power (see ``laplace``), so the exponents read R and
+the density alone. A pass on the same R and density as the last pass reuses
+its exponents, and their coefficients wherever s is equal too
+(``_pair_integrand``): an 8-point power sweep evaluates them once.
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ FAR = "far"
 _PLACEMENT_NODES = 12
 _RADIAL_NODES_BELOW_H = 24
 _RADIAL_NODES_ABOVE_H = 40
-# e^(-46) ~ 1e-20: the nearest-neighbor law beyond u = 46 is negligible
-_T_CUTOFF = math.sqrt(46.0)
 # the lower panel spans at least u = 0.04, so a low UAV does not stretch
 # the log-spaced panel over the near-empty start of the law
 _T_SPLIT_MIN = 0.2
@@ -119,16 +117,6 @@ def laplace_exponent_ucav(
     return NearestRingExponent(l_i / R, *common), RadialTailExponent(cfg.uav_density, *common)
 
 
-def _pair_coefficient(role: str, cfg: NetworkConfig, link: NomaLink, access: str):
-    """Decode coefficient of a paired user: the near user is the subject in
-    the near role, the far user its partner in the far role."""
-    if role == NEAR:
-        return thresholds(link, cfg, UAV_CENTRIC, access).near
-    if role == FAR:
-        return thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC, access).far
-    raise DomainError(f"unknown role {role!r}")
-
-
 def coverage_cond_pair(
     r, R, role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ):
@@ -138,8 +126,7 @@ def coverage_cond_pair(
     r <= R/4 and runs the SIC chain; the far role requires R/4 <= r <= R/2
     and decodes directly. Infeasible power allocation gives exactly 0.
     """
-    unit = replace(cfg, tx_power=1.0)
-    coeff = _pair_coefficient(role, unit, link, access)
+    v = _pair_value(role, cfg, link, access)
     r, R = np.broadcast_arrays(r, R)
     if role == NEAR:
         span, inside = "r <= R/4", (0.0 <= r) & (r <= 0.25 * R + 1e-9)
@@ -149,19 +136,20 @@ def coverage_cond_pair(
     if not np.all(inside):
         bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
-    return _pair_kernel(r, R, coeff, cfg, ExponentSum(*laplace_exponent_ucav(unit, R)))
+    unit = replace(cfg, tx_power=1.0)
+    return _pair_kernel(r, unit, v, ExponentSum(*laplace_exponent_ucav(unit, R)))
 
 
-def _pair_kernel(r, R, coeff, cfg, interference):
-    """The conditional coverage at unit power: ``coeff`` and ``interference``
-    at P = 1, noise N/P. ``coeff`` and the fields of ``cfg`` may be per-node
-    arrays (``scenario.node_config``)."""
+def _pair_kernel(r, unit, v: _PairValue, interference):
+    """The conditional coverage of value ``v`` at radius r: m_d, h and alpha_d
+    of ``unit``, the config at P = 1, and ``v``'s decode coefficient and N/P,
+    which may be per-node arrays (``quadrature.NodeFields``)."""
     return conditional_coverage(
-        cfg.m_desired,
-        coeff,
-        cfg.noise_power / cfg.tx_power,
-        np.hypot(r, cfg.uav_height),
-        cfg.alpha_desired,
+        unit.m_desired,
+        v.coeff,
+        v.noise,
+        np.hypot(r, unit.uav_height),
+        unit.alpha_desired,
         interference,
     )
 
@@ -181,7 +169,7 @@ def _placement(y, offset, weight):
 
 def _cells(t_b: float) -> tuple[list, list, list]:
     """Lower corners, upper corners and base rules of the (x, y) cells."""
-    if t_b < _T_CUTOFF:
+    if t_b < quadrature.T_CUTOFF:
         return (
             [(0.0, 0.0), (1.0, 0.0)],
             [(1.0, 1.0), (2.0, 1.0)],
@@ -196,10 +184,10 @@ def _cells(t_b: float) -> tuple[list, list, list]:
 
 
 class _PairValue(NamedTuple):
-    """What the integrand reads of one near or far value, per node."""
+    """What the kernel and the integrand read of one near or far value."""
 
     coeff: float  # decode coefficient at unit transmit power
-    tx_power: float
+    noise: float  # N/P
     uav_density: float
     root_pl: float  # sqrt(pi lam)
     t_b: float
@@ -210,28 +198,40 @@ class _PairValue(NamedTuple):
 
 
 def _pair_value(role, cfg, link, access) -> _PairValue:
-    t_b = _split_point(cfg)
+    """The row of one value: the near user is the subject in the near role,
+    the far user its partner in the far role."""
+    unit = replace(cfg, tx_power=1.0)
+    if role == NEAR:
+        coeff = thresholds(link, unit, UAV_CENTRIC, access).near
+    elif role == FAR:
+        coeff = thresholds(link.with_swapped_rates(), unit, UAV_CENTRIC, access).far
+    else:
+        raise DomainError(f"unknown role {role!r}")
+    root_pl = math.sqrt(math.pi * cfg.uav_density)
+    # t_b = max(t_h, 0.2), t_h = sqrt(pi lam) h being where R = h
+    t_b = max(root_pl * cfg.uav_height, _T_SPLIT_MIN)
     return _PairValue(
-        _pair_coefficient(role, replace(cfg, tx_power=1.0), link, access),
-        cfg.tx_power,
+        coeff,
+        cfg.noise_power / cfg.tx_power,
         cfg.uav_density,
-        math.sqrt(math.pi * cfg.uav_density),
+        root_pl,
         t_b,
-        min(t_b, _T_CUTOFF),
-        math.log(_T_CUTOFF / t_b),
+        min(t_b, quadrature.T_CUTOFF),
+        math.log(quadrature.T_CUTOFF / t_b),
         *_PLACEMENT[role],
     )
 
 
 def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
     """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
-    each value; ``shared`` holds the fields the values have in common. It
-    keeps the interference of its last pass, for one ``integrate_many`` call:
-    a pass whose owners' rows are equal at unit power, on bitwise-equal
-    nodes, reuses it."""
+    each value; ``shared`` holds the fields the values have in common, read
+    at unit power. The exponents read R and the density alone, so a pass on
+    the bitwise-equal R and density of the last pass keeps its
+    ``ExponentSum``, for one ``integrate_many`` call, and that sum's memo
+    reuses its coefficients wherever s is equal too."""
+    unit = replace(shared, tx_power=1.0)
     fields = quadrature.NodeFields(values)
-    unit = [row._replace(tx_power=1.0) for row in values]
-    last = None  # unit rows, (owners, x, y) and interference of the last pass
+    last = None  # R, density and interference of the last pass
 
     def integrand(owner, x, y):
         nonlocal last
@@ -242,23 +242,15 @@ def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
         dt_dx = np.where(squared, 2.0 * v.t_end * x, t * v.span)
         R = t / v.root_pl
         r_over_R, density = _placement(y, v.offset, v.weight)
-        cfg = node_config(shared, tx_power=v.tx_power, uav_density=v.uav_density)
-        lo = owner.min()
-        rows, arrays = unit[lo : owner.max() + 1], (owner - lo, x, y)
-        if not (last and last[0] == rows and all(map(np.array_equal, last[1], arrays))):
-            exponents = laplace_exponent_ucav(node_config(cfg, tx_power=1.0), R)
-            last = rows, arrays, ExponentSum(*exponents)
+        if last is None or not all(map(np.array_equal, last[:2], (R, v.uav_density))):
+            cfg = node_config(unit, uav_density=v.uav_density)
+            last = R, v.uav_density, ExponentSum(*laplace_exponent_ucav(cfg, R))
         return (
             2.0 * t * np.exp(-t * t) * dt_dx * density
-            * _pair_kernel(r_over_R * R, R, v.coeff, cfg, last[2])
+            * _pair_kernel(r_over_R * R, unit, v, last[2])
         )
 
     return integrand
-
-
-def _split_point(cfg: NetworkConfig) -> float:
-    """t_b = max(t_h, 0.2), t_h = sqrt(pi lam) h being where R = h."""
-    return max(math.sqrt(math.pi * cfg.uav_density) * cfg.uav_height, _T_SPLIT_MIN)
 
 
 def pair_quadratures(
@@ -289,13 +281,6 @@ def pair_quadratures(
     return results
 
 
-def pair_quadrature(
-    role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
-) -> quadrature.Quadrature:
-    """Coverage of the near or far paired user with its error estimate."""
-    return pair_quadratures([(role, cfg, link)], access)[0]
-
-
 def coverage_pair(
     role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ) -> float:
@@ -304,7 +289,7 @@ def coverage_pair(
     Inner average over the user placement given R, outer integral over the
     nearest-neighbor law, to the absolute tolerance ``quadrature.TOLERANCE``.
     """
-    return pair_quadrature(role, cfg, link, access).value
+    return pair_quadratures([(role, cfg, link)], access)[0].value
 
 
 def coverage_sweep(

@@ -26,14 +26,16 @@ on log-spaced panels, is the reference for the radial integral.
 
 ``radial_quadratures`` integrates many typical and fixed values at once, the
 values of a sweep (``coverage_sweep``): their cells share the kernel's passes,
-so the 16 values of an 8-point sweep (384 nodes each) take one pass. The
-integrand reads what varies along a sweep -- transmit power, density, the
-two decode coefficients and r_k -- per node, from the value each node
-belongs to; each value equals, bit for bit, the one integrated alone.
-``coverage_typical`` and ``coverage_fixed`` are its one-value case.
+so the 16 values of an 8-point sweep (384 nodes each) take one pass. Each
+value is one row (``_value``) of what varies along a sweep: its noise N/P,
+its density, its two decode coefficients at unit power and r_k. The
+integrand reads the row of the value each node belongs to; each value
+equals, bit for bit, the one integrated alone. ``coverage_typical`` and
+``coverage_fixed`` are its one-value case.
 
-The kernel runs at unit transmit power (see ``laplace``) but, unlike the
-UAV-centric one, keeps nothing between passes: a sweep is one pass.
+The kernel runs at unit transmit power (see ``laplace``): transmit power
+enters the rows as N/P alone. Unlike the UAV-centric integrand this one
+keeps nothing between passes: a sweep is one pass.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ TYPICAL, FIXED = ROLES[USER_CENTRIC]
 
 # base rule of each radial cell; the check rule doubles it
 _RADIAL_NODES = 64
-# beyond u = t^2 = 46 the e^(-u) weight is below 1e-20: nothing left to integrate
-_T_CUTOFF = math.sqrt(46.0)
 
 
 def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponent:
@@ -78,11 +78,10 @@ def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponen
 
 
 class _Value(NamedTuple):
-    """What the integrand reads of one typical or fixed value: the fields a
-    sweep varies, then what ``_conditional`` reads."""
+    """What the kernel and the integrand read of one typical or fixed value."""
 
     root_pl: float  # sqrt(pi lam)
-    tx_power: float
+    noise: float  # N/P
     uav_density: float
     fixed_user_dist: float
     below: float  # decode coefficient while r < r_k
@@ -97,7 +96,8 @@ def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value
     Carlo's ``near_case``. The fixed user plays the complement of that role
     at swapped rates, served from the fixed 3-D distance R_k. Both take their
     decode coefficients at unit power (``_conditional``)."""
-    fields = math.sqrt(math.pi * cfg.uav_density), cfg.tx_power, cfg.uav_density
+    root_pl = math.sqrt(math.pi * cfg.uav_density)
+    fields = root_pl, cfg.noise_power / cfg.tx_power, cfg.uav_density
     r_k = link.fixed_user_dist
     unit = replace(cfg, tx_power=1.0)
     if user == TYPICAL:
@@ -111,24 +111,24 @@ def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value
     raise DomainError(f"unknown user {user!r}")
 
 
-def _conditional(r, cfg, v: _Value):
+def _conditional(r, unit, v: _Value):
     """The coverage of value ``v`` given the typical user's serving radius r.
 
     The user decodes at coefficient ``v.below`` where r < r_k and at
     ``v.above`` beyond; its signal arrives from the serving distance
     sqrt(r^2 + h^2), or from ``v.fixed_dist3d`` for the fixed user, and its
     interference keeps the typical user's exclusion radius, all at unit
-    power (noise N/P, exponent at P = 1). The fields of ``v`` and ``cfg``
-    may be per-node arrays (``scenario.node_config``).
+    power: noise N/P, exponent of ``unit``, the config at P = 1. The fields
+    of ``v`` and ``unit`` may be per-node arrays (``scenario.node_config``).
     """
-    dist3d = np.hypot(r, cfg.uav_height)
+    dist3d = np.hypot(r, unit.uav_height)
     return conditional_coverage(
-        cfg.m_desired,
+        unit.m_desired,
         np.where(np.less(r, v.fixed_user_dist), v.below, v.above),
-        cfg.noise_power / cfg.tx_power,
+        v.noise,
         np.where(v.fixed, v.fixed_dist3d, dist3d),
-        cfg.alpha_desired,
-        laplace_exponent_uc(node_config(cfg, tx_power=1.0), dist3d),
+        unit.alpha_desired,
+        laplace_exponent_uc(unit, dist3d),
     )
 
 
@@ -139,7 +139,8 @@ def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
     r < r_k and decodes its own signal directly (far role) beyond, the rule
     of the Monte Carlo's ``near_case``.
     """
-    return _conditional(r, cfg, _value(TYPICAL, cfg, link, access))
+    unit = replace(cfg, tx_power=1.0)
+    return _conditional(r, unit, _value(TYPICAL, cfg, link, access))
 
 
 def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
@@ -150,14 +151,15 @@ def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NO
     runs the SIC chain beyond. Its signal arrives from the fixed 3-D distance
     R_k, and its interference keeps the typical user's exclusion radius.
     """
-    return _conditional(r, cfg, _value(FIXED, cfg, link, access))
+    unit = replace(cfg, tx_power=1.0)
+    return _conditional(r, unit, _value(FIXED, cfg, link, access))
 
 
 def _cells(t_k: float) -> tuple[list, list, list]:
     """Radial cells in t, split at t_k unless it lies past the cutoff."""
-    if t_k < _T_CUTOFF:
-        return [[0.0], [t_k]], [[t_k], [_T_CUTOFF]], [[_RADIAL_NODES]] * 2
-    return [[0.0]], [[_T_CUTOFF]], [[_RADIAL_NODES]]
+    if t_k < quadrature.T_CUTOFF:
+        return [[0.0], [t_k]], [[t_k], [quadrature.T_CUTOFF]], [[_RADIAL_NODES]] * 2
+    return [[0.0]], [[quadrature.T_CUTOFF]], [[_RADIAL_NODES]]
 
 
 def radial_quadratures(
@@ -172,12 +174,13 @@ def radial_quadratures(
     docstring), each equal, bit for bit, to the value integrated alone.
     """
     shared = sweep_config([cfg for _, cfg, _ in values])
+    unit = replace(shared, tx_power=1.0)
     rows = [_value(user, cfg, link, access) for user, cfg, link in values]
     fields = quadrature.NodeFields(rows)
 
     def integrand(owner, t):
         v = fields.at(owner)
-        cfg = node_config(shared, tx_power=v.tx_power, uav_density=v.uav_density)
+        cfg = node_config(unit, uav_density=v.uav_density)
         return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, cfg, v)
 
     boxes = [_cells(row.root_pl * row.fixed_user_dist) for row in rows]

@@ -48,6 +48,7 @@ from .scenario import (
     NOMA,
     OMA,
     ROLES,
+    UAV_CENTRIC,
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
@@ -87,6 +88,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}")
+        if self.axis == "fixed_user_dist" and self.strategy == UAV_CENTRIC:
+            raise ConfigError("sweep.axis: fixed_user_dist is user-centric only")
         if not self.values:
             raise ConfigError("sweep.values: must be non-empty")
         if any(not math.isfinite(v) for v in self.values):
@@ -142,6 +145,10 @@ def _reject_unknown(section: dict, path: str):
 
 def parse_network(section: dict) -> NetworkConfig:
     section = dict(section)
+    noise_fields = ("noise_watts", "noise_dbm", "noise_bandwidth_hz")
+    given = [key for key in noise_fields if key in section]
+    if len(given) > 1:
+        raise ConfigError(f"network.{given[0]}, network.{given[1]}: give one of them")
     if "noise_watts" in section:
         noise_watts = _take(section, "network", "noise_watts", float, None)
     elif "noise_dbm" in section:

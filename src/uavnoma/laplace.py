@@ -36,9 +36,10 @@ recursion; every term (-1)^n E_n is non-negative, so nothing cancels and no
 factor overflows at any m.
 
 The closed forms call the kernel at unit power: M (noise + I) = kappa
-(noise/P + I_1), kappa = M P and I_1 the interference at P = 1, so the
-exponents' coefficients do not depend on P and one ``ExponentSum`` that
-keeps them serves every power of a sweep.
+(noise/P + I_1), kappa = M P and I_1 the interference at P = 1. Each
+closed-form value carries kappa and noise/P, no exponent reads P, and an
+``ExponentSum`` kept on equal distances and density serves every power:
+its memo of the last (s, order) decides whether it reuses coefficients.
 
 Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient, the noise and the serving distance may be numpy arrays that

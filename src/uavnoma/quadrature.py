@@ -48,6 +48,7 @@ their one jump, the decode coefficient's switch at r = r_k, on a cell edge.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,8 @@ from .errors import NumericalError
 # absolute tolerance of every closed-form value; figure-level resolution
 # is ~1e-2 and the Monte Carlo cross-checks resolve ~1e-3
 TOLERANCE = 1e-7
+# the closed forms' radial cutoff in t = sqrt(u): beyond u = 46, e^(-u) < 1e-20
+T_CUTOFF = math.sqrt(46.0)
 # bisections of one cell; 2^-10 of a panel along each axis
 _MAX_DEPTH = 10
 # bounds the memory of one integral's pass (about 100 MB of kernel temporaries)

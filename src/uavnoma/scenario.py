@@ -133,8 +133,8 @@ def sweep_config(cfgs: Sequence[NetworkConfig]) -> NetworkConfig:
 def node_config(shared: NetworkConfig, **swept) -> SimpleNamespace:
     """``shared`` with the fields in ``swept`` replaced, by arrays of one value
     per quadrature node or by one value for all; the closed forms read it as
-    a NetworkConfig, elementwise. Each value was validated in its own
-    NetworkConfig."""
+    a NetworkConfig, elementwise: a sweep's unit-power config (P reaches them
+    as N/P) with per-node densities, each validated in its own config."""
     return SimpleNamespace(**{**vars(shared), **swept})
 
 

@@ -315,7 +315,7 @@ def _validate_checks(quick: bool, seed: int):
             alpha_desired=4.5, m_desired=3,
         )
         near = analytic_uav_centric.NEAR
-        result = analytic_uav_centric.pair_quadrature(near, sparse, link_uav)
+        result = analytic_uav_centric.pair_quadratures([(near, sparse, link_uav)])[0]
         error = abs(result.value - adaptive_coverage_pair(near, sparse, link_uav))
         return error, 1e-6, f"(estimate {result.estimate:.3e})"
 

@@ -22,6 +22,7 @@ from uavnoma.laplace import (
     exp_composition_derivatives,
 )
 from uavnoma.quadrature import _tensor_rule
+from uavnoma.scenario import UAV_CENTRIC, thresholds
 
 REPO = Path(__file__).resolve().parent.parent
 DENSITY = 1.0 / (500.0**2 * math.pi)
@@ -152,6 +153,13 @@ _CFG = {
 }
 
 
+def _coefficient(role, cfg, link, access):
+    """The decode coefficient of the near or far user at the power of ``cfg``."""
+    if role == uav.NEAR:
+        return thresholds(link, cfg, UAV_CENTRIC, access).near
+    return thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC, access).far
+
+
 def _loop_rule(role, cfg, link, access):
     """The 12 x 64 tensor rule as the per-node loop with the scalar kernel.
 
@@ -177,7 +185,7 @@ def _loop_rule(role, cfg, link, access):
         ]
     else:
         radial = [(cutoff * y * y, 2.0 * cutoff * y * wy) for y, wy in unit[64]]
-    coeff = uav._pair_coefficient(role, cfg, link, access)
+    coeff = _coefficient(role, cfg, link, access)
     total = 0.0
     for t, wt in radial:
         R = t / root_pl
@@ -229,7 +237,7 @@ class TestPairBaseRule:
     def test_array_pass_equals_loop_rule(self, point):
         cfg, link, access = SHIPPED_UAV_POINTS[point]
         for role in (uav.NEAR, uav.FAR):
-            if not math.isfinite(uav._pair_coefficient(role, cfg, link, access)):
+            if not math.isfinite(_coefficient(role, cfg, link, access)):
                 continue
             want = _loop_rule(role, cfg, link, access)
             assert abs(_array_base_rule(role, cfg, link, access) - want) <= 1e-15

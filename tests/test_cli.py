@@ -138,6 +138,23 @@ class TestConfigParsing:
         link = parse_link({"power_split_far": 0.7})
         assert link.pw_near == pytest.approx(0.3)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("noise_watts", "noise_dbm"),
+            ("noise_watts", "noise_bandwidth_hz"),
+            ("noise_dbm", "noise_bandwidth_hz"),
+        ],
+    )
+    def test_noise_given_twice_exits_2_naming_both(self, tmp_path, capsys, first, second):
+        values = {"noise_watts": 1e-13, "noise_dbm": -100.0, "noise_bandwidth_hz": 1e6}
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"].update({first: values[first], second: values[second]})
+        assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert f"network.{first}" in err and f"network.{second}" in err
+        assert "unknown field" not in err
+
     def test_sweep_requires_axis(self):
         with pytest.raises(ConfigError, match="sweep.axis"):
             parse_sweep({"values": [1.0]})
@@ -765,6 +782,18 @@ class TestErrors:
         assert not Path(out).exists()
         assert main(["mc", "--config", path, "--trials", "0"]) == 2
         assert capsys.readouterr().err.count("sweep.trials") == 2
+
+    def test_uav_centric_fixed_user_dist_sweep_exits_2(self, tmp_path, capsys):
+        # the UAV-centric strategy has no fixed user: every row would be equal
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"].update(
+            axis="fixed_user_dist", values=[100.0, 200.0], strategy="uav-centric"
+        )
+        out = tmp_path / "o.csv"
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        assert "sweep.axis: fixed_user_dist" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", [10**21, 2**60])
     @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])

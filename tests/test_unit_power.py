@@ -2,11 +2,11 @@
 
 M (N + P I_1) = kappa (N/P + I_1): the kernel takes the unit-power decode
 coefficient kappa and the noise N/P, and its interference exponents do not
-depend on P. A UAV-centric pass reuses the Taylor coefficients of the one
-before it when its values differ from that pass's in transmit power alone and
-its nodes are the same; the radial tail gets its order 0 and 1 coefficients
-from one ``hyp2f1`` call by a contiguous recurrence. Every value must still
-equal, bit for bit, the one computed alone.
+depend on P. A UAV-centric pass keeps the exponents of the one before it
+when its R and density are the same, and reuses their Taylor coefficients
+at the same s; the radial tail gets its order 0 and 1 coefficients from one
+``hyp2f1`` call by a contiguous recurrence. Every value must still equal,
+bit for bit, the one computed alone.
 """
 
 import math
@@ -26,6 +26,12 @@ from test_sweep_passes import INFEASIBLE_LINK, PAIR_LINK, SPARSE, _bits
 
 REPO = Path(__file__).resolve().parent.parent
 DENSITY = 1.0 / (500.0**2 * math.pi)
+# a 300 m UAV puts t_b = sqrt(pi lam) h above its 0.2 floor from lam = DENSITY
+# up; at 0 dBm and m_d = 1 its coverage is far from 0 at every density
+HIGH = replace(
+    SPARSE, uav_density=DENSITY, uav_height=300.0, tx_power=1e-3, alpha_desired=3.0,
+    m_desired=1,
+)
 
 
 def _eta_and_slope(m_i, alpha_i, z):
@@ -147,6 +153,39 @@ class TestReuse:
         assert _bits(together) == _bits(alone)
         assert together[4] == (0.0, 0.0)
         assert len(radial) < len(passes)  # some passes reused
+
+    def test_density_sweep_values_equal_each_value_alone(self):
+        values = [
+            (role, replace(HIGH, uav_density=DENSITY * f), PAIR_LINK)
+            for f in (1.0, 4.0, 16.0, 64.0)
+            for role in (uav.NEAR, uav.FAR)
+        ]
+        alone = [uav.pair_quadratures([value])[0] for value in values]
+        assert all(result.value > 0.0 for result in alone)
+        assert _bits(uav.pair_quadratures(values)) == _bits(alone)
+
+    def test_equal_R_at_another_density_misses(self, monkeypatch):
+        # with t_b above the floor, x < 1 gives R = h x^2 at every density;
+        # lam and 4 lam give it bit for bit, as sqrt(pi lam) only doubles.
+        # A key on R alone hands 4 lam the exponents of lam here.
+        cfg = replace(HIGH, uav_density=DENSITY)
+        rows = [
+            uav._pair_value(uav.NEAR, replace(cfg, uav_density=DENSITY * f), PAIR_LINK, NOMA)
+            for f in (1.0, 4.0)
+        ]
+        assert all(row.t_b > 0.2 for row in rows)
+        x, y = np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 5)
+        R = [row.t_end * x * x / row.root_pl for row in rows]
+        np.testing.assert_array_equal(R[0], R[1])
+        radial = _radial_calls(monkeypatch)
+        integrand = uav._pair_integrand(cfg, rows)
+        integrand(np.zeros(5, dtype=int), x, y)
+        owner = np.ones(5, dtype=int)
+        fresh = uav._pair_integrand(cfg, rows)(owner, x, y)
+        assert np.all(fresh > 0.0)
+        calls = len(radial)
+        np.testing.assert_array_equal(integrand(owner, x, y), fresh)
+        assert len(radial) == calls + 1
 
     def test_nodes_that_differ_miss(self, monkeypatch):
         radial = _radial_calls(monkeypatch)
