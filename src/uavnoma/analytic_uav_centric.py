@@ -47,16 +47,16 @@ cells' split point. The integrand reads the row of the value each node
 belongs to; each value equals, bit for bit, the one integrated alone.
 ``coverage_pair`` is its one-value case.
 
-The kernel runs at unit power (see ``laplace``), so the exponents read R and
-the density alone. A pass on the same R and density as the last pass reuses
-its exponents, and their coefficients wherever s is equal too
-(``_pair_integrand``): an 8-point power sweep evaluates them once.
+The kernel runs at unit power (see ``laplace``): transmit power enters as
+the row's N/P alone, and the exponents read R and the density alone. A pass
+on the same R and density as the last pass reuses its exponents, and their
+coefficients wherever s is equal too (``_pair_integrand``): an 8-point
+power sweep evaluates them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,7 +75,6 @@ from .scenario import (
     UAV_CENTRIC,
     NetworkConfig,
     NomaLink,
-    node_config,
     sweep_config,
     thresholds,
 )
@@ -92,29 +91,23 @@ _RADIAL_NODES_ABOVE_H = 40
 _T_SPLIT_MIN = 0.2
 
 
-def tail_exponent_ucav(cfg: NetworkConfig, R) -> RadialTailExponent:
-    """Exponent of the interferers beyond the nearest neighbor (3-D lower limit)."""
-    return laplace_exponent_ucav(cfg, R)[1]
-
-
-def nearest_ring_exponent_ucav(cfg: NetworkConfig, R) -> NearestRingExponent:
-    """Exponent of the nearest interfering UAV at horizontal distance R."""
-    return laplace_exponent_ucav(cfg, R)[0]
-
-
 def laplace_exponent_ucav(
-    cfg: NetworkConfig, R
+    cfg: NetworkConfig, R, density=None
 ) -> tuple[NearestRingExponent, RadialTailExponent]:
-    """Parts of the conditional exponent: nearest neighbor and population tail.
+    """Parts of the unit-power conditional exponent: the nearest neighbor at
+    horizontal distance R and the population beyond it (3-D lower limit).
 
     The conditional transform is exp(-(ring + tail)); ``conditional_coverage``
-    takes the parts and sums their Taylor-coefficient arrays.
+    takes the parts and sums their Taylor-coefficient arrays. ``density``,
+    which may be an array of one value per R, replaces ``cfg.uav_density``.
     """
     if np.any(np.asarray(R) <= 0.0):
         raise DomainError("R must be positive")
+    if density is None:
+        density = cfg.uav_density
     l_i = np.hypot(R, cfg.uav_height)
-    common = cfg.tx_power, cfg.alpha_interf, cfg.m_interf, l_i
-    return NearestRingExponent(l_i / R, *common), RadialTailExponent(cfg.uav_density, *common)
+    common = cfg.alpha_interf, cfg.m_interf, l_i
+    return NearestRingExponent(l_i / R, *common), RadialTailExponent(density, *common)
 
 
 def coverage_cond_pair(
@@ -136,20 +129,19 @@ def coverage_cond_pair(
     if not np.all(inside):
         bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
-    unit = replace(cfg, tx_power=1.0)
-    return _pair_kernel(r, unit, v, ExponentSum(*laplace_exponent_ucav(unit, R)))
+    return _pair_kernel(r, cfg, v, ExponentSum(*laplace_exponent_ucav(cfg, R)))
 
 
-def _pair_kernel(r, unit, v: _PairValue, interference):
+def _pair_kernel(r, cfg, v: _PairValue, interference):
     """The conditional coverage of value ``v`` at radius r: m_d, h and alpha_d
-    of ``unit``, the config at P = 1, and ``v``'s decode coefficient and N/P,
-    which may be per-node arrays (``quadrature.NodeFields``)."""
+    of ``cfg``, and ``v``'s decode coefficient and N/P, which may be per-node
+    arrays (``quadrature.NodeFields``); ``interference`` is at unit power."""
     return conditional_coverage(
-        unit.m_desired,
+        cfg.m_desired,
         v.coeff,
         v.noise,
-        np.hypot(r, unit.uav_height),
-        unit.alpha_desired,
+        np.hypot(r, cfg.uav_height),
+        cfg.alpha_desired,
         interference,
     )
 
@@ -200,11 +192,10 @@ class _PairValue(NamedTuple):
 def _pair_value(role, cfg, link, access) -> _PairValue:
     """The row of one value: the near user is the subject in the near role,
     the far user its partner in the far role."""
-    unit = replace(cfg, tx_power=1.0)
     if role == NEAR:
-        coeff = thresholds(link, unit, UAV_CENTRIC, access).near
+        coeff = thresholds(link, UAV_CENTRIC, access).near
     elif role == FAR:
-        coeff = thresholds(link.with_swapped_rates(), unit, UAV_CENTRIC, access).far
+        coeff = thresholds(link.with_swapped_rates(), UAV_CENTRIC, access).far
     else:
         raise DomainError(f"unknown role {role!r}")
     root_pl = math.sqrt(math.pi * cfg.uav_density)
@@ -224,12 +215,11 @@ def _pair_value(role, cfg, link, access) -> _PairValue:
 
 def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
     """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
-    each value; ``shared`` holds the fields the values have in common, read
-    at unit power. The exponents read R and the density alone, so a pass on
-    the bitwise-equal R and density of the last pass keeps its
-    ``ExponentSum``, for one ``integrate_many`` call, and that sum's memo
-    reuses its coefficients wherever s is equal too."""
-    unit = replace(shared, tx_power=1.0)
+    each value; ``shared`` holds the fields the values have in common. The
+    unit-power exponents read R and the density alone, so a pass on the
+    bitwise-equal R and density of the last pass keeps its ``ExponentSum``,
+    for one ``integrate_many`` call, and that sum's memo reuses its
+    coefficients wherever s is equal too."""
     fields = quadrature.NodeFields(values)
     last = None  # R, density and interference of the last pass
 
@@ -243,11 +233,11 @@ def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
         R = t / v.root_pl
         r_over_R, density = _placement(y, v.offset, v.weight)
         if last is None or not all(map(np.array_equal, last[:2], (R, v.uav_density))):
-            cfg = node_config(unit, uav_density=v.uav_density)
-            last = R, v.uav_density, ExponentSum(*laplace_exponent_ucav(cfg, R))
+            parts = laplace_exponent_ucav(shared, R, v.uav_density)
+            last = R, v.uav_density, ExponentSum(*parts)
         return (
             2.0 * t * np.exp(-t * t) * dt_dx * density
-            * _pair_kernel(r_over_R * R, unit, v, last[2])
+            * _pair_kernel(r_over_R * R, shared, v, last[2])
         )
 
     return integrand
@@ -277,7 +267,9 @@ def pair_quadratures(
         for i, result in zip(feasible, found):
             results[i] = result
     for (role, _, _), result in zip(values, results):
-        check_probability(result.value, f"{role} user coverage", shared.m_desired)
+        check_probability(
+            result.value, f"{role} user coverage", shared.m_desired, result.estimate
+        )
     return results
 
 

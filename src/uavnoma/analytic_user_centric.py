@@ -41,7 +41,6 @@ keeps nothing between passes: a sweep is one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ from .scenario import (
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
-    node_config,
     sweep_config,
     thresholds,
 )
@@ -66,15 +64,15 @@ TYPICAL, FIXED = ROLES[USER_CENTRIC]
 _RADIAL_NODES = 64
 
 
-def laplace_exponent_uc(cfg: NetworkConfig, serving_dist3d) -> RadialTailExponent:
-    """Interference Laplace exponent with exclusion at the serving distance."""
-    return RadialTailExponent(
-        cfg.uav_density,
-        cfg.tx_power,
-        cfg.alpha_interf,
-        cfg.m_interf,
-        serving_dist3d,
-    )
+def laplace_exponent_uc(
+    cfg: NetworkConfig, serving_dist3d, density=None
+) -> RadialTailExponent:
+    """Unit-power interference Laplace exponent with exclusion at the serving
+    distance. ``density``, which may be an array of one value per distance,
+    replaces ``cfg.uav_density``."""
+    if density is None:
+        density = cfg.uav_density
+    return RadialTailExponent(density, cfg.alpha_interf, cfg.m_interf, serving_dist3d)
 
 
 class _Value(NamedTuple):
@@ -95,40 +93,40 @@ def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value
     decodes its own signal directly (far role) beyond, the rule of the Monte
     Carlo's ``near_case``. The fixed user plays the complement of that role
     at swapped rates, served from the fixed 3-D distance R_k. Both take their
-    decode coefficients at unit power (``_conditional``)."""
+    decode coefficients at unit power, beside the noise N/P."""
     root_pl = math.sqrt(math.pi * cfg.uav_density)
     fields = root_pl, cfg.noise_power / cfg.tx_power, cfg.uav_density
     r_k = link.fixed_user_dist
-    unit = replace(cfg, tx_power=1.0)
     if user == TYPICAL:
-        ts = thresholds(link, unit, USER_CENTRIC, access)
+        ts = thresholds(link, USER_CENTRIC, access)
         return _Value(*fields, r_k, ts.near, ts.far, False, 0.0)
     if user == FIXED:
-        ts = thresholds(link.with_swapped_rates(), unit, USER_CENTRIC, access)
+        ts = thresholds(link.with_swapped_rates(), USER_CENTRIC, access)
         return _Value(
             *fields, r_k, ts.far, ts.near, True, math.hypot(r_k, cfg.uav_height)
         )
     raise DomainError(f"unknown user {user!r}")
 
 
-def _conditional(r, unit, v: _Value):
+def _conditional(r, cfg, v: _Value):
     """The coverage of value ``v`` given the typical user's serving radius r.
 
     The user decodes at coefficient ``v.below`` where r < r_k and at
     ``v.above`` beyond; its signal arrives from the serving distance
     sqrt(r^2 + h^2), or from ``v.fixed_dist3d`` for the fixed user, and its
     interference keeps the typical user's exclusion radius, all at unit
-    power: noise N/P, exponent of ``unit``, the config at P = 1. The fields
-    of ``v`` and ``unit`` may be per-node arrays (``scenario.node_config``).
+    power: noise N/P and the unit-power exponent at ``v``'s density. The
+    fields of ``v`` may be per-node arrays (``quadrature.NodeFields``); those
+    of ``cfg`` are the ones the values share.
     """
-    dist3d = np.hypot(r, unit.uav_height)
+    dist3d = np.hypot(r, cfg.uav_height)
     return conditional_coverage(
-        unit.m_desired,
+        cfg.m_desired,
         np.where(np.less(r, v.fixed_user_dist), v.below, v.above),
         v.noise,
         np.where(v.fixed, v.fixed_dist3d, dist3d),
-        unit.alpha_desired,
-        laplace_exponent_uc(unit, dist3d),
+        cfg.alpha_desired,
+        laplace_exponent_uc(cfg, dist3d, v.uav_density),
     )
 
 
@@ -139,8 +137,7 @@ def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
     r < r_k and decodes its own signal directly (far role) beyond, the rule
     of the Monte Carlo's ``near_case``.
     """
-    unit = replace(cfg, tx_power=1.0)
-    return _conditional(r, unit, _value(TYPICAL, cfg, link, access))
+    return _conditional(r, cfg, _value(TYPICAL, cfg, link, access))
 
 
 def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
@@ -151,8 +148,7 @@ def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NO
     runs the SIC chain beyond. Its signal arrives from the fixed 3-D distance
     R_k, and its interference keeps the typical user's exclusion radius.
     """
-    unit = replace(cfg, tx_power=1.0)
-    return _conditional(r, unit, _value(FIXED, cfg, link, access))
+    return _conditional(r, cfg, _value(FIXED, cfg, link, access))
 
 
 def _cells(t_k: float) -> tuple[list, list, list]:
@@ -174,19 +170,20 @@ def radial_quadratures(
     docstring), each equal, bit for bit, to the value integrated alone.
     """
     shared = sweep_config([cfg for _, cfg, _ in values])
-    unit = replace(shared, tx_power=1.0)
     rows = [_value(user, cfg, link, access) for user, cfg, link in values]
     fields = quadrature.NodeFields(rows)
 
     def integrand(owner, t):
         v = fields.at(owner)
-        cfg = node_config(unit, uav_density=v.uav_density)
-        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, cfg, v)
+        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
 
     boxes = [_cells(row.root_pl * row.fixed_user_dist) for row in rows]
     results = quadrature.integrate_many(integrand, boxes)
     check_probability(
-        [result.value for result in results], "radial coverage", shared.m_desired
+        [result.value for result in results],
+        "radial coverage",
+        shared.m_desired,
+        [result.estimate for result in results],
     )
     return results
 

@@ -394,9 +394,9 @@ def run_sweep(
     """
     _check_writable(out_path)
     points = [(v, *apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
-    for value, point_cfg, point_link in points:
+    for value, _, point_link in points:
         where = f"{spec.axis}={value:.10g}: "
-        _warn_infeasible(point_cfg, point_link, spec.strategy, spec.access, where)
+        _warn_infeasible(point_link, spec.strategy, spec.access, where)
     groups: dict = {}
     for index, (_, point_cfg, point_link) in enumerate(points):
         key = (
@@ -455,12 +455,12 @@ def _format_row(row: dict) -> list[str]:
     ]
 
 
-def _warn_infeasible(cfg, link, strategy, access, where=""):
+def _warn_infeasible(link, strategy, access, where=""):
     # every role each user can take: UAV-centric, the near user (the subject)
     # near and the far user (its partner) far; user-centric, the typical user
     # (the subject) and the fixed user (its partner) both near and far
-    subject = thresholds(link, cfg, strategy, access)
-    partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+    subject = thresholds(link, strategy, access)
+    partner = thresholds(link.with_swapped_rates(), strategy, access)
     if strategy == USER_CENTRIC:
         coefficients = {
             "near/SIC chain": subject.near,
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
         # one point: the sweep section gives strategy, access, trials and seed
         point = {**raw.get("sweep", {}), "axis": "ipsic", "values": [0.0]}
         spec = _with_flags(parse_sweep(point), args)
-        _warn_infeasible(cfg, link, spec.strategy, spec.access)
+        _warn_infeasible(link, spec.strategy, spec.access)
         rows = evaluate_point(cfg, link, spec, link.ipsic)
         print(f"strategy={spec.strategy} access={spec.access}")
         for row in rows:

@@ -1,15 +1,16 @@
 """Interference Laplace exponents and the conditional-coverage kernel.
 
-For shot-noise interference I from a planar Poisson field of transmitters
-with Nakagami fading, E[exp(-s I)] = exp(-eta(s)). Two exponent shapes cover
+For shot-noise interference I_1 from a planar Poisson field of transmitters
+of unit power with Nakagami fading, E[exp(-s I_1)] = exp(-eta(s)); at
+transmit power P the exponent of s is eta(s P). Two exponent shapes cover
 every closed form in this package:
 
 * ``RadialTailExponent`` -- the population beyond a 3-D exclusion distance d0:
 
-      eta(s) = 2 pi lam Int_{d0}^inf (1 - (1 + s P l^(-aI) / mI)^(-mI)) l dl
+      eta(s) = 2 pi lam Int_{d0}^inf (1 - (1 + s l^(-aI) / mI)^(-mI)) l dl
 
   which l = d0 u^(-1/aI) turns into Gauss hypergeometric functions of
-  -z, z = s P / (mI d0^aI) (DLMF 15.6.1); ``scipy.special.hyp2f1`` gives
+  -z, z = s / (mI d0^aI) (DLMF 15.6.1); ``scipy.special.hyp2f1`` gives
   eta and each Taylor coefficient over the whole range of z, down to
   aI -> 2. Orders 0 and 1 share b = 1 - 2/aI, and one call gives both
   through a contiguous recurrence (``_hyp2f1_run``).
@@ -17,7 +18,7 @@ every closed form in this package:
 * ``NearestRingExponent`` -- one dominant interferer at 3-D distance d0,
   averaged over a thin ring, giving the elementary exponent
 
-      eta(s) = w (1 - (1 + s P / (mI d0^aI))^(-mI))
+      eta(s) = w (1 - (1 + s / (mI d0^aI))^(-mI))
 
   with weight w = d0 / R; its Taylor coefficients are closed-form.
 
@@ -35,11 +36,12 @@ at s = m M d^alpha, E_n being the Taylor coefficients of exp(-f(s(1 + x))).
 recursion; every term (-1)^n E_n is non-negative, so nothing cancels and no
 factor overflows at any m.
 
-The closed forms call the kernel at unit power: M (noise + I) = kappa
-(noise/P + I_1), kappa = M P and I_1 the interference at P = 1. Each
-closed-form value carries kappa and noise/P, no exponent reads P, and an
-``ExponentSum`` kept on equal distances and density serves every power:
-its memo of the last (s, order) decides whether it reuses coefficients.
+The closed forms call the kernel at unit power, with the decode coefficient
+kappa of ``scenario.thresholds`` and the noise N/P: M (N + P I_1) = kappa
+(N/P + I_1), so transmit power enters as N/P alone and no exponent reads
+it. An ``ExponentSum`` kept on equal distances and density serves every
+power: its memo of the last (s, order) decides whether it reuses
+coefficients.
 
 Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient, the noise and the serving distance may be numpy arrays that
@@ -70,14 +72,16 @@ QUADRATURE = "quadrature"
 _SLACK_PER_TERM = 4.0 * math.ulp(1.0)
 
 
-def check_probability(values, what: str, fading_order: int) -> None:
+def check_probability(values, what: str, fading_order: int, error=0.0) -> None:
     """Raise ``NumericalError`` unless every value lies in [0, 1] up to the
-    rounding of its ``fading_order`` terms.
+    rounding of its ``fading_order`` terms and, for an integrated value, its
+    own error estimate ``error`` (one per value, or one for all). The values
+    are checked, not clamped.
 
     NaN fails the check too.
     """
     values = np.asarray(values)
-    slack = fading_order * _SLACK_PER_TERM
+    slack = fading_order * _SLACK_PER_TERM + np.asarray(error)
     inside = (values >= -slack) & (values <= 1.0 + slack)
     if not np.all(inside):
         worst = values[~inside].flat[0]
@@ -103,16 +107,16 @@ class LaplaceExponentBase:
 
 @dataclass(eq=False)
 class RadialTailExponent(LaplaceExponentBase):
-    """Exponent of the interferer population beyond a 3-D exclusion distance."""
+    """Exponent of the unit-power interferer population beyond a 3-D
+    exclusion distance."""
 
     density: float
-    tx_power: float
     alpha_interf: float
     m_interf: int
     lower_dist3d: object  # float or array
 
     def derivatives(self, s, order: int) -> ExponentDerivatives:
-        # With dI = 2/aI, q = P/(mI d0^aI), z = s q and C = pi lam d0^2,
+        # With dI = 2/aI, q = 1/(mI d0^aI), z = s q and C = pi lam d0^2,
         # u = (d0/l)^aI gives Euler integrals Int_0^1 u^(b-1) (1+zu)^(-a) du
         # = 2F1(a, b; b+1; -z)/b, hence the coefficients
         #   k = 0:  C z dI/(1-dI) sum_{i<=mI} 2F1(i, 1-dI; 2-dI; -z)
@@ -129,7 +133,7 @@ class RadialTailExponent(LaplaceExponentBase):
         d0 = self.lower_dist3d
         # d0^aI overflows in sparse networks; q -> 0 is the exponent's limit
         with np.errstate(over="ignore"):
-            q = self.tx_power / (m_i * d0**self.alpha_interf)
+            q = 1.0 / (m_i * d0**self.alpha_interf)
         z = s * q
         scale = math.pi * self.density * d0 * d0
         hyp = _hyp2f1_run(m_i + (order > 0), 1.0 - delta, z)
@@ -187,10 +191,10 @@ def _power_hyp2f1(m_i: int, k: int, delta: float, z):
 
 @dataclass(eq=False)
 class NearestRingExponent(LaplaceExponentBase):
-    """Exponent of a single dominant interferer averaged over a thin ring."""
+    """Exponent of a single dominant unit-power interferer averaged over a
+    thin ring."""
 
     weight: object  # float or array, as dist3d
-    tx_power: float
     alpha_interf: float
     m_interf: int
     dist3d: object
@@ -198,7 +202,7 @@ class NearestRingExponent(LaplaceExponentBase):
     def derivatives(self, s, order: int) -> ExponentDerivatives:
         # as for the radial tail, q -> 0 where d0^aI overflows
         with np.errstate(over="ignore"):
-            q = self.tx_power / (self.m_interf * self.dist3d**self.alpha_interf)
+            q = 1.0 / (self.m_interf * self.dist3d**self.alpha_interf)
         m_i = self.m_interf
         sq = s * q
         values = [-self.weight * np.expm1(-m_i * np.log1p(sq))]
@@ -223,13 +227,16 @@ class ExponentSum(LaplaceExponentBase):
 
     def derivatives(self, s, order: int) -> ExponentDerivatives:
         kept = self.kept
-        if kept is None or kept[1] != order or not np.array_equal(kept[0], s):
-            values = [0.0] * (order + 1)
-            for part in self.parts:
-                for k, value in enumerate(part.derivatives(s, order).values):
-                    values[k] = values[k] + value
-            self.kept = kept = s, order, ExponentDerivatives(tuple(values), SERIES)
-        return kept[2]
+        if kept is not None and kept[1] == order and np.array_equal(kept[0], s):
+            return kept[2]
+        # let the last coefficients go before the new ones are formed
+        self.kept = kept = None
+        values = [0.0] * (order + 1)
+        for part in self.parts:
+            for k, value in enumerate(part.derivatives(s, order).values):
+                values[k] = values[k] + value
+        self.kept = s, order, ExponentDerivatives(tuple(values), SERIES)
+        return self.kept[2]
 
 
 def exp_composition_derivatives(coeffs, n: int) -> list:
@@ -270,7 +277,8 @@ def conditional_coverage(
     broadcast shape, or is a float for scalar input. An infeasible (infinite)
     decode coefficient gives exactly 0, and so does a noise term exp(-c
     noise) that underflows. A value outside [0, 1] by more than rounding
-    raises ``NumericalError``. The closed forms call it at unit power.
+    raises ``NumericalError``. The closed forms call it at unit power: the
+    coefficient kappa, the noise N/P and unit-power exponents.
     """
     # an infinite c (steep or distant serving link) is a dead element
     with np.errstate(over="ignore"):

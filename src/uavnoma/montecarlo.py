@@ -53,9 +53,11 @@ The evaluation phase decodes each of the four users (typical and fixed,
 near and far) with one helper, ``_decodes``, as the subject of its own link:
 the near user and the typical user are the subject of the point's link, the
 far user and the fixed user its partner, the subject of the link with
-swapped rates. The helper counts success twice on the shared fading draw,
-through the SINR chain and through the decode coefficient of
-``scenario.thresholds``; a disagreement raises immediately.
+swapped rates. The helper counts success twice on the shared fading draw:
+through the SINR chain at physical power, which gives the count, and
+through the unit-power decode coefficient kappa of ``scenario.thresholds``,
+as ``gain > kappa (N/P + I_1) d^alpha``, the condition the closed forms
+integrate; a disagreement raises immediately.
 
 Interference conventions (mirroring the analytic conditioning):
 
@@ -517,13 +519,15 @@ def _decodes(
 
     ``near`` says where the user plays the near role: a bool array over the
     trials, or True or False for all of them. Success is counted through the
-    SINR chain and again through the coefficient rule of ``thresholds`` on
-    the same fading draw; a disagreement raises ``RuntimeError``.
+    SINR chain of ``channel.sinr`` at transmit power P, and checked on the
+    same fading draw against the unit-power rule of ``thresholds``,
+    ``gain > kappa (N/P + I_1) d^alpha``; a disagreement raises
+    ``RuntimeError``.
     """
     p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
     interference = p * unit_interference
     received = gain * dist3d**-alpha * p
-    ts = thresholds(link, cfg, strategy, access)
+    ts = thresholds(link, strategy, access)
     if access == OMA:
         ok = sinr(received, 1.0, 1.0, 0.0, noise, interference) > ts.eps_own
     elif near is False:
@@ -539,7 +543,7 @@ def _decodes(
         if near is not True:
             ok = np.where(near, ok, cross > ts.eps_own)
     coeff = np.where(near, ts.near, ts.far)
-    identity = gain > coeff * (noise + interference) * dist3d**alpha
+    identity = gain > coeff * (noise / p + unit_interference) * dist3d**alpha
     mismatches = int(np.sum(ok != identity))
     if mismatches:
         raise RuntimeError(

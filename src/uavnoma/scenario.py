@@ -10,10 +10,11 @@ use: ``USER_CENTRIC`` ("user-centric") and ``UAV_CENTRIC`` ("uav-centric").
 
 Every user has one decode rule, ``thresholds``: the two coefficients of the
 subject (the user whose rate is ``rate_near``) in the near and in the far
-role. The partner is the link with swapped rates, so the UAV-centric far
-user is the partner in the far role, and the user-centric fixed user the
-partner in the role the typical user does not play. No other module picks a
-coefficient by access.
+role, at unit transmit power, so that transmit power enters the decode
+rule as N/P alone (``ThresholdSet``). The partner is the link with swapped
+rates, so the UAV-centric far user is the partner in the far role, and the
+user-centric fixed user the partner in the role the typical user does not
+play. No other module picks a coefficient by access.
 
 Infeasible decode coefficients are represented by the ``INFEASIBLE`` sentinel
 (+inf) rather than an exception: power/rate sweeps legitimately cross the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import DomainError
@@ -130,14 +130,6 @@ def sweep_config(cfgs: Sequence[NetworkConfig]) -> NetworkConfig:
     return shared
 
 
-def node_config(shared: NetworkConfig, **swept) -> SimpleNamespace:
-    """``shared`` with the fields in ``swept`` replaced, by arrays of one value
-    per quadrature node or by one value for all; the closed forms read it as
-    a NetworkConfig, elementwise: a sweep's unit-power config (P reaches them
-    as N/P) with per-node densities, each validated in its own config."""
-    return SimpleNamespace(**{**vars(shared), **swept})
-
-
 @dataclass(frozen=True)
 class NomaLink:
     """Power split, target rates, and SIC quality of one NOMA pair.
@@ -201,10 +193,13 @@ class ThresholdSet:
     whose target rate is ``link.rate_near``. The partner is the subject of
     ``link.with_swapped_rates()``.
 
-    A decode coefficient M turns the user's SINR conditions into the fading
-    condition ``gain > M * (noise + interference) * dist3d^alpha``; INFEASIBLE
-    (inf) marks a coefficient with a non-positive denominator or an infinite
-    threshold, which forces the associated coverage probability to exactly 0.
+    A decode coefficient kappa turns the user's SINR conditions into the
+    fading condition ``gain > kappa * (noise/P + I_1) * dist3d^alpha``, I_1
+    being the interference at unit transmit power: the condition
+    ``gain > M * (noise + P I_1) * dist3d^alpha`` at transmit power P, with
+    M = kappa / P. INFEASIBLE (inf) marks a coefficient with a non-positive
+    denominator or an infinite threshold, which forces the associated
+    coverage probability to exactly 0.
 
     eps_own    threshold of the subject's own signal
     eps_other  threshold of the partner's signal
@@ -230,20 +225,19 @@ def cross_residue(link: NomaLink, strategy: str) -> float:
 
 
 def _coefficient(
-    eps: float, power: float, split_own: float, residue: float, split_other: float
+    eps: float, split_own: float, residue: float, split_other: float
 ) -> float:
-    """M such that ``sinr(received, split_own, split_other, residue, ...) >
-    eps`` reads ``gain > M * (noise + I) * dist3d^alpha``."""
+    """kappa such that ``sinr(received, split_own, split_other, residue, ...)
+    > eps`` reads ``gain > kappa * (noise/P + I_1) * dist3d^alpha``."""
     if eps == INFEASIBLE:
         return INFEASIBLE
-    denominator = power * (split_own - residue * eps * split_other)
+    denominator = split_own - residue * eps * split_other
     return eps / denominator if denominator > 0.0 else INFEASIBLE
 
 
-def thresholds(
-    link: NomaLink, cfg: NetworkConfig, strategy: str, access: str = NOMA
-) -> ThresholdSet:
-    """Decode coefficients of the subject for one strategy and access.
+def thresholds(link: NomaLink, strategy: str, access: str = NOMA) -> ThresholdSet:
+    """Decode coefficients kappa of the subject for one strategy and access,
+    at unit transmit power (see ``ThresholdSet``).
 
     The strategy decides one thing, ``cross_residue``. Infeasible power
     allocation, e.g. an SIC residue larger than the near user's own power
@@ -251,14 +245,13 @@ def thresholds(
     """
     if strategy not in ROLES:
         raise DomainError(f"unknown strategy {strategy!r}")
-    p = cfg.tx_power
     eps_own = sinr_threshold(link.rate_near, access)
     eps_other = sinr_threshold(link.rate_far, access)
     if access == OMA:
-        alone = _coefficient(eps_own, p, 1.0, 0.0, 1.0)
+        alone = _coefficient(eps_own, 1.0, 0.0, 1.0)
         return ThresholdSet(eps_own, eps_other, alone, alone)
-    own = _coefficient(eps_own, p, link.pw_near, link.ipsic, link.pw_far)
+    own = _coefficient(eps_own, link.pw_near, link.ipsic, link.pw_far)
     residue = cross_residue(link, strategy)
-    cross = _coefficient(eps_other, p, link.pw_far, residue, link.pw_near)
-    far = _coefficient(eps_own, p, link.pw_far, 1.0, link.pw_near)
+    cross = _coefficient(eps_other, link.pw_far, residue, link.pw_near)
+    far = _coefficient(eps_own, link.pw_far, 1.0, link.pw_near)
     return ThresholdSet(eps_own, eps_other, max(own, cross), far)

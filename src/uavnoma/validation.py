@@ -6,9 +6,10 @@ holds
 
 * the elementary exponents of special cases (``rayleigh_tail_exponent_arctan``,
   ``rayleigh_ring_exponent``) and the binomial series of the ring exponent
-  (``nearest_ring_exponent_series``), against which the general exponents
-  of ``laplace`` are checked, and the densities of the nearest-UAV distance
-  and of the user placement, against which the samplers of ``spatial`` are;
+  (``nearest_ring_exponent_series``), written at transmit power P, against
+  which the unit-power exponents of ``laplace`` are checked at s P, and the
+  densities of the nearest-UAV distance and of the user placement, against
+  which the samplers of ``spatial`` are;
 * three integrals on one adaptive Gauss-Kronrod helper over arrays of nodes
   (``_adaptive``): ``quadrature_exponent_derivatives``, the reference for the
   hypergeometric exponent, and ``adaptive_coverage_pair`` and
@@ -194,7 +195,7 @@ def quadrature_exponent_derivatives(
     The reference for the hypergeometric form of
     ``RadialTailExponent.derivatives``. l = d0 x^(-1/(aI-2)) maps [d0, inf)
     onto (0, 1] and turns the heavy l^(1-aI) tail into the bounded powers of
-    x below; with p = aI/(aI-2), q = P/(mI d0^aI) and z = s q,
+    x below; with p = aI/(aI-2), q = 1/(mI d0^aI) and z = s q,
 
       k = 0:  scale Int_0^1 z phi(y)/y dx,  y = z x^p,
               phi(y) = 1 - (1+y)^(-mI)  (phi(y)/y -> mI at y = 0)
@@ -208,7 +209,7 @@ def quadrature_exponent_derivatives(
     a_i = exponent.alpha_interf
     d0 = exponent.lower_dist3d
     p = a_i / (a_i - 2.0)
-    q = exponent.tx_power / (m_i * d0**a_i)
+    q = 1.0 / (m_i * d0**a_i)
     z = s * q
     scale = 2.0 * math.pi * exponent.density * d0 * d0 / (a_i - 2.0)
     k = np.arange(order + 1)
@@ -245,13 +246,15 @@ def _validate_checks(quick: bool, seed: int):
 
     def special_case_identity():
         dist, s = np.array([[150.0], [450.0], [1200.0]]), np.logspace(2.0, 8.0, 13)
-        general = analytic_user_centric.laplace_exponent_uc(cfg, dist).value_at(s)
+        exponent = analytic_user_centric.laplace_exponent_uc(cfg, dist)
+        general = exponent.value_at(s * cfg.tx_power)
         closed = rayleigh_tail_exponent_arctan(s, dist, cfg)
         return float(np.max(np.abs(general - closed) / closed)), 1e-8
 
     def ring_identity():
         R, s = np.array([[220.0], [470.0], [900.0]]), np.logspace(2.0, 10.0, 9)
-        general = analytic_uav_centric.nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        ring = analytic_uav_centric.laplace_exponent_ucav(cfg, R)[0]
+        general = ring.value_at(s * cfg.tx_power)
         closed = rayleigh_ring_exponent(s, R, cfg)
         return float(np.max(np.abs(general - closed) / closed)), 1e-12
 
@@ -260,8 +263,8 @@ def _validate_checks(quick: bool, seed: int):
         cases = [(2, 3.5, 300.0, z) for z in (1e-3, 0.5, 0.94, 0.96, 3.0, 1e3)]
         cases += [(1, 2.05, 314.0, z) for z in (0.5, 0.99, 50.0)]
         for m_i, a_i, d0, z in cases:
-            exponent = RadialTailExponent(density, 1e-6, a_i, m_i, d0)
-            s = z * m_i * d0**a_i / 1e-6
+            exponent = RadialTailExponent(density, a_i, m_i, d0)
+            s = z * m_i * d0**a_i
             reference = quadrature_exponent_derivatives(exponent, s, 2)
             for got, want in zip(exponent.derivatives(s, 2).values, reference):
                 worst = max(worst, abs(got - want) / abs(want))
@@ -275,10 +278,10 @@ def _validate_checks(quick: bool, seed: int):
             dist = rng.uniform(150.0, 900.0)
             s0 = rng.uniform(0.3, 3.0) * dist**4 / (1e-6) * 1e-3
             exponent = analytic_user_centric.laplace_exponent_uc(cfg, dist)
-            transform = lambda s: math.exp(-exponent.value_at(s))
+            transform = lambda s: math.exp(-exponent.value_at(s * cfg.tx_power))
             # the first Taylor coefficient of exp(-eta(s0 (1 + x))) is s0 times
             # the transform's derivative
-            coeffs = exponent.derivatives(s0, 1).values
+            coeffs = exponent.derivatives(s0 * cfg.tx_power, 1).values
             analytic = -coeffs[1] * math.exp(-coeffs[0])
             h = s0 * 1e-5
             fd = s0 * (transform(s0 + h) - transform(s0 - h)) / (2.0 * h)
@@ -323,7 +326,8 @@ def _validate_checks(quick: bool, seed: int):
         R = 430.0
         l_i = math.hypot(R, cfg.uav_height)
         s = 0.5 * l_i**cfg.alpha_interf / cfg.tx_power
-        exact = analytic_uav_centric.nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        ring = analytic_uav_centric.laplace_exponent_ucav(cfg, R)[0]
+        exact = ring.value_at(s * cfg.tx_power)
         series = nearest_ring_exponent_series(s, R, cfg, 120)
         return abs(series - exact) / exact, 1e-9
 

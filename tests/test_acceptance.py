@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate, stats
 
 from uavnoma import montecarlo
-from uavnoma.analytic_uav_centric import laplace_exponent_ucav, nearest_ring_exponent_ucav
+from uavnoma.analytic_uav_centric import laplace_exponent_ucav
 from uavnoma.analytic_uav_centric import FAR as UAV_FAR
 from uavnoma.analytic_uav_centric import NEAR as UAV_NEAR
 from uavnoma.analytic_uav_centric import coverage_cond_pair, coverage_pair
@@ -176,14 +176,14 @@ def test_criterion_3_special_case_identities():
     for dist in (150.0, 450.0, 1200.0):
         exponent = laplace_exponent_uc(cfg, dist)
         for s in np.logspace(2.0, 8.0, 25):
-            general = exponent.value_at(float(s))
+            general = exponent.value_at(float(s) * cfg.tx_power)
             closed = rayleigh_tail_exponent_arctan(float(s), dist, cfg)
             worst_tail = max(worst_tail, abs(general - closed) / closed)
     worst_ring = 0.0
     for R in (220.0, 470.0, 900.0):
-        ring = nearest_ring_exponent_ucav(cfg, R)
+        ring = laplace_exponent_ucav(cfg, R)[0]
         for s in np.logspace(2.0, 10.0, 17):
-            general = ring.value_at(float(s))
+            general = ring.value_at(float(s) * cfg.tx_power)
             closed = rayleigh_ring_exponent(float(s), R, cfg)
             worst_ring = max(worst_ring, abs(general - closed) / closed)
     ok = worst_tail <= 1e-8 and worst_ring <= 1e-12
@@ -253,9 +253,9 @@ def test_criterion_5_transform_derivatives_vs_finite_differences():
         alpha_interf = rng.uniform(3.0, 4.0)
         m_interf = int(rng.integers(1, 4))
         dist = rng.uniform(150.0, 700.0)
-        exponent = RadialTailExponent(density, 1e-6, alpha_interf, m_interf, dist)
+        exponent = RadialTailExponent(density, alpha_interf, m_interf, dist)
         z_target = rng.uniform(0.05, 0.6)
-        s0 = z_target * m_interf * dist**alpha_interf / 1e-6
+        s0 = z_target * m_interf * dist**alpha_interf
 
         def transform(s):
             return math.exp(-exponent.value_at(s))

@@ -17,13 +17,11 @@ from uavnoma.analytic_uav_centric import (
     coverage_cond_pair,
     coverage_pair,
     laplace_exponent_ucav,
-    nearest_ring_exponent_ucav,
-    tail_exponent_ucav,
     _PLACEMENT,
     _placement,
 )
 from uavnoma.errors import DomainError, NumericalError
-from uavnoma.laplace import conditional_coverage
+from uavnoma.laplace import NearestRingExponent, RadialTailExponent, conditional_coverage
 from uavnoma.quadrature import integrate
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
 from uavnoma.validation import (
@@ -62,7 +60,7 @@ class TestConditionalExponent:
     def test_ring_matches_rayleigh_elementary_form(self, s):
         cfg = make_cfg()
         R = 430.0
-        general = nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        general = laplace_exponent_ucav(cfg, R)[0].value_at(s * cfg.tx_power)
         assert general == pytest.approx(rayleigh_ring_exponent(s, R, cfg), rel=1e-12)
 
     def test_ring_series_pins_binomial_coefficient(self):
@@ -72,7 +70,7 @@ class TestConditionalExponent:
         R = 430.0
         l_i = math.hypot(R, cfg.uav_height)
         s = 0.5 * cfg.m_interf * l_i**cfg.alpha_interf / cfg.tx_power
-        exact = nearest_ring_exponent_ucav(cfg, R).value_at(s)
+        exact = laplace_exponent_ucav(cfg, R)[0].value_at(s * cfg.tx_power)
         value = nearest_ring_exponent_series(s, R, cfg, terms=120)
         assert value == pytest.approx(exact, rel=1e-10)
         shifted = sum(
@@ -82,14 +80,15 @@ class TestConditionalExponent:
         assert abs((l_i / R) * (1.0 - shifted) - exact) > 1e-3
 
     def test_ring_exponent_monotone_in_s(self):
-        exponent = nearest_ring_exponent_ucav(make_cfg(m_interf=2), 500.0)
-        values = [exponent.value_at(s) for s in np.logspace(0, 12, 25)]
+        cfg = make_cfg(m_interf=2)
+        exponent = laplace_exponent_ucav(cfg, 500.0)[0]
+        values = [exponent.value_at(s * cfg.tx_power) for s in np.logspace(0, 12, 25)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_ring_derivatives_match_finite_differences(self):
         cfg = make_cfg(m_interf=3)
-        exponent = nearest_ring_exponent_ucav(cfg, 380.0)
-        s0 = 5e8
+        exponent = laplace_exponent_ucav(cfg, 380.0)[0]
+        s0 = 5e8 * cfg.tx_power
         values, _ = exponent.derivatives(s0, 2)
         h = s0 * 1e-4
         f = exponent.value_at
@@ -101,10 +100,14 @@ class TestConditionalExponent:
 
     def test_total_splits_into_parts(self):
         cfg = make_cfg(m_interf=2)
-        R, s = 520.0, 3e9
+        R, s = 520.0, 3e9 * cfg.tx_power
         ring_part, tail_part = laplace_exponent_ucav(cfg, R)
-        assert ring_part.value_at(s) == nearest_ring_exponent_ucav(cfg, R).value_at(s)
-        assert tail_part.value_at(s) == tail_exponent_ucav(cfg, R).value_at(s)
+        l_i = math.hypot(R, cfg.uav_height)
+        common = cfg.alpha_interf, cfg.m_interf, l_i
+        ring = NearestRingExponent(l_i / R, *common)
+        tail = RadialTailExponent(cfg.uav_density, *common)
+        assert ring_part.value_at(s) == ring.value_at(s)
+        assert tail_part.value_at(s) == tail.value_at(s)
 
 
 class TestCoverageCondPair:
@@ -146,7 +149,9 @@ class TestCoverageCondPair:
         m_star = max(eps_w / (cfg.tx_power * 0.4), eps_v / (cfg.tx_power * 0.6))
         d = math.hypot(r, cfg.uav_height)
         s = m_star * d**cfg.alpha_desired
-        eta = sum(part.value_at(s) for part in laplace_exponent_ucav(cfg, R))
+        eta = sum(
+            part.value_at(s * cfg.tx_power) for part in laplace_exponent_ucav(cfg, R)
+        )
         expected = math.exp(-s * cfg.noise_power - eta)
         assert value == pytest.approx(expected, rel=1e-10)
 
@@ -157,14 +162,15 @@ class TestCoverageCondPair:
             d = math.hypot(r, cfg.uav_height)
             from uavnoma.scenario import UAV_CENTRIC, thresholds
 
-            coeff = thresholds(LINK, cfg, UAV_CENTRIC, NOMA).near
+            coeff = thresholds(LINK, UAV_CENTRIC, NOMA).near
+            noise = cfg.noise_power / cfg.tx_power
             with_ring = conditional_coverage(
-                2, coeff, cfg.noise_power, d, cfg.alpha_desired,
+                2, coeff, noise, d, cfg.alpha_desired,
                 *laplace_exponent_ucav(cfg, R),
             )
             without_ring = conditional_coverage(
-                2, coeff, cfg.noise_power, d, cfg.alpha_desired,
-                tail_exponent_ucav(cfg, R),
+                2, coeff, noise, d, cfg.alpha_desired,
+                laplace_exponent_ucav(cfg, R)[1],
             )
             assert without_ring > with_ring
 

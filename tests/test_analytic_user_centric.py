@@ -166,7 +166,7 @@ class TestLaplaceExponent:
     def test_arctan_identity(self, s):
         cfg = make_cfg()
         dist = math.hypot(300.0, 100.0)
-        general = laplace_exponent_uc(cfg, dist).value_at(float(s))
+        general = laplace_exponent_uc(cfg, dist).value_at(float(s) * cfg.tx_power)
         special = rayleigh_tail_exponent_arctan(float(s), dist, cfg)
         assert general == pytest.approx(special, rel=1e-9)
 
@@ -176,8 +176,8 @@ class TestLaplaceExponent:
         dist = 250.0
         for s in (1e3, 1e6, 1e9):
             exponent = laplace_exponent_uc(cfg, dist)
-            general = exponent.value_at(s)
-            reference = quadrature_exponent_derivatives(exponent, s, 0)[0]
+            general = exponent.value_at(s * cfg.tx_power)
+            reference = quadrature_exponent_derivatives(exponent, s * cfg.tx_power, 0)[0]
             assert general == pytest.approx(reference, rel=1e-8)
 
     def test_matches_quadrature_reference(self):
@@ -185,8 +185,8 @@ class TestLaplaceExponent:
         dist = 250.0
         exponent = laplace_exponent_uc(cfg, dist)
         for s in (1e2, 1e5, 1e7, 5e8):
-            values = exponent.derivatives(s, 2).values
-            reference = quadrature_exponent_derivatives(exponent, s, 2)
+            values = exponent.derivatives(s * cfg.tx_power, 2).values
+            reference = quadrature_exponent_derivatives(exponent, s * cfg.tx_power, 2)
             for got, want in zip(values, reference):
                 assert got == pytest.approx(want, rel=1e-8)
 
@@ -209,8 +209,8 @@ class TestLaplaceExponent:
             for _ in range(40)
         ]
         for m_i, z, a_i, d0 in cases:
-            exponent = RadialTailExponent(DENSITY, 1e-6, a_i, m_i, d0)
-            s = z * m_i * d0**a_i / 1e-6
+            exponent = RadialTailExponent(DENSITY, a_i, m_i, d0)
+            s = z * m_i * d0**a_i
             values = exponent.derivatives(s, 2).values
             reference = quadrature_exponent_derivatives(exponent, s, 2)
             for got, want in zip(values, reference):
@@ -220,7 +220,7 @@ class TestLaplaceExponent:
         cfg = make_cfg(m_interf=2, alpha_interf=3.5)
         dist = 120.0
         exponent = laplace_exponent_uc(cfg, dist)
-        s_big = 0.99 * cfg.m_interf * dist**cfg.alpha_interf / cfg.tx_power
+        s_big = 0.99 * cfg.m_interf * dist**cfg.alpha_interf
         values = exponent.derivatives(s_big, 1).values
         assert values[0] > 0.0 and values[1] > 0.0
         reference = quadrature_exponent_derivatives(exponent, s_big, 1)
@@ -235,7 +235,7 @@ class TestLaplaceExponent:
         # integrand's peak near 4 d0
         oracle = 5.718644419099796925391812017335036299935e-27
         density = 1e-6
-        exponent = RadialTailExponent(density, 1.0, 4.0, 2, 3000.0000000502987)
+        exponent = RadialTailExponent(density, 4.0, 2, 3000.0000000502987)
         s = 3.3274145368438864e16
         eta = _derivatives(exponent.derivatives(s, 2).values, s)
         integral = eta[2] / (-6.0 * 2.0 * math.pi * density)  # -(m_I)_2 2 pi lam
@@ -247,16 +247,16 @@ class TestLaplaceExponent:
         cfg = make_cfg(alpha_interf=2.05)
         s, dist = 77668599777401.92, 314.3657007106099
         exponent = laplace_exponent_uc(cfg, dist)
-        values = exponent.derivatives(s, 2).values
-        reference = quadrature_exponent_derivatives(exponent, s, 2)
+        values = exponent.derivatives(s * cfg.tx_power, 2).values
+        reference = quadrature_exponent_derivatives(exponent, s * cfg.tx_power, 2)
         for got, want in zip(values, reference):
             assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("name", sorted(EXPONENT_PINS))
     def test_pinned_mpmath_derivatives(self, name):
         (tx_power, alpha_interf, m_interf, d0, s), pins = EXPONENT_PINS[name]
-        exponent = RadialTailExponent(DENSITY, tx_power, alpha_interf, m_interf, d0)
-        values = exponent.derivatives(s, 2).values
+        exponent = RadialTailExponent(DENSITY, alpha_interf, m_interf, d0)
+        values = exponent.derivatives(s * tx_power, 2).values
         for got, want in zip(values, taylor(pins, s)):
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -268,8 +268,8 @@ class TestLaplaceExponent:
         # each eta^(k), read from s^k eta^(k)/k!, against a central difference
         # of eta^(k-1)
         d0 = 250.0
-        exponent = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0)
-        s = z * m_interf * d0**alpha_interf / 1e-6
+        exponent = RadialTailExponent(DENSITY, alpha_interf, m_interf, d0)
+        s = z * m_interf * d0**alpha_interf
         h = 1e-4 * s
         up = _derivatives(exponent.derivatives(s + h, 2).values, s + h)
         down = _derivatives(exponent.derivatives(s - h, 2).values, s - h)
@@ -282,7 +282,7 @@ class TestLaplaceExponent:
     def test_exponent_monotone_in_s(self):
         cfg = make_cfg(m_interf=3, alpha_interf=3.2)
         exponent = laplace_exponent_uc(cfg, 200.0)
-        values = [exponent.value_at(s) for s in np.logspace(0, 10, 21)]
+        values = [exponent.value_at(s * cfg.tx_power) for s in np.logspace(0, 10, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 < math.exp(-v) <= 1.0 for v in values)
 
@@ -290,7 +290,7 @@ class TestLaplaceExponent:
         # complete monotonicity of the transform: eta' > 0, eta'' < 0, eta''' > 0,
         # read from s^k eta^(k)/k! at s > 0
         cfg = make_cfg(m_interf=2, m_desired=4)
-        values, _ = laplace_exponent_uc(cfg, 300.0).derivatives(1e7, 3)
+        values, _ = laplace_exponent_uc(cfg, 300.0).derivatives(1e7 * cfg.tx_power, 3)
         assert values[1] > 0.0 and values[2] < 0.0 and values[3] > 0.0
 
 
@@ -308,7 +308,7 @@ class TestCoverageCond:
         dist = math.hypot(r, cfg.uav_height)
         s = m_star * dist**cfg.alpha_desired
         expected = math.exp(-s * cfg.noise_power) * np.exp(
-            -laplace_exponent_uc(cfg, dist).value_at(s)
+            -laplace_exponent_uc(cfg, dist).value_at(s * cfg.tx_power)
         )
         assert value == pytest.approx(expected, rel=1e-10)
 
@@ -329,22 +329,21 @@ class TestCoverageCond:
         # decode, exactly as the Monte Carlo's near_case splits the trials;
         # the kernel runs at unit power, with noise N/P
         cfg = make_cfg(m_desired=2)
-        unit = replace(cfg, tx_power=1.0)
         noise = cfg.noise_power / cfg.tx_power
-        ts = thresholds(LINK, unit, USER_CENTRIC, NOMA)
+        ts = thresholds(LINK, USER_CENTRIC, NOMA)
         r = np.array([100.0, 299.0, 300.0, 800.0])
         coeff = np.array([ts.near] * 2 + [ts.far] * 2)
         dist = np.hypot(r, cfg.uav_height)
         want = conditional_coverage(
-            2, coeff, noise, dist, cfg.alpha_desired, laplace_exponent_uc(unit, dist),
+            2, coeff, noise, dist, cfg.alpha_desired, laplace_exponent_uc(cfg, dist),
         )
         np.testing.assert_array_equal(coverage_cond(r, cfg, LINK), want)
         # the fixed user, served from R_k at swapped rates, plays the other role
-        ts = thresholds(LINK.with_swapped_rates(), unit, USER_CENTRIC, NOMA)
+        ts = thresholds(LINK.with_swapped_rates(), USER_CENTRIC, NOMA)
         coeff = np.array([ts.far] * 2 + [ts.near] * 2)
         want = conditional_coverage(
             2, coeff, noise, math.hypot(300.0, cfg.uav_height),
-            cfg.alpha_desired, laplace_exponent_uc(unit, dist),
+            cfg.alpha_desired, laplace_exponent_uc(cfg, dist),
         )
         np.testing.assert_array_equal(
             analytic_user_centric._coverage_cond_fixed(r, cfg, LINK), want
@@ -365,7 +364,7 @@ class TestCoverageCond:
     def test_noise_only_matches_gamma_tail(self, fading_order):
         # with no interferers g ~ Gamma(m)/m gives P[g > M N d^a] = Q(m, c N),
         # the regularized upper incomplete gamma at c = m M d^a
-        no_interference = RadialTailExponent(0.0, 1e-6, 4.0, 2, 100.0)
+        no_interference = RadialTailExponent(0.0, 4.0, 2, 100.0)
         decode_coeff, noise, dist, alpha = 5e8, 1e-15, 120.0, 3.0
         c = fading_order * decode_coeff * dist**alpha
         value = conditional_coverage(
@@ -382,7 +381,8 @@ class TestCoverageCond:
         cfg = make_cfg(m_desired=fading_order, m_interf=2)
         dist = math.hypot(300.0, cfg.uav_height)
         c = fading_order * 3.0 / cfg.tx_power * dist**cfg.alpha_desired
-        a = list(laplace_exponent_uc(cfg, dist).derivatives(c, fading_order - 1)[0])
+        exponent = laplace_exponent_uc(cfg, dist)
+        a = list(exponent.derivatives(c * cfg.tx_power, fading_order - 1)[0])
         a[0] += c * cfg.noise_power
         a[1] += c * cfg.noise_power
         coeffs = exp_composition_derivatives(a, fading_order - 1)
@@ -484,13 +484,16 @@ class TestHighOrderKernel:
     def test_matches_mpmath(self, fading_order, with_ring):
         noise, dist, alpha = HIGH_ORDER_LINK
         tail, ring = _mpmath_high_order_exponents()
-        exponents = [RadialTailExponent(DENSITY, *HIGH_ORDER_RING)]
+        tx_power, *unit_ring = HIGH_ORDER_RING
+        exponents = [RadialTailExponent(DENSITY, *unit_ring)]
         etas = tail
         if with_ring:
-            exponents.insert(0, NearestRingExponent(HIGH_ORDER_WEIGHT, *HIGH_ORDER_RING))
+            exponents.insert(0, NearestRingExponent(HIGH_ORDER_WEIGHT, *unit_ring))
             etas = [a + b for a, b in zip(tail, ring)]
-        coeff = HIGH_ORDER_S / (fading_order * dist**alpha)
-        value = conditional_coverage(fading_order, coeff, noise, dist, alpha, *exponents)
+        coeff = HIGH_ORDER_S * tx_power / (fading_order * dist**alpha)
+        value = conditional_coverage(
+            fading_order, coeff, noise / tx_power, dist, alpha, *exponents
+        )
         oracle = float(_mpmath_coverage(fading_order, HIGH_ORDER_S, noise, etas))
         assert 0.2 < oracle < 0.9
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -504,8 +507,8 @@ class TestHighOrderKernel:
 
         mp.mp.dps = 40
         alpha_interf, d0, order = 2.5, 250.0, 60
-        exponent = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0)
-        s = z * m_interf * d0**alpha_interf / 1e-6
+        exponent = RadialTailExponent(DENSITY, alpha_interf, m_interf, d0)
+        s = z * m_interf * d0**alpha_interf
         values = exponent.derivatives(s, order).values
         delta, zm = 2 / mp.mpf(alpha_interf), mp.mpf(z)
         scale = mp.pi * DENSITY * mp.mpf(d0) ** 2

@@ -44,15 +44,15 @@ class TestExponentArrays:
     @pytest.mark.parametrize("m_interf", [1, 2, 3])
     @pytest.mark.parametrize("alpha_interf", [2.05, 3.0, 4.0])
     def test_radial_tail_matches_scalar_calls(self, m_interf, alpha_interf):
-        s = np.array([0.0, 1e2, 3e7, 5e11, 1e16])[:, None]
+        s = np.array([0.0, 1e2, 3e7, 5e11, 1e16])[:, None] * 1e-6
         d0 = np.array([1.0, 150.0, 1200.0])[None, :]
         order = 5
-        got = RadialTailExponent(DENSITY, 1e-6, alpha_interf, m_interf, d0).derivatives(
+        got = RadialTailExponent(DENSITY, alpha_interf, m_interf, d0).derivatives(
             s, order
         ).values
         want, shape = _elementwise(
             lambda si, di: RadialTailExponent(
-                DENSITY, 1e-6, alpha_interf, m_interf, di
+                DENSITY, alpha_interf, m_interf, di
             ).derivatives(si, order).values,
             s,
             d0,
@@ -63,16 +63,16 @@ class TestExponentArrays:
 
     @pytest.mark.parametrize("m_interf", [1, 2, 3])
     def test_nearest_ring_matches_scalar_calls(self, m_interf):
-        s = np.array([0.0, 1e4, 1e9, 1e14])[:, None]
+        s = np.array([0.0, 1e4, 1e9, 1e14])[:, None] * 1e-6
         R = np.array([20.0, 480.0, 5000.0])[None, :]
         d0 = np.hypot(R, 100.0)
         order = 4
-        got = NearestRingExponent(d0 / R, 1e-6, 3.5, m_interf, d0).derivatives(
+        got = NearestRingExponent(d0 / R, 3.5, m_interf, d0).derivatives(
             s, order
         ).values
         want, _ = _elementwise(
             lambda si, di, ri: NearestRingExponent(
-                di / ri, 1e-6, 3.5, m_interf, di
+                di / ri, 3.5, m_interf, di
             ).derivatives(si, order).values,
             s,
             d0,
@@ -104,20 +104,18 @@ class TestKernelArrays:
         # columns: an infeasible coefficient, a zero one (s = 0, coverage 1),
         # and finite ones; the last row puts the user so far out that
         # exp(-c noise) underflows to 0 at every finite nonzero coefficient
-        coeff = np.array([math.inf, 0.0, 1e5, 2e6, 4e7])[None, :]
+        cfg = _CFG[fading_order]
+        coeff = np.array([math.inf, 0.0, 1e5, 2e6, 4e7])[None, :] * cfg.tx_power
+        noise = cfg.noise_power / cfg.tx_power
         dist = np.array([30.0, 150.0, 600.0, 1e9])[:, None]
         R = np.array([40.0, 300.0, 900.0, 2500.0])[:, None]
-        ring, tail = (
-            uav.nearest_ring_exponent_ucav(_CFG[fading_order], R),
-            uav.tail_exponent_ucav(_CFG[fading_order], R),
-        )
-        cfg = _CFG[fading_order]
+        ring, tail = uav.laplace_exponent_ucav(cfg, R)
         got = conditional_coverage(
-            fading_order, coeff, cfg.noise_power, dist, cfg.alpha_desired, ring, tail
+            fading_order, coeff, noise, dist, cfg.alpha_desired, ring, tail
         )
         want, shape = _elementwise(
             lambda ci, di, ri: conditional_coverage(
-                fading_order, ci, cfg.noise_power, di, cfg.alpha_desired,
+                fading_order, ci, noise, di, cfg.alpha_desired,
                 *uav.laplace_exponent_ucav(cfg, ri),
             ),
             coeff,
@@ -133,7 +131,8 @@ class TestKernelArrays:
     def test_scalar_input_gives_float(self):
         cfg = _CFG[2]
         value = conditional_coverage(
-            2, 1e6, cfg.noise_power, 120.0, cfg.alpha_desired,
+            2, 1e6 * cfg.tx_power, cfg.noise_power / cfg.tx_power, 120.0,
+            cfg.alpha_desired,
             *uav.laplace_exponent_ucav(cfg, 300.0),
         )
         assert type(value) is float
@@ -153,11 +152,11 @@ _CFG = {
 }
 
 
-def _coefficient(role, cfg, link, access):
-    """The decode coefficient of the near or far user at the power of ``cfg``."""
+def _coefficient(role, link, access):
+    """The decode coefficient of the near or far user at unit power."""
     if role == uav.NEAR:
-        return thresholds(link, cfg, UAV_CENTRIC, access).near
-    return thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC, access).far
+        return thresholds(link, UAV_CENTRIC, access).near
+    return thresholds(link.with_swapped_rates(), UAV_CENTRIC, access).far
 
 
 def _loop_rule(role, cfg, link, access):
@@ -185,7 +184,7 @@ def _loop_rule(role, cfg, link, access):
         ]
     else:
         radial = [(cutoff * y * y, 2.0 * cutoff * y * wy) for y, wy in unit[64]]
-    coeff = _coefficient(role, cfg, link, access)
+    coeff = _coefficient(role, link, access)
     total = 0.0
     for t, wt in radial:
         R = t / root_pl
@@ -193,7 +192,7 @@ def _loop_rule(role, cfg, link, access):
         parts = uav.laplace_exponent_ucav(cfg, R)
         total += weight * sum(
             wq * conditional_coverage(
-                cfg.m_desired, coeff, cfg.noise_power,
+                cfg.m_desired, coeff, cfg.noise_power / cfg.tx_power,
                 math.hypot(q * R, cfg.uav_height), cfg.alpha_desired, *parts,
             )
             for q, wq in placement
@@ -237,7 +236,7 @@ class TestPairBaseRule:
     def test_array_pass_equals_loop_rule(self, point):
         cfg, link, access = SHIPPED_UAV_POINTS[point]
         for role in (uav.NEAR, uav.FAR):
-            if not math.isfinite(_coefficient(role, cfg, link, access)):
+            if not math.isfinite(_coefficient(role, link, access)):
                 continue
             want = _loop_rule(role, cfg, link, access)
             assert abs(_array_base_rule(role, cfg, link, access) - want) <= 1e-15

@@ -68,6 +68,62 @@ def _empty_disc_count(line, trials, radius):
     return int(match[1])
 
 
+# two user-centric points whose radial coverage exceeds 1 by less than its
+# error estimate, which the range check must admit
+OVERSHOOT_WITHIN_ESTIMATE = {
+    "noma-m2": {
+        "network": {
+            "uav_density_per_m2": 4.5558673019532404e-05,
+            "uav_height_m": 9.325375443373922,
+            "tx_power_dbm": -70.49341329826996,
+            "alpha_desired": 2.0,
+            "alpha_interf": 8.239734176491869,
+            "m_desired": 2,
+            "m_interf": 2,
+            "noise_watts": 1.1943215116604912e-15,
+        },
+        "link": {
+            "power_split_far": 0.48505273772052726,
+            "rate_near_bpcu": 1e-09,
+            "rate_far_bpcu": 1e-09,
+            "ipsic": 0.2129490749808305,
+            "fixed_user_dist_m": 44.785841230048824,
+        },
+        "sweep": {
+            "strategy": "user-centric",
+            "access": "noma",
+            "axis": "ipsic",
+            "values": [0.2129490749808305],
+        },
+    },
+    "oma-m1": {
+        "network": {
+            "uav_density_per_m2": 3.2824876731407244e-08,
+            "uav_height_m": 26408.292725637188,
+            "tx_power_dbm": 125.49277784088002,
+            "alpha_desired": 2.0,
+            "alpha_interf": 7.0088331881962285,
+            "m_desired": 1,
+            "m_interf": 4,
+            "noise_watts": 1.1943215116604912e-15,
+        },
+        "link": {
+            "power_split_far": 0.999999999,
+            "rate_near_bpcu": 1e-09,
+            "rate_far_bpcu": 14.615065400100884,
+            "ipsic": 0.0,
+            "fixed_user_dist_m": 1058.4392489851193,
+        },
+        "sweep": {
+            "strategy": "user-centric",
+            "access": "oma",
+            "axis": "ipsic",
+            "values": [0.0],
+        },
+    },
+}
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -648,7 +704,7 @@ class TestPointCommands:
         self, tmp_path, capsys, strategy, network, printed
     ):
         # d^alpha overflows: c = m M d^alpha is infinite (a dead node) and the
-        # interference scale P / (m_I d0^alpha_I) tends to 0, its limit; the
+        # interference scale 1 / (m_I d0^alpha_I) tends to 0, its limit; the
         # values are right, and numpy must not warn about them
         payload = {"network": network, "sweep": {"strategy": strategy}}
         cfg_path = write_config(tmp_path, payload)
@@ -660,6 +716,23 @@ class TestPointCommands:
         users = ("typical", "fixed") if strategy == "user-centric" else ("near", "far")
         for user, p in zip(users, printed):
             assert f"{user}: p={p}" in captured.out
+
+    @pytest.mark.parametrize("name", sorted(OVERSHOOT_WITHIN_ESTIMATE))
+    def test_overshoot_within_its_error_estimate_answers(self, tmp_path, capsys, name):
+        # the radial coverage leaves [0, 1] by less than its own error
+        # estimate (1.1e-14 against 1.43e-14, 6.9e-15 against 8.7e-15); that
+        # is no numerical error, and the value is reported, not clamped
+        payload = OVERSHOOT_WITHIN_ESTIMATE[name]
+        assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 0
+        assert "typical: p=1.000000" in capsys.readouterr().out
+        cfg = parse_network(payload["network"])
+        link = parse_link(payload["link"])
+        access = payload["sweep"]["access"]
+        users = analytic_user_centric.TYPICAL, analytic_user_centric.FIXED
+        values = [(user, cfg, link) for user in users]
+        results = analytic_user_centric.radial_quadratures(values, access)
+        worst = max(results, key=lambda result: result.value)
+        assert 1.0 < worst.value <= 1.0 + worst.estimate
 
     @pytest.mark.parametrize("m_desired", [19, 20, 30])
     @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])

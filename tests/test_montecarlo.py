@@ -755,8 +755,8 @@ class TestDecodeCheck:
         # SINR chain does not: only the patched user's check may fail
         patched_rate = LINK.rate_far if partner else LINK.rate_near
 
-        def patched(link, cfg, strategy, access=NOMA):
-            ts = scenario.thresholds(link, cfg, strategy, access)
+        def patched(link, strategy, access=NOMA):
+            ts = scenario.thresholds(link, strategy, access)
             if link.rate_near == patched_rate:
                 return dataclasses.replace(ts, near=0.0, far=0.0)
             return ts

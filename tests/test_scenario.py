@@ -84,10 +84,10 @@ class TestNomaLink:
         assert swapped.pw_far == link.pw_far
 
 
-def _coefficients(link, cfg, strategy, access=NOMA):
+def _coefficients(link, strategy, access=NOMA):
     """Near and far coefficients of the subject and of its partner."""
-    ts = thresholds(link, cfg, strategy, access)
-    partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+    ts = thresholds(link, strategy, access)
+    partner = thresholds(link.with_swapped_rates(), strategy, access)
     return ts.near, ts.far, partner.near, partner.far
 
 
@@ -102,9 +102,8 @@ class TestThresholds:
     def test_perfect_sic_near_coefficient(self):
         # beta=0, pw_near=0.4, rate 1, unit power: the own decode after SIC,
         # M = eps / pw_near = 2.5, dominates the partner decode (about 0.95)
-        cfg = make_cfg(tx_power=1.0)
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.0)
-        ts = thresholds(link, cfg, USER_CENTRIC)
+        ts = thresholds(link, USER_CENTRIC)
         assert ts.near == pytest.approx(2.5, rel=1e-12)
 
     def test_sic_residue_boundary_infeasible(self):
@@ -112,74 +111,69 @@ class TestThresholds:
         # Algebraically zero; float rounding may leave an ulp-scale positive
         # residue, in which case the coefficient is astronomically large and
         # downstream coverage still underflows to exactly zero.
-        cfg = make_cfg()
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=2.0 / 3.0)
-        ts = thresholds(link, cfg, USER_CENTRIC)
-        assert ts.near == INFEASIBLE or ts.near > 1e12 / cfg.tx_power
+        ts = thresholds(link, USER_CENTRIC)
+        assert ts.near == INFEASIBLE or ts.near > 1e12
 
     def test_uav_centric_near_infeasible(self):
         # 0.4 - 0.5 * (2^1.5 - 1) * 0.6 < 0: strictly infeasible
-        cfg = make_cfg()
         link = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.5)
-        ts = thresholds(link, cfg, UAV_CENTRIC)
+        ts = thresholds(link, UAV_CENTRIC)
         assert ts.near == INFEASIBLE
         assert not math.isfinite(ts.near)
 
     def test_feasibility_boundary_location(self):
         # the own decode after SIC flips exactly at eps = pw_near / (beta *
         # pw_far); the partner decode at rate 0.5 stays feasible throughout
-        cfg = make_cfg()
         beta = 0.5
         eps_boundary = 0.4 / (beta * 0.6)
         for shift, feasible in [(-1e-9, True), (1e-9, False)]:
             rate = math.log2(1.0 + eps_boundary + shift)
-            ts = thresholds(NomaLink(rate_near=rate, ipsic=beta), cfg, USER_CENTRIC)
+            ts = thresholds(NomaLink(rate_near=rate, ipsic=beta), USER_CENTRIC)
             assert math.isfinite(ts.near) is feasible
 
     def test_perfect_sic_all_feasible_below_ratio(self):
         # beta=0 and both eps below pw_far/pw_near keeps every coefficient
         # of both users finite
-        cfg = make_cfg()
         for rate_near in (0.2, 0.6, 1.0, 1.3):
             for rate_far in (0.2, 0.6, 1.0, 1.3):
                 if sinr_threshold(rate_near) >= 1.5 or sinr_threshold(rate_far) >= 1.5:
                     continue
                 link = NomaLink(rate_near=rate_near, rate_far=rate_far, ipsic=0.0)
                 for strategy in (USER_CENTRIC, UAV_CENTRIC):
-                    coeffs = _coefficients(link, cfg, strategy)
+                    coeffs = _coefficients(link, strategy)
                     assert all(math.isfinite(m) for m in coeffs)
 
     def test_uav_centric_cross_carries_residue(self):
         # rate_near 0.1: the partner decode ahead of SIC dominates the chain
-        cfg = make_cfg(tx_power=1.0)
         link = NomaLink(rate_near=0.1, rate_far=1.0, ipsic=0.1)
         # printed cross SINR: residue beta*pw_near in the denominator
-        uav = thresholds(link, cfg, UAV_CENTRIC)
+        uav = thresholds(link, UAV_CENTRIC)
         assert uav.near == pytest.approx(1.0 / 0.56, rel=1e-12)
         # user-centric cross decode: the near user's own signal in full
-        user = thresholds(link, cfg, USER_CENTRIC)
+        user = thresholds(link, USER_CENTRIC)
         assert user.near == pytest.approx(1.0 / 0.2, rel=1e-12)
         # the UAV-centric far user, the partner in the far role, decodes with
         # that same no-residue form, bit for bit
-        far = thresholds(link.with_swapped_rates(), cfg, UAV_CENTRIC).far
+        far = thresholds(link.with_swapped_rates(), UAV_CENTRIC).far
         assert far == pytest.approx(5.0, rel=1e-12)
         assert far == user.near
 
     @pytest.mark.parametrize("strategy", [USER_CENTRIC, UAV_CENTRIC])
     def test_oma_coefficients_always_feasible(self, strategy):
-        cfg = make_cfg(tx_power=1.0)
         link = NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.9)
-        near, far, partner_near, partner_far = _coefficients(link, cfg, strategy, OMA)
+        near, far, partner_near, partner_far = _coefficients(link, strategy, OMA)
         # each user's own slot at the doubled rate, whatever its role
         assert near == far == pytest.approx(3.0, rel=1e-12)
         assert partner_near == partner_far == pytest.approx(1.0, rel=1e-12)
 
     def test_rate_scaling_homogeneity(self):
-        # scaling power scales every coefficient by 1/power, feasibility unchanged
+        # scaling power scales every coefficient M = kappa / P by 1/power,
+        # feasibility unchanged
         link = NomaLink(rate_near=0.8, rate_far=0.4, ipsic=0.2)
         for strategy in (USER_CENTRIC, UAV_CENTRIC):
-            low = _coefficients(link, make_cfg(tx_power=1e-6), strategy)
-            high = _coefficients(link, make_cfg(tx_power=1e-3), strategy)
+            low = [kappa / 1e-6 for kappa in _coefficients(link, strategy)]
+            high = [kappa / 1e-3 for kappa in _coefficients(link, strategy)]
             for m1, m2 in zip(low, high):
                 assert m1 == pytest.approx(1e3 * m2, rel=1e-12)
 
@@ -198,14 +192,13 @@ class TestThresholdOverflow:
     def test_huge_rate_gives_infeasible_coefficients(self, strategy, access, ipsic):
         # at ipsic 0 the own decode's residue term is 0 * inf: the infinite
         # threshold itself must mark the coefficient infeasible
-        cfg = make_cfg()
         link = NomaLink(rate_near=2000.0, rate_far=0.5, ipsic=ipsic)
-        ts = thresholds(link, cfg, strategy, access)
+        ts = thresholds(link, strategy, access)
         assert ts.eps_own == INFEASIBLE
         assert ts.near == INFEASIBLE and ts.far == INFEASIBLE
         # under NOMA the partner cannot decode the subject's signal ahead of
         # SIC; under OMA it decodes in its own slot
-        partner = thresholds(link.with_swapped_rates(), cfg, strategy, access)
+        partner = thresholds(link.with_swapped_rates(), strategy, access)
         assert (partner.near == INFEASIBLE) is (access == NOMA)
         assert math.isfinite(partner.far)
 
@@ -215,18 +208,17 @@ class TestThresholdOverflow:
         rate_far=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         pw_far=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
         ipsic=st.floats(min_value=0.0, max_value=1.0),
-        tx_power=st.floats(min_value=1e-15, max_value=1e3),
         strategy=st.sampled_from([USER_CENTRIC, UAV_CENTRIC]),
         access=st.sampled_from([NOMA, OMA]),
     )
     def test_coefficients_positive_or_infeasible(
-        self, rate_near, rate_far, pw_far, ipsic, tx_power, strategy, access
+        self, rate_near, rate_far, pw_far, ipsic, strategy, access
     ):
         link = NomaLink(
             pw_far=pw_far, pw_near=1.0 - pw_far,
             rate_near=rate_near, rate_far=rate_far, ipsic=ipsic,
         )
-        ts = thresholds(link, make_cfg(tx_power=tx_power), strategy, access)
+        ts = thresholds(link, strategy, access)
         for coeff in (ts.near, ts.far):
             # a rate below about 1.6e-16 rounds its threshold 2^R - 1 to 0,
             # and a zero threshold is the one source of a zero coefficient

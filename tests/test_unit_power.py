@@ -10,6 +10,7 @@ bit for bit, the one computed alone.
 """
 
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,7 +55,7 @@ class TestRecurrence:
     def test_orders_zero_and_one_match_mpmath(self, m_interf, alpha_interf):
         # d0 = 1 and unit power give z = s / mI; C = pi lam
         scale = math.pi * DENSITY
-        exponent = RadialTailExponent(DENSITY, 1.0, alpha_interf, m_interf, 1.0)
+        exponent = RadialTailExponent(DENSITY, alpha_interf, m_interf, 1.0)
         for z in np.logspace(-12, 12, 25):
             a0, a1 = exponent.derivatives(m_interf * z, 1).values
             want0, want1 = _eta_and_slope(m_interf, alpha_interf, z)
@@ -72,9 +73,32 @@ class TestRecurrence:
             return hyp2f1(*args)
 
         monkeypatch.setattr(laplace, "hyp2f1", counted)
-        s = np.array([1e2, 1e9, 1e16])
-        RadialTailExponent(DENSITY, 1e-6, 3.0, m_interf, 150.0).derivatives(s, order)
+        s = np.array([1e2, 1e9, 1e16]) * 1e-6
+        RadialTailExponent(DENSITY, 3.0, m_interf, 150.0).derivatives(s, order)
         assert len(calls) == max(1, order)
+
+
+class TestExponentSum:
+    def test_new_s_lets_the_last_coefficients_go_first(self):
+        # a recompute must not hold two passes' coefficients at once: when
+        # its parts run, the sum keeps none, and no reference to the last
+        # ones is left
+        seen, last = [], []
+
+        class Part(laplace.LaplaceExponentBase):
+            def derivatives(self, s, order):
+                seen.append((total.kept, [ref() for ref in last]))
+                return laplace.ExponentDerivatives(
+                    tuple(np.full(3, float(s)) for _ in range(order + 1)), laplace.SERIES
+                )
+
+        total = laplace.ExponentSum(Part())
+        first = total.derivatives(1.0, 1)
+        assert total.derivatives(1.0, 1) is first  # the memo at equal s
+        last[:] = [weakref.ref(value) for value in first.values]
+        del first
+        total.derivatives(2.0, 1)
+        assert seen == [(None, []), (None, [None, None])]
 
 
 def _radial_calls(monkeypatch):
