@@ -44,8 +44,11 @@ point's near and far values (2 x 3,840 nodes) take one. Each value is one
 row (``_pair_value``) of what varies along a sweep: its decode coefficient
 at unit power, its noise N/P, its density, the role's placement and the
 cells' split point. The integrand reads the row of the value each node
-belongs to; each value equals, bit for bit, the one integrated alone.
-``coverage_pair`` is its one-value case.
+belongs to, a per-node array only for the fields that differ within the
+pass; each value equals, bit for bit, the one integrated alone, so values
+of one row are integrated once (``quadrature.integrate_rows``): along a
+``rate_near`` sweep the far user's coefficient depends on ``rate_far``
+alone. ``coverage_pair`` is its one-value case.
 
 The kernel runs at unit power (see ``laplace``): transmit power enters as
 the row's N/P alone, and the exponents read R and the density alone. A pass
@@ -251,21 +254,17 @@ def pair_quadratures(
     The configs may differ in ``scenario.SWEPT_FIELDS`` alone. An infeasible
     coefficient gives exactly 0 without integrating; the other values share
     the passes of one ``quadrature.integrate_many`` call (see the module
-    docstring), each equal, bit for bit, to the value integrated alone.
+    docstring), one integral per distinct row, each equal, bit for bit, to
+    the value integrated alone.
     """
     shared = sweep_config([cfg for _, cfg, _ in values])
-    results = [quadrature.Quadrature(0.0, 0.0)] * len(values)
-    feasible, rows, boxes = [], [], []
-    for i, (role, cfg, link) in enumerate(values):
-        row = _pair_value(role, cfg, link, access)
-        if math.isfinite(row.coeff):
-            feasible.append(i)
-            rows.append(row)
-            boxes.append(_cells(row.t_b))
-    if rows:
-        found = quadrature.integrate_many(_pair_integrand(shared, rows), boxes)
-        for i, result in zip(feasible, found):
-            results[i] = result
+    rows = [_pair_value(role, cfg, link, access) for role, cfg, link in values]
+    found = quadrature.integrate_rows(
+        lambda distinct: _pair_integrand(shared, distinct),
+        [row for row in rows if math.isfinite(row.coeff)],
+        lambda row: _cells(row.t_b),
+    )
+    results = [found.get(row, quadrature.Quadrature(0.0, 0.0)) for row in rows]
     for (role, _, _), result in zip(values, results):
         check_probability(
             result.value, f"{role} user coverage", shared.m_desired, result.estimate

@@ -29,9 +29,13 @@ values of a sweep (``coverage_sweep``): their cells share the kernel's passes,
 so the 16 values of an 8-point sweep (384 nodes each) take one pass. Each
 value is one row (``_value``) of what varies along a sweep: its noise N/P,
 its density, its two decode coefficients at unit power and r_k. The
-integrand reads the row of the value each node belongs to; each value
-equals, bit for bit, the one integrated alone. ``coverage_typical`` and
-``coverage_fixed`` are its one-value case.
+integrand reads the row of the value each node belongs to, a per-node array
+only for the fields that differ within the pass; each value equals, bit
+for bit, the one integrated alone, so values of one row are integrated once
+(``quadrature.integrate_rows``): under OMA each user decodes in its own
+slot, so along a ``rate_near`` sweep the fixed user's row, which reads
+``rate_far`` alone, repeats at every point.
+``coverage_typical`` and ``coverage_fixed`` are its one-value case.
 
 The kernel runs at unit transmit power (see ``laplace``): transmit power
 enters the rows as N/P alone. Unlike the UAV-centric integrand this one
@@ -167,18 +171,25 @@ def radial_quadratures(
 
     The configs may differ in ``scenario.SWEPT_FIELDS`` alone. All values
     share the passes of one ``quadrature.integrate_many`` call (see the module
-    docstring), each equal, bit for bit, to the value integrated alone.
+    docstring), one integral per distinct row, each equal, bit for bit, to
+    the value integrated alone.
     """
     shared = sweep_config([cfg for _, cfg, _ in values])
     rows = [_value(user, cfg, link, access) for user, cfg, link in values]
-    fields = quadrature.NodeFields(rows)
 
-    def integrand(owner, t):
-        v = fields.at(owner)
-        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
+    def make_integrand(distinct):
+        fields = quadrature.NodeFields(distinct)
 
-    boxes = [_cells(row.root_pl * row.fixed_user_dist) for row in rows]
-    results = quadrature.integrate_many(integrand, boxes)
+        def integrand(owner, t):
+            v = fields.at(owner)
+            return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
+
+        return integrand
+
+    found = quadrature.integrate_rows(
+        make_integrand, rows, lambda row: _cells(row.root_pl * row.fixed_user_dist)
+    )
+    results = [found[row] for row in rows]
     check_probability(
         [result.value for result in results],
         "radial coverage",

@@ -13,7 +13,9 @@ every closed form in this package:
   -z, z = s / (mI d0^aI) (DLMF 15.6.1); ``scipy.special.hyp2f1`` gives
   eta and each Taylor coefficient over the whole range of z, down to
   aI -> 2. Orders 0 and 1 share b = 1 - 2/aI, and one call gives both
-  through a contiguous recurrence (``_hyp2f1_run``).
+  through a contiguous recurrence (``_hyp2f1_run``); at a top order K >= 2
+  one call at K gives every lower order through a backward recurrence in k
+  whose terms are non-negative (``_tail_run``).
 
 * ``NearestRingExponent`` -- one dominant interferer at 3-D distance d0,
   averaged over a thin ring, giving the elementary exponent
@@ -46,7 +48,7 @@ coefficients.
 Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient, the noise and the serving distance may be numpy arrays that
 broadcast together, and a whole quadrature grid is one call (``hyp2f1`` runs
-once for orders 0 and 1 and once per higher order). Scalar inputs give floats.
+once at every top order). Scalar inputs give floats.
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ class RadialTailExponent(LaplaceExponentBase):
         #           2F1(mI+k, k-dI; k+1-dI; -z)
         # The k = 0 sum comes from 1 - (1+y)^(-m) = y sum_{i<=m} (1+y)^(-i),
         # so every term is positive; the shorter C [2F1(mI, -dI; 1-dI; -z) - 1]
-        # cancels to exactly 0 at small z. The 2F1 of k = 0 and of k = 1 are
-        # F(1)..F(mI+1) of ``_hyp2f1_run``, one call and a recurrence.
+        # cancels to exactly 0 at small z. Up to order 1 the 2F1 are
+        # F(1)..F(mI+1) of ``_hyp2f1_run``, one call and a recurrence; from
+        # order 2 on one call at the top order gives them all (``_tail_run``).
         if np.any(np.asarray(s) < 0.0):
             raise NumericalError("Laplace exponent requires s >= 0")
         m_i = self.m_interf
@@ -136,11 +139,15 @@ class RadialTailExponent(LaplaceExponentBase):
             q = 1.0 / (m_i * d0**self.alpha_interf)
         z = s * q
         scale = math.pi * self.density * d0 * d0
-        hyp = _hyp2f1_run(m_i + (order > 0), 1.0 - delta, z)
-        values = [scale * z * delta / (1.0 - delta) * sum(hyp[:m_i])]
-        for k in range(1, order + 1):
+        if order < 2:
+            hyp = _hyp2f1_run(m_i + (order > 0), 1.0 - delta, z)
+            values = [scale * z * delta / (1.0 - delta) * sum(hyp[:m_i])]
+            powers = [z * hyp[m_i]] if order else []
+        else:
+            head, powers = _tail_run(m_i, order, delta, z)
+            values = [scale * delta / (1.0 - delta) * head]
+        for k, power_hyp in enumerate(powers, 1):
             sign_binom = (-1.0) ** (k + 1) * math.comb(m_i + k - 1, k)
-            power_hyp = z * hyp[m_i] if k == 1 else _power_hyp2f1(m_i, k, delta, z)
             values.append(scale * sign_binom * delta / (k - delta) * power_hyp)
         return ExponentDerivatives(tuple(values), SERIES)
 
@@ -154,6 +161,35 @@ def _hyp2f1_run(n: int, b: float, z) -> list:
     for a in range(1, n):
         run.append((b * (1.0 + z) ** -a + (a - b) * run[-1]) / a)
     return run
+
+
+def _tail_run(m_i: int, order: int, delta: float, z):
+    """z sum_{a<=mI} 2F1(a, 1-dI; 2-dI; -z) and P_1..P_order, P_k = z^k
+    2F1(mI+k, k-dI; k+1-dI; -z), from one 2F1 call at the top order.
+
+    Integrating d/du [u^(k-dI) (1+zu)^(-mI-k)] over [0, 1] in the Euler
+    integral of P_k gives the backward recurrence
+
+        P_k = (mI+k)/(k+1-dI) P_(k+1) + v^k (1+z)^(-mI),  v = z/(1+z),
+
+    both of whose terms are non-negative (W. Gautschi, SIAM Review 9(1),
+    1967). G(a) = z 2F1(a, 1-dI; 2-dI; -z) then runs down from G(mI+1) = P_1
+    by the recurrence of ``_hyp2f1_run`` read backwards,
+
+        G(a) = [a G(a+1) - (1-dI) z (1+z)^(-a)] / (a-1+dI),
+
+    whose one subtraction amplifies rounding by at most 1/dI.
+    """
+    powers = [_power_hyp2f1(m_i, order, delta, z)]
+    v, base = z / (1.0 + z), (1.0 + z) ** -m_i
+    for k in range(order - 1, 0, -1):
+        powers.append((m_i + k) / (k + 1.0 - delta) * powers[-1] + v**k * base)
+    powers.reverse()
+    run = [powers[0]]
+    for a in range(m_i, 0, -1):
+        step = (1.0 - delta) * z * (1.0 + z) ** -a
+        run.append((a * run[-1] - step) / (a - 1.0 + delta))
+    return sum(run[:0:-1]), powers
 
 
 # z^k beyond which the 1/z connection takes over: z > 10 there for k <= 150,

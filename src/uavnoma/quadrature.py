@@ -16,7 +16,8 @@ the tolerance. Cells still over their share after ``_MAX_DEPTH`` bisections
 are kept as they are; if the estimates of an integral's cells then sum to
 more than the tolerance, or its cells would take more than
 ``_MAX_PASS_NODES`` nodes in one pass, that integral fails with
-``NumericalError``.
+``NumericalError``. Its error estimate sums its final cells and, on the
+pass budget, the last estimates of the cells it was still refining.
 
 All the cells of one call form one flat table, sorted by group: the cells
 of one integral that share a base rule, integrals in order and each one's
@@ -126,10 +127,19 @@ def integrate_many(
     group_nodes = np.array([_cell_rule(key)[1].size for key in rules])[rule]
     totals = np.zeros((len(boxes), 2))  # value and estimate of each integral
     failed = []  # integrals whose cells outgrew _MAX_PASS_NODES
+    refining = None  # estimates and groups of the cells bisected last round
     for depth in range(_MAX_DEPTH + 1):
         nodes = np.bincount(owner[group], group_nodes[group], len(boxes))
         if nodes.max() > _MAX_PASS_NODES:
-            failed += np.flatnonzero(nodes > _MAX_PASS_NODES).tolist()
+            over = np.flatnonzero(nodes > _MAX_PASS_NODES)
+            # a failing integral reports its final cells and the last
+            # estimates of the cells it was still refining
+            if refining is not None:
+                run_sums, runs = _sums(*refining)
+                pending = np.zeros(len(boxes))
+                np.add.at(pending, owner[runs], run_sums)
+                totals[over, 1] += pending[over]
+            failed += over.tolist()
             keep = nodes[owner[group]] <= _MAX_PASS_NODES
             corners, group, nodes[failed] = corners[..., keep], group[keep], 0.0
         cell_owner = owner[group]
@@ -149,7 +159,8 @@ def integrate_many(
             np.add.at(totals, owner[runs], run_sums.T)
         if done == len(final):
             break
-        corners, group = _bisect(corners[..., ~final], group[~final])
+        refining = sums[1, ~final], group[~final]
+        corners, group = _bisect(corners[..., ~final], refining[1])
     if failed or np.count_nonzero(totals[:, 1] <= tol) < len(boxes):
         i = min(failed + (~(totals[:, 1] <= tol)).nonzero()[0].tolist())
         problem = f"refinement needs more than {_MAX_PASS_NODES} nodes in one pass"
@@ -165,7 +176,9 @@ class NodeFields:
     ``rows`` holds one NamedTuple per integral, all of one type. ``at(owner)``
     gives, for the nodes of one pass, the fields of the integral each node
     belongs to: that integral's own row, of scalars, when every node belongs
-    to it, otherwise the same NamedTuple with one array per field.
+    to it, otherwise the same NamedTuple with one array per field that
+    differs among the pass's integrals and a scalar for each field they
+    share. Elementwise arithmetic gives the same bits either way.
     """
 
     def __init__(self, rows: Sequence[tuple]):
@@ -178,7 +191,29 @@ class NodeFields:
     def at(self, owner: np.ndarray):
         if (owner == owner[0]).all():
             return self.rows[owner[0]]
-        return type(self.rows[0])(*(column[owner] for column in self.columns))
+        present = np.zeros(len(self.rows), dtype=bool)
+        present[owner] = True
+        fields = []
+        for column in self.columns:
+            own = column[present]
+            # a field the pass's integrals share stays a scalar
+            fields.append(own[0] if (own == own[0]).all() else column[owner])
+        return type(self.rows[0])(*fields)
+
+
+def integrate_rows(make_integrand, rows: Sequence[tuple], cells) -> dict:
+    """The ``Quadrature`` of each distinct row of ``rows``, one
+    ``integrate_many`` integral per distinct row.
+
+    Rows are NamedTuples compared field by field, floats exactly. The
+    distinct rows, in order of first appearance, go to ``make_integrand``,
+    which returns their integrand, and ``cells(row)`` gives the ``(lo, hi,
+    counts)`` of each. A value is its integral alone (``integrate_many``), so
+    a repeated row needs no integral of its own.
+    """
+    distinct = list(dict.fromkeys(rows))
+    boxes = [cells(row) for row in distinct]
+    return dict(zip(distinct, integrate_many(make_integrand(distinct), boxes)))
 
 
 def integrate(integrand: Callable[..., np.ndarray], lo, hi, counts) -> Quadrature:

@@ -276,12 +276,13 @@ def _validate_checks(quick: bool, seed: int):
         draws = 5 if quick else 20
         for _ in range(draws):
             dist = rng.uniform(150.0, 900.0)
-            s0 = rng.uniform(0.3, 3.0) * dist**4 / (1e-6) * 1e-3
+            # the unit-power argument, z = s0 / (mI dist^aI) of order 1e-3 at aI = 4
+            s0 = rng.uniform(0.3, 3.0) * dist**4 * 1e-3
             exponent = analytic_user_centric.laplace_exponent_uc(cfg, dist)
-            transform = lambda s: math.exp(-exponent.value_at(s * cfg.tx_power))
+            transform = lambda s: math.exp(-exponent.value_at(s))
             # the first Taylor coefficient of exp(-eta(s0 (1 + x))) is s0 times
             # the transform's derivative
-            coeffs = exponent.derivatives(s0 * cfg.tx_power, 1).values
+            coeffs = exponent.derivatives(s0, 1).values
             analytic = -coeffs[1] * math.exp(-coeffs[0])
             h = s0 * 1e-5
             fd = s0 * (transform(s0 + h) - transform(s0 - h)) / (2.0 * h)

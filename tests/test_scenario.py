@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavnoma.channel import sinr
 from uavnoma.errors import DomainError
 from uavnoma.scenario import (
     INFEASIBLE,
@@ -14,6 +15,7 @@ from uavnoma.scenario import (
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
+    cross_residue,
     dbm_to_watts,
     noise_from_bandwidth,
     sinr_threshold,
@@ -89,6 +91,22 @@ def _coefficients(link, strategy, access=NOMA):
     ts = thresholds(link, strategy, access)
     partner = thresholds(link.with_swapped_rates(), strategy, access)
     return ts.near, ts.far, partner.near, partner.far
+
+
+def _sinr_decodes(link, strategy, access, role, received, noise, interference):
+    """Whether the subject of ``link`` decodes its signal in ``role``, by the
+    SINR conditions of ``channel.sinr`` at physical power."""
+    ts = thresholds(link, strategy, access)
+    if access == OMA:
+        return bool(sinr(received, 1.0, 1.0, 0.0, noise, interference) > ts.eps_own)
+    direct = sinr(received, link.pw_far, link.pw_near, 1.0, noise, interference)
+    if role == "far":
+        return bool(direct > ts.eps_own)
+    # near: the partner's signal ahead of SIC, then its own after it
+    residue = cross_residue(link, strategy)
+    cross = sinr(received, link.pw_far, link.pw_near, residue, noise, interference)
+    own = sinr(received, link.pw_near, link.pw_far, link.ipsic, noise, interference)
+    return bool(cross > ts.eps_other and own > ts.eps_own)
 
 
 class TestThresholds:
@@ -167,15 +185,27 @@ class TestThresholds:
         assert near == far == pytest.approx(3.0, rel=1e-12)
         assert partner_near == partner_far == pytest.approx(1.0, rel=1e-12)
 
-    def test_rate_scaling_homogeneity(self):
-        # scaling power scales every coefficient M = kappa / P by 1/power,
-        # feasibility unchanged
-        link = NomaLink(rate_near=0.8, rate_far=0.4, ipsic=0.2)
-        for strategy in (USER_CENTRIC, UAV_CENTRIC):
-            low = [kappa / 1e-6 for kappa in _coefficients(link, strategy)]
-            high = [kappa / 1e-3 for kappa in _coefficients(link, strategy)]
-            for m1, m2 in zip(low, high):
-                assert m1 == pytest.approx(1e3 * m2, rel=1e-12)
+    @pytest.mark.parametrize("strategy", [USER_CENTRIC, UAV_CENTRIC])
+    @pytest.mark.parametrize("access", [NOMA, OMA])
+    @pytest.mark.parametrize("tx_power", [1e-6, 1e-3])
+    def test_unit_power_rule_is_the_sinr_condition(self, strategy, access, tx_power):
+        # gain > kappa (N/P + I_1) d^alpha is the SINR chain at power P: a
+        # gain just above the bound decodes through channel.sinr, one just
+        # below does not, for the subject and its partner in either role
+        noise, unit_interference, dist3d, alpha = 1e-10, 1e-9, 120.0, 3.0
+        subject = NomaLink(rate_near=0.8, rate_far=0.4, ipsic=0.2)
+        for link in (subject, subject.with_swapped_rates()):
+            ts = thresholds(link, strategy, access)
+            for role, kappa in (("near", ts.near), ("far", ts.far)):
+                assert math.isfinite(kappa)
+                bound = kappa * (noise / tx_power + unit_interference) * dist3d**alpha
+                for factor, decodes in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+                    received = factor * bound * dist3d**-alpha * tx_power
+                    got = _sinr_decodes(
+                        link, strategy, access, role, received, noise,
+                        tx_power * unit_interference,
+                    )
+                    assert got is decodes, (link, role, factor)
 
 
 class TestThresholdOverflow:

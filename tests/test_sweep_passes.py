@@ -137,6 +137,34 @@ class TestBitIdentical:
             module.coverage_sweep(points, NOMA)
 
 
+class TestRepeatedRows:
+    # along a rate_near sweep the UAV-centric far user's row reads rate_far
+    # alone, and so does the user-centric fixed user's under OMA, where each
+    # user decodes in its own slot: both rows repeat at every point
+    @pytest.mark.parametrize("name", ["uav_centric_rate_noma_m3", "user_centric_rate_oma_m3"])
+    def test_each_distinct_row_is_integrated_once(self, monkeypatch, name):
+        spec, points = _shipped_sweep(name)
+        if name.startswith("uav"):
+            integrate, row, roles = uav.pair_quadratures, uav._pair_value, (uav.NEAR, uav.FAR)
+        else:
+            integrate, row, roles = uc.radial_quadratures, uc._value, (uc.TYPICAL, uc.FIXED)
+        values = [(role, cfg, link) for _, cfg, link in points for role in roles]
+        alone = [integrate([value], spec.access)[0] for value in values]
+        integrals = []
+        integrate_many = quadrature.integrate_many
+
+        def counted(integrand, boxes):
+            integrals.append(len(boxes))
+            return integrate_many(integrand, boxes)
+
+        monkeypatch.setattr(quadrature, "integrate_many", counted)
+        together = integrate(values, spec.access)
+        assert _bits(together) == _bits(alone)
+        distinct = {row(*value, spec.access) for value in values}
+        assert integrals == [len(distinct)]
+        assert len(distinct) < len(values)
+
+
 class TestPassBudget:
     def test_sets_that_together_exceed_the_pass_limit_all_pass(self, monkeypatch):
         # each sparse near value alone refines in passes of at most `largest`
@@ -232,8 +260,9 @@ class TestFailures:
 # counts below with ``PYTHONPATH=src python tests/test_sweep_passes.py``. Comparing a batch with each value
 # alone misses a change in the order of a sum wherever both sides move
 # together; segment sums by plain ``np.add.reduceat`` move 4 of these values
-# by one ulp. The sparse set (m_d = 3) was taken when the kernel moved to
-# Taylor coefficients; the low-UAV set (m_d = 1) predates that.
+# by one ulp. The sparse set (m_d = 3) was last taken when the radial tail's
+# orders 0 to 2 came to run down from one top-order call; the low-UAV set
+# (m_d = 1) predates the kernel's move to Taylor coefficients.
 BISECTING_BITS = {
     ("sparse", NOMA): [
         ("0x1.da5e7ad0bf94fp-7", "0x1.f60d997d73c7cp-35"),
@@ -244,7 +273,7 @@ BISECTING_BITS = {
         ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
         ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1790000p-29"),
         ("0x1.783602bf8d4dbp-5", "0x1.6debf5d000000p-30"),
-        ("0x1.3d062cd63f845p-1", "0x1.8e351e0000000p-37"),
+        ("0x1.3d062cd63f846p-1", "0x1.8e37220000000p-37"),
         ("0x1.44b475eda3603p-3", "0x1.f834d30000000p-36"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
@@ -256,9 +285,9 @@ BISECTING_BITS = {
         ("0x1.6d25f663f41e9p-9", "0x1.61224b8000000p-40"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
-        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1f85800p-28"),
-        ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16e000000p-29"),
-        ("0x1.01c54825d2959p-1", "0x1.8214f56000000p-33"),
+        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1b85800p-28"),
+        ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16f000000p-29"),
+        ("0x1.01c54825d2959p-1", "0x1.8214fd6000000p-33"),
         ("0x1.045ad48bdac40p-2", "0x1.2e86d50000000p-35"),
         ("0x0.0p+0", "0x0.0p+0"),
         ("0x0.0p+0", "0x0.0p+0"),
@@ -301,19 +330,19 @@ SWEEP_COUNTS = {
     "uav_centric_power_nlos_ipsic00": (8, 61_440),
     "uav_centric_power_nlos_ipsic01": (8, 61_440),
     "uav_centric_power_nlos_ipsic05": (4, 30_720),
-    "uav_centric_rate_noma_m3": (8, 61_440),
-    "uav_centric_rate_oma_m3": (8, 61_440),
+    "uav_centric_rate_noma_m3": (4, 30_720),
+    "uav_centric_rate_oma_m3": (5, 34_560),
     "user_centric_fixed_distance": (1, 6_144),
     "user_centric_power_los_m2": (1, 6_144),
     "user_centric_power_nlos_ipsic00": (1, 6_144),
     "user_centric_power_nlos_ipsic01": (1, 6_144),
     "user_centric_power_nlos_ipsic03": (1, 6_144),
-    "user_centric_rate_noma_m3": (1, 6_144),
-    "user_centric_rate_oma_m3": (1, 6_144),
+    "user_centric_rate_noma_m3": (1, 4_992),
+    "user_centric_rate_oma_m3": (1, 3_456),
 }
 CORNER_COUNTS = {
-    ("sparse", NOMA): (17, 334_080),
-    ("sparse", OMA): (20, 364_800),
+    ("sparse", NOMA): (16, 330_240),
+    ("sparse", OMA): (18, 355_200),
     ("low_uav", NOMA): (4, 7_296),
     ("low_uav", OMA): (3, 6_912),
 }
@@ -345,12 +374,18 @@ def _counted(monkeypatch):
     return counts
 
 
-def _sweep_counts(monkeypatch, name):
-    """(integrand calls, nodes) of shipped config ``name``'s closed forms."""
+def _shipped_sweep(name):
+    """The analytic sweep spec of shipped config ``name`` and its points, as
+    (value, cfg, link)."""
     raw = cli.load_config(str(REPO / "configs" / f"{name}.json"))
     cfg, link = cli.parse_network(raw["network"]), cli.parse_link(raw["link"])
     spec = cli.parse_sweep({**raw["sweep"], "mode": "analytic"})
-    points = [(v, *cli.apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
+    return spec, [(v, *cli.apply_axis(cfg, link, spec.axis, v)) for v in spec.values]
+
+
+def _sweep_counts(monkeypatch, name):
+    """(integrand calls, nodes) of shipped config ``name``'s closed forms."""
+    spec, points = _shipped_sweep(name)
     counts = _counted(monkeypatch)
     cli._analytic_sweep(spec, points)
     return tuple(counts)

@@ -5,10 +5,12 @@ coefficient kappa and the noise N/P, and its interference exponents do not
 depend on P. A UAV-centric pass keeps the exponents of the one before it
 when its R and density are the same, and reuses their Taylor coefficients
 at the same s; the radial tail gets its order 0 and 1 coefficients from one
-``hyp2f1`` call by a contiguous recurrence. Every value must still equal,
-bit for bit, the one computed alone.
+``hyp2f1`` call by a contiguous recurrence, and those of a higher top order
+from one call at that order by a backward recurrence. Every value must
+still equal, bit for bit, the one computed alone.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import replace
@@ -49,6 +51,28 @@ def _eta_and_slope(m_i, alpha_i, z):
         return eta(z), z * mpmath.diff(eta, z)
 
 
+# z of the recurrence tests, as in ``test_orders_zero_and_one_match_mpmath``
+Z_GRID = np.logspace(-12, 12, 25)
+
+
+@functools.cache
+def _coefficients(m_i, alpha_i, top=20):
+    """a_0..a_top of the radial tail at unit C = pi lam d0^2 on ``Z_GRID``,
+    one array per order, each 2F1 in 40 digits."""
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(2) / alpha_i
+        rows = []
+        for z in map(mpmath.mpf, Z_GRID):
+            head = sum(mpmath.hyp2f1(i, 1 - delta, 2 - delta, -z) for i in range(1, m_i + 1))
+            row = [z * delta / (1 - delta) * head]
+            for k in range(1, top + 1):
+                power_hyp = z**k * mpmath.hyp2f1(m_i + k, k - delta, k + 1 - delta, -z)
+                sign_binom = (-1) ** (k + 1) * mpmath.binomial(m_i + k - 1, k)
+                row.append(sign_binom * delta / (k - delta) * power_hyp)
+            rows.append([float(a) for a in row])
+    return np.array(rows).T
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("m_interf", [1, 2, 3, 5])
     @pytest.mark.parametrize("alpha_interf", [2.05, 2.5, 4.0, 6.0])
@@ -62,9 +86,25 @@ class TestRecurrence:
             assert a0 / scale == pytest.approx(float(want0), rel=1e-12, abs=0)
             assert a1 / scale == pytest.approx(float(want1), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m_interf", [1, 2, 3, 5])
+    @pytest.mark.parametrize("alpha_interf", [2.05, 2.5, 4.0, 6.0, 12.0])
+    @pytest.mark.parametrize("order", [2, 3, 5, 10, 20])
+    def test_every_order_from_the_top_call_matches_mpmath(
+        self, m_interf, alpha_interf, order
+    ):
+        # orders 0..K run down from the one 2F1 call at K
+        scale = math.pi * DENSITY
+        exponent = RadialTailExponent(DENSITY, alpha_interf, m_interf, 1.0)
+        got = exponent.derivatives(m_interf * Z_GRID, order).values
+        want = _coefficients(m_interf, alpha_interf)
+        for k in range(order + 1):
+            np.testing.assert_allclose(got[k] / scale, want[k], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("m_interf", [1, 3])
-    @pytest.mark.parametrize("order", [0, 1, 2, 4])
+    @pytest.mark.parametrize("order", [0, 1, 2, 4, 20])
     def test_one_call_per_order_past_the_first(self, monkeypatch, m_interf, order):
+        # orders 0 and 1 from the contiguous run, higher orders from the top
+        # call by the backward recurrence: one call at every order
         calls = []
         hyp2f1 = laplace.hyp2f1
 
@@ -75,7 +115,7 @@ class TestRecurrence:
         monkeypatch.setattr(laplace, "hyp2f1", counted)
         s = np.array([1e2, 1e9, 1e16]) * 1e-6
         RadialTailExponent(DENSITY, 3.0, m_interf, 150.0).derivatives(s, order)
-        assert len(calls) == max(1, order)
+        assert len(calls) == 1
 
 
 class TestExponentSum:
@@ -143,16 +183,19 @@ class TestReuse:
 
     def test_rate_sweep_evaluates_them_once_per_distinct_pass(self, monkeypatch):
         # below rate 0.75 the near user's coefficient is its partner decode's,
-        # which rate_near does not move: points 0.25 and 0.5 share their pass
+        # which rate_near does not move, and the far user's depends on
+        # rate_far alone: the 16 values hold 8 distinct rows, integrated once
+        # each, two to a pass, and each pass evaluates the exponents once
         points, access = _shipped_points("uav_centric_rate_noma_m3")
         distinct = {
-            tuple(uav._pair_value(role, cfg, link, access) for role in (uav.NEAR, uav.FAR))
+            uav._pair_value(role, cfg, link, access)
             for cfg, link in points
+            for role in (uav.NEAR, uav.FAR)
         }
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
         uav.coverage_sweep(points, access)
-        assert len(passes) == 8
-        assert len(radial) == len(distinct) == 7
+        assert len(distinct) == 8
+        assert len(passes) == len(radial) == 4
 
     def test_lone_point_evaluates_them_once(self, monkeypatch):
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
