@@ -9,10 +9,12 @@ validate   run the cross-check suite of ``validation`` (exit nonzero on any
            failure)
 
 Configs are JSON with ``network``, ``link``, and (for sweeps) ``sweep``
-sections; dBm values are accepted at this boundary only and converted to
-watts once. A strategy is named as ``scenario.ROLES`` names it
-("user-centric" or "uav-centric") in configs, flags and CSVs alike, and each
-point's rows list its two users in ``ROLES`` order. Command-line flags
+sections, each read through its table of keys in ``SECTIONS``: a key left
+out takes its model's default, and dBm is converted to watts here, once. A
+sweep axis names the key it moves (``AXIS_KEYS``). A strategy is named as
+``scenario.ROLES`` names it ("user-centric" or "uav-centric") in configs,
+flags and CSVs alike, and each point's rows list its two users in ``ROLES``
+order. Command-line flags
 override the config's sweep section. A sweep groups its points by
 ``montecarlo.geometry_key`` and simulates each group's batch once; groups
 run one after another in the calling process, and each batch is drawn on
@@ -40,7 +42,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo
 from .errors import DomainError, NumericalError
@@ -61,15 +64,6 @@ CSV_COLUMNS = (
     "strategy,access,user_role,axis,value,p_analytic,p_mc,ci_low,ci_high,trials,seed"
 )
 
-SWEEP_AXES = (
-    "tx_power_dbm",
-    "rate_near",
-    "rate_far",
-    "ipsic",
-    "uav_density",
-    "fixed_user_dist",
-    "power_split_far",
-)
 
 class ConfigError(Exception):
     """Configuration file problem; the message carries the field path."""
@@ -79,13 +73,17 @@ class ConfigError(Exception):
 class SweepSpec:
     axis: str
     values: tuple[float, ...]
-    strategy: str
-    access: str
-    mode: str  # analytic | mc | both
-    trials: int
-    seed: int
+    strategy: str = USER_CENTRIC
+    access: str = NOMA
+    mode: str = "both"  # analytic | mc | both
+    trials: int = 10_000
+    seed: int = 0
 
     def __post_init__(self):
+        if self.strategy not in ROLES:
+            raise ConfigError(f"sweep.strategy: unknown strategy {self.strategy!r}")
+        if self.access not in (NOMA, OMA):
+            raise ConfigError(f"sweep.access: unknown access {self.access!r}")
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}")
         if self.axis == "fixed_user_dist" and self.strategy == UAV_CENTRIC:
@@ -125,102 +123,115 @@ def _as_kind(value, kind):
     return value if type(value) is kind else None
 
 
-def _take(section: dict, path: str, key: str, kind, default):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    value = section.pop(key)
-    converted = _as_kind(value, kind)
-    if converted is None:
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
-    return converted
+def _numbers(values: list) -> tuple[float, ...]:
+    numbers = tuple(_as_kind(v, float) for v in values)
+    if None in numbers:
+        raise DomainError("expected a list of numbers")
+    return numbers
 
 
-def _reject_unknown(section: dict, path: str):
-    if section:
-        name = sorted(section)[0]
-        raise ConfigError(f"{path}.{name}: unknown field")
+class Key(NamedTuple):
+    """A config key: the model field it sets, its JSON type, and the
+    conversion of its value to model units."""
+
+    field: str
+    kind: type = float
+    to_model: Callable = lambda value: value
+
+
+# each section's model and keys, in reading order; a key left out leaves its
+# field at the model's default, and a field without one is required
+SECTIONS = {
+    "network": (NetworkConfig, {
+        # at most one of the three noise keys
+        "noise_watts": Key("noise_power"),
+        "noise_dbm": Key("noise_power", float, dbm_to_watts),
+        "noise_bandwidth_hz": Key("noise_power", float, noise_from_bandwidth),
+        "uav_density_per_m2": Key("uav_density"),
+        "tx_power_dbm": Key("tx_power", float, dbm_to_watts),
+        "alpha_desired": Key("alpha_desired"),
+        "uav_height_m": Key("uav_height"),
+        "alpha_interf": Key("alpha_interf"),
+        "m_desired": Key("m_desired", int),
+        "m_interf": Key("m_interf", int),
+        "sim_disc_radius_m": Key("sim_disc_radius"),
+    }),
+    "link": (NomaLink, {
+        "power_split_far": Key("pw_far"),
+        "rate_near_bpcu": Key("rate_near"),
+        "rate_far_bpcu": Key("rate_far"),
+        "ipsic": Key("ipsic"),
+        "fixed_user_dist_m": Key("fixed_user_dist"),
+    }),
+    "sweep": (SweepSpec, {
+        "strategy": Key("strategy", str),
+        "access": Key("access", str),
+        "values": Key("values", list, _numbers),
+        "axis": Key("axis", str),
+        "mode": Key("mode", str),
+        "trials": Key("trials", int),
+        "seed": Key("seed", int),
+    }),
+}
+
+# each sweep axis and the config key whose value it sets
+AXIS_KEYS = {
+    "tx_power_dbm": ("network", "tx_power_dbm"),
+    "rate_near": ("link", "rate_near_bpcu"),
+    "rate_far": ("link", "rate_far_bpcu"),
+    "ipsic": ("link", "ipsic"),
+    "uav_density": ("network", "uav_density_per_m2"),
+    "fixed_user_dist": ("link", "fixed_user_dist_m"),
+    "power_split_far": ("link", "power_split_far"),
+}
+SWEEP_AXES = tuple(AXIS_KEYS)
+
+
+def _read(name: str, section: dict):
+    """The model of config section ``name``, read through its ``SECTIONS``
+    keys in order; the first fault raises ``ConfigError`` naming its path."""
+    model, keys = SECTIONS[name]
+    first_key = {}
+    for key in keys:
+        if key in section:
+            first = first_key.setdefault(keys[key].field, key)
+            if first != key:
+                raise ConfigError(f"{name}.{first}, {name}.{key}: give one of them")
+    required = {f.name for f in fields(model) if f.default is MISSING}
+    kwargs = {}
+    for key, (field, kind, to_model) in keys.items():
+        if key not in section:
+            if field in required:
+                raise ConfigError(f"{name}.{key}: required field is missing")
+            continue
+        value = _as_kind(section[key], kind)
+        if value is None:
+            raise ConfigError(
+                f"{name}.{key}: expected {kind.__name__}, got {section[key]!r}"
+            )
+        try:
+            kwargs[field] = to_model(value)
+        except DomainError as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from None
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}.{unknown[0]}: unknown field")
+    try:
+        return model(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_network(section: dict) -> NetworkConfig:
-    section = dict(section)
-    noise_fields = ("noise_watts", "noise_dbm", "noise_bandwidth_hz")
-    given = [key for key in noise_fields if key in section]
-    if len(given) > 1:
-        raise ConfigError(f"network.{given[0]}, network.{given[1]}: give one of them")
-    if "noise_watts" in section:
-        noise_watts = _take(section, "network", "noise_watts", float, None)
-    elif "noise_dbm" in section:
-        noise_watts = dbm_to_watts(_take(section, "network", "noise_dbm", float, None))
-    else:
-        bandwidth = _take(section, "network", "noise_bandwidth_hz", float, 300e3)
-        try:
-            noise_watts = noise_from_bandwidth(bandwidth)
-        except DomainError as exc:
-            raise ConfigError(f"network.noise_bandwidth_hz: {exc}") from None
-    kwargs = dict(
-        uav_density=_take(
-            section, "network", "uav_density_per_m2", float, 1.0 / (500.0**2 * math.pi)
-        ),
-        tx_power=dbm_to_watts(_take(section, "network", "tx_power_dbm", float, -30.0)),
-        alpha_desired=_take(section, "network", "alpha_desired", float, 3.0),
-        noise_power=noise_watts,
-        uav_height=_take(section, "network", "uav_height_m", float, 100.0),
-        alpha_interf=_take(section, "network", "alpha_interf", float, 4.0),
-        m_desired=_take(section, "network", "m_desired", int, 1),
-        m_interf=_take(section, "network", "m_interf", int, 1),
-        sim_disc_radius=_take(section, "network", "sim_disc_radius_m", float, 10_000.0),
-    )
-    _reject_unknown(section, "network")
-    try:
-        return NetworkConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"network: {exc}") from None
+    return _read("network", section)
 
 
 def parse_link(section: dict) -> NomaLink:
-    section = dict(section)
-    pw_far = _take(section, "link", "power_split_far", float, 0.6)
-    kwargs = dict(
-        pw_far=pw_far,
-        pw_near=1.0 - pw_far,
-        rate_near=_take(section, "link", "rate_near_bpcu", float, 1.0),
-        rate_far=_take(section, "link", "rate_far_bpcu", float, 0.5),
-        ipsic=_take(section, "link", "ipsic", float, 0.0),
-        fixed_user_dist=_take(section, "link", "fixed_user_dist_m", float, 300.0),
-    )
-    _reject_unknown(section, "link")
-    try:
-        return NomaLink(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"link: {exc}") from None
+    return _read("link", section)
 
 
 def parse_sweep(section: dict) -> SweepSpec:
-    section = dict(section)
-    strategy = _take(section, "sweep", "strategy", str, USER_CENTRIC)
-    if strategy not in ROLES:
-        raise ConfigError(f"sweep.strategy: unknown strategy {strategy!r}")
-    access = _take(section, "sweep", "access", str, NOMA)
-    if access not in (NOMA, OMA):
-        raise ConfigError(f"sweep.access: unknown access {access!r}")
-    values = tuple(
-        _as_kind(v, float) for v in _take(section, "sweep", "values", list, None)
-    )
-    if None in values:
-        raise ConfigError("sweep.values: expected a list of numbers")
-    spec = SweepSpec(
-        axis=_take(section, "sweep", "axis", str, None),
-        values=values,
-        strategy=strategy,
-        access=access,
-        mode=_take(section, "sweep", "mode", str, "both"),
-        trials=_take(section, "sweep", "trials", int, 10_000),
-        seed=_take(section, "sweep", "seed", int, 0),
-    )
-    _reject_unknown(section, "sweep")
-    return spec
+    return _read("sweep", section)
 
 
 def load_config(path: str) -> dict:
@@ -239,7 +250,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - {"network", "link", "sweep"}
+    unknown = set(raw) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level section")
     for name, section in raw.items():
@@ -251,24 +262,18 @@ def load_config(path: str) -> dict:
 def apply_axis(
     cfg: NetworkConfig, link: NomaLink, axis: str, value: float
 ) -> tuple[NetworkConfig, NomaLink]:
+    """``cfg`` and ``link`` with ``axis`` at ``value``, converted as the
+    axis's config key converts it."""
+    if axis not in AXIS_KEYS:
+        raise ConfigError(f"unknown axis {axis!r}")
+    name, key = AXIS_KEYS[axis]
+    field, _, to_model = SECTIONS[name][1][key]
+    models = {"network": cfg, "link": link}
     try:
-        if axis == "tx_power_dbm":
-            return replace(cfg, tx_power=dbm_to_watts(value)), link
-        if axis == "uav_density":
-            return replace(cfg, uav_density=value), link
-        if axis == "rate_near":
-            return cfg, replace(link, rate_near=value)
-        if axis == "rate_far":
-            return cfg, replace(link, rate_far=value)
-        if axis == "ipsic":
-            return cfg, replace(link, ipsic=value)
-        if axis == "fixed_user_dist":
-            return cfg, replace(link, fixed_user_dist=value)
-        if axis == "power_split_far":
-            return cfg, replace(link, pw_far=value, pw_near=1.0 - value)
+        models[name] = replace(models[name], **{field: to_model(value)})
     except DomainError as exc:
         raise ConfigError(f"sweep.values: {value!r} on axis {axis}: {exc}") from None
-    raise ConfigError(f"unknown axis {axis!r}")
+    return models["network"], models["link"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +339,8 @@ def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
 
 
 def _point_rows(spec, value, cfg, link, analytic, batch) -> list[dict]:
+    """The two rows of one point, keyed by ``CSV_COLUMNS``; without a batch
+    the MC cells are None."""
     mc = (
         montecarlo.estimate(batch, cfg, link, spec.access)
         if batch is not None
@@ -341,21 +348,13 @@ def _point_rows(spec, value, cfg, link, analytic, batch) -> list[dict]:
     )
     rows = []
     for role, p_analytic, estimate in zip(ROLES[spec.strategy], analytic, mc):
-        rows.append(
-            {
-                "strategy": spec.strategy,
-                "access": spec.access,
-                "user_role": role,
-                "axis": spec.axis,
-                "value": value,
-                "p_analytic": p_analytic,
-                "p_mc": estimate.p_hat if estimate else None,
-                "ci_low": estimate.ci_low if estimate else None,
-                "ci_high": estimate.ci_high if estimate else None,
-                "trials": spec.trials if estimate else None,
-                "seed": spec.seed if estimate else None,
-            }
+        sampled = (
+            (estimate.p_hat, estimate.ci_low, estimate.ci_high, spec.trials, spec.seed)
+            if estimate
+            else (None,) * 5
         )
+        cells = (spec.strategy, spec.access, role, spec.axis, value, p_analytic, *sampled)
+        rows.append(dict(zip(CSV_COLUMNS.split(","), cells)))
     return rows
 
 
@@ -433,26 +432,16 @@ def _check_writable(path: str) -> None:
 
 
 def _format_row(row: dict) -> list[str]:
-    def number(x):
+    """The cells of ``row`` in ``CSV_COLUMNS`` order: names as they are,
+    integers whole, other numbers to 10 digits, None empty."""
+    def cell(x):
         if x is None:
             return ""
-        if isinstance(x, int):
+        if isinstance(x, (str, int)):
             return str(x)
         return f"{x:.10g}"
 
-    return [
-        row["strategy"],
-        row["access"],
-        row["user_role"],
-        row["axis"],
-        number(row["value"]),
-        number(row["p_analytic"]),
-        number(row["p_mc"]),
-        number(row["ci_low"]),
-        number(row["ci_high"]),
-        number(row["trials"]),
-        number(row["seed"]),
-    ]
+    return [cell(row[column]) for column in CSV_COLUMNS.split(",")]
 
 
 def _warn_infeasible(link, strategy, access, where=""):
@@ -523,10 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _with_flags(spec: SweepSpec, args) -> SweepSpec:
     """``spec`` with every flag given on the command line in place of its
     config value; ``SweepSpec`` rejects a bad value with ``ConfigError``."""
-    flags = {
-        name: getattr(args, name, None)
-        for name in ("strategy", "access", "mode", "trials", "seed")
-    }
+    flags = {f.name: getattr(args, f.name, None) for f in fields(SweepSpec)}
     return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 
 

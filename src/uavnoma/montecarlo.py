@@ -543,7 +543,10 @@ def _decodes(
         if near is not True:
             ok = np.where(near, ok, cross > ts.eps_own)
     coeff = np.where(near, ts.near, ts.far)
-    identity = gain > coeff * (noise / p + unit_interference) * dist3d**alpha
+    # an infinite d^alpha fails the rule, as its SINR of 0 fails the chain
+    with np.errstate(over="ignore"):
+        path = np.power(dist3d, alpha)
+        identity = gain > coeff * (noise / p + unit_interference) * path
     mismatches = int(np.sum(ok != identity))
     if mismatches:
         raise RuntimeError(

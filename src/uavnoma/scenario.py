@@ -2,7 +2,9 @@
 
 Everything downstream (closed-form coverage and Monte Carlo alike) consumes
 the immutable value types defined here. All internal computation is in linear
-units (watts, meters); dBm appears only at I/O boundaries.
+units (watts, meters); dBm appears only at I/O boundaries. Every field has
+its default here, which a config that leaves the field out takes. A pair has
+one power split, ``pw_far``; the near-role user takes ``1 - pw_far``.
 
 Each association strategy has one name, the one configs, flags and CSVs
 use: ``USER_CENTRIC`` ("user-centric") and ``UAV_CENTRIC`` ("uav-centric").
@@ -56,13 +58,19 @@ def noise_from_bandwidth(bw_hz: float) -> float:
     return dbm_to_watts(-174.0 + 10.0 * math.log10(bw_hz))
 
 
-def _check_finite(config) -> None:
+def _check_finite(config, lengths: tuple[str, ...]) -> None:
     """Raise ``DomainError`` naming the first field of ``config`` that is NaN
-    or infinite; NaN would pass every range check below."""
+    or infinite, or the first of its ``lengths`` whose square is; NaN would
+    pass every range check below, and the Monte Carlo squares each length."""
     for field in fields(config):
         value = getattr(config, field.name)
         if not math.isfinite(value):
             raise DomainError(f"{field.name} must be finite, got {value!r}")
+        if field.name in lengths and not math.isfinite(value * value):
+            raise DomainError(
+                f"{field.name} must be at most about 1.34e154 m, so that its "
+                f"square is finite, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,13 @@ class NetworkConfig:
     m_interf           integer Nakagami fading order of interfering links
     noise_power        AWGN power in watts
     sim_disc_radius    Monte Carlo deployment disc radius in meters
+
+    Each length must have a finite square: at most about 1.34e154 m.
     """
 
-    uav_density: float
-    tx_power: float
-    alpha_desired: float
+    uav_density: float = 1.0 / (500.0**2 * math.pi)
+    tx_power: float = dbm_to_watts(-30.0)
+    alpha_desired: float = 3.0
     noise_power: float = noise_from_bandwidth(300e3)
     uav_height: float = 100.0
     alpha_interf: float = 4.0
@@ -91,7 +101,7 @@ class NetworkConfig:
     sim_disc_radius: float = 10_000.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(self, ("uav_height", "sim_disc_radius"))
         if self.uav_density <= 0.0:
             raise DomainError("uav_density must be positive")
         if self.tx_power <= 0.0 or self.noise_power <= 0.0:
@@ -134,8 +144,8 @@ def sweep_config(cfgs: Sequence[NetworkConfig]) -> NetworkConfig:
 class NomaLink:
     """Power split, target rates, and SIC quality of one NOMA pair.
 
-    pw_far / pw_near   power fractions of the far-role and near-role user;
-                       they must sum to 1
+    pw_far             power fraction of the far-role user, in (0, 1); the
+                       near-role user takes the rest, ``pw_near``
     rate_near          target rate (BPCU) of the near user; in the
                        user-centric strategy this is the typical user's rate
     rate_far           target rate of the far user; user-centric: the rate of
@@ -147,17 +157,14 @@ class NomaLink:
     """
 
     pw_far: float = 0.6
-    pw_near: float = 0.4
     rate_near: float = 1.0
     rate_far: float = 0.5
     ipsic: float = 0.0
     fixed_user_dist: float = 300.0
 
     def __post_init__(self):
-        _check_finite(self)
-        if not math.isclose(self.pw_far + self.pw_near, 1.0, rel_tol=0, abs_tol=1e-12):
-            raise DomainError("power fractions must sum to 1")
-        if self.pw_far <= 0.0 or self.pw_near <= 0.0:
+        _check_finite(self, ("fixed_user_dist",))
+        if not 0.0 < self.pw_far < 1.0:
             raise DomainError("power fractions must be strictly positive")
         if not 0.0 <= self.ipsic <= 1.0:
             raise DomainError("ipsic must lie in [0, 1]")
@@ -165,6 +172,11 @@ class NomaLink:
             raise DomainError("target rates must be positive")
         if self.fixed_user_dist <= 0.0:
             raise DomainError("fixed_user_dist must be positive")
+
+    @property
+    def pw_near(self) -> float:
+        """Power fraction of the near-role user."""
+        return 1.0 - self.pw_far
 
     def with_swapped_rates(self) -> "NomaLink":
         """Rates seen from the partner user's perspective (power split kept)."""

@@ -237,10 +237,8 @@ def quadrature_exponent_derivatives(
 
 
 def _validate_checks(quick: bool, seed: int):
-    density = 1.0 / (500.0**2 * math.pi)
-    cfg = NetworkConfig(
-        uav_density=density, tx_power=1e-6, alpha_desired=3.0, m_interf=1
-    )
+    cfg = NetworkConfig()
+    density = cfg.uav_density
     cfg_uav = replace(cfg, alpha_desired=3.5)
     link_uav = NomaLink(rate_near=1.5, rate_far=1.0, ipsic=0.0)
 

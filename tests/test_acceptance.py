@@ -364,7 +364,7 @@ def test_criterion_7_noma_vs_oma():
             )
             for pw in splits:
                 link = NomaLink(
-                    pw_far=pw, pw_near=1.0 - pw, rate_near=rate, rate_far=0.5,
+                    pw_far=pw, rate_near=rate, rate_far=0.5,
                     ipsic=beta,
                 )
                 out.append((coverage_typical(cfg, link, NOMA) - oma, halfwidth))

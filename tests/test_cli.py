@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from uavnoma import analytic_uav_centric, analytic_user_centric, montecarlo
 from uavnoma.cli import (
     CSV_COLUMNS,
+    SWEEP_AXES,
     ConfigError,
+    SweepSpec,
     _format_row,
     apply_axis,
     evaluate_point,
@@ -27,7 +30,7 @@ from uavnoma.cli import (
     parse_sweep,
     worker_count,
 )
-from uavnoma.scenario import NOMA
+from uavnoma.scenario import NOMA, SWEPT_FIELDS, NetworkConfig, NomaLink
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -266,6 +269,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_empty_sections_read_the_model_defaults(self, axis):
+        assert parse_network({}) == NetworkConfig()
+        assert parse_link({}) == NomaLink()
+        values = [0.3, 0.5]
+        assert parse_sweep({"axis": axis, "values": values}) == SweepSpec(
+            axis, tuple(values)
+        )
+
+    def test_sweep_axes_move_exactly_the_swept_network_fields(self):
+        # each axis moves one field; those of the network are the ones that
+        # the points of one sweep may differ in
+        cfg, link = NetworkConfig(), NomaLink()
+        moved = set()
+        for axis in SWEEP_AXES:
+            changed = [
+                name
+                for before, after in zip((cfg, link), apply_axis(cfg, link, axis, 0.3))
+                for name in vars(before)
+                if getattr(after, name) != getattr(before, name)
+            ]
+            assert len(changed) == 1, (axis, changed)
+            moved.update(name for name in changed if hasattr(cfg, name))
+        assert moved == set(SWEPT_FIELDS)
+
+    def test_strategy_and_access_are_checked_by_the_spec(self):
+        spec = parse_sweep({"axis": "ipsic", "values": [0.0]})
+        with pytest.raises(ConfigError, match="^sweep.strategy: unknown strategy"):
+            SweepSpec("ipsic", (0.0,), strategy="drone-centric")
+        with pytest.raises(ConfigError, match="^sweep.access: unknown access"):
+            dataclasses.replace(spec, access="tdma")
+
+    def test_power_split_is_one_field(self):
+        link = NomaLink(pw_far=0.7)
+        assert link.pw_near == 1.0 - 0.7
+        assert "pw_near" not in {f.name for f in dataclasses.fields(NomaLink)}
+        for pw_far in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigError, match="^link: power fractions"):
+                parse_link({"power_split_far": pw_far})
+
 
 # every JSON scalar, including floats half-way between integers and the
 # NaN and infinities that Python's json accepts
@@ -312,9 +355,9 @@ class TestConfigParsingProperties:
         if cfg is not None:
             assert _is_number(value)
             assert type(cfg.uav_height) is float and cfg.uav_height == value
-        if not _is_number(value) or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value * value):
             assert cfg is None
-        if type(value) is float and 1.0 <= value < math.inf:
+        if type(value) is float and 1.0 <= value and math.isfinite(value * value):
             assert cfg is not None
 
     @settings(max_examples=300, deadline=None)
@@ -800,6 +843,36 @@ class TestPointCommands:
         out = capsys.readouterr().out
         assert "near: p=" in out and "far: p=" in out
 
+    @pytest.mark.parametrize(
+        "strategy, network, link, silent_user",
+        [
+            ("user-centric", {"alpha_desired": 12.0}, {"fixed_user_dist_m": 1e26}, "fixed"),
+            ("user-centric", {"alpha_desired": 3.5}, {"fixed_user_dist_m": 1e89}, "fixed"),
+            ("user-centric", {"alpha_desired": 3.0}, {"fixed_user_dist_m": 1e103}, "fixed"),
+            ("user-centric", {"alpha_desired": 3.5, "uav_height_m": 1e100}, {}, "typical"),
+            ("uav-centric", {"alpha_desired": 3.5, "uav_height_m": 1e100}, {}, "far"),
+        ],
+    )
+    def test_path_loss_that_overflows_fails_the_decode(
+        self, tmp_path, capsys, strategy, network, link, silent_user
+    ):
+        # d^alpha_d overflows a float: that user decodes nothing, and numpy
+        # must not warn about it
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"].update(network)
+        payload["link"].update(link)
+        payload["sweep"].update(strategy=strategy, trials=200)
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mc", "--config", path]) == 0
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        assert _printed(captured.out, silent_user).startswith("0.000000 ")
+        assert len(out.read_text().splitlines()) == 5
+
 
 class TestErrors:
     def test_missing_file_exits_2(self, capsys):
@@ -901,6 +974,63 @@ class TestErrors:
         assert not out.exists()
         # the closed forms need no field
         assert main(["analytic", "--config", path]) == 0
+
+    @pytest.mark.parametrize(
+        "section, key, field",
+        [
+            ("network", "uav_height_m", "uav_height"),
+            ("network", "sim_disc_radius_m", "sim_disc_radius"),
+            ("link", "fixed_user_dist_m", "fixed_user_dist"),
+        ],
+    )
+    def test_length_whose_square_overflows_exits_2(
+        self, tmp_path, capsys, section, key, field
+    ):
+        # the Monte Carlo squares every length; 1e200 m has no finite square
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload[section][key] = 1e200
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--config", path]) == 2
+            assert main(["mc", "--config", path]) == 2
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        line = (
+            f"error: {section}: {field} must be at most about 1.34e154 m, so that "
+            "its square is finite, got 1e+200"
+        )
+        assert capsys.readouterr().err.splitlines() == [line] * 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("network", "uav_height_m"),
+            ("network", "sim_disc_radius_m"),
+            ("link", "fixed_user_dist_m"),
+        ],
+    )
+    def test_largest_accepted_length_runs_silently(
+        self, tmp_path, capsys, strategy, section, key
+    ):
+        largest = math.sqrt(sys.float_info.max)
+        beyond = math.nextafter(largest, math.inf)
+        assert math.isfinite(largest * largest) and not math.isfinite(beyond * beyond)
+        payload = {section: {key: largest}, "sweep": {"strategy": strategy, "trials": 64}}
+        path = write_config(tmp_path, payload)
+        # a disc that wide holds too many UAVs for any batch
+        fits = key != "sim_disc_radius_m"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--config", path]) == 0
+            assert main(["mc", "--config", path]) == (0 if fits else 2)
+        assert capsys.readouterr().err == (
+            ""
+            if fits
+            else "error: a UAV field of 7.19e+302 points per trial does not fit in memory\n"
+        )
 
     def test_failed_batch_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
         # a shape numpy accepts but the host cannot hold; the refusal is

@@ -65,7 +65,7 @@ class TestUserCentricHigherOrders:
 
     def test_order_three_with_order_two_interference(self):
         link = NomaLink(
-            pw_far=0.75, pw_near=0.25, rate_near=1.4, rate_far=0.5,
+            pw_far=0.75, rate_near=1.4, rate_far=0.5,
             ipsic=0.0, fixed_user_dist=300.0,
         )
         gap_typ, gap_fix = uc_case(3, 2, link, NOMA, seed=12)
@@ -73,7 +73,7 @@ class TestUserCentricHigherOrders:
 
     def test_orthogonal_benchmark(self):
         link = NomaLink(
-            pw_far=0.75, pw_near=0.25, rate_near=1.4, rate_far=0.5,
+            pw_far=0.75, rate_near=1.4, rate_far=0.5,
             ipsic=0.0, fixed_user_dist=300.0,
         )
         gap_typ, gap_fix = uc_case(3, 2, link, OMA, seed=12)

@@ -52,7 +52,6 @@ def draw_cases(seed: int = SEED) -> list[tuple]:
             pw_far = rng.uniform(0.55, 0.9)
             link = NomaLink(
                 pw_far=pw_far,
-                pw_near=1.0 - pw_far,
                 rate_near=rng.uniform(0.2, 1.5),
                 rate_far=rng.uniform(0.2, 1.5),
                 ipsic=rng.uniform(0.0, 0.3),

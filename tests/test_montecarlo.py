@@ -640,7 +640,7 @@ NETWORK_CHANGES = dict(
     sim_disc_radius=8000.0,
 )
 LINK_CHANGES = {
-    "power_split": dict(pw_far=0.7, pw_near=0.3),
+    "power_split": dict(pw_far=0.7),
     "rate_near": dict(rate_near=1.5),
     "rate_far": dict(rate_far=0.25),
     "ipsic": dict(ipsic=0.2),

@@ -71,10 +71,6 @@ class TestNetworkConfig:
 
 
 class TestNomaLink:
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(DomainError):
-            NomaLink(pw_far=0.6, pw_near=0.3)
-
     def test_ipsic_range(self):
         with pytest.raises(DomainError):
             NomaLink(ipsic=1.5)
@@ -245,7 +241,7 @@ class TestThresholdOverflow:
         self, rate_near, rate_far, pw_far, ipsic, strategy, access
     ):
         link = NomaLink(
-            pw_far=pw_far, pw_near=1.0 - pw_far,
+            pw_far=pw_far,
             rate_near=rate_near, rate_far=rate_far, ipsic=ipsic,
         )
         ts = thresholds(link, strategy, access)
