@@ -425,6 +425,7 @@ def _check_writable(path: str) -> None:
     folder = os.path.dirname(os.path.abspath(path))
     if (
         os.path.isdir(path)
+        or not os.path.isdir(folder)
         or not os.access(folder, os.W_OK | os.X_OK)
         or (os.path.exists(path) and not os.access(path, os.W_OK))
     ):

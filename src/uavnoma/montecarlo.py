@@ -417,7 +417,10 @@ def evaluate_uav_centric(
 
 
 def _usable_cores() -> int:
-    # the cores this process may run on, not the host's (os.cpu_count)
+    # the cores this process may run on, not the host's (os.cpu_count), where
+    # the platform can tell (macOS and Windows have no sched_getaffinity)
+    if not hasattr(os, "sched_getaffinity"):
+        return os.cpu_count() or 1
     return len(os.sched_getaffinity(0))
 
 

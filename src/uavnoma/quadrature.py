@@ -19,27 +19,24 @@ more than the tolerance, or its cells would take more than
 ``NumericalError``. Its error estimate sums its final cells and, on the
 pass budget, the last estimates of the cells it was still refining.
 
-All the cells of one call form one flat table, sorted by group: the cells
-of one integral that share a base rule, integrals in order and each one's
-rules in the order they first appear. So a round of refinement takes a
-fixed number of whole-array steps however many integrals the call holds,
-and calls the integrand once per pass: the cell sets of the integrals still
-refining, whole and in order, up to ``_PASS_NODES`` nodes; a larger set
-takes a pass of its own. A sweep's closed forms thus cost a few large numpy
-calls instead of one small call per value, whose fixed cost dominates at a
-few hundred nodes; the budget bounds the kernel's temporaries to about a
-megabyte, where a whole UAV-centric sweep would take ten times that. A pass
-lays out its nodes rule by rule, each cell's base nodes before its check
-nodes, so one integral's nodes need not be contiguous.
+All the cells of one call form one flat table, integral by integral, each
+integral's cells in the order of its boxes and, once bisected, corner by
+corner; each cell carries its integral and its base rule. So a round of
+refinement takes a fixed number of whole-array steps however many integrals
+the call holds, and calls the integrand once per pass: the cell sets of the
+integrals still refining, whole and in order, up to ``_PASS_NODES`` nodes; a
+larger set takes a pass of its own. A sweep's closed forms thus cost a few
+large numpy calls instead of one small call per value, whose fixed cost
+dominates at a few hundred nodes; the budget bounds the kernel's temporaries
+to about a megabyte, where a whole UAV-centric sweep would take ten times
+that. A pass lays out its nodes rule by rule, each cell's base nodes before
+its check nodes, so one integral's nodes need not be contiguous.
 
 Each value and estimate is, bit for bit, the one its integral gets alone:
-a cell's Q_n and Q_2n are row sums over its own nodes; an integral adds,
-round by round and group by group, the sum of the group's final cells in
-table order (children follow their group corner by corner), and its volume
-sums its boxes in the order given. Each run is summed as ``x.sum()`` sums
-it, from 0.0 in numpy's pairwise order. ``np.add.reduceat`` adds a0 + (a1 +
-a2) for (a0 + a1) + a2, and a sum along an axis that is not innermost in
-memory adds in plain order; ``_sums`` avoids both.
+a cell's Q_n and Q_2n are row sums over its own nodes; each round adds an
+integral's final cells one by one in table order (``np.bincount``), and that
+sum into its value and estimate; its volume adds its boxes the same way.
+Company moves an integral's cells within the table, never their order.
 
 The estimate presumes an integrand smooth within each cell: a jump halfway
 between the same two nodes of both rules goes unseen. The closed forms put
@@ -123,51 +120,47 @@ def integrate_many(
     if not boxes:
         return []
     tol = TOLERANCE
-    corners, group, volume, owner, rule, rules = _table(boxes)
-    group_nodes = np.array([_cell_rule(key)[1].size for key in rules])[rule]
-    totals = np.zeros((len(boxes), 2))  # value and estimate of each integral
+    corners, owner, rule, rules = _table(boxes)
+    size = np.multiply.reduce(corners[1] - corners[0], axis=0)
+    volume = np.bincount(owner, size, len(boxes))
+    rule_nodes = np.array([_cell_rule(key)[1].size for key in rules])
+    totals = np.zeros((2, len(boxes)))  # value and estimate of each integral
     failed = []  # integrals whose cells outgrew _MAX_PASS_NODES
-    refining = None  # estimates and groups of the cells bisected last round
+    pending = np.zeros(len(boxes))  # estimates of the cells bisected last round
     for depth in range(_MAX_DEPTH + 1):
-        nodes = np.bincount(owner[group], group_nodes[group], len(boxes))
+        nodes = np.bincount(owner, rule_nodes[rule], len(boxes))
         if nodes.max() > _MAX_PASS_NODES:
             over = np.flatnonzero(nodes > _MAX_PASS_NODES)
             # a failing integral reports its final cells and the last
             # estimates of the cells it was still refining
-            if refining is not None:
-                run_sums, runs = _sums(*refining)
-                pending = np.zeros(len(boxes))
-                np.add.at(pending, owner[runs], run_sums)
-                totals[over, 1] += pending[over]
+            totals[1, over] += pending[over]
             failed += over.tolist()
-            keep = nodes[owner[group]] <= _MAX_PASS_NODES
-            corners, group, nodes[failed] = corners[..., keep], group[keep], 0.0
-        cell_owner = owner[group]
+            keep = nodes[owner] <= _MAX_PASS_NODES
+            corners, owner, rule = corners[..., keep], owner[keep], rule[keep]
+            nodes[over] = 0
         width = corners[1] - corners[0]
         size = np.multiply.reduce(width, axis=0)
         sums = np.empty((2, len(size)))  # Q_2n and |Q_n - Q_2n| of each cell
-        bounds = cell_owner.searchsorted(_passes(nodes.tolist())).tolist()
+        bounds = owner.searchsorted(_passes(nodes.tolist())).tolist()
         for span in map(slice, bounds, bounds[1:]):
             _evaluate(
                 integrand, corners[0, :, span], width[:, span], size[span],
-                cell_owner[span], rule[group[span]], rules, sums[:, span],
+                owner[span], rule[span], rules, sums[:, span],
             )
-        final = (sums[1] <= tol * size / volume[cell_owner]) | (depth == _MAX_DEPTH)
-        done = np.count_nonzero(final)
-        if done:
-            run_sums, runs = _sums(np.compress(final, sums, axis=1), group[final])
-            np.add.at(totals, owner[runs], run_sums.T)
-        if done == len(final):
+        final = (sums[1] <= tol * size / volume[owner]) | (depth == _MAX_DEPTH)
+        for total, cells in zip(totals, sums[:, final]):
+            total += np.bincount(owner[final], cells, len(boxes))
+        if final.all():
             break
-        refining = sums[1, ~final], group[~final]
-        corners, group = _bisect(corners[..., ~final], refining[1])
-    if failed or np.count_nonzero(totals[:, 1] <= tol) < len(boxes):
-        i = min(failed + (~(totals[:, 1] <= tol)).nonzero()[0].tolist())
+        pending = np.bincount(owner[~final], sums[1, ~final], len(boxes))
+        corners, owner, rule = _bisect(corners[..., ~final], owner[~final], rule[~final])
+    if failed or np.count_nonzero(totals[1] <= tol) < len(boxes):
+        i = min(failed + (~(totals[1] <= tol)).nonzero()[0].tolist())
         problem = f"refinement needs more than {_MAX_PASS_NODES} nodes in one pass"
         if i not in failed:
             problem = f"misses {tol:.0e} after {_MAX_DEPTH} bisections"
-        raise NumericalError(f"quadrature {problem}", totals[i, 1].item())
-    return [Quadrature(*q) for q in totals.tolist()]
+        raise NumericalError(f"quadrature {problem}", totals[1, i].item())
+    return [Quadrature(*q) for q in zip(*totals.tolist())]
 
 
 class NodeFields:
@@ -224,45 +217,17 @@ def integrate(integrand: Callable[..., np.ndarray], lo, hi, counts) -> Quadratur
 
 
 def _table(boxes: Sequence[tuple]):
-    """The cell table of ``boxes``, sorted by group: corners, (lo and hi,
-    axes, cells), and group of each cell. Then each integral's volume, its
-    boxes summed in the order given, each group's integral and base rule,
-    and the base rules."""
-    corners, group, owner, rule = [], [], [], []
-    groups: dict[tuple, int] = {}  # (integral, base rule): group
+    """The cell table of ``boxes``, integral by integral and each one's boxes
+    in the order given: corners, (lo and hi, axes, cells), integral and base
+    rule of each cell; and the base rules."""
+    corners, owner, rule = [], [], []
     rules: dict[tuple[int, ...], int] = {}
     for i, (lo, hi, counts) in enumerate(boxes):
         corners += zip(lo, hi)
-        for row in counts:
-            key = tuple(map(int, row))
-            group.append(groups.setdefault((i, key), len(groups)))
-            if group[-1] == len(owner):
-                owner.append(i)
-                rule.append(rules.setdefault(key, len(rules)))
+        owner += [i] * len(counts)
+        rule += [rules.setdefault(tuple(map(int, row)), len(rules)) for row in counts]
     corners = np.array(corners, dtype=float).transpose(1, 2, 0)
-    owner, unsorted = np.array(owner), any(map(int.__gt__, group, group[1:]))
-    group = np.array(group)
-    volume = _sums(np.multiply.reduce(corners[1] - corners[0], axis=0), owner[group])
-    if unsorted:  # an integral's base rules interleave
-        order = np.argsort(group, kind="stable")
-        corners, group = corners[..., order], group[order]
-    return corners, group, volume[0], owner, np.array(rule), list(rules)
-
-
-def _sums(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of ``x`` along its last axis over each run of equal ``labels``
-    (sorted), each summed as ``x[..., run].sum(axis=-1)`` sums it (see the
-    module docstring), and the label of each run."""
-    x = np.ascontiguousarray(x)
-    if labels[0] == labels[-1]:
-        return np.add.reduce(x, axis=-1, keepdims=True), labels[:1]
-    head = np.concatenate(([True], labels[1:] != labels[:-1]))  # runs' first
-    if (labels[2:] != labels[:-2]).all():  # runs of 1 or 2: a0 + a1 either way
-        return np.add.reduceat(x, head.nonzero()[0], axis=-1), labels[head]
-    at = np.arange(len(labels)) + head.cumsum()  # of x, past a 0.0 per run
-    padded = np.zeros((*x.shape[:-1], at[-1] + 1))
-    padded[..., at] = x
-    return np.add.reduceat(padded, at[head] - 1, axis=-1), labels[head]
+    return corners, np.array(owner), np.array(rule), list(rules)
 
 
 def _passes(nodes: list) -> list[int]:
@@ -302,16 +267,17 @@ def _evaluate(integrand, lo, width, size, owner, rule, rules, out) -> None:
         out[1, cells] = np.abs(np.add.reduce(terms[:, :base], axis=1) - fine)
 
 
-def _bisect(corners: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^dim children of each cell, halved along every axis, group by
-    group and within a group corner by corner."""
+def _bisect(corners: np.ndarray, owner: np.ndarray, rule: np.ndarray):
+    """The 2^dim children of each cell, halved along every axis, integral by
+    integral and within an integral corner by corner; and their integrals
+    and base rules."""
     lo, hi = corners[:, :, None]
     mid = 0.5 * (lo + hi)
     dim = len(lo)
     upper = (np.arange(2**dim) >> np.arange(dim)[:, None] & 1).astype(bool)[..., None]
     children = np.array([np.where(upper, mid, lo), np.where(upper, hi, mid)])
-    children, group = children.reshape(2, dim, -1), np.tile(group, 2**dim)
-    if group[0] == group[-1]:  # one group, already in order
-        return children, group
-    order = np.argsort(group, kind="stable")
-    return children[..., order], group[order]
+    children, (owner, rule) = children.reshape(2, dim, -1), np.tile([owner, rule], 2**dim)
+    if owner[0] == owner[-1]:  # one integral, already in order
+        return children, owner, rule
+    order = np.argsort(owner, kind="stable")
+    return children[..., order], owner[order], rule[order]

@@ -439,6 +439,13 @@ class TestSweepCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert worker_count() == 3
 
+    def test_thread_count_without_affinity_is_cpu_count(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert worker_count() == 6
+
     @pytest.mark.parametrize(
         "sweep, batches",
         [
@@ -586,7 +593,11 @@ class TestUnwritableOut:
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["sweep"]["strategy"] = strategy
         cfg_path = write_config(tmp_path, payload)
-        for out in (tmp_path / "missing" / "o.csv", tmp_path):
+        # an executable regular file passes os.access as a folder would
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        afile.chmod(0o755)
+        for out in (tmp_path / "missing" / "o.csv", tmp_path, afile / "o.csv"):
             assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
             assert f"error: --out {out}" in capsys.readouterr().err
         assert calls == []

@@ -409,6 +409,28 @@ class TestBlockRangeThreads:
         expected = [min(int(threads), b // min_range) for b in blocks]
         assert pools == [k for k in expected if k > 1]
 
+    def test_bit_identical_without_affinity(self, monkeypatch):
+        # where os has no sched_getaffinity (macOS, Windows) the batch takes
+        # os.cpu_count() threads, here two over SPLIT trials
+        cfg = make_cfg()
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
+        serial = _batch_arrays(simulate(cfg, LINK, USER_CENTRIC, SPLIT, seed=29))
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        threaded = _batch_arrays(simulate(cfg, LINK, USER_CENTRIC, SPLIT, seed=29))
+        assert pools == [2]
+        for name, values in serial.items():
+            assert np.array_equal(threaded[name], values), name
+
     def test_bit_identical_under_fast_thread_switching(self, monkeypatch):
         # eight threads over one-block ranges, more than the cores of most
         # hosts, switching every microsecond

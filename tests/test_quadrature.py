@@ -104,39 +104,55 @@ class TestIntegrate:
         assert abs(value - exact) <= tol
 
 
+def _layered_bits():
+    # the second axis bisects to many final cells of one rule in one round
+    value, estimate = integrate(
+        lambda x, y: (1.0 + x) * np.exp(-y / 1e-3),
+        [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]],
+    )
+    return value.hex(), estimate.hex()
+
+
 class TestSumOrder:
     @pytest.mark.parametrize("runs", ["one", "short", "mixed"])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_segment_sums_equal_numpys_own_sums(self, order, runs):
-        # one long run; runs of 1 or 2 elements; runs of 1 to 40, many past
-        # numpy's 8-element pairwise blocks. np.add.reduceat alone, or a sum
-        # along a last axis that is not innermost in memory, moves the last
-        # bit of some
+    @pytest.mark.parametrize("rules", ["shared", "interleaved"])
+    def test_value_is_its_cells_added_in_table_order(self, rules, runs):
+        # one integral of 37 boxes; integrals of 1 or 2 boxes; integrals of 1
+        # to 40 boxes, many past numpy's 8-element pairwise blocks. A cubic
+        # is exact in every box, so each box is one final cell whose value
+        # is the box's alone; base rules shared, or alternating box by box
         rng = np.random.default_rng(5)
         lengths = {
             "one": [37],
             "short": rng.integers(1, 3, 60),
             "mixed": rng.integers(1, 40, 60),
         }[runs]
-        labels = np.repeat(np.arange(len(lengths)) * 3, lengths)
-        scale = 1e3 ** rng.uniform(-1, 1, (2, labels.size))
-        x = np.asarray(rng.standard_normal((2, labels.size)) * scale, order=order)
-        sums, found = quadrature._sums(x, labels)
-        bounds = np.cumsum(np.r_[0, lengths])
-        want = [[row[a:b].copy().sum() for a, b in zip(bounds, bounds[1:])] for row in x]
-        assert sums.tolist() == want
-        assert found.tolist() == (np.arange(len(lengths)) * 3).tolist()
+        scale = 1e3 ** rng.uniform(-1, 1, len(lengths))
+        boxes = []
+        for n in lengths:
+            lo = rng.uniform(0.0, 10.0, (n, 1))
+            hi = lo + rng.uniform(1e-2, 1.0, (n, 1))
+            counts = [[4 + 2 * (i % 2) * (rules == "interleaved")] for i in range(n)]
+            boxes.append((lo.tolist(), hi.tolist(), counts))
+
+        def cubic(owner, x):
+            return scale[owner] * (x**3 - 2.0 * x)
+
+        together = quadrature.integrate_many(cubic, boxes)
+        for k, (lo, hi, counts) in enumerate(boxes):
+            one = np.full(1, k)
+            cells = [
+                integrate(lambda x: cubic(one, x), [a], [b], [c])
+                for a, b, c in zip(lo, hi, counts)
+            ]
+            want = [sum((cell[j] for cell in cells), 0.0) for j in (0, 1)]
+            assert [q.hex() for q in together[k]] == [q.hex() for q in want]
 
     def test_bisected_cells_keep_their_bits(self):
-        # the second axis bisects to many final cells of one rule in one
-        # round; value and estimate as float.hex, taken from the
-        # per-integral summation the cell table replaced
-        value, estimate = integrate(
-            lambda x, y: (1.0 + x) * np.exp(-y / 1e-3),
-            [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]],
-        )
-        assert value.hex() == "0x1.89374bc6a7f6ep-10"
-        assert estimate.hex() == "0x1.0a074b710007dp-31"
+        # value and estimate as float.hex of the final cells added one by one
+        # in table order; numpy's pairwise x.sum() over each rule's cells
+        # moves the last bit of both
+        assert _layered_bits() == ("0x1.89374bc6a7f6fp-10", "0x1.0a074b710007ep-31")
 
 
 class _Row(NamedTuple):
@@ -161,3 +177,7 @@ class TestNodeFields:
 def _unit(n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (1.0 + x), 0.5 * w
+
+
+if __name__ == "__main__":
+    print("test_bisected_cells_keep_their_bits:", _layered_bits())
