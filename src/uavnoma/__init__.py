@@ -7,7 +7,9 @@ user-centric (nearest-UAV attachment with one pre-attached partner) and
 UAV-centric (cell-interior user pairing around the serving UAV).
 
 The independent references and the ``uavnoma validate`` suite live in
-``uavnoma.validation``, which this package does not import.
+``uavnoma.validation``, which this package does not import. Importing the
+package loads no scipy: the closed forms load ``scipy.special`` at their
+first value (``laplace``), and the Monte Carlo engine needs numpy alone.
 """
 
 from .analytic_uav_centric import coverage_cond_pair, coverage_pair

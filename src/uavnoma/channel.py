@@ -27,14 +27,17 @@ import numpy as np
 from .errors import DomainError
 
 
-def sample_nakagami_power(m: int, rng: np.random.Generator, size=None):
-    """Unit-mean power gain of a Nakagami-m link: Gamma(shape m) / m."""
+def sample_nakagami_power(m: int, rng: np.random.Generator, size=None, out=None):
+    """Unit-mean power gain of a Nakagami-m link: Gamma(shape m) / m, drawn
+    into the float array ``out`` when one is given (in place of ``size``)."""
     if m < 1 or m != int(m):
         raise DomainError(f"fading order must be a positive integer, got {m}")
     if m == 1:
         # numpy's standard_gamma(1.0) is this same draw, and / 1 is exact
-        return rng.standard_exponential(size)
-    return rng.standard_gamma(m, size) / m
+        return rng.standard_exponential(size, out=out)
+    gain = rng.standard_gamma(m, size, out=out)
+    gain /= m
+    return gain
 
 
 def sinr(received, split_own, split_other, residue, noise, interference):

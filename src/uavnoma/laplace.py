@@ -49,6 +49,10 @@ Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient, the noise and the serving distance may be numpy arrays that
 broadcast together, and a whole quadrature grid is one call (``hyp2f1`` runs
 once at every top order). Scalar inputs give floats.
+
+``scipy.special`` is loaded at the first ``hyp2f1`` or ``beta`` value, not
+with this module, so a process that computes no closed form (``uavnoma mc``,
+a sweep in mode ``mc``) never imports scipy.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta, hyp2f1
 
 from .errors import DomainError, NumericalError
 
@@ -88,6 +91,20 @@ def check_probability(values, what: str, fading_order: int, error=0.0) -> None:
     if not np.all(inside):
         worst = values[~inside].flat[0]
         raise NumericalError(f"{what} {float(worst)!r} outside [0, 1]")
+
+
+def hyp2f1(a, b, c, z):
+    """``scipy.special.hyp2f1``, imported at the call."""
+    from scipy import special
+
+    return special.hyp2f1(a, b, c, z)
+
+
+def beta(a, b):
+    """``scipy.special.beta``, imported at the call."""
+    from scipy import special
+
+    return special.beta(a, b)
 
 
 class ExponentDerivatives(NamedTuple):

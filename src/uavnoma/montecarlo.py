@@ -44,6 +44,20 @@ arrays, and reduces each trial's segment of the flat arrays with
   gains per trial, then their interferer gains per UAV (no azimuths: nothing
   in this strategy depends on them).
 
+Every per-UAV array that lives through a block (the radii, the half angles
+and their cosines, the interferer gains, the 3-D distances and the masks) is
+drawn (``out=``) or computed into scratch of the thread drawing the block,
+``_Scratch``, which the block function reaches through its ``_Field`` and
+the thread's next block reuses. Fresh arrays of about 1 MB per block made
+glibc trim its heap after each block and fault it back in at the next: a
+5k-trial user-centric batch took 9k-22k minor page faults in a process that
+had not imported scipy (importing scipy happens to raise glibc's trim
+threshold), against about 100-400 with the scratch. The per-trial spreads
+(``np.repeat``) stay fresh arrays, each used at once.
+
+The 99% Wilson interval of every estimate uses z = ``ndtri(0.995)`` as a
+literal, so a process that only simulates imports no scipy.
+
 Fading goes through ``channel.sample_nakagami_power``, UAV-centric user
 placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
 every success test in the evaluation phase through ``channel.sinr``, so no
@@ -82,7 +96,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
@@ -113,15 +126,17 @@ class CoverageEstimate:
     seed: int
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.99
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+# the 99% two-sided normal quantile, scipy.special.ndtri(0.995) to the bit
+_Z99 = 2.5758293035489004
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise DomainError("wilson_interval requires at least one trial")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
-    z = float(ndtri(0.5 * (1.0 + confidence)))
+    z = _Z99
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -260,55 +275,64 @@ def simulate_user_centric(
 def _user_centric_block(rng, field, cfg, fixed_user_dist):
     height_sq = cfg.uav_height**2
     half = cfg.alpha_interf / 2.0
-    count = field.radii.size
     # The field is isotropic, so each UAV's azimuth is drawn in the frame
     # that puts the fixed user on the positive x axis, as twice a half angle.
-    # uniform(-pi/2, pi/2) in place: numpy computes -pi/2 + pi u, exactly this
-    half_angle = rng.random(count)
-    half_angle *= math.pi
-    half_angle += -0.5 * math.pi
-    cos_angle = _cos_twice(half_angle)
+    # uniform(-pi/2, pi/2) in place: numpy computes -pi/2 + pi u, exactly
+    # this; then the azimuths' cosines replace the half angles
+    cos_angle = rng.random(out=field.points("angle"))
+    cos_angle *= math.pi
+    cos_angle += -0.5 * math.pi
+    _cos_twice(cos_angle, out=cos_angle)
     azimuth = rng.uniform(0.0, 2.0 * math.pi, _BLOCK)
     h_t = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     h_f = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
-    g_t = sample_nakagami_power(cfg.m_interf, rng, count)
-    g_f = sample_nakagami_power(cfg.m_interf, rng, count)
+    g_t = sample_nakagami_power(cfg.m_interf, rng, out=field.points("g_t"))
+    g_f = sample_nakagami_power(cfg.m_interf, rng, out=field.points("g_f"))
     # typical user at the origin: non-serving UAVs are all beyond r
-    d3_typ_sq = np.square(field.radii)
+    d3_typ_sq = np.square(field.radii, out=field.points("d3_typ_sq"))
     d3_typ_sq += height_sq
     # (a tie for nearest, of probability about 1e-11 per trial, marks every
     # tied point)
-    is_nearest = field.radii == field.spread(field.nearest)
-    other = ~is_nearest
-    g_t *= d3_typ_sq**-half
+    is_nearest = np.equal(
+        field.radii, field.spread(field.nearest), out=field.points("nearest", bool)
+    )
+    path = np.power(d3_typ_sq, -half, out=field.points("path"))
+    g_t *= path
     g_t[is_nearest] = 0.0
     j_typ = field.sum(g_t)
     # fixed user hangs off the serving UAV, at distance rho from the origin;
     # its exclusion is its own serving distance
     r = np.where(field.occupied, field.nearest, 0.0)
     rho_sq = r * r + fixed_user_dist**2 + 2.0 * r * fixed_user_dist * np.cos(azimuth)
-    d3_fix_sq = field.spread(np.sqrt(rho_sq))
-    d3_fix_sq *= field.radii
+    d3_fix_sq = np.multiply(
+        field.spread(np.sqrt(rho_sq)), field.radii, out=field.points("d3_fix_sq")
+    )
     d3_fix_sq *= cos_angle
     d3_fix_sq *= -2.0
     d3_fix_sq += d3_typ_sq
     d3_fix_sq += field.spread(rho_sq)
-    beyond = other & (d3_fix_sq > fixed_user_dist**2 + height_sq)
-    g_f *= d3_fix_sq**-half
-    g_f[~beyond] = 0.0
+    # the serving UAV, and every UAV not beyond the fixed user's exclusion
+    excluded = np.greater(
+        d3_fix_sq, fixed_user_dist**2 + height_sq, out=field.points("excluded", bool)
+    )
+    np.logical_not(excluded, out=excluded)
+    excluded |= is_nearest
+    g_f *= np.power(d3_fix_sq, -half, out=path)
+    g_f[excluded] = 0.0
     j_fix = field.sum(g_f)
     # an empty disc has no serving UAV, so neither user has a desired link
     h_t, h_f = (np.where(field.occupied, h, 0.0) for h in (h_t, h_f))
     return np.hypot(field.nearest, cfg.uav_height), j_typ, j_fix, h_t, h_f
 
 
-def _cos_twice(half_angle: np.ndarray) -> np.ndarray:
+def _cos_twice(half_angle: np.ndarray, out=None) -> np.ndarray:
     """cos(2 phi) of each half angle phi in [-pi/2, pi/2], as
-    2 / (1 + tan^2 phi) - 1, within 1e-15 of ``np.cos(2 phi)``. numpy's
-    float64 ``tan`` is vectorised and its ``cos`` is not: this costs 4.8 ns
-    per element against ``cos``'s 18.5 ns on an x86-64 (AVX2) host. At
+    2 / (1 + tan^2 phi) - 1, within 1e-15 of ``np.cos(2 phi)``, into ``out``
+    when given (``half_angle`` itself may be ``out``). numpy's float64
+    ``tan`` is vectorised and its ``cos`` is not: this costs 4.8 ns per
+    element against ``cos``'s 18.5 ns on an x86-64 (AVX2) host. At
     phi = -pi/2, tan^2 is about 2.7e32 and the result is -1."""
-    out = np.tan(half_angle)
+    out = np.tan(half_angle, out=out)
     np.square(out, out=out)
     out += 1.0
     np.divide(2.0, out, out=out)
@@ -375,7 +399,6 @@ def simulate_uav_centric(
 def _uav_centric_block(rng, field, cfg):
     height = cfg.uav_height
     half = cfg.alpha_interf / 2.0
-    count = field.radii.size
     # no neighbor inside the disc: the cell extends to the disc edge and
     # sees no interference
     big_r = np.minimum(field.nearest, cfg.sim_disc_radius)
@@ -383,9 +406,9 @@ def _uav_centric_block(rng, field, cfg):
     d_far = np.hypot(sample_far_user(big_r, rng), height)
     h_w = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
     h_v = sample_nakagami_power(cfg.m_desired, rng, _BLOCK)
-    g_w = sample_nakagami_power(cfg.m_interf, rng, count)
-    g_v = sample_nakagami_power(cfg.m_interf, rng, count)
-    path = np.square(field.radii)
+    g_w = sample_nakagami_power(cfg.m_interf, rng, out=field.points("g_w"))
+    g_v = sample_nakagami_power(cfg.m_interf, rng, out=field.points("g_v"))
+    path = np.square(field.radii, out=field.points("path"))
     path += height**2
     np.power(path, -half, out=path)
     g_w *= path
@@ -441,7 +464,9 @@ def _simulate(
     Block b builds its own stream, draws the UAV fields of its ``_BLOCK``
     trials and calls ``block(rng, field, cfg, *args)``, which draws the rest
     of the block from that stream and returns ``fields`` arrays of ``_BLOCK``
-    values. The last block is drawn in full and truncated.
+    values. The last block is drawn in full and truncated. The radii and
+    every per-point array a block takes from ``field.points`` live in the
+    scratch of the thread drawing the block, reused by its next block.
 
     The blocks are cut into contiguous ranges of at least
     ``_MIN_RANGE_BLOCKS`` blocks, one per thread, and each thread fills its
@@ -468,13 +493,15 @@ def _simulate(
         ) from None
 
     def fill(first: int, end: int):
+        scratch = _Scratch()
         for b in range(first, end):
             stream = np.random.SeedSequence(seed, spawn_key=(b,))
             rng = np.random.Generator(np.random.SFC64(stream))
-            field = _Field(
-                *sample_hppp_disc(cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng)
+            counts, radii = sample_hppp_disc(
+                cfg.uav_density, cfg.sim_disc_radius, _BLOCK, rng,
+                lambda n: scratch.take("radii", n),
             )
-            values = block(rng, field, cfg, *args)
+            values = block(rng, _Field(counts, radii, scratch), cfg, *args)
             start, stop = b * _BLOCK, min((b + 1) * _BLOCK, trials)
             rows[:, start:stop] = np.array(values)[:, : stop - start]
 
@@ -489,19 +516,43 @@ def _simulate(
     return rows
 
 
+class _Scratch:
+    """Named arrays that one thread's blocks reuse, one block after another.
+
+    ``take(name, n)`` is the first n elements of the named buffer, whose
+    values are left from an earlier block; the buffer grows, with a quarter
+    to spare, only when a block holds more than it does.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, dtype=float) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < n:
+            buffer = self._buffers[name] = np.empty(n + n // 4, dtype)
+        return buffer[:n]
+
+
 class _Field:
     """The UAV fields of one block, as ``sample_hppp_disc`` draws them: the
-    per-trial ``counts`` and the flat ``radii``, trial after trial."""
+    per-trial ``counts`` and the flat ``radii``, trial after trial, with the
+    drawing thread's scratch."""
 
-    def __init__(self, counts: np.ndarray, radii: np.ndarray):
+    def __init__(self, counts: np.ndarray, radii: np.ndarray, scratch: _Scratch):
         self.counts = counts
         self.radii = radii
+        self._scratch = scratch
         self.occupied = counts > 0
         # reduceat over the occupied trials' segment starts only: an empty
         # segment would reduce to the next trial's first point
         self._starts = (np.cumsum(counts) - counts)[self.occupied]
         self.nearest = np.full(len(counts), math.inf)  # inf on an empty disc
         self.nearest[self.occupied] = np.minimum.reduceat(radii, self._starts)
+
+    def points(self, name: str, dtype=float) -> np.ndarray:
+        """An array of one unset value per point, from the scratch."""
+        return self._scratch.take(name, self.radii.size, dtype)
 
     def spread(self, per_trial: np.ndarray) -> np.ndarray:
         """One value per trial, repeated onto each of that trial's points."""

@@ -19,6 +19,7 @@ explicit numpy Generator; independent generators may be used concurrently.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,11 @@ from .errors import DomainError
 
 
 def sample_hppp_disc(
-    density: float, radius: float, trials: int, rng: np.random.Generator
+    density: float,
+    radius: float,
+    trials: int,
+    rng: np.random.Generator,
+    alloc: Callable[[int], np.ndarray] = np.empty,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``trials`` independent HPPPs of the given density on a disc
     centered at the origin, as one ragged sample.
@@ -36,13 +41,16 @@ def sample_hppp_disc(
     points, uniform on the disc, flat and trial after trial (trial t owns
     ``radii[sum(counts[:t]):sum(counts[:t + 1])]``). Draws, in order: the
     ``trials`` counts, then the ``sum(counts)`` radii. Draws no angles.
-    Deterministic under a fixed generator state.
+    Deterministic under a fixed generator state. The radii fill the float
+    array ``alloc(sum(counts))``, a new one unless the caller passes its own
+    ``alloc`` (the engine reuses one buffer from block to block).
     """
     if density <= 0.0 or radius <= 0.0:
         raise DomainError("density and radius must be positive")
     counts = rng.poisson(density * math.pi * radius**2, trials)
     # radius * sqrt(uniform(0, 1)), in place: uniform(0, 1) is random() exactly
-    radii = np.sqrt(rng.random(int(counts.sum())))
+    radii = rng.random(out=alloc(int(counts.sum())))
+    np.sqrt(radii, out=radii)
     radii *= radius
     return counts, radii
 

@@ -986,6 +986,46 @@ class TestErrors:
         # the closed forms need no field
         assert main(["analytic", "--config", path]) == 0
 
+    @pytest.mark.parametrize("order", [101, 200, 10**6])
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_fading_order_past_the_closed_forms_exits_2(
+        self, tmp_path, capsys, strategy, order
+    ):
+        # the kernel met NaN at 200 (exit 3) and had not returned after 60 s
+        # at 1e6; now every mode that runs closed forms refuses the order
+        # before any point
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_desired"] = order
+        payload["sweep"]["strategy"] = strategy
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["analytic", "--config", path]) == 2
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        line = (
+            "error: network.m_desired: the closed forms take orders up to 100, "
+            f"got {order} (mode mc takes any)"
+        )
+        assert capsys.readouterr().err.splitlines() == [line, line]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_monte_carlo_takes_any_fading_order(self, tmp_path, capsys, strategy):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_desired"] = 200
+        payload["sweep"].update(strategy=strategy, mode="mc", trials=64)
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", path]) == 0
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count(strategy) == 2 * len(payload["sweep"]["values"])
+
+    def test_closed_forms_take_order_100(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_desired"] = 100
+        assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 0
+        assert "typical: p=" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "section, key, field",
         [
@@ -1085,54 +1125,36 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "typical: p=" in result.stdout
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about half a second and 20 MB at start-up; the
-        # Wilson interval needs only scipy.special.ndtri
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, uavnoma.cli; print('scipy.stats' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
+    def test_start_up_loads_what_the_mode_needs(self, tmp_path):
+        # a Monte Carlo process loads no scipy (about 0.2 s and 26 MB at
+        # start-up) and no process pool: its 2,048 trials, two ranges of 32
+        # blocks, are drawn on two threads. The closed forms load
+        # scipy.special at their first value; scipy.integrate (the validation
+        # references) and scipy.stats are never loaded.
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["trials"] = 2048
+        cfg_path = write_config(tmp_path, payload)
+        probe = (
+            "import sys, uavnoma, uavnoma.cli\n"
+            "from uavnoma import montecarlo\n"
+            "montecarlo._usable_cores = lambda: 2\n"
+            f"assert uavnoma.cli.main([sys.argv[1], '--config', {cfg_path!r}]) == 0\n"
+            "print(*(name in sys.modules for name in sys.argv[2:]))\n"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
-
-
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # the closed forms integrate with their own array rule; scipy.integrate
-        # (about 0.3 s and 26 MB at start-up) serves only the validation
-        # references, which import it when they run
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, uavnoma.cli; print('scipy.integrate' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
-
-
-    def test_import_leaves_process_pool_unloaded(self):
-        # MC batches are drawn on threads; the process executor and
-        # multiprocessing (about 17 ms at start-up) have no user left
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, uavnoma.cli; print('multiprocessing' in sys.modules, "
-                "'concurrent.futures.process' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False False"
+        loaded = {
+            "mc": ("scipy", "multiprocessing", "concurrent.futures.process"),
+            "analytic": ("scipy.special", "scipy.integrate", "scipy.stats"),
+        }
+        seen = {}
+        for command, modules in loaded.items():
+            result = subprocess.run(
+                [sys.executable, "-c", probe, command, *modules],
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            seen[command] = result.stdout.splitlines()[-1]
+        assert seen == {"mc": "False False False", "analytic": "True False False"}
 
     def test_production_imports_leave_references_unloaded(self):
         # the references and scipy.integrate load only for ``uavnoma validate``

@@ -64,9 +64,16 @@ class TestWilson:
 
     def test_frozen_midpoint_case(self):
         # closed-form Wilson bounds at z = norm.ppf(0.995)
-        low, high = wilson_interval(50, 100, 0.99)
+        low, high = wilson_interval(50, 100)
         assert low == pytest.approx(0.37527962504483986, rel=1e-12)
         assert high == pytest.approx(0.6247203749551602, rel=1e-12)
+
+    def test_z_is_the_99_percent_quantile_to_the_bit(self):
+        # the interval is 99% by the CSV's contract; its z is a literal so
+        # that a Monte Carlo run needs no scipy
+        from scipy.special import ndtri
+
+        assert montecarlo._Z99 == float(ndtri(0.995))
 
     def test_ordering_invariant(self):
         for successes in (0, 3, 17, 50):
@@ -492,6 +499,46 @@ class TestBlockRangeThreads:
         monkeypatch.setattr(montecarlo, "_uav_centric_block", broken)
         with pytest.raises(ValueError, match="broken block"):
             simulate(make_cfg(), LINK, UAV_CENTRIC, 10, seed=1)
+
+
+class TestScratch:
+    """Per-point arrays come from one thread's scratch, reused by its blocks."""
+
+    def test_take_reuses_the_buffer_up_to_its_capacity(self):
+        scratch = montecarlo._Scratch()
+        first = scratch.take("gain", 100)
+        assert first.size == 100 and first.base.size == 125
+        for n in (100, 60, 0, 125):
+            again = scratch.take("gain", n)
+            assert again.size == n and again.base is first.base
+
+    def test_take_grows_for_a_block_with_more_points(self):
+        scratch = montecarlo._Scratch()
+        small = scratch.take("gain", 100)
+        grown = scratch.take("gain", 126)
+        assert grown.size == 126 and grown.base is not small.base
+        assert scratch.take("gain", 126).base is grown.base
+
+    def test_names_and_dtypes_are_separate_buffers(self):
+        scratch = montecarlo._Scratch()
+        gains, mask = scratch.take("gain", 10), scratch.take("mask", 10, bool)
+        assert mask.dtype == bool and not np.shares_memory(gains, mask)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_of_one_thread_share_their_buffers(self, threads, monkeypatch):
+        # the default field holds about 12,800 UAVs per block, so the first
+        # block's quarter to spare holds every later one
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: threads)
+        buffers = []
+
+        def block(rng, field, cfg):
+            buffers.append((field.radii.base, field.points("x").base))
+            return [field.nearest]
+
+        montecarlo._simulate(make_cfg(), SPLIT, 3, 1, block)
+        assert len(buffers) == SPLIT // _BLOCK
+        radii, points = zip(*buffers)
+        assert len({id(b) for b in radii}) == len({id(b) for b in points}) == threads
 
 
 def _reference_block(strategy, cfg, seed, block, fixed_user_dist=LINK.fixed_user_dist):
