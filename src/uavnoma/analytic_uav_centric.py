@@ -38,17 +38,20 @@ the fixed depth of the refinement the value raises ``NumericalError``.
 adaptive Gauss-Kronrod cubature over (u, r/R) on log-spaced panels
 (``validation.adaptive_coverage_pair``).
 
-``pair_quadratures`` integrates many near and far values at once, the values
-of a sweep (``coverage_sweep``): their cells share the kernel's passes, so a
-point's near and far values (2 x 3,840 nodes) take one. Each value is one
-row (``_pair_value``) of what varies along a sweep: its decode coefficient
-at unit power, its noise N/P, its density, the role's placement and the
-cells' split point. The integrand reads the row of the value each node
-belongs to, a per-node array only for the fields that differ within the
-pass; each value equals, bit for bit, the one integrated alone, so values
-of one row are integrated once (``quadrature.integrate_rows``): along a
-``rate_near`` sweep the far user's coefficient depends on ``rate_far``
-alone. ``coverage_pair`` is its one-value case.
+``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, the
+closed forms' one integration routine, which integrates many near and far
+values at once, the values of a sweep (``quadrature.coverage_sweep``): their
+cells share the kernel's passes, so a point's near and far values (2 x 3,840
+nodes) take one. Each value is one row (``_pair_value``) of what varies
+along a sweep: the user's decode coefficient at unit power in the one role
+``scenario.ROLE_TABLE`` gives it, its noise N/P, its density, its placement
+and the cells' split point. The integrand reads the row of the value each
+node belongs to, a per-node array only for the fields that differ within the
+pass; each value equals, bit for bit, the one integrated alone, so values of
+one row are integrated once: along a ``rate_near`` sweep the far user's
+coefficient depends on ``rate_far`` alone. An infeasible coefficient gives
+exactly 0 without an integral. ``pair_quadratures`` and ``coverage_pair``
+are its cases for this strategy.
 
 The kernel runs at unit power (see ``laplace``): transmit power enters as
 the row's N/P alone, and the exponents read R and the density alone. A pass
@@ -70,20 +73,11 @@ from .laplace import (
     ExponentSum,
     NearestRingExponent,
     RadialTailExponent,
-    check_probability,
     conditional_coverage,
 )
-from .scenario import (
-    NOMA,
-    UAV_CENTRIC,
-    NetworkConfig,
-    NomaLink,
-    sweep_config,
-    thresholds,
-)
+from .scenario import NOMA, ROLES, UAV_CENTRIC, NetworkConfig, NomaLink, role_of
 
-NEAR = "near"
-FAR = "far"
+NEAR, FAR = ROLES[UAV_CENTRIC]
 
 # base rule (nodes per axis) of each cell; the check rule doubles them
 _PLACEMENT_NODES = 12
@@ -124,7 +118,7 @@ def coverage_cond_pair(
     """
     v = _pair_value(role, cfg, link, access)
     r, R = np.broadcast_arrays(r, R)
-    if role == NEAR:
+    if role_of(UAV_CENTRIC, role).distance == "disc":
         span, inside = "r <= R/4", (0.0 <= r) & (r <= 0.25 * R + 1e-9)
     else:
         span = "R/4 <= r <= R/2"
@@ -149,11 +143,12 @@ def _pair_kernel(r, cfg, v: _PairValue, interference):
     )
 
 
-# the placement axis y in [0, 1] of each role as (offset, weight): the user
-# radius is r = (offset + y) R/4 and its density weight (offset + y) dy. The
-# near user has density 32r/R^2 on [0, R/4], i.e. 2y dy with r = yR/4; the
-# far user 32r/(3R^2) on [R/4, R/2], i.e. (2/3)(1 + y) dy with r = (1 + y)R/4
-_PLACEMENT = {NEAR: (0.0, 2.0), FAR: (1.0, 2.0 / 3.0)}
+# the placement axis y in [0, 1] of each user's distance (``Role.distance``)
+# as (offset, weight): the user radius is r = (offset + y) R/4 and its
+# density weight (offset + y) dy. The near user has density 32r/R^2 on the
+# disc [0, R/4], i.e. 2y dy with r = yR/4; the far user 32r/(3R^2) on the
+# ring [R/4, R/2], i.e. (2/3)(1 + y) dy with r = (1 + y)R/4
+_PLACEMENT = {"disc": (0.0, 2.0), "ring": (1.0, 2.0 / 3.0)}
 
 
 def _placement(y, offset, weight):
@@ -193,14 +188,10 @@ class _PairValue(NamedTuple):
 
 
 def _pair_value(role, cfg, link, access) -> _PairValue:
-    """The row of one value: the near user is the subject in the near role,
-    the far user its partner in the far role."""
-    if role == NEAR:
-        coeff = thresholds(link, UAV_CENTRIC, access).near
-    elif role == FAR:
-        coeff = thresholds(link.with_swapped_rates(), UAV_CENTRIC, access).far
-    else:
-        raise DomainError(f"unknown role {role!r}")
+    """The row of one value: the user's decode coefficient in the one role
+    it plays and its placement, as ``scenario.ROLE_TABLE`` gives them."""
+    entry = role_of(UAV_CENTRIC, role)
+    (coeff,) = entry.coefficients(link, access).values()
     root_pl = math.sqrt(math.pi * cfg.uav_density)
     # t_b = max(t_h, 0.2), t_h = sqrt(pi lam) h being where R = h
     t_b = max(root_pl * cfg.uav_height, _T_SPLIT_MIN)
@@ -212,7 +203,7 @@ def _pair_value(role, cfg, link, access) -> _PairValue:
         t_b,
         min(t_b, quadrature.T_CUTOFF),
         math.log(quadrature.T_CUTOFF / t_b),
-        *_PLACEMENT[role],
+        *_PLACEMENT[entry.distance],
     )
 
 
@@ -246,30 +237,21 @@ def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
     return integrand
 
 
+FORM = quadrature.ClosedForm(
+    UAV_CENTRIC,
+    _pair_value,
+    lambda row: _cells(row.t_b),
+    _pair_integrand,
+    lambda row: math.isfinite(row.coeff),
+)
+
+
 def pair_quadratures(
     values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
 ) -> list[quadrature.Quadrature]:
-    """Coverage of each ``(role, cfg, link)`` with its error estimate.
-
-    The configs may differ in ``scenario.SWEPT_FIELDS`` alone. An infeasible
-    coefficient gives exactly 0 without integrating; the other values share
-    the passes of one ``quadrature.integrate_many`` call (see the module
-    docstring), one integral per distinct row, each equal, bit for bit, to
-    the value integrated alone.
-    """
-    shared = sweep_config([cfg for _, cfg, _ in values])
-    rows = [_pair_value(role, cfg, link, access) for role, cfg, link in values]
-    found = quadrature.integrate_rows(
-        lambda distinct: _pair_integrand(shared, distinct),
-        [row for row in rows if math.isfinite(row.coeff)],
-        lambda row: _cells(row.t_b),
-    )
-    results = [found.get(row, quadrature.Quadrature(0.0, 0.0)) for row in rows]
-    for (role, _, _), result in zip(values, results):
-        check_probability(
-            result.value, f"{role} user coverage", shared.m_desired, result.estimate
-        )
-    return results
+    """Coverage of each ``(role, cfg, link)`` with its error estimate, all
+    values together (``quadrature.coverage_quadratures``)."""
+    return quadrature.coverage_quadratures(FORM, values, access)
 
 
 def coverage_pair(
@@ -281,13 +263,3 @@ def coverage_pair(
     nearest-neighbor law, to the absolute tolerance ``quadrature.TOLERANCE``.
     """
     return pair_quadratures([(role, cfg, link)], access)[0].value
-
-
-def coverage_sweep(
-    points: Sequence[tuple[NetworkConfig, NomaLink]], access: str = NOMA
-) -> list[tuple[float, float]]:
-    """(near, far) coverage of every ``(cfg, link)`` point of a sweep, all
-    values integrated together (``pair_quadratures``)."""
-    values = [(role, cfg, link) for cfg, link in points for role in (NEAR, FAR)]
-    found = [result.value for result in pair_quadratures(values, access)]
-    return list(zip(found[::2], found[1::2]))

@@ -2,13 +2,13 @@
 
 The typical user sits at the origin and attaches to the nearest UAV at random
 horizontal distance r; a fixed user is already attached to the same UAV at
-horizontal distance r_k. Whether the typical user plays the near role
-(r < r_k, SIC chain) or the far role (r >= r_k, single decode) decides the
-decode coefficient, and the fixed user plays the other role. Conditioned on
-r, each user's coverage follows from the interference Laplace transform with
-exclusion at the typical user's 3-D serving distance (``coverage_cond`` for
-the typical user, ``_coverage_cond_fixed`` for the fixed user), and the
-unconditional value integrates it against the nearest-point density.
+horizontal distance r_k. Each user's decode coefficient switches at r = r_k,
+between the near role (SIC chain) and the far role (single decode), as
+``scenario.ROLE_TABLE`` says: the typical user is near below r_k, the fixed
+user near from r_k on. Conditioned on r, each user's coverage follows from
+the interference Laplace transform with exclusion at the typical user's 3-D
+serving distance (``coverage_cond``), and the unconditional value integrates
+it against the nearest-point density.
 
 The normative algorithm is the derivative-of-Laplace engine in ``laplace``
 (hypergeometric exponent, recursion kernel). The radial integral runs in
@@ -24,18 +24,20 @@ out (a low UAV and a steep serving link) is found this way.
 ``validation.piecewise_user_centric_coverage``, adaptive Gauss-Kronrod in u
 on log-spaced panels, is the reference for the radial integral.
 
-``radial_quadratures`` integrates many typical and fixed values at once, the
-values of a sweep (``coverage_sweep``): their cells share the kernel's passes,
-so the 16 values of an 8-point sweep (384 nodes each) take one pass. Each
-value is one row (``_value``) of what varies along a sweep: its noise N/P,
-its density, its two decode coefficients at unit power and r_k. The
-integrand reads the row of the value each node belongs to, a per-node array
-only for the fields that differ within the pass; each value equals, bit
-for bit, the one integrated alone, so values of one row are integrated once
-(``quadrature.integrate_rows``): under OMA each user decodes in its own
-slot, so along a ``rate_near`` sweep the fixed user's row, which reads
-``rate_far`` alone, repeats at every point.
-``coverage_typical`` and ``coverage_fixed`` are its one-value case.
+``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, the
+closed forms' one integration routine, which integrates many typical and
+fixed values at once, the values of a sweep (``quadrature.coverage_sweep``):
+their cells share the kernel's passes, so the 16 values of an 8-point sweep
+(384 nodes each) take one pass. Each value is one row (``_value``) of what
+varies along a sweep: its noise N/P, its density, its two decode
+coefficients at unit power and r_k. The integrand reads the row of the value
+each node belongs to, a per-node array only for the fields that differ
+within the pass; each value equals, bit for bit, the one integrated alone,
+so values of one row are integrated once: under OMA each user decodes in its
+own slot, so along a ``rate_near`` sweep the fixed user's row, which reads
+``rate_far`` alone, repeats at every point. A value whose coefficients are
+both infeasible is integrated too, to exactly 0. ``radial_quadratures``,
+``coverage_typical`` and ``coverage_fixed`` are its cases for this strategy.
 
 The kernel runs at unit transmit power (see ``laplace``): transmit power
 enters the rows as N/P alone. Unlike the UAV-centric integrand this one
@@ -50,17 +52,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError
-from .laplace import RadialTailExponent, check_probability, conditional_coverage
-from .scenario import (
-    NOMA,
-    ROLES,
-    USER_CENTRIC,
-    NetworkConfig,
-    NomaLink,
-    sweep_config,
-    thresholds,
-)
+from .laplace import RadialTailExponent, conditional_coverage
+from .scenario import NOMA, ROLES, USER_CENTRIC, NetworkConfig, NomaLink, role_of
 
 TYPICAL, FIXED = ROLES[USER_CENTRIC]
 
@@ -88,28 +81,21 @@ class _Value(NamedTuple):
     fixed_user_dist: float
     below: float  # decode coefficient while r < r_k
     above: float  # decode coefficient while r >= r_k
-    fixed: bool  # the fixed user, served from fixed_dist3d
-    fixed_dist3d: float
+    fixed_dist3d: float  # R_k, the fixed user's distance; 0 for the typical user
 
 
 def _value(user: str, cfg: NetworkConfig, link: NomaLink, access: str) -> _Value:
-    """The typical user runs the SIC chain (near role) where r < r_k and
-    decodes its own signal directly (far role) beyond, the rule of the Monte
-    Carlo's ``near_case``. The fixed user plays the complement of that role
-    at swapped rates, served from the fixed 3-D distance R_k. Both take their
-    decode coefficients at unit power, beside the noise N/P."""
-    root_pl = math.sqrt(math.pi * cfg.uav_density)
-    fields = root_pl, cfg.noise_power / cfg.tx_power, cfg.uav_density
+    """The row of one value: the user's decode coefficients below r_k and
+    from r_k on (``scenario.ROLE_TABLE``), at unit power beside the noise
+    N/P; the fixed user is served from the fixed 3-D distance R_k."""
+    role = role_of(USER_CENTRIC, user)
+    coefficients = role.coefficients(link, access)
     r_k = link.fixed_user_dist
-    if user == TYPICAL:
-        ts = thresholds(link, USER_CENTRIC, access)
-        return _Value(*fields, r_k, ts.near, ts.far, False, 0.0)
-    if user == FIXED:
-        ts = thresholds(link.with_swapped_rates(), USER_CENTRIC, access)
-        return _Value(
-            *fields, r_k, ts.far, ts.near, True, math.hypot(r_k, cfg.uav_height)
-        )
-    raise DomainError(f"unknown user {user!r}")
+    return _Value(
+        math.sqrt(math.pi * cfg.uav_density), cfg.noise_power / cfg.tx_power,
+        cfg.uav_density, r_k, coefficients[role.below], coefficients[role.above],
+        math.hypot(r_k, cfg.uav_height) if role.distance == "fixed" else 0.0,
+    )
 
 
 def _conditional(r, cfg, v: _Value):
@@ -128,31 +114,24 @@ def _conditional(r, cfg, v: _Value):
         cfg.m_desired,
         np.where(np.less(r, v.fixed_user_dist), v.below, v.above),
         v.noise,
-        np.where(v.fixed, v.fixed_dist3d, dist3d),
+        np.where(v.fixed_dist3d > 0.0, v.fixed_dist3d, dist3d),
         cfg.alpha_desired,
         laplace_exponent_uc(cfg, dist3d, v.uav_density),
     )
 
 
-def coverage_cond(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
-    """Typical-user coverage conditioned on its horizontal serving distance r.
+def coverage_cond(
+    r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA, user: str = TYPICAL
+):
+    """Coverage of ``user``, the typical user by default, conditioned on the
+    typical user's horizontal serving distance r, which may be an array.
 
-    r may be an array. The typical user runs the SIC chain (near role) where
-    r < r_k and decodes its own signal directly (far role) beyond, the rule
-    of the Monte Carlo's ``near_case``.
+    The typical user runs the SIC chain (near role) where r < r_k and
+    decodes its own signal directly (far role) beyond; the fixed user plays
+    the other role at swapped rates, served from the fixed 3-D distance R_k,
+    and its interference keeps the typical user's exclusion radius.
     """
-    return _conditional(r, cfg, _value(TYPICAL, cfg, link, access))
-
-
-def _coverage_cond_fixed(r, cfg: NetworkConfig, link: NomaLink, access: str = NOMA):
-    """Fixed-user coverage conditioned on the typical user's serving distance r.
-
-    The fixed user plays the complement of the typical user's role at swapped
-    rates: it decodes directly while the typical user is near (r < r_k) and
-    runs the SIC chain beyond. Its signal arrives from the fixed 3-D distance
-    R_k, and its interference keeps the typical user's exclusion radius.
-    """
-    return _conditional(r, cfg, _value(FIXED, cfg, link, access))
+    return _conditional(r, cfg, _value(user, cfg, link, access))
 
 
 def _cells(t_k: float) -> tuple[list, list, list]:
@@ -162,41 +141,35 @@ def _cells(t_k: float) -> tuple[list, list, list]:
     return [[0.0]], [[quadrature.T_CUTOFF]], [[_RADIAL_NODES]]
 
 
+def _integrand(shared: NetworkConfig, rows: list[_Value]):
+    """The radial integrand in t of ``rows``, on the cells of ``_cells``;
+    ``shared`` holds the fields the rows' configs have in common."""
+    fields = quadrature.NodeFields(rows)
+
+    def integrand(owner, t):
+        v = fields.at(owner)
+        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
+
+    return integrand
+
+
+FORM = quadrature.ClosedForm(
+    USER_CENTRIC,
+    _value,
+    lambda row: _cells(row.root_pl * row.fixed_user_dist),
+    _integrand,
+    lambda row: True,
+)
+
+
 def radial_quadratures(
     values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
 ) -> list[quadrature.Quadrature]:
     """Coverage of each ``(user, cfg, link)``, user "typical" or "fixed", with
     its error estimate: its conditional coverage against the nearest-UAV law,
-    with a cell edge at r_k.
-
-    The configs may differ in ``scenario.SWEPT_FIELDS`` alone. All values
-    share the passes of one ``quadrature.integrate_many`` call (see the module
-    docstring), one integral per distinct row, each equal, bit for bit, to
-    the value integrated alone.
-    """
-    shared = sweep_config([cfg for _, cfg, _ in values])
-    rows = [_value(user, cfg, link, access) for user, cfg, link in values]
-
-    def make_integrand(distinct):
-        fields = quadrature.NodeFields(distinct)
-
-        def integrand(owner, t):
-            v = fields.at(owner)
-            return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
-
-        return integrand
-
-    found = quadrature.integrate_rows(
-        make_integrand, rows, lambda row: _cells(row.root_pl * row.fixed_user_dist)
-    )
-    results = [found[row] for row in rows]
-    check_probability(
-        [result.value for result in results],
-        "radial coverage",
-        shared.m_desired,
-        [result.estimate for result in results],
-    )
-    return results
+    with a cell edge at r_k, all values together
+    (``quadrature.coverage_quadratures``)."""
+    return quadrature.coverage_quadratures(FORM, values, access)
 
 
 def coverage_typical(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
@@ -209,13 +182,3 @@ def coverage_fixed(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> fl
     """Unconditional coverage of the fixed user at horizontal distance r_k,
     its conditional coverage against the typical user's nearest-UAV law."""
     return radial_quadratures([(FIXED, cfg, link)], access)[0].value
-
-
-def coverage_sweep(
-    points: Sequence[tuple[NetworkConfig, NomaLink]], access: str = NOMA
-) -> list[tuple[float, float]]:
-    """(typical, fixed) coverage of every ``(cfg, link)`` point of a sweep,
-    all values integrated together (``radial_quadratures``)."""
-    values = [(user, cfg, link) for cfg, link in points for user in (TYPICAL, FIXED)]
-    found = [result.value for result in radial_quadratures(values, access)]
-    return list(zip(found[::2], found[1::2]))

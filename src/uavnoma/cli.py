@@ -20,17 +20,21 @@ override the config's sweep section. A sweep groups its points by
 run one after another in the calling process, and each batch is drawn on
 threads over block ranges (``montecarlo``), at most one per core this
 process may use (``taskset -c 0 uavnoma sweep ...`` draws on one). A batch
-whose trials find no UAV in the disc says how many in a ``warning:`` line.
-An analytic-only sweep simulates nothing. The closed forms of all a sweep's
-points are computed before any group, together: the values share array
-passes of the kernel (``quadrature.integrate_many``), so an 8-point
-user-centric sweep is one pass and a UAV-centric point's two users share
-one. A point evaluated alone (``evaluate_point``) integrates each of its
-values in passes of its own. Output rows keep input order. The argument
-parser is built once per process, on the first ``main`` call.
+whose trials find no UAV in the disc says how many in a ``warning:`` line,
+and a point says in one ``warning:`` line per role which role of which user
+(``scenario.ROLE_TABLE``) has an infeasible decode coefficient. An
+analytic-only sweep simulates nothing. The closed forms of all a sweep's
+points are computed before any group, together, by the one routine of both
+strategies (``quadrature.coverage_sweep``): the values share array passes of
+the kernel (``quadrature.integrate_many``), so an 8-point user-centric sweep
+is one pass and a UAV-centric point's two users share one. A point
+evaluated alone (``evaluate_point``) integrates each of its values in passes
+of its own. Output rows keep input order. The argument parser is built once
+per process, on the first ``main`` call.
 
-A mode that computes closed forms (``analytic``, ``both``) takes serving-link
-fading orders up to ``MAX_CLOSED_FORM_ORDER``; ``mc`` takes any order.
+A mode that computes closed forms (``analytic``, ``both``) takes fading
+orders up to ``MAX_CLOSED_FORM_ORDERS``: 100 on the serving link and 10 on
+the interfering links; ``mc`` takes any order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration (a
 trial count too large for any batch included), 3 numerical failure.
@@ -48,11 +52,14 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
-from . import analytic_uav_centric, analytic_user_centric, montecarlo
+from . import analytic_uav_centric, analytic_user_centric, montecarlo, quadrature
 from .errors import DomainError, NumericalError
 from .scenario import (
+    FAR,
+    NEAR,
     NOMA,
     OMA,
+    ROLE_TABLE,
     ROLES,
     UAV_CENTRIC,
     USER_CENTRIC,
@@ -60,7 +67,6 @@ from .scenario import (
     NomaLink,
     dbm_to_watts,
     noise_from_bandwidth,
-    thresholds,
 )
 
 CSV_COLUMNS = (
@@ -68,10 +74,14 @@ CSV_COLUMNS = (
 )
 
 
-# highest serving-link fading order the closed forms are run at: the order
-# the tests take the kernel to; from about 171 on, scipy's hyp2f1 returns NaN
-# at some of the exponent's top orders
-MAX_CLOSED_FORM_ORDER = 100
+# highest fading orders the closed forms are run at, each the highest the
+# tests take the closed forms to. The serving link's: from about 171 on,
+# scipy's hyp2f1 returns NaN at some of the exponent's top orders. The
+# interferers': the order a tier-1 test checks both exponents' Taylor
+# coefficients at against mpmath; the radial tail's recurrences take m_I
+# array steps, and from about m_I = 18 its order-0 coefficient loses every
+# digit at large z
+MAX_CLOSED_FORM_ORDERS = {"m_desired": 100, "m_interf": 10}
 
 
 class ConfigError(Exception):
@@ -291,28 +301,26 @@ def apply_axis(
 
 
 def _analytic_pair(cfg, link, strategy, access) -> tuple[float, float]:
-    """Closed-form coverage of the two users, in ``ROLES[strategy]`` order."""
+    """Closed-form coverage of the two users, in ``ROLES[strategy]`` order,
+    each by its single-value function."""
     if strategy == USER_CENTRIC:
-        return (
-            analytic_user_centric.coverage_typical(cfg, link, access),
-            analytic_user_centric.coverage_fixed(cfg, link, access),
-        )
-    return tuple(
-        analytic_uav_centric.coverage_pair(role, cfg, link, access)
-        for role in ROLES[strategy]
-    )
+        uc = analytic_user_centric
+        return uc.coverage_typical(cfg, link, access), uc.coverage_fixed(cfg, link, access)
+    uav = analytic_uav_centric
+    return tuple(uav.coverage_pair(user, cfg, link, access) for user in ROLES[strategy])
 
 
 def _analytic_sweep(spec: SweepSpec, points) -> list[tuple]:
     """Closed-form coverage of the two users of every sweep point
-    ``(value, cfg, link)``, all values integrated together; pairs of None
-    when the mode runs no closed form."""
+    ``(value, cfg, link)``, all values integrated together
+    (``quadrature.coverage_sweep``); pairs of None when the mode runs no
+    closed form."""
     if spec.mode not in ("analytic", "both"):
         return [(None, None)] * len(points)
-    module = (
-        analytic_user_centric if spec.strategy == USER_CENTRIC else analytic_uav_centric
-    )
-    return module.coverage_sweep([(cfg, link) for _, cfg, link in points], spec.access)
+    uc = spec.strategy == USER_CENTRIC
+    form = (analytic_user_centric if uc else analytic_uav_centric).FORM
+    pairs = [(cfg, link) for _, cfg, link in points]
+    return quadrature.coverage_sweep(form, pairs, spec.access)
 
 
 def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
@@ -454,28 +462,23 @@ def _format_row(row: dict) -> list[str]:
     return [cell(row[column]) for column in CSV_COLUMNS.split(",")]
 
 
+_DECODES = {NEAR: "near/SIC chain", FAR: "far decode"}
+
+
 def _warn_infeasible(link, strategy, access, where=""):
-    # every role each user can take: UAV-centric, the near user (the subject)
-    # near and the far user (its partner) far; user-centric, the typical user
-    # (the subject) and the fixed user (its partner) both near and far
-    subject = thresholds(link, strategy, access)
-    partner = thresholds(link.with_swapped_rates(), strategy, access)
-    if strategy == USER_CENTRIC:
-        coefficients = {
-            "near/SIC chain": subject.near,
-            "far decode": subject.far,
-            "fixed user near/SIC chain": partner.near,
-            "fixed user far decode": partner.far,
-        }
-    else:
-        coefficients = {"near/SIC chain": subject.near, "far decode": partner.far}
-    for role, coeff in coefficients.items():
-        if not math.isfinite(coeff):
-            print(
-                f"warning: {where}{role} coefficient is infeasible for this power "
-                "allocation; the affected coverage is exactly zero",
-                file=sys.stderr,
-            )
+    # every role each user of ``ROLE_TABLE`` plays; a user is named only
+    # where it is the partner and plays both (the user-centric fixed user)
+    for role in ROLE_TABLE[strategy]:
+        named = role.partner and role.below != role.above
+        prefix = f"{role.user} user " if named else ""
+        for played, coeff in role.coefficients(link, access).items():
+            if not math.isfinite(coeff):
+                print(
+                    f"warning: {where}{prefix}{_DECODES[played]} coefficient is "
+                    "infeasible for this power allocation; the affected coverage "
+                    "is exactly zero",
+                    file=sys.stderr,
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +546,12 @@ def main(argv=None) -> int:
             # one point: the sweep section gives strategy, access, trials and seed
             section = {**section, "axis": "ipsic", "values": [0.0]}
         spec = _with_flags(parse_sweep(section), args)
-        if spec.mode != "mc" and cfg.m_desired > MAX_CLOSED_FORM_ORDER:
-            raise ConfigError(
-                f"network.m_desired: the closed forms take orders up to "
-                f"{MAX_CLOSED_FORM_ORDER}, got {cfg.m_desired} (mode mc takes any)"
-            )
+        for field, top in MAX_CLOSED_FORM_ORDERS.items():
+            if spec.mode != "mc" and getattr(cfg, field) > top:
+                raise ConfigError(
+                    f"network.{field}: the closed forms take orders up to {top}, "
+                    f"got {getattr(cfg, field)} (mode mc takes any)"
+                )
 
         if args.command == "sweep":
             batches = run_sweep(cfg, link, spec, args.out)

@@ -23,10 +23,14 @@ shares its geometry key (same answer as re-simulating with the same seed, at
 a fraction of the cost). The three steps take the strategy as an argument:
 ``geometry_key``, ``simulate`` and ``estimate`` (batch to the two coverage
 estimates, in ``scenario.ROLES`` order); ``run`` is simulate-then-estimate
-for one point. Each switches to the strategy's own ``simulate_*`` or
-``evaluate_*`` by its module-level name at call time. The CLI's
-``run_sweep`` groups a sweep's points by geometry key and simulates each
-group once; ``run`` and a point evaluated alone simulate afresh.
+for one point. The CLI's ``run_sweep`` groups a sweep's points by geometry
+key and simulates each group once; ``run`` and a point evaluated alone
+simulate afresh.
+
+A batch of either strategy is one ``Trials``, drawn by one function and
+counted by one ``evaluate``. ``simulate`` and ``estimate`` call them at call
+time by module-level name, as the strategy's ``simulate_*`` and
+``evaluate_*``: the benchmark's tracer wraps those four names.
 
 Both strategies run the geometry phase on one skeleton, ``_simulate``: per
 block it builds the block's stream, draws the UAV fields of all its trials
@@ -63,15 +67,15 @@ placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
 every success test in the evaluation phase through ``channel.sinr``, so no
 part of the model is defined twice.
 
-The evaluation phase decodes each of the four users (typical and fixed,
-near and far) with one helper, ``_decodes``, as the subject of its own link:
-the near user and the typical user are the subject of the point's link, the
-far user and the fixed user its partner, the subject of the link with
-swapped rates. The helper counts success twice on the shared fading draw:
-through the SINR chain at physical power, which gives the count, and
-through the unit-power decode coefficient kappa of ``scenario.thresholds``,
-as ``gain > kappa (N/P + I_1) d^alpha``, the condition the closed forms
-integrate; a disagreement raises immediately.
+The evaluation phase decodes each user with one helper, ``_decodes``, as
+the subject of the link ``scenario.ROLE_TABLE`` gives it, in the role the
+table gives it: user-centric, the typical user near and the fixed user far
+where the typical user's serving distance lies below the fixed user's
+(in 3-D), the other way round beyond. The helper counts success twice on
+the shared fading draw: through the SINR chain at physical power, which
+gives the count, and through the unit-power decode coefficient kappa of
+``scenario.thresholds``, as ``gain > kappa (N/P + I_1) d^alpha``, the
+condition the closed forms integrate; a disagreement raises immediately.
 
 Interference conventions (mirroring the analytic conditioning):
 
@@ -82,10 +86,11 @@ Interference conventions (mirroring the analytic conditioning):
   thin ring around the nearest neighbor is a device of the closed form only;
   the simulated field is the exact-ring model, one UAV exactly at R.
 
-A trial whose disc holds no UAV (``empty_disc_trials`` counts them) answers
-a different model: under user-centric association its serving distance is
-infinite, so neither user has a desired link; under UAV-centric association
-the cell is the whole disc and sees no interference.
+A trial whose disc holds no UAV (its nearest UAV lies at infinity;
+``empty_disc_trials`` counts them) answers a different model: under
+user-centric association its serving distance is infinite, so neither user
+has a desired link; under UAV-centric association the cell is the whole disc
+and sees no interference.
 """
 
 from __future__ import annotations
@@ -101,11 +106,12 @@ from .channel import sample_nakagami_power, sinr
 from .errors import DomainError
 from .scenario import (
     OMA,
+    ROLE_TABLE,
     ROLES,
-    UAV_CENTRIC,
     USER_CENTRIC,
     NetworkConfig,
     NomaLink,
+    Role,
     cross_residue,
     thresholds,
 )
@@ -174,8 +180,12 @@ def _is_user_centric(strategy: str) -> bool:
     return strategy == USER_CENTRIC
 
 
-def _key(strategy: str, cfg: NetworkConfig, *rest: float) -> tuple:
-    return (
+def geometry_key(cfg: NetworkConfig, link: NomaLink, strategy: str) -> tuple:
+    """What a batch of ``strategy`` depends on: points with equal keys (and
+    equal trials and seed) can be estimated from one batch. Both depend on
+    the UAV field and the fading orders, a user-centric batch also on the
+    fixed user's distance."""
+    key = (
         strategy,
         cfg.uav_density,
         cfg.sim_disc_radius,
@@ -183,25 +193,14 @@ def _key(strategy: str, cfg: NetworkConfig, *rest: float) -> tuple:
         cfg.m_desired,
         cfg.m_interf,
         cfg.alpha_interf,
-        *rest,
     )
-
-
-def geometry_key(cfg: NetworkConfig, link: NomaLink, strategy: str) -> tuple:
-    """What a batch of ``strategy`` depends on: points with equal keys (and
-    equal trials and seed) can be estimated from one batch. Both depend on
-    the UAV field and the fading orders, a user-centric batch also on the
-    fixed user's distance."""
-    if _is_user_centric(strategy):
-        return _key(strategy, cfg, link.fixed_user_dist)
-    return _key(strategy, cfg)
+    return key + (link.fixed_user_dist,) if _is_user_centric(strategy) else key
 
 
 def simulate(cfg: NetworkConfig, link: NomaLink, strategy: str, trials: int, seed: int):
     """The geometry phase of ``strategy``: a batch of ``trials`` trials."""
-    if _is_user_centric(strategy):
-        return simulate_user_centric(cfg, link.fixed_user_dist, trials, seed)
-    return simulate_uav_centric(cfg, trials, seed)
+    entry = simulate_user_centric if _is_user_centric(strategy) else simulate_uav_centric
+    return entry(cfg, link, strategy, trials, seed)
 
 
 def estimate(
@@ -210,10 +209,8 @@ def estimate(
     """The two coverage estimates of one point from a batch, in
     ``ROLES[strategy]`` order of the batch's strategy."""
     strategy, trials = batch.geometry_key[0], batch.trials
-    if _is_user_centric(strategy):
-        counts = evaluate_user_centric(batch, cfg, link, access)
-    else:
-        counts = evaluate_uav_centric(batch, cfg, link, access)
+    entry = evaluate_user_centric if _is_user_centric(strategy) else evaluate_uav_centric
+    counts = entry(batch, cfg, link, access)
     return tuple(
         CoverageEstimate(
             k / trials, trials, *wilson_interval(k, trials),
@@ -235,41 +232,49 @@ def run(
     return estimate(simulate(cfg, link, strategy, trials, seed), cfg, link, access)
 
 
-# ---------------------------------------------------------------------------
-# user-centric strategy
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class UserCentricTrials:
-    """Geometry/fading batch of the user-centric strategy (unit tx power)."""
+class Trials:
+    """Geometry/fading batch of either strategy, at unit transmit power.
+
+    ``distance`` holds, per trial, the horizontal distance from the origin
+    (the typical user, or the serving UAV) to the nearest UAV of the field,
+    inf where the disc holds none. The other fields hold one row per user,
+    in ``ROLES`` order: its 3-D serving distance, its interference sum
+    g d^-aI at unit power and its desired gain.
+    """
 
     geometry_key: tuple
     seed: int
-    serving_dist3d: np.ndarray  # 3-D distance typical user -> serving UAV
-    interference_typical: np.ndarray  # sum g d^-aI at the typical user
-    interference_fixed: np.ndarray  # sum g d^-aI at the fixed user
-    gain_typical: np.ndarray
-    gain_fixed: np.ndarray
+    distance: np.ndarray
+    dist3d: np.ndarray
+    interference: np.ndarray
+    gain: np.ndarray
 
     @property
     def trials(self) -> int:
-        return len(self.serving_dist3d)
+        return len(self.distance)
 
 
-def simulate_user_centric(
-    cfg: NetworkConfig,
-    fixed_user_dist: float,
-    trials: int,
-    seed: int,
-) -> UserCentricTrials:
-    """Run the geometry phase: typical user at the origin, serving UAV is the
-    nearest, fixed user at ``fixed_user_dist`` from it at uniform azimuth."""
-    return UserCentricTrials(
-        _key(USER_CENTRIC, cfg, fixed_user_dist),
-        seed,
-        *_simulate(cfg, trials, seed, 5, _user_centric_block, fixed_user_dist),
-    )
+def _geometry_phase(
+    cfg: NetworkConfig, link: NomaLink, strategy: str, trials: int, seed: int
+) -> Trials:
+    """A batch of ``strategy``. User-centric: the typical user at the origin,
+    its serving UAV the nearest, the fixed user at ``link.fixed_user_dist``
+    from it at uniform azimuth. UAV-centric: the serving UAV at the origin,
+    its neighbors the interference field, the paired users drawn from their
+    placement densities."""
+    if strategy == USER_CENTRIC:
+        block, args = _user_centric_block, (link.fixed_user_dist,)
+    else:
+        block, args = _uav_centric_block, ()
+    rows = _simulate(cfg, trials, seed, 7, block, *args)
+    key = geometry_key(cfg, link, strategy)
+    return Trials(key, seed, rows[0], rows[1:3], rows[3:5], rows[5:7])
+
+
+# ---------------------------------------------------------------------------
+# user-centric strategy
+# ---------------------------------------------------------------------------
 
 
 def _user_centric_block(rng, field, cfg, fixed_user_dist):
@@ -322,7 +327,9 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
     j_fix = field.sum(g_f)
     # an empty disc has no serving UAV, so neither user has a desired link
     h_t, h_f = (np.where(field.occupied, h, 0.0) for h in (h_t, h_f))
-    return np.hypot(field.nearest, cfg.uav_height), j_typ, j_fix, h_t, h_f
+    d3_fix = np.full(_BLOCK, math.hypot(fixed_user_dist, cfg.uav_height))
+    d3_typ = np.hypot(field.nearest, cfg.uav_height)
+    return field.nearest, d3_typ, d3_fix, j_typ, j_fix, h_t, h_f
 
 
 def _cos_twice(half_angle: np.ndarray, out=None) -> np.ndarray:
@@ -340,60 +347,9 @@ def _cos_twice(half_angle: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def evaluate_user_centric(
-    batch: UserCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
-) -> tuple[int, int]:
-    """Count typical/fixed coverage successes of one configuration point."""
-    if batch.geometry_key != geometry_key(cfg, link, USER_CENTRIC):
-        raise DomainError("trial batch was simulated under different geometry")
-    dist_fixed = math.hypot(link.fixed_user_dist, cfg.uav_height)
-    near_case = batch.serving_dist3d < dist_fixed
-    k_typ = _decodes(
-        "typical", batch.gain_typical, batch.serving_dist3d,
-        batch.interference_typical, near_case, cfg, link, USER_CENTRIC, access,
-    )
-    # the fixed user is the partner, in the role the typical user does not play
-    k_fix = _decodes(
-        "fixed", batch.gain_fixed, dist_fixed, batch.interference_fixed,
-        ~near_case, cfg, link.with_swapped_rates(), USER_CENTRIC, access,
-    )
-    return k_typ, k_fix
-
-
 # ---------------------------------------------------------------------------
 # UAV-centric strategy
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UavCentricTrials:
-    """Geometry/fading batch of the UAV-centric strategy (unit tx power)."""
-
-    geometry_key: tuple
-    seed: int
-    neighbor_dist: np.ndarray  # horizontal distance to the nearest other UAV
-    near_dist3d: np.ndarray
-    far_dist3d: np.ndarray
-    interference_near: np.ndarray
-    interference_far: np.ndarray
-    gain_near: np.ndarray
-    gain_far: np.ndarray
-
-    @property
-    def trials(self) -> int:
-        return len(self.neighbor_dist)
-
-
-def simulate_uav_centric(
-    cfg: NetworkConfig, trials: int, seed: int
-) -> UavCentricTrials:
-    """Geometry phase: serving UAV at the origin, neighbors form the
-    interference field, paired users drawn from their placement densities."""
-    return UavCentricTrials(
-        _key(UAV_CENTRIC, cfg),
-        seed,
-        *_simulate(cfg, trials, seed, 7, _uav_centric_block),
-    )
 
 
 def _uav_centric_block(rng, field, cfg):
@@ -413,25 +369,35 @@ def _uav_centric_block(rng, field, cfg):
     np.power(path, -half, out=path)
     g_w *= path
     g_v *= path
-    return big_r, d_near, d_far, field.sum(g_w), field.sum(g_v), h_w, h_v
+    return field.nearest, d_near, d_far, field.sum(g_w), field.sum(g_v), h_w, h_v
 
 
-def evaluate_uav_centric(
-    batch: UavCentricTrials, cfg: NetworkConfig, link: NomaLink, access: str
+# ---------------------------------------------------------------------------
+# the evaluation phase of both strategies
+# ---------------------------------------------------------------------------
+
+
+def evaluate(
+    batch: Trials, cfg: NetworkConfig, link: NomaLink, access: str
 ) -> tuple[int, int]:
-    """Count near/far-user coverage successes of one configuration point."""
-    if batch.geometry_key != geometry_key(cfg, link, UAV_CENTRIC):
+    """Count each user's coverage successes at one configuration point, in
+    ``ROLES`` order."""
+    strategy = batch.geometry_key[0]
+    if batch.geometry_key != geometry_key(cfg, link, strategy):
         raise DomainError("trial batch was simulated under different geometry")
-    k_near = _decodes(
-        "near", batch.gain_near, batch.near_dist3d, batch.interference_near,
-        True, cfg, link, UAV_CENTRIC, access,
+    # where the typical user's serving distance lies below the fixed user's;
+    # a UAV-centric user plays one role and reads none of it
+    below = batch.dist3d[0] < batch.dist3d[1]
+    users = zip(ROLE_TABLE[strategy], batch.gain, batch.dist3d, batch.interference)
+    return tuple(
+        _decodes(role, *rows, role.plays_near(below), cfg, link, access)
+        for role, *rows in users
     )
-    # the far user is the partner in the far role
-    k_far = _decodes(
-        "far", batch.gain_far, batch.far_dist3d, batch.interference_far,
-        False, cfg, link.with_swapped_rates(), UAV_CENTRIC, access,
-    )
-    return k_near, k_far
+
+
+# each strategy's two phases, by the names the benchmark's tracer wraps
+simulate_user_centric = simulate_uav_centric = _geometry_phase
+evaluate_user_centric = evaluate_uav_centric = evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +415,7 @@ def _usable_cores() -> int:
 
 def empty_disc_trials(batch) -> int:
     """Trials of ``batch`` whose disc holds no UAV."""
-    if _is_user_centric(batch.geometry_key[0]):
-        return int(np.count_nonzero(np.isinf(batch.serving_dist3d)))
-    # the cell is the whole disc, whose radius the key holds after the density
-    return int(np.count_nonzero(batch.neighbor_dist == batch.geometry_key[2]))
+    return int(np.count_nonzero(np.isinf(batch.distance)))
 
 
 def _simulate(
@@ -566,10 +529,11 @@ class _Field:
 
 
 def _decodes(
-    user: str, gain, dist3d, unit_interference, near, cfg: NetworkConfig,
-    link: NomaLink, strategy: str, access: str,
+    role: Role, gain, dist3d, unit_interference, near, cfg: NetworkConfig,
+    link: NomaLink, access: str,
 ) -> int:
-    """Trials in which ``user``, the subject of ``link``, decodes its signal.
+    """Trials in which ``role``'s user, the subject of ``role.link(link)``,
+    decodes its signal.
 
     ``near`` says where the user plays the near role: a bool array over the
     trials, or True or False for all of them. Success is counted through the
@@ -579,23 +543,24 @@ def _decodes(
     ``RuntimeError``.
     """
     p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
+    link = role.link(link)
     interference = p * unit_interference
     received = gain * dist3d**-alpha * p
-    ts = thresholds(link, strategy, access)
+    ts = thresholds(link, role.strategy, access)
     if access == OMA:
         ok = sinr(received, 1.0, 1.0, 0.0, noise, interference) > ts.eps_own
     elif near is False:
-        direct = sinr(received, link.pw_far, link.pw_near, 1.0, noise, interference)
-        ok = direct > ts.eps_own
+        ok = sinr(received, link.pw_far, link.pw_near, 1.0, noise, interference) > ts.eps_own
     else:
         # near is an array only under user-centric association, whose cross
         # residue of 1 makes the partner decode the far role's direct decode
-        residue = cross_residue(link, strategy)
+        residue = cross_residue(link, role.strategy)
         cross = sinr(received, link.pw_far, link.pw_near, residue, noise, interference)
         own = sinr(received, link.pw_near, link.pw_far, link.ipsic, noise, interference)
         ok = (cross > ts.eps_other) & (own > ts.eps_own)
         if near is not True:
             ok = np.where(near, ok, cross > ts.eps_own)
+    # the coefficient of the role played in each trial
     coeff = np.where(near, ts.near, ts.far)
     # an infinite d^alpha fails the rule, as its SINR of 0 fails the chain
     with np.errstate(over="ignore"):
@@ -605,6 +570,6 @@ def _decodes(
     if mismatches:
         raise RuntimeError(
             f"SINR chain and decode coefficient disagree on {mismatches} "
-            f"{user} trials"
+            f"{role.user} trials"
         )
     return int(np.sum(ok))

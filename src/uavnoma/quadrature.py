@@ -38,6 +38,9 @@ integral's final cells one by one in table order (``np.bincount``), and that
 sum into its value and estimate; its volume adds its boxes the same way.
 Company moves an integral's cells within the table, never their order.
 
+``coverage_quadratures`` is the one integration routine of both
+strategies' closed forms, each handed to it as a ``ClosedForm``.
+
 The estimate presumes an integrand smooth within each cell: a jump halfway
 between the same two nodes of both rules goes unseen. The closed forms put
 their one jump, the decode coefficient's switch at r = r_k, on a cell edge.
@@ -52,6 +55,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericalError
+from .laplace import check_probability
+from .scenario import ROLES, sweep_config
 
 # absolute tolerance of every closed-form value; figure-level resolution
 # is ~1e-2 and the Monte Carlo cross-checks resolve ~1e-3
@@ -194,19 +199,58 @@ class NodeFields:
         return type(self.rows[0])(*fields)
 
 
-def integrate_rows(make_integrand, rows: Sequence[tuple], cells) -> dict:
-    """The ``Quadrature`` of each distinct row of ``rows``, one
-    ``integrate_many`` integral per distinct row.
+class ClosedForm(NamedTuple):
+    """What ``coverage_quadratures`` reads of one strategy's closed form.
 
-    Rows are NamedTuples compared field by field, floats exactly. The
-    distinct rows, in order of first appearance, go to ``make_integrand``,
-    which returns their integrand, and ``cells(row)`` gives the ``(lo, hi,
-    counts)`` of each. A value is its integral alone (``integrate_many``), so
-    a repeated row needs no integral of its own.
+    strategy    its name in ``scenario``
+    row         ``row(user, cfg, link, access)``: what the kernel and the
+                integrand read of one value, a NamedTuple of hashable fields
+    cells       ``cells(row)``: the ``(lo, hi, counts)`` of its integral
+    integrand   ``integrand(shared, rows)``: the integrand of those rows, the
+                config ``shared`` holding the fields their configs share
+    integrated  ``integrated(row)``: false for a value that is exactly 0
+                without an integral
     """
-    distinct = list(dict.fromkeys(rows))
-    boxes = [cells(row) for row in distinct]
-    return dict(zip(distinct, integrate_many(make_integrand(distinct), boxes)))
+
+    strategy: str
+    row: Callable
+    cells: Callable
+    integrand: Callable
+    integrated: Callable
+
+
+def coverage_quadratures(
+    form: ClosedForm, values: Sequence[tuple], access: str
+) -> list[Quadrature]:
+    """The coverage of each ``(user, cfg, link)`` of ``form``'s strategy,
+    with its error estimate.
+
+    The configs may differ in ``scenario.SWEPT_FIELDS`` alone. Rows compare
+    field by field, floats exactly, and each distinct row the form
+    integrates is one integral of one ``integrate_many`` call, in order of
+    first appearance: a value is its integral alone, so the values share
+    passes and a repeated row needs no integral of its own. Each value must
+    lie in [0, 1] up to its error estimate.
+    """
+    shared = sweep_config([cfg for _, cfg, _ in values])
+    rows = [form.row(user, cfg, link, access) for user, cfg, link in values]
+    distinct = list(dict.fromkeys(row for row in rows if form.integrated(row)))
+    boxes = [form.cells(row) for row in distinct]
+    found = dict(zip(distinct, integrate_many(form.integrand(shared, distinct), boxes)))
+    results = [found.get(row, Quadrature(0.0, 0.0)) for row in rows]
+    value, estimate = zip(*results)
+    check_probability(value, f"{form.strategy} coverage", shared.m_desired, estimate)
+    return results
+
+
+def coverage_sweep(
+    form: ClosedForm, points: Sequence[tuple], access: str
+) -> list[tuple[float, float]]:
+    """The coverage of both users, in ``scenario.ROLES`` order, of every
+    ``(cfg, link)`` point of a sweep, all values integrated together."""
+    values = [(u, cfg, link) for cfg, link in points for u in ROLES[form.strategy]]
+    found = [result.value for result in coverage_quadratures(form, values, access)]
+    return list(zip(found[::2], found[1::2]))
 
 
 def integrate(integrand: Callable[..., np.ndarray], lo, hi, counts) -> Quadrature:

@@ -1,4 +1,5 @@
-"""Deployment configuration, unit conversion, and NOMA threshold algebra.
+"""Deployment configuration, unit conversion, NOMA threshold algebra, and
+the role of every user.
 
 Everything downstream (closed-form coverage and Monte Carlo alike) consumes
 the immutable value types defined here. All internal computation is in linear
@@ -8,15 +9,19 @@ one power split, ``pw_far``; the near-role user takes ``1 - pw_far``.
 
 Each association strategy has one name, the one configs, flags and CSVs
 use: ``USER_CENTRIC`` ("user-centric") and ``UAV_CENTRIC`` ("uav-centric").
-``ROLES`` names the two users of each, the subject first.
 
 Every user has one decode rule, ``thresholds``: the two coefficients of the
 subject (the user whose rate is ``rate_near``) in the near and in the far
 role, at unit transmit power, so that transmit power enters the decode
-rule as N/P alone (``ThresholdSet``). The partner is the link with swapped
-rates, so the UAV-centric far user is the partner in the far role, and the
-user-centric fixed user the partner in the role the typical user does not
-play. No other module picks a coefficient by access.
+rule as N/P alone (``ThresholdSet``).
+
+``ROLE_TABLE`` states once what each user of each strategy is (a ``Role``),
+in ``ROLES`` order, the subject first: the UAV-centric near user is the
+subject in the near role and the far user its partner in the far role; the
+user-centric typical user is the subject, near while its serving distance r
+lies below the fixed user's r_k and far beyond, and the fixed user its
+partner in the other role, at r_k. The Monte Carlo, both closed forms and
+the CLI's warnings read their users from it; no other module swaps rates.
 
 Infeasible decode coefficients are represented by the ``INFEASIBLE`` sentinel
 (+inf) rather than an exception: power/rate sweeps legitimately cross the
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -37,8 +42,6 @@ INFEASIBLE = math.inf
 
 USER_CENTRIC = "user-centric"
 UAV_CENTRIC = "uav-centric"
-# the two users of each strategy, subject first (see ``thresholds``)
-ROLES = {USER_CENTRIC: ("typical", "fixed"), UAV_CENTRIC: ("near", "far")}
 NOMA = "noma"
 OMA = "oma"
 
@@ -267,3 +270,71 @@ def thresholds(link: NomaLink, strategy: str, access: str = NOMA) -> ThresholdSe
     cross = _coefficient(eps_other, link.pw_far, residue, link.pw_near)
     far = _coefficient(eps_own, link.pw_far, 1.0, link.pw_near)
     return ThresholdSet(eps_own, eps_other, max(own, cross), far)
+
+
+NEAR = "near"
+FAR = "far"
+
+
+class Role(NamedTuple):
+    """One user of a strategy (see ``ROLE_TABLE``).
+
+    strategy   the strategy it belongs to
+    user       its name, as output rows give it
+    partner    it decodes on the link with swapped rates, as the partner
+               of the subject
+    below      the role, NEAR or FAR, it plays while the typical user's
+               serving distance r lies below r_k
+    above      the role it plays from r_k on; a UAV-centric user plays one
+               role throughout
+    distance   where its serving distance comes from: "serving", the drawn
+               r; "fixed", the link's r_k; "disc" or "ring", its placement
+               within R/4 or from R/4 to R/2 of the serving UAV, whose
+               nearest neighbor lies at R
+    """
+
+    strategy: str
+    user: str
+    partner: bool
+    below: str
+    above: str
+    distance: str
+
+    def link(self, link: NomaLink) -> NomaLink:
+        """The link the user decodes on, as its subject."""
+        return link.with_swapped_rates() if self.partner else link
+
+    def coefficients(self, link: NomaLink, access: str = NOMA) -> dict[str, float]:
+        """The user's decode coefficient in each role it plays, near first."""
+        ts = thresholds(self.link(link), self.strategy, access)
+        # a ThresholdSet names its two coefficients by role
+        return {r: getattr(ts, r) for r in (NEAR, FAR) if r in (self.below, self.above)}
+
+    def plays_near(self, below):
+        """Where the user plays the near role, given ``below``, where r lies
+        below r_k: True or False for a user of one role, else an array."""
+        if self.below == self.above:
+            return self.below == NEAR
+        return below if self.below == NEAR else ~below
+
+
+# the users of each strategy, the subject first
+ROLE_TABLE = {
+    USER_CENTRIC: (
+        Role(USER_CENTRIC, "typical", False, NEAR, FAR, "serving"),
+        Role(USER_CENTRIC, "fixed", True, FAR, NEAR, "fixed"),
+    ),
+    UAV_CENTRIC: (
+        Role(UAV_CENTRIC, "near", False, NEAR, NEAR, "disc"),
+        Role(UAV_CENTRIC, "far", True, FAR, FAR, "ring"),
+    ),
+}
+ROLES = {s: tuple(role.user for role in table) for s, table in ROLE_TABLE.items()}
+
+
+def role_of(strategy: str, user: str) -> Role:
+    """The ``ROLE_TABLE`` entry of ``user`` under ``strategy``."""
+    for entry in ROLE_TABLE.get(strategy, ()):
+        if entry.user == user:
+            return entry
+    raise DomainError(f"unknown {strategy} user {user!r}")

@@ -175,13 +175,11 @@ def piecewise_user_centric_coverage(
     ``_radial_panels`` with a break at u_k = pi lam r_k^2.
     """
     conditional = analytic_user_centric.coverage_cond
-    if subject == "fixed":
-        conditional = analytic_user_centric._coverage_cond_fixed
     pl = math.pi * cfg.uav_density
 
     def integrand(x):
         u = x[:, 0]
-        return np.exp(-u) * conditional(np.sqrt(u / pl), cfg, link, access)
+        return np.exp(-u) * conditional(np.sqrt(u / pl), cfg, link, access, subject)
 
     return float(_adaptive(integrand, _radial_panels(pl * link.fixed_user_dist**2))[0])
 

@@ -244,10 +244,10 @@ def _pinned_pair_oracle(cfg, link, r, R, role, trials, seed):
 
 class TestCoveragePair:
     def test_placement_average_of_constant_is_one(self):
-        # the placement density of each role integrates to 1 on the array
-        # rule of the placement axis, base and doubled alike
-        for role in (NEAR, FAR):
-            density = lambda y: _placement(y, *_PLACEMENT[role])[1]
+        # the placement density of each user's distance integrates to 1 on
+        # the array rule of the placement axis, base and doubled alike
+        for placement in _PLACEMENT.values():
+            density = lambda y: _placement(y, *placement)[1]
             value, estimate = integrate(density, [[0.0]], [[1.0]], [[12]])
             assert value == pytest.approx(1.0, abs=1e-14)
             assert estimate < 1e-14

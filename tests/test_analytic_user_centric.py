@@ -326,7 +326,7 @@ class TestCoverageCond:
 
     def test_role_switches_at_fixed_user_distance(self):
         # below r_k the SIC chain's joint coefficient, from r_k on the far
-        # decode, exactly as the Monte Carlo's near_case splits the trials;
+        # decode, exactly as the Monte Carlo splits the trials;
         # the kernel runs at unit power, with noise N/P
         cfg = make_cfg(m_desired=2)
         noise = cfg.noise_power / cfg.tx_power
@@ -346,7 +346,7 @@ class TestCoverageCond:
             cfg.alpha_desired, laplace_exponent_uc(cfg, dist),
         )
         np.testing.assert_array_equal(
-            analytic_user_centric._coverage_cond_fixed(r, cfg, LINK), want
+            coverage_cond(r, cfg, LINK, user=analytic_user_centric.FIXED), want
         )
 
     @pytest.mark.parametrize("fading_order", [1, 3])

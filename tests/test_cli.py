@@ -1026,6 +1026,50 @@ class TestErrors:
         assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 0
         assert "typical: p=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", [11, 10**5, 10**6])
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_interferer_order_past_the_closed_forms_exits_2(
+        self, tmp_path, capsys, strategy, order
+    ):
+        # the radial tail's recurrences take m_I array steps: at 1e5 one
+        # point took 7.0 s UAV-centric and 1.9 s user-centric before the
+        # bound. Every mode that runs closed forms refuses the order before
+        # any point
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_interf"] = order
+        payload["sweep"]["strategy"] = strategy
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["analytic", "--config", path]) == 2
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        line = (
+            "error: network.m_interf: the closed forms take orders up to 10, "
+            f"got {order} (mode mc takes any)"
+        )
+        assert capsys.readouterr().err.splitlines() == [line, line]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_monte_carlo_takes_any_interferer_order(self, tmp_path, capsys, strategy):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_interf"] = 11
+        payload["sweep"].update(strategy=strategy, mode="mc", trials=64)
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", path]) == 0
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count(strategy) == 2 * len(payload["sweep"]["values"])
+
+    @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
+    def test_closed_forms_take_interferer_order_10(self, tmp_path, capsys, strategy):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["network"]["m_interf"] = 10
+        payload["sweep"]["strategy"] = strategy
+        assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 0
+        user = "typical" if strategy == "user-centric" else "near"
+        assert f"{user}: p=" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "section, key, field",
         [
@@ -1089,7 +1133,7 @@ class TestErrors:
         empty = np.empty
 
         def refuse(shape, *args, **kwargs):
-            if shape == (5, 1234):
+            if isinstance(shape, tuple) and shape[-1:] == (1234,):  # the batch
                 raise MemoryError
             return empty(shape, *args, **kwargs)
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from uavnoma import analytic_uav_centric, analytic_user_centric
+from uavnoma import analytic_uav_centric, analytic_user_centric, quadrature
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
 
 SEED = 20261019
@@ -78,6 +78,7 @@ def test_sample_covers_both_strategies_and_access_schemes_at_every_order():
 )
 def test_both_values_are_probabilities(index):
     strategy, access, cfg, link = DRAWN[index]
-    (values,) = STRATEGIES[strategy].coverage_sweep([(cfg, link)], access)
+    form = STRATEGIES[strategy].FORM
+    (values,) = quadrature.coverage_sweep(form, [(cfg, link)], access)
     for value in values:
         assert math.isfinite(value) and 0.0 <= value <= 1.0, values

@@ -15,8 +15,7 @@ from uavnoma.errors import DomainError
 from uavnoma.montecarlo import (
     _BLOCK,
     _cos_twice,
-    UavCentricTrials,
-    UserCentricTrials,
+    Trials,
     estimate,
     evaluate_uav_centric,
     evaluate_user_centric,
@@ -195,21 +194,21 @@ def _stream_draws(cfg):
     uc_b = simulate(cfg, link_b, USER_CENTRIC, 400, seed=77)
     uav = simulate(cfg, LINK, UAV_CENTRIC, 400, seed=77)
     weak = dataclasses.replace(cfg, tx_power=1e-8)
-    empty = uav.neighbor_dist == cfg.sim_disc_radius
+    empty = np.isinf(uav.distance)
     return dict(
         uc_counts=[
             evaluate_user_centric(uc, cfg, LINK, NOMA),
             evaluate_user_centric(uc, cfg, LINK, OMA),
             evaluate_user_centric(uc_b, cfg, link_b, NOMA),
         ],
-        uc_empty=int(np.sum(np.isinf(uc.serving_dist3d))),
+        uc_empty=int(np.sum(np.isinf(uc.dist3d[0]))),
         uc_values={
             t: [
-                float(uc.serving_dist3d[t]),
-                float(uc.interference_typical[t]),
-                float(uc.interference_fixed[t]),
-                float(uc.gain_typical[t]),
-                float(uc.gain_fixed[t]),
+                float(uc.dist3d[0, t]),
+                float(uc.interference[0, t]),
+                float(uc.interference[1, t]),
+                float(uc.gain[0, t]),
+                float(uc.gain[1, t]),
             ]
             for t in (3, 5)
         },
@@ -219,16 +218,16 @@ def _stream_draws(cfg):
             evaluate_uav_centric(uav, weak, link_c, NOMA),
         ],
         uav_empty=int(np.sum(empty)),
-        uav_empty_interference=float(np.sum(uav.interference_near[empty])),
+        uav_empty_interference=float(np.sum(uav.interference[0, empty])),
         uav_values={
             t: [
-                float(uav.neighbor_dist[t]),
-                float(uav.near_dist3d[t]),
-                float(uav.far_dist3d[t]),
-                float(uav.interference_near[t]),
-                float(uav.interference_far[t]),
-                float(uav.gain_near[t]),
-                float(uav.gain_far[t]),
+                float(min(uav.distance[t], cfg.sim_disc_radius)),
+                float(uav.dist3d[0, t]),
+                float(uav.dist3d[1, t]),
+                float(uav.interference[0, t]),
+                float(uav.interference[1, t]),
+                float(uav.gain[0, t]),
+                float(uav.gain[1, t]),
             ]
             for t in (3, 5)
         },
@@ -286,7 +285,7 @@ class TestSkeleton:
         for field in dataclasses.fields(short):
             value = getattr(short, field.name)
             if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(value, getattr(long, field.name)[:40])
+                np.testing.assert_array_equal(value, getattr(long, field.name)[..., :40])
 
     @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 5])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -305,9 +304,9 @@ class TestSkeleton:
             start = int(np.sum(counts[:slot]))
             nearest = radii[start : start + counts[slot]].min()
             if strategy == USER_CENTRIC:
-                assert batch.serving_dist3d[t] == np.hypot(nearest, cfg.uav_height)
+                assert batch.dist3d[0, t] == np.hypot(nearest, cfg.uav_height)
             else:
-                assert batch.neighbor_dist[t] == nearest
+                assert batch.distance[t] == nearest
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_empty_disc_convention(self, strategy):
@@ -315,11 +314,11 @@ class TestSkeleton:
         cfg = make_cfg(sim_disc_radius=200.0)
         batch = simulate(cfg, LINK, strategy, 200, seed=3)
         if strategy == USER_CENTRIC:
-            empty = np.isinf(batch.serving_dist3d)
-            interference = (batch.interference_typical, batch.interference_fixed)
+            empty = np.isinf(batch.dist3d[0])
+            interference = batch.interference
         else:
-            empty = batch.neighbor_dist == cfg.sim_disc_radius
-            interference = (batch.interference_near, batch.interference_far)
+            empty = np.isinf(batch.distance)
+            interference = batch.interference
         assert 100 < int(empty.sum()) < 200
         for values in interference:
             assert not np.any(values[empty])
@@ -344,9 +343,9 @@ class TestSkeleton:
     def test_uav_centric_users_inside_their_rings(self):
         cfg = make_cfg()
         batch = simulate(cfg, LINK, UAV_CENTRIC, 300, seed=21)
-        big_r = batch.neighbor_dist
-        near = np.sqrt(batch.near_dist3d**2 - cfg.uav_height**2)
-        far = np.sqrt(batch.far_dist3d**2 - cfg.uav_height**2)
+        big_r = np.minimum(batch.distance, cfg.sim_disc_radius)
+        near = np.sqrt(batch.dist3d[0] ** 2 - cfg.uav_height**2)
+        far = np.sqrt(batch.dist3d[1] ** 2 - cfg.uav_height**2)
         slack = 1e-9 * big_r
         assert np.all((near >= 0.0) & (near <= 0.25 * big_r + slack))
         assert np.all((far >= 0.25 * big_r - slack) & (far <= 0.5 * big_r + slack))
@@ -634,11 +633,18 @@ class TestRaggedReductions:
                 for b in range(blocks)
             ]
         )[:, :trials]
-        fields = [f.name for f in dataclasses.fields(batch)][2:]
+        if strategy == USER_CENTRIC:
+            fields = [batch.dist3d[0], *batch.interference, *batch.gain]
+            h = cfg.uav_height
+            np.testing.assert_array_equal(np.hypot(batch.distance, h), batch.dist3d[0])
+            assert np.all(batch.dist3d[1] == math.hypot(LINK.fixed_user_dist, h))
+        else:
+            big_r = np.minimum(batch.distance, cfg.sim_disc_radius)
+            fields = [big_r, *batch.dist3d, *batch.interference, *batch.gain]
         assert len(fields) == len(expected)
-        for name, values in zip(fields, expected):
+        for row, (got, values) in enumerate(zip(fields, expected)):
             np.testing.assert_allclose(
-                getattr(batch, name), values, rtol=1e-12, atol=0.0, err_msg=name
+                got, values, rtol=1e-12, atol=0.0, err_msg=f"row {row}"
             )
 
     def test_cases_cover_empty_layouts(self):
@@ -690,7 +696,7 @@ class TestRaggedReductions:
     def test_neighbouring_streams_differ(self, one, other):
         def block(seed, b):
             batch = simulate(make_cfg(), LINK, UAV_CENTRIC, (b + 1) * _BLOCK, seed)
-            return batch.neighbor_dist[b * _BLOCK :]
+            return batch.distance[b * _BLOCK :]
 
         assert not np.any(block(*one) == block(*other))
 
@@ -753,14 +759,13 @@ class TestEvaluationPaths:
         # no interferers, strong gain: the success predicate must fire
         cfg = make_cfg(tx_power=1.0)
         n = 8
-        batch = UserCentricTrials(
+        batch = Trials(
             geometry_key(cfg, LINK, USER_CENTRIC),
             0,
-            np.full(n, math.hypot(200.0, 100.0)),
-            np.zeros(n),
-            np.zeros(n),
-            np.full(n, 5.0),
-            np.full(n, 5.0),
+            np.full(n, 200.0),
+            np.array([np.full(n, math.hypot(200.0, 100.0)), np.full(n, math.hypot(300.0, 100.0))]),
+            np.zeros((2, n)),
+            np.full((2, n), 5.0),
         )
         k_typ, k_fix = evaluate_user_centric(batch, cfg, LINK, NOMA)
         assert k_typ == n and k_fix == n
@@ -768,16 +773,13 @@ class TestEvaluationPaths:
     def test_success_predicate_true_smoke(self):
         cfg = make_cfg(tx_power=1.0)
         n = 8
-        batch = UavCentricTrials(
+        batch = Trials(
             geometry_key(cfg, LINK, UAV_CENTRIC),
             0,
             np.full(n, 500.0),
-            np.full(n, 110.0),
-            np.full(n, 230.0),
-            np.zeros(n),
-            np.zeros(n),
-            np.full(n, 1e9),
-            np.full(n, 1e9),
+            np.array([np.full(n, 110.0), np.full(n, 230.0)]),
+            np.zeros((2, n)),
+            np.full((2, n), 1e9),
         )
         k_near, k_far = evaluate_uav_centric(batch, cfg, LINK, NOMA)
         assert k_near == n and k_far == n

@@ -123,7 +123,7 @@ class TestBitIdentical:
     @pytest.mark.parametrize("module", [uc, uav])
     def test_sweep_pairs_match_single_values(self, module):
         points = _radial_points() if module is uc else _uav_points()
-        got = module.coverage_sweep(points, NOMA)
+        got = quadrature.coverage_sweep(module.FORM, points, NOMA)
         if module is uc:
             want = [(uc.coverage_typical(c, l), uc.coverage_fixed(c, l)) for c, l in points]
         else:
@@ -134,7 +134,7 @@ class TestBitIdentical:
     def test_points_differing_beyond_the_swept_fields_are_refused(self, module):
         points = [(LOW_UAV, RADIAL_LINK), (replace(LOW_UAV, uav_height=20.0), RADIAL_LINK)]
         with pytest.raises(DomainError, match="tx_power and uav_density"):
-            module.coverage_sweep(points, NOMA)
+            quadrature.coverage_sweep(module.FORM, points, NOMA)
 
 
 class TestRepeatedRows:

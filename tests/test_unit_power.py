@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from uavnoma import analytic_uav_centric as uav
-from uavnoma import cli, laplace
+from uavnoma import cli, laplace, quadrature
 from uavnoma.laplace import RadialTailExponent
 from uavnoma.scenario import NOMA, OMA
 
@@ -118,6 +118,52 @@ class TestRecurrence:
         assert len(calls) == 1
 
 
+# the highest interferer fading order the closed forms take
+M_I_BOUND = cli.MAX_CLOSED_FORM_ORDERS["m_interf"]
+
+
+def _ring_coefficients(m_i, weight, top=20):
+    """a_0..a_top of the nearest-ring exponent w (1 - (1 + z(1 + x))^(-mI))
+    in x on ``Z_GRID``, in 40 digits: the Taylor coefficients c_k of
+    g = (1 + z + z x)^(-mI) follow from (1 + z + z x) g' = -mI z g as
+    c_(k+1) = -z (mI + k) c_k / ((1 + z)(k + 1))."""
+    with mpmath.workdps(40):
+        rows = []
+        for z in map(mpmath.mpf, Z_GRID):
+            c = [(1 + z) ** -m_i]
+            for k in range(top):
+                c.append(-z * (m_i + k) * c[-1] / ((1 + z) * (k + 1)))
+            rows.append([weight * (1 - c[0])] + [-weight * ck for ck in c[1:]])
+    return np.array(rows, dtype=float).T
+
+
+class TestInterferenceOrderBound:
+    """The closed forms take m_I up to ``cli.MAX_CLOSED_FORM_ORDERS``; at
+    that order both exponents' Taylor coefficients match mpmath. From about
+    m_I = 12 the radial tail's recurrences lose more than 1e-12, and from 18
+    its order-0 coefficient loses every digit at large z."""
+
+    @pytest.mark.parametrize("alpha_interf", [2.05, 2.5, 4.0, 6.0, 12.0])
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 10, 20])
+    def test_radial_tail_matches_mpmath(self, alpha_interf, order):
+        # order 1 takes the contiguous run, higher orders the top call
+        scale = math.pi * DENSITY
+        exponent = RadialTailExponent(DENSITY, alpha_interf, M_I_BOUND, 1.0)
+        got = exponent.derivatives(M_I_BOUND * Z_GRID, order).values
+        want = _coefficients(M_I_BOUND, alpha_interf)
+        for k in range(order + 1):
+            np.testing.assert_allclose(got[k] / scale, want[k], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m_interf", [1, 2, 5, M_I_BOUND])
+    def test_nearest_ring_matches_mpmath(self, m_interf):
+        # d0 = 1 gives q = 1/mI, so s = mI z
+        ring = laplace.NearestRingExponent(0.75, 4.0, m_interf, 1.0)
+        got = ring.derivatives(m_interf * Z_GRID, 20).values
+        want = _ring_coefficients(m_interf, 0.75)
+        for k in range(21):
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=0)
+
+
 class TestExponentSum:
     def test_new_s_lets_the_last_coefficients_go_first(self):
         # a recompute must not hold two passes' coefficients at once: when
@@ -177,7 +223,7 @@ class TestReuse:
     def test_power_sweep_evaluates_its_exponents_once(self, monkeypatch):
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
-        uav.coverage_sweep(points, access)
+        quadrature.coverage_sweep(uav.FORM, points, access)
         assert len(points) == len(passes) == 8
         assert len(radial) == 1
 
@@ -193,14 +239,14 @@ class TestReuse:
             for role in (uav.NEAR, uav.FAR)
         }
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
-        uav.coverage_sweep(points, access)
+        quadrature.coverage_sweep(uav.FORM, points, access)
         assert len(distinct) == 8
         assert len(passes) == len(radial) == 4
 
     def test_lone_point_evaluates_them_once(self, monkeypatch):
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
-        uav.coverage_sweep(points[3:4], access)
+        quadrature.coverage_sweep(uav.FORM, points[3:4], access)
         assert len(radial) == len(passes) == 1
 
     @pytest.mark.parametrize("access", [NOMA, OMA])
