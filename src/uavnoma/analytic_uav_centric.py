@@ -54,10 +54,13 @@ exactly 0 without an integral. ``pair_quadratures`` and ``coverage_pair``
 are its cases for this strategy.
 
 The kernel runs at unit power (see ``laplace``): transmit power enters as
-the row's N/P alone, and the exponents read R and the density alone. A pass
-on the same R and density as the last pass reuses its exponents, and their
-coefficients wherever s is equal too (``_pair_integrand``): an 8-point
-power sweep evaluates them once.
+the row's N/P alone, and the exponents read R and the density alone. So a
+user's values along a power sweep, rows equal but for N/P, form one group
+of ``quadrature.coverage_quadratures``: where their cells coincide the
+integrand gets each node once, with one N/P per value on a leading axis,
+and forms the placement weights and the exponents' coefficients once
+(``_pair_integrand``). An 8-point power sweep evaluates them on 7,680
+nodes and the noise stage on 61,440.
 """
 
 from __future__ import annotations
@@ -69,12 +72,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError
-from .laplace import (
-    ExponentSum,
-    NearestRingExponent,
-    RadialTailExponent,
-    conditional_coverage,
-)
+from .laplace import NearestRingExponent, RadialTailExponent, conditional_coverage
 from .scenario import NOMA, ROLES, UAV_CENTRIC, NetworkConfig, NomaLink, role_of
 
 NEAR, FAR = ROLES[UAV_CENTRIC]
@@ -115,7 +113,10 @@ def coverage_cond_pair(
     r and R may be arrays that broadcast together. The near role requires
     r <= R/4 and runs the SIC chain; the far role requires R/4 <= r <= R/2
     and decodes directly. Infeasible power allocation gives exactly 0.
+    Fading orders past ``quadrature.MAX_CLOSED_FORM_ORDERS`` raise
+    ``DomainError``.
     """
+    quadrature.check_orders(cfg)
     v = _pair_value(role, cfg, link, access)
     r, R = np.broadcast_arrays(r, R)
     if role_of(UAV_CENTRIC, role).distance == "disc":
@@ -126,20 +127,22 @@ def coverage_cond_pair(
     if not np.all(inside):
         bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(f"{role} user requires {span}, got r={r[bad]}, R={R[bad]}")
-    return _pair_kernel(r, cfg, v, ExponentSum(*laplace_exponent_ucav(cfg, R)))
+    return _pair_kernel(r, cfg, v, laplace_exponent_ucav(cfg, R))
 
 
 def _pair_kernel(r, cfg, v: _PairValue, interference):
     """The conditional coverage of value ``v`` at radius r: m_d, h and alpha_d
     of ``cfg``, and ``v``'s decode coefficient and N/P, which may be per-node
-    arrays (``quadrature.NodeFields``); ``interference`` is at unit power."""
+    arrays, the N/P one row per value sharing the node
+    (``quadrature.NodeFields``); ``interference``, the exponents' parts, is
+    at unit power."""
     return conditional_coverage(
         cfg.m_desired,
         v.coeff,
         v.noise,
         np.hypot(r, cfg.uav_height),
         cfg.alpha_desired,
-        interference,
+        *interference,
     )
 
 
@@ -210,15 +213,11 @@ def _pair_value(role, cfg, link, access) -> _PairValue:
 def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
     """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
     each value; ``shared`` holds the fields the values have in common. The
-    unit-power exponents read R and the density alone, so a pass on the
-    bitwise-equal R and density of the last pass keeps its ``ExponentSum``,
-    for one ``integrate_many`` call, and that sum's memo reuses its
-    coefficients wherever s is equal too."""
+    placement weights and the unit-power exponents are formed once per node,
+    however many values, differing in N/P alone, share it."""
     fields = quadrature.NodeFields(values)
-    last = None  # R, density and interference of the last pass
 
     def integrand(owner, x, y):
-        nonlocal last
         v = fields.at(owner)
         # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
         squared = x < 1.0
@@ -226,12 +225,10 @@ def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
         dt_dx = np.where(squared, 2.0 * v.t_end * x, t * v.span)
         R = t / v.root_pl
         r_over_R, density = _placement(y, v.offset, v.weight)
-        if last is None or not all(map(np.array_equal, last[:2], (R, v.uav_density))):
-            parts = laplace_exponent_ucav(shared, R, v.uav_density)
-            last = R, v.uav_density, ExponentSum(*parts)
+        parts = laplace_exponent_ucav(shared, R, v.uav_density)
         return (
             2.0 * t * np.exp(-t * t) * dt_dx * density
-            * _pair_kernel(r_over_R * R, shared, v, last[2])
+            * _pair_kernel(r_over_R * R, shared, v, parts)
         )
 
     return integrand

@@ -36,12 +36,14 @@ within the pass; each value equals, bit for bit, the one integrated alone,
 so values of one row are integrated once: under OMA each user decodes in its
 own slot, so along a ``rate_near`` sweep the fixed user's row, which reads
 ``rate_far`` alone, repeats at every point. A value whose coefficients are
-both infeasible is integrated too, to exactly 0. ``radial_quadratures``,
+both infeasible is exactly 0 without an integral. ``radial_quadratures``,
 ``coverage_typical`` and ``coverage_fixed`` are its cases for this strategy.
 
 The kernel runs at unit transmit power (see ``laplace``): transmit power
-enters the rows as N/P alone. Unlike the UAV-centric integrand this one
-keeps nothing between passes: a sweep is one pass.
+enters the rows as N/P alone. So a user's values along a power sweep, rows
+equal but for N/P, share one evaluation of the exponent
+(``quadrature.coverage_quadratures``): the 16 values of an 8-point power
+sweep take 768 kernel nodes, each with 8 noises.
 """
 
 from __future__ import annotations
@@ -129,8 +131,10 @@ def coverage_cond(
     The typical user runs the SIC chain (near role) where r < r_k and
     decodes its own signal directly (far role) beyond; the fixed user plays
     the other role at swapped rates, served from the fixed 3-D distance R_k,
-    and its interference keeps the typical user's exclusion radius.
+    and its interference keeps the typical user's exclusion radius. Fading
+    orders past ``quadrature.MAX_CLOSED_FORM_ORDERS`` raise ``DomainError``.
     """
+    quadrature.check_orders(cfg)
     return _conditional(r, cfg, _value(user, cfg, link, access))
 
 
@@ -158,7 +162,7 @@ FORM = quadrature.ClosedForm(
     _value,
     lambda row: _cells(row.root_pl * row.fixed_user_dist),
     _integrand,
-    lambda row: True,
+    lambda row: math.isfinite(row.below) or math.isfinite(row.above),
 )
 
 

@@ -27,14 +27,18 @@ analytic-only sweep simulates nothing. The closed forms of all a sweep's
 points are computed before any group, together, by the one routine of both
 strategies (``quadrature.coverage_sweep``): the values share array passes of
 the kernel (``quadrature.integrate_many``), so an 8-point user-centric sweep
-is one pass and a UAV-centric point's two users share one. A point
+is one pass and a UAV-centric point's two users share one, and a user's
+values along a power sweep, which differ in N/P alone, share the kernel's
+exponents: they are formed once for all the sweep's powers. A point
 evaluated alone (``evaluate_point``) integrates each of its values in passes
 of its own. Output rows keep input order. The argument parser is built once
 per process, on the first ``main`` call.
 
 A mode that computes closed forms (``analytic``, ``both``) takes fading
-orders up to ``MAX_CLOSED_FORM_ORDERS``: 100 on the serving link and 10 on
-the interfering links; ``mc`` takes any order.
+orders up to ``quadrature.MAX_CLOSED_FORM_ORDERS``: 100 on the serving link
+and 10 on the interfering links. The closed forms refuse a higher order
+with ``DomainError``; ``main`` asks them first, so that such a config exits
+2 before any point. ``mc`` takes any order.
 
 Exit codes: 0 success, 1 validation failure, 2 malformed configuration (a
 trial count too large for any batch included), 3 numerical failure.
@@ -72,16 +76,6 @@ from .scenario import (
 CSV_COLUMNS = (
     "strategy,access,user_role,axis,value,p_analytic,p_mc,ci_low,ci_high,trials,seed"
 )
-
-
-# highest fading orders the closed forms are run at, each the highest the
-# tests take the closed forms to. The serving link's: from about 171 on,
-# scipy's hyp2f1 returns NaN at some of the exponent's top orders. The
-# interferers': the order a tier-1 test checks both exponents' Taylor
-# coefficients at against mpmath; the radial tail's recurrences take m_I
-# array steps, and from about m_I = 18 its order-0 coefficient loses every
-# digit at large z
-MAX_CLOSED_FORM_ORDERS = {"m_desired": 100, "m_interf": 10}
 
 
 class ConfigError(Exception):
@@ -546,12 +540,11 @@ def main(argv=None) -> int:
             # one point: the sweep section gives strategy, access, trials and seed
             section = {**section, "axis": "ipsic", "values": [0.0]}
         spec = _with_flags(parse_sweep(section), args)
-        for field, top in MAX_CLOSED_FORM_ORDERS.items():
-            if spec.mode != "mc" and getattr(cfg, field) > top:
-                raise ConfigError(
-                    f"network.{field}: the closed forms take orders up to {top}, "
-                    f"got {getattr(cfg, field)} (mode mc takes any)"
-                )
+        if spec.mode != "mc":
+            try:
+                quadrature.check_orders(cfg)
+            except DomainError as exc:
+                raise ConfigError(f"network.{exc} (mode mc takes any)") from None
 
         if args.command == "sweep":
             batches = run_sweep(cfg, link, spec, args.out)

@@ -41,9 +41,11 @@ factor overflows at any m.
 The closed forms call the kernel at unit power, with the decode coefficient
 kappa of ``scenario.thresholds`` and the noise N/P: M (N + P I_1) = kappa
 (N/P + I_1), so transmit power enters as N/P alone and no exponent reads
-it. An ``ExponentSum`` kept on equal distances and density serves every
-power: its memo of the last (s, order) decides whether it reuses
-coefficients.
+it. The noise adds s N/P to a_0 and a_1 and decides whether exp(-c N/P)
+underflows, nothing else: given a vector of noises on a leading axis, the
+kernel forms s, c and the exponents' coefficients once per node and runs
+only that noise stage once per noise, so the values of a power sweep share
+one evaluation of the exponents.
 
 Everything here works elementwise: s, d0, the ring weight, the decode
 coefficient, the noise and the serving distance may be numpy arrays that
@@ -270,28 +272,6 @@ class NearestRingExponent(LaplaceExponentBase):
         return ExponentDerivatives(tuple(values), SERIES)
 
 
-class ExponentSum(LaplaceExponentBase):
-    """The exponent of independent populations ``parts``, their sum. It keeps
-    the coefficients of its last call for the next call at equal s and order."""
-
-    def __init__(self, *parts: LaplaceExponentBase):
-        self.parts = parts
-        self.kept = None  # (s, order, coefficients)
-
-    def derivatives(self, s, order: int) -> ExponentDerivatives:
-        kept = self.kept
-        if kept is not None and kept[1] == order and np.array_equal(kept[0], s):
-            return kept[2]
-        # let the last coefficients go before the new ones are formed
-        self.kept = kept = None
-        values = [0.0] * (order + 1)
-        for part in self.parts:
-            for k, value in enumerate(part.derivatives(s, order).values):
-                values[k] = values[k] + value
-        self.kept = s, order, ExponentDerivatives(tuple(values), SERIES)
-        return self.kept[2]
-
-
 def exp_composition_derivatives(coeffs, n: int) -> list:
     """Taylor coefficients E_0..E_n of exp(-f) from those of f, a_0..a_n.
 
@@ -325,13 +305,18 @@ def conditional_coverage(
     """Coverage P[g > M (noise + I) d^alpha] for a unit-mean Nakagami link.
 
     The interference exponent is the sum of ``exponents`` (independent
-    interferer populations). ``decode_coeff``, ``noise_power``, ``dist3d``
-    and the exponents' distances may be arrays; the result has their
-    broadcast shape, or is a float for scalar input. An infeasible (infinite)
-    decode coefficient gives exactly 0, and so does a noise term exp(-c
-    noise) that underflows. A value outside [0, 1] by more than rounding
-    raises ``NumericalError``. The closed forms call it at unit power: the
-    coefficient kappa, the noise N/P and unit-power exponents.
+    interferer populations). ``decode_coeff``, ``dist3d`` and the exponents'
+    distances may be arrays, the nodes; the result has their broadcast shape,
+    or is a float for scalar input. ``noise_power`` broadcasts with them, or
+    carries one more, leading axis: a vector of noises, one row each, which
+    leads the result's shape too. s, c and the exponents' Taylor
+    coefficients are formed once; the noise stage (s noise added to a_0 and
+    a_1, the noise test and the sum) runs once per noise, on the nodes alone.
+    An infeasible (infinite) decode coefficient gives exactly 0, and so does
+    a noise term exp(-c noise) that underflows. A value outside [0, 1] by
+    more than rounding raises ``NumericalError``. The closed forms call it at
+    unit power: the coefficient kappa, the noise N/P and unit-power
+    exponents.
     """
     # an infinite c (steep or distant serving link) is a dead element
     with np.errstate(over="ignore"):
@@ -340,14 +325,27 @@ def conditional_coverage(
     # dead elements are evaluated at s = 0, then zeroed; the noise test masks
     # the sum alone, so that s, and the exponents' coefficients, hold no noise
     s = np.where(finite, c, 0.0)[()]
-    a = list(ExponentSum(*exponents).derivatives(s, fading_order - 1).values)
-    # the noise term s noise (1 + x) adds s noise to a_0 and a_1
-    a[0] = a[0] + s * noise_power
-    if fading_order > 1:
-        a[1] = a[1] + s * noise_power
-    terms = exp_composition_derivatives(a, fading_order - 1)
-    with np.errstate(invalid="ignore"):
-        live = finite & (np.exp(-c * noise_power) > 0.0)
-    total = np.where(live, sum((-1.0) ** n * term for n, term in enumerate(terms)), 0.0)
+    a = [0.0] * fading_order
+    for part in exponents:
+        for k, value in enumerate(part.derivatives(s, fading_order - 1).values):
+            a[k] = a[k] + value
+
+    negative_c = -c
+
+    def at(noise):
+        # the noise term s noise (1 + x) adds s noise to a_0 and a_1
+        shift = s * noise
+        b = [a[0] + shift, *a[1:]]
+        if fading_order > 1:
+            b[1] = a[1] + shift
+        head, *rest = exp_composition_derivatives(b, fading_order - 1)
+        with np.errstate(invalid="ignore"):
+            live = finite & (np.exp(negative_c * noise) > 0.0)
+        # E_0 = exp(-a_0) is never -0, so the sum may start from it
+        total = sum(((-1.0) ** n * term for n, term in enumerate(rest, 1)), head)
+        return np.where(live, total, 0.0)
+
+    leading = getattr(noise_power, "ndim", 0) > max(c.ndim, getattr(a[0], "ndim", 0))
+    total = np.array([at(row) for row in noise_power]) if leading else at(noise_power)
     check_probability(total, "conditional coverage", fading_order)
     return total if total.ndim else float(total)

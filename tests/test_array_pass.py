@@ -213,7 +213,7 @@ def _array_base_rule(role, cfg, link, access):
     for lo, hi, counts in zip(*uav._cells(value.t_b)):
         (nx, ny), weights = _tensor_rule(counts)
         width = np.subtract(hi, lo)
-        owner = np.zeros(nx.size, dtype=int)
+        owner = np.zeros((1, nx.size), dtype=int)
         values = integrand(owner, lo[0] + width[0] * nx, lo[1] + width[1] * ny)
         total += width.prod() * np.sum(weights * values)
     return total

@@ -6,7 +6,9 @@ the density from 1e-8 to 1e-4 per m^2 and h from 1 to 1000 m (both
 log-uniform), alpha_d in [2, 6], alpha_I in [2.05, 4.5], -60 to +30 dBm,
 m_I in 1..3, rates, ipSIC, power split and r_k, at m_d in 24, 32, 60 and
 100. Both values of each point (near and far, or typical and fixed) must be
-finite and lie in [0, 1]; a ``NumericalError`` fails the case.
+finite and lie in [0, 1]; a ``NumericalError`` fails the case. Past the
+bound on either order every entry point of the closed forms refuses the
+config.
 
 At these orders the radial tail's coefficients z^k 2F1(...; -z) overflow
 before their 2F1 underflows wherever z is large, so the sample reaches the
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from uavnoma import analytic_uav_centric, analytic_user_centric, quadrature
+from uavnoma.errors import DomainError
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink, dbm_to_watts
 
 SEED = 20261019
@@ -82,3 +85,55 @@ def test_both_values_are_probabilities(index):
     (values,) = quadrature.coverage_sweep(form, [(cfg, link)], access)
     for value in values:
         assert math.isfinite(value) and 0.0 <= value <= 1.0, values
+
+
+LINK = NomaLink()
+# the library entry points of each strategy's closed forms, each taking a
+# config and giving its values
+ENTRY_POINTS = {
+    "uav": [
+        lambda cfg: [analytic_uav_centric.coverage_pair(analytic_uav_centric.NEAR, cfg, LINK)],
+        lambda cfg: [analytic_uav_centric.coverage_pair(analytic_uav_centric.FAR, cfg, LINK)],
+        # the conditional forms, at r and R
+        lambda cfg: [analytic_uav_centric.coverage_cond_pair(
+            20.0, 100.0, analytic_uav_centric.NEAR, cfg, LINK
+        )],
+        lambda cfg: [analytic_uav_centric.coverage_cond_pair(
+            40.0, 100.0, analytic_uav_centric.FAR, cfg, LINK
+        )],
+        lambda cfg: quadrature.coverage_sweep(analytic_uav_centric.FORM, [(cfg, LINK)], NOMA)[0],
+    ],
+    "user": [
+        lambda cfg: [analytic_user_centric.coverage_typical(cfg, LINK)],
+        lambda cfg: [analytic_user_centric.coverage_fixed(cfg, LINK)],
+        # the conditional forms, at r
+        lambda cfg: [analytic_user_centric.coverage_cond(50.0, cfg, LINK)],
+        lambda cfg: [analytic_user_centric.coverage_cond(
+            50.0, cfg, LINK, user=analytic_user_centric.FIXED
+        )],
+        lambda cfg: quadrature.coverage_sweep(analytic_user_centric.FORM, [(cfg, LINK)], NOMA)[0],
+    ],
+}
+
+
+class TestOrderBound:
+    """The closed forms refuse, with ``DomainError``, fading orders past
+    ``quadrature.MAX_CLOSED_FORM_ORDERS``, whichever entry point reaches
+    them; at the bound they answer."""
+
+    @pytest.mark.parametrize("field, order", [("m_interf", 11), ("m_desired", 101)])
+    @pytest.mark.parametrize("strategy", list(ENTRY_POINTS))
+    def test_order_past_the_bound_is_refused(self, strategy, field, order):
+        cfg = NetworkConfig(**{field: order})
+        for entry in ENTRY_POINTS[strategy]:
+            with pytest.raises(DomainError, match=f"^{field}: the closed forms take orders up to"):
+                entry(cfg)
+
+    @pytest.mark.parametrize("field, order", [("m_interf", 10), ("m_desired", 100)])
+    @pytest.mark.parametrize("strategy", list(ENTRY_POINTS))
+    def test_order_at_the_bound_answers(self, strategy, field, order):
+        assert quadrature.MAX_CLOSED_FORM_ORDERS[field] == order
+        for entry in ENTRY_POINTS[strategy]:
+            values = entry(NetworkConfig(**{field: order}))
+            for value in values:
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, values

@@ -160,18 +160,31 @@ class _Row(NamedTuple):
     b: float
 
 
+class _NoisyRow(NamedTuple):
+    a: float
+    noise: float
+
+
 class TestNodeFields:
     def test_nodes_of_two_integrals_read_their_own_fields(self):
         # the first and the last node belong to the same integral, the
         # middle one does not
         fields = quadrature.NodeFields([_Row(1.0, 10.0), _Row(2.0, 20.0)])
-        got = fields.at(np.array([0, 1, 0]))
+        got = fields.at(np.array([[0, 1, 0]]))
         assert got.a.tolist() == [1.0, 2.0, 1.0]
         assert got.b.tolist() == [10.0, 20.0, 10.0]
 
     def test_nodes_of_one_integral_read_its_row(self):
         rows = [_Row(1.0, 10.0), _Row(2.0, 20.0)]
-        assert quadrature.NodeFields(rows).at(np.array([1, 1, 1])) is rows[1]
+        assert quadrature.NodeFields(rows).at(np.array([[1, 1, 1]])) is rows[1]
+
+    def test_shared_nodes_read_one_noise_per_row(self):
+        # integrals 0 and 1 share the first two nodes, integrals 2 and 3 the
+        # last: every field but the noise is read at the first row
+        rows = [_NoisyRow(1.0, 0.1), _NoisyRow(1.0, 0.2), _NoisyRow(2.0, 0.1), _NoisyRow(2.0, 0.4)]
+        got = quadrature.NodeFields(rows).at(np.array([[0, 0, 2], [1, 1, 3]]))
+        assert got.a.tolist() == [1.0, 1.0, 2.0]
+        assert got.noise.tolist() == [[0.1, 0.1, 0.1], [0.2, 0.2, 0.4]]
 
 
 def _unit(n):

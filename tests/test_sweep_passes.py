@@ -1,9 +1,11 @@
 """A sweep's closed forms share array passes and still equal each value alone.
 
 ``quadrature.integrate_many`` packs the cell sets of many integrals into one
-call of the integrand. Every value and error estimate must equal, bit for
-bit, the one its integral gets alone; a value that fails alone must fail in
-company, and one that passes alone must pass in company.
+call of the integrand, and evaluates the coinciding cells of values that
+differ in transmit power alone once, with one row per value. Every value
+and error estimate must equal, bit for bit, the one its integral gets
+alone; a value that fails alone must fail in company, and one that passes
+alone must pass in company.
 
 The sweeps below mix, around a corner of the domain where the rule bisects
 (``DOMAIN_PINS``' sparse corner, ``LOW_UAV_PINS``' low UAV): transmit
@@ -21,7 +23,7 @@ import pytest
 
 from uavnoma import analytic_uav_centric as uav
 from uavnoma import analytic_user_centric as uc
-from uavnoma import cli, quadrature
+from uavnoma import cli, laplace, quadrature
 from uavnoma.errors import DomainError, NumericalError
 from uavnoma.quadrature import integrate_many
 from uavnoma.scenario import NOMA, OMA, NetworkConfig, NomaLink
@@ -153,9 +155,9 @@ class TestRepeatedRows:
         integrals = []
         integrate_many = quadrature.integrate_many
 
-        def counted(integrand, boxes):
+        def counted(integrand, boxes, groups):
             integrals.append(len(boxes))
-            return integrate_many(integrand, boxes)
+            return integrate_many(integrand, boxes, groups)
 
         monkeypatch.setattr(quadrature, "integrate_many", counted)
         together = integrate(values, spec.access)
@@ -173,11 +175,12 @@ class TestPassBudget:
         values = [
             (uav.NEAR, replace(SPARSE, tx_power=p), PAIR_LINK) for p in (1e-6, 2e-6, 4e-6)
         ]
-        sizes = []
+        sizes, stages = [], []
         kernel = uav.conditional_coverage
 
         def sized(fading_order, coeff, noise, dist3d, *rest):
             sizes.append(np.size(dist3d))
+            stages.append(np.broadcast(noise, dist3d).size)
             return kernel(fading_order, coeff, noise, dist3d, *rest)
 
         monkeypatch.setattr(uav, "conditional_coverage", sized)
@@ -192,7 +195,82 @@ class TestPassBudget:
         sizes.clear()
         together = uav.pair_quadratures(values)
         assert _bits(together) == _bits(alone)
-        assert max(sizes) <= largest
+        # the values share nodes (one group): the nodes of their noise
+        # stages stay within the limit too
+        assert max(sizes) <= largest and max(stages) <= largest
+        assert sum(stages) > sum(sizes)
+
+    def test_shared_nodes_count_once_toward_the_budget_and_per_row_toward_the_row_budget(
+        self, monkeypatch
+    ):
+        # four integrals of one group on one box of 5 + 10 nodes: a pass
+        # evaluates the box once, one row per integral, while its nodes,
+        # every row counted, stay within _PASS_ROW_NODES
+        monkeypatch.setattr(quadrature, "_PASS_ROW_NODES", 50)
+        seen = []
+
+        def integrand(owner, x):
+            seen.append(owner.tolist())
+            return np.cos(x + owner)
+
+        boxes = [([[0.0]], [[1.0]], [[5]])] * 4
+        together = integrate_many(integrand, boxes, [0] * 4)
+        assert [[row[0] for row in rows] for rows in seen] == [[0, 1, 2], [3]]
+        alone = [
+            integrate_many(lambda owner, x: integrand(owner + k, x), boxes[:1])[0]
+            for k in range(4)
+        ]
+        assert _bits(together) == _bits(alone)
+
+    def test_a_lone_cell_takes_the_rows_of_a_shared_one_in_one_call(self):
+        # two integrals of one group and one of its own on one box: one call
+        # of two rows, the lone integral's nodes repeating its own row
+        seen = []
+
+        def integrand(owner, x):
+            seen.append(owner.tolist())
+            return np.cos(x + owner)
+
+        boxes = [([[0.0]], [[1.0]], [[5]])] * 3
+        together = integrate_many(integrand, boxes, [0, 0, 1])
+        assert len(seen) == 1 and len(seen[0]) == 2
+        assert set(zip(*seen[0])) == {(0, 1), (2, 2)}
+        alone = [
+            integrate_many(lambda owner, x: np.cos(x + owner + k), boxes[:1])[0]
+            for k in range(3)
+        ]
+        assert _bits(together) == _bits(alone)
+
+    def test_a_long_power_sweep_keeps_every_pass_within_both_budgets(self, monkeypatch):
+        # 40 powers of the shipped UAV-centric power sweep's point: each
+        # user's values share their nodes, and a pass holds 8 of them, so
+        # the rows times the nodes of every integrand call stay within
+        # _PASS_ROW_NODES, and its nodes within _PASS_NODES
+        spec, points = _shipped_sweep("uav_centric_power_nlos_ipsic00")
+        _, cfg, link = points[0]
+        powers = np.linspace(-60.0, 0.0, 40).tolist()
+        values = [
+            (role, cli.apply_axis(cfg, link, spec.axis, p)[0], link)
+            for p in powers for role in (uav.NEAR, uav.FAR)
+        ]
+        shapes = []
+        integrate_many = quadrature.integrate_many
+
+        def recorded(integrand, boxes, groups):
+            def shaped(owner, *axes):
+                shapes.append(owner.shape)
+                return integrand(owner, *axes)
+
+            return integrate_many(shaped, boxes, groups)
+
+        monkeypatch.setattr(quadrature, "integrate_many", recorded)
+        together = uav.pair_quadratures(values, spec.access)
+        assert shapes == [(8, 7_680)] * 5
+        assert max(k * n for k, n in shapes) <= quadrature._PASS_ROW_NODES
+        assert max(n for _, n in shapes) <= quadrature._PASS_NODES
+        monkeypatch.undo()
+        alone = [uav.pair_quadratures([value], spec.access)[0] for value in values]
+        assert _bits(together) == _bits(alone)
 
     def test_passes_hold_whole_sets_up_to_the_budget(self):
         # 40 one-cell integrals of 5 + 10 nodes: whole sets, in order, up to
@@ -205,7 +283,7 @@ class TestPassBudget:
 
         boxes = [([[0.0]], [[1.0]], [[5]])] * 40
         results = integrate_many(integrand, boxes)
-        assert [len(o) for o in seen] == [15 * 40]
+        assert [o.shape for o in seen] == [(1, 15 * 40)]
         for k, result in enumerate(results):
             exact = math.sin(1.0 + k) - math.sin(k)
             assert result.value == pytest.approx(exact, abs=1e-12)
@@ -215,7 +293,7 @@ class TestPassBudget:
         seen = []
 
         def integrand(owner, x):
-            seen.append(sorted(set(owner.tolist())))
+            seen.append(sorted(set(owner.ravel().tolist())))
             return np.ones_like(x)
 
         boxes = [([[0.0]], [[1.0]], [[n]]) for n in (10, 20, 40, 10, 10)]
@@ -322,30 +400,35 @@ BISECTING_BITS = {
     ],
 }
 
-# (integrand calls, nodes) of every shipped config's closed forms, all its
-# points integrated together, and of the corner sets: counts that do not
-# depend on the host
+# (integrand calls, noise-free nodes, noise-stage nodes) of every shipped
+# config's closed forms, all its points integrated together, and of the
+# corner sets: counts that do not depend on the host. Along a power sweep a
+# user's values differ in N/P alone, so their nodes count once toward the
+# noise-free part of the kernel
 SWEEP_COUNTS = {
-    "uav_centric_power_los_m2": (8, 61_440),
-    "uav_centric_power_nlos_ipsic00": (8, 61_440),
-    "uav_centric_power_nlos_ipsic01": (8, 61_440),
-    "uav_centric_power_nlos_ipsic05": (4, 30_720),
-    "uav_centric_rate_noma_m3": (4, 30_720),
-    "uav_centric_rate_oma_m3": (5, 34_560),
-    "user_centric_fixed_distance": (1, 6_144),
-    "user_centric_power_los_m2": (1, 6_144),
-    "user_centric_power_nlos_ipsic00": (1, 6_144),
-    "user_centric_power_nlos_ipsic01": (1, 6_144),
-    "user_centric_power_nlos_ipsic03": (1, 6_144),
-    "user_centric_rate_noma_m3": (1, 4_992),
-    "user_centric_rate_oma_m3": (1, 3_456),
+    "uav_centric_power_los_m2": (1, 7_680, 61_440),
+    "uav_centric_power_nlos_ipsic00": (1, 7_680, 61_440),
+    "uav_centric_power_nlos_ipsic01": (1, 7_680, 61_440),
+    "uav_centric_power_nlos_ipsic05": (1, 3_840, 30_720),
+    "uav_centric_rate_noma_m3": (4, 30_720, 30_720),
+    "uav_centric_rate_oma_m3": (5, 34_560, 34_560),
+    "user_centric_fixed_distance": (1, 6_144, 6_144),
+    "user_centric_power_los_m2": (1, 768, 6_144),
+    "user_centric_power_nlos_ipsic00": (1, 768, 6_144),
+    "user_centric_power_nlos_ipsic01": (1, 768, 6_144),
+    "user_centric_power_nlos_ipsic03": (1, 768, 6_144),
+    "user_centric_rate_noma_m3": (1, 4_992, 4_992),
+    "user_centric_rate_oma_m3": (1, 3_456, 3_456),
 }
 CORNER_COUNTS = {
-    ("sparse", NOMA): (16, 330_240),
-    ("sparse", OMA): (18, 355_200),
-    ("low_uav", NOMA): (4, 7_296),
-    ("low_uav", OMA): (3, 6_912),
+    ("sparse", NOMA): (15, 322_560, 330_240),
+    ("sparse", OMA): (17, 347_520, 355_200),
+    ("low_uav", NOMA): (4, 5_376, 10_368),
+    ("low_uav", OMA): (3, 4_992, 9_984),
 }
+# (calls, elements) of ``laplace.hyp2f1`` over the closed forms of all the
+# shipped sweeps above
+HYP2F1_COUNTS = (20, 109_824)
 
 
 def _corner_set(label):
@@ -358,17 +441,21 @@ def _corner_set(label):
 
 
 def _counted(monkeypatch):
-    """[integrand calls, nodes], counted over every ``integrate_many`` call."""
-    counts = [0, 0]
+    """[integrand calls, noise-free nodes, noise-stage nodes], counted over
+    every ``integrate_many`` call: a node that k values share counts once
+    toward the noise-free part of the kernel and k times toward its noise
+    stage."""
+    counts = [0, 0, 0]
     integrate_many = quadrature.integrate_many
 
-    def counting(integrand, boxes):
+    def counting(integrand, boxes, groups):
         def counted(owner, *axes):
             counts[0] += 1
-            counts[1] += owner.size
+            counts[1] += owner.shape[1]
+            counts[2] += owner.size
             return integrand(owner, *axes)
 
-        return integrate_many(counted, boxes)
+        return integrate_many(counted, boxes, groups)
 
     monkeypatch.setattr(quadrature, "integrate_many", counting)
     return counts
@@ -384,7 +471,8 @@ def _shipped_sweep(name):
 
 
 def _sweep_counts(monkeypatch, name):
-    """(integrand calls, nodes) of shipped config ``name``'s closed forms."""
+    """(integrand calls, noise-free nodes, noise-stage nodes) of shipped
+    config ``name``'s closed forms."""
     spec, points = _shipped_sweep(name)
     counts = _counted(monkeypatch)
     cli._analytic_sweep(spec, points)
@@ -392,11 +480,28 @@ def _sweep_counts(monkeypatch, name):
 
 
 def _corner_counts(monkeypatch, label, access):
-    """(integrand calls, nodes) of one corner set."""
+    """(integrand calls, noise-free nodes, noise-stage nodes) of one corner
+    set."""
     integrate, values = _corner_set(label)
     counts = _counted(monkeypatch)
     integrate(values, access)
     return tuple(counts)
+
+
+def _hyp2f1_counts(monkeypatch):
+    """(``hyp2f1`` calls, elements) of the closed forms of every shipped
+    sweep."""
+    sizes = []
+    hyp2f1 = laplace.hyp2f1
+
+    def counted(a, b, c, z):
+        sizes.append(np.size(z))
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(laplace, "hyp2f1", counted)
+    for name in SWEEP_COUNTS:
+        cli._analytic_sweep(*_shipped_sweep(name))
+    return len(sizes), sum(sizes)
 
 
 class TestPinnedBits:
@@ -417,6 +522,9 @@ class TestPinnedCounts:
     @pytest.mark.parametrize("label,access", list(CORNER_COUNTS))
     def test_corner_sets(self, monkeypatch, label, access):
         assert _corner_counts(monkeypatch, label, access) == CORNER_COUNTS[label, access]
+
+    def test_hyp2f1_over_the_shipped_sweeps(self, monkeypatch):
+        assert _hyp2f1_counts(monkeypatch) == HYP2F1_COUNTS
 
 
 if __name__ == "__main__":
@@ -446,3 +554,5 @@ if __name__ == "__main__":
             counts = _corner_counts(patch, label, access)
             print(f"    {_key(label, access)}: {_count(counts)},")
         print("}")
+    with pytest.MonkeyPatch.context() as patch:
+        print(f"HYP2F1_COUNTS = {_count(_hyp2f1_counts(patch))}")

@@ -2,9 +2,9 @@
 
 M (N + P I_1) = kappa (N/P + I_1): the kernel takes the unit-power decode
 coefficient kappa and the noise N/P, and its interference exponents do not
-depend on P. A UAV-centric pass keeps the exponents of the one before it
-when its R and density are the same, and reuses their Taylor coefficients
-at the same s; the radial tail gets its order 0 and 1 coefficients from one
+depend on P. Values that differ in N/P alone share one evaluation of the
+exponents' Taylor coefficients, one kernel call on a leading axis of
+noises; the radial tail gets its order 0 and 1 coefficients from one
 ``hyp2f1`` call by a contiguous recurrence, and those of a higher top order
 from one call at that order by a backward recurrence. Every value must
 still equal, bit for bit, the one computed alone.
@@ -12,7 +12,6 @@ still equal, bit for bit, the one computed alone.
 
 import functools
 import math
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,7 +118,7 @@ class TestRecurrence:
 
 
 # the highest interferer fading order the closed forms take
-M_I_BOUND = cli.MAX_CLOSED_FORM_ORDERS["m_interf"]
+M_I_BOUND = quadrature.MAX_CLOSED_FORM_ORDERS["m_interf"]
 
 
 def _ring_coefficients(m_i, weight, top=20):
@@ -138,7 +137,7 @@ def _ring_coefficients(m_i, weight, top=20):
 
 
 class TestInterferenceOrderBound:
-    """The closed forms take m_I up to ``cli.MAX_CLOSED_FORM_ORDERS``; at
+    """The closed forms take m_I up to ``quadrature.MAX_CLOSED_FORM_ORDERS``; at
     that order both exponents' Taylor coefficients match mpmath. From about
     m_I = 12 the radial tail's recurrences lose more than 1e-12, and from 18
     its order-0 coefficient loses every digit at large z."""
@@ -164,27 +163,32 @@ class TestInterferenceOrderBound:
             np.testing.assert_allclose(got[k], want[k], rtol=1e-12, atol=0)
 
 
-class TestExponentSum:
-    def test_new_s_lets_the_last_coefficients_go_first(self):
-        # a recompute must not hold two passes' coefficients at once: when
-        # its parts run, the sum keeps none, and no reference to the last
-        # ones is left
-        seen, last = [], []
+class TestNoiseAxis:
+    """A vector of noises on a leading axis runs the exponents once and
+    gives, row by row, the bits of each noise alone."""
 
-        class Part(laplace.LaplaceExponentBase):
-            def derivatives(self, s, order):
-                seen.append((total.kept, [ref() for ref in last]))
-                return laplace.ExponentDerivatives(
-                    tuple(np.full(3, float(s)) for _ in range(order + 1)), laplace.SERIES
-                )
+    @pytest.mark.parametrize("fading_order", [1, 2, 5])
+    def test_rows_equal_each_noise_alone(self, monkeypatch, fading_order):
+        # an infinite coefficient, and noises whose term exp(-c N) underflows
+        d = np.linspace(40.0, 4000.0, 97)
+        coeff = np.where(np.arange(97) % 13 == 0, np.inf, 3.0)
+        parts = uav.laplace_exponent_ucav(HIGH, np.hypot(d, 10.0))
+        noises = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e3])
+        radial = _radial_calls(monkeypatch)
+        rows = laplace.conditional_coverage(fading_order, coeff, noises[:, None], d, 3.5, *parts)
+        assert rows.shape == (5, 97)
+        assert len(radial) == 1
+        for row, noise in zip(rows, noises):
+            alone = laplace.conditional_coverage(fading_order, coeff, noise, d, 3.5, *parts)
+            np.testing.assert_array_equal(row, alone)
+        assert not rows[-1].any() and rows[0].any()
 
-        total = laplace.ExponentSum(Part())
-        first = total.derivatives(1.0, 1)
-        assert total.derivatives(1.0, 1) is first  # the memo at equal s
-        last[:] = [weakref.ref(value) for value in first.values]
-        del first
-        total.derivatives(2.0, 1)
-        assert seen == [(None, []), (None, [None, None])]
+    def test_scalar_nodes_take_a_vector(self):
+        parts = uav.laplace_exponent_ucav(HIGH, 800.0)
+        noises = np.array([0.0, 1e-9])
+        got = laplace.conditional_coverage(2, 3.0, noises, 500.0, 3.5, *parts)
+        want = [laplace.conditional_coverage(2, 3.0, n, 500.0, 3.5, *parts) for n in noises]
+        assert got.tolist() == want
 
 
 def _radial_calls(monkeypatch):
@@ -224,8 +228,8 @@ class TestReuse:
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
         quadrature.coverage_sweep(uav.FORM, points, access)
-        assert len(points) == len(passes) == 8
-        assert len(radial) == 1
+        assert len(points) == 8
+        assert len(passes) == len(radial) == 1
 
     def test_rate_sweep_evaluates_them_once_per_distinct_pass(self, monkeypatch):
         # below rate 0.75 the near user's coefficient is its partner decode's,
@@ -260,12 +264,13 @@ class TestReuse:
             for p, link in zip(powers, links)
             for role in (uav.NEAR, uav.FAR)
         ]
+        radial = _radial_calls(monkeypatch)
         alone = [uav.pair_quadratures([value], access)[0] for value in values]
-        radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
+        calls_alone = len(radial)
         together = uav.pair_quadratures(values, access)
         assert _bits(together) == _bits(alone)
         assert together[4] == (0.0, 0.0)
-        assert len(radial) < len(passes)  # some passes reused
+        assert len(radial) - calls_alone < calls_alone  # some exponents shared
 
     def test_density_sweep_values_equal_each_value_alone(self):
         values = [
@@ -276,41 +281,3 @@ class TestReuse:
         alone = [uav.pair_quadratures([value])[0] for value in values]
         assert all(result.value > 0.0 for result in alone)
         assert _bits(uav.pair_quadratures(values)) == _bits(alone)
-
-    def test_equal_R_at_another_density_misses(self, monkeypatch):
-        # with t_b above the floor, x < 1 gives R = h x^2 at every density;
-        # lam and 4 lam give it bit for bit, as sqrt(pi lam) only doubles.
-        # A key on R alone hands 4 lam the exponents of lam here.
-        cfg = replace(HIGH, uav_density=DENSITY)
-        rows = [
-            uav._pair_value(uav.NEAR, replace(cfg, uav_density=DENSITY * f), PAIR_LINK, NOMA)
-            for f in (1.0, 4.0)
-        ]
-        assert all(row.t_b > 0.2 for row in rows)
-        x, y = np.linspace(0.1, 0.9, 5), np.linspace(0.1, 0.9, 5)
-        R = [row.t_end * x * x / row.root_pl for row in rows]
-        np.testing.assert_array_equal(R[0], R[1])
-        radial = _radial_calls(monkeypatch)
-        integrand = uav._pair_integrand(cfg, rows)
-        integrand(np.zeros(5, dtype=int), x, y)
-        owner = np.ones(5, dtype=int)
-        fresh = uav._pair_integrand(cfg, rows)(owner, x, y)
-        assert np.all(fresh > 0.0)
-        calls = len(radial)
-        np.testing.assert_array_equal(integrand(owner, x, y), fresh)
-        assert len(radial) == calls + 1
-
-    def test_nodes_that_differ_miss(self, monkeypatch):
-        radial = _radial_calls(monkeypatch)
-        row = uav._pair_value(uav.NEAR, SPARSE, PAIR_LINK, NOMA)
-        integrand = uav._pair_integrand(SPARSE, [row])
-        owner = np.zeros(5, dtype=int)
-        x, y = np.linspace(0.1, 1.9, 5), np.linspace(0.1, 0.9, 5)
-        first = integrand(owner, x, y)
-        np.testing.assert_array_equal(integrand(owner, x.copy(), y.copy()), first)
-        assert len(radial) == 1
-        for moved_x, moved_y in ((np.nextafter(x, 2.0), y), (x, np.nextafter(y, 1.0))):
-            fresh = uav._pair_integrand(SPARSE, [row])(owner, moved_x, moved_y)
-            calls = len(radial)
-            np.testing.assert_array_equal(integrand(owner, moved_x, moved_y), fresh)
-            assert len(radial) == calls + 1
