@@ -26,8 +26,7 @@ in the plane of (x, y):
 
 The base rule has 12 placement nodes and 24 (squared cell) or 40 (log cell)
 radial nodes, 64 when one cell takes all; the check rule doubles every
-count, so a near/far value evaluates the kernel on 3,840 nodes in one array
-pass. The value returned is the doubled rule's, and |Q_n - Q_2n| is its
+count. The value returned is the doubled rule's, and |Q_n - Q_2n| is its
 error estimate. A cell whose estimate exceeds its share of the absolute
 tolerance ``quadrature.TOLERANCE`` (1e-7) is bisected along both axes,
 placement included, which is where sparse networks (lam / 100) with steep
@@ -38,35 +37,21 @@ the fixed depth of the refinement the value raises ``NumericalError``.
 adaptive Gauss-Kronrod cubature over (u, r/R) on log-spaced panels
 (``validation.adaptive_coverage_pair``).
 
-``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, the
-closed forms' one integration routine, which integrates many near and far
-values at once, the values of a sweep (``quadrature.coverage_sweep``): their
-cells share the kernel's passes, so a point's near and far values (2 x 3,840
-nodes) take one. Each value is one row (``_pair_value``) of what varies
-along a sweep: the user's decode coefficient at unit power in the one role
+``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, which
+integrates all the values it is given together; its module docstring says
+how they share the kernel's passes. Each value is one row (``_pair_value``):
+the user's decode coefficient at unit power in the one role
 ``scenario.ROLE_TABLE`` gives it, its noise N/P, its density, its placement
-and the cells' split point. The integrand reads the row of the value each
-node belongs to, a per-node array only for the fields that differ within the
-pass; each value equals, bit for bit, the one integrated alone, so values of
-one row are integrated once: along a ``rate_near`` sweep the far user's
-coefficient depends on ``rate_far`` alone. An infeasible coefficient gives
-exactly 0 without an integral. ``pair_quadratures`` and ``coverage_pair``
-are its cases for this strategy.
-
-The kernel runs at unit power (see ``laplace``): transmit power enters as
-the row's N/P alone, and the exponents read R and the density alone. So a
-user's values along a power sweep, rows equal but for N/P, form one group
-of ``quadrature.coverage_quadratures``: where their cells coincide the
-integrand gets each node once, with one N/P per value on a leading axis,
-and forms the placement weights and the exponents' coefficients once
-(``_pair_integrand``). An 8-point power sweep evaluates them on 7,680
-nodes and the noise stage on 61,440.
+and the cells' split point. ``_pair_integrand`` reads each node's row. An
+infeasible coefficient gives exactly 0 without an integral. The kernel runs
+at unit power (see ``laplace``): transmit power enters as the row's N/P
+alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,28 +195,21 @@ def _pair_value(role, cfg, link, access) -> _PairValue:
     )
 
 
-def _pair_integrand(shared: NetworkConfig, values: list[_PairValue]):
-    """The pair coverage integrand over (x, y) on the cells ``_cells(t_b)`` of
-    each value; ``shared`` holds the fields the values have in common. The
-    placement weights and the unit-power exponents are formed once per node,
-    however many values, differing in N/P alone, share it."""
-    fields = quadrature.NodeFields(values)
-
-    def integrand(owner, x, y):
-        v = fields.at(owner)
-        # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
-        squared = x < 1.0
-        t = np.where(squared, v.t_end * x * x, v.t_b * np.exp(v.span * (x - 1.0)))
-        dt_dx = np.where(squared, 2.0 * v.t_end * x, t * v.span)
-        R = t / v.root_pl
-        r_over_R, density = _placement(y, v.offset, v.weight)
-        parts = laplace_exponent_ucav(shared, R, v.uav_density)
-        return (
-            2.0 * t * np.exp(-t * t) * dt_dx * density
-            * _pair_kernel(r_over_R * R, shared, v, parts)
-        )
-
-    return integrand
+def _pair_integrand(shared: NetworkConfig, v: _PairValue, x, y):
+    """The pair coverage integrand at the nodes (x, y) of the cells
+    ``_cells(t_b)``, ``v`` the row of each node's value and ``shared`` the
+    fields the values' configs have in common."""
+    # x < 1: t = t_end x^2; x >= 1: t = t_b exp(span (x - 1))
+    squared = x < 1.0
+    t = np.where(squared, v.t_end * x * x, v.t_b * np.exp(v.span * (x - 1.0)))
+    dt_dx = np.where(squared, 2.0 * v.t_end * x, t * v.span)
+    R = t / v.root_pl
+    r_over_R, density = _placement(y, v.offset, v.weight)
+    parts = laplace_exponent_ucav(shared, R, v.uav_density)
+    return (
+        2.0 * t * np.exp(-t * t) * dt_dx * density
+        * _pair_kernel(r_over_R * R, shared, v, parts)
+    )
 
 
 FORM = quadrature.ClosedForm(
@@ -243,14 +221,6 @@ FORM = quadrature.ClosedForm(
 )
 
 
-def pair_quadratures(
-    values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
-) -> list[quadrature.Quadrature]:
-    """Coverage of each ``(role, cfg, link)`` with its error estimate, all
-    values together (``quadrature.coverage_quadratures``)."""
-    return quadrature.coverage_quadratures(FORM, values, access)
-
-
 def coverage_pair(
     role: str, cfg: NetworkConfig, link: NomaLink, access: str = NOMA
 ) -> float:
@@ -259,4 +229,5 @@ def coverage_pair(
     Inner average over the user placement given R, outer integral over the
     nearest-neighbor law, to the absolute tolerance ``quadrature.TOLERANCE``.
     """
-    return pair_quadratures([(role, cfg, link)], access)[0].value
+    (result,) = quadrature.coverage_quadratures(FORM, [(role, cfg, link)], access)
+    return result.value

@@ -24,32 +24,20 @@ out (a low UAV and a steep serving link) is found this way.
 ``validation.piecewise_user_centric_coverage``, adaptive Gauss-Kronrod in u
 on log-spaced panels, is the reference for the radial integral.
 
-``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, the
-closed forms' one integration routine, which integrates many typical and
-fixed values at once, the values of a sweep (``quadrature.coverage_sweep``):
-their cells share the kernel's passes, so the 16 values of an 8-point sweep
-(384 nodes each) take one pass. Each value is one row (``_value``) of what
-varies along a sweep: its noise N/P, its density, its two decode
-coefficients at unit power and r_k. The integrand reads the row of the value
-each node belongs to, a per-node array only for the fields that differ
-within the pass; each value equals, bit for bit, the one integrated alone,
-so values of one row are integrated once: under OMA each user decodes in its
-own slot, so along a ``rate_near`` sweep the fixed user's row, which reads
-``rate_far`` alone, repeats at every point. A value whose coefficients are
-both infeasible is exactly 0 without an integral. ``radial_quadratures``,
-``coverage_typical`` and ``coverage_fixed`` are its cases for this strategy.
-
-The kernel runs at unit transmit power (see ``laplace``): transmit power
-enters the rows as N/P alone. So a user's values along a power sweep, rows
-equal but for N/P, share one evaluation of the exponent
-(``quadrature.coverage_quadratures``): the 16 values of an 8-point power
-sweep take 768 kernel nodes, each with 8 noises.
+``FORM`` hands this strategy to ``quadrature.coverage_quadratures``, which
+integrates all the values it is given together; its module docstring says
+how they share the kernel's passes. Each value is one row (``_value``): its
+noise N/P, its density, its two decode coefficients at unit power and r_k.
+``_integrand`` reads each node's row. A value whose coefficients are both
+infeasible is exactly 0 without an integral. The kernel runs at unit
+transmit power (see ``laplace``): transmit power enters the rows as N/P
+alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,10 +117,11 @@ def coverage_cond(
     typical user's horizontal serving distance r, which may be an array.
 
     The typical user runs the SIC chain (near role) where r < r_k and
-    decodes its own signal directly (far role) beyond; the fixed user plays
-    the other role at swapped rates, served from the fixed 3-D distance R_k,
-    and its interference keeps the typical user's exclusion radius. Fading
-    orders past ``quadrature.MAX_CLOSED_FORM_ORDERS`` raise ``DomainError``.
+    decodes its own signal directly (far role) beyond; the fixed user, its
+    partner, plays the other role at its own rate ``rate_far``, served from
+    the fixed 3-D distance R_k, and its interference keeps the typical
+    user's exclusion radius. Fading orders past
+    ``quadrature.MAX_CLOSED_FORM_ORDERS`` raise ``DomainError``.
     """
     quadrature.check_orders(cfg)
     return _conditional(r, cfg, _value(user, cfg, link, access))
@@ -145,16 +134,11 @@ def _cells(t_k: float) -> tuple[list, list, list]:
     return [[0.0]], [[quadrature.T_CUTOFF]], [[_RADIAL_NODES]]
 
 
-def _integrand(shared: NetworkConfig, rows: list[_Value]):
-    """The radial integrand in t of ``rows``, on the cells of ``_cells``;
-    ``shared`` holds the fields the rows' configs have in common."""
-    fields = quadrature.NodeFields(rows)
-
-    def integrand(owner, t):
-        v = fields.at(owner)
-        return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
-
-    return integrand
+def _integrand(shared: NetworkConfig, v: _Value, t):
+    """The radial integrand at the nodes t of the cells of ``_cells``, ``v``
+    the row of each node's value and ``shared`` the fields the values'
+    configs have in common."""
+    return 2.0 * t * np.exp(-t * t) * _conditional(t / v.root_pl, shared, v)
 
 
 FORM = quadrature.ClosedForm(
@@ -166,23 +150,15 @@ FORM = quadrature.ClosedForm(
 )
 
 
-def radial_quadratures(
-    values: Sequence[tuple[str, NetworkConfig, NomaLink]], access: str = NOMA
-) -> list[quadrature.Quadrature]:
-    """Coverage of each ``(user, cfg, link)``, user "typical" or "fixed", with
-    its error estimate: its conditional coverage against the nearest-UAV law,
-    with a cell edge at r_k, all values together
-    (``quadrature.coverage_quadratures``)."""
-    return quadrature.coverage_quadratures(FORM, values, access)
-
-
 def coverage_typical(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
     """Unconditional coverage of the typical user: ``coverage_cond`` against
     the nearest-UAV distance density."""
-    return radial_quadratures([(TYPICAL, cfg, link)], access)[0].value
+    (result,) = quadrature.coverage_quadratures(FORM, [(TYPICAL, cfg, link)], access)
+    return result.value
 
 
 def coverage_fixed(cfg: NetworkConfig, link: NomaLink, access: str = NOMA) -> float:
     """Unconditional coverage of the fixed user at horizontal distance r_k,
     its conditional coverage against the typical user's nearest-UAV law."""
-    return radial_quadratures([(FIXED, cfg, link)], access)[0].value
+    (result,) = quadrature.coverage_quadratures(FORM, [(FIXED, cfg, link)], access)
+    return result.value

@@ -25,14 +25,11 @@ and a point says in one ``warning:`` line per role which role of which user
 (``scenario.ROLE_TABLE``) has an infeasible decode coefficient. An
 analytic-only sweep simulates nothing. The closed forms of all a sweep's
 points are computed before any group, together, by the one routine of both
-strategies (``quadrature.coverage_sweep``): the values share array passes of
-the kernel (``quadrature.integrate_many``), so an 8-point user-centric sweep
-is one pass and a UAV-centric point's two users share one, and a user's
-values along a power sweep, which differ in N/P alone, share the kernel's
-exponents: they are formed once for all the sweep's powers. A point
-evaluated alone (``evaluate_point``) integrates each of its values in passes
-of its own. Output rows keep input order. The argument parser is built once
-per process, on the first ``main`` call.
+strategies (``quadrature.coverage_sweep``; ``quadrature`` says how its
+values share the kernel's passes). A point evaluated alone
+(``evaluate_point``) integrates each of its values in passes of its own.
+Output rows keep input order. The argument parser is built once per
+process, on the first ``main`` call.
 
 A mode that computes closed forms (``analytic``, ``both``) takes fading
 orders up to ``quadrature.MAX_CLOSED_FORM_ORDERS``: 100 on the serving link
@@ -488,9 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON configuration path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON configuration path")
         p.add_argument("--strategy", choices=sorted(ROLES), help="association strategy")
         p.add_argument("--access", choices=[NOMA, OMA], help="multiple-access mode")
 
@@ -527,6 +523,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed: must be a 64-bit unsigned integer")
             from . import validation
 
             return validation.run_validation(args.quick, args.seed)

@@ -67,11 +67,11 @@ placement through ``spatial.sample_near_user`` / ``sample_far_user``, and
 every success test in the evaluation phase through ``channel.sinr``, so no
 part of the model is defined twice.
 
-The evaluation phase decodes each user with one helper, ``_decodes``, as
-the subject of the link ``scenario.ROLE_TABLE`` gives it, in the role the
-table gives it: user-centric, the typical user near and the fixed user far
-where the typical user's serving distance lies below the fixed user's
-(in 3-D), the other way round beyond. The helper counts success twice on
+The evaluation phase decodes each user with one helper, ``_decodes``, on
+the point's link, as the subject or its partner and in the role that
+``scenario.ROLE_TABLE`` gives it: user-centric, the typical user near and
+the fixed user far where the typical user's serving distance lies below the
+fixed user's (in 3-D), the other way round beyond. The helper counts success twice on
 the shared fading draw: through the SINR chain at physical power, which
 gives the count, and through the unit-power decode coefficient kappa of
 ``scenario.thresholds``, as ``gain > kappa (N/P + I_1) d^alpha``, the
@@ -532,8 +532,8 @@ def _decodes(
     role: Role, gain, dist3d, unit_interference, near, cfg: NetworkConfig,
     link: NomaLink, access: str,
 ) -> int:
-    """Trials in which ``role``'s user, the subject of ``role.link(link)``,
-    decodes its signal.
+    """Trials in which ``role``'s user, the subject or (``role.partner``) its
+    partner, decodes its signal on the point's link.
 
     ``near`` says where the user plays the near role: a bool array over the
     trials, or True or False for all of them. Success is counted through the
@@ -543,10 +543,9 @@ def _decodes(
     ``RuntimeError``.
     """
     p, noise, alpha = cfg.tx_power, cfg.noise_power, cfg.alpha_desired
-    link = role.link(link)
     interference = p * unit_interference
     received = gain * dist3d**-alpha * p
-    ts = thresholds(link, role.strategy, access)
+    ts = thresholds(link, role.strategy, access, role.partner)
     if access == OMA:
         ok = sinr(received, 1.0, 1.0, 0.0, noise, interference) > ts.eps_own
     elif near is False:

@@ -51,7 +51,16 @@ volume adds its boxes the same way. Company moves an integral's cells
 within the table, never their order.
 
 ``coverage_quadratures`` is the one integration routine of both
-strategies' closed forms, each handed to it as a ``ClosedForm``.
+strategies' closed forms, each handed to it as a ``ClosedForm``: one row
+per value, the row's cells and the integrand at one node of a row. It
+alone turns values into integrals, and the integrand reads each node's row
+through ``NodeFields``. Each distinct row is one integral, so a row that
+repeats along a sweep (the far user's along a ``rate_near`` sweep, the
+user-centric fixed user's under OMA) is integrated once. All the values of
+a sweep share the passes, so an 8-point user-centric sweep takes one pass,
+as do a UAV-centric point's near and far values; and the rows that differ
+in N/P alone form one group, so a user's values along a power sweep form
+the kernel's exponents once per node for all its powers.
 
 The estimate presumes an integrand smooth within each cell: a jump halfway
 between the same two nodes of both rules goes unseen. The closed forms put
@@ -257,8 +266,10 @@ class ClosedForm(NamedTuple):
                 integrand read of one value, a NamedTuple of hashable fields,
                 its N/P among them as ``noise``
     cells       ``cells(row)``: the ``(lo, hi, counts)`` of its integral
-    integrand   ``integrand(shared, rows)``: the integrand of those rows, the
-                config ``shared`` holding the fields their configs share
+    integrand   ``integrand(shared, v, *axes)``: the integrand at the nodes
+                ``axes``, the config ``shared`` holding the fields the
+                values' configs share and ``v`` the row of each node's value
+                (``NodeFields.at``)
     integrated  ``integrated(row)``: false for a value that is exactly 0
                 without an integral
     """
@@ -294,7 +305,11 @@ def coverage_quadratures(
     boxes = [form.cells(row) for row in distinct]
     keys: dict = {}
     groups = [keys.setdefault(row._replace(noise=0.0), len(keys)) for row in distinct]
-    integrand = form.integrand(shared, distinct)
+    fields = NodeFields(distinct)
+
+    def integrand(owner, *axes):
+        return form.integrand(shared, fields.at(owner), *axes)
+
     found = dict(zip(distinct, integrate_many(integrand, boxes, groups)))
     results = [found.get(row, Quadrature(0.0, 0.0)) for row in rows]
     value, estimate = zip(*results)

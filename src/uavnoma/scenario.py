@@ -11,9 +11,10 @@ Each association strategy has one name, the one configs, flags and CSVs
 use: ``USER_CENTRIC`` ("user-centric") and ``UAV_CENTRIC`` ("uav-centric").
 
 Every user has one decode rule, ``thresholds``: the two coefficients of the
-subject (the user whose rate is ``rate_near``) in the near and in the far
-role, at unit transmit power, so that transmit power enters the decode
-rule as N/P alone (``ThresholdSet``).
+subject (the user whose rate is ``rate_near``) or of its partner (whose
+rate is ``rate_far``) in the near and in the far role, at unit transmit
+power, so that transmit power enters the decode rule as N/P alone
+(``ThresholdSet``). Both users decode on the point's one link.
 
 ``ROLE_TABLE`` states once what each user of each strategy is (a ``Role``),
 in ``ROLES`` order, the subject first: the UAV-centric near user is the
@@ -21,7 +22,8 @@ subject in the near role and the far user its partner in the far role; the
 user-centric typical user is the subject, near while its serving distance r
 lies below the fixed user's r_k and far beyond, and the fixed user its
 partner in the other role, at r_k. The Monte Carlo, both closed forms and
-the CLI's warnings read their users from it; no other module swaps rates.
+the CLI's warnings read their users from it, and only ``thresholds`` reads
+which of the link's two rates is a user's own.
 
 Infeasible decode coefficients are represented by the ``INFEASIBLE`` sentinel
 (+inf) rather than an exception: power/rate sweeps legitimately cross the
@@ -33,7 +35,7 @@ float is infeasible too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
@@ -181,10 +183,6 @@ class NomaLink:
         """Power fraction of the near-role user."""
         return 1.0 - self.pw_far
 
-    def with_swapped_rates(self) -> "NomaLink":
-        """Rates seen from the partner user's perspective (power split kept)."""
-        return replace(self, rate_near=self.rate_far, rate_far=self.rate_near)
-
 
 def sinr_threshold(rate: float, access: str = NOMA) -> float:
     """Linear SINR threshold for a target rate: 2^R - 1, or 2^(2R) - 1 under
@@ -204,9 +202,10 @@ def sinr_threshold(rate: float, access: str = NOMA) -> float:
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Linear thresholds and decode coefficients of one subject: the user
-    whose target rate is ``link.rate_near``. The partner is the subject of
-    ``link.with_swapped_rates()``.
+    """Linear thresholds and decode coefficients of one user of a pair: the
+    subject, whose own target rate is ``link.rate_near``, or its partner,
+    whose own rate is ``link.rate_far``; the other user's rate is the other
+    one, and the power split and ipSIC are the link's for both.
 
     A decode coefficient kappa turns the user's SINR conditions into the
     fading condition ``gain > kappa * (noise/P + I_1) * dist3d^alpha``, I_1
@@ -216,13 +215,13 @@ class ThresholdSet:
     denominator or an infinite threshold, which forces the associated
     coverage probability to exactly 0.
 
-    eps_own    threshold of the subject's own signal
-    eps_other  threshold of the partner's signal
-    near       coefficient of the subject in the near role: under NOMA the
-               SIC chain, max(partner decode ahead of SIC, own decode after
+    eps_own    threshold of the user's own signal
+    eps_other  threshold of the other user's signal
+    near       coefficient of the user in the near role: under NOMA the
+               SIC chain, max(other decode ahead of SIC, own decode after
                it) on the shared fading draw; under OMA its own slot
-    far        coefficient of the subject in the far role: its own signal
-               decoded directly, the partner's as interference
+    far        coefficient of the user in the far role: its own signal
+               decoded directly, the other user's as interference
     """
 
     eps_own: float
@@ -250,9 +249,12 @@ def _coefficient(
     return eps / denominator if denominator > 0.0 else INFEASIBLE
 
 
-def thresholds(link: NomaLink, strategy: str, access: str = NOMA) -> ThresholdSet:
-    """Decode coefficients kappa of the subject for one strategy and access,
-    at unit transmit power (see ``ThresholdSet``).
+def thresholds(
+    link: NomaLink, strategy: str, access: str = NOMA, partner: bool = False
+) -> ThresholdSet:
+    """Decode coefficients kappa of the subject, or of its partner if
+    ``partner``, for one strategy and access, at unit transmit power (see
+    ``ThresholdSet``).
 
     The strategy decides one thing, ``cross_residue``. Infeasible power
     allocation, e.g. an SIC residue larger than the near user's own power
@@ -260,8 +262,10 @@ def thresholds(link: NomaLink, strategy: str, access: str = NOMA) -> ThresholdSe
     """
     if strategy not in ROLES:
         raise DomainError(f"unknown strategy {strategy!r}")
-    eps_own = sinr_threshold(link.rate_near, access)
-    eps_other = sinr_threshold(link.rate_far, access)
+    rates = link.rate_near, link.rate_far
+    rate_own, rate_other = rates[::-1] if partner else rates
+    eps_own = sinr_threshold(rate_own, access)
+    eps_other = sinr_threshold(rate_other, access)
     if access == OMA:
         alone = _coefficient(eps_own, 1.0, 0.0, 1.0)
         return ThresholdSet(eps_own, eps_other, alone, alone)
@@ -281,8 +285,8 @@ class Role(NamedTuple):
 
     strategy   the strategy it belongs to
     user       its name, as output rows give it
-    partner    it decodes on the link with swapped rates, as the partner
-               of the subject
+    partner    it is the subject's partner: on the point's link its own rate
+               is ``rate_far`` and the other user's ``rate_near``
     below      the role, NEAR or FAR, it plays while the typical user's
                serving distance r lies below r_k
     above      the role it plays from r_k on; a UAV-centric user plays one
@@ -300,13 +304,9 @@ class Role(NamedTuple):
     above: str
     distance: str
 
-    def link(self, link: NomaLink) -> NomaLink:
-        """The link the user decodes on, as its subject."""
-        return link.with_swapped_rates() if self.partner else link
-
     def coefficients(self, link: NomaLink, access: str = NOMA) -> dict[str, float]:
         """The user's decode coefficient in each role it plays, near first."""
-        ts = thresholds(self.link(link), self.strategy, access)
+        ts = thresholds(link, self.strategy, access, self.partner)
         # a ThresholdSet names its two coefficients by role
         return {r: getattr(ts, r) for r in (NEAR, FAR) if r in (self.below, self.above)}
 

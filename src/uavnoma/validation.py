@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import cubature
 from scipy.special import binom
 
-from . import analytic_uav_centric, analytic_user_centric, montecarlo
+from . import analytic_uav_centric, analytic_user_centric, montecarlo, quadrature
 from .errors import DomainError, NumericalError
 from .laplace import RadialTailExponent
 from .scenario import NOMA, UAV_CENTRIC, USER_CENTRIC, NetworkConfig, NomaLink
@@ -315,7 +315,9 @@ def _validate_checks(quick: bool, seed: int):
             alpha_desired=4.5, m_desired=3,
         )
         near = analytic_uav_centric.NEAR
-        result = analytic_uav_centric.pair_quadratures([(near, sparse, link_uav)])[0]
+        (result,) = quadrature.coverage_quadratures(
+            analytic_uav_centric.FORM, [(near, sparse, link_uav)], NOMA
+        )
         error = abs(result.value - adaptive_coverage_pair(near, sparse, link_uav))
         return error, 1e-6, f"(estimate {result.estimate:.3e})"
 

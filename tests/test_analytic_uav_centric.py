@@ -109,6 +109,11 @@ class TestConditionalExponent:
         assert ring_part.value_at(s) == ring.value_at(s)
         assert tail_part.value_at(s) == tail.value_at(s)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, [300.0, 0.0]])
+    def test_nonpositive_R_is_refused(self, R):
+        with pytest.raises(DomainError, match="R must be positive"):
+            laplace_exponent_ucav(make_cfg(), R)
+
 
 class TestCoverageCondPair:
     def test_role_domains_enforced(self):

@@ -339,7 +339,8 @@ class TestCoverageCond:
         )
         np.testing.assert_array_equal(coverage_cond(r, cfg, LINK), want)
         # the fixed user, served from R_k at swapped rates, plays the other role
-        ts = thresholds(LINK.with_swapped_rates(), USER_CENTRIC, NOMA)
+        partner = replace(LINK, rate_near=LINK.rate_far, rate_far=LINK.rate_near)
+        ts = thresholds(partner, USER_CENTRIC, NOMA)
         coeff = np.array([ts.far] * 2 + [ts.near] * 2)
         want = conditional_coverage(
             2, coeff, noise, math.hypot(300.0, cfg.uav_height),

@@ -8,6 +8,7 @@ written as the per-node Python loop it replaced.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,8 @@ def _coefficient(role, link, access):
     """The decode coefficient of the near or far user at unit power."""
     if role == uav.NEAR:
         return thresholds(link, UAV_CENTRIC, access).near
-    return thresholds(link.with_swapped_rates(), UAV_CENTRIC, access).far
+    partner = replace(link, rate_near=link.rate_far, rate_far=link.rate_near)
+    return thresholds(partner, UAV_CENTRIC, access).far
 
 
 def _loop_rule(role, cfg, link, access):
@@ -208,13 +210,12 @@ def _unit(n):
 def _array_base_rule(role, cfg, link, access):
     """Q_n of ``coverage_pair``: its integrand on the base rule of each cell."""
     value = uav._pair_value(role, cfg, link, access)
-    integrand = uav._pair_integrand(cfg, [value])
     total = 0.0
     for lo, hi, counts in zip(*uav._cells(value.t_b)):
         (nx, ny), weights = _tensor_rule(counts)
         width = np.subtract(hi, lo)
-        owner = np.zeros((1, nx.size), dtype=int)
-        values = integrand(owner, lo[0] + width[0] * nx, lo[1] + width[1] * ny)
+        x, y = lo[0] + width[0] * nx, lo[1] + width[1] * ny
+        values = uav._pair_integrand(cfg, value, x, y)
         total += width.prod() * np.sum(weights * values)
     return total
 

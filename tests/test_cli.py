@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavnoma import analytic_uav_centric, analytic_user_centric, montecarlo
+from uavnoma import analytic_uav_centric, analytic_user_centric, montecarlo, quadrature
 from uavnoma.cli import (
     CSV_COLUMNS,
     SWEEP_AXES,
@@ -247,11 +247,14 @@ class TestConfigParsing:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+    )
     @pytest.mark.parametrize("section,key", FLOAT_FIELDS)
     def test_non_finite_float_exits_2(self, tmp_path, capsys, section, key, literal):
         # json reads NaN, Infinity and 1e400 as floats; NaN passes every
-        # range check, so the configs must reject non-finite values outright
+        # range check, so the configs must reject non-finite values outright.
+        # An integer of 401 digits is exact in JSON but overflows a float
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload[section][key] = "@"
         path = tmp_path / "cfg.json"
@@ -784,7 +787,8 @@ class TestPointCommands:
         access = payload["sweep"]["access"]
         users = analytic_user_centric.TYPICAL, analytic_user_centric.FIXED
         values = [(user, cfg, link) for user in users]
-        results = analytic_user_centric.radial_quadratures(values, access)
+        form = analytic_user_centric.FORM
+        results = quadrature.coverage_quadratures(form, values, access)
         worst = max(results, key=lambda result: result.value)
         assert 1.0 < worst.value <= 1.0 + worst.estimate
 
@@ -931,6 +935,51 @@ class TestErrors:
         assert main(["sweep", "--config", path, "--out", out, "--seed", str(seed)]) == 2
         assert main(["mc", "--config", path, "--trials", "10", "--seed", str(seed)]) == 2
         assert capsys.readouterr().err.count("sweep.seed") == 2
+        # validate refuses it before any check runs
+        assert main(["validate", "--quick", "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed: must be a 64-bit unsigned integer\n"
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"sweep": {"values": []}}, "sweep.values"),
+            ({"sweep": {"values": [-30.0, math.nan]}}, "sweep.values"),
+            ({"sweep": {"mode": "fast"}}, "sweep.mode"),
+            ({"sweep": {"axis": "uav_density", "values": [1e-6, 0.0]}}, "sweep.values"),
+            ({"network": {"tx_power_dbm": 4000.0}}, "tx_power"),
+            ({"network": {"uav_density_per_m2": 0.0}}, "uav_density"),
+            ({"network": {"uav_density_per_m2": -1e-6}}, "uav_density"),
+            ({"network": {"alpha_desired": 1.99}}, "alpha_desired"),
+            ({"network": {"m_interf": 0}}, "m_interf"),
+            ({"network": {"sim_disc_radius_m": 0.0}}, "sim_disc_radius"),
+            ({"network": {"sim_disc_radius_m": -10.0}}, "sim_disc_radius"),
+            ({"link": {"rate_near_bpcu": 0.0}}, "rates"),
+            ({"link": {"rate_far_bpcu": -0.5}}, "rates"),
+            ({"link": {"fixed_user_dist_m": 0.0}}, "fixed_user_dist"),
+            ({"link": {"fixed_user_dist_m": -300.0}}, "fixed_user_dist"),
+        ],
+    )
+    def test_refused_value_exits_2_naming_it(self, tmp_path, capsys, changes, named):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        for section, keys in changes.items():
+            payload[section].update(keys)
+        out = tmp_path / "o.csv"
+        path = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"network"'])
+    def test_top_level_that_is_no_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
 
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -824,11 +824,9 @@ class TestDecodeCheck:
     def test_disagreement_raises_naming_the_user(self, user, partner, access, monkeypatch):
         # zero coefficients pass every trial with a positive gain, which the
         # SINR chain does not: only the patched user's check may fail
-        patched_rate = LINK.rate_far if partner else LINK.rate_near
-
-        def patched(link, strategy, access=NOMA):
-            ts = scenario.thresholds(link, strategy, access)
-            if link.rate_near == patched_rate:
+        def patched(link, strategy, access=NOMA, is_partner=False):
+            ts = scenario.thresholds(link, strategy, access, is_partner)
+            if is_partner == partner:
                 return dataclasses.replace(ts, near=0.0, far=0.0)
             return ts
 
@@ -877,6 +875,8 @@ class TestEstimates:
             geometry_key(cfg, LINK, strategy)
         with pytest.raises(DomainError, match="unknown strategy"):
             simulate(cfg, LINK, strategy, 10, seed=1)
+        with pytest.raises(DomainError, match="unknown strategy"):
+            scenario.thresholds(LINK, strategy)
 
     def test_interval_contains_estimate(self):
         cfg = make_cfg()

@@ -76,7 +76,11 @@ def _infeasible(strategy, access, link):
     """{(user, role): coefficient is infinite}, from ``thresholds``."""
     out = {}
     for (user, role), (swapped, field, _) in ORACLE[strategy].items():
-        decoded = link.with_swapped_rates() if swapped else link
+        decoded = link
+        if swapped:
+            decoded = dataclasses.replace(
+                link, rate_near=link.rate_far, rate_far=link.rate_near
+            )
         coeff = getattr(thresholds(decoded, strategy, access), field)
         # a feasible coefficient small enough that its coverage is not 0
         assert not math.isfinite(coeff) or coeff < 100.0

@@ -1,6 +1,7 @@
 """Unit tests for configuration and threshold algebra."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from uavnoma.scenario import (
     cross_residue,
     dbm_to_watts,
     noise_from_bandwidth,
+    role_of,
     sinr_threshold,
     thresholds,
 )
@@ -75,17 +77,27 @@ class TestNomaLink:
         with pytest.raises(DomainError):
             NomaLink(ipsic=1.5)
 
-    def test_swapped_rates(self):
-        link = NomaLink(rate_near=1.0, rate_far=0.5)
-        swapped = link.with_swapped_rates()
-        assert (swapped.rate_near, swapped.rate_far) == (0.5, 1.0)
-        assert swapped.pw_far == link.pw_far
+    def test_partner_is_the_subject_of_the_swapped_link(self):
+        # the partner's rates are the link's, the other way round; power
+        # split and ipSIC are the same for both users
+        for link in (NomaLink(rate_near=1.0, rate_far=0.5, ipsic=0.2),
+                     NomaLink(pw_far=0.3, rate_near=0.4, rate_far=1.2, ipsic=1.0)):
+            for strategy in (USER_CENTRIC, UAV_CENTRIC):
+                for access in (NOMA, OMA):
+                    partner = thresholds(link, strategy, access, partner=True)
+                    assert partner == thresholds(_swapped(link), strategy, access)
+
+
+def _swapped(link):
+    """``link`` from the partner's side: the subject of this link is the
+    partner of ``link``."""
+    return replace(link, rate_near=link.rate_far, rate_far=link.rate_near)
 
 
 def _coefficients(link, strategy, access=NOMA):
     """Near and far coefficients of the subject and of its partner."""
     ts = thresholds(link, strategy, access)
-    partner = thresholds(link.with_swapped_rates(), strategy, access)
+    partner = thresholds(_swapped(link), strategy, access)
     return ts.near, ts.far, partner.near, partner.far
 
 
@@ -169,7 +181,7 @@ class TestThresholds:
         assert user.near == pytest.approx(1.0 / 0.2, rel=1e-12)
         # the UAV-centric far user, the partner in the far role, decodes with
         # that same no-residue form, bit for bit
-        far = thresholds(link.with_swapped_rates(), UAV_CENTRIC).far
+        far = thresholds(_swapped(link), UAV_CENTRIC).far
         assert far == pytest.approx(5.0, rel=1e-12)
         assert far == user.near
 
@@ -190,7 +202,7 @@ class TestThresholds:
         # below does not, for the subject and its partner in either role
         noise, unit_interference, dist3d, alpha = 1e-10, 1e-9, 120.0, 3.0
         subject = NomaLink(rate_near=0.8, rate_far=0.4, ipsic=0.2)
-        for link in (subject, subject.with_swapped_rates()):
+        for link in (subject, _swapped(subject)):
             ts = thresholds(link, strategy, access)
             for role, kappa in (("near", ts.near), ("far", ts.far)):
                 assert math.isfinite(kappa)
@@ -202,6 +214,21 @@ class TestThresholds:
                         tx_power * unit_interference,
                     )
                     assert got is decodes, (link, role, factor)
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("access", ["tdma", "NOMA", ""])
+    def test_unknown_access_is_refused(self, access):
+        with pytest.raises(DomainError, match=f"unknown access {access!r}"):
+            sinr_threshold(1.0, access)
+
+    @pytest.mark.parametrize(
+        "strategy, user",
+        [(USER_CENTRIC, "near"), (UAV_CENTRIC, "typical"), (UAV_CENTRIC, "Far")],
+    )
+    def test_unknown_user_is_refused(self, strategy, user):
+        with pytest.raises(DomainError, match=f"unknown {strategy} user {user!r}"):
+            role_of(strategy, user)
 
 
 class TestThresholdOverflow:
@@ -224,7 +251,7 @@ class TestThresholdOverflow:
         assert ts.near == INFEASIBLE and ts.far == INFEASIBLE
         # under NOMA the partner cannot decode the subject's signal ahead of
         # SIC; under OMA it decodes in its own slot
-        partner = thresholds(link.with_swapped_rates(), strategy, access)
+        partner = thresholds(_swapped(link), strategy, access)
         assert (partner.near == INFEASIBLE) is (access == NOMA)
         assert math.isfinite(partner.far)
 

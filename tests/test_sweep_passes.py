@@ -96,11 +96,11 @@ class TestBitIdentical:
         alone = []
         for value in values:
             before = len(calls)
-            alone += uav.pair_quadratures([value], access)
+            alone += quadrature.coverage_quadratures(uav.FORM, [value], access)
             if value == (uav.NEAR, SPARSE, PAIR_LINK):
                 assert len(calls) - before > 1  # the sparse near user bisects
         before = len(calls)
-        together = uav.pair_quadratures(values, access)
+        together = quadrature.coverage_quadratures(uav.FORM, values, access)
         assert _bits(together) == _bits(alone)
         assert len(calls) - before < before
         assert together[4] == (0.0, 0.0)  # infeasible near user, not integrated
@@ -112,10 +112,10 @@ class TestBitIdentical:
     def test_radial_values_equal_each_value_alone(self, monkeypatch, access):
         values = [(user, cfg, link) for cfg, link in _radial_points() for user in (uc.TYPICAL, uc.FIXED)]
         calls = _kernel_calls(monkeypatch, uc)
-        alone = [uc.radial_quadratures([value], access)[0] for value in values]
+        alone = [quadrature.coverage_quadratures(uc.FORM, [v], access)[0] for v in values]
         before = len(calls)
         assert before > len(values)  # some values bisect
-        together = uc.radial_quadratures(values, access)
+        together = quadrature.coverage_quadratures(uc.FORM, values, access)
         assert _bits(together) == _bits(alone)
         assert len(calls) - before < before
         single = {uc.TYPICAL: uc.coverage_typical, uc.FIXED: uc.coverage_fixed}
@@ -147,11 +147,11 @@ class TestRepeatedRows:
     def test_each_distinct_row_is_integrated_once(self, monkeypatch, name):
         spec, points = _shipped_sweep(name)
         if name.startswith("uav"):
-            integrate, row, roles = uav.pair_quadratures, uav._pair_value, (uav.NEAR, uav.FAR)
+            form, row, roles = uav.FORM, uav._pair_value, (uav.NEAR, uav.FAR)
         else:
-            integrate, row, roles = uc.radial_quadratures, uc._value, (uc.TYPICAL, uc.FIXED)
+            form, row, roles = uc.FORM, uc._value, (uc.TYPICAL, uc.FIXED)
         values = [(role, cfg, link) for _, cfg, link in points for role in roles]
-        alone = [integrate([value], spec.access)[0] for value in values]
+        alone = [quadrature.coverage_quadratures(form, [v], spec.access)[0] for v in values]
         integrals = []
         integrate_many = quadrature.integrate_many
 
@@ -160,7 +160,7 @@ class TestRepeatedRows:
             return integrate_many(integrand, boxes, groups)
 
         monkeypatch.setattr(quadrature, "integrate_many", counted)
-        together = integrate(values, spec.access)
+        together = quadrature.coverage_quadratures(form, values, spec.access)
         assert _bits(together) == _bits(alone)
         distinct = {row(*value, spec.access) for value in values}
         assert integrals == [len(distinct)]
@@ -187,13 +187,13 @@ class TestPassBudget:
         alone, peaks = [], []
         for value in values:
             sizes.clear()
-            alone += uav.pair_quadratures([value])
+            alone += quadrature.coverage_quadratures(uav.FORM, [value], NOMA)
             peaks.append(max(sizes))
         largest = max(peaks)
         assert sum(peaks) > largest > quadrature._PASS_NODES
         monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", largest)
         sizes.clear()
-        together = uav.pair_quadratures(values)
+        together = quadrature.coverage_quadratures(uav.FORM, values, NOMA)
         assert _bits(together) == _bits(alone)
         # the values share nodes (one group): the nodes of their noise
         # stages stay within the limit too
@@ -264,12 +264,12 @@ class TestPassBudget:
             return integrate_many(shaped, boxes, groups)
 
         monkeypatch.setattr(quadrature, "integrate_many", recorded)
-        together = uav.pair_quadratures(values, spec.access)
+        together = quadrature.coverage_quadratures(uav.FORM, values, spec.access)
         assert shapes == [(8, 7_680)] * 5
         assert max(k * n for k, n in shapes) <= quadrature._PASS_ROW_NODES
         assert max(n for _, n in shapes) <= quadrature._PASS_NODES
         monkeypatch.undo()
-        alone = [uav.pair_quadratures([value], spec.access)[0] for value in values]
+        alone = [quadrature.coverage_quadratures(uav.FORM, [v], spec.access)[0] for v in values]
         assert _bits(together) == _bits(alone)
 
     def test_passes_hold_whole_sets_up_to_the_budget(self):
@@ -309,11 +309,11 @@ class TestFailures:
         points = [_uav_points()[0], *_uav_points()[2:]]
         values = [(role, cfg, link) for cfg, link in points for role in (uav.NEAR, uav.FAR)]
         with pytest.raises(NumericalError) as alone:
-            uav.pair_quadratures(values[:1])
+            quadrature.coverage_quadratures(uav.FORM, values[:1], NOMA)
         for value in values[1:]:
-            uav.pair_quadratures([value])
+            quadrature.coverage_quadratures(uav.FORM, [value], NOMA)
         with pytest.raises(NumericalError) as together:
-            uav.pair_quadratures(values)
+            quadrature.coverage_quadratures(uav.FORM, values, NOMA)
         assert str(together.value) == str(alone.value)
         assert together.value.achieved == alone.value.achieved
 
@@ -432,12 +432,12 @@ HYP2F1_COUNTS = (20, 109_824)
 
 
 def _corner_set(label):
-    """The integrating function and the values of one corner set."""
+    """The closed form and the values of one corner set."""
     if label == "sparse":
         roles = (uav.NEAR, uav.FAR)
-        return uav.pair_quadratures, [(r, c, l) for c, l in _uav_points() for r in roles]
+        return uav.FORM, [(r, c, l) for c, l in _uav_points() for r in roles]
     users = (uc.TYPICAL, uc.FIXED)
-    return uc.radial_quadratures, [(u, c, l) for c, l in _radial_points() for u in users]
+    return uc.FORM, [(u, c, l) for c, l in _radial_points() for u in users]
 
 
 def _counted(monkeypatch):
@@ -482,9 +482,9 @@ def _sweep_counts(monkeypatch, name):
 def _corner_counts(monkeypatch, label, access):
     """(integrand calls, noise-free nodes, noise-stage nodes) of one corner
     set."""
-    integrate, values = _corner_set(label)
+    form, values = _corner_set(label)
     counts = _counted(monkeypatch)
-    integrate(values, access)
+    quadrature.coverage_quadratures(form, values, access)
     return tuple(counts)
 
 
@@ -507,8 +507,9 @@ def _hyp2f1_counts(monkeypatch):
 class TestPinnedBits:
     @pytest.mark.parametrize("label,access", list(BISECTING_BITS))
     def test_corner_sets_keep_every_bit(self, label, access):
-        integrate, values = _corner_set(label)
-        assert _bits(integrate(values, access)) == BISECTING_BITS[label, access]
+        form, values = _corner_set(label)
+        results = quadrature.coverage_quadratures(form, values, access)
+        assert _bits(results) == BISECTING_BITS[label, access]
 
 
 class TestPinnedCounts:
@@ -538,9 +539,9 @@ if __name__ == "__main__":
 
     print("BISECTING_BITS = {")
     for label, access in BISECTING_BITS:
-        integrate, values = _corner_set(label)
+        form, values = _corner_set(label)
         print(f"    {_key(label, access)}: [")
-        for value, estimate in _bits(integrate(values, access)):
+        for value, estimate in _bits(quadrature.coverage_quadratures(form, values, access)):
             print(f'        ("{value}", "{estimate}"),')
         print("    ],")
     print("}")

@@ -6,7 +6,8 @@ so on). A refactor that renamed one of them, or bound it where the wrapper
 cannot reach, would leave its span at zero calls and the benchmark blind to
 that layer without failing. These tests load the tracer by path, without
 changing or writing anything under ``perfbench/``, and trace one point of
-each strategy in each mode.
+each strategy in each mode, and one sweep of each strategy, which reaches
+the kernel through ``quadrature.coverage_sweep``.
 """
 
 import importlib.util
@@ -68,3 +69,30 @@ def test_every_span_on_the_point_path_is_called(tracing, strategy, mode):
     if mode == "mc":
         assert summary["geometry_trials"] == summary["evaluate_trials"] == 200
 
+
+# the kernel spans of each strategy's sweep path: the single-value functions
+# are not on it
+SWEEP_SPANS = {strategy: spans[1:] for strategy, spans in ANALYTIC_SPANS.items()}
+
+
+@pytest.mark.parametrize("strategy", [USER_CENTRIC, UAV_CENTRIC])
+def test_every_kernel_span_on_the_sweep_path_is_called(tracing, tmp_path, strategy):
+    cfg, link = cli.parse_network(NETWORK), cli.parse_link(LINK)
+    spec = cli.parse_sweep(
+        {
+            "axis": "tx_power_dbm",
+            "values": [-40.0, -30.0],
+            "strategy": strategy,
+            "mode": "both",
+            "trials": 200,
+        }
+    )
+    with tracing.Tracer().patched() as tracer:
+        batches = cli.run_sweep(cfg, link, spec, str(tmp_path / "sweep.csv"))
+    layers = tracer.summary()["layers"]
+    for span in SWEEP_SPANS[strategy]:
+        assert layers[span][0] > 0, span
+    # one geometry batch serves both points
+    assert batches == 1
+    assert (layers["mc.geometry"][0], layers["mc.evaluate"][0]) == (1, 2)
+    assert tracer.geometry_trials == 200 and tracer.evaluate_trials == 400

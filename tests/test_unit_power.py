@@ -265,9 +265,9 @@ class TestReuse:
             for role in (uav.NEAR, uav.FAR)
         ]
         radial = _radial_calls(monkeypatch)
-        alone = [uav.pair_quadratures([value], access)[0] for value in values]
+        alone = [quadrature.coverage_quadratures(uav.FORM, [v], access)[0] for v in values]
         calls_alone = len(radial)
-        together = uav.pair_quadratures(values, access)
+        together = quadrature.coverage_quadratures(uav.FORM, values, access)
         assert _bits(together) == _bits(alone)
         assert together[4] == (0.0, 0.0)
         assert len(radial) - calls_alone < calls_alone  # some exponents shared
@@ -278,6 +278,6 @@ class TestReuse:
             for f in (1.0, 4.0, 16.0, 64.0)
             for role in (uav.NEAR, uav.FAR)
         ]
-        alone = [uav.pair_quadratures([value])[0] for value in values]
+        alone = [quadrature.coverage_quadratures(uav.FORM, [v], NOMA)[0] for v in values]
         assert all(result.value > 0.0 for result in alone)
-        assert _bits(uav.pair_quadratures(values)) == _bits(alone)
+        assert _bits(quadrature.coverage_quadratures(uav.FORM, values, NOMA)) == _bits(alone)
