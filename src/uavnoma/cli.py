@@ -26,10 +26,10 @@ and a point says in one ``warning:`` line per role which role of which user
 analytic-only sweep simulates nothing. The closed forms of all a sweep's
 points are computed before any group, together, by the one routine of both
 strategies (``quadrature.coverage_sweep``; ``quadrature`` says how its
-values share the kernel's passes). A point evaluated alone
-(``evaluate_point``) integrates each of its values in passes of its own.
-Output rows keep input order. The argument parser is built once per
-process, on the first ``main`` call.
+values share the kernel's passes). A point is a one-point sweep: the point
+commands and ``evaluate_point`` build its rows as a sweep builds every
+point's (``_rows``). Output rows keep input order. The argument parser is
+built once per process, on the first ``main`` call.
 
 A mode that computes closed forms (``analytic``, ``both``) takes fading
 orders up to ``quadrature.MAX_CLOSED_FORM_ORDERS``: 100 on the serving link
@@ -54,7 +54,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from . import analytic_uav_centric, analytic_user_centric, montecarlo, quadrature
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, shown
 from .scenario import (
     FAR,
     NEAR,
@@ -217,7 +217,7 @@ def _read(name: str, section: dict):
         value = _as_kind(section[key], kind)
         if value is None:
             raise ConfigError(
-                f"{name}.{key}: expected {kind.__name__}, got {section[key]!r}"
+                f"{name}.{key}: expected {kind.__name__}, got {shown(section[key])}"
             )
         try:
             kwargs[field] = to_model(value)
@@ -229,7 +229,11 @@ def _read(name: str, section: dict):
     try:
         return model(**kwargs)
     except DomainError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        # the model names its field; a key that converts its value shows it too
+        key = next(k for k in section if keys[k].field == exc.field)
+        converts = keys[key].to_model is not Key._field_defaults["to_model"]
+        given = f" (from {shown(section[key])})" if converts else ""
+        raise ConfigError(f"{name}.{key}: {exc}{given}") from None
 
 
 def parse_network(section: dict) -> NetworkConfig:
@@ -265,7 +269,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level section")
     for name, section in raw.items():
         if not isinstance(section, dict):
-            raise ConfigError(f"{name}: section must be an object, got {section!r}")
+            raise ConfigError(f"{name}: section must be an object, got {shown(section)}")
     return raw
 
 
@@ -291,16 +295,6 @@ def apply_axis(
 # ---------------------------------------------------------------------------
 
 
-def _analytic_pair(cfg, link, strategy, access) -> tuple[float, float]:
-    """Closed-form coverage of the two users, in ``ROLES[strategy]`` order,
-    each by its single-value function."""
-    if strategy == USER_CENTRIC:
-        uc = analytic_user_centric
-        return uc.coverage_typical(cfg, link, access), uc.coverage_fixed(cfg, link, access)
-    uav = analytic_uav_centric
-    return tuple(uav.coverage_pair(user, cfg, link, access) for user in ROLES[strategy])
-
-
 def _analytic_sweep(spec: SweepSpec, points) -> list[tuple]:
     """Closed-form coverage of the two users of every sweep point
     ``(value, cfg, link)``, all values integrated together
@@ -314,17 +308,27 @@ def _analytic_sweep(spec: SweepSpec, points) -> list[tuple]:
     return quadrature.coverage_sweep(form, pairs, spec.access)
 
 
-def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
-    """Rows of each sweep point ``(value, cfg, link)`` of one group, given
-    the closed-form pair of each.
+def _rows(spec: SweepSpec, points) -> tuple[list[list[dict]], int]:
+    """The rows of every sweep point ``(value, cfg, link)``, in input order,
+    and the number of MC geometry batches simulated.
 
-    The points share one MC geometry key, so the mode's MC batch is
-    simulated once, from the first point, and estimated at every point; a
-    batch with empty discs says how many on stderr.
+    The closed forms of all the points come first, together
+    (``_analytic_sweep``). Then points that share an MC geometry key form
+    one group, which simulates the mode's batch once, from its first point,
+    and estimates it at every point; groups run one after another, and a
+    batch with empty discs says how many on stderr. An analytic-only mode
+    simulates nothing.
     """
-    batch = None
-    if spec.mode in ("mc", "both"):
-        _, first_cfg, first_link = points[0]
+    analytic = _analytic_sweep(spec, points)
+    if spec.mode == "analytic":
+        return [_point_rows(spec, *p, a, None) for p, a in zip(points, analytic)], 0
+    groups: dict = {}
+    for index, (_, cfg, link) in enumerate(points):
+        key = montecarlo.geometry_key(cfg, link, spec.strategy)
+        groups.setdefault(key, []).append(index)
+    point_rows = [None] * len(points)
+    for members in groups.values():
+        _, first_cfg, first_link = points[members[0]]
         try:
             batch = montecarlo.simulate(
                 first_cfg, first_link, spec.strategy, spec.trials, spec.seed
@@ -340,10 +344,9 @@ def _group_rows(spec: SweepSpec, points, analytic) -> list[list[dict]]:
                 "closed forms'",
                 file=sys.stderr,
             )
-    return [
-        _point_rows(spec, value, cfg, link, pair, batch)
-        for (value, cfg, link), pair in zip(points, analytic)
-    ]
+        for index in members:
+            point_rows[index] = _point_rows(spec, *points[index], analytic[index], batch)
+    return point_rows, len(groups)
 
 
 def _point_rows(spec, value, cfg, link, analytic, batch) -> list[dict]:
@@ -369,16 +372,11 @@ def _point_rows(spec, value, cfg, link, analytic, batch) -> list[dict]:
 def evaluate_point(
     cfg: NetworkConfig, link: NomaLink, spec: SweepSpec, value: float
 ) -> list[dict]:
-    """Rows of one sweep point, simulated afresh: nothing is reused. Its
-    closed forms are the single-value functions, the one-point case of a
-    sweep's."""
-    point = (value, *apply_axis(cfg, link, spec.axis, value))
-    analytic = (
-        _analytic_pair(*point[1:], spec.strategy, spec.access)
-        if spec.mode in ("analytic", "both")
-        else (None, None)
-    )
-    return _group_rows(spec, [point], [analytic])[0]
+    """Rows of one sweep point, the one-point case of a sweep's
+    (``run_sweep``): its two closed-form values share one call of
+    ``quadrature.coverage_sweep``, and its MC batch is simulated afresh, so
+    nothing is reused from any other point."""
+    return _rows(spec, [(value, *apply_axis(cfg, link, spec.axis, value))])[0][0]
 
 
 def worker_count() -> int:
@@ -391,12 +389,9 @@ def run_sweep(
 ) -> int:
     """Write the sweep's CSV; returns the number of MC geometry batches.
 
-    The closed forms of every point are computed first, all values together
-    in the array passes of the strategy's ``coverage_sweep``. Then points
-    that share an MC geometry key form one group, which simulates its batch
-    once (on ``montecarlo``'s threads); groups run one after another and rows
-    keep input order. An analytic-only sweep simulates nothing, so all its
-    points form one group. An ``out_path`` that cannot be written raises
+    The warnings of every point with an infeasible decode coefficient come
+    first, then ``_rows`` builds the rows, each geometry batch drawn on
+    ``montecarlo``'s threads. An ``out_path`` that cannot be written raises
     ``ConfigError`` before any point is computed.
     """
     _check_writable(out_path)
@@ -404,29 +399,14 @@ def run_sweep(
     for value, _, point_link in points:
         where = f"{spec.axis}={value:.10g}: "
         _warn_infeasible(point_link, spec.strategy, spec.access, where)
-    groups: dict = {}
-    for index, (_, point_cfg, point_link) in enumerate(points):
-        key = (
-            None
-            if spec.mode == "analytic"
-            else montecarlo.geometry_key(point_cfg, point_link, spec.strategy)
-        )
-        groups.setdefault(key, []).append(index)
-    analytic = _analytic_sweep(spec, points)
-    point_rows = [None] * len(points)
-    for members in groups.values():
-        group_rows = _group_rows(
-            spec, [points[i] for i in members], [analytic[i] for i in members]
-        )
-        for index, rows in zip(members, group_rows):
-            point_rows[index] = rows
+    point_rows, batches = _rows(spec, points)
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS.split(","))
         for rows in point_rows:
             for row in rows:
                 writer.writerow(_format_row(row))
-    return 0 if spec.mode == "analytic" else len(groups)
+    return batches
 
 
 def _check_writable(path: str) -> None:

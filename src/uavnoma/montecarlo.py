@@ -103,7 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_nakagami_power, sinr
-from .errors import DomainError
+from .errors import DomainError, shown
 from .scenario import (
     OMA,
     ROLE_TABLE,
@@ -452,7 +452,7 @@ def _simulate(
     except (ValueError, MemoryError):
         # numpy refuses a shape past its index range with ValueError
         raise MemoryError(
-            f"a batch of {trials} trials does not fit in memory"
+            f"a batch of {shown(trials)} trials does not fit in memory"
         ) from None
 
     def fill(first: int, end: int):

@@ -56,11 +56,13 @@ per value, the row's cells and the integrand at one node of a row. It
 alone turns values into integrals, and the integrand reads each node's row
 through ``NodeFields``. Each distinct row is one integral, so a row that
 repeats along a sweep (the far user's along a ``rate_near`` sweep, the
-user-centric fixed user's under OMA) is integrated once. All the values of
-a sweep share the passes, so an 8-point user-centric sweep takes one pass,
-as do a UAV-centric point's near and far values; and the rows that differ
-in N/P alone form one group, so a user's values along a power sweep form
-the kernel's exponents once per node for all its powers.
+user-centric fixed user's under OMA) is integrated once. The rows that
+differ in N/P alone form one group, and the table lists the rows group by
+group, groups in order of first appearance, so a user's values along a
+power sweep lie side by side and form the kernel's exponents once per node
+for all its powers. All the values share the passes: an 8-point
+user-centric sweep takes one pass, while a UAV-centric point's near and far
+values take one pass each, as does each user of a UAV-centric power sweep.
 
 The estimate presumes an integrand smooth within each cell: a jump halfway
 between the same two nodes of both rules goes unseen. The closed forms put
@@ -75,7 +77,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, shown
 from .laplace import check_probability
 from .scenario import ROLES, sweep_config
 
@@ -101,16 +103,20 @@ MAX_CLOSED_FORM_ORDERS = {"m_desired": 100, "m_interf": 10}
 # kernel call (``coverage_cond_pair``) raised peak RSS by 0.7 MB at 3,840
 # nodes, 1.0 MB at 7,680, 2.6 MB at 16,384 and 10.6 MB at 61,440, while
 # perfbench bounds peak RSS growth to 10% of the CLI's ~56 MB: a whole
-# UAV-centric sweep in one pass would break that bound. 8,192 holds an
-# 8-point user-centric sweep (16 values of 384 nodes), a UAV-centric point's
-# near and far values (2 x 3,840), or the 7,680 nodes an 8-point UAV-centric
-# power sweep shares.
-_PASS_NODES = 8_192
+# UAV-centric sweep in one pass would break that bound. 6,144 is the least
+# that holds every shipped user-centric sweep in one pass (the largest,
+# ``user_centric_fixed_distance``, takes 16 values of 384 nodes), and it
+# holds no UAV-centric point's near and far values (2 x 3,840) together: on
+# a 2-core x86 host a lone UAV-centric point took 1.3x as long in one pass
+# of 7,680 nodes (the budget at 8,192) as in two of 3,840, while the 7
+# user-centric sweeps took the same time at 4,096, 6,144 and 8,192 within
+# 1% (the minimum of 25 rounds each, the budgets alternating in one process)
+_PASS_NODES = 6_144
 # nodes of one pass counted once per row: the kernel's noise stage, the
 # integrand's products and the weighted terms are (rows, nodes), so this
 # bounds them as _PASS_NODES bounds the exponents. It holds the 8 rows of
-# the 7,680 nodes an 8-point UAV-centric power sweep shares; a longer power
-# sweep takes a pass per 8 points
+# the 3,840 nodes one user's values share along an 8-point UAV-centric
+# power sweep; a longer power sweep takes a pass per 12 points of each user
 _PASS_ROW_NODES = 8 * _PASS_NODES
 
 
@@ -290,21 +296,26 @@ def coverage_quadratures(
     The configs may differ in ``scenario.SWEPT_FIELDS`` alone, and their
     fading orders may not pass ``MAX_CLOSED_FORM_ORDERS`` (``DomainError``).
     Rows compare field by field, floats exactly, and each distinct row the
-    form integrates is one integral of one ``integrate_many`` call, in order
-    of first appearance: a value is its integral alone, so the values share
-    passes and a repeated row needs no integral of its own. Rows equal but
-    for their noise form one group, whose coinciding cells the integrand
-    evaluates once: the kernel's noise-free part runs once for all of a
-    power sweep's values of one user. Each value must lie in [0, 1] up to
-    its error estimate.
+    form integrates is one integral of one ``integrate_many`` call: a value
+    is its integral alone, so the values share passes and a repeated row
+    needs no integral of its own. Rows equal but for their noise form one
+    group, whose coinciding cells the integrand evaluates once: the kernel's
+    noise-free part runs once for all of a power sweep's values of one
+    user. The integrals come group by group, groups in order of first
+    appearance and each group's rows in order too, so that a group's rows
+    share passes; their order changes no bit of any value. Each value must
+    lie in [0, 1] up to its error estimate.
     """
     shared = sweep_config([cfg for _, cfg, _ in values])
     check_orders(shared)
     rows = [form.row(user, cfg, link, access) for user, cfg, link in values]
-    distinct = list(dict.fromkeys(row for row in rows if form.integrated(row)))
+    # each distinct row once, group by group: a group's rows differ in noise alone
+    members: dict = {}
+    for row in dict.fromkeys(row for row in rows if form.integrated(row)):
+        members.setdefault(row._replace(noise=0.0), []).append(row)
+    distinct = [row for group in members.values() for row in group]
+    groups = [g for g, group in enumerate(members.values()) for _ in group]
     boxes = [form.cells(row) for row in distinct]
-    keys: dict = {}
-    groups = [keys.setdefault(row._replace(noise=0.0), len(keys)) for row in distinct]
     fields = NodeFields(distinct)
 
     def integrand(owner, *axes):
@@ -324,7 +335,7 @@ def check_orders(cfg) -> None:
         if getattr(cfg, field) > top:
             raise DomainError(
                 f"{field}: the closed forms take orders up to {top}, "
-                f"got {getattr(cfg, field)}"
+                f"got {shown(getattr(cfg, field))}"
             )
 
 

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 INFEASIBLE = math.inf
 
@@ -63,19 +63,34 @@ def noise_from_bandwidth(bw_hz: float) -> float:
     return dbm_to_watts(-174.0 + 10.0 * math.log10(bw_hz))
 
 
-def _check_finite(config, lengths: tuple[str, ...]) -> None:
-    """Raise ``DomainError`` naming the first field of ``config`` that is NaN
-    or infinite, or the first of its ``lengths`` whose square is; NaN would
-    pass every range check below, and the Monte Carlo squares each length."""
+def _check_ranges(config, ranges: dict, lengths: tuple[str, ...]) -> None:
+    """Raise ``DomainError`` naming the first field of ``config`` outside its
+    range, its entry in ``ranges`` a test and the words that state it. A
+    field must first be finite (an infinity passes most tests, and an
+    integer must be one a float holds), and each of its ``lengths`` must
+    have a finite square, since the Monte Carlo squares each length."""
     for field in fields(config):
-        value = getattr(config, field.name)
-        if not math.isfinite(value):
-            raise DomainError(f"{field.name} must be finite, got {value!r}")
-        if field.name in lengths and not math.isfinite(value * value):
-            raise DomainError(
-                f"{field.name} must be at most about 1.34e154 m, so that its "
-                f"square is finite, got {value!r}"
-            )
+        name, value = field.name, getattr(config, field.name)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        test, rule = ranges[name]
+        if not math.isfinite(number):
+            rule = "be finite"
+        elif name in lengths and not math.isfinite(number * number):
+            rule = "be at most about 1.34e154 m, so that its square is finite"
+        elif test(value):
+            continue
+        raise DomainError(f"{name} must {rule}, got {shown(value)}", name)
+
+
+def _positive(value) -> bool:
+    return value > 0.0
+
+
+def _order(value) -> bool:
+    return value >= 1 and value == int(value)
 
 
 @dataclass(frozen=True)
@@ -106,23 +121,21 @@ class NetworkConfig:
     sim_disc_radius: float = 10_000.0
 
     def __post_init__(self):
-        _check_finite(self, ("uav_height", "sim_disc_radius"))
-        if self.uav_density <= 0.0:
-            raise DomainError("uav_density must be positive")
-        if self.tx_power <= 0.0 or self.noise_power <= 0.0:
-            raise DomainError("powers must be strictly positive")
-        if self.uav_height < 1.0:
-            raise DomainError("uav_height must be at least 1 m")
-        if self.alpha_interf <= 2.0:
-            raise DomainError("alpha_interf must exceed 2 (finite interference)")
-        if self.alpha_desired < 2.0:
-            raise DomainError("alpha_desired must be at least 2")
-        if self.m_desired < 1 or self.m_desired != int(self.m_desired):
-            raise DomainError("m_desired must be a positive integer")
-        if self.m_interf < 1 or self.m_interf != int(self.m_interf):
-            raise DomainError("m_interf must be a positive integer")
-        if self.sim_disc_radius <= 0.0:
-            raise DomainError("sim_disc_radius must be positive")
+        _check_ranges(self, _NETWORK_RANGES, ("uav_height", "sim_disc_radius"))
+
+
+# the range of each NetworkConfig field
+_NETWORK_RANGES = {
+    "uav_density": (_positive, "be positive"),
+    "tx_power": (_positive, "be positive"),
+    "alpha_desired": (lambda v: v >= 2.0, "be at least 2"),
+    "noise_power": (_positive, "be positive"),
+    "uav_height": (lambda v: v >= 1.0, "be at least 1 m"),
+    "alpha_interf": (lambda v: v > 2.0, "exceed 2 (finite interference)"),
+    "m_desired": (_order, "be a positive integer"),
+    "m_interf": (_order, "be a positive integer"),
+    "sim_disc_radius": (_positive, "be positive"),
+}
 
 
 # the network fields a sweep varies (its tx_power_dbm and uav_density axes);
@@ -168,20 +181,22 @@ class NomaLink:
     fixed_user_dist: float = 300.0
 
     def __post_init__(self):
-        _check_finite(self, ("fixed_user_dist",))
-        if not 0.0 < self.pw_far < 1.0:
-            raise DomainError("power fractions must be strictly positive")
-        if not 0.0 <= self.ipsic <= 1.0:
-            raise DomainError("ipsic must lie in [0, 1]")
-        if self.rate_near <= 0.0 or self.rate_far <= 0.0:
-            raise DomainError("target rates must be positive")
-        if self.fixed_user_dist <= 0.0:
-            raise DomainError("fixed_user_dist must be positive")
+        _check_ranges(self, _LINK_RANGES, ("fixed_user_dist",))
 
     @property
     def pw_near(self) -> float:
         """Power fraction of the near-role user."""
         return 1.0 - self.pw_far
+
+
+# the range of each NomaLink field
+_LINK_RANGES = {
+    "pw_far": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "rate_near": (_positive, "be positive"),
+    "rate_far": (_positive, "be positive"),
+    "ipsic": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "fixed_user_dist": (_positive, "be positive"),
+}
 
 
 def sinr_threshold(rate: float, access: str = NOMA) -> float:

@@ -309,7 +309,8 @@ class TestConfigParsing:
         assert link.pw_near == 1.0 - 0.7
         assert "pw_near" not in {f.name for f in dataclasses.fields(NomaLink)}
         for pw_far in (0.0, 1.0, 1.5):
-            with pytest.raises(ConfigError, match="^link: power fractions"):
+            refusal = r"^link.power_split_far: pw_far must lie in \(0, 1\)"
+            with pytest.raises(ConfigError, match=refusal):
                 parse_link({"power_split_far": pw_far})
 
 
@@ -642,11 +643,13 @@ class TestGeometryGrouping:
             evaluate_point(cfg, link, spec, value)
         assert calls == [expected] * 3
 
+    @pytest.mark.parametrize("mode", ["analytic", "mc", "both"])
     @pytest.mark.parametrize("access", ["noma", "oma"])
     @pytest.mark.parametrize("strategy", ["user-centric", "uav-centric"])
     def test_interleaved_geometries_match_point_by_point(
-        self, tmp_path, capsys, strategy, access
+        self, tmp_path, capsys, strategy, access, mode
     ):
+        # a point is a one-point sweep: its rows are the sweep's, byte for byte
         dense, sparse = 2.0e-6, BASE_CONFIG["network"]["uav_density_per_m2"]
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["sweep"].update(
@@ -655,14 +658,15 @@ class TestGeometryGrouping:
                 "values": [dense, sparse, dense],
                 "strategy": strategy,
                 "access": access,
-                "mode": "mc",
+                "mode": mode,
                 "trials": 300,
             }
         )
         cfg_path = write_config(tmp_path, payload)
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
-        assert capsys.readouterr().out.endswith("3 points, 2 geometry batches\n")
+        batches = "0 geometry batches" if mode == "analytic" else "2 geometry batches"
+        assert capsys.readouterr().out.endswith(f"3 points, {batches}\n")
         cfg = parse_network(payload["network"])
         link = parse_link(payload["link"])
         spec = parse_sweep(payload["sweep"])
@@ -672,6 +676,29 @@ class TestGeometryGrouping:
             for row in evaluate_point(cfg, link, spec, value)
         ]
         assert out.read_text().splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "strategy, layout",
+        [("uav-centric", [(1, 3_840), (1, 3_840)]), ("user-centric", [(1, 768)])],
+    )
+    def test_lone_point_layout(self, monkeypatch, strategy, layout):
+        # a UAV-centric point's near and far values take a pass each, the
+        # user-centric point's two values one pass together
+        shapes = []
+        integrate_many = quadrature.integrate_many
+
+        def recorded(integrand, boxes, groups):
+            def shaped(owner, *axes):
+                shapes.append(owner.shape)
+                return integrand(owner, *axes)
+
+            return integrate_many(shaped, boxes, groups)
+
+        monkeypatch.setattr(quadrature, "integrate_many", recorded)
+        cfg, link = parse_network(BASE_CONFIG["network"]), parse_link(BASE_CONFIG["link"])
+        spec = parse_sweep({**BASE_CONFIG["sweep"], "strategy": strategy, "mode": "analytic"})
+        evaluate_point(cfg, link, spec, -30.0)
+        assert shapes == layout
 
 
 def _printed(out, user):
@@ -942,26 +969,47 @@ class TestErrors:
         assert err == "error: --seed: must be a 64-bit unsigned integer\n"
 
     @pytest.mark.parametrize(
-        "changes, named",
+        "changes, named, rule",
         [
-            ({"sweep": {"values": []}}, "sweep.values"),
-            ({"sweep": {"values": [-30.0, math.nan]}}, "sweep.values"),
-            ({"sweep": {"mode": "fast"}}, "sweep.mode"),
-            ({"sweep": {"axis": "uav_density", "values": [1e-6, 0.0]}}, "sweep.values"),
-            ({"network": {"tx_power_dbm": 4000.0}}, "tx_power"),
-            ({"network": {"uav_density_per_m2": 0.0}}, "uav_density"),
-            ({"network": {"uav_density_per_m2": -1e-6}}, "uav_density"),
-            ({"network": {"alpha_desired": 1.99}}, "alpha_desired"),
-            ({"network": {"m_interf": 0}}, "m_interf"),
-            ({"network": {"sim_disc_radius_m": 0.0}}, "sim_disc_radius"),
-            ({"network": {"sim_disc_radius_m": -10.0}}, "sim_disc_radius"),
-            ({"link": {"rate_near_bpcu": 0.0}}, "rates"),
-            ({"link": {"rate_far_bpcu": -0.5}}, "rates"),
-            ({"link": {"fixed_user_dist_m": 0.0}}, "fixed_user_dist"),
-            ({"link": {"fixed_user_dist_m": -300.0}}, "fixed_user_dist"),
+            ({"sweep": {"values": []}}, "sweep.values", "non-empty"),
+            ({"sweep": {"values": [-30.0, math.nan]}}, "sweep.values", "finite"),
+            ({"sweep": {"mode": "fast"}}, "sweep.mode", "unknown mode"),
+            (
+                {"sweep": {"axis": "uav_density", "values": [1e-6, 0.0]}},
+                "sweep.values",
+                "must be positive",
+            ),
+            (
+                {"network": {"tx_power_dbm": 4000.0}},
+                "network.tx_power_dbm",
+                "must be finite, got inf (from 4000.0)",
+            ),
+            ({"network": {"uav_density_per_m2": 0.0}}, "network.uav_density_per_m2", "positive"),
+            ({"network": {"uav_density_per_m2": -1e-6}}, "network.uav_density_per_m2", "positive"),
+            # a JSON integer no float holds, echoed capped
+            (
+                {"network": {"uav_density_per_m2": 10**400}},
+                "network.uav_density_per_m2",
+                "expected float, got 10000000000000000000... (401 characters)",
+            ),
+            (
+                {"network": {"m_desired": 10**400}},
+                "network.m_desired",
+                "must be finite, got 10000000000000000000... (401 characters)",
+            ),
+            ({"network": {"alpha_desired": 1.99}}, "network.alpha_desired", "at least 2"),
+            ({"network": {"m_interf": 0}}, "network.m_interf", "positive integer"),
+            ({"network": {"sim_disc_radius_m": 0.0}}, "network.sim_disc_radius_m", "positive"),
+            ({"network": {"sim_disc_radius_m": -10.0}}, "network.sim_disc_radius_m", "positive"),
+            ({"network": {"noise_watts": -1.0}}, "network.noise_watts", "must be positive"),
+            ({"link": {"rate_near_bpcu": 0.0}}, "link.rate_near_bpcu", "must be positive"),
+            ({"link": {"rate_far_bpcu": -0.5}}, "link.rate_far_bpcu", "must be positive"),
+            ({"link": {"power_split_far": 1.0}}, "link.power_split_far", "lie in (0, 1)"),
+            ({"link": {"fixed_user_dist_m": 0.0}}, "link.fixed_user_dist_m", "positive"),
+            ({"link": {"fixed_user_dist_m": -300.0}}, "link.fixed_user_dist_m", "positive"),
         ],
     )
-    def test_refused_value_exits_2_naming_it(self, tmp_path, capsys, changes, named):
+    def test_refused_value_exits_2_naming_it(self, tmp_path, capsys, changes, named, rule):
         payload = json.loads(json.dumps(BASE_CONFIG))
         for section, keys in changes.items():
             payload[section].update(keys)
@@ -970,8 +1018,8 @@ class TestErrors:
         assert main(["sweep", "--config", path, "--out", str(out)]) == 2
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err, err
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
+        assert rule in err and len(err) < 160, err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[]", "5", "null", '"network"'])
@@ -1141,7 +1189,7 @@ class TestErrors:
             assert main(["mc", "--config", path]) == 2
             assert main(["sweep", "--config", path, "--out", str(out)]) == 2
         line = (
-            f"error: {section}: {field} must be at most about 1.34e154 m, so that "
+            f"error: {section}.{key}: {field} must be at most about 1.34e154 m, so that "
             "its square is finite, got 1e+200"
         )
         assert capsys.readouterr().err.splitlines() == [line] * 3
@@ -1199,9 +1247,8 @@ class TestErrors:
         def explode(*args, **kwargs):
             raise NumericalError("synthetic quadrature failure", 1.0)
 
-        monkeypatch.setattr(
-            "uavnoma.cli.analytic_user_centric.coverage_typical", explode
-        )
+        # a point's closed forms run through the sweep's integration routine
+        monkeypatch.setattr("uavnoma.quadrature.integrate_many", explode)
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["analytic", "--config", path]) == 3
         assert "numerical error" in capsys.readouterr().err

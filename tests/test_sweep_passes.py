@@ -243,9 +243,10 @@ class TestPassBudget:
 
     def test_a_long_power_sweep_keeps_every_pass_within_both_budgets(self, monkeypatch):
         # 40 powers of the shipped UAV-centric power sweep's point: each
-        # user's values share their nodes, and a pass holds 8 of them, so
-        # the rows times the nodes of every integrand call stay within
-        # _PASS_ROW_NODES, and its nodes within _PASS_NODES
+        # user's values share their 3,840 nodes and come in a run of their
+        # own, and a pass holds 12 of them, so the rows times the nodes of
+        # every integrand call stay within _PASS_ROW_NODES, and its nodes
+        # within _PASS_NODES
         spec, points = _shipped_sweep("uav_centric_power_nlos_ipsic00")
         _, cfg, link = points[0]
         powers = np.linspace(-60.0, 0.0, 40).tolist()
@@ -265,7 +266,7 @@ class TestPassBudget:
 
         monkeypatch.setattr(quadrature, "integrate_many", recorded)
         together = quadrature.coverage_quadratures(uav.FORM, values, spec.access)
-        assert shapes == [(8, 7_680)] * 5
+        assert shapes == ([(12, 3_840)] * 3 + [(4, 3_840)]) * 2
         assert max(k * n for k, n in shapes) <= quadrature._PASS_ROW_NODES
         assert max(n for _, n in shapes) <= quadrature._PASS_NODES
         monkeypatch.undo()
@@ -406,12 +407,12 @@ BISECTING_BITS = {
 # user's values differ in N/P alone, so their nodes count once toward the
 # noise-free part of the kernel
 SWEEP_COUNTS = {
-    "uav_centric_power_los_m2": (1, 7_680, 61_440),
-    "uav_centric_power_nlos_ipsic00": (1, 7_680, 61_440),
-    "uav_centric_power_nlos_ipsic01": (1, 7_680, 61_440),
+    "uav_centric_power_los_m2": (2, 7_680, 61_440),
+    "uav_centric_power_nlos_ipsic00": (2, 7_680, 61_440),
+    "uav_centric_power_nlos_ipsic01": (2, 7_680, 61_440),
     "uav_centric_power_nlos_ipsic05": (1, 3_840, 30_720),
-    "uav_centric_rate_noma_m3": (4, 30_720, 30_720),
-    "uav_centric_rate_oma_m3": (5, 34_560, 34_560),
+    "uav_centric_rate_noma_m3": (8, 30_720, 30_720),
+    "uav_centric_rate_oma_m3": (9, 34_560, 34_560),
     "user_centric_fixed_distance": (1, 6_144, 6_144),
     "user_centric_power_los_m2": (1, 768, 6_144),
     "user_centric_power_nlos_ipsic00": (1, 768, 6_144),
@@ -421,14 +422,14 @@ SWEEP_COUNTS = {
     "user_centric_rate_oma_m3": (1, 3_456, 3_456),
 }
 CORNER_COUNTS = {
-    ("sparse", NOMA): (15, 322_560, 330_240),
-    ("sparse", OMA): (17, 347_520, 355_200),
+    ("sparse", NOMA): (19, 322_560, 330_240),
+    ("sparse", OMA): (20, 341_760, 355_200),
     ("low_uav", NOMA): (4, 5_376, 10_368),
     ("low_uav", OMA): (3, 4_992, 9_984),
 }
 # (calls, elements) of ``laplace.hyp2f1`` over the closed forms of all the
 # shipped sweeps above
-HYP2F1_COUNTS = (20, 109_824)
+HYP2F1_COUNTS = (31, 109_824)
 
 
 def _corner_set(label):

@@ -224,18 +224,19 @@ def _shipped_points(name):
 
 
 class TestReuse:
-    def test_power_sweep_evaluates_its_exponents_once(self, monkeypatch):
+    def test_power_sweep_evaluates_its_exponents_once_per_user(self, monkeypatch):
+        # each user's 8 values share its 3,840 nodes, in a pass of its own
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
         quadrature.coverage_sweep(uav.FORM, points, access)
         assert len(points) == 8
-        assert len(passes) == len(radial) == 1
+        assert len(passes) == 2 and radial == [3_840, 3_840]
 
     def test_rate_sweep_evaluates_them_once_per_distinct_pass(self, monkeypatch):
         # below rate 0.75 the near user's coefficient is its partner decode's,
         # which rate_near does not move, and the far user's depends on
         # rate_far alone: the 16 values hold 8 distinct rows, integrated once
-        # each, two to a pass, and each pass evaluates the exponents once
+        # each, one to a pass, and each pass evaluates the exponents once
         points, access = _shipped_points("uav_centric_rate_noma_m3")
         distinct = {
             uav._pair_value(role, cfg, link, access)
@@ -245,13 +246,13 @@ class TestReuse:
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
         quadrature.coverage_sweep(uav.FORM, points, access)
         assert len(distinct) == 8
-        assert len(passes) == len(radial) == 4
+        assert len(passes) == 8 and radial == [3_840] * 8
 
-    def test_lone_point_evaluates_them_once(self, monkeypatch):
+    def test_lone_point_evaluates_them_once_per_user(self, monkeypatch):
         points, access = _shipped_points("uav_centric_power_nlos_ipsic00")
         radial, passes = _radial_calls(monkeypatch), _kernel_calls(monkeypatch)
         quadrature.coverage_sweep(uav.FORM, points[3:4], access)
-        assert len(radial) == len(passes) == 1
+        assert len(passes) == 2 and radial == [3_840, 3_840]
 
     @pytest.mark.parametrize("access", [NOMA, OMA])
     def test_power_sweep_values_equal_each_value_alone(self, monkeypatch, access):
