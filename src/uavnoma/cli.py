@@ -214,11 +214,13 @@ def _read(name: str, section: dict):
             if field in required:
                 raise ConfigError(f"{name}.{key}: required field is missing")
             continue
-        value = _as_kind(section[key], kind)
+        raw = section[key]
+        value = _as_kind(raw, kind)
         if value is None:
-            raise ConfigError(
-                f"{name}.{key}: expected {kind.__name__}, got {shown(section[key])}"
-            )
+            # a float field rejects an integer that no float holds exactly
+            near = kind is float and type(raw) is int and abs(raw) <= sys.float_info.max
+            why = f", which no float holds exactly (nearest {float(raw)!r})" if near else ""
+            raise ConfigError(f"{name}.{key}: expected {kind.__name__}, got {shown(raw)}{why}")
         try:
             kwargs[field] = to_model(value)
         except DomainError as exc:

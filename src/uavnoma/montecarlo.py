@@ -335,9 +335,12 @@ def _user_centric_block(rng, field, cfg, fixed_user_dist):
 def _cos_twice(half_angle: np.ndarray, out=None) -> np.ndarray:
     """cos(2 phi) of each half angle phi in [-pi/2, pi/2], as
     2 / (1 + tan^2 phi) - 1, within 1e-15 of ``np.cos(2 phi)``, into ``out``
-    when given (``half_angle`` itself may be ``out``). numpy's float64
-    ``tan`` is vectorised and its ``cos`` is not: this costs 4.8 ns per
-    element against ``cos``'s 18.5 ns on an x86-64 (AVX2) host. At
+    when given (``half_angle`` itself may be ``out``). The cost depends on
+    numpy's SIMD dispatch: its float64 ``tan`` has an X86_V4 (AVX-512)
+    kernel and no X86_V3 (AVX2) one. Per element on an AVX-512 x86-64 host,
+    ``tan`` took 1.7 ns against ``cos``'s 13.2 ns at X86_V4 dispatch, and
+    16.1 ns against 13.4 ns at X86_V3, where this form is the slower one;
+    it stays, since the Monte Carlo streams' pins hold its bits. At
     phi = -pi/2, tan^2 is about 2.7e32 and the result is -1."""
     out = np.tan(half_angle, out=out)
     np.square(out, out=out)

@@ -12,25 +12,26 @@ Each integral may spend ``TOLERANCE``, and each of its cells a share of that
 in proportion to the cell's volume within the integral's own volume. A cell
 over its share is bisected along every axis and its children are evaluated
 in the next round; the others are final, and their estimates sum to at most
-the tolerance. Cells still over their share after ``_MAX_DEPTH`` bisections
-are kept as they are; if the estimates of an integral's cells then sum to
-more than the tolerance, or its cells would take more than
-``_MAX_PASS_NODES`` nodes in one pass, that integral fails with
-``NumericalError``. Its error estimate sums its final cells and, on the
-pass budget, the last estimates of the cells it was still refining.
+the tolerance. A cell whose estimate is NaN is final too, and so is every
+cell after ``_MAX_DEPTH`` bisections. An integral whose final cells'
+estimates then sum to more than the tolerance, or to NaN, fails with
+``NumericalError``, its error estimate that sum.
 
 All the cells of one call form one flat table, integral by integral, each
 integral's cells in the order of its boxes and, once bisected, corner by
 corner; each cell carries its integral and its base rule. So a round of
 refinement takes a fixed number of whole-array steps however many integrals
 the call holds, and a pass takes the cell sets of the integrals still
-refining, whole and in order, up to ``_PASS_NODES`` nodes; a larger set
-takes a pass of its own. A sweep's closed forms thus cost a few large numpy
-calls instead of one small call per value, whose fixed cost dominates at a
-few hundred nodes; the budget bounds the kernel's temporaries to about a
-megabyte, where a whole UAV-centric sweep would take ten times that. A call
-lays out its nodes rule by rule, each cell's base nodes before its check
-nodes, so one integral's nodes need not be contiguous.
+refining, whole and in order, up to ``_PASS_NODES`` nodes. A larger set
+takes passes of its own, cut at whole cells, every as many cells as its
+largest fits in the budget; no cell of the closed forms has more than
+3,840 nodes, so none of their passes exceeds it. A sweep's closed forms
+thus cost a few large numpy calls instead of one small call per value,
+whose fixed cost dominates at a few hundred nodes; the budget bounds the
+kernel's temporaries to about a megabyte, where a whole UAV-centric sweep
+would take ten times that. A call lays out its nodes rule by rule, each
+cell's base nodes before its check nodes, so one integral's nodes need not
+be contiguous.
 
 Integrals come in groups, whose integrands share a part; by default each
 integral is a group of its own. A pass is one call of the integrand, which
@@ -48,7 +49,8 @@ a cell's Q_n and Q_2n are row sums over its own values at its own nodes,
 shared or not; each round adds an integral's final cells one by one in
 table order (``np.bincount``), and that sum into its value and estimate; its
 volume adds its boxes the same way. Company moves an integral's cells
-within the table, never their order.
+within the table, never their order, and an integral's set is cut across
+passes alone or in company at the same cells.
 
 ``coverage_quadratures`` is the one integration routine of both
 strategies' closed forms, each handed to it as a ``ClosedForm``: one row
@@ -86,10 +88,15 @@ from .scenario import ROLES, sweep_config
 TOLERANCE = 1e-7
 # the closed forms' radial cutoff in t = sqrt(u): beyond u = 46, e^(-u) < 1e-20
 T_CUTOFF = math.sqrt(46.0)
-# bisections of one cell; 2^-10 of a panel along each axis
+# bisections of one cell, 2^-10 of a panel along each axis, and the one
+# bound on a refinement's work, since every pass keeps to _PASS_NODES. On a
+# 2-core x86 host an integrand that fails every cell of a 2-D box,
+# sin(1e12 (x + 2y)) on a 12 x 12 base rule, takes 4^10 cells of 720 nodes
+# in its last round and raises after 92 s at 210 MB peak RSS; sin(3e3 x y)
+# converges in 0.4 s, 8.9 million nodes in its largest round. A NaN
+# estimate ends a cell's refinement: a 2-D box half NaN raises in 2 ms,
+# against 6.2 s refined to this depth
 _MAX_DEPTH = 10
-# bounds the memory of one integral's pass (about 100 MB of kernel temporaries)
-_MAX_PASS_NODES = 500_000
 # highest fading orders the closed forms are run at, each the highest the
 # tests take the closed forms to. The serving link's: from about 171 on,
 # scipy's hyp2f1 returns NaN at some of the exponent's top orders. The
@@ -182,44 +189,32 @@ def integrate_many(
     volume = np.bincount(owner, size, len(boxes))
     rule_nodes = np.array([_cell_rule(key)[1].size for key in rules])
     totals = np.zeros((2, len(boxes)))  # value and estimate of each integral
-    failed = []  # integrals whose cells outgrew _MAX_PASS_NODES
-    pending = np.zeros(len(boxes))  # estimates of the cells bisected last round
+    deepest = np.zeros(len(boxes), dtype=int)  # bisections each integral took
     for depth in range(_MAX_DEPTH + 1):
         cell_nodes = rule_nodes[rule]
         nodes = np.bincount(owner, cell_nodes, len(boxes))
-        if nodes.max() > _MAX_PASS_NODES:
-            over = np.flatnonzero(nodes > _MAX_PASS_NODES)
-            # a failing integral reports its final cells and the last
-            # estimates of the cells it was still refining
-            totals[1, over] += pending[over]
-            failed += over.tolist()
-            keep = nodes[owner] <= _MAX_PASS_NODES
-            corners, owner, rule = corners[..., keep], owner[keep], rule[keep]
-            width, size, cell_nodes = width[:, keep], size[keep], cell_nodes[keep]
-            nodes[over] = 0
         sums = np.empty((2, len(size)))  # Q_2n and |Q_n - Q_2n| of each cell
         prev, shared = _coinciding(corners, owner, groups, rule, cell_nodes)
         bounds = owner.searchsorted(_passes(nodes.tolist(), groups, shared)).tolist()
-        for span in map(slice, bounds, bounds[1:]):
+        for span in _cut(bounds, owner, nodes, cell_nodes):
             _evaluate(
                 integrand, corners[0, :, span], width[:, span], size[span], owner[span],
                 rule[span], rules, _members(prev[span] - span.start), sums[:, span],
             )
-        final = (sums[1] <= tol * size / volume[owner]) | (depth == _MAX_DEPTH)
+        # a NaN estimate is final, and fails its integral
+        final = ~(sums[1] > tol * size / volume[owner]) | (depth == _MAX_DEPTH)
+        deepest[owner] = depth
         done = owner[final]
         for total, cells in zip(totals, sums[:, final]):
             total += np.bincount(done, cells, len(boxes))
         if final.all():
             break
-        pending = np.bincount(owner[~final], sums[1, ~final], len(boxes))
         corners, owner, rule = _bisect(corners[..., ~final], owner[~final], rule[~final])
         width = corners[1] - corners[0]
         size = np.multiply.reduce(width, axis=0)
-    if failed or np.count_nonzero(totals[1] <= tol) < len(boxes):
-        i = min(failed + (~(totals[1] <= tol)).nonzero()[0].tolist())
-        problem = f"refinement needs more than {_MAX_PASS_NODES} nodes in one pass"
-        if i not in failed:
-            problem = f"misses {tol:.0e} after {_MAX_DEPTH} bisections"
+    if not (totals[1] <= tol).all():
+        i = np.argmin(totals[1] <= tol)  # the first integral that fails
+        problem = f"misses {tol:.0e} after {deepest[i]} bisections"
         raise NumericalError(f"quadrature {problem}", totals[1, i].item())
     return [Quadrature(*q) for q in zip(*totals.tolist())]
 
@@ -397,7 +392,8 @@ def _passes(nodes: list, group: list, shared: dict) -> list[int]:
     coincides with one already in the pass counted once (``shared``, of
     ``_coinciding``), and at most ``_PASS_ROW_NODES`` once each node counts
     as many times as the pass holds integrals of its most frequent group,
-    the most rows a node can take; a larger set takes a pass of its own."""
+    the most rows a node can take; a larger set takes a pass of its own,
+    which ``_cut`` cuts."""
     bounds, load, k, rows = [0], 0, 0, {}  # rows: integrals of each group in the pass
     for i, size in enumerate(nodes):
         if not size:
@@ -409,6 +405,21 @@ def _passes(nodes: list, group: list, shared: dict) -> list[int]:
             load, k, rows, new, count = 0, 0, {}, size, 1
         load, k, rows[group[i]] = load + new, max(k, count), count
     return bounds + [len(nodes)] if load else []
+
+
+def _cut(bounds: list, owner, nodes, cell_nodes):
+    """The spans of cells of the passes ``bounds`` (cell indices, of
+    ``_passes``). A pass over ``_PASS_NODES`` nodes holds the cells of one
+    integral (``nodes``), and is cut into runs of as many whole cells as
+    fit in ``_PASS_NODES`` at the size of its largest (at least one): the
+    cuts depend on its own cells alone, so they fall at the same cells
+    alone and in company."""
+    for start, stop in zip(bounds, bounds[1:]):
+        step = stop - start
+        if nodes[owner[start]] > _PASS_NODES:
+            step = max(1, _PASS_NODES // cell_nodes[start:stop].max())
+        for lo in range(start, stop, step):
+            yield slice(lo, min(lo + step, stop))
 
 
 def _members(prev) -> np.ndarray:

@@ -992,6 +992,12 @@ class TestErrors:
                 "network.uav_density_per_m2",
                 "expected float, got 10000000000000000000... (401 characters)",
             ),
+            # 2^53 + 1 lies between two floats: the message names the nearest
+            (
+                {"network": {"uav_density_per_m2": 2**53 + 1}},
+                "network.uav_density_per_m2",
+                "got 9007199254740993, which no float holds exactly (nearest 9007199254740992.0)",
+            ),
             (
                 {"network": {"m_desired": 10**400}},
                 "network.m_desired",

@@ -1,7 +1,7 @@
 """Tests for the self-checking Gauss-Legendre integrator.
 
-Expected values are closed-form integrals; the step and the oscillation are
-integrands that no rule of bounded depth resolves.
+Expected values are closed-form integrals; the singularity is an integrand
+that no rule of bounded depth resolves, and a NaN region fails at once.
 """
 
 import math
@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.special import expi
+from scipy.special import expi, sici
 
 from uavnoma import quadrature
 from uavnoma.errors import NumericalError
@@ -79,16 +79,28 @@ class TestIntegrate:
         with pytest.raises(NumericalError):
             integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), [[0.0]], [[1.0]], [[4]])
 
-    def test_pass_budget_raises(self, monkeypatch):
-        # a wild oscillation in two dimensions fails every cell, so the
-        # number of cells quadruples each pass until the budget stops it
-        monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", 50_000)
-        with pytest.raises(NumericalError, match="nodes") as info:
-            integrate(
-                lambda x, y: np.sin(1e4 * x * y), [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]]
-            )
-        # no cell is final: the estimate is that of the cells still refining
-        assert info.value.achieved > TOLERANCE
+    def test_resolvable_oscillation_converges(self):
+        # sin(a x y) over the unit square refines to 8.9 million nodes in its
+        # largest round, 1,550 passes of at most _PASS_NODES:
+        # Int_0^1 (1 - cos(a y)) / (a y) dy = (gamma + ln a - Ci(a)) / a
+        a = 3e3
+        exact = (np.euler_gamma + math.log(a) - sici(a)[1]) / a
+        value, estimate = integrate(
+            lambda x, y: np.sin(a * x * y), [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]]
+        )
+        assert estimate <= TOLERANCE
+        assert abs(value - exact) < 1e-15
+
+    def test_nan_region_in_two_dimensions_raises_at_once(self):
+        calls = []
+
+        def half_nan(x, y):
+            calls.append(1)
+            return np.where(x > 0.5, np.nan, 1.0 + y)
+
+        with pytest.raises(NumericalError, match="after 0 bisections") as info:
+            integrate(half_nan, [[0.0, 0.0]], [[1.0, 1.0]], [[12, 12]])
+        assert len(calls) == 1 and math.isnan(info.value.achieved)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10])
     def test_estimate_stays_within_tolerance(self, monkeypatch, tol):

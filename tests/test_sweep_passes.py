@@ -75,6 +75,9 @@ def _bits(results):
     return [(q.value.hex(), q.estimate.hex()) for q in results]
 
 
+CORNER_SETS = [(label, access) for label in ("sparse", "low_uav") for access in (NOMA, OMA)]
+
+
 def _kernel_calls(monkeypatch, module):
     """Count the kernel's calls (one per pass) in ``module``."""
     calls = []
@@ -168,37 +171,36 @@ class TestRepeatedRows:
 
 
 class TestPassBudget:
-    def test_sets_that_together_exceed_the_pass_limit_all_pass(self, monkeypatch):
-        # each sparse near value alone refines in passes of at most `largest`
-        # nodes; the limit is set to that, so the values' refinement passes
-        # together exceed it, and packing must keep each pass within it
-        values = [
-            (uav.NEAR, replace(SPARSE, tx_power=p), PAIR_LINK) for p in (1e-6, 2e-6, 4e-6)
-        ]
-        sizes, stages = [], []
-        kernel = uav.conditional_coverage
+    @pytest.mark.parametrize("label,access", CORNER_SETS)
+    def test_every_call_on_the_corner_sets_keeps_within_both_budgets(
+        self, monkeypatch, label, access
+    ):
+        # the sparse near users refine to more than _PASS_NODES nodes a
+        # round, in passes cut at whole cells
+        form, values = _corner_set(label)
+        alone = [quadrature.coverage_quadratures(form, [v], access)[0] for v in values]
+        shapes, cuts = [], []
+        integrate_many, cut = quadrature.integrate_many, quadrature._cut
 
-        def sized(fading_order, coeff, noise, dist3d, *rest):
-            sizes.append(np.size(dist3d))
-            stages.append(np.broadcast(noise, dist3d).size)
-            return kernel(fading_order, coeff, noise, dist3d, *rest)
+        def counted(bounds, *rest):
+            spans = list(cut(bounds, *rest))
+            cuts.append(len(spans) - (len(bounds) - 1))
+            return spans
 
-        monkeypatch.setattr(uav, "conditional_coverage", sized)
-        alone, peaks = [], []
-        for value in values:
-            sizes.clear()
-            alone += quadrature.coverage_quadratures(uav.FORM, [value], NOMA)
-            peaks.append(max(sizes))
-        largest = max(peaks)
-        assert sum(peaks) > largest > quadrature._PASS_NODES
-        monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", largest)
-        sizes.clear()
-        together = quadrature.coverage_quadratures(uav.FORM, values, NOMA)
+        def recorded(integrand, boxes, groups):
+            def shaped(owner, *axes):
+                shapes.append(owner.shape)
+                return integrand(owner, *axes)
+
+            return integrate_many(shaped, boxes, groups)
+
+        monkeypatch.setattr(quadrature, "integrate_many", recorded)
+        monkeypatch.setattr(quadrature, "_cut", counted)
+        together = quadrature.coverage_quadratures(form, values, access)
         assert _bits(together) == _bits(alone)
-        # the values share nodes (one group): the nodes of their noise
-        # stages stay within the limit too
-        assert max(sizes) <= largest and max(stages) <= largest
-        assert sum(stages) > sum(sizes)
+        assert max(n for _, n in shapes) <= quadrature._PASS_NODES
+        assert max(k * n for k, n in shapes) <= quadrature._PASS_ROW_NODES
+        assert (sum(cuts) > 0) == (label == "sparse")
 
     def test_shared_nodes_count_once_toward_the_budget_and_per_row_toward_the_row_budget(
         self, monkeypatch
@@ -289,6 +291,33 @@ class TestPassBudget:
             exact = math.sin(1.0 + k) - math.sin(k)
             assert result.value == pytest.approx(exact, abs=1e-12)
 
+    def test_a_set_over_the_budget_is_cut_at_the_same_cells_alone_and_in_company(
+        self, monkeypatch
+    ):
+        # integral 1 has 12 cells of 5 + 10 or 10 + 20 base and check nodes,
+        # 225 in all: over a budget of 100 nodes, its passes hold
+        # 100 // 30 = 3 whole cells each, whatever integrals come with it; a
+        # narrow peak bisects one of its cells, whose children share a pass
+        monkeypatch.setattr(quadrature, "_PASS_NODES", 100)
+        lo = np.arange(12.0)[:, None]
+        big = (lo.tolist(), (lo + 1.0).tolist(), [[5 + 5 * (i % 4 == 1)] for i in range(12)])
+        small = ([[0.0]], [[1.0]], [[4]])
+        cells = {}
+
+        def integrand(owner, x, run):
+            mine = owner[0] == 1
+            if mine.any():
+                cells.setdefault(run, []).append(x[mine].tolist())
+            peak = 1e-2 / (1e-4 + (x - 4.0 - 1.0 / math.pi) ** 2)
+            return np.cos(x + owner) + np.where(owner == 1, peak, 0.0)
+
+        together = integrate_many(lambda o, x: integrand(o, x, "together"), [small, big, small])
+        alone = integrate_many(lambda o, x: integrand(o + 1, x, "alone"), [big])
+        assert cells["together"] == cells["alone"]
+        assert [len(x) for x in cells["alone"][:4]] == [60, 60, 45, 60]
+        assert len(cells["alone"]) > 4  # the peak's cells bisect
+        assert _bits(together[1:2]) == _bits(alone)
+
     def test_a_set_over_the_budget_runs_alone(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_PASS_NODES", 100)
         seen = []
@@ -305,11 +334,10 @@ class TestPassBudget:
 
 class TestFailures:
     def test_value_failing_alone_fails_in_company(self, monkeypatch):
-        # below the sparse near users' largest pass, above every other value's
-        monkeypatch.setattr(quadrature, "_MAX_PASS_NODES", 20_000)
-        points = [_uav_points()[0], *_uav_points()[2:]]
-        values = [(role, cfg, link) for cfg, link in points for role in (uav.NEAR, uav.FAR)]
-        with pytest.raises(NumericalError) as alone:
+        # three bisections resolve every value but the sparse near user's
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
+        values = [(role, cfg, link) for cfg, link in _uav_points() for role in (uav.NEAR, uav.FAR)]
+        with pytest.raises(NumericalError, match="after 3 bisections") as alone:
             quadrature.coverage_quadratures(uav.FORM, values[:1], NOMA)
         for value in values[1:]:
             quadrature.coverage_quadratures(uav.FORM, [value], NOMA)
@@ -335,70 +363,136 @@ class TestFailures:
 
 
 # Every value and error estimate of the corner sets above, each set
-# integrated together, as ``float.hex``. Regenerate these pins and the
-# counts below with ``PYTHONPATH=src python tests/test_sweep_passes.py``. Comparing a batch with each value
-# alone misses a change in the order of a sum wherever both sides move
-# together; segment sums by plain ``np.add.reduceat`` move 4 of these values
-# by one ulp. The sparse set (m_d = 3) was last taken when the radial tail's
-# orders 0 to 2 came to run down from one top-order call; the low-UAV set
-# (m_d = 1) predates the kernel's move to Taylor coefficients.
+# integrated together, as ``float.hex``, per SIMD target that numpy runs its
+# float64 kernels on (``_dispatch``): the last bits of its exp, power,
+# expm1, log1p, log, tan and arctan differ between targets, and with them
+# some of these. Regenerate the pins of the running target and the counts
+# below with ``PYTHONPATH=src python tests/test_sweep_passes.py``; X86_V3's
+# were taken on an AVX-512 host with
+# ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``. Comparing a
+# batch with each value alone misses a change in the order of a sum
+# wherever both sides move together; segment sums by plain
+# ``np.add.reduceat`` move 4 of the X86_V4 values by one ulp. The sparse
+# set (m_d = 3) was last taken when the radial tail's orders 0 to 2 came to
+# run down from one top-order call; the low-UAV set (m_d = 1) predates the
+# kernel's move to Taylor coefficients.
 BISECTING_BITS = {
-    ("sparse", NOMA): [
-        ("0x1.da5e7ad0bf94fp-7", "0x1.f60d997d73c7cp-35"),
-        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
-        ("0x1.3ccf446e14dc6p-5", "0x1.efc2a885b3421p-32"),
-        ("0x1.f69e635106b94p-10", "0x1.29a8c58000000p-40"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
-        ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1790000p-29"),
-        ("0x1.783602bf8d4dbp-5", "0x1.6debf5d000000p-30"),
-        ("0x1.3d062cd63f846p-1", "0x1.8e37220000000p-37"),
-        ("0x1.44b475eda3603p-3", "0x1.f834d30000000p-36"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-    ],
-    ("sparse", OMA): [
-        ("0x1.7c0491dd02dd1p-7", "0x1.ce948158fc52ep-33"),
-        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
-        ("0x1.0948cb38856b8p-5", "0x1.f4ca4cd453725p-31"),
-        ("0x1.6d25f663f41e9p-9", "0x1.61224b8000000p-40"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
-        ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1b85800p-28"),
-        ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16f000000p-29"),
-        ("0x1.01c54825d2959p-1", "0x1.8214fd6000000p-33"),
-        ("0x1.045ad48bdac40p-2", "0x1.2e86d50000000p-35"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-    ],
-    ("low_uav", NOMA): [
-        ("0x1.532f60805a29cp-11", "0x1.c194feb800000p-32"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.532f60805a279p-11", "0x1.fa7d361000000p-34"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.537836c49eda4p-11", "0x1.bedee21400000p-32"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.554897ed8f2dbp-12", "0x1.c546e4ce00000p-33"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.2807274d2e786p-12", "0x1.13858683f8000p-26"),
-        ("0x0.0p+0", "0x0.0p+0"),
-    ],
-    ("low_uav", OMA): [
-        ("0x1.2ade198c7d656p-11", "0x1.8525d40000000p-37"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.2ade198cabf96p-11", "0x1.5e03850800000p-28"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.2b20ef5fc3e06p-11", "0x1.28416c8000000p-38"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.3781c09a1b104p-12", "0x1.8fa6b78500000p-31"),
-        ("0x0.0p+0", "0x0.0p+0"),
-        ("0x1.9d172ee99e992p-13", "0x1.7f21527ec0000p-31"),
-        ("0x0.0p+0", "0x0.0p+0"),
-    ],
+    "X86_V3": {
+        ("sparse", NOMA): [
+            ("0x1.da5e7ad0bf94fp-7", "0x1.f60d99a93423cp-35"),
+            ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+            ("0x1.3ccf446e14dc6p-5", "0x1.efc2a88783469p-32"),
+            ("0x1.f69e635106b94p-10", "0x1.29a8c3c000000p-40"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+            ("0x1.a5eb5a8792e81p-2", "0x1.50b72f4790000p-29"),
+            ("0x1.783602bf8d4dbp-5", "0x1.6debf5b000000p-30"),
+            ("0x1.3d062cd63f845p-1", "0x1.8e35220000000p-37"),
+            ("0x1.44b475eda3603p-3", "0x1.f834d20000000p-36"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("sparse", OMA): [
+            ("0x1.7c0491dd02dd1p-7", "0x1.ce94814eed4a8p-33"),
+            ("0x1.ad157778b87e1p-11", "0x1.532ad9e04f000p-39"),
+            ("0x1.0948cb38856b8p-5", "0x1.f4ca4cc80b9aep-31"),
+            ("0x1.6d25f663f41e9p-9", "0x1.61224c0000000p-40"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.ad157778b87e1p-11", "0x1.532ad9e04f000p-39"),
+            ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1b85600p-28"),
+            ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16e000000p-29"),
+            ("0x1.01c54825d2959p-1", "0x1.8214f56000000p-33"),
+            ("0x1.045ad48bdac40p-2", "0x1.2e86d50000000p-35"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("low_uav", NOMA): [
+            ("0x1.532f60805a29cp-11", "0x1.c194feb800000p-32"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.532f60805a279p-11", "0x1.fa7d361000000p-34"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.537836c49eda5p-11", "0x1.bedee21200000p-32"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.554897ed8f2dap-12", "0x1.c546e4d000000p-33"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2807274d2e786p-12", "0x1.13858683f8000p-26"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("low_uav", OMA): [
+            ("0x1.2ade198c7d656p-11", "0x1.8525d40000000p-37"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2ade198cabf96p-11", "0x1.5e03850800000p-28"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2b20ef5fc3e06p-11", "0x1.28416c8000000p-38"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.3781c09a1b104p-12", "0x1.8fa6b78500000p-31"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.9d172ee99e992p-13", "0x1.7f21527ec0000p-31"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+    },
+    "X86_V4": {
+        ("sparse", NOMA): [
+            ("0x1.da5e7ad0bf94fp-7", "0x1.f60d997d73c7cp-35"),
+            ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+            ("0x1.3ccf446e14dc6p-5", "0x1.efc2a885b3421p-32"),
+            ("0x1.f69e635106b94p-10", "0x1.29a8c58000000p-40"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.140b81c4ae36ap-11", "0x1.89e5a6dc30000p-27"),
+            ("0x1.a5eb5a8792e81p-2", "0x1.50b72f1790000p-29"),
+            ("0x1.783602bf8d4dbp-5", "0x1.6debf5d000000p-30"),
+            ("0x1.3d062cd63f846p-1", "0x1.8e37220000000p-37"),
+            ("0x1.44b475eda3603p-3", "0x1.f834d30000000p-36"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("sparse", OMA): [
+            ("0x1.7c0491dd02dd1p-7", "0x1.ce948158fc52ep-33"),
+            ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
+            ("0x1.0948cb38856b8p-5", "0x1.f4ca4cd453725p-31"),
+            ("0x1.6d25f663f41e9p-9", "0x1.61224b8000000p-40"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.ad157778b87e1p-11", "0x1.532ad8d04e800p-39"),
+            ("0x1.5f485bcdd4e74p-2", "0x1.6c552d1b85800p-28"),
+            ("0x1.22bf3d2527ef6p-4", "0x1.6f9e16f000000p-29"),
+            ("0x1.01c54825d2959p-1", "0x1.8214fd6000000p-33"),
+            ("0x1.045ad48bdac40p-2", "0x1.2e86d50000000p-35"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("low_uav", NOMA): [
+            ("0x1.532f60805a29cp-11", "0x1.c194feb800000p-32"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.532f60805a279p-11", "0x1.fa7d361000000p-34"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.537836c49eda4p-11", "0x1.bedee21400000p-32"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.554897ed8f2dbp-12", "0x1.c546e4ce00000p-33"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2807274d2e786p-12", "0x1.13858683f8000p-26"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+        ("low_uav", OMA): [
+            ("0x1.2ade198c7d656p-11", "0x1.8525d40000000p-37"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2ade198cabf96p-11", "0x1.5e03850800000p-28"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.2b20ef5fc3e06p-11", "0x1.28416c8000000p-38"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.3781c09a1b104p-12", "0x1.8fa6b78500000p-31"),
+            ("0x0.0p+0", "0x0.0p+0"),
+            ("0x1.9d172ee99e992p-13", "0x1.7f21527ec0000p-31"),
+            ("0x0.0p+0", "0x0.0p+0"),
+        ],
+    },
 }
 
 # (integrand calls, noise-free nodes, noise-stage nodes) of every shipped
@@ -422,8 +516,8 @@ SWEEP_COUNTS = {
     "user_centric_rate_oma_m3": (1, 3_456, 3_456),
 }
 CORNER_COUNTS = {
-    ("sparse", NOMA): (19, 322_560, 330_240),
-    ("sparse", OMA): (20, 341_760, 355_200),
+    ("sparse", NOMA): (71, 322_560, 330_240),
+    ("sparse", OMA): (75, 341_760, 355_200),
     ("low_uav", NOMA): (4, 5_376, 10_368),
     ("low_uav", OMA): (3, 4_992, 9_984),
 }
@@ -505,12 +599,30 @@ def _hyp2f1_counts(monkeypatch):
     return len(sizes), sum(sizes)
 
 
+def _dispatch() -> str:
+    """The SIMD target numpy runs float64 ``exp`` on. It names the x86-64
+    level (X86_V4, X86_V3 or the baseline) that the float64 kernels of the
+    corner sets run at, and so the set of pinned bits they meet."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0
+        return "unknown"
+    return opt_func_info("^exp$", "d").get("exp", {}).get("dd", {}).get("current", "unknown")
+
+
+DISPATCH = _dispatch()
+
+
 class TestPinnedBits:
-    @pytest.mark.parametrize("label,access", list(BISECTING_BITS))
+    @pytest.mark.parametrize("label,access", CORNER_SETS)
     def test_corner_sets_keep_every_bit(self, label, access):
+        assert DISPATCH in BISECTING_BITS, (
+            f"no bits are pinned for numpy's {DISPATCH} dispatch: take them with "
+            "PYTHONPATH=src python tests/test_sweep_passes.py on it"
+        )
         form, values = _corner_set(label)
         results = quadrature.coverage_quadratures(form, values, access)
-        assert _bits(results) == BISECTING_BITS[label, access]
+        assert _bits(results) == BISECTING_BITS[DISPATCH][label, access]
 
 
 class TestPinnedCounts:
@@ -521,7 +633,7 @@ class TestPinnedCounts:
     def test_shipped_sweeps(self, monkeypatch, name):
         assert _sweep_counts(monkeypatch, name) == SWEEP_COUNTS[name]
 
-    @pytest.mark.parametrize("label,access", list(CORNER_COUNTS))
+    @pytest.mark.parametrize("label,access", CORNER_SETS)
     def test_corner_sets(self, monkeypatch, label, access):
         assert _corner_counts(monkeypatch, label, access) == CORNER_COUNTS[label, access]
 
@@ -538,13 +650,20 @@ if __name__ == "__main__":
     def _count(counts):
         return "(" + ", ".join(f"{n:_}" for n in counts) + ")"
 
-    print("BISECTING_BITS = {")
-    for label, access in BISECTING_BITS:
+    # the pins of every other target stay as they are
+    fresh = {}
+    for label, access in CORNER_SETS:
         form, values = _corner_set(label)
-        print(f"    {_key(label, access)}: [")
-        for value, estimate in _bits(quadrature.coverage_quadratures(form, values, access)):
-            print(f'        ("{value}", "{estimate}"),')
-        print("    ],")
+        fresh[label, access] = _bits(quadrature.coverage_quadratures(form, values, access))
+    print("BISECTING_BITS = {")
+    for target, pins in sorted({**BISECTING_BITS, DISPATCH: fresh}.items()):
+        print(f'    "{target}": {{')
+        for (label, access), bits in pins.items():
+            print(f"        {_key(label, access)}: [")
+            for value, estimate in bits:
+                print(f'            ("{value}", "{estimate}"),')
+            print("        ],")
+        print("    },")
     print("}")
     with pytest.MonkeyPatch.context() as patch:
         print("SWEEP_COUNTS = {")
@@ -552,7 +671,7 @@ if __name__ == "__main__":
             print(f'    "{name}": {_count(_sweep_counts(patch, name))},')
         print("}")
         print("CORNER_COUNTS = {")
-        for label, access in CORNER_COUNTS:
+        for label, access in CORNER_SETS:
             counts = _corner_counts(patch, label, access)
             print(f"    {_key(label, access)}: {_count(counts)},")
         print("}")
